@@ -99,29 +99,42 @@ def log1mexp(v):
     return np.where(v <= _LN2, small, large)
 
 
-def _ew_w(t, p: EwParams):
-    t = np.asarray(t, dtype=float)
+def ew_log_terms(v, p: EwParams):
+    """The EW kernel at times v: (w, logm, vv, log_s0, lw, logf), vectorized.
+
+    w = (v/theta)^kappa, logm = log(1 - e^{-w}), vv = -log F = -alpha logm,
+    log_s0 = log S, lw = log(v/theta) and logf = log f.  Beyond w = 600
+    log S is replaced by its asymptote log(alpha) - w (relative error
+    ~e^{-600}); switching well before exp(-w) goes subnormal keeps log S
+    smooth in the parameters, which the optimizer relies on.  The other
+    terms are returned because the likelihood gradient reuses them.
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.power(t / p.theta, p.kappa)
+        w = np.power(v / p.theta, p.kappa)
+        logm = log1mexp(w)
+        vv = -(p.alpha * logm)
+        log_s0 = log1mexp(vv)
+        log_s0 = np.where((w > 600.0) | (vv == 0.0), math.log(p.alpha) - w, log_s0)
+        lw = np.log(v / p.theta)
+        logf = (
+            math.log(p.alpha)
+            + math.log(p.kappa)
+            - math.log(p.theta)
+            + (p.kappa - 1.0) * lw
+            + (p.alpha - 1.0) * logm
+            - w
+        )
+    return w, logm, vv, log_s0, lw, logf
 
 
 def ew_log_survival(t, p: EwParams):
-    """log S(t) = log(1 - F(t)), stable into the far tail.
+    """log S(t) = log(1 - F(t)), stable into the far tail (see ew_log_terms).
 
-    Beyond w = (t/theta)^kappa = 600 the exact form is replaced by its
-    asymptote log(alpha) - w (relative error ~e^{-600}); switching well
-    before exp(-w) goes subnormal keeps log S smooth in the parameters,
-    which the optimizer relies on.  Nonpositive t returns 0 (survival 1).
+    Nonpositive t returns 0 (survival 1).
     """
     t = np.asarray(t, dtype=float)
-    w = _ew_w(np.maximum(t, 0.0), p)
-    logm = log1mexp(w)  # log(1 - e^{-w})
-    v = -(p.alpha * logm)  # = -log F >= 0
-    with np.errstate(invalid="ignore"):
-        out = log1mexp(v)
-        tail = math.log(p.alpha) - w
-    out = np.where((w > 600.0) | (v == 0.0), tail, out)
-    return np.where(t <= 0.0, 0.0, out)
+    log_s0 = ew_log_terms(np.maximum(t, 0.0), p)[3]
+    return np.where(t <= 0.0, 0.0, log_s0)
 
 
 def ew_survival(t, p: EwParams):
@@ -131,26 +144,15 @@ def ew_survival(t, p: EwParams):
 def ew_cdf(t, p: EwParams):
     """F(t) = [1 - exp{-(t/theta)^kappa}]^alpha; 0 at t <= 0."""
     t = np.asarray(t, dtype=float)
-    w = _ew_w(np.maximum(t, 0.0), p)
-    out = np.exp(p.alpha * log1mexp(w))
-    return np.where(t <= 0.0, 0.0, out)
+    vv = ew_log_terms(np.maximum(t, 0.0), p)[2]
+    return np.where(t <= 0.0, 0.0, np.exp(-vv))
 
 
 def ew_log_pdf(t, p: EwParams):
     t = np.asarray(t, dtype=float)
     pos = t > 0.0
-    tw = np.where(pos, t, 1.0)
-    w = _ew_w(tw, p)
-    logt = np.log(tw / p.theta)
-    out = (
-        math.log(p.alpha)
-        + math.log(p.kappa)
-        - math.log(p.theta)
-        + (p.kappa - 1.0) * logt
-        + (p.alpha - 1.0) * log1mexp(w)
-        - w
-    )
-    return np.where(pos, out, -np.inf)
+    logf = ew_log_terms(np.where(pos, t, 1.0), p)[5]
+    return np.where(pos, logf, -np.inf)
 
 
 def ew_pdf(t, p: EwParams):

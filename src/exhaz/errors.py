@@ -49,10 +49,6 @@ class NonPositive(ExhazError):
     """A parameter that must be strictly positive is not."""
 
 
-class SingularHessian(ExhazError):
-    """The observed information matrix is not positive definite."""
-
-
 class SEsUnavailable(ExhazError):
     """Standard errors were requested but could not be computed."""
 
@@ -63,10 +59,6 @@ class NoEligibleFit(ExhazError):
 
 class TargetUnreachable(ExhazError):
     """The requested censoring proportion cannot be achieved."""
-
-
-class ConfigError(ExhazError):
-    """A run configuration file is missing, malformed, or inconsistent."""
 
 
 class DataError(ExhazError):

@@ -1,13 +1,16 @@
 """Maximum-likelihood fitting of M1/M2/M3 and AIC-based selection (M4).
 
-Fitting is a two-step search: one cycle of coordinate descent from fixed
-starting values (kappa = theta = 1, alpha = 2, betas = 0; gamma = 1.2 for
-M2; mu = 1.2, b = 0.1 for M3), then a bounded quasi-Newton refinement
-(L-BFGS-B with analytic gradients) on the log-transformed positive
-parameters.  A Nelder-Mead polish runs only when the post-fit
-finite-difference gradient check fails.  Standard errors come from a
-central-difference Hessian on the transformed scale, pseudo-inverted with
-an eigenvalue floor, and are mapped back by the delta method.
+Fitting is a two-step search on the log-transformed positive parameters:
+one cycle of coordinate descent from fixed starting values (kappa = theta
+= 1, alpha = 2, betas = 0; gamma = 1.2 for M2; mu = 1.2, b = 0.1 for M3),
+then a refinement.  The refinement runs bounded L-BFGS-B with analytic
+gradients and checks the finite-difference gradient.  When the check
+fails it takes up to four damped Newton steps with a central-difference
+Hessian and checks again; when that fails too, Nelder-Mead runs and the
+round (L-BFGS-B, check, Newton polish, check) is repeated once from its
+result.  Standard errors come from a central-difference Hessian on the
+transformed scale, pseudo-inverted with an eigenvalue floor, and are
+mapped back by the delta method.
 
 M1's likelihood omits the population-survival constant, so its AIC is
 computed on the comparable scale (constant restored); cross-model AICs are
@@ -18,8 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from math import fsum
+from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -348,8 +350,8 @@ def _covariance(neg_hessian: np.ndarray):
     """Pseudo-inverse of the observed information with a 1e-10 eigenvalue floor.
 
     Returns (cov, positive_definite).  Negative eigenvalues mean the
-    information matrix is not PD (SingularHessian condition): covariance is
-    not usable and None is returned.
+    information matrix is not PD: covariance is not usable and None is
+    returned.
     """
     info = neg_hessian
     eigval, eigvec = np.linalg.eigh(info)

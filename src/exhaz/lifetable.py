@@ -7,6 +7,11 @@ diagnosed at age A in year y traverses the table along the diagonal
 (A + s, y + s), so cumulative-hazard increments are exact sums of
 rate x duration over the sub-segments delimited by integer age/year
 boundaries.
+
+One walk along that diagonal (``LifeTable._walk``) serves both the
+increment dH_P and its inverse, the other-cause time.  It moves every
+patient of a batch forward together, one cell per step, so the queries
+take arrays: a whole cohort is one call.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ class LexisPosition:
     """A point on the Lexis plane plus the strata used for table lookup.
 
     As follow-up time s advances, age and year advance together to
-    (age + s, year + s).
+    (age + s, year + s).  For a batch, age (and optionally year) are
+    arrays and strata is a sequence holding one strata tuple per patient.
     """
 
     age: float
@@ -59,6 +65,12 @@ class LifeTable:
     likelihood inner loop are O(1).  Queries outside the age/year ranges
     clamp to the nearest boundary cell.  Immutable after construction;
     all queries are pure.
+
+    ``rate_at``, ``cum_hazard_increment`` and ``other_cause_time_inverse``
+    take a scalar LexisPosition and return a float, or a batch position
+    (array age, one stratum per patient) and return an array; their other
+    numeric arguments (t, u, frailty) broadcast against it.  Each batch
+    result equals, bit for bit, the per-patient calls.
     """
 
     strata_columns: tuple[str, ...]
@@ -86,139 +98,135 @@ class LifeTable:
                 f"(columns {list(self.strata_columns)})"
             ) from None
 
-    def _clamp_age(self, age: float) -> int:
-        return min(max(int(math.floor(age)), self.age_min), self.age_max) - self.age_min
+    def _rows(self, pos: LexisPosition, *values):
+        """Broadcast pos and values to flat per-patient arrays.
 
-    def _clamp_year(self, year: float) -> int:
-        return min(max(int(math.floor(year)), self.year_min), self.year_max) - self.year_min
+        Returns (shape, stratum, age, year, *values); ``shape`` is () when
+        every input is scalar.
+        """
+        if np.ndim(pos.age) == 0:
+            k = self.stratum_of(pos.strata)
+        else:
+            codes = {z: self.stratum_of(z) for z in set(pos.strata)}
+            k = np.array([codes[z] for z in pos.strata], dtype=np.intp)
+        k, *cols = np.broadcast_arrays(k, pos.age, pos.year, *values)
+        age, year, *values = (np.asarray(c, dtype=float).ravel() for c in cols)
+        if not (np.isfinite(age).all() and np.isfinite(year).all()):
+            raise ValueError("age and year must be finite")
+        return (k.shape, k.ravel(), age, year, *values)
 
-    def rate_at(self, pos: LexisPosition) -> float:
+    @staticmethod
+    def _shaped(out: np.ndarray, shape):
+        return float(out[0]) if shape == () else out.reshape(shape)
+
+    def _rate(self, age, year, k):
+        """Rates of the cells containing (age, year), clamped to the table edge."""
+        ia = np.minimum(np.maximum(np.floor(age), self.age_min), self.age_max) - self.age_min
+        iy = np.minimum(np.maximum(np.floor(year), self.year_min), self.year_max) - self.year_min
+        return self.rates[ia.astype(np.intp), iy.astype(np.intp), k]
+
+    def rate_at(self, pos: LexisPosition):
         """Rate of the cell containing ``pos`` (clamped outside the range)."""
-        k = self.stratum_of(pos.strata)
-        return float(self.rates[self._clamp_age(pos.age), self._clamp_year(pos.year), k])
+        shape, k, age, year = self._rows(pos)
+        return self._shaped(self._rate(age, year, k), shape)
 
     def rate_at_offset(self, start: LexisPosition, s: float, advance_year: bool = True) -> float:
         """Rate seen at follow-up time s from ``start`` along the diagonal."""
         year = start.year + s if advance_year else start.year
         return self.rate_at(LexisPosition(start.age + s, year, start.strata))
 
-    def cum_hazard_increment(
-        self, start: LexisPosition, t: float, advance_year: bool = True
-    ) -> float:
+    def _walk(self, age, year, k, advance_year, end):
+        """Walk every patient along its Lexis diagonal, all rows one cell per step.
+
+        Yields (s, s_next, rate) per step: row i covers [s[i], s_next[i]] at
+        the rate of the cell containing the segment's midpoint.  s_next is
+        the first integer age or calendar-year boundary ahead, capped at
+        end[i]; once age and year are both past the table edge the rate is
+        constant and s_next is end[i] (inf for an open-ended walk).
+        Boundaries come from integer edges minus the start, not from
+        accumulated durations, so they do not drift.  The caller stops the
+        walk; rows it is done with keep moving and are ignored.
+        """
+        edge_a = np.floor(age) + 1.0
+        edge_y = np.floor(year) + 1.0
+        s = np.zeros(age.shape)
+        while True:
+            next_a = edge_a - age
+            next_y = edge_y - year if advance_year else np.inf
+            past = age + s >= self.age_max + 1
+            if advance_year:
+                past &= year + s >= self.year_max + 1
+            s_next = np.minimum(np.where(past, np.inf, np.minimum(next_a, next_y)), end)
+            mid = 0.5 * (s + s_next)
+            yield s, s_next, self._rate(age + mid, year + mid if advance_year else year, k)
+            edge_a += s_next == next_a
+            edge_y += s_next == next_y
+            s = s_next
+
+    def cum_hazard_increment(self, start: LexisPosition, t, advance_year: bool = True):
         """Exact integral of the rate along the diagonal from ``start`` over [0, t].
 
         Equals H_P(A+t, y+t; z) - H_P(A, y; z) under the piecewise-constant
-        convention.  Breakpoints occur whenever floor(A+s) or floor(y+s)
-        increments; each sub-segment contributes rate x duration.
+        convention: each segment of the walk contributes rate x duration,
+        summed in walk order.  Past both table edges the constant tail is
+        one segment.
         """
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
-        k = self.stratum_of(start.strata)
-        total = 0.0
-        for dur, rate in self._segments(start.age, start.year, t, k, advance_year):
-            total += rate * dur
-        return total
-
-    def _segments(self, age0, year0, t, stratum, advance_year):
-        """Yield (duration, rate) pieces covering [0, t] along the diagonal.
-
-        Breakpoint positions are derived from integer counters rather than
-        accumulated floats, so segment boundaries are reproducible and free
-        of drift.
-        """
-        if t <= 0.0:
-            return
-        base_a = math.floor(age0)
-        base_y = math.floor(year0)
-        ka = 1  # next age boundary is base_a + ka
-        ky = 1
-        s = 0.0
-        while s < t:
-            next_a = (base_a + ka) - age0
-            next_y = (base_y + ky) - year0 if advance_year else math.inf
-            s_next = min(next_a, next_y, t)
-            if s_next <= s:
-                # boundary coincides with current position; step the counter
-                if next_a <= s:
-                    ka += 1
-                if advance_year and next_y <= s:
-                    ky += 1
-                continue
-            mid = 0.5 * (s + s_next)
-            ia = self._clamp_age(age0 + mid)
-            iy = self._clamp_year(year0 + mid) if advance_year else self._clamp_year(year0)
-            yield s_next - s, float(self.rates[ia, iy, stratum])
-            if s_next == next_a:
-                ka += 1
-            if advance_year and s_next == next_y:
-                ky += 1
-            s = s_next
+        shape, k, age, year, t = self._rows(start, t)
+        bad = ~((0.0 <= t) & (t < np.inf))
+        if bad.any():
+            raise ValueError(f"t must be finite and >= 0, got {t[bad][0]}")
+        total = np.zeros(t.shape)
+        for s, s_next, rate in self._walk(age, year, k, advance_year, t):
+            total += rate * (s_next - s)
+            if (s_next == t).all():
+                return self._shaped(total, shape)
 
     def other_cause_time_inverse(
         self,
         start: LexisPosition,
-        u: float,
-        frailty: float = 1.0,
+        u,
+        frailty=1.0,
         advance_year: bool = True,
-    ) -> float:
+    ):
         """Invert the cumulative background hazard: find t with ΔH_P(t) = -log(u)/frailty.
 
-        Walks the piecewise-constant segments; once both the age and year
-        coordinates have clamped past the table edge the rate is constant and
-        the remaining time is solved in closed form (extrapolation with the
-        last cell's rate).
+        Walks the diagonal until the accumulated hazard reaches the target;
+        once both the age and year coordinates have clamped past the table
+        edge the rate is constant and the remaining time is solved in closed
+        form (extrapolation with the last cell's rate).
 
         Raises ZeroHazardPath when the target cannot be reached because the
         rate is zero from some point on.
         """
-        if not 0.0 < u < 1.0:
-            raise ValueError(f"u must be in (0, 1), got {u}")
-        if frailty <= 0.0:
-            raise ValueError(f"frailty must be > 0, got {frailty}")
-        target = -math.log(u) / frailty
-        if target == 0.0:
-            return 0.0
-        k = self.stratum_of(start.strata)
-        base_a = math.floor(start.age)
-        base_y = math.floor(start.year)
-        ka = 1
-        ky = 1
-        s = 0.0
-        acc = 0.0
-        while True:
-            ia = self._clamp_age(start.age + s)
-            iy = self._clamp_year(start.year + s) if advance_year else self._clamp_year(start.year)
-            rate = float(self.rates[ia, iy, k])
-            clamped_a = start.age + s >= self.age_max + 1
-            clamped_y = (not advance_year) or (start.year + s >= self.year_max + 1)
-            if clamped_a and clamped_y:
-                # constant rate forever: finish in closed form
-                if rate <= 0.0:
+        shape, k, age, year, u, frailty = self._rows(start, u, frailty)
+        bad = ~((0.0 < u) & (u < 1.0))
+        if bad.any():
+            raise ValueError(f"u must be in (0, 1), got {u[bad][0]}")
+        bad = ~(frailty > 0.0)
+        if bad.any():
+            raise ValueError(f"frailty must be > 0, got {frailty[bad][0]}")
+        # math.log, not np.log: numpy's SIMD log can differ from libm in the
+        # last bit, which would move the drawn times
+        target = -np.array([math.log(v) for v in u]) / frailty
+        acc = np.zeros(u.shape)
+        out = np.empty(u.shape)
+        live = np.ones(u.shape, dtype=bool)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for s, s_next, rate in self._walk(age, year, k, advance_year, np.inf):
+                step = rate * (s_next - s)  # nan on a zero-rate tail
+                hit = live & (acc + step >= target)
+                stuck = live & ~hit & (s_next == np.inf)
+                if stuck.any():
+                    i = int(np.argmax(stuck))
                     raise ZeroHazardPath(
                         "cumulative hazard exhausted at "
-                        f"{acc:.6g} < target {target:.6g} with zero tail rate"
+                        f"{acc[i]:.6g} < target {target[i]:.6g} with zero tail rate"
                     )
-                return s + (target - acc) / rate
-            next_a = (base_a + ka) - start.age
-            next_y = (base_y + ky) - start.year if advance_year else math.inf
-            s_next = min(next_a, next_y)
-            if s_next <= s:
-                if next_a <= s:
-                    ka += 1
-                if advance_year and next_y <= s:
-                    ky += 1
-                continue
-            dur = s_next - s
-            if acc + rate * dur >= target:
-                if rate <= 0.0:  # acc == target exactly, degenerate
-                    return s
-                return s + (target - acc) / rate
-            acc += rate * dur
-            if s_next == next_a:
-                ka += 1
-            if advance_year and s_next == next_y:
-                ky += 1
-            s = s_next
+                out[hit] = np.where(rate > 0.0, s + (target - acc) / rate, s)[hit]
+                live &= ~hit
+                if not live.any():
+                    return self._shaped(out, shape)
+                acc += step
 
 
 def load_life_table(

@@ -24,13 +24,13 @@ test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .distributions import EwParams, GammaFrailtyParams, log1mexp
+from .distributions import GammaFrailtyParams, ew_log_terms
 from .errors import DataError, NonFiniteLikelihood, NonPositive
 from .gh_model import GhParams
 from .lifetable import LexisPosition, LifeTable
@@ -149,23 +149,19 @@ def prepare_cohort(
     covariate_names: Sequence[str] = (),
 ) -> PreparedCohort:
     """Cache h_P at exit and the cumulative increment dH_P for every patient."""
-    n = len(records)
-    if n == 0:
+    if len(records) == 0:
         raise DataError("cohort is empty")
-    p = records[0].x.shape[0]
-    time = np.empty(n)
-    status = np.empty(n, dtype=np.int8)
-    X = np.empty((n, p))
-    hp = np.empty(n)
-    dhp = np.empty(n)
-    for i, rec in enumerate(records):
-        start = LexisPosition(rec.age_diag, rec.year_diag, rec.z)
-        time[i] = rec.time
-        status[i] = rec.status
-        X[i] = rec.x
-        dhp[i] = table.cum_hazard_increment(start, rec.time, advance_year=advance_year)
-        exit_year = rec.year_diag + rec.time if advance_year else rec.year_diag
-        hp[i] = table.rate_at(LexisPosition(rec.age_diag + rec.time, exit_year, rec.z))
+    time = np.array([rec.time for rec in records])
+    status = np.array([rec.status for rec in records], dtype=np.int8)
+    X = np.array([rec.x for rec in records])
+    age = np.array([rec.age_diag for rec in records])
+    year = np.array([rec.year_diag for rec in records])
+    strata = [rec.z for rec in records]
+    dhp = table.cum_hazard_increment(
+        LexisPosition(age, year, strata), time, advance_year=advance_year
+    )
+    exit_year = year + time if advance_year else year
+    hp = table.rate_at(LexisPosition(age + time, exit_year, strata))
     return PreparedCohort(time, status, X, hp, dhp, tuple(covariate_names))
 
 
@@ -237,31 +233,6 @@ def marginal_survival_m3(
 # ---------------------------------------------------------------------------
 
 
-def _ew_values(v, p: EwParams):
-    """Baseline log-survival and log-density at times v > 0 (vectorized).
-
-    Past w = 600 the log-survival switches to its asymptote
-    log(alpha) - w before exp(-w) goes subnormal, keeping the surface
-    smooth for line searches (see distributions.ew_log_survival).
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = np.power(v / p.theta, p.kappa)
-        logm = log1mexp(w)  # log(1 - e^{-w})
-        vv = -(p.alpha * logm)  # -log F
-        log_s0 = log1mexp(vv)
-        log_s0 = np.where((w > 600.0) | (vv == 0.0), math.log(p.alpha) - w, log_s0)
-        lw = np.log(v / p.theta)
-        logf = (
-            math.log(p.alpha)
-            + math.log(p.kappa)
-            - math.log(p.theta)
-            + (p.kappa - 1.0) * lw
-            + (p.alpha - 1.0) * logm
-            - w
-        )
-    return w, logm, vv, log_s0, lw, logf
-
-
 def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
     """Per-patient log-likelihood terms plus reusable intermediates."""
     gh = params.gh
@@ -276,7 +247,7 @@ def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a1 = np.exp(xb1)
         v = t * a1
-        w, logm, vv, log_s0, lw, logf = _ew_values(v, gh.baseline)
+        w, logm, vv, log_s0, lw, logf = ew_log_terms(v, gh.baseline)
         h0 = np.exp(logf - log_s0)
         r21 = np.exp(xb2 - xb1)
         he = h0 * np.exp(xb2)

@@ -58,6 +58,7 @@ DESIGN1_GH = GhParams(
     beta2=np.array([0.05, 0.2, 0.25]),
 )
 COVARIATES = ("age", "sex", "w")
+_SEX_STRATA = (("0",), ("1",))  # life-table strata of sex 0 and 1, shared by every record
 
 
 def design_life_table() -> LifeTable:
@@ -176,63 +177,58 @@ def _draw_frailty(sc: ScenarioConfig, rng, n):
     return sample_lognormal_frailty(sc.frailty, rng, size=n)
 
 
-def generate_cohort(
-    sc: ScenarioConfig, replicate_index: int, table: LifeTable
-) -> list[PatientRecord]:
-    """One synthetic cohort; RNG stream is seeded sc.seed + replicate_index."""
-    rng = np.random.default_rng(sc.seed + replicate_index)
-    n = sc.n
+def _event_times(sc: ScenarioConfig, table: LifeTable, n: int, rng):
+    """Covariates and first-event times (other-cause or excess) of n patients.
+
+    Returns (ages, strata, X, t_event).  Draw order is fixed (covariates,
+    frailty, other-cause uniform, excess uniform) so streams are
+    reproducible.
+    """
     ages, sex, _, X = generate_covariates(n, rng, sc.age_center, sc.age_scale)
     gamma = _draw_frailty(sc, rng, n)
     u_pop = rng.uniform(size=n)
     u_exc = rng.uniform(size=n)
     t_exc = np.asarray(inverse_excess_survival(u_exc, X, sc.gh))
-    if sc.dropout_rate is not None:
-        t_drop = rng.exponential(1.0, size=n) / sc.dropout_rate
-    else:
-        t_drop = np.full(n, np.inf)
+    strata = [_SEX_STRATA[v] for v in sex]
+    t_pop = table.other_cause_time_inverse(
+        LexisPosition(ages, sc.diagnosis_year, strata),
+        u_pop,
+        frailty=gamma,
+        advance_year=sc.advance_year,
+    )
+    return ages, strata, X, np.minimum(t_pop, t_exc)
 
-    records = []
-    for i in range(n):
-        start = LexisPosition(float(ages[i]), sc.diagnosis_year, (str(sex[i]),))
-        t_pop = table.other_cause_time_inverse(
-            start, float(u_pop[i]), frailty=float(gamma[i]), advance_year=sc.advance_year
+
+def generate_cohort(
+    sc: ScenarioConfig, replicate_index: int, table: LifeTable
+) -> list[PatientRecord]:
+    """One synthetic cohort; RNG stream is seeded sc.seed + replicate_index."""
+    rng = np.random.default_rng(sc.seed + replicate_index)
+    ages, strata, X, t_event = _event_times(sc, table, sc.n, rng)
+    if sc.dropout_rate is not None:
+        t_drop = rng.exponential(1.0, size=sc.n) / sc.dropout_rate
+    else:
+        t_drop = np.full(sc.n, np.inf)
+    t_cens = np.minimum(t_drop, sc.admin_censor_time)
+    time = np.minimum(t_event, t_cens)
+    status = t_event <= t_cens
+    return [
+        PatientRecord(
+            time=float(time[i]),
+            status=int(status[i]),
+            age_diag=float(ages[i]),
+            year_diag=sc.diagnosis_year,
+            x=X[i],
+            z=strata[i],
         )
-        t_event = min(t_pop, float(t_exc[i]))
-        t_cens = min(float(t_drop[i]), sc.admin_censor_time)
-        records.append(
-            PatientRecord(
-                time=min(t_event, t_cens),
-                status=int(t_event <= t_cens),
-                age_diag=float(ages[i]),
-                year_diag=sc.diagnosis_year,
-                x=X[i],
-                z=(str(sex[i]),),
-            )
-        )
-    return records
+        for i in range(sc.n)
+    ]
 
 
 def _pilot_times(sc: ScenarioConfig, table: LifeTable, pilot_n: int, seed):
     """Event times and unit-exponential drop-out draws for calibration."""
     rng = np.random.default_rng(seed)
-    ages, sex, _, X = generate_covariates(pilot_n, rng, sc.age_center, sc.age_scale)
-    gamma = _draw_frailty(sc, rng, pilot_n)
-    u_pop = rng.uniform(size=pilot_n)
-    u_exc = rng.uniform(size=pilot_n)
-    t_exc = np.asarray(inverse_excess_survival(u_exc, X, sc.gh))
-    t_pop = np.array(
-        [
-            table.other_cause_time_inverse(
-                LexisPosition(float(ages[i]), sc.diagnosis_year, (str(sex[i]),)),
-                float(u_pop[i]),
-                frailty=float(gamma[i]),
-                advance_year=sc.advance_year,
-            )
-            for i in range(pilot_n)
-        ]
-    )
-    t_event = np.minimum(t_pop, t_exc)
+    _, _, _, t_event = _event_times(sc, table, pilot_n, rng)
     e_drop = rng.exponential(1.0, size=pilot_n)
     return t_event, e_drop
 
@@ -471,8 +467,8 @@ def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1)
 
 def builtin_scenarios() -> dict[str, ScenarioConfig]:
     """Named presets: four mismatch levels x two censoring regimes, plus a
-    lognormal-misspecification scenario (its (m, s) are illustrative defaults,
-    overridable from the CLI).
+    lognormal-misspecification scenario (its (m, s) are illustrative
+    defaults; override them with dataclasses.replace).
 
     The excess-hazard age covariate enters as age - 70 (per-year slope): the
     reported recovery targets for the Design-I truth are only reproducible

@@ -185,6 +185,7 @@ def test_agrees_with_quadrature_on_random_tables():
             return rates[age - 70, year - 2010, int(strata[0])]
 
         t = make_life_table(["sex"], (70, 75), (2010, 2013), rate, [("0",), ("1",)])
+        rows = []
         for _ in range(10):
             a0 = rng.uniform(68.0, 77.0)
             y0 = rng.uniform(2009.0, 2014.0)
@@ -192,6 +193,8 @@ def test_agrees_with_quadrature_on_random_tables():
             sex = rng.choice(["0", "1"])
             pos = LexisPosition(a0, y0, (sex,))
             exact = t.cum_hazard_increment(pos, dt)
+            assert isinstance(exact, float)
+            rows.append((a0, y0, (sex,), dt, exact))
             # integrate piecewise between all breakpoints for full precision
             brk = sorted(
                 {0.0, dt}
@@ -203,6 +206,10 @@ def test_agrees_with_quadrature_on_random_tables():
                 piece, _ = quad(lambda s: t.rate_at_offset(pos, s), lo, hi, limit=100)
                 num += piece
             assert exact == pytest.approx(num, rel=1e-10, abs=1e-12)
+        # the same cases as one batch call, bit for bit
+        a0, y0, strata, dt, exact = zip(*rows)
+        batch = t.cum_hazard_increment(LexisPosition(np.array(a0), np.array(y0), strata), dt)
+        assert batch.tolist() == list(exact)
 
 
 def test_additivity():
@@ -242,6 +249,29 @@ def test_frozen_year_mode():
     # year frozen at 2012: 0.02*0.5 + 0.03*0.7
     got = t.cum_hazard_increment(pos, 1.2, advance_year=False)
     assert got == pytest.approx(0.02 * 0.5 + 0.03 * 0.7, abs=1e-15)
+    # year frozen at 2013: 0.09*0.5 + 0.04*0.7
+    later = LexisPosition(70.5, 2013.4, ("0",))
+    assert t.cum_hazard_increment(later, 1.2, advance_year=False) == pytest.approx(
+        0.09 * 0.5 + 0.04 * 0.7, abs=1e-15
+    )
+    # batch with per-row ages, years and times, including rows past age_max
+    ages = np.array([70.5, 70.5, 69.2, 71.7, 70.0])
+    years = np.array([2012.0, 2013.4, 2012.9, 2011.0, 2014.2])
+    dts = np.array([1.2, 1.2, 3.5, 2.25, 0.0])
+    strata = [("0",)] * len(ages)
+    batch = t.cum_hazard_increment(LexisPosition(ages, years, strata), dts, advance_year=False)
+    rows = [
+        t.cum_hazard_increment(LexisPosition(a, y, ("0",)), d, advance_year=False)
+        for a, y, d in zip(ages, years, dts)
+    ]
+    assert batch.tolist() == rows
+    u = np.exp(-np.array([0.01, 0.05, 0.2, 1.0, 3.0]))
+    inv = t.other_cause_time_inverse(LexisPosition(ages, years, strata), u, advance_year=False)
+    rows = [
+        t.other_cause_time_inverse(LexisPosition(a, y, ("0",)), v, advance_year=False)
+        for a, y, v in zip(ages, years, u)
+    ]
+    assert inv.tolist() == rows
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +306,23 @@ def test_inverse_of_hand_integrated_case():
 
 def test_inverse_round_trips_through_increment(uk_style_table):
     rng = np.random.default_rng(7)
+    rows = []
     for _ in range(50):
         pos = LexisPosition(
             rng.uniform(30, 98), rng.uniform(2010, 2016), (str(rng.integers(2)),)
         )
         u = float(rng.uniform(1e-6, 1 - 1e-6))
-        tt = uk_style_table.other_cause_time_inverse(pos, u)
+        frailty = float(rng.gamma(2.0, 0.5))
+        tt = uk_style_table.other_cause_time_inverse(pos, u, frailty=frailty)
+        assert isinstance(tt, float)
         back = uk_style_table.cum_hazard_increment(pos, tt)
-        assert back == pytest.approx(-math.log(u), rel=1e-10, abs=1e-12)
+        assert back == pytest.approx(-math.log(u) / frailty, rel=1e-10, abs=1e-12)
+        rows.append((pos.age, pos.year, pos.strata, u, frailty, tt, back))
+    # the same cases as one batch call, bit for bit
+    age, year, strata, u, frailty, tt, back = map(list, zip(*rows))
+    batch = LexisPosition(np.array(age), np.array(year), strata)
+    assert uk_style_table.other_cause_time_inverse(batch, u, frailty=frailty).tolist() == tt
+    assert uk_style_table.cum_hazard_increment(batch, tt).tolist() == back
 
 
 def test_inverse_extrapolates_past_max_age():
@@ -295,6 +334,15 @@ def test_inverse_extrapolates_past_max_age():
     # 0.02*1 + 0.03*(t-1) = 1  =>  t = 1 + 0.98/0.03
     assert got == pytest.approx(1 + 0.98 / 0.03, rel=1e-12)
     assert t.cum_hazard_increment(pos, got) == pytest.approx(1.0, rel=1e-12)
+    # batch: one row inside the table, the others extrapolated past age 71
+    ages = np.array([70.0, 70.0, 71.5, 75.0])
+    u = np.exp(-np.array([0.01, 1.0, 2.0, 0.5]))
+    batch = LexisPosition(ages, 2012.0, [("0",)] * 4)
+    got = t.other_cause_time_inverse(batch, u)
+    rows = [t.other_cause_time_inverse(LexisPosition(a, 2012.0, ("0",)), v) for a, v in zip(ages, u)]
+    assert got.tolist() == rows
+    assert got[3] == pytest.approx(0.5 / 0.03, rel=1e-12)
+    assert t.cum_hazard_increment(batch, got) == pytest.approx(-np.log(u), rel=1e-12)
 
 
 def test_inverse_with_frailty_scales_target():
@@ -309,6 +357,19 @@ def test_zero_hazard_path_raises():
     t = make_life_table(["sex"], (60, 65), (2000, 2001), lambda a, y, s: 0.0, [("0",)])
     with pytest.raises(ZeroHazardPath):
         t.other_cause_time_inverse(LexisPosition(60.0, 2000.0, ("0",)), 0.5)
+    # in a batch, one row on a zero-rate tail raises for the whole call
+    t = make_life_table(
+        ["sex"], (60, 65), (2000, 2001), lambda a, y, s: 0.1 if s == ("1",) else 0.0,
+        [("0",), ("1",)],
+    )
+    ok = LexisPosition(np.array([60.0, 62.5]), 2000.0, [("1",), ("1",)])
+    assert t.other_cause_time_inverse(ok, 0.5).tolist() == [
+        t.other_cause_time_inverse(LexisPosition(a, 2000.0, ("1",)), 0.5) for a in (60.0, 62.5)
+    ]
+    with pytest.raises(ZeroHazardPath):
+        t.other_cause_time_inverse(
+            LexisPosition(np.array([60.0, 62.5, 61.0]), 2000.0, [("1",), ("0",), ("1",)]), 0.5
+        )
 
 
 def test_inverse_rejects_bad_u(small_table):
