@@ -5,12 +5,14 @@ one cycle of coordinate descent from fixed starting values (kappa = theta
 = 1, alpha = 2, betas = 0; gamma = 1.2 for M2; mu = 1.2, b = 0.1 for M3),
 then a refinement.  The refinement runs bounded L-BFGS-B with analytic
 gradients and checks the finite-difference gradient.  When the check
-fails it takes up to four damped Newton steps with a central-difference
-Hessian and checks again; when that fails too, Nelder-Mead runs and the
-round (L-BFGS-B, check, Newton polish, check) is repeated once from its
-result.  Standard errors come from a central-difference Hessian on the
-transformed scale, pseudo-inverted with an eigenvalue floor, and are
-mapped back by the delta method.
+fails it takes up to four damped Newton steps with a Hessian from central
+differences of the log-likelihood values and checks again; when that fails
+too, Nelder-Mead runs and the round (L-BFGS-B, check, Newton polish,
+check) is repeated once from its result.  Standard errors come from a
+Hessian on the transformed scale built from central differences of the
+analytic gradient (2k gradient calls, symmetrized), pseudo-inverted with an
+eigenvalue floor, and mapped back by the delta method.  A fit that ends
+within 1e-6 of an edge of the search box says so in its notes.
 
 M1's likelihood omits the population-survival constant, so its AIC is
 computed on the comparable scale (constant restored); cross-model AICs are
@@ -64,6 +66,7 @@ log = logging.getLogger("exhaz")
 
 _EPS_CUBE_ROOT = float(np.finfo(float).eps ** (1.0 / 3.0))
 _BIG = 1e15  # objective value returned for rejected (non-finite) points
+_BOUND_TOL = 1e-6  # transformed-scale distance that counts as sitting on the box edge
 
 MODELS = ("M1", "M2", "M3")
 
@@ -271,6 +274,11 @@ class _Objective:
         grad_t[self.layout.positive] *= natural[self.layout.positive]
         return -ll, -grad_t
 
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        """Gradient of ``value``; NaN everywhere when the point is rejected."""
+        f, g = self.value_and_grad(x)
+        return g if f < _BIG else np.full_like(x, np.nan)
+
     def fd_gradient(self, x: np.ndarray, h: float) -> np.ndarray:
         grad = np.empty_like(x)
         for j in range(len(x)):
@@ -346,14 +354,31 @@ def _fd_hessian(value: Callable[[np.ndarray], float], x: np.ndarray, h: float) -
     return 0.5 * (H + H.T)
 
 
+def _grad_hessian(grad: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
+    """Hessian from central differences of the gradient, symmetrized.
+
+    Takes 2k gradient calls; the curvature is accurate to O(h^2) plus the
+    gradient's rounding over h, instead of the value's rounding over h^2.
+    """
+    k = len(x)
+    H = np.empty((k, k))
+    for i in range(k):
+        ei = np.zeros(k)
+        ei[i] = h
+        H[i] = (grad(x + ei) - grad(x - ei)) / (2 * h)
+    return 0.5 * (H + H.T)
+
+
 def _covariance(neg_hessian: np.ndarray):
     """Pseudo-inverse of the observed information with a 1e-10 eigenvalue floor.
 
-    Returns (cov, positive_definite).  Negative eigenvalues mean the
-    information matrix is not PD: covariance is not usable and None is
-    returned.
+    Returns (cov, positive_definite).  Negative eigenvalues, or a non-finite
+    entry (a rejected point in the difference stencil), mean the information
+    matrix is not PD: covariance is not usable and None is returned.
     """
     info = neg_hessian
+    if not np.all(np.isfinite(info)):
+        return None, False
     eigval, eigvec = np.linalg.eigh(info)
     if np.any(eigval < 0):
         return None, False
@@ -401,7 +426,8 @@ def _newton_polish(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarra
 def _refine(obj: _Objective, x0: np.ndarray, cfg: FitConfig, bounds):
     """Quasi-Newton refinement with a Newton polish when the gradient check fails.
 
-    Returns (x, n_iter).
+    Returns (x, n_iter, ll, gnorm): the log-likelihood and the FD-gradient
+    max-norm of the last check, which is made at the returned x.
     """
     lbfgsb_opts = {
         "maxfun": cfg.max_evals,
@@ -421,14 +447,16 @@ def _refine(obj: _Objective, x0: np.ndarray, cfg: FitConfig, bounds):
         if math.isfinite(res.fun) and res.fun <= obj.value(x):
             x = res.x
         n_iter += int(res.nit)
-        ll = -obj.value(x)
+        # ll (after L-BFGS-B) sets the Nelder-Mead tolerance; ll_x follows x
+        ll = ll_x = -obj.value(x)
         gnorm = float(np.max(np.abs(obj.fd_gradient(x, cfg.fd_step))))
         if gnorm <= _grad_check_tol(ll):
             break
         x, polish_iter = _newton_polish(obj, x, lo, hi)
         n_iter += polish_iter
         gnorm = float(np.max(np.abs(obj.fd_gradient(x, cfg.fd_step))))
-        if gnorm <= _grad_check_tol(-obj.value(x)):
+        ll_x = -obj.value(x)
+        if gnorm <= _grad_check_tol(ll_x):
             break
         if attempt == 0:
             simplex = minimize(
@@ -444,15 +472,31 @@ def _refine(obj: _Objective, x0: np.ndarray, cfg: FitConfig, bounds):
             if simplex.fun < obj.value(x):
                 x = np.clip(simplex.x, lo, hi)
                 n_iter += int(simplex.nit)
-    return x, n_iter
+    return x, n_iter, ll_x, gnorm
 
 
-def _covariate_scales(cohort: PreparedCohort) -> np.ndarray:
-    """Column scales used to standardize covariates inside the optimizer."""
-    if cohort.n_covariates == 0:
-        return np.ones(0)
-    s = cohort.X.std(axis=0)
-    return np.where(s > 0, s, 1.0)
+def _standardized_objective(model: str, cohort: PreparedCohort):
+    """The objective on covariates standardized to unit SD, and the slot scales.
+
+    Standardizing is an exact reparameterization of the GH model: beta_j on
+    the data scale is beta_j on the standardized scale divided by the column
+    SD s_j.  ``slot_scale`` holds s_j on both beta slots of covariate j and
+    1 on every other slot.
+    """
+    layout = ParamLayout.for_model(model, cohort.covariate_names)
+    p = layout.n_covariates
+    scales = np.ones(0)
+    if p:
+        s = cohort.X.std(axis=0)
+        scales = np.where(s > 0, s, 1.0)
+    cohort_s = PreparedCohort(
+        cohort.time, cohort.status, cohort.X / scales, cohort.hp, cohort.dhp,
+        cohort.covariate_names,
+    )
+    slot_scale = np.ones(layout.k)
+    slot_scale[3 : 3 + p] = scales
+    slot_scale[3 + p : 3 + 2 * p] = scales
+    return _Objective(layout, cohort_s), slot_scale
 
 
 def fit(
@@ -477,19 +521,8 @@ def fit(
         raise DataError("cohort is empty")
     if cohort.n_events == 0:
         raise DataError("cohort has no events (all censored); cannot fit")
-    layout = ParamLayout.for_model(model, cohort.covariate_names)
-    p = layout.n_covariates
-    scales = _covariate_scales(cohort)
-    cohort_s = PreparedCohort(
-        cohort.time, cohort.status, cohort.X / scales, cohort.hp, cohort.dhp,
-        cohort.covariate_names,
-    )
-    beta_slots = np.zeros(layout.k, dtype=bool)
-    beta_slots[3 : 3 + 2 * p] = True
-    slot_scale = np.ones(layout.k)
-    slot_scale[3 : 3 + p] = scales
-    slot_scale[3 + p : 3 + 2 * p] = scales
-    obj = _Objective(layout, cohort_s)
+    obj, slot_scale = _standardized_objective(model, cohort)
+    layout = obj.layout
 
     base = layout.default_init() if init is None else np.asarray(init, dtype=float)
     if len(base) != layout.k:
@@ -506,23 +539,21 @@ def fit(
         starts += [t0 + rng.normal(0.0, 0.3, layout.k) for _ in range(cfg.multi_starts)]
     starts = [np.clip(s, blo, bhi) for s in starts]
 
-    best_x, best_ll, total_iter = None, -np.inf, 0
+    best_x, best_ll, gnorm, total_iter = None, -np.inf, math.nan, 0
     for s in starts:
         try:
             warm = cda_warm_start(obj.value, s, halfwidth=cfg.cda_halfwidth, bounds=bounds)
         except NonFiniteLikelihood:
             log.warning("%s: start rejected (non-finite likelihood)", model)
             continue
-        x, n_iter = _refine(obj, warm, cfg, bounds)
+        x, n_iter, ll, x_gnorm = _refine(obj, warm, cfg, bounds)
         total_iter += n_iter
-        ll = -obj.value(x)
         if ll > best_ll:
-            best_ll, best_x = ll, x
+            best_ll, best_x, gnorm = ll, x, x_gnorm
     if best_x is None:
         raise NonFiniteLikelihood(f"{model}: no usable starting point")
 
     x_hat = best_x
-    gnorm = float(np.max(np.abs(obj.fd_gradient(x_hat, cfg.fd_step))))
     converged = gnorm <= _grad_check_tol(best_ll)
 
     natural_s = untransform_params(x_hat, layout.positive)
@@ -532,9 +563,16 @@ def fit(
     ll_comp = loglik(params, cohort, comparable=True)
     aic = -2.0 * ll_comp + 2.0 * layout.k
 
-    H = _fd_hessian(obj.value, x_hat, cfg.hessian_step)  # of -loglik, scaled space
+    H = _grad_hessian(obj.grad, x_hat, cfg.hessian_step)  # of -loglik, scaled space
     cov_s, pd = _covariance(H)
     notes = []
+    at_bound = [
+        name
+        for name, xi, lo, hi in zip(layout.names, x_hat, blo, bhi)
+        if xi - lo <= _BOUND_TOL or hi - xi <= _BOUND_TOL
+    ]
+    if at_bound:
+        notes.append(f"parameters at box bound: {', '.join(at_bound)}")
     if cov_s is not None:
         se_t = np.sqrt(np.diag(cov_s))
         se_nat = se_t.copy()

@@ -139,7 +139,7 @@ class PreparedCohort:
         return int(self.status.sum())
 
     def sum_dhp(self) -> float:
-        return fsum(self.dhp.tolist())
+        return _exact_sum(self.dhp)
 
 
 def prepare_cohort(
@@ -211,26 +211,68 @@ def overall_hazard(t, x, params: ModelParams, hp, dhp):
 
 def marginal_survival_m3(
     t,
-    rec: PatientRecord,
+    rec: PatientRecord | Sequence[PatientRecord],
     params: ModelParams,
     table: LifeTable,
     advance_year: bool = True,
 ):
-    """Marginal overall survival under M3: exp(-H_E) * L_Gamma(dH_P)."""
+    """Marginal overall survival under M3: exp(-H_E) * L_Gamma(dH_P).
+
+    ``rec`` is one record with a scalar ``t``, or a sequence of records with
+    ``t`` an array of the same length; a sequence takes one walk of the
+    life table for all of them.
+    """
     from .distributions import gamma_laplace
     from .gh_model import excess_cum_hazard
 
     if not isinstance(params.correction, GammaFrailtyParams):
         raise ValueError("marginal_survival_m3 requires M3 (GammaFrailty) params")
-    start = LexisPosition(rec.age_diag, rec.year_diag, rec.z)
-    dhp = table.cum_hazard_increment(start, float(t), advance_year=advance_year)
-    he = excess_cum_hazard(t, rec.x, params.gh)
+    if isinstance(rec, PatientRecord):
+        start = LexisPosition(rec.age_diag, rec.year_diag, rec.z)
+        x, t_walk = rec.x, float(t)
+    else:
+        start = LexisPosition(
+            np.array([r.age_diag for r in rec]),
+            np.array([r.year_diag for r in rec]),
+            [r.z for r in rec],
+        )
+        x, t_walk = np.array([r.x for r in rec]), np.asarray(t, dtype=float)
+    dhp = table.cum_hazard_increment(start, t_walk, advance_year=advance_year)
+    he = excess_cum_hazard(t, x, params.gh)
     return np.exp(-he) * gamma_laplace(dhp, params.correction)
 
 
 # ---------------------------------------------------------------------------
 # log-likelihood
 # ---------------------------------------------------------------------------
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """Correctly rounded sum of a float array; equals ``fsum(a.tolist())``.
+
+    Error-free extraction (Rump, Ogita & Oishi 2008, "Accurate
+    floating-point summation part I"): with sigma a power of two at least
+    2^M max|r| and 2^M >= n + 2, q = (sigma + r) - sigma holds the leading
+    bits of every entry as multiples of ulp(sigma)/2, so np.sum(q) is exact
+    and so is r - q.  Each pass moves about 53 - M bits of every entry into
+    one partial sum; fsum adds the partials and the last remainders once at
+    most 32 of them are nonzero, or at once when the exponents leave the
+    range where sigma is a normal number that cannot overflow (huge, tiny,
+    inf or NaN entries).
+    """
+    r = np.asarray(a, dtype=float).ravel()
+    m_bits = (r.size + 1).bit_length()
+    parts = []
+    while np.count_nonzero(r) > 32:
+        top = float(np.max(np.abs(r)))
+        e = math.frexp(top)[1] + m_bits
+        if not (math.isfinite(top) and -969 <= e <= 1022):
+            break
+        sigma = math.ldexp(1.0, e)
+        q = (sigma + r) - sigma
+        parts.append(float(np.sum(q)))
+        r = r - q
+    return fsum(parts + r[r != 0].tolist())
 
 
 def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
@@ -274,7 +316,14 @@ def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
 
 
 def loglik(params: ModelParams, cohort: PreparedCohort, comparable: bool = False) -> float:
-    """Exact log-likelihood; compensated (exact) summation over patients.
+    """Exact log-likelihood: the correctly rounded sum of the per-patient terms.
+
+    The sum equals ``math.fsum`` of the terms bit for bit, so it does not
+    depend on the order of the patients.  ``_exact_sum`` gets it with a few
+    vectorized passes of error-free extraction: each pass rounds every
+    remainder to a multiple of a common power of two (an exact split),
+    adds those parts exactly with one np.sum, and keeps the exact rests;
+    fsum then adds the pass totals and the last nonzero rests.
 
     ``comparable=True`` adds M1's omitted population-survival constant back
     so that values are on the full-data likelihood scale across models.
@@ -293,7 +342,7 @@ def loglik(params: ModelParams, cohort: PreparedCohort, comparable: bool = False
             f"(t={cohort.time[idx]:.6g}, status={int(cohort.status[idx])})",
             patient_index=idx,
         )
-    return fsum(terms.tolist())
+    return _exact_sum(terms)
 
 
 def loglik_and_grad(
@@ -310,7 +359,7 @@ def loglik_and_grad(
     terms, aux = _terms(params, cohort, comparable)
     if not np.isfinite(terms).all():
         return -np.inf, None
-    ll = fsum(terms.tolist())
+    ll = _exact_sum(terms)
     (xb1, xb2, a1, v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam) = aux
     t, status, X = cohort.time, cohort.status, cohort.X
     hp, dhp = cohort.hp, cohort.dhp

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from exhaz.distributions import GammaFrailtyParams, sample_gamma_frailty
 from exhaz.errors import NoEligibleFit, NonPositive, SEsUnavailable
 from exhaz.estimation import (
     FitConfig,
@@ -13,6 +14,8 @@ from exhaz.estimation import (
     ParamLayout,
     _covariance,
     _fd_hessian,
+    _grad_hessian,
+    _standardized_objective,
     cda_warm_start,
     confidence_intervals,
     fit,
@@ -57,18 +60,19 @@ def test_transform_rejects_nonpositive():
 
 
 def test_delta_method_se_matches_natural_scale_hessian():
-    # toy 1-parameter problem: Gaussian log-likelihood in log(theta)
+    # toy 1-parameter problem: Gaussian log-likelihood in log(theta), with the
+    # closed-form gradient of the negative log-likelihood on each scale
     n_obs, spread, center = 50.0, 0.7, 0.4
     theta_hat = math.exp(center)
 
-    def negll_nat(v):  # v = [theta]
-        return 0.5 * n_obs * ((math.log(v[0]) - center) / spread) ** 2
+    def grad_nat(v):  # v = [theta]
+        return np.array([n_obs * (math.log(v[0]) - center) / (spread**2 * v[0])])
 
-    def negll_trans(v):  # v = [log theta]
-        return 0.5 * n_obs * ((v[0] - center) / spread) ** 2
+    def grad_trans(v):  # v = [log theta]
+        return np.array([n_obs * (v[0] - center) / spread**2])
 
-    H_nat = _fd_hessian(negll_nat, np.array([theta_hat]), 1e-4)
-    H_trans = _fd_hessian(negll_trans, np.array([center]), 1e-4)
+    H_nat = _grad_hessian(grad_nat, np.array([theta_hat]), 1e-4)
+    H_trans = _grad_hessian(grad_trans, np.array([center]), 1e-4)
     se_nat_direct = 1.0 / math.sqrt(H_nat[0, 0])
     se_log = 1.0 / math.sqrt(H_trans[0, 0])
     assert theta_hat * se_log == pytest.approx(se_nat_direct, rel=1e-4)
@@ -184,6 +188,55 @@ def test_fit_all_warm_starts_and_aic_alignment():
     l2_at_g1 = loglik(params_g1, cohort, comparable=True)
     l1c = loglik(fits["M1"].to_model_params(), cohort, comparable=True)
     assert l2_at_g1 == l1c
+
+
+# ---------------------------------------------------------------------------
+# standard-error Hessian
+# ---------------------------------------------------------------------------
+
+def _frailty_cohort(seed):
+    g = GammaFrailtyParams(1.5, 0.5)
+    return sim_cohort(
+        n=1000, seed=seed, pop_rate=0.05,
+        frailty=lambda rng, n: sample_gamma_frailty(g, rng, n),
+    )
+
+
+def _search_point(res, cohort):
+    """The fit's objective, slot scales, and its estimate on the search scale."""
+    obj, slot_scale = _standardized_objective(res.model, cohort)
+    return obj, slot_scale, transform_params(res.estimates * slot_scale, obj.layout.positive)
+
+
+def test_gradient_hessian_ses_match_value_fd_on_interior_m3_fit():
+    cohort = _frailty_cohort(0)
+    res = fit("M3", cohort)
+    assert res.converged and res.hessian_pd
+    assert not any(note.startswith("parameters at box bound") for note in res.notes)
+    obj, slot_scale, x_hat = _search_point(res, cohort)
+    cov_fd, pd = _covariance(_fd_hessian(obj.value, x_hat, FitConfig().hessian_step))
+    assert pd
+    se_fd = np.sqrt(np.diag(cov_fd))
+    se_fit = np.sqrt(np.diag(res.cov_transformed)) * slot_scale
+    assert se_fit == pytest.approx(se_fd, rel=1e-3)
+
+
+def test_boundary_collapse_has_stable_nonnegative_information():
+    # No frailty signal left in this cohort: b collapses onto its lower bound
+    # e^-20 and the information along log b is ~1e-10.  Value differences
+    # at these steps give a negative eigenvalue that changes with h.
+    cohort = _frailty_cohort(3)
+    res = fit("M3", cohort)
+    assert res.converged and res.hessian_pd and res.ses_available
+    assert "parameters at box bound: b" in res.notes
+    assert res.estimate("b") == pytest.approx(math.exp(-20.0), rel=1e-6)
+    assert res.std_error("b") > 1e3 * res.estimate("b")
+    obj, _, x_hat = _search_point(res, cohort)
+    smallest = [
+        np.linalg.eigvalsh(_grad_hessian(obj.grad, x_hat, h))[0] for h in (1e-3, 1e-4, 1e-5)
+    ]
+    assert min(smallest) >= 0.0
+    assert smallest == pytest.approx([smallest[1]] * 3, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
