@@ -91,12 +91,27 @@ class LogNormalFrailtyParams:
 
 
 def log1mexp(v):
-    """log(1 - exp(-v)) for v >= 0, stable on both sides of v = ln 2."""
+    """log(1 - exp(-v)) for v >= 0, stable on both sides of v = ln 2.
+
+    log(-expm1(-v)) serves v <= ln 2 and log1p(-exp(-v)) the rest (NaN
+    included).  The branch most entries need runs on the whole array; only
+    the other entries are recomputed, by index, with their own branch, so
+    every entry gets exactly the bits of its branch.
+    """
     v = np.asarray(v, dtype=float)
+    flat = v.ravel()
+    neg = -flat
+    small = flat <= _LN2
     with np.errstate(divide="ignore", invalid="ignore"):
-        small = np.log(-np.expm1(-v))
-        large = np.log1p(-np.exp(-v))
-    return np.where(v <= _LN2, small, large)
+        if 2 * np.count_nonzero(small) >= flat.size:
+            out = np.log(-np.expm1(neg))
+            idx = np.flatnonzero(~small)
+            out[idx] = np.log1p(-np.exp(neg[idx]))
+        else:
+            out = np.log1p(-np.exp(neg))
+            idx = np.flatnonzero(small)
+            out[idx] = np.log(-np.expm1(neg[idx]))
+    return out.reshape(v.shape)
 
 
 def ew_log_terms(v, p: EwParams):
@@ -110,12 +125,13 @@ def ew_log_terms(v, p: EwParams):
     terms are returned because the likelihood gradient reuses them.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = np.power(v / p.theta, p.kappa)
+        vt = v / p.theta
+        w = np.power(vt, p.kappa)
         logm = log1mexp(w)
         vv = -(p.alpha * logm)
         log_s0 = log1mexp(vv)
         log_s0 = np.where((w > 600.0) | (vv == 0.0), math.log(p.alpha) - w, log_s0)
-        lw = np.log(v / p.theta)
+        lw = np.log(vt)
         logf = (
             math.log(p.alpha)
             + math.log(p.kappa)

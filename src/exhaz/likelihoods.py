@@ -24,7 +24,9 @@ test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from math import fsum
 from typing import Sequence, TextIO
 
@@ -100,6 +102,9 @@ class ModelParams:
         return "M3"
 
 
+_EW_MEMO_SIZE = 2  # EW blocks kept per cohort
+
+
 @dataclass(frozen=True)
 class PreparedCohort:
     """Cohort with life-table quantities cached per patient.
@@ -107,6 +112,16 @@ class PreparedCohort:
     hp[i] is the background rate at exit time and dhp[i] the cumulative
     background-hazard increment over (0, t_i] along the Lexis diagonal.
     Immutable; likelihood evaluations are pure functions of it.
+
+    The cohort also keeps the event mask ``status == 1`` and a memo of the
+    last two EW blocks the likelihood computed on it: the baseline terms,
+    which depend only on (kappa, theta, alpha, beta1).  Coordinate descent
+    and finite-difference stencils revisit a block while they move beta2 or
+    the correction, and such an evaluation reuses it.  The cached arrays are
+    read-only and hold exactly the bits a fresh computation gives, so the
+    memo changes no result.  It is not thread-safe: share a cohort between
+    threads only through copies (``dataclasses.replace`` gives a fresh,
+    empty memo).
     """
 
     time: np.ndarray
@@ -115,10 +130,17 @@ class PreparedCohort:
     hp: np.ndarray
     dhp: np.ndarray
     covariate_names: tuple[str, ...] = ()
+    _event: np.ndarray = field(init=False, repr=False, compare=False)
+    _ew_memo: OrderedDict = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for arr in (self.time, self.status, self.X, self.hp, self.dhp):
             arr.setflags(write=False)
+        event = self.status == 1
+        event.setflags(write=False)
+        object.__setattr__(self, "_event", event)
         if not self.covariate_names:
             object.__setattr__(
                 self,
@@ -258,13 +280,27 @@ def _exact_sum(a: np.ndarray) -> float:
     one partial sum; fsum adds the partials and the last remainders once at
     most 32 of them are nonzero, or at once when the exponents leave the
     range where sigma is a normal number that cannot overflow (huge, tiny,
-    inf or NaN entries).
+    inf or NaN entries).  Before each further pass a rounding certificate
+    (Rump, Ogita & Oishi 2008, part II) bounds the plain sum of the
+    remainders; when the whole bound rounds to one value with the partials,
+    that value is the answer and the passes stop.
     """
     r = np.asarray(a, dtype=float).ravel()
-    m_bits = (r.size + 1).bit_length()
+    n = r.size
+    m_bits = (n + 1).bit_length()
     parts = []
     while np.count_nonzero(r) > 32:
         top = float(np.max(np.abs(r)))
+        if parts:
+            # np.sum(r) is within (n-1) u sum|r| < n^2 u top of the exact
+            # sum of r (u = 2^-53); d is four times that.  fsum rounds
+            # monotonically, so when both ends of [s - d, s + d] give one
+            # value, so does the exact sum and the passes can stop.
+            s, d = float(np.sum(r)), 4.0 * n * n * 2.0**-53 * top
+            if d >= sys.float_info.min:
+                lo = fsum(parts + [s - d])
+                if lo == fsum(parts + [s + d]):
+                    return lo
         e = math.frexp(top)[1] + m_bits
         if not (math.isfinite(top) and -969 <= e <= 1022):
             break
@@ -275,22 +311,40 @@ def _exact_sum(a: np.ndarray) -> float:
     return fsum(parts + r[r != 0].tolist())
 
 
+def _ew_block(gh: GhParams, cohort: PreparedCohort):
+    """(xb1, v, w, logm, vv, log_s0, lw, h0): the EW baseline terms.
+
+    They depend on the cohort and on (kappa, theta, alpha, beta1) only, and
+    come from the cohort's memo when one of its last two blocks matches.
+    """
+    p = gh.baseline
+    key = (p.kappa, p.theta, p.alpha, gh.beta1.tobytes())
+    memo = cohort._ew_memo
+    block = memo.get(key)
+    if block is not None:
+        memo.move_to_end(key)
+        return block
+    xb1 = cohort.X @ gh.beta1 if gh.n_covariates else np.zeros(cohort.n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = cohort.time * np.exp(xb1)
+        w, logm, vv, log_s0, lw, logf = ew_log_terms(v, p)
+        h0 = np.exp(logf - log_s0)
+    block = (xb1, v, w, logm, vv, log_s0, lw, h0)
+    for arr in block:
+        arr.setflags(write=False)
+    memo[key] = block
+    if len(memo) > _EW_MEMO_SIZE:
+        memo.popitem(last=False)
+    return block
+
+
 def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
     """Per-patient log-likelihood terms plus reusable intermediates."""
     gh = params.gh
-    t, status, X = cohort.time, cohort.status, cohort.X
     hp, dhp = cohort.hp, cohort.dhp
-    if gh.n_covariates:
-        xb1 = X @ gh.beta1
-        xb2 = X @ gh.beta2
-    else:
-        xb1 = np.zeros(cohort.n)
-        xb2 = np.zeros(cohort.n)
+    xb1, v, w, logm, vv, log_s0, lw, h0 = _ew_block(gh, cohort)
+    xb2 = cohort.X @ gh.beta2 if gh.n_covariates else np.zeros(cohort.n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a1 = np.exp(xb1)
-        v = t * a1
-        w, logm, vv, log_s0, lw, logf = ew_log_terms(v, gh.baseline)
-        h0 = np.exp(logf - log_s0)
         r21 = np.exp(xb2 - xb1)
         he = h0 * np.exp(xb2)
         HE = -log_s0 * r21
@@ -310,9 +364,9 @@ def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
             pop = corr.mu * dhp * _log1p_ratio(y)
 
         lam = chp + he
-        loglam = np.where(status == 1, np.log(np.where(status == 1, lam, 1.0)), 0.0)
+        loglam = np.log(np.where(cohort._event, lam, 1.0))  # log(1) = +0.0
         terms = loglam - HE - pop
-    return terms, (xb1, xb2, a1, v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam)
+    return terms, (v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam)
 
 
 def loglik(params: ModelParams, cohort: PreparedCohort, comparable: bool = False) -> float:
@@ -352,21 +406,25 @@ def loglik_and_grad(
 
     Gradient layout: [kappa, theta, alpha, beta1 (p), beta2 (p), correction
     params (gamma for M2; mu, b for M3)].  Returns (-inf, None) when any
-    term is non-finite so optimizers can reject the step.
+    term is non-finite, or the sum of finite terms overflows, so optimizers
+    can reject the step.
     """
     gh = params.gh
     p = gh.baseline
     terms, aux = _terms(params, cohort, comparable)
     if not np.isfinite(terms).all():
         return -np.inf, None
-    ll = _exact_sum(terms)
-    (xb1, xb2, a1, v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam) = aux
-    t, status, X = cohort.time, cohort.status, cohort.X
+    try:
+        ll = _exact_sum(terms)
+    except OverflowError:  # finite terms whose sum overflows
+        return -np.inf, None
+    v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam = aux
+    ev, X = cohort._event, cohort.X
     hp, dhp = cohort.hp, cohort.dhp
     H0 = -log_s0
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = np.where(status == 1, he / lam, 0.0)  # weight of d log h_E in d log lambda
+        u = np.where(ev, he / lam, 0.0)  # weight of d log h_E in d log lambda
         e1 = np.exp(-w - logm)  # q / m = 1 / (e^w - 1)
         dlogf_dw = 1.0 / w + (p.alpha - 1.0) * e1 - 1.0
         dH0_dw = h0 * v / (p.kappa * w)
@@ -398,15 +456,13 @@ def loglik_and_grad(
 
         corr = params.correction
         if isinstance(corr, SingleGamma):
-            dlam = np.where(status == 1, hp / lam, 0.0)
+            dlam = np.where(ev, hp / lam, 0.0)
             grad.append(np.sum(dlam) - np.sum(dhp))
         elif isinstance(corr, GammaFrailtyParams):
             y = corr.b * dhp
             den = 1.0 + y
-            dlam_mu = np.where(status == 1, (hp / den) / lam, 0.0)
-            dlam_b = np.where(
-                status == 1, (-corr.mu * hp * dhp / (den * den)) / lam, 0.0
-            )
+            dlam_mu = np.where(ev, (hp / den) / lam, 0.0)
+            dlam_b = np.where(ev, (-corr.mu * hp * dhp / (den * den)) / lam, 0.0)
             # d pop_i / dmu = dhp log1p(y)/y; d pop_i / db = mu dhp^2 G(y)
             g_mu = np.sum(dlam_mu) - np.sum(dhp * _log1p_ratio(y))
             g_b = np.sum(dlam_b) + corr.mu * np.sum(dhp * dhp * _m3_pop_curvature(y))

@@ -18,6 +18,7 @@ from exhaz.distributions import (
     ew_survival,
     gamma_frailty_pdf,
     gamma_laplace,
+    log1mexp,
     sample_gamma_frailty,
     sample_lognormal_frailty,
 )
@@ -123,6 +124,41 @@ def test_log_survival_far_tail_stays_finite():
     H = ew_cum_hazard(50.0, p)  # w = 2500
     assert math.isfinite(H)
     assert H == pytest.approx(2500.0 - math.log(3.0), rel=1e-12)
+
+
+def _log1mexp_two_branch(v):
+    """Reference: both branches on every entry, picked by np.where."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small = np.log(-np.expm1(-v))
+        large = np.log1p(-np.exp(-v))
+    return np.where(v <= math.log(2.0), small, large)
+
+
+def test_log1mexp_bitwise_equals_two_branch_formula():
+    ln2 = math.log(2.0)
+    special = np.array(
+        [0.0, -0.0, ln2, math.nextafter(ln2, 0.0), math.nextafter(ln2, 1.0),
+         5e-324, 2.2250738585072014e-308, 1e-310, 1e-300, 1e55, np.inf, np.nan]
+    )
+    rng = np.random.default_rng(5)
+    mixed = np.concatenate([special, np.exp(rng.uniform(-700.0, 6.62, 1000))])
+    rng.shuffle(mixed)
+    cases = [
+        np.array(0.3), np.array(2.0), np.array(ln2), np.array(np.nan), np.array([]),
+        special, mixed, mixed.reshape(23, 44),
+        np.exp(rng.uniform(-40.0, math.log(ln2), 500)),  # all small
+        rng.uniform(30.0, 745.0, 500),  # all large
+        np.linspace(30.0, 745.0, 64),
+        np.concatenate([np.full(10, 0.1), np.full(11, 5.0)]),  # minorities of
+        np.concatenate([np.full(11, 0.1), np.full(10, 5.0)]),  # either branch
+    ]
+    for v in cases:
+        got, want = log1mexp(v), _log1mexp_two_branch(v)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), v
+    for x in special:
+        assert float(log1mexp(x)).hex() == float(_log1mexp_two_branch(x)).hex()
 
 
 # ---------------------------------------------------------------------------

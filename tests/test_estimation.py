@@ -9,6 +9,7 @@ import pytest
 from exhaz.distributions import GammaFrailtyParams, sample_gamma_frailty
 from exhaz.errors import NoEligibleFit, NonPositive, SEsUnavailable
 from exhaz.estimation import (
+    _BIG,
     FitConfig,
     FitResult,
     ParamLayout,
@@ -26,7 +27,13 @@ from exhaz.estimation import (
     untransform_params,
     write_fit_result,
 )
-from exhaz.likelihoods import ModelParams, SingleGamma, loglik
+from exhaz.likelihoods import (
+    ModelParams,
+    PreparedCohort,
+    SingleGamma,
+    loglik,
+    loglik_and_grad,
+)
 
 from conftest import TRUE_GH, sim_cohort
 
@@ -154,6 +161,29 @@ def test_fit_multistart_deterministic():
     r2 = fit("M1", cohort, cfg)
     assert np.array_equal(r1.estimates, r2.estimates)
     assert r1.multistart_best_of == 3
+
+
+def test_objective_rejects_an_overflowing_sum_in_value_and_gradient():
+    # M1 without covariates at kappa = 320, theta = alpha = 1 (log 320 = 5.77,
+    # inside the box): each of the 5000 terms is -9^320 = -1.6e305, finite,
+    # but their sum overflows.
+    n = 5000
+    cohort = PreparedCohort(
+        np.full(n, 9.0), np.zeros(n, dtype=np.int8), np.zeros((n, 0)),
+        np.full(n, 0.01), np.full(n, 0.09),
+    )
+    obj, _ = _standardized_objective("M1", cohort)
+    x = np.array([math.log(320.0), 0.0, 0.0])
+    lo, hi = np.array(obj.layout.transformed_bounds()).T
+    assert np.all((lo < x) & (x < hi))
+    params = obj.layout.to_params(untransform_params(x, obj.layout.positive))
+    with pytest.raises(OverflowError):
+        loglik(params, cohort)
+    assert loglik_and_grad(params, cohort) == (-math.inf, None)
+    assert obj.value(x) == _BIG
+    f, g = obj.value_and_grad(x)
+    assert f == _BIG and np.array_equal(g, np.zeros(3))
+    assert np.isnan(obj.grad(x)).all()
 
 
 def test_fit_rejects_eventless_cohort():

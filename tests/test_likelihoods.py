@@ -1,6 +1,7 @@
 """Likelihood terms against hand computations, quadrature, and brute force."""
 
 import math
+from dataclasses import replace
 from math import fsum
 
 import numpy as np
@@ -16,6 +17,7 @@ from exhaz.likelihoods import (
     PatientRecord,
     PreparedCohort,
     SingleGamma,
+    _ew_block,
     _exact_sum,
     _terms,
     loglik,
@@ -184,6 +186,36 @@ def _exact_sum_cases():
         )
     cohort = fake_cohort(5000, seed=8)
     yield _terms(ModelParams(GH, GammaFrailtyParams(1.875, 0.075)), cohort, False)[0]
+    yield from _half_ulp_ties(rng)
+
+
+def _half_ulp_ties(rng):
+    """A large term plus many small shares of exactly half its ulp.
+
+    The exact sum is a rounding tie, so no interval around the plain sum of
+    the shares rounds to one value, and ``_exact_sum`` must finish its
+    passes.  Ties go to even: down from 1 and 2^40 + 2, up from 1 + 2^-52
+    and 2^40 + 1.  In the last share set np.sum of the shares is inexact in
+    most orders, so a sum that trusted it would round the wrong way.
+    """
+    for big in (1.0, 1.0 + 2.0**-52, 2.0**40 + 1.0, 2.0**40 + 2.0):
+        half_ulp = math.ulp(big) / 2
+        unit = half_ulp / 2.0**37
+        shares = []
+        for m in (64, 4999):
+            pos = rng.integers(1, 2**37 // m, m)
+            mixed = rng.integers(-(2**36) // m, 2**36 // m, m)
+            for k in (pos, mixed):
+                k[-1] = 2**37 - k[:-1].sum()
+                shares.append(k * unit)
+        shares.append(
+            np.append(np.full(1024, half_ulp * 2.0**-60), half_ulp * (1.0 - 2.0**-50))
+        )
+        for small in shares:
+            assert math.fsum(small.tolist()) == half_ulp
+            a = rng.permutation(np.append(small, big))
+            yield a
+            yield -a
 
 
 def test_exact_sum_equals_fsum():
@@ -198,6 +230,54 @@ def test_exact_sum_equals_fsum():
             math.fsum(a)
         with pytest.raises(OverflowError):
             _exact_sum(np.array(a))
+
+
+def test_ew_memo_reuses_blocks_bit_for_bit():
+    cohort = fake_cohort(300, seed=41)
+    other = GhParams(EwParams(1.3, 0.9, 0.7), GH.beta1 + 0.05, GH.beta2)
+    flipped = GhParams(BASE, -GH.beta1, GH.beta2)
+    points = []
+    for gh in (GH, other, flipped):
+        for corr in (None, SingleGamma(1.4), GammaFrailtyParams(2.0, 0.3)):
+            for db2 in (0.0, 1e-3, -0.2):  # moves beta2 only: same EW block
+                points.append(
+                    ModelParams(GhParams(gh.baseline, gh.beta1, gh.beta2 + db2), corr)
+                )
+    points += points[:5]  # back to the first block after it was evicted
+    for params in points:
+        for comparable in (False, True):
+            fresh = replace(cohort)
+            assert len(fresh._ew_memo) == 0 and fresh._ew_memo is not cohort._ew_memo
+            want = loglik(params, fresh, comparable)
+            assert loglik(params, cohort, comparable).hex() == want.hex()
+            ll, grad = loglik_and_grad(params, cohort, comparable)
+            ll_f, grad_f = loglik_and_grad(params, replace(cohort), comparable)
+            assert ll.hex() == ll_f.hex() == want.hex()
+            assert np.array_equal(grad.view(np.int64), grad_f.view(np.int64))
+        assert 1 <= len(cohort._ew_memo) <= 2
+        for block in cohort._ew_memo.values():
+            for arr in block:
+                assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        next(iter(cohort._ew_memo.values()))[0][0] = 0.0
+
+
+def test_ew_memo_shares_blocks_and_evicts_least_recent():
+    cohort = fake_cohort(40, seed=43)
+    a = _ew_block(GH, cohort)
+    same = GhParams(BASE, GH.beta1.copy(), GH.beta2 + 1.0)
+    assert _ew_block(same, cohort) is a
+    b = _ew_block(GhParams(BASE, GH.beta1 + 1e-9, GH.beta2), cohort)
+    assert _ew_block(GH, cohort) is a  # a is now the most recent
+    _ew_block(GhParams(EwParams(0.6, 1.75, 2.6), GH.beta1, GH.beta2), cohort)
+    assert len(cohort._ew_memo) == 2
+    assert _ew_block(GH, cohort) is a
+    assert all(blk is not b for blk in cohort._ew_memo.values())
+    # no covariates: beta1 is empty and the key still tells blocks apart
+    bare = PreparedCohort(cohort.time, cohort.status, cohort.X[:, :0], cohort.hp, cohort.dhp)
+    assert _ew_block(GhParams(BASE), bare) is _ew_block(GhParams(BASE), bare)
+    _ew_block(GhParams(EwParams(0.6, 1.75, 2.6)), bare)
+    assert len(bare._ew_memo) == 2
 
 
 def test_m2_at_gamma_one_equals_m1_minus_sum_dhp():
