@@ -90,28 +90,39 @@ class LogNormalFrailtyParams:
         _check_positive(s=self.s)
 
 
+def _by_majority(x, small, f_small, f_large):
+    """Entry-wise ``np.where(small, f_small(x), f_large(x))``, bit for bit.
+
+    The branch most entries need runs on the whole (flattened) array; only
+    the other entries are recomputed, by index, with their own branch, so
+    every entry gets exactly the bits of its branch.  Masked ``where=``
+    ufuncs and boolean indexing of both sides were slower.  Floating-point
+    warnings are off because the majority branch computes throwaway values
+    for the other entries; a NaN or inf that is kept shows in the result.
+    """
+    flat, small = x.ravel(), small.ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if 2 * np.count_nonzero(small) >= flat.size:
+            out = f_small(flat)
+            idx = np.flatnonzero(~small)
+            out[idx] = f_large(flat[idx])
+        else:
+            out = f_large(flat)
+            idx = np.flatnonzero(small)
+            out[idx] = f_small(flat[idx])
+    return out.reshape(x.shape)
+
+
 def log1mexp(v):
     """log(1 - exp(-v)) for v >= 0, stable on both sides of v = ln 2.
 
     log(-expm1(-v)) serves v <= ln 2 and log1p(-exp(-v)) the rest (NaN
-    included).  The branch most entries need runs on the whole array; only
-    the other entries are recomputed, by index, with their own branch, so
-    every entry gets exactly the bits of its branch.
+    included), each entry with exactly the bits of its branch.
     """
     v = np.asarray(v, dtype=float)
-    flat = v.ravel()
-    neg = -flat
-    small = flat <= _LN2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if 2 * np.count_nonzero(small) >= flat.size:
-            out = np.log(-np.expm1(neg))
-            idx = np.flatnonzero(~small)
-            out[idx] = np.log1p(-np.exp(neg[idx]))
-        else:
-            out = np.log1p(-np.exp(neg))
-            idx = np.flatnonzero(small)
-            out[idx] = np.log(-np.expm1(neg[idx]))
-    return out.reshape(v.shape)
+    return _by_majority(
+        -v, v <= _LN2, lambda u: np.log(-np.expm1(u)), lambda u: np.log1p(-np.exp(u))
+    )
 
 
 def ew_log_terms(v, p: EwParams):

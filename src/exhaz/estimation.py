@@ -14,6 +14,15 @@ analytic gradient (2k gradient calls, symmetrized), pseudo-inverted with an
 eigenvalue floor, and mapped back by the delta method.  A fit that ends
 within 1e-6 of an edge of the search box says so in its notes.
 
+Tolerances, step sizes and budgets are module constants, properties of
+the method rather than of a study: ``_GRAD_TOL`` and ``_STEP_TOL`` (stops
+of L-BFGS-B and Nelder-Mead), ``_MAX_EVALS`` (per stage), ``_FD_STEP``
+(gradient check), ``_HESSIAN_STEP`` (both the polish and the standard
+errors), ``_POLISH_STEPS``, ``_CDA_HALFWIDTH`` and ``_CDA_MAXITER``.
+``FitConfig`` keeps only the random restarts (``multi_starts``, ``seed``):
+a best-of-N fit is the reference that tells whether one start found the
+MLE.
+
 M1's likelihood omits the population-survival constant, so its AIC is
 computed on the comparable scale (constant restored); cross-model AICs are
 meaningless otherwise.
@@ -67,29 +76,29 @@ log = logging.getLogger("exhaz")
 _EPS_CUBE_ROOT = float(np.finfo(float).eps ** (1.0 / 3.0))
 _BIG = 1e15  # objective value returned for rejected (non-finite) points
 _BOUND_TOL = 1e-6  # transformed-scale distance that counts as sitting on the box edge
+_GRAD_TOL = 1e-6  # L-BFGS-B gtol
+_STEP_TOL = 1e-9  # Nelder-Mead xatol
+_MAX_EVALS = 2000  # per stage
+_FD_STEP = 1e-5  # for the post-fit gradient check
+_HESSIAN_STEP = 1e-4  # Newton-polish and standard-error Hessians
+_POLISH_STEPS = 4
+_CDA_HALFWIDTH = 5.0  # search window per coordinate, transformed scale
+_CDA_MAXITER = 50  # per coordinate
 
 MODELS = ("M1", "M2", "M3")
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings; defaults follow the two-step scheme described above."""
+    """Random restarts: how many, and the seed of their perturbations.
 
-    grad_tol: float = 1e-6
-    step_tol: float = 1e-9
-    max_evals: int = 2000  # per stage
+    The only fit settings: a best-of-``multi_starts`` fit is the reference
+    that tells whether the default single start found the MLE.  Everything
+    else the optimizer uses is a module constant (see the module docstring).
+    """
+
     multi_starts: int = 0  # extra random restarts (recommended >= 3 for production)
-    ci_level: float = 0.95
-    hessian_step: float = 1e-4
-    fd_step: float = 1e-5  # for the post-fit gradient check
-    cda_halfwidth: float = 5.0  # search window per coordinate, transformed scale
     seed: int = 0
-
-    def __post_init__(self):
-        if not (self.grad_tol > 0 and self.step_tol > 0 and self.hessian_step > 0):
-            raise ValueError("tolerances must be > 0")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError("ci_level must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -172,11 +181,18 @@ class ParamLayout:
 
 
 def transform_params(natural: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """Map positive parameters through log; identity on the rest."""
+    """Map positive parameters through log; identity on the rest.
+
+    Raises NonPositive naming every slot that is not finite or, on a
+    positive slot, not > 0.
+    """
     natural = np.asarray(natural, dtype=float)
-    if np.any(natural[positive] <= 0) or not np.all(np.isfinite(natural)):
-        bad = np.where(positive & ~(natural > 0))[0]
-        raise NonPositive(f"parameters at positions {bad.tolist()} must be > 0")
+    bad = ~np.isfinite(natural) | (positive & ~(natural > 0))
+    if bad.any():
+        raise NonPositive(
+            f"parameters at positions {np.flatnonzero(bad).tolist()} must be finite, "
+            "and > 0 where positive"
+        )
     out = natural.copy()
     out[positive] = np.log(natural[positive])
     return out
@@ -206,7 +222,6 @@ class FitResult:
     n_evals: int
     n_iter: int
     multistart_best_of: int
-    ci_level: float
     notes: tuple[str, ...] = ()
 
     @property
@@ -230,11 +245,10 @@ class FitResult:
         return layout.to_params(self.estimates)
 
 
-def confidence_intervals(fit: FitResult, level: float | None = None):
+def confidence_intervals(fit: FitResult, level: float = 0.95):
     """Natural-scale Wald intervals: estimate +/- z * SE, per parameter."""
     if fit.std_errors is None:
         raise SEsUnavailable(f"standard errors unavailable for {fit.model} fit")
-    level = fit.ci_level if level is None else level
     z = float(ndtri(0.5 * (1.0 + level)))
     return {
         name: (est - z * se, est + z * se)
@@ -292,17 +306,14 @@ class _Objective:
 def cda_warm_start(
     objective: Callable[[np.ndarray], float],
     init: np.ndarray,
-    halfwidth: float = 5.0,
-    maxiter_per_coord: int = 50,
     bounds: Sequence[tuple[float, float]] | None = None,
 ) -> np.ndarray:
     """One cycle of coordinate descent on the transformed scale.
 
     Each coordinate is minimized by a bounded 1-D search on
-    [x_j - halfwidth, x_j + halfwidth] (intersected with ``bounds`` when
-    given) with the others fixed at their freshest values; a coordinate
-    update is kept only if it improves the objective, so the output never
-    degrades the input.  Coordinates whose search fails (non-finite
+    [x_j - 5, x_j + 5] (intersected with ``bounds`` when given) with the
+    others fixed at their freshest values; a coordinate update is kept only
+    if it improves the objective, so the output never degrades the input.  Coordinates whose search fails (non-finite
     objective) are skipped with a warning.
     """
     x = np.asarray(init, dtype=float).copy()
@@ -315,7 +326,7 @@ def cda_warm_start(
             xj[j] = v
             return objective(xj)
 
-        lo, hi = x[j] - halfwidth, x[j] + halfwidth
+        lo, hi = x[j] - _CDA_HALFWIDTH, x[j] + _CDA_HALFWIDTH
         if bounds is not None:
             lo, hi = max(lo, bounds[j][0]), min(hi, bounds[j][1])
         try:
@@ -323,7 +334,7 @@ def cda_warm_start(
                 f1,
                 bounds=(lo, hi),
                 method="bounded",
-                options={"xatol": 1e-6, "maxiter": maxiter_per_coord},
+                options={"xatol": 1e-6, "maxiter": _CDA_MAXITER},
             )
         except (ValueError, FloatingPointError):
             log.warning("CDA: coordinate %d skipped (1-D search failed)", j)
@@ -392,7 +403,7 @@ def _grad_check_tol(ll: float) -> float:
     return 1e-3 * (1.0 + abs(ll)) * _EPS_CUBE_ROOT
 
 
-def _newton_polish(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_steps: int = 4):
+def _newton_polish(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Damped Newton steps with the FD Hessian and analytic gradient.
 
     Cleans up the last decades of gradient norm on flat ridges where
@@ -400,13 +411,13 @@ def _newton_polish(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarra
     x is kept unless the objective improves.
     """
     n_iter = 0
-    for _ in range(max_steps):
+    for _ in range(_POLISH_STEPS):
         f, g = obj.value_and_grad(x)
         if f >= _BIG or not np.all(np.isfinite(g)):
             break
         if np.max(np.abs(g)) <= 0.2 * _grad_check_tol(-f):
             break
-        H = _fd_hessian(obj.value, x, 1e-4)
+        H = _fd_hessian(obj.value, x, _HESSIAN_STEP)
         eigval, eigvec = np.linalg.eigh(H)
         floor = max(1e-8 * float(np.max(np.abs(eigval))), 1e-12)
         step = -(eigvec @ ((eigvec.T @ g) / np.maximum(eigval, floor)))
@@ -423,17 +434,17 @@ def _newton_polish(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarra
     return x, n_iter
 
 
-def _refine(obj: _Objective, x0: np.ndarray, cfg: FitConfig, bounds):
+def _refine(obj: _Objective, x0: np.ndarray, bounds):
     """Quasi-Newton refinement with a Newton polish when the gradient check fails.
 
     Returns (x, n_iter, ll, gnorm): the log-likelihood and the FD-gradient
     max-norm of the last check, which is made at the returned x.
     """
     lbfgsb_opts = {
-        "maxfun": cfg.max_evals,
-        "maxiter": cfg.max_evals,
+        "maxfun": _MAX_EVALS,
+        "maxiter": _MAX_EVALS,
         "ftol": 1e2 * np.finfo(float).eps,  # near machine precision; rely on gtol
-        "gtol": cfg.grad_tol,
+        "gtol": _GRAD_TOL,
     }
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -449,12 +460,12 @@ def _refine(obj: _Objective, x0: np.ndarray, cfg: FitConfig, bounds):
         n_iter += int(res.nit)
         # ll (after L-BFGS-B) sets the Nelder-Mead tolerance; ll_x follows x
         ll = ll_x = -obj.value(x)
-        gnorm = float(np.max(np.abs(obj.fd_gradient(x, cfg.fd_step))))
+        gnorm = float(np.max(np.abs(obj.fd_gradient(x, _FD_STEP))))
         if gnorm <= _grad_check_tol(ll):
             break
         x, polish_iter = _newton_polish(obj, x, lo, hi)
         n_iter += polish_iter
-        gnorm = float(np.max(np.abs(obj.fd_gradient(x, cfg.fd_step))))
+        gnorm = float(np.max(np.abs(obj.fd_gradient(x, _FD_STEP))))
         ll_x = -obj.value(x)
         if gnorm <= _grad_check_tol(ll_x):
             break
@@ -464,8 +475,8 @@ def _refine(obj: _Objective, x0: np.ndarray, cfg: FitConfig, bounds):
                 x,
                 method="Nelder-Mead",
                 options={
-                    "maxfev": cfg.max_evals,
-                    "xatol": cfg.step_tol,
+                    "maxfev": _MAX_EVALS,
+                    "xatol": _STEP_TOL,
                     "fatol": 1e-13 * (1 + abs(ll)),
                 },
             )
@@ -542,11 +553,11 @@ def fit(
     best_x, best_ll, gnorm, total_iter = None, -np.inf, math.nan, 0
     for s in starts:
         try:
-            warm = cda_warm_start(obj.value, s, halfwidth=cfg.cda_halfwidth, bounds=bounds)
+            warm = cda_warm_start(obj.value, s, bounds=bounds)
         except NonFiniteLikelihood:
             log.warning("%s: start rejected (non-finite likelihood)", model)
             continue
-        x, n_iter, ll, x_gnorm = _refine(obj, warm, cfg, bounds)
+        x, n_iter, ll, x_gnorm = _refine(obj, warm, bounds)
         total_iter += n_iter
         if ll > best_ll:
             best_ll, best_x, gnorm = ll, x, x_gnorm
@@ -563,7 +574,7 @@ def fit(
     ll_comp = loglik(params, cohort, comparable=True)
     aic = -2.0 * ll_comp + 2.0 * layout.k
 
-    H = _grad_hessian(obj.grad, x_hat, cfg.hessian_step)  # of -loglik, scaled space
+    H = _grad_hessian(obj.grad, x_hat, _HESSIAN_STEP)  # of -loglik, scaled space
     cov_s, pd = _covariance(H)
     notes = []
     at_bound = [
@@ -601,28 +612,21 @@ def fit(
         n_evals=obj.n_evals,
         n_iter=total_iter,
         multistart_best_of=len(starts),
-        ci_level=cfg.ci_level,
         notes=tuple(notes),
     )
 
 
-def fit_all(
-    cohort: PreparedCohort,
-    cfg: FitConfig = FitConfig(),
-    models: Sequence[str] = MODELS,
-) -> dict[str, FitResult]:
-    """Fit the requested models; M2/M3 are warm-started at the M1 solution."""
-    results: dict[str, FitResult] = {}
-    m1_vec = None
-    if "M1" in models or any(m in models for m in ("M2", "M3")):
-        m1 = fit("M1", cohort, cfg)
-        m1_vec = m1.estimates
-        if "M1" in models:
-            results["M1"] = m1
-    for model, extra in (("M2", [1.2]), ("M3", [1.2, 0.1])):
-        if model in models:
-            init = np.concatenate([m1_vec, extra]) if m1_vec is not None else None
-            results[model] = fit(model, cohort, cfg, init=init)
+def fit_all(cohort: PreparedCohort, cfg: FitConfig = FitConfig()) -> dict[str, FitResult]:
+    """Fit M1, then M2 and M3 warm-started at the M1 solution.
+
+    The correction parameters of M2 and M3 start at their default values.
+    """
+    m1 = fit("M1", cohort, cfg)
+    results = {"M1": m1}
+    for model in ("M2", "M3"):
+        init = ParamLayout.for_model(model, cohort.covariate_names).default_init()
+        init[: m1.k] = m1.estimates
+        results[model] = fit(model, cohort, cfg, init=init)
     return results
 
 

@@ -32,7 +32,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .distributions import GammaFrailtyParams, ew_log_terms
+from .distributions import GammaFrailtyParams, _by_majority, ew_log_terms
 from .errors import DataError, NonFiniteLikelihood, NonPositive
 from .gh_model import GhParams
 from .lifetable import LexisPosition, LifeTable
@@ -68,6 +68,10 @@ class PatientRecord:
             raise DataError(f"follow-up time must be > 0, got {self.time}")
         if self.status not in (0, 1):
             raise DataError(f"status must be 0 or 1, got {self.status}")
+        if not (math.isfinite(self.age_diag) and math.isfinite(self.year_diag)):
+            raise DataError(
+                f"age and year at diagnosis must be finite, got {self.age_diag}, {self.year_diag}"
+            )
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
 
 
@@ -200,19 +204,20 @@ def omega1(dhp, g: GammaFrailtyParams):
 def _log1p_ratio(y):
     """log1p(y)/y, continuous at 0, for y >= 0."""
     y = np.asarray(y, dtype=float)
-    small = y < 1e-4
-    safe = np.where(small, 1.0, y)
-    return np.where(small, 1.0 - y / 2.0 + y * y / 3.0, np.log1p(safe) / safe)
+    return _by_majority(
+        y, y < 1e-4, lambda s: 1.0 - s / 2.0 + s * s / 3.0, lambda s: np.log1p(s) / s
+    )
 
 
 def _m3_pop_curvature(y):
     """G(y) = log1p(y)/y^2 - 1/(y(1+y)); G(0) = 1/2.  Used by the b-gradient."""
     y = np.asarray(y, dtype=float)
-    small = y < 1e-3
-    safe = np.where(small, 1.0, y)
-    series = 0.5 - 2.0 * y / 3.0 + 3.0 * y * y / 4.0
-    direct = np.log1p(safe) / (safe * safe) - 1.0 / (safe * (1.0 + safe))
-    return np.where(small, series, direct)
+    return _by_majority(
+        y,
+        y < 1e-3,
+        lambda s: 0.5 - 2.0 * s / 3.0 + 3.0 * s * s / 4.0,
+        lambda s: np.log1p(s) / (s * s) - 1.0 / (s * (1.0 + s)),
+    )
 
 
 def _population_hazard(params: ModelParams, hp, dhp):

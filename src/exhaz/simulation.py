@@ -3,6 +3,9 @@
 Design I: covariates are age (mixture of uniforms: 0.25 on (30,65), 0.35 on
 (65,75), 0.40 on (75,85)), sex ~ Bernoulli(0.5), and a binary W ~
 Bernoulli(0.5); all patients are diagnosed in the same calendar year.
+These are constants of the design, not scenario settings: the diagnosis
+year is ``DIAGNOSIS_YEAR`` (2010) and the excess-hazard age covariate is
+age - ``AGE_CENTER`` (age - 70, a per-year slope; see builtin_scenarios).
 Other-cause times come from inverting the life-table cumulative hazard
 (optionally scaled by a per-patient frailty draw), excess times from
 inverting the GH net survival, and censoring is administrative at T_C plus
@@ -58,7 +61,10 @@ DESIGN1_GH = GhParams(
     beta2=np.array([0.05, 0.2, 0.25]),
 )
 COVARIATES = ("age", "sex", "w")
+DIAGNOSIS_YEAR = 2010.0
+AGE_CENTER = 70.0
 _SEX_STRATA = (("0",), ("1",))  # life-table strata of sex 0 and 1, shared by every record
+_CALIBRATION_TOL = 0.005  # drop-out calibration: |censoring - target| that ends the search
 
 
 def design_life_table() -> LifeTable:
@@ -94,10 +100,7 @@ class ScenarioConfig:
     admin_censor_time: float = 5.0
     dropout_rate: float | None = None
     dropout_target: float | None = None  # calibrated to a rate when set
-    diagnosis_year: float = 2010.0
     advance_year: bool = True
-    age_center: float = 70.0
-    age_scale: float = 1.0  # per-year age slope; see builtin_scenarios
     life_table_path: str | None = None  # None: bundled synthetic table
     seed: int = 0
     fit: FitConfig = field(default_factory=FitConfig)
@@ -149,10 +152,10 @@ class ScenarioConfig:
         return vals
 
 
-def generate_covariates(n, rng, age_center=70.0, age_scale=10.0):
+def generate_covariates(n, rng):
     """Design-I covariates.
 
-    Returns (ages, sex, w, X) with X = [(age - center)/scale, sex, w].
+    Returns (ages, sex, w, X) with X = [age - AGE_CENTER, sex, w].
     Draw order is fixed (band selector, within-band uniform, sex, w) so
     streams are reproducible.
     """
@@ -165,7 +168,7 @@ def generate_covariates(n, rng, age_center=70.0, age_scale=10.0):
     )
     sex = rng.integers(0, 2, size=n)
     w = rng.integers(0, 2, size=n)
-    X = np.column_stack([(ages - age_center) / age_scale, sex, w]).astype(float)
+    X = np.column_stack([ages - AGE_CENTER, sex, w]).astype(float)
     return ages, sex, w, X
 
 
@@ -184,14 +187,14 @@ def _event_times(sc: ScenarioConfig, table: LifeTable, n: int, rng):
     frailty, other-cause uniform, excess uniform) so streams are
     reproducible.
     """
-    ages, sex, _, X = generate_covariates(n, rng, sc.age_center, sc.age_scale)
+    ages, sex, _, X = generate_covariates(n, rng)
     gamma = _draw_frailty(sc, rng, n)
     u_pop = rng.uniform(size=n)
     u_exc = rng.uniform(size=n)
     t_exc = np.asarray(inverse_excess_survival(u_exc, X, sc.gh))
     strata = [_SEX_STRATA[v] for v in sex]
     t_pop = table.other_cause_time_inverse(
-        LexisPosition(ages, sc.diagnosis_year, strata),
+        LexisPosition(ages, DIAGNOSIS_YEAR, strata),
         u_pop,
         frailty=gamma,
         advance_year=sc.advance_year,
@@ -217,7 +220,7 @@ def generate_cohort(
             time=float(time[i]),
             status=int(status[i]),
             age_diag=float(ages[i]),
-            year_diag=sc.diagnosis_year,
+            year_diag=DIAGNOSIS_YEAR,
             x=X[i],
             z=strata[i],
         )
@@ -225,9 +228,13 @@ def generate_cohort(
     ]
 
 
-def _pilot_times(sc: ScenarioConfig, table: LifeTable, pilot_n: int, seed):
-    """Event times and unit-exponential drop-out draws for calibration."""
-    rng = np.random.default_rng(seed)
+def _pilot_times(sc: ScenarioConfig, table: LifeTable, pilot_n: int):
+    """Event times and unit-exponential drop-out draws for calibration.
+
+    The pilot stream is seeded [sc.seed, 0x5EED], apart from every
+    replicate's stream.
+    """
+    rng = np.random.default_rng([sc.seed, 0x5EED])
     _, _, _, t_event = _event_times(sc, table, pilot_n, rng)
     e_drop = rng.exponential(1.0, size=pilot_n)
     return t_event, e_drop
@@ -238,19 +245,16 @@ def calibrate_dropout_rate(
     target_censoring: float,
     table: LifeTable,
     pilot_n: int = 100_000,
-    tol: float = 0.005,
-    seed=None,
 ) -> tuple[float, float]:
     """Bisection on the drop-out rate until a pilot cohort censors at target.
 
+    The search stops within ``_CALIBRATION_TOL`` (0.005) of the target.
     Returns (rate, achieved proportion).  The pilot event times and
     unit-exponential drop-out draws are fixed once, so the censoring
     proportion is a deterministic monotone function of the rate and the
     search is reproducible.
     """
-    if seed is None:
-        seed = [sc.seed, 0x5EED]
-    t_event, e_drop = _pilot_times(sc, table, pilot_n, seed)
+    t_event, e_drop = _pilot_times(sc, table, pilot_n)
     t_c = sc.admin_censor_time
 
     def censoring(rate: float) -> float:
@@ -263,7 +267,7 @@ def calibrate_dropout_rate(
             f"administrative censoring alone is {admin_only:.3f} >= target {target_censoring:.3f}"
         )
     lo, hi = 1e-6, 10.0
-    if censoring(hi) < target_censoring - tol:
+    if censoring(hi) < target_censoring - _CALIBRATION_TOL:
         raise TargetUnreachable(
             f"even rate {hi} reaches only {censoring(hi):.3f} censoring "
             f"< target {target_censoring:.3f}"
@@ -271,7 +275,7 @@ def calibrate_dropout_rate(
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         c = censoring(mid)
-        if abs(c - target_censoring) <= tol:
+        if abs(c - target_censoring) <= _CALIBRATION_TOL:
             return mid, c
         if c < target_censoring:
             lo = mid
@@ -473,7 +477,8 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
     The excess-hazard age covariate enters as age - 70 (per-year slope): the
     reported recovery targets for the Design-I truth are only reproducible
     with that transform (the empirical SD ratios between the age and binary
-    coefficients pin it down).  Override via age_center/age_scale.
+    coefficients pin it down).  It is fixed by the design (``AGE_CENTER``),
+    as is the diagnosis year (``DIAGNOSIS_YEAR``).
     """
     frailties = {
         "none": None,

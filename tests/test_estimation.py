@@ -10,6 +10,7 @@ from exhaz.distributions import GammaFrailtyParams, sample_gamma_frailty
 from exhaz.errors import NoEligibleFit, NonPositive, SEsUnavailable
 from exhaz.estimation import (
     _BIG,
+    _HESSIAN_STEP,
     FitConfig,
     FitResult,
     ParamLayout,
@@ -64,6 +65,20 @@ def test_transform_rejects_nonpositive():
     bad = np.array([1.0, -2.0, 1.0, 0.0, 0.0, 1.2])
     with pytest.raises(NonPositive):
         transform_params(bad, layout.positive)
+
+
+@pytest.mark.parametrize(
+    "natural, positions",
+    [
+        ([math.inf, 1.0, 2.0, 0.0, 0.0, 1.2], [0]),
+        ([1.0, 1.0, 2.0, 0.0, math.nan, 1.2], [4]),
+        ([1.0, 0.0, 2.0, -math.inf, 0.0, math.nan], [1, 3, 5]),
+    ],
+)
+def test_transform_names_every_nonfinite_or_nonpositive_slot(natural, positions):
+    layout = ParamLayout.for_model("M2", ("x",))
+    with pytest.raises(NonPositive, match=rf"positions \[{', '.join(map(str, positions))}\]"):
+        transform_params(np.array(natural), layout.positive)
 
 
 def test_delta_method_se_matches_natural_scale_hessian():
@@ -244,7 +259,7 @@ def test_gradient_hessian_ses_match_value_fd_on_interior_m3_fit():
     assert res.converged and res.hessian_pd
     assert not any(note.startswith("parameters at box bound") for note in res.notes)
     obj, slot_scale, x_hat = _search_point(res, cohort)
-    cov_fd, pd = _covariance(_fd_hessian(obj.value, x_hat, FitConfig().hessian_step))
+    cov_fd, pd = _covariance(_fd_hessian(obj.value, x_hat, _HESSIAN_STEP))
     assert pd
     se_fd = np.sqrt(np.diag(cov_fd))
     se_fit = np.sqrt(np.diag(res.cov_transformed)) * slot_scale
@@ -289,11 +304,13 @@ def test_z_quantile_95():
         n_evals=0,
         n_iter=0,
         multistart_best_of=1,
-        ci_level=0.95,
     )
     lo, hi = confidence_intervals(res)["kappa"]
     assert hi - 1.0 == pytest.approx(1.959964, abs=1e-6)
     assert 1.0 - lo == pytest.approx(1.959964, abs=1e-6)
+    lo, hi = confidence_intervals(res, level=0.90)["kappa"]
+    assert hi - 1.0 == pytest.approx(1.644854, abs=1e-6)
+    assert 1.0 - lo == pytest.approx(1.644854, abs=1e-6)
 
 
 def test_zero_se_gives_zero_width():
@@ -312,7 +329,6 @@ def test_zero_se_gives_zero_width():
         n_evals=0,
         n_iter=0,
         multistart_best_of=1,
-        ci_level=0.95,
     )
     lo, hi = confidence_intervals(res)["kappa"]
     assert lo == hi == 2.0
@@ -344,7 +360,6 @@ def test_ses_unavailable_raises():
         n_evals=0,
         n_iter=0,
         multistart_best_of=1,
-        ci_level=0.95,
     )
     with pytest.raises(SEsUnavailable):
         confidence_intervals(res)
@@ -377,7 +392,6 @@ def _mini_fit(model, aic, converged=True, gamma=2.0, mu=3.0):
         n_evals=0,
         n_iter=0,
         multistart_best_of=1,
-        ci_level=0.95,
     )
 
 

@@ -1,5 +1,6 @@
 """Likelihood terms against hand computations, quadrature, and brute force."""
 
+import io
 import math
 from dataclasses import replace
 from math import fsum
@@ -9,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from exhaz.distributions import EwParams, GammaFrailtyParams, gamma_frailty_pdf
-from exhaz.errors import NonFiniteLikelihood
+from exhaz.errors import DataError, NonFiniteLikelihood
 from exhaz.gh_model import GhParams, excess_cum_hazard, excess_hazard
 from exhaz.lifetable import LexisPosition, make_life_table
 from exhaz.likelihoods import (
@@ -19,7 +20,10 @@ from exhaz.likelihoods import (
     SingleGamma,
     _ew_block,
     _exact_sum,
+    _log1p_ratio,
+    _m3_pop_curvature,
     _terms,
+    load_cohort,
     loglik,
     loglik_and_grad,
     marginal_survival_m3,
@@ -461,3 +465,142 @@ def test_prepare_cohort_caches_match_table(flat_table):
     assert cohort.dhp[1] == pytest.approx(0.03 * 4.0, rel=1e-12)
     assert np.allclose(cohort.hp, 0.03)
     assert cohort.n_events == 1
+
+
+# ---------------------------------------------------------------------------
+# M3 population-term helpers: one branch per entry
+# ---------------------------------------------------------------------------
+
+def _log1p_ratio_two_branch(y):
+    """Reference: both branches on every entry, picked by np.where."""
+    y = np.asarray(y, dtype=float)
+    with np.errstate(all="ignore"):
+        small = y < 1e-4
+        safe = np.where(small, 1.0, y)
+        return np.where(small, 1.0 - y / 2.0 + y * y / 3.0, np.log1p(safe) / safe)
+
+
+def _m3_pop_curvature_two_branch(y):
+    y = np.asarray(y, dtype=float)
+    with np.errstate(all="ignore"):
+        small = y < 1e-3
+        safe = np.where(small, 1.0, y)
+        series = 0.5 - 2.0 * y / 3.0 + 3.0 * y * y / 4.0
+        direct = np.log1p(safe) / (safe * safe) - 1.0 / (safe * (1.0 + safe))
+        return np.where(small, series, direct)
+
+
+@pytest.mark.parametrize(
+    "fn, reference, threshold",
+    [
+        (_log1p_ratio, _log1p_ratio_two_branch, 1e-4),
+        (_m3_pop_curvature, _m3_pop_curvature_two_branch, 1e-3),
+    ],
+)
+def test_m3_helpers_bitwise_equal_two_branch_formulas(fn, reference, threshold):
+    special = np.array(
+        [0.0, -0.0, threshold, math.nextafter(threshold, 0.0), math.nextafter(threshold, 1.0),
+         5e-324, 1e-300, 1e-4, 1e-3, 0.5, 1.0, 1e154, 1e200, np.inf, np.nan]
+    )
+    rng = np.random.default_rng(17)
+    mixed = np.concatenate([special, np.exp(rng.uniform(-30.0, 8.0, 1000))])
+    rng.shuffle(mixed)
+    cases = [
+        np.array(0.0), np.array(threshold), np.array(2.0), np.array(np.nan), np.array([]),
+        special, mixed, mixed.reshape(5, 203),
+        rng.uniform(0.0, threshold, 500),  # all small
+        rng.uniform(threshold, 50.0, 500),  # all large
+        np.concatenate([np.full(10, 0.5 * threshold), np.full(11, 3.0)]),  # minorities of
+        np.concatenate([np.full(11, 0.5 * threshold), np.full(10, 3.0)]),  # either branch
+    ]
+    for y in cases:
+        got, want = fn(y), reference(y)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), y
+
+
+# ---------------------------------------------------------------------------
+# PatientRecord and the cohort CSV
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("age, year", [(math.nan, 2010.0), (70.0, math.inf), (-math.inf, 2010.0)])
+def test_patient_record_rejects_nonfinite_age_or_year(age, year):
+    with pytest.raises(DataError, match="must be finite"):
+        PatientRecord(time=1.0, status=1, age_diag=age, year_diag=year, x=np.zeros(1), z=("0",))
+
+
+COHORT_CSV = """# follow-up of two patients
+time,status,age_diag,year_diag,age,sex
+
+1.5,1,64.0,2010,64.0,0
+  # a comment between rows
+4.0,0,75.5,2011,75.5,1
+"""
+
+
+def _load(text, **kwargs):
+    return load_cohort(io.StringIO(text), ["age", "sex"], ["sex"], **kwargs)
+
+
+@pytest.fixture
+def two_sex_table():
+    return make_life_table(
+        ["sex"], (30, 100), (2005, 2020),
+        lambda a, y, s: 0.01 + 0.0005 * (a - 30) + (0.01 if s == ("1",) else 0.0),
+        [("0",), ("1",)],
+    )
+
+
+def test_load_cohort_reads_rows_and_applies_transforms(two_sex_table, tmp_path):
+    records = _load(COHORT_CSV, transforms={"age": (70.0, 10.0)})
+    direct = [
+        PatientRecord(1.5, 1, 64.0, 2010.0, np.array([-0.6, 0.0]), ("0",)),
+        PatientRecord(4.0, 0, 75.5, 2011.0, np.array([0.55, 1.0]), ("1",)),
+    ]
+    assert len(records) == 2
+    for got, want in zip(records, direct):
+        assert (got.time, got.status, got.age_diag, got.year_diag, got.z) == (
+            want.time, want.status, want.age_diag, want.year_diag, want.z
+        )
+        assert np.array_equal(got.x, want.x)
+    loaded = prepare_cohort(records, two_sex_table, covariate_names=("age", "sex"))
+    built = prepare_cohort(direct, two_sex_table, covariate_names=("age", "sex"))
+    for name in ("time", "status", "X", "hp", "dhp"):
+        assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
+    assert loaded.covariate_names == built.covariate_names
+    path = tmp_path / "cohort.csv"
+    path.write_text(COHORT_CSV, encoding="utf-8")
+    from_path = load_cohort(str(path), ["age", "sex"], ["sex"])
+    assert [r.x.tolist() for r in from_path] == [[64.0, 0.0], [75.5, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1.5,1,64.0,2010,64.0", "line 3: expected 6 fields, got 5"),
+        ("1.5,1,sixty,2010,64.0,0", "line 3: could not convert"),
+        ("0.0,1,64.0,2010,64.0,0", "line 3: follow-up time must be > 0"),
+        ("1.5,2,64.0,2010,64.0,0", "line 3: status must be 0 or 1"),
+        ("1.5,1,nan,2010,64.0,0", "line 3: age and year at diagnosis must be finite"),
+        ("1.5,1,64.0,inf,64.0,0", "line 3: age and year at diagnosis must be finite"),
+    ],
+)
+def test_load_cohort_reports_the_line_of_a_bad_row(row, message):
+    text = "# comment\ntime,status,age_diag,year_diag,age,sex\n" + row + "\n"
+    with pytest.raises(DataError, match=message):
+        _load(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("time,age_diag,year_diag,age,sex\n1.5,64.0,2010,64.0,0\n",
+         "missing required column 'status'"),
+        ("time,status,age_diag,year_diag,age,sex\n", "header but no data rows"),
+        ("", "cohort file is empty"),
+        ("# only a comment\n\n", "cohort file is empty"),
+    ],
+)
+def test_load_cohort_rejects_bad_files(text, message):
+    with pytest.raises(DataError, match=message):
+        _load(text)

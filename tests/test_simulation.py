@@ -69,6 +69,13 @@ def test_cohort_reproducible_per_seed_and_index(table, index, events, time, dhp,
     assert math.fsum(first.hp.tolist()) == pytest.approx(hp, rel=1e-12)
 
 
+def test_design_fixes_diagnosis_year_and_per_year_age_slope(table):
+    sc = replace(builtin_scenarios()["none"], n=200)
+    records = generate_cohort(sc, 0, table)
+    assert {rec.year_diag for rec in records} == {2010.0}
+    assert all(rec.x[0] == rec.age_diag - 70.0 for rec in records)
+
+
 def test_calibrated_dropout_censors_a_fresh_cohort_at_target(table):
     sc = builtin_scenarios()["wide-dropout"]
     rate, achieved = calibrate_dropout_rate(sc, 0.30, table, pilot_n=20_000)
