@@ -6,12 +6,17 @@ units), and power alpha:
     F(t) = [1 - exp{-(t/theta)^kappa}]^alpha
 
 Its hazard covers increasing, decreasing, unimodal, bathtub, and constant
-shapes.  Survival-tail quantities are computed in log space throughout:
+shapes.  ``ew_log_terms`` is the one EW kernel: it gives the log survival
+and the hazard h0 = exp(log f - log S) at an array of times, and the GH
+excess hazard (``gh_model``) and the likelihood both build on it.
+Survival-tail quantities are computed in log space throughout:
 log(1 - e^{-v}) uses expm1 below ln 2 and log1p above (the usual split),
 and the survival logarithm falls back to its asymptotic series
 log(alpha) - (t/theta)^kappa once 1 - F is too small for direct evaluation.
-Frailty laws are a Gamma in mean/scale parameterization (mean mu,
-variance mu*b) and a lognormal used for misspecification experiments.
+``ew_quantile`` inverts F in closed form.  Frailty laws are a Gamma in
+mean/scale parameterization (mean mu, variance mu*b; its Laplace
+transform and a sampler) and a lognormal used for misspecification
+experiments.
 """
 
 from __future__ import annotations
@@ -20,22 +25,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import NonPositive, NumericalOverflow
+from .errors import NonPositive
 
 __all__ = [
     "EwParams",
     "GammaFrailtyParams",
     "LogNormalFrailtyParams",
-    "ew_pdf",
-    "ew_cdf",
-    "ew_survival",
-    "ew_log_survival",
-    "ew_hazard",
-    "ew_cum_hazard",
     "ew_quantile",
-    "gamma_frailty_pdf",
     "gamma_laplace",
     "sample_gamma_frailty",
     "sample_lognormal_frailty",
@@ -126,14 +123,15 @@ def log1mexp(v):
 
 
 def ew_log_terms(v, p: EwParams):
-    """The EW kernel at times v: (w, logm, vv, log_s0, lw, logf), vectorized.
+    """The EW kernel at times v > 0: (w, logm, vv, log_s0, lw, h0), vectorized.
 
     w = (v/theta)^kappa, logm = log(1 - e^{-w}), vv = -log F = -alpha logm,
-    log_s0 = log S, lw = log(v/theta) and logf = log f.  Beyond w = 600
-    log S is replaced by its asymptote log(alpha) - w (relative error
-    ~e^{-600}); switching well before exp(-w) goes subnormal keeps log S
-    smooth in the parameters, which the optimizer relies on.  The other
-    terms are returned because the likelihood gradient reuses them.
+    log_s0 = log S, lw = log(v/theta) and h0 = f/S = exp(log f - log S),
+    the hazard.  Beyond w = 600 log S is replaced by its asymptote
+    log(alpha) - w (relative error ~e^{-600}); switching well before
+    exp(-w) goes subnormal keeps log S smooth in the parameters, which the
+    optimizer relies on.  The other terms are returned because the
+    likelihood gradient reuses them.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vt = v / p.theta
@@ -151,56 +149,8 @@ def ew_log_terms(v, p: EwParams):
             + (p.alpha - 1.0) * logm
             - w
         )
-    return w, logm, vv, log_s0, lw, logf
-
-
-def ew_log_survival(t, p: EwParams):
-    """log S(t) = log(1 - F(t)), stable into the far tail (see ew_log_terms).
-
-    Nonpositive t returns 0 (survival 1).
-    """
-    t = np.asarray(t, dtype=float)
-    log_s0 = ew_log_terms(np.maximum(t, 0.0), p)[3]
-    return np.where(t <= 0.0, 0.0, log_s0)
-
-
-def ew_survival(t, p: EwParams):
-    return np.exp(ew_log_survival(t, p))
-
-
-def ew_cdf(t, p: EwParams):
-    """F(t) = [1 - exp{-(t/theta)^kappa}]^alpha; 0 at t <= 0."""
-    t = np.asarray(t, dtype=float)
-    vv = ew_log_terms(np.maximum(t, 0.0), p)[2]
-    return np.where(t <= 0.0, 0.0, np.exp(-vv))
-
-
-def ew_log_pdf(t, p: EwParams):
-    t = np.asarray(t, dtype=float)
-    pos = t > 0.0
-    logf = ew_log_terms(np.where(pos, t, 1.0), p)[5]
-    return np.where(pos, logf, -np.inf)
-
-
-def ew_pdf(t, p: EwParams):
-    """EW density; 0 for t <= 0 by convention."""
-    return np.exp(ew_log_pdf(t, p))
-
-
-def ew_hazard(t, p: EwParams):
-    """h(t) = f(t)/S(t).  Raises NumericalOverflow if S underflowed to 0."""
-    log_s = ew_log_survival(t, p)
-    out = np.exp(ew_log_pdf(t, p) - log_s)
-    if not np.all(np.isfinite(np.where(np.asarray(t, float) > 0.0, out, 0.0))):
-        raise NumericalOverflow("EW hazard is not finite (survival underflow)")
-    return out
-
-def ew_cum_hazard(t, p: EwParams):
-    """H(t) = -log S(t); 0 at t = 0."""
-    out = -ew_log_survival(t, p)
-    if not np.all(np.isfinite(out)):
-        raise NumericalOverflow("EW cumulative hazard is not finite")
-    return out
+        h0 = np.exp(logf - log_s0)
+    return w, logm, vv, log_s0, lw, h0
 
 
 def ew_quantile(u, p: EwParams):
@@ -211,16 +161,6 @@ def ew_quantile(u, p: EwParams):
     lu = np.log(u) / p.alpha
     w = -log1mexp(-lu)
     return p.theta * np.power(w, 1.0 / p.kappa)
-
-
-def gamma_frailty_pdf(r, g: GammaFrailtyParams):
-    """Density r^{mu/b-1} e^{-r/b} / (Gamma(mu/b) b^{mu/b}); mean mu, variance mu*b."""
-    r = np.asarray(r, dtype=float)
-    sh = g.shape
-    pos = r > 0.0
-    rw = np.where(pos, r, 1.0)
-    log_pdf = (sh - 1.0) * np.log(rw) - rw / g.b - gammaln(sh) - sh * math.log(g.b)
-    return np.where(pos, np.exp(log_pdf), 0.0)
 
 
 def gamma_laplace(s, g: GammaFrailtyParams):

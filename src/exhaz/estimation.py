@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -67,8 +67,6 @@ __all__ = [
     "fit_all",
     "confidence_intervals",
     "select_m4",
-    "write_fit_result",
-    "read_fit_result",
 ]
 
 log = logging.getLogger("exhaz")
@@ -204,6 +202,10 @@ def untransform_params(unconstrained: np.ndarray, positive: np.ndarray) -> np.nd
     return out
 
 
+def _infer_covariates(names: Sequence[str]) -> tuple[str, ...]:
+    return tuple(n[len("beta1_"):] for n in names if n.startswith("beta1_"))
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Maximum-likelihood fit: natural-scale estimates plus inference pieces."""
@@ -313,8 +315,9 @@ def cda_warm_start(
     Each coordinate is minimized by a bounded 1-D search on
     [x_j - 5, x_j + 5] (intersected with ``bounds`` when given) with the
     others fixed at their freshest values; a coordinate update is kept only
-    if it improves the objective, so the output never degrades the input.  Coordinates whose search fails (non-finite
-    objective) are skipped with a warning.
+    if it improves the objective, so the output never degrades the input.
+    Coordinates whose search fails (non-finite objective) are skipped with
+    a warning.
     """
     x = np.asarray(init, dtype=float).copy()
     f_cur = objective(x)
@@ -656,101 +659,3 @@ def select_m4(fits: dict[str, FitResult]):
         c_hat = chosen.estimate("mu")
     return chosen, c_hat
 
-
-# ---------------------------------------------------------------------------
-# FitResult serialization (flat key-value rows)
-# ---------------------------------------------------------------------------
-
-
-def write_fit_result(fit: FitResult, dest: TextIO | str) -> None:
-    """Write `name,estimate,std_error,ci_lo,ci_hi` rows plus footer rows."""
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_fit_result(fit, fh)
-        return
-    dest.write("name,estimate,std_error,ci_lo,ci_hi\n")
-    if fit.std_errors is not None:
-        cis = confidence_intervals(fit)
-    else:
-        cis = None
-    for i, name in enumerate(fit.param_names):
-        est = float(fit.estimates[i])
-        if cis is None:
-            dest.write(f"{name},{est!r},,,\n")
-        else:
-            lo, hi = cis[name]
-            dest.write(
-                f"{name},{est!r},{float(fit.std_errors[i])!r},{float(lo)!r},{float(hi)!r}\n"
-            )
-    dest.write(f"loglik,{float(fit.loglik)!r},,,\n")
-    dest.write(f"aic,{float(fit.aic)!r},,,\n")
-    dest.write(f"converged,{str(fit.converged).lower()},,,\n")
-    dest.write(f"model,{fit.model},,,\n")
-
-
-@dataclass(frozen=True)
-class ParsedFitResult:
-    """FitResult re-read from its flat serialization (enough to predict from)."""
-
-    model: str
-    param_names: tuple[str, ...]
-    estimates: np.ndarray
-    std_errors: np.ndarray | None
-    ci_lo: np.ndarray | None
-    ci_hi: np.ndarray | None
-    loglik: float
-    aic: float
-    converged: bool
-
-    def to_model_params(self, covariate_names: Sequence[str] | None = None) -> ModelParams:
-        layout = ParamLayout.for_model(
-            self.model, covariate_names or _infer_covariates(self.param_names)
-        )
-        if layout.names != self.param_names:
-            raise DataError(
-                f"parameter names {self.param_names} do not match the {self.model} layout"
-            )
-        return layout.to_params(self.estimates)
-
-
-def _infer_covariates(names: Sequence[str]) -> tuple[str, ...]:
-    return tuple(n[len("beta1_"):] for n in names if n.startswith("beta1_"))
-
-
-def read_fit_result(source: TextIO | str) -> ParsedFitResult:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_fit_result(fh)
-    rows = [line.strip().split(",") for line in source if line.strip()]
-    if not rows or rows[0][0] != "name":
-        raise DataError("not a fit-result file (missing header)")
-    footers = {}
-    names, est, se, lo, hi = [], [], [], [], []
-    for parts in rows[1:]:
-        if len(parts) != 5:
-            raise DataError(f"malformed fit-result row: {parts}")
-        key = parts[0]
-        if key in ("loglik", "aic", "converged", "model"):
-            footers[key] = parts[1]
-            continue
-        names.append(key)
-        est.append(float(parts[1]))
-        se.append(float(parts[2]) if parts[2] else math.nan)
-        lo.append(float(parts[3]) if parts[3] else math.nan)
-        hi.append(float(parts[4]) if parts[4] else math.nan)
-    for key in ("loglik", "aic", "converged", "model"):
-        if key not in footers:
-            raise DataError(f"fit-result file missing footer row {key!r}")
-    se_arr = np.array(se)
-    has_se = not np.isnan(se_arr).all()
-    return ParsedFitResult(
-        model=footers["model"],
-        param_names=tuple(names),
-        estimates=np.array(est),
-        std_errors=se_arr if has_se else None,
-        ci_lo=np.array(lo) if has_se else None,
-        ci_hi=np.array(hi) if has_se else None,
-        loglik=float(footers["loglik"]),
-        aic=float(footers["aic"]),
-        converged=footers["converged"] == "true",
-    )

@@ -6,6 +6,13 @@
 Setting b1 = 0 gives proportional hazards, b2 = 0 accelerated hazards, and
 b1 = b2 the accelerated failure time model.  The covariate vector enters
 as-is: any centring/scaling is a dataset-level concern applied upstream.
+
+The composition is written once: ``gh_baseline`` evaluates the EW kernel
+at v = t e^{x'b1} and ``gh_excess`` scales it into h_E and H_E.  The
+likelihood calls both on a prepared cohort; ``excess_hazard``,
+``excess_cum_hazard`` and ``net_survival`` call them at any t and add the
+conventions at t <= 0 (hazard 0, H_E 0, survival 1).  Both callers run
+the two helpers under ``np.errstate`` and check the results themselves.
 """
 
 from __future__ import annotations
@@ -14,13 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (
-    EwParams,
-    ew_cum_hazard,
-    ew_hazard,
-    ew_log_survival,
-    ew_quantile,
-)
+from .distributions import EwParams, ew_log_terms, ew_quantile
+from .errors import NumericalOverflow
 
 __all__ = [
     "GhParams",
@@ -63,23 +65,58 @@ def _linpreds(x, p: GhParams):
     return x @ p.beta1, x @ p.beta2
 
 
-def excess_hazard(t, x, p: GhParams):
-    """h_E(t; x) = h0(t e^{x'b1}) e^{x'b2}."""
+def gh_baseline(t, xb1, base: EwParams):
+    """v = t e^{x'b1} and the EW kernel at v: (v, w, logm, vv, log_s0, lw, h0).
+
+    For t > 0.  The terms depend on the baseline and on x'b1 only.
+    """
+    v = t * np.exp(xb1)
+    return (v, *ew_log_terms(v, base))
+
+
+def gh_excess(h0, log_s0, xb1, xb2):
+    """(e^{x'(b2-b1)}, h_E, H_E) from the baseline h0 and log S0 at v."""
+    r21 = np.exp(xb2 - xb1)
+    return r21, h0 * np.exp(xb2), -log_s0 * r21
+
+
+def _excess(t, x, p: GhParams):
+    """(t <= 0, h0, log S0, h_E, H_E) at times t; entries at t <= 0 are placeholders."""
+    t = np.asarray(t, dtype=float)
     xb1, xb2 = _linpreds(x, p)
-    return ew_hazard(np.asarray(t, float) * np.exp(xb1), p.baseline) * np.exp(xb2)
+    nonpos = t <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, _, _, _, log_s0, _, h0 = gh_baseline(np.where(nonpos, 1.0, t), xb1, p.baseline)
+        _, he, HE = gh_excess(h0, log_s0, xb1, xb2)
+    return nonpos, h0, log_s0, he, HE
+
+
+def excess_hazard(t, x, p: GhParams):
+    """h_E(t; x) = h0(t e^{x'b1}) e^{x'b2}; 0 at t <= 0.
+
+    Raises NumericalOverflow if h0 is not finite (survival underflow).
+    """
+    nonpos, h0, _, he, _ = _excess(t, x, p)
+    if not np.all(np.isfinite(np.where(nonpos, 0.0, h0))):
+        raise NumericalOverflow("EW hazard is not finite (survival underflow)")
+    return np.where(nonpos, 0.0, he)[()]
 
 
 def excess_cum_hazard(t, x, p: GhParams):
-    """H_E(t; x) = H0(t e^{x'b1}) e^{x'(b2-b1)}; 0 at t = 0."""
-    xb1, xb2 = _linpreds(x, p)
-    return ew_cum_hazard(np.asarray(t, float) * np.exp(xb1), p.baseline) * np.exp(xb2 - xb1)
+    """H_E(t; x) = H0(t e^{x'b1}) e^{x'(b2-b1)}; 0 at t <= 0.
+
+    Raises NumericalOverflow if H0 is not finite.
+    """
+    nonpos, _, log_s0, _, HE = _excess(t, x, p)
+    if not np.all(np.isfinite(np.where(nonpos, 0.0, log_s0))):
+        raise NumericalOverflow("EW cumulative hazard is not finite")
+    return np.where(nonpos, 0.0, HE)[()]
 
 
 def net_survival(t, x, p: GhParams):
-    """exp(-H_E(t; x)): survival under the excess hazard alone."""
-    xb1, xb2 = _linpreds(x, p)
-    log_s0 = ew_log_survival(np.asarray(t, float) * np.exp(xb1), p.baseline)
-    return np.exp(log_s0 * np.exp(xb2 - xb1))
+    """exp(-H_E(t; x)): survival under the excess hazard alone; 1 at t <= 0."""
+    nonpos, _, _, _, HE = _excess(t, x, p)
+    return np.exp(-np.where(nonpos, 0.0, HE))[()]
 
 
 def inverse_excess_survival(u, x, p: GhParams):

@@ -84,10 +84,6 @@ class LifeTable:
     def __post_init__(self):
         self.rates.setflags(write=False)
 
-    @property
-    def n_cells(self) -> int:
-        return self.rates.size
-
     def stratum_of(self, strata: Iterable) -> int:
         key = _norm_strata(strata)
         try:
@@ -129,11 +125,6 @@ class LifeTable:
         """Rate of the cell containing ``pos`` (clamped outside the range)."""
         shape, k, age, year = self._rows(pos)
         return self._shaped(self._rate(age, year, k), shape)
-
-    def rate_at_offset(self, start: LexisPosition, s: float, advance_year: bool = True) -> float:
-        """Rate seen at follow-up time s from ``start`` along the diagonal."""
-        year = start.year + s if advance_year else start.year
-        return self.rate_at(LexisPosition(start.age + s, year, start.strata))
 
     def _walk(self, age, year, k, advance_year, end):
         """Walk every patient along its Lexis diagonal, all rows one cell per step.

@@ -16,9 +16,11 @@ convention (``comparable=True`` restores -sum dH_P to M1).
 The life-table inputs per patient reduce to two cached numbers: the
 cumulative background-hazard increment dH_P over the follow-up and the
 background rate h_P at exit (PreparedCohort), so the likelihood inner loop
-never touches the table.  Analytic gradients are provided for the
-optimizer; they are exercised against central finite differences in the
-test suite.
+never touches the table.  h_E and H_E come from ``gh_model.gh_baseline``
+and ``gh_model.gh_excess``, the code behind the public ``excess_hazard``
+and ``excess_cum_hazard``, and the M3 population hazard from ``omega1``.
+Analytic gradients are provided for the optimizer; they are exercised
+against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .distributions import GammaFrailtyParams, _by_majority, ew_log_terms
+from .distributions import GammaFrailtyParams, _by_majority, gamma_laplace
 from .errors import DataError, NonFiniteLikelihood, NonPositive
-from .gh_model import GhParams
+from .gh_model import GhParams, excess_cum_hazard, gh_baseline, gh_excess
 from .lifetable import LexisPosition, LifeTable
 
 __all__ = [
@@ -43,7 +45,6 @@ __all__ = [
     "ModelParams",
     "PreparedCohort",
     "prepare_cohort",
-    "overall_hazard",
     "omega1",
     "marginal_survival_m3",
     "loglik",
@@ -73,6 +74,8 @@ class PatientRecord:
                 f"age and year at diagnosis must be finite, got {self.age_diag}, {self.year_diag}"
             )
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        if not np.isfinite(self.x).all():
+            raise DataError(f"covariates must be finite, got {self.x}")
 
 
 @dataclass(frozen=True)
@@ -220,22 +223,6 @@ def _m3_pop_curvature(y):
     )
 
 
-def _population_hazard(params: ModelParams, hp, dhp):
-    corr = params.correction
-    if corr is None:
-        return np.asarray(hp, dtype=float)
-    if isinstance(corr, SingleGamma):
-        return corr.gamma * np.asarray(hp, dtype=float)
-    return omega1(dhp, corr) * np.asarray(hp, dtype=float)
-
-
-def overall_hazard(t, x, params: ModelParams, hp, dhp):
-    """Observed hazard: corrected population hazard plus excess hazard."""
-    from .gh_model import excess_hazard
-
-    return _population_hazard(params, hp, dhp) + excess_hazard(t, x, params.gh)
-
-
 def marginal_survival_m3(
     t,
     rec: PatientRecord | Sequence[PatientRecord],
@@ -249,9 +236,6 @@ def marginal_survival_m3(
     ``t`` an array of the same length; a sequence takes one walk of the
     life table for all of them.
     """
-    from .distributions import gamma_laplace
-    from .gh_model import excess_cum_hazard
-
     if not isinstance(params.correction, GammaFrailtyParams):
         raise ValueError("marginal_survival_m3 requires M3 (GammaFrailty) params")
     if isinstance(rec, PatientRecord):
@@ -317,7 +301,7 @@ def _exact_sum(a: np.ndarray) -> float:
 
 
 def _ew_block(gh: GhParams, cohort: PreparedCohort):
-    """(xb1, v, w, logm, vv, log_s0, lw, h0): the EW baseline terms.
+    """(xb1, *gh_baseline(time, xb1)): the EW baseline terms of the cohort.
 
     They depend on the cohort and on (kappa, theta, alpha, beta1) only, and
     come from the cohort's memo when one of its last two blocks matches.
@@ -331,10 +315,7 @@ def _ew_block(gh: GhParams, cohort: PreparedCohort):
         return block
     xb1 = cohort.X @ gh.beta1 if gh.n_covariates else np.zeros(cohort.n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = cohort.time * np.exp(xb1)
-        w, logm, vv, log_s0, lw, logf = ew_log_terms(v, p)
-        h0 = np.exp(logf - log_s0)
-    block = (xb1, v, w, logm, vv, log_s0, lw, h0)
+        block = (xb1, *gh_baseline(cohort.time, xb1, p))
     for arr in block:
         arr.setflags(write=False)
     memo[key] = block
@@ -350,10 +331,7 @@ def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
     xb1, v, w, logm, vv, log_s0, lw, h0 = _ew_block(gh, cohort)
     xb2 = cohort.X @ gh.beta2 if gh.n_covariates else np.zeros(cohort.n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r21 = np.exp(xb2 - xb1)
-        he = h0 * np.exp(xb2)
-        HE = -log_s0 * r21
-
+        r21, he, HE = gh_excess(h0, log_s0, xb1, xb2)
         corr = params.correction
         if corr is None:
             chp = hp
@@ -363,8 +341,7 @@ def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
             pop = corr.gamma * dhp
         else:
             y = corr.b * dhp
-            den = 1.0 + y
-            chp = (corr.mu / den) * hp
+            chp = omega1(dhp, corr) * hp
             # (mu/b) log1p(b dhp) written as mu dhp log1p(y)/y: no cliff at b -> 0
             pop = corr.mu * dhp * _log1p_ratio(y)
 
@@ -499,7 +476,9 @@ def load_cohort(
     Expected header: ``time,status,age_diag,year_diag,<x cols>,<z cols>``
     (column roles declared by the caller; x and z may overlap).
     ``transforms`` maps an x column to (center, scale): value -> (value -
-    center) / scale.
+    center) / scale; both must be finite and the scale nonzero.  A row
+    whose covariates are not finite after the transform is rejected with
+    its line number.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -507,6 +486,12 @@ def load_cohort(
                 fh, x_columns, z_columns, transforms, time_col, status_col, age_col, year_col
             )
     transforms = transforms or {}
+    for col, (center, scale) in transforms.items():
+        if not (math.isfinite(center) and math.isfinite(scale) and scale != 0.0):
+            raise DataError(
+                f"transform of column {col!r} needs a finite center and a finite, "
+                f"nonzero scale, got ({center}, {scale})"
+            )
     lines = [
         (n, line.strip())
         for n, line in enumerate(source, start=1)

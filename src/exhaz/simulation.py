@@ -35,7 +35,7 @@ from .distributions import (
     sample_gamma_frailty,
     sample_lognormal_frailty,
 )
-from .errors import DataError, NoEligibleFit, TargetUnreachable
+from .errors import NoEligibleFit, TargetUnreachable
 from .estimation import FitConfig, confidence_intervals, fit_all, select_m4
 from .gh_model import GhParams, inverse_excess_survival
 from .lifetable import LexisPosition, LifeTable, load_life_table, make_life_table
@@ -52,7 +52,6 @@ __all__ = [
     "run_study",
     "builtin_scenarios",
     "write_study_reports",
-    "read_study_report",
 ]
 
 DESIGN1_GH = GhParams(
@@ -555,20 +554,3 @@ def write_study_reports(study: StudyMetrics, outdir: str | Path) -> list[Path]:
     written.append(path)
     return written
 
-
-def read_study_report(path: str | Path) -> dict[str, dict[str, float]]:
-    """Parse a per-model report CSV back into {param: {column: value}}."""
-    out: dict[str, dict[str, float]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "param":
-            raise DataError(f"{path}: not a study report")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise DataError(f"{path}: malformed row {parts}")
-            out[parts[0]] = {
-                col: (math.nan if cell == "" else float(cell))
-                for col, cell in zip(header[1:], parts[1:])
-            }
-    return out

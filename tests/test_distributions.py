@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import ew_closed_form, gamma_pdf
 from exhaz.distributions import (
     EwParams,
     GammaFrailtyParams,
     LogNormalFrailtyParams,
-    ew_cdf,
-    ew_cum_hazard,
-    ew_hazard,
-    ew_pdf,
+    ew_log_terms,
     ew_quantile,
-    ew_survival,
-    gamma_frailty_pdf,
     gamma_laplace,
     log1mexp,
     sample_gamma_frailty,
@@ -27,41 +23,56 @@ from exhaz.errors import NonPositive
 P_TABLE1 = EwParams(kappa=0.6, theta=1.75, alpha=2.5)
 
 
+def kernel(t, p):
+    """(F, f, h0, log S) of the EW kernel at t."""
+    w, logm, vv, log_s0, lw, h0 = ew_log_terms(np.asarray(t, dtype=float), p)
+    return np.exp(-vv), h0 * np.exp(log_s0), h0, log_s0
+
+
+def ew_cdf(t, p):
+    """Closed-form F(t) at a scalar t > 0."""
+    return ew_closed_form(t, p)[0]
+
+
 # ---------------------------------------------------------------------------
-# EW density / CDF
+# EW kernel: density / CDF
 # ---------------------------------------------------------------------------
 
 def test_alpha_one_reduces_to_weibull():
     p = EwParams(kappa=1.3, theta=2.0, alpha=1.0)
     for t in (0.1, 0.5, 1.0, 3.7, 10.0):
-        weib = (p.kappa / p.theta) * (t / p.theta) ** (p.kappa - 1) * math.exp(
-            -((t / p.theta) ** p.kappa)
-        )
-        assert ew_pdf(t, p) == pytest.approx(weib, rel=1e-14)
+        w = (t / p.theta) ** p.kappa
+        _, f, h0, log_s = kernel(t, p)
+        assert h0 == pytest.approx((p.kappa / p.theta) * (t / p.theta) ** (p.kappa - 1), rel=1e-14)
+        assert log_s == pytest.approx(-w, rel=1e-14)
+        assert f == pytest.approx(p.kappa * w / t * math.exp(-w), rel=1e-14)
 
 
 def test_unit_exponential_at_one():
-    p = EwParams(kappa=1.0, theta=1.0, alpha=1.0)
-    assert ew_pdf(1.0, p) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    F, f, h0, log_s = kernel(1.0, EwParams(kappa=1.0, theta=1.0, alpha=1.0))
+    assert h0 == pytest.approx(1.0, rel=1e-14)
+    assert log_s == pytest.approx(-1.0, rel=1e-14)
+    assert f == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
 def test_pdf_matches_cdf_derivative():
     # central finite difference of the CDF as the oracle
     t, h = 2.0, 1e-6
-    fd = (ew_cdf(t + h, P_TABLE1) - ew_cdf(t - h, P_TABLE1)) / (2 * h)
-    assert ew_pdf(t, P_TABLE1) == pytest.approx(fd, abs=1e-8)
+    fd = (kernel(t + h, P_TABLE1)[0] - kernel(t - h, P_TABLE1)[0]) / (2 * h)
+    assert kernel(t, P_TABLE1)[1] == pytest.approx(fd, abs=1e-8)
 
 
 def test_cdf_at_theta_and_zero():
     for p in (P_TABLE1, EwParams(2.0, 0.5, 0.7)):
-        assert ew_cdf(p.theta, p) == pytest.approx((1 - math.exp(-1)) ** p.alpha, rel=1e-14)
-        assert ew_cdf(0.0, p) == 0.0
+        assert kernel(p.theta, p)[0] == pytest.approx((1 - math.exp(-1)) ** p.alpha, rel=1e-14)
+        F0, _, _, log_s0 = kernel(0.0, p)
+        assert F0 == 0.0 and log_s0 == 0.0
 
 
 def test_cdf_matches_integrated_pdf():
-    val, err = quad(lambda s: float(ew_pdf(s, P_TABLE1)), 0, 5, limit=200)
+    val, err = quad(lambda s: float(kernel(s, P_TABLE1)[1]), 0, 5, limit=200)
     assert err < 1e-8
-    got = ew_cdf(5.0, P_TABLE1)
+    got = kernel(5.0, P_TABLE1)[0]
     assert 0 < got < 1
     assert got == pytest.approx(val, abs=1e-8)
 
@@ -74,36 +85,47 @@ def test_pdf_integrates_to_one_over_random_params():
             theta=float(rng.uniform(0.5, 5.0)),
             alpha=float(rng.uniform(0.5, 5.0)),
         )
-        val, _ = quad(lambda s: float(ew_pdf(s, p)), 0, np.inf, limit=400)
+        val, _ = quad(lambda s: float(kernel(s, p)[1]), 0, np.inf, limit=400)
         assert val == pytest.approx(1.0, abs=1e-6)
 
 
 def test_cdf_nondecreasing_and_finite():
     grid = np.linspace(0.0, 50.0, 400)
     for p in (P_TABLE1, EwParams(0.3, 0.5, 5.0), EwParams(3.0, 5.0, 0.5)):
-        f = ew_cdf(grid, p)
+        f = kernel(grid, p)[0]
         assert np.all(np.isfinite(f))
         assert np.all(np.diff(f) >= -1e-15)
         assert np.all((f >= 0) & (f <= 1))
 
 
+def test_kernel_matches_closed_forms():
+    for p in (P_TABLE1, EwParams(0.3, 0.5, 5.0), EwParams(3.0, 5.0, 0.5)):
+        for t in (0.05, 0.7, 2.0, 6.0):
+            F, S, h, H = ew_closed_form(t, p)
+            F_k, f_k, h_k, log_s = kernel(t, p)
+            assert F_k == pytest.approx(F, rel=1e-13)
+            assert f_k == pytest.approx(h * S, rel=1e-13)
+            assert h_k == pytest.approx(h, rel=1e-13)
+            assert -log_s == pytest.approx(H, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
-# hazard / cumulative hazard
+# EW kernel: hazard / cumulative hazard
 # ---------------------------------------------------------------------------
 
 def test_exponential_constant_hazard():
     p = EwParams(kappa=1.0, theta=4.0, alpha=1.0)
     for t in (0.01, 1.0, 10.0, 100.0):
-        assert ew_hazard(t, p) == pytest.approx(1 / 4.0, rel=1e-12)
+        assert kernel(t, p)[2] == pytest.approx(1 / 4.0, rel=1e-12)
 
 
 def test_cum_hazard_zero_at_zero():
-    assert ew_cum_hazard(0.0, P_TABLE1) == 0.0
+    assert -kernel(0.0, P_TABLE1)[3] == 0.0
 
 
 def test_hazard_unimodal_for_table1_params():
     grid = np.linspace(0.01, 20.0, 2000)
-    h = ew_hazard(grid, P_TABLE1)
+    h = kernel(grid, P_TABLE1)[2]
     imax = int(np.argmax(h))
     assert 0 < imax < len(grid) - 1
     assert h[0] < h[imax] > h[-1]
@@ -114,16 +136,16 @@ def test_hazard_unimodal_for_table1_params():
 
 def test_cum_hazard_matches_integrated_hazard():
     for t in (0.5, 2.0, 8.0):
-        val, _ = quad(lambda s: float(ew_hazard(s, P_TABLE1)), 0, t, limit=300)
-        assert ew_cum_hazard(t, P_TABLE1) == pytest.approx(val, abs=1e-8)
+        val, _ = quad(lambda s: float(kernel(s, P_TABLE1)[2]), 0, t, limit=300)
+        assert -kernel(t, P_TABLE1)[3] == pytest.approx(val, abs=1e-8)
 
 
 def test_log_survival_far_tail_stays_finite():
     # deep tail where 1-F underflows in naive arithmetic
     p = EwParams(kappa=2.0, theta=1.0, alpha=3.0)
-    H = ew_cum_hazard(50.0, p)  # w = 2500
-    assert math.isfinite(H)
-    assert H == pytest.approx(2500.0 - math.log(3.0), rel=1e-12)
+    _, _, h0, log_s = kernel(50.0, p)  # w = 2500
+    assert math.isfinite(log_s) and math.isfinite(h0)
+    assert -log_s == pytest.approx(2500.0 - math.log(3.0), rel=1e-12)
 
 
 def _log1mexp_two_branch(v):
@@ -216,25 +238,17 @@ def test_params_validated():
 # Gamma frailty
 # ---------------------------------------------------------------------------
 
-def test_gamma_pdf_shape_one_is_exponential():
-    g = GammaFrailtyParams(mu=2.0, b=2.0)  # shape 1
-    for r in (0.1, 1.0, 5.0):
-        assert gamma_frailty_pdf(r, g) == pytest.approx(math.exp(-r / 2.0) / 2.0, rel=1e-12)
-
-
-def test_gamma_pdf_integrates_to_mean():
-    g = GammaFrailtyParams(mu=6.5, b=10.0)
-    total, _ = quad(lambda r: float(gamma_frailty_pdf(r, g)), 0, np.inf, limit=400)
-    mean, _ = quad(lambda r: r * float(gamma_frailty_pdf(r, g)), 0, np.inf, limit=400)
-    assert total == pytest.approx(1.0, abs=1e-8)
-    assert mean == pytest.approx(6.5, abs=1e-6)
+def test_gamma_laplace_shape_one_is_exponential():
+    g = GammaFrailtyParams(mu=2.0, b=2.0)  # shape 1: exponential with mean 2
+    for s in (0.0, 0.1, 1.0, 5.0):
+        assert gamma_laplace(s, g) == pytest.approx(1.0 / (1.0 + 2.0 * s), rel=1e-14)
 
 
 def test_moderate_mismatch_concentrates_near_mean():
     g = GammaFrailtyParams(mu=1.2, b=0.02)
     sd = math.sqrt(g.mu * g.b)
     assert sd == pytest.approx(0.155, abs=0.001)
-    mass, _ = quad(lambda r: float(gamma_frailty_pdf(r, g)), 1.2 - 3 * sd, 1.2 + 3 * sd)
+    mass, _ = quad(lambda r: gamma_pdf(r, g), 1.2 - 3 * sd, 1.2 + 3 * sd)
     assert mass > 0.99
 
 
@@ -250,9 +264,9 @@ def test_laplace_at_zero_and_monotone():
 def test_laplace_matches_quadrature():
     g = GammaFrailtyParams(mu=6.5, b=10.0)
     val = quad(
-        lambda r: math.exp(-0.3 * r) * float(gamma_frailty_pdf(r, g)), 0, 1, limit=400
+        lambda r: math.exp(-0.3 * r) * gamma_pdf(r, g), 0, 1, limit=400
     )[0] + quad(
-        lambda r: math.exp(-0.3 * r) * float(gamma_frailty_pdf(r, g)), 1, np.inf, limit=400
+        lambda r: math.exp(-0.3 * r) * gamma_pdf(r, g), 1, np.inf, limit=400
     )[0]
     assert gamma_laplace(0.3, g) == pytest.approx(val, abs=1e-8)
 
@@ -263,10 +277,10 @@ def test_laplace_quadrature_grid():
         g = GammaFrailtyParams(mu=mu, b=b)
         for s in (0.0, 0.1, 0.7, 2.0, 5.0):
             val = quad(
-                lambda r: math.exp(-s * r) * float(gamma_frailty_pdf(r, g)),
+                lambda r: math.exp(-s * r) * gamma_pdf(r, g),
                 0, 1, limit=400,
             )[0] + quad(
-                lambda r: math.exp(-s * r) * float(gamma_frailty_pdf(r, g)),
+                lambda r: math.exp(-s * r) * gamma_pdf(r, g),
                 1, np.inf, limit=400,
             )[0]
             assert gamma_laplace(s, g) == pytest.approx(val, abs=1e-8)

@@ -1,6 +1,5 @@
 """Transforms, CDA warm start, fitting, intervals, and M4 selection."""
 
-import io
 import math
 
 import numpy as np
@@ -22,11 +21,9 @@ from exhaz.estimation import (
     confidence_intervals,
     fit,
     fit_all,
-    read_fit_result,
     select_m4,
     transform_params,
     untransform_params,
-    write_fit_result,
 )
 from exhaz.likelihoods import (
     ModelParams,
@@ -427,25 +424,3 @@ def test_select_excludes_nonconverged_and_raises_when_empty():
     with pytest.raises(NoEligibleFit):
         select_m4({"M1": _mini_fit("M1", 100.0, converged=False)})
 
-
-# ---------------------------------------------------------------------------
-# serialization round trip
-# ---------------------------------------------------------------------------
-
-def test_fit_result_round_trip(m1_fit):
-    _, res = m1_fit
-    buf = io.StringIO()
-    write_fit_result(res, buf)
-    buf.seek(0)
-    parsed = read_fit_result(buf)
-    assert parsed.model == res.model
-    assert parsed.param_names == res.param_names
-    assert np.array_equal(parsed.estimates, res.estimates)
-    assert np.array_equal(parsed.std_errors, res.std_errors)
-    assert parsed.loglik == res.loglik
-    assert parsed.aic == res.aic
-    assert parsed.converged == res.converged
-    # params rebuild for prediction
-    mp = parsed.to_model_params()
-    assert mp.model == "M1"
-    assert mp.gh.baseline.kappa == res.estimate("kappa")

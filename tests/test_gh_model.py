@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from exhaz.distributions import EwParams, ew_cum_hazard, ew_hazard, ew_survival
+from conftest import ew_closed_form
+from exhaz.distributions import EwParams
+from exhaz.errors import NumericalOverflow
 from exhaz.gh_model import (
     GhParams,
     excess_cum_hazard,
@@ -14,9 +16,23 @@ from exhaz.gh_model import (
     inverse_excess_survival,
     net_survival,
 )
+from exhaz.likelihoods import ModelParams, _terms, prepare_cohort
+from exhaz.simulation import COVARIATES, builtin_scenarios, design_life_table, generate_cohort
 
 BASE = EwParams(kappa=0.6, theta=1.75, alpha=2.5)
 TRUTH = GhParams(BASE, beta1=np.array([0.1, 0.1, 0.1]), beta2=np.array([0.05, 0.2, 0.25]))
+
+
+def ew_hazard(t, p):
+    return ew_closed_form(t, p)[2]
+
+
+def ew_cum_hazard(t, p):
+    return ew_closed_form(t, p)[3]
+
+
+def ew_survival(t, p):
+    return ew_closed_form(t, p)[1]
 
 
 def random_params(rng, p=3):
@@ -74,15 +90,13 @@ def test_aft_reduction_survival_identity():
 def test_x_zero_gives_baseline():
     x = np.zeros(3)
     for t in (0.1, 1.0, 5.0):
-        assert excess_hazard(t, x, TRUTH) == pytest.approx(float(ew_hazard(t, BASE)), rel=1e-14)
-        assert excess_cum_hazard(t, x, TRUTH) == pytest.approx(
-            float(ew_cum_hazard(t, BASE)), rel=1e-14
-        )
+        assert excess_hazard(t, x, TRUTH) == pytest.approx(ew_hazard(t, BASE), rel=1e-14)
+        assert excess_cum_hazard(t, x, TRUTH) == pytest.approx(ew_cum_hazard(t, BASE), rel=1e-14)
 
 
 def test_no_covariate_model_supported():
     p = GhParams(BASE, beta1=np.zeros(0), beta2=np.zeros(0))
-    assert excess_hazard(2.0, np.zeros(0), p) == pytest.approx(float(ew_hazard(2.0, BASE)))
+    assert excess_hazard(2.0, np.zeros(0), p) == pytest.approx(ew_hazard(2.0, BASE))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +142,7 @@ def test_net_survival_range_and_boundary():
 
 def test_net_survival_closed_form_at_zero_covariates():
     # exp(-H0(5)) via the EW closed form
-    expected = math.exp(-float(ew_cum_hazard(5.0, BASE)))
+    expected = math.exp(-ew_cum_hazard(5.0, BASE))
     assert net_survival(5.0, np.zeros(3), TRUTH) == pytest.approx(expected, rel=1e-12)
 
 
@@ -161,6 +175,64 @@ def test_simulated_times_match_net_survival_dkw():
     for t in np.linspace(0.25, 10.0, 20):
         emp = float(np.mean(times > t))
         assert abs(emp - float(net_survival(t, x, TRUTH))) < eps
+
+
+# ---------------------------------------------------------------------------
+# the public functions and the likelihood share one GH kernel
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def moderate_cohort():
+    sc = builtin_scenarios()["moderate"]
+    table = design_life_table()
+    records = generate_cohort(sc, 0, table)
+    return prepare_cohort(records, table, sc.advance_year, COVARIATES)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "gh",
+    [TRUTH, GhParams(BASE, beta1=np.array([0.3, -2.0, 1.5]), beta2=TRUTH.beta2)],
+    ids=["truth", "large-beta1"],
+)
+def test_public_functions_equal_likelihood_terms_bitwise(moderate_cohort, gh):
+    cohort = moderate_cohort
+    aux = _terms(ModelParams(gh), cohort, comparable=False)[1]
+    he, HE = aux[8], aux[9]
+    t, X = cohort.time, cohort.X
+    assert np.array_equal(_bits(excess_hazard(t, X, gh)), _bits(he))
+    assert np.array_equal(_bits(excess_cum_hazard(t, X, gh)), _bits(HE))
+    assert np.array_equal(_bits(net_survival(t, X, gh)), _bits(np.exp(-HE)))
+
+
+def test_conventions_at_nonpositive_times():
+    x = np.array([0.5, 1.0, -0.3])
+    for t in (0.0, -1.5, np.array(0.0), np.array(-2.0)):
+        for fn, at_zero in ((excess_hazard, 0.0), (excess_cum_hazard, 0.0), (net_survival, 1.0)):
+            got = fn(t, x, TRUTH)
+            assert np.ndim(got) == 0 and got == at_zero, (fn.__name__, t)
+    t = np.array([-1.0, 0.0, 0.5, 2.0, -0.0, 7.0])
+    pos = t > 0
+    h, H, S = excess_hazard(t, x, TRUTH), excess_cum_hazard(t, x, TRUTH), net_survival(t, x, TRUTH)
+    assert h.shape == H.shape == S.shape == t.shape
+    assert np.all(h[~pos] == 0.0) and np.all(H[~pos] == 0.0) and np.all(S[~pos] == 1.0)
+    for i in np.flatnonzero(pos):
+        assert h[i] == pytest.approx(excess_hazard(t[i], x, TRUTH), rel=1e-15)
+        assert H[i] == pytest.approx(excess_cum_hazard(t[i], x, TRUTH), rel=1e-15)
+        assert S[i] == pytest.approx(net_survival(t[i], x, TRUTH), rel=1e-15)
+        assert S[i] == pytest.approx(math.exp(-H[i]), rel=1e-15)
+
+
+def test_hazard_overflow_raises():
+    # at t = 1e300, w = (t/theta)^kappa overflows, and so do h0 and H0
+    p = GhParams(EwParams(kappa=2.0, theta=1.0, alpha=3.0))
+    with pytest.raises(NumericalOverflow):
+        excess_hazard(np.array([1.0, 1e300]), np.zeros(0), p)
+    with pytest.raises(NumericalOverflow):
+        excess_cum_hazard(np.array([1.0, 1e300]), np.zeros(0), p)
 
 
 def test_beta_length_mismatch_rejected():

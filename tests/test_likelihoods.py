@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from exhaz.distributions import EwParams, GammaFrailtyParams, gamma_frailty_pdf
+from conftest import gamma_pdf, gh_closed_form
+from exhaz.distributions import EwParams, GammaFrailtyParams
 from exhaz.errors import DataError, NonFiniteLikelihood
-from exhaz.gh_model import GhParams, excess_cum_hazard, excess_hazard
+from exhaz.gh_model import GhParams
 from exhaz.lifetable import LexisPosition, make_life_table
 from exhaz.likelihoods import (
     ModelParams,
@@ -28,7 +29,6 @@ from exhaz.likelihoods import (
     loglik_and_grad,
     marginal_survival_m3,
     omega1,
-    overall_hazard,
     prepare_cohort,
 )
 
@@ -49,8 +49,27 @@ def fake_cohort(n=50, seed=0, p=3):
     return PreparedCohort(time, status, X, hp, dhp)
 
 
+def observed_hazard(t, x, params, hp, dhp):
+    """lambda = corrected h_P + h_E, by hand, with h_E from the closed form."""
+    corr = params.correction
+    if corr is None:
+        chp = hp
+    elif isinstance(corr, SingleGamma):
+        chp = corr.gamma * hp
+    else:
+        chp = corr.mu * hp / (1.0 + corr.b * dhp)
+    return chp + gh_closed_form(t, x, params.gh)[0]
+
+
+def one_patient(t, x, hp, dhp, status=1):
+    return PreparedCohort(
+        np.array([t]), np.array([status], dtype=np.int8), np.asarray(x, float)[None, :],
+        np.array([hp]), np.array([dhp]),
+    )
+
+
 # ---------------------------------------------------------------------------
-# overall hazard and omega1
+# observed hazard and omega1
 # ---------------------------------------------------------------------------
 
 def test_m2_gamma_one_equals_m1():
@@ -58,22 +77,26 @@ def test_m2_gamma_one_equals_m1():
     m2 = ModelParams(GH, SingleGamma(1.0))
     x = np.array([0.5, 1.0, 0.0])
     for t, hp, dhp in [(0.5, 0.02, 0.01), (3.0, 0.05, 0.12)]:
-        assert overall_hazard(t, x, m2, hp, dhp) == overall_hazard(t, x, m1, hp, dhp)
+        cohort = one_patient(t, x, hp, dhp)
+        assert loglik(m2, cohort) == loglik(m1, cohort, comparable=True)
 
 
 def test_m3_at_dhp_zero_is_mu_times_hp():
     m3 = ModelParams(GH, GammaFrailtyParams(6.5, 10.0))
     x = np.zeros(3)
-    he = float(excess_hazard(1.0, x, GH))
-    assert overall_hazard(1.0, x, m3, 0.02, 0.0) == pytest.approx(6.5 * 0.02 + he, rel=1e-12)
+    he, HE = gh_closed_form(1.0, x, GH)
+    got = loglik(m3, one_patient(1.0, x, 0.02, 0.0))
+    assert got == pytest.approx(math.log(6.5 * 0.02 + he) - HE, rel=1e-12)
 
 
 def test_m3_population_term_arithmetic():
+    # b dH_P = 1: the corrected rate halves and the population term is (mu/b) log 2
     m3 = ModelParams(GH, GammaFrailtyParams(6.5, 10.0))
     x = np.zeros(3)
-    he = float(excess_hazard(1.0, x, GH))
-    got = overall_hazard(1.0, x, m3, 0.02, 0.1)
-    assert got - he == pytest.approx(6.5 * 0.02 / 2.0, rel=1e-12)
+    he, HE = gh_closed_form(1.0, x, GH)
+    got = loglik(m3, one_patient(1.0, x, 0.02, 0.1))
+    expected = math.log(6.5 * 0.02 / 2.0 + he) - HE - 0.65 * math.log(2.0)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_omega1_values():
@@ -117,8 +140,8 @@ def test_marginal_survival_matches_frailty_quadrature(flat_table):
         m3 = ModelParams(GH, g)
         for t in (0.5, 2.0, 4.5):
             dhp = 0.03 * t  # constant-rate table
-            he = float(excess_cum_hazard(t, r0.x, GH))
-            integrand = lambda r: math.exp(-r * dhp) * float(gamma_frailty_pdf(r, g))
+            he = gh_closed_form(t, r0.x, GH)[1]
+            integrand = lambda r: math.exp(-r * dhp) * gamma_pdf(r, g)
             lap = quad(integrand, 0, 1, limit=400)[0] + quad(
                 integrand, 1, np.inf, limit=400
             )[0]
@@ -134,7 +157,7 @@ def test_marginal_survival_b_to_zero_limit(flat_table):
     m3 = ModelParams(GH, GammaFrailtyParams(mu, 1e-8))
     t = 3.0
     dhp = 0.03 * t
-    he = float(excess_cum_hazard(t, r0.x, GH))
+    he = gh_closed_form(t, r0.x, GH)[1]
     expected = math.exp(-he - mu * dhp)
     assert float(marginal_survival_m3(t, r0, m3, flat_table)) == pytest.approx(
         expected, rel=1e-6
@@ -295,11 +318,8 @@ def test_single_censored_patient_m3_hand_check():
     t, dhp, hp = 2.5, 0.08, 0.03
     mu, b = 1.875, 0.075
     x = np.array([0.4, 0.0, 1.0])
-    cohort = PreparedCohort(
-        np.array([t]), np.array([0], dtype=np.int8),
-        x[None, :], np.array([hp]), np.array([dhp]),
-    )
-    he = float(excess_cum_hazard(t, x, GH))
+    cohort = one_patient(t, x, hp, dhp, status=0)
+    he = gh_closed_form(t, x, GH)[1]
     expected = -he - (mu / b) * math.log1p(b * dhp)
     got = loglik(ModelParams(GH, GammaFrailtyParams(mu, b)), cohort)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -318,7 +338,7 @@ def test_loglik_matches_per_patient_brute_force():
             t = float(cohort.time[i])
             x = cohort.X[i]
             hp, dhp = float(cohort.hp[i]), float(cohort.dhp[i])
-            he = float(excess_cum_hazard(t, x, GH))
+            he = gh_closed_form(t, x, GH)[1]
             corr = params.correction
             if corr is None:
                 log_s = -he  # population-survival constant omitted for M1
@@ -328,7 +348,7 @@ def test_loglik_matches_per_patient_brute_force():
                 log_s = -he - (corr.mu / corr.b) * math.log1p(corr.b * dhp)
             term = log_s
             if cohort.status[i] == 1:
-                term += math.log(float(overall_hazard(t, x, params, hp, dhp)))
+                term += math.log(observed_hazard(t, x, params, hp, dhp))
             brute_terms.append(term)
         assert loglik(params, cohort) == pytest.approx(fsum(brute_terms), abs=1e-9)
 
@@ -343,8 +363,8 @@ def test_delta_flip_changes_by_log_hazard():
     flipped = status.copy()
     flipped[i] = 1 - flipped[i]
     cohort2 = PreparedCohort(cohort.time, flipped, cohort.X, cohort.hp, cohort.dhp)
-    lam = float(
-        overall_hazard(cohort.time[i], cohort.X[i], params, cohort.hp[i], cohort.dhp[i])
+    lam = observed_hazard(
+        float(cohort.time[i]), cohort.X[i], params, float(cohort.hp[i]), float(cohort.dhp[i])
     )
     sign = 1.0 if flipped[i] == 1 else -1.0
     assert loglik(params, cohort2) - base == pytest.approx(sign * math.log(lam), abs=1e-10)
@@ -529,6 +549,12 @@ def test_patient_record_rejects_nonfinite_age_or_year(age, year):
         PatientRecord(time=1.0, status=1, age_diag=age, year_diag=year, x=np.zeros(1), z=("0",))
 
 
+@pytest.mark.parametrize("x", [[math.nan, 0.0], [0.5, math.inf], [-math.inf, 1.0]])
+def test_patient_record_rejects_nonfinite_covariates(x):
+    with pytest.raises(DataError, match="covariates must be finite"):
+        PatientRecord(time=1.0, status=1, age_diag=70.0, year_diag=2010.0, x=x, z=("0",))
+
+
 COHORT_CSV = """# follow-up of two patients
 time,status,age_diag,year_diag,age,sex
 
@@ -583,12 +609,27 @@ def test_load_cohort_reads_rows_and_applies_transforms(two_sex_table, tmp_path):
         ("1.5,2,64.0,2010,64.0,0", "line 3: status must be 0 or 1"),
         ("1.5,1,nan,2010,64.0,0", "line 3: age and year at diagnosis must be finite"),
         ("1.5,1,64.0,inf,64.0,0", "line 3: age and year at diagnosis must be finite"),
+        ("1.5,1,64.0,2010,nan,0", "line 3: covariates must be finite"),
+        ("1.5,1,64.0,2010,64.0,-inf", "line 3: covariates must be finite"),
     ],
 )
 def test_load_cohort_reports_the_line_of_a_bad_row(row, message):
     text = "# comment\ntime,status,age_diag,year_diag,age,sex\n" + row + "\n"
     with pytest.raises(DataError, match=message):
         _load(text)
+
+
+@pytest.mark.parametrize(
+    "center, scale", [(70.0, 0.0), (70.0, -0.0), (math.nan, 10.0), (70.0, math.inf)]
+)
+def test_load_cohort_rejects_bad_transforms(center, scale):
+    with pytest.raises(DataError, match="transform of column 'age' needs a finite center"):
+        _load(COHORT_CSV, transforms={"age": (center, scale)})
+
+
+def test_load_cohort_reports_a_covariate_the_transform_overflows():
+    with pytest.raises(DataError, match="line 4: covariates must be finite"):
+        _load(COHORT_CSV, transforms={"age": (0.0, 1e-307)})
 
 
 @pytest.mark.parametrize(

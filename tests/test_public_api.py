@@ -1,0 +1,90 @@
+"""Every exported name has a caller in the package or in perfbench.
+
+A name in a module's ``__all__`` must be used somewhere in ``src/exhaz``
+outside its own definition, or in ``perfbench/``; a use is a name or an
+attribute in the code (docstrings, comments and ``__all__`` strings do not
+count).  Exports that are there for users rather than for other code are
+on the allow-list below, each with its reason.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import exhaz
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "exhaz"
+PERFBENCH = ROOT / "perfbench"
+
+ALLOWED = {
+    "net_survival": "paper-reported quantity: net survival exp(-H_E)",
+    "excess_hazard": "paper-reported quantity: the excess hazard h_E",
+    "excess_cum_hazard": "paper-reported quantity: the cumulative excess hazard H_E",
+    "marginal_survival_m3": "paper-reported quantity: M3 marginal overall survival",
+    "load_cohort": "user entry point: reads a cohort CSV",
+    "run_study": "user entry point: runs a recovery study",
+    "write_study_reports": "user entry point: writes a study's report files",
+}
+
+
+def _definition_lines(tree: ast.Module, name: str) -> range | None:
+    """Line span of the top-level statement that defines ``name``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = node.name == name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = any(isinstance(t, ast.Name) and t.id == name for t in targets)
+        else:
+            continue
+        if defined:
+            return range(node.lineno, node.end_lineno + 1)
+    return None
+
+
+def _uses(tree: ast.Module):
+    """(name, line) of every name and attribute used in the code."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def _exports():
+    for info in pkgutil.iter_modules(exhaz.__path__):
+        module = importlib.import_module(f"exhaz.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            yield info.name, name
+
+
+def _unused_exports():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
+    }
+    unused = []
+    for module, name in _exports():
+        home = SRC / f"{module}.py"
+        own = _definition_lines(trees[home], name)
+        assert own is not None, f"{module}.__all__ lists {name!r}, which it does not define"
+        used = any(
+            used_name == name and not (path == home and line in own)
+            for path, tree in trees.items()
+            for used_name, line in _uses(tree)
+        )
+        if not used:
+            unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_every_export_has_a_caller_or_a_reason():
+    unused = [n for n in _unused_exports() if n.rpartition(".")[2] not in ALLOWED]
+    assert unused == [], f"exported but called nowhere in src/exhaz or perfbench: {unused}"
+
+
+def test_allow_list_names_real_exports():
+    exported = {name for _, name in _exports()}
+    assert set(ALLOWED) <= exported, set(ALLOWED) - exported
