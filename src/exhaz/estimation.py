@@ -223,7 +223,6 @@ class FitResult:
     grad_max_norm: float
     n_evals: int
     n_iter: int
-    multistart_best_of: int
     notes: tuple[str, ...] = ()
 
     @property
@@ -236,11 +235,6 @@ class FitResult:
 
     def estimate(self, name: str) -> float:
         return float(self.estimates[self.param_names.index(name)])
-
-    def std_error(self, name: str) -> float:
-        if self.std_errors is None:
-            raise SEsUnavailable(f"no standard errors for {self.model}")
-        return float(self.std_errors[self.param_names.index(name)])
 
     def to_model_params(self) -> ModelParams:
         layout = ParamLayout.for_model(self.model, _infer_covariates(self.param_names))
@@ -258,6 +252,10 @@ def confidence_intervals(fit: FitResult, level: float = 0.95):
     }
 
 
+# A point the likelihood or the parameter classes reject; the objective maps it to _BIG.
+_REJECTED = (NonFiniteLikelihood, NonPositive)
+
+
 class _Objective:
     """Negative log-likelihood on the transformed scale, with eval counting."""
 
@@ -273,19 +271,16 @@ class _Objective:
         self.n_evals += 1
         try:
             return -loglik(self._params(x), self.cohort)
-        except (NonFiniteLikelihood, NonPositive, FloatingPointError, OverflowError):
+        except _REJECTED:
             return _BIG
 
     def value_and_grad(self, x: np.ndarray):
         self.n_evals += 1
+        natural = untransform_params(x, self.layout.positive)
         try:
-            params = self._params(x)
-        except (NonPositive, OverflowError):
+            ll, grad_nat = loglik_and_grad(self.layout.to_params(natural), self.cohort)
+        except _REJECTED:
             return _BIG, np.zeros_like(x)
-        ll, grad_nat = loglik_and_grad(params, self.cohort)
-        if grad_nat is None or not math.isfinite(ll):
-            return _BIG, np.zeros_like(x)
-        natural = self.layout.from_params(params)
         grad_t = grad_nat.copy()
         grad_t[self.layout.positive] *= natural[self.layout.positive]
         return -ll, -grad_t
@@ -614,7 +609,6 @@ def fit(
         grad_max_norm=gnorm,
         n_evals=obj.n_evals,
         n_iter=total_iter,
-        multistart_best_of=len(starts),
         notes=tuple(notes),
     )
 

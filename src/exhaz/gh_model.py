@@ -11,8 +11,9 @@ The composition is written once: ``gh_baseline`` evaluates the EW kernel
 at v = t e^{x'b1} and ``gh_excess`` scales it into h_E and H_E.  The
 likelihood calls both on a prepared cohort; ``excess_hazard``,
 ``excess_cum_hazard`` and ``net_survival`` call them at any t and add the
-conventions at t <= 0 (hazard 0, H_E 0, survival 1).  Both callers run
-the two helpers under ``np.errstate`` and check the results themselves.
+conventions at t <= 0 (hazard 0, H_E 0, survival 1); a NaN time raises
+ValueError.  Both callers run the two helpers under ``np.errstate`` and
+check the results themselves.
 """
 
 from __future__ import annotations
@@ -81,8 +82,15 @@ def gh_excess(h0, log_s0, xb1, xb2):
 
 
 def _excess(t, x, p: GhParams):
-    """(t <= 0, h0, log S0, h_E, H_E) at times t; entries at t <= 0 are placeholders."""
+    """(t <= 0, h0, log S0, h_E, H_E) at times t; entries at t <= 0 are placeholders.
+
+    Raises ValueError naming the first NaN time.
+    """
     t = np.asarray(t, dtype=float)
+    nan = np.isnan(t)
+    if nan.any():
+        where = f"t[{int(np.flatnonzero(nan)[0])}]" if t.ndim else "t"
+        raise ValueError(f"time {where} is NaN")
     xb1, xb2 = _linpreds(x, p)
     nonpos = t <= 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -167,9 +167,6 @@ class PreparedCohort:
     def n_events(self) -> int:
         return int(self.status.sum())
 
-    def sum_dhp(self) -> float:
-        return _exact_sum(self.dhp)
-
 
 def prepare_cohort(
     records: Sequence[PatientRecord],
@@ -351,6 +348,23 @@ def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
     return terms, (v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam)
 
 
+def _checked_sum(terms: np.ndarray, cohort: PreparedCohort) -> float:
+    """Exact sum of the terms; NonFiniteLikelihood naming the first patient
+    whose term is NaN or infinite, or when finite terms overflow the sum."""
+    finite = np.isfinite(terms)
+    if not finite.all():
+        idx = int(np.argmin(finite))
+        raise NonFiniteLikelihood(
+            f"non-finite likelihood term for patient {idx} "
+            f"(t={cohort.time[idx]:.6g}, status={int(cohort.status[idx])})",
+            patient_index=idx,
+        )
+    try:
+        return _exact_sum(terms)
+    except OverflowError:
+        raise NonFiniteLikelihood("the sum of the likelihood terms overflows") from None
+
+
 def loglik(params: ModelParams, cohort: PreparedCohort, comparable: bool = False) -> float:
     """Exact log-likelihood: the correctly rounded sum of the per-patient terms.
 
@@ -365,20 +379,12 @@ def loglik(params: ModelParams, cohort: PreparedCohort, comparable: bool = False
     so that values are on the full-data likelihood scale across models.
 
     Raises NonFiniteLikelihood naming the first offending patient if any
-    per-patient term is NaN or infinite.
+    per-patient term is NaN or infinite, or when the sum overflows.
     """
     if cohort.n == 0:
         raise DataError("cohort is empty")
     terms, _ = _terms(params, cohort, comparable)
-    finite = np.isfinite(terms)
-    if not finite.all():
-        idx = int(np.argmin(finite))
-        raise NonFiniteLikelihood(
-            f"non-finite likelihood term for patient {idx} "
-            f"(t={cohort.time[idx]:.6g}, status={int(cohort.status[idx])})",
-            patient_index=idx,
-        )
-    return _exact_sum(terms)
+    return _checked_sum(terms, cohort)
 
 
 def loglik_and_grad(
@@ -387,19 +393,13 @@ def loglik_and_grad(
     """Log-likelihood and its gradient on the natural parameter scale.
 
     Gradient layout: [kappa, theta, alpha, beta1 (p), beta2 (p), correction
-    params (gamma for M2; mu, b for M3)].  Returns (-inf, None) when any
-    term is non-finite, or the sum of finite terms overflows, so optimizers
-    can reject the step.
+    params (gamma for M2; mu, b for M3)].  Raises NonFiniteLikelihood as
+    ``loglik`` does, and also when a gradient entry is not finite.
     """
     gh = params.gh
     p = gh.baseline
     terms, aux = _terms(params, cohort, comparable)
-    if not np.isfinite(terms).all():
-        return -np.inf, None
-    try:
-        ll = _exact_sum(terms)
-    except OverflowError:  # finite terms whose sum overflows
-        return -np.inf, None
+    ll = _checked_sum(terms, cohort)
     v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam = aux
     ev, X = cohort._event, cohort.X
     hp, dhp = cohort.hp, cohort.dhp
@@ -451,8 +451,9 @@ def loglik_and_grad(
             grad.extend([g_mu, g_b])
 
     grad = np.array(grad)
-    if not np.all(np.isfinite(grad)):
-        return -np.inf, None
+    bad = np.flatnonzero(~np.isfinite(grad))
+    if bad.size:
+        raise NonFiniteLikelihood(f"non-finite gradient at positions {bad.tolist()}")
     return ll, grad
 
 

@@ -13,9 +13,15 @@ an optional exponential drop-out whose rate can be calibrated to a target
 censoring proportion.
 
 A study runs N replicates (per-replicate RNG stream seeded base + index),
-fits M1-M3 plus the AIC-selected M4 on each, and accumulates the recovery
-metrics: mean/median of the MLEs, empirical SD, mean estimated SE, RMSE,
-and coverage of the natural-scale Wald intervals.
+fits M1-M3 plus the AIC-selected M4 on each, and records one row per model
+and M4's pick per replicate.  Every model's recovery metrics (mean/median
+of the MLEs, empirical SD, mean estimated SE, RMSE, and coverage of the
+natural-scale Wald intervals) come from one pooling of rows: M1-M3 pool
+the replicates where their own fit converged, and M4 pools the row of the
+model AIC chose among the converged fits, plus c from the pick.  The
+metrics are conditional on convergence.  The excluded counts appear in
+``selection.csv``: ``not_converged`` for M1-M3, and on the M4 row the
+replicates with no converged fit to choose from.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .distributions import (
     sample_lognormal_frailty,
 )
 from .errors import NoEligibleFit, TargetUnreachable
-from .estimation import FitConfig, confidence_intervals, fit_all, select_m4
+from .estimation import MODELS, FitConfig, confidence_intervals, fit_all, select_m4
 from .gh_model import GhParams, inverse_excess_survival
 from .lifetable import LexisPosition, LifeTable, load_life_table, make_life_table
 from .likelihoods import PatientRecord, prepare_cohort
@@ -87,6 +93,11 @@ def design_life_table() -> LifeTable:
     )
 
 
+def _check_censoring_target(target: float) -> None:
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"censoring target must be in (0, 1), got {target}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation scenario: truth, frailty law, censoring, and seeds."""
@@ -109,6 +120,12 @@ class ScenarioConfig:
             raise ValueError("n and n_replicates must be >= 1")
         if self.admin_censor_time <= 0:
             raise ValueError("admin_censor_time must be > 0")
+        if self.dropout_rate is not None and not (
+            math.isfinite(self.dropout_rate) and self.dropout_rate > 0
+        ):
+            raise ValueError(f"dropout_rate must be finite and > 0, got {self.dropout_rate}")
+        if self.dropout_target is not None:
+            _check_censoring_target(self.dropout_target)
 
     def frailty_mean(self) -> float:
         if self.frailty is None:
@@ -248,11 +265,12 @@ def calibrate_dropout_rate(
     """Bisection on the drop-out rate until a pilot cohort censors at target.
 
     The search stops within ``_CALIBRATION_TOL`` (0.005) of the target.
-    Returns (rate, achieved proportion).  The pilot event times and
-    unit-exponential drop-out draws are fixed once, so the censoring
-    proportion is a deterministic monotone function of the rate and the
-    search is reproducible.
+    Returns (rate, achieved proportion); a target outside (0, 1) raises
+    ValueError.  The pilot event times and unit-exponential drop-out draws
+    are fixed once, so the censoring proportion is a deterministic monotone
+    function of the rate and the search is reproducible.
     """
+    _check_censoring_target(target_censoring)
     t_event, e_drop = _pilot_times(sc, table, pilot_n)
     t_c = sc.admin_censor_time
 
@@ -287,7 +305,7 @@ def calibrate_dropout_rate(
 # study engine
 # ---------------------------------------------------------------------------
 
-STUDY_MODELS = ("M1", "M2", "M3", "M4")
+STUDY_MODELS = (*MODELS, "M4")
 
 
 @dataclass(frozen=True)
@@ -299,7 +317,6 @@ class ParamMetrics:
     mean_se: float
     rmse: float
     coverage: float
-    n_used: int
 
 
 @dataclass(frozen=True)
@@ -322,56 +339,58 @@ class StudyMetrics:
 
 
 def _run_replicate(args):
+    """One replicate's record: its censoring, one row per model, and M4's pick.
+
+    A row maps names to estimates, SEs and Wald intervals (None without SEs);
+    the pick (None when no fit is eligible) is a row holding c alone.
+    """
     sc, index, table = args
     records = generate_cohort(sc, index, table)
     cohort = prepare_cohort(
         records, table, advance_year=sc.advance_year, covariate_names=COVARIATES
     )
-    censoring = 1.0 - cohort.status.mean()
     fits = fit_all(cohort, sc.fit)
-    out = {"index": index, "censoring": float(censoring), "models": {}}
-    for model, res in fits.items():
-        cis = confidence_intervals(res) if res.ses_available else None
-        out["models"][model] = {
-            "names": res.param_names,
-            "estimates": np.asarray(res.estimates),
-            "ses": None if res.std_errors is None else np.asarray(res.std_errors),
-            "cis": cis,
+    rows = {
+        model: {
+            "estimates": dict(zip(res.param_names, res.estimates)),
+            "ses": None if res.std_errors is None else dict(zip(res.param_names, res.std_errors)),
+            "cis": confidence_intervals(res) if res.ses_available else None,
             "converged": res.converged,
             "hessian_pd": res.hessian_pd,
-            "aic": res.aic,
         }
+        for model, res in fits.items()
+    }
     try:
         chosen, c_hat = select_m4(fits)
-        out["m4"] = {"model": chosen.model, "c": float(c_hat)}
+        pick = {"model": chosen.model, "estimates": {"c": float(c_hat)}, "ses": None, "cis": None}
     except NoEligibleFit:
-        out["m4"] = None
-    return out
+        pick = None
+    return {"index": index, "censoring": float(1.0 - cohort.status.mean()), "models": rows, "m4": pick}
 
 
-def _metrics_for(name, truth, ests, ses, covers):
-    ests = np.asarray(ests, dtype=float)
-    n_used = len(ests)
-    mmle = float(np.mean(ests)) if n_used else math.nan
-    mmed = float(np.median(ests)) if n_used else math.nan
-    esd = float(np.std(ests, ddof=1)) if n_used > 1 else math.nan
-    if math.isnan(truth):
-        rmse = math.nan
-    else:
-        rmse = float(np.sqrt(np.mean((ests - truth) ** 2))) if n_used else math.nan
-    ses = [s for s in ses if s is not None and math.isfinite(s)]
+def _metrics_for(truth: float, rows, name: str) -> ParamMetrics:
+    """Recovery metrics of parameter ``name`` over the rows one model pools."""
+    ests = np.array([row["estimates"][name] for row in rows], dtype=float)
+    n = len(ests)
+    mmle = float(np.mean(ests)) if n else math.nan
+    mmed = float(np.median(ests)) if n else math.nan
+    esd = float(np.std(ests, ddof=1)) if n > 1 else math.nan
+    rmse = float(np.sqrt(np.mean((ests - truth) ** 2))) if n and not math.isnan(truth) else math.nan
+    ses = [row["ses"][name] for row in rows if row["ses"] is not None]
+    ses = [s for s in ses if math.isfinite(s)]
     mean_se = float(np.mean(ses)) if ses else math.nan
-    covers = [c for c in covers if c is not None]
+    covers = [row["cis"][name][0] <= truth <= row["cis"][name][1] for row in rows if row["cis"]]
     coverage = float(np.mean(covers)) if covers and not math.isnan(truth) else math.nan
-    return ParamMetrics(truth, mmle, mmed, esd, mean_se, rmse, coverage, n_used)
+    return ParamMetrics(truth, mmle, mmed, esd, mean_se, rmse, coverage)
 
 
 def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1) -> StudyMetrics:
     """Generate-fit-score over N replicates; deterministic for fixed config/seed.
 
-    Replicates whose fit is flagged NotConverged are excluded from that
-    model's metrics and counted.  Metric accumulation is ordered by
-    replicate index regardless of worker count.
+    M1-M3 pool the replicates where their fit converged (``not_converged``
+    counts the rest); M4 pools the row AIC chose and c from the pick
+    (``m4_failures`` counts replicates with no converged fit).  Metric
+    accumulation is ordered by replicate index regardless of worker count.
     """
     t_start = time.monotonic()
     if table is None:
@@ -390,62 +409,20 @@ def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1)
         results = [_run_replicate(t) for t in tasks]
     results.sort(key=lambda r: r["index"])
 
-    params: dict[str, dict[str, ParamMetrics]] = {}
-    not_converged: dict[str, int] = {}
-    pd_rate: dict[str, float] = {}
-    for model in ("M1", "M2", "M3"):
+    picks = [r["m4"] for r in results if r["m4"] is not None]
+    pools = {m: [r["models"][m] for r in results if r["models"][m]["converged"]] for m in MODELS}
+    pools["M4"] = [r["models"][r["m4"]["model"]] for r in results if r["m4"] is not None]
+    names = {m: list(results[0]["models"][m]["estimates"]) for m in MODELS}
+    names["M4"] = names["M1"]  # the parameters every model shares
+
+    params = {}
+    for model in STUDY_MODELS:
         truth = sc.truth_for(model)
-        names = results[0]["models"][model]["names"]
-        used = [r["models"][model] for r in results if r["models"][model]["converged"]]
-        not_converged[model] = sum(1 for r in results if not r["models"][model]["converged"])
-        pd_rate[model] = (
-            float(np.mean([m["hessian_pd"] for m in used])) if used else math.nan
-        )
-        model_params = {}
-        for j, name in enumerate(names):
-            tr = truth.get(name, math.nan)
-            ests = [m["estimates"][j] for m in used]
-            ses = [None if m["ses"] is None else m["ses"][j] for m in used]
-            covers = [
-                None
-                if m["cis"] is None or math.isnan(tr)
-                else (m["cis"][name][0] <= tr <= m["cis"][name][1])
-                for m in used
-            ]
-            model_params[name] = _metrics_for(name, tr, ests, ses, covers)
-        params[model] = model_params
-
-    # M4: pooled over the AIC-selected model per replicate
-    m4_rows = [r for r in results if r["m4"] is not None]
-    m4_failures = len(results) - len(m4_rows)
-    truth4 = sc.truth_for("M4")
-    m4_params = {}
-    common = results[0]["models"]["M1"]["names"]  # the shared psi parameters
-    for name in common:
-        tr = truth4.get(name, math.nan)
-        ests, ses, covers = [], [], []
-        for r in m4_rows:
-            chosen = r["models"][r["m4"]["model"]]
-            j = chosen["names"].index(name)
-            ests.append(chosen["estimates"][j])
-            ses.append(None if chosen["ses"] is None else chosen["ses"][j])
-            covers.append(
-                None
-                if chosen["cis"] is None or math.isnan(tr)
-                else (chosen["cis"][name][0] <= tr <= chosen["cis"][name][1])
-            )
-        m4_params[name] = _metrics_for(name, tr, ests, ses, covers)
-    c_ests = [r["m4"]["c"] for r in m4_rows]
-    m4_params["c"] = _metrics_for("c", truth4["c"], c_ests, [], [])
-    params["M4"] = m4_params
-
-    selection = {
-        model: (
-            float(np.mean([r["m4"]["model"] == model for r in m4_rows])) if m4_rows else math.nan
-        )
-        for model in ("M1", "M2", "M3")
-    }
-    mean_cens = float(np.mean([r["censoring"] for r in results]))
+        params[model] = {
+            name: _metrics_for(truth.get(name, math.nan), pools[model], name)
+            for name in names[model]
+        }
+    params["M4"]["c"] = _metrics_for(sc.truth_for("M4")["c"], picks, "c")
 
     return StudyMetrics(
         scenario=sc.name,
@@ -453,11 +430,17 @@ def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1)
         n_replicates=sc.n_replicates,
         seed=sc.seed,
         params=params,
-        selection=selection,
-        not_converged=not_converged,
-        m4_failures=m4_failures,
-        hessian_pd_rate=pd_rate,
-        mean_censoring=mean_cens,
+        selection={
+            m: float(np.mean([p["model"] == m for p in picks])) if picks else math.nan
+            for m in MODELS
+        },
+        not_converged={m: len(results) - len(pools[m]) for m in MODELS},
+        m4_failures=len(results) - len(picks),
+        hessian_pd_rate={
+            m: float(np.mean([row["hessian_pd"] for row in pools[m]])) if pools[m] else math.nan
+            for m in MODELS
+        },
+        mean_censoring=float(np.mean([r["censoring"] for r in results])),
         dropout_rate=dropout_rate,
         pilot_censoring=pilot_cens,
         wall_time_s=time.monotonic() - t_start,
@@ -512,7 +495,12 @@ def _fmt(v) -> str:
 
 
 def write_study_reports(study: StudyMetrics, outdir: str | Path) -> list[Path]:
-    """One CSV per model, selection.csv, and a manifest.  Returns the paths."""
+    """One CSV per model, selection.csv, and a manifest.  Returns the paths.
+
+    A model's CSV covers the replicates it pools (see ``run_study``); the
+    ``not_converged`` column of selection.csv counts those it leaves out,
+    on the M4 row the replicates with no converged fit.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -530,7 +518,7 @@ def write_study_reports(study: StudyMetrics, outdir: str | Path) -> list[Path]:
     path = outdir / "selection.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("model,selected_proportion,not_converged\n")
-        for model in ("M1", "M2", "M3"):
+        for model in MODELS:
             fh.write(
                 f"{model},{_fmt(study.selection[model])},{study.not_converged[model]}\n"
             )
@@ -548,7 +536,7 @@ def write_study_reports(study: StudyMetrics, outdir: str | Path) -> list[Path]:
             f"pilot_censoring={'' if study.pilot_censoring is None else repr(study.pilot_censoring)}\n"
         )
         fh.write(f"mean_censoring={study.mean_censoring!r}\n")
-        for model in ("M1", "M2", "M3"):
+        for model in MODELS:
             fh.write(f"hessian_pd_rate_{model}={_fmt(study.hessian_pd_rate[model])}\n")
         fh.write(f"wall_time_s={study.wall_time_s!r}\n")
     written.append(path)

@@ -235,6 +235,15 @@ def test_hazard_overflow_raises():
         excess_cum_hazard(np.array([1.0, 1e300]), np.zeros(0), p)
 
 
+@pytest.mark.parametrize("fn", [excess_hazard, excess_cum_hazard, net_survival])
+def test_nan_time_raises_naming_it(fn):
+    x = np.array([0.5, 1.0, -0.3])
+    with pytest.raises(ValueError, match=r"time t\[1\] is NaN"):
+        fn(np.array([1.0, np.nan, 2.0]), x, TRUTH)
+    with pytest.raises(ValueError, match=r"time t is NaN"):
+        fn(math.nan, x, TRUTH)
+
+
 def test_beta_length_mismatch_rejected():
     with pytest.raises(ValueError):
         GhParams(BASE, beta1=np.zeros(2), beta2=np.zeros(3))

@@ -311,7 +311,7 @@ def test_m2_at_gamma_one_equals_m1_minus_sum_dhp():
     cohort = fake_cohort(200, seed=3)
     l1 = loglik(ModelParams(GH), cohort)
     l2 = loglik(ModelParams(GH, SingleGamma(1.0)), cohort)
-    assert l2 == pytest.approx(l1 - cohort.sum_dhp(), abs=1e-10)
+    assert l2 == pytest.approx(l1 - fsum(cohort.dhp), abs=1e-10)
 
 
 def test_single_censored_patient_m3_hand_check():

@@ -1,10 +1,14 @@
-"""Every exported name has a caller in the package or in perfbench.
+"""Every exported name has a caller, and every member of an exported class a reader.
 
 A name in a module's ``__all__`` must be used somewhere in ``src/exhaz``
 outside its own definition, or in ``perfbench/``; a use is a name or an
 attribute in the code (docstrings, comments and ``__all__`` strings do not
-count).  Exports that are there for users rather than for other code are
-on the allow-list below, each with its reason.
+count).  Likewise every field, property and method of an exported class
+must be read as an attribute (``obj.member``) in those files outside the
+member's own definition; a constructor keyword is not a read, and a read
+of any attribute with the member's name counts.  Dunder methods are
+exempt.  Exports and members that are there for users rather than for
+other code are on the allow-lists below, each with its reason.
 """
 
 import ast
@@ -26,6 +30,11 @@ ALLOWED = {
     "load_cohort": "user entry point: reads a cohort CSV",
     "run_study": "user entry point: runs a recovery study",
     "write_study_reports": "user entry point: writes a study's report files",
+}
+
+MEMBERS_ALLOWED = {
+    "FitResult.notes": "fit diagnostics: box-bound, non-PD and convergence notes for the user",
+    "FitResult.cov_transformed": "covariance for delta-method intervals of derived quantities",
 }
 
 
@@ -53,6 +62,36 @@ def _uses(tree: ast.Module):
             yield node.attr, node.lineno
 
 
+def _class_members(tree: ast.Module, name: str):
+    """(member, line span) of each field, property and method of class ``name``."""
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name == name):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                member = item.name
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                member = item.target.id
+            else:
+                continue
+            if not (member.startswith("__") and member.endswith("__")):
+                yield member, range(item.lineno, item.end_lineno + 1)
+
+
+def _attribute_reads(tree: ast.Module):
+    """(attribute, line) of every attribute the code reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def _trees():
+    return {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
+    }
+
+
 def _exports():
     for info in pkgutil.iter_modules(exhaz.__path__):
         module = importlib.import_module(f"exhaz.{info.name}")
@@ -61,10 +100,7 @@ def _exports():
 
 
 def _unused_exports():
-    trees = {
-        path: ast.parse(path.read_text(encoding="utf-8"))
-        for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
-    }
+    trees = _trees()
     unused = []
     for module, name in _exports():
         home = SRC / f"{module}.py"
@@ -88,3 +124,35 @@ def test_every_export_has_a_caller_or_a_reason():
 def test_allow_list_names_real_exports():
     exported = {name for _, name in _exports()}
     assert set(ALLOWED) <= exported, set(ALLOWED) - exported
+
+
+def _unread_members():
+    trees = _trees()
+    reads = {path: list(_attribute_reads(tree)) for path, tree in trees.items()}
+    unread = []
+    for module, name in _exports():
+        home = SRC / f"{module}.py"
+        for member, own in _class_members(trees[home], name):
+            read = any(
+                attr == member and not (path == home and line in own)
+                for path, attrs in reads.items()
+                for attr, line in attrs
+            )
+            if not read:
+                unread.append(f"{name}.{member}")
+    return unread
+
+
+def test_every_member_of_an_exported_class_is_read_or_has_a_reason():
+    unread = [m for m in _unread_members() if m not in MEMBERS_ALLOWED]
+    assert unread == [], f"members read nowhere in src/exhaz or perfbench: {unread}"
+
+
+def test_member_allow_list_names_real_members():
+    trees = _trees()
+    members = {
+        f"{name}.{member}"
+        for module, name in _exports()
+        for member, _ in _class_members(trees[SRC / f"{module}.py"], name)
+    }
+    assert set(MEMBERS_ALLOWED) <= members, set(MEMBERS_ALLOWED) - members

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from exhaz.errors import NoEligibleFit
+from exhaz.estimation import fit_all, select_m4
 from exhaz.likelihoods import ModelParams, marginal_survival_m3, prepare_cohort
 from exhaz.simulation import (
     COVARIATES,
@@ -86,6 +88,30 @@ def test_calibrated_dropout_censors_a_fresh_cohort_at_target(table):
     assert censored == pytest.approx(0.30, abs=0.02)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dropout_rate", 0.0),
+        ("dropout_rate", -0.1),
+        ("dropout_rate", math.nan),
+        ("dropout_rate", math.inf),
+        ("dropout_target", 0.0),
+        ("dropout_target", 1.0),
+        ("dropout_target", -0.2),
+        ("dropout_target", math.nan),
+    ],
+)
+def test_scenario_rejects_bad_dropout(field, value):
+    with pytest.raises(ValueError, match=field.partition("_")[2]):
+        replace(builtin_scenarios()["none"], **{field: value})
+
+
+@pytest.mark.parametrize("target", [0.0, 1.0, 1.5, math.nan])
+def test_calibration_rejects_target_outside_unit_interval(table, target):
+    with pytest.raises(ValueError, match="censoring target must be in"):
+        calibrate_dropout_rate(builtin_scenarios()["none"], target, table, pilot_n=1000)
+
+
 @pytest.fixture(scope="module")
 def studies(table):
     sc = replace(builtin_scenarios()["moderate"], n=300, n_replicates=2)
@@ -125,3 +151,30 @@ def test_study_reports_round_trip(studies, tmp_path):
                 for col in ("truth", "mmle", "mmedian", "esd", "mean_se", "rmse", "coverage")
             }
             assert _same(got[name], expected), (model, name)
+
+
+def test_m4_pools_the_fit_aic_chose(table):
+    # Replicate streams 5-9 with 30 years of follow-up: AIC picks M1 three
+    # times and M3 once, and one replicate has no converged fit, so M4's
+    # pool is the pool of no single model.
+    sc = replace(
+        builtin_scenarios()["severe"], n=300, n_replicates=5, seed=5, admin_censor_time=30.0
+    )
+    study = run_study(sc, table)
+    fits, picks = [], []
+    for i in range(sc.n_replicates):
+        cohort = prepare_cohort(generate_cohort(sc, i, table), table, sc.advance_year, COVARIATES)
+        fits.append(fit_all(cohort, sc.fit))
+        try:
+            picks.append(select_m4(fits[-1]))
+        except NoEligibleFit:
+            pass
+    assert sorted(chosen.model for chosen, _ in picks) == ["M1", "M1", "M1", "M3"]
+    models = ("M1", "M2", "M3")
+    assert study.m4_failures == sc.n_replicates - len(picks)
+    assert study.selection == {m: sum(f.model == m for f, _ in picks) / len(picks) for m in models}
+    assert study.not_converged == {m: sum(not f[m].converged for f in fits) for m in models}
+    for name in ("beta2_w", "kappa"):
+        pooled = study.params["M4"][name].mmle
+        assert pooled == np.mean([chosen.estimate(name) for chosen, _ in picks]), name
+    assert study.params["M4"]["c"].mmle == np.mean([c for _, c in picks])
