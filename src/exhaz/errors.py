@@ -6,23 +6,7 @@ class ExhazError(Exception):
 
 
 class LifeTableError(ExhazError):
-    """Base class for life-table loading and query errors."""
-
-
-class MalformedRow(LifeTableError):
-    """A life-table row could not be parsed (wrong field count or type)."""
-
-
-class DuplicateCell(LifeTableError):
-    """The same (age, year, strata) cell appears more than once."""
-
-
-class MissingCell(LifeTableError):
-    """A cell inside the inferred age/year range has no rate."""
-
-
-class NegativeRate(LifeTableError):
-    """A mortality rate is negative or non-finite."""
+    """Base class for life-table query errors."""
 
 
 class UnknownStratum(LifeTableError):

@@ -12,7 +12,8 @@ check) is repeated once from its result.  Standard errors come from a
 Hessian on the transformed scale built from central differences of the
 analytic gradient (2k gradient calls, symmetrized), pseudo-inverted with an
 eigenvalue floor, and mapped back by the delta method.  A fit that ends
-within 1e-6 of an edge of the search box says so in its notes.
+within 1e-6 of an edge of the search box names those parameters in
+``at_bound`` and in its notes.
 
 Tolerances, step sizes and budgets are module constants, properties of
 the method rather than of a study: ``_GRAD_TOL`` and ``_STEP_TOL`` (stops
@@ -223,6 +224,7 @@ class FitResult:
     grad_max_norm: float
     n_evals: int
     n_iter: int
+    at_bound: tuple[str, ...]  # parameters within _BOUND_TOL of the search box edge
     notes: tuple[str, ...] = ()
 
     @property
@@ -575,11 +577,11 @@ def fit(
     H = _grad_hessian(obj.grad, x_hat, _HESSIAN_STEP)  # of -loglik, scaled space
     cov_s, pd = _covariance(H)
     notes = []
-    at_bound = [
+    at_bound = tuple(
         name
         for name, xi, lo, hi in zip(layout.names, x_hat, blo, bhi)
         if xi - lo <= _BOUND_TOL or hi - xi <= _BOUND_TOL
-    ]
+    )
     if at_bound:
         notes.append(f"parameters at box bound: {', '.join(at_bound)}")
     if cov_s is not None:
@@ -609,6 +611,7 @@ def fit(
         grad_max_norm=gnorm,
         n_evals=obj.n_evals,
         n_iter=total_iter,
+        at_bound=at_bound,
         notes=tuple(notes),
     )
 

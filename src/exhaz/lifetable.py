@@ -10,26 +10,20 @@ boundaries.
 
 One walk along that diagonal (``LifeTable._walk``) serves both the
 increment dH_P and its inverse, the other-cause time.  It moves every
-patient of a batch forward together, one cell per step, so the queries
-take arrays: a whole cohort is one call.
+patient of a batch forward together, one cell per step, so every query
+takes a batch of patients (a ``LexisPosition`` with one row per patient)
+and returns one value per row: a whole cohort is one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import (
-    DuplicateCell,
-    MalformedRow,
-    MissingCell,
-    NegativeRate,
-    UnknownStratum,
-    ZeroHazardPath,
-)
+from .errors import DataError, UnknownStratum, ZeroHazardPath
 
 __all__ = [
     "LexisPosition",
@@ -40,16 +34,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LexisPosition:
-    """A point on the Lexis plane plus the strata used for table lookup.
+    """Points on the Lexis plane, one row per patient, plus each row's strata.
 
     As follow-up time s advances, age and year advance together to
-    (age + s, year + s).  For a batch, age (and optionally year) are
-    arrays and strata is a sequence holding one strata tuple per patient.
+    (age + s, year + s).  ``age`` is a 1-D array, ``year`` an array of the
+    same length or one value for every row, and ``strata`` holds one strata
+    tuple per row.
     """
 
-    age: float
-    year: float
-    strata: tuple[str, ...] = ()
+    age: np.ndarray
+    year: np.ndarray | float
+    strata: Sequence[tuple[str, ...]]
 
 
 def _norm_strata(values: Iterable) -> tuple[str, ...]:
@@ -67,10 +62,9 @@ class LifeTable:
     all queries are pure.
 
     ``rate_at``, ``cum_hazard_increment`` and ``other_cause_time_inverse``
-    take a scalar LexisPosition and return a float, or a batch position
-    (array age, one stratum per patient) and return an array; their other
-    numeric arguments (t, u, frailty) broadcast against it.  Each batch
-    result equals, bit for bit, the per-patient calls.
+    take a LexisPosition of n rows and return an array of n values; their
+    other numeric arguments (t, u, frailty) broadcast against its rows.
+    Each row's result equals, bit for bit, the same query on that row alone.
     """
 
     strata_columns: tuple[str, ...]
@@ -95,25 +89,16 @@ class LifeTable:
             ) from None
 
     def _rows(self, pos: LexisPosition, *values):
-        """Broadcast pos and values to flat per-patient arrays.
-
-        Returns (shape, stratum, age, year, *values); ``shape`` is () when
-        every input is scalar.
-        """
-        if np.ndim(pos.age) == 0:
-            k = self.stratum_of(pos.strata)
-        else:
-            codes = {z: self.stratum_of(z) for z in set(pos.strata)}
-            k = np.array([codes[z] for z in pos.strata], dtype=np.intp)
+        """(stratum, age, year, *values) of pos, values broadcast to its rows."""
+        if np.ndim(pos.age) != 1 or len(pos.strata) != len(pos.age):
+            raise ValueError("a LexisPosition holds a 1-D age array and one strata tuple per row")
+        codes = {z: self.stratum_of(z) for z in set(pos.strata)}
+        k = np.array([codes[z] for z in pos.strata], dtype=np.intp)
         k, *cols = np.broadcast_arrays(k, pos.age, pos.year, *values)
-        age, year, *values = (np.asarray(c, dtype=float).ravel() for c in cols)
+        age, year, *values = (np.asarray(c, dtype=float) for c in cols)
         if not (np.isfinite(age).all() and np.isfinite(year).all()):
             raise ValueError("age and year must be finite")
-        return (k.shape, k.ravel(), age, year, *values)
-
-    @staticmethod
-    def _shaped(out: np.ndarray, shape):
-        return float(out[0]) if shape == () else out.reshape(shape)
+        return (k, age, year, *values)
 
     def _rate(self, age, year, k):
         """Rates of the cells containing (age, year), clamped to the table edge."""
@@ -122,9 +107,9 @@ class LifeTable:
         return self.rates[ia.astype(np.intp), iy.astype(np.intp), k]
 
     def rate_at(self, pos: LexisPosition):
-        """Rate of the cell containing ``pos`` (clamped outside the range)."""
-        shape, k, age, year = self._rows(pos)
-        return self._shaped(self._rate(age, year, k), shape)
+        """Rate of the cell containing each row of ``pos`` (clamped outside the range)."""
+        k, age, year = self._rows(pos)
+        return self._rate(age, year, k)
 
     def _walk(self, age, year, k, advance_year, end):
         """Walk every patient along its Lexis diagonal, all rows one cell per step.
@@ -155,14 +140,14 @@ class LifeTable:
             s = s_next
 
     def cum_hazard_increment(self, start: LexisPosition, t, advance_year: bool = True):
-        """Exact integral of the rate along the diagonal from ``start`` over [0, t].
+        """Exact integral of the rate along each row's diagonal from ``start`` over [0, t].
 
         Equals H_P(A+t, y+t; z) - H_P(A, y; z) under the piecewise-constant
         convention: each segment of the walk contributes rate x duration,
         summed in walk order.  Past both table edges the constant tail is
         one segment.
         """
-        shape, k, age, year, t = self._rows(start, t)
+        k, age, year, t = self._rows(start, t)
         bad = ~((0.0 <= t) & (t < np.inf))
         if bad.any():
             raise ValueError(f"t must be finite and >= 0, got {t[bad][0]}")
@@ -170,7 +155,7 @@ class LifeTable:
         for s, s_next, rate in self._walk(age, year, k, advance_year, t):
             total += rate * (s_next - s)
             if (s_next == t).all():
-                return self._shaped(total, shape)
+                return total
 
     def other_cause_time_inverse(
         self,
@@ -179,7 +164,7 @@ class LifeTable:
         frailty=1.0,
         advance_year: bool = True,
     ):
-        """Invert the cumulative background hazard: find t with ΔH_P(t) = -log(u)/frailty.
+        """Invert the cumulative background hazard: per row, t with ΔH_P(t) = -log(u)/frailty.
 
         Walks the diagonal until the accumulated hazard reaches the target;
         once both the age and year coordinates have clamped past the table
@@ -189,7 +174,7 @@ class LifeTable:
         Raises ZeroHazardPath when the target cannot be reached because the
         rate is zero from some point on.
         """
-        shape, k, age, year, u, frailty = self._rows(start, u, frailty)
+        k, age, year, u, frailty = self._rows(start, u, frailty)
         bad = ~((0.0 < u) & (u < 1.0))
         if bad.any():
             raise ValueError(f"u must be in (0, 1), got {u[bad][0]}")
@@ -216,73 +201,80 @@ class LifeTable:
                 out[hit] = np.where(rate > 0.0, s + (target - acc) / rate, s)[hit]
                 live &= ~hit
                 if not live.any():
-                    return self._shaped(out, shape)
+                    return out
                 acc += step
 
 
-def load_life_table(
+def _read_csv(
     source: TextIO | str,
-    strata_columns: Sequence[str] | None = None,
-) -> LifeTable:
-    """Load and validate a life-table CSV.
+    what: str,
+    required: Sequence[str],
+    parse: Callable[[dict[str, str]], object],
+) -> tuple[list[str], list[int], list]:
+    """Header, line numbers and parsed data rows of a CSV path or text stream.
 
-    Expected header: ``age,year,<strata...>,rate`` with integer age/year,
-    decimal rate per person-year, and ``#``-prefixed comment lines ignored.
-    Strata columns are taken from ``strata_columns`` when given, otherwise
-    inferred as every header column other than age, year, and rate.  Age and
-    year ranges are inferred from the data; every cell inside those ranges
-    must be present exactly once.
+    Blank and ``#`` lines are skipped; the first other line is the header.
+    ``parse`` maps a row (column -> stripped field) to the caller's values
+    and raises ValueError to reject it.  Every failure raises DataError,
+    with the line number where there is one and ``what`` naming the file.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            return load_life_table(fh, strata_columns)
-
+            return _read_csv(fh, what, required, parse)
     lines = [
         (n, line.strip())
         for n, line in enumerate(source, start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
     if not lines:
-        raise MalformedRow("life table is empty")
+        raise DataError(f"{what} is empty")
     header_no, header = lines[0]
     cols = [c.strip() for c in header.split(",")]
-    for required in ("age", "year", "rate"):
-        if required not in cols:
-            raise MalformedRow(f"header missing required column {required!r} (line {header_no})")
-    if strata_columns is None:
-        strata_cols = tuple(c for c in cols if c not in ("age", "year", "rate"))
-    else:
-        strata_cols = tuple(strata_columns)
-        for c in strata_cols:
-            if c not in cols:
-                raise MalformedRow(f"declared strata column {c!r} not in header")
-    idx_age = cols.index("age")
-    idx_year = cols.index("year")
-    idx_rate = cols.index("rate")
-    idx_strata = [cols.index(c) for c in strata_cols]
-
-    cells: dict[tuple[int, int, tuple[str, ...]], float] = {}
+    for col in required:
+        if col not in cols:
+            raise DataError(f"{what} is missing required column {col!r} (line {header_no})")
+    line_nos, rows = [], []
     for line_no, line in lines[1:]:
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != len(cols):
-            raise MalformedRow(
-                f"line {line_no}: expected {len(cols)} fields, got {len(parts)}"
-            )
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != len(cols):
+            raise DataError(f"line {line_no}: expected {len(cols)} fields, got {len(fields)}")
         try:
-            age = int(parts[idx_age])
-            year = int(parts[idx_year])
-            rate = float(parts[idx_rate])
+            rows.append(parse(dict(zip(cols, fields))))
         except ValueError as exc:
-            raise MalformedRow(f"line {line_no}: {exc}") from None
+            raise DataError(f"line {line_no}: {exc}") from None
+        line_nos.append(line_no)
+    if not rows:
+        raise DataError(f"{what} has a header but no data rows")
+    return cols, line_nos, rows
+
+
+def load_life_table(source: TextIO | str) -> LifeTable:
+    """Load and validate a life-table CSV (a path or an open text stream).
+
+    Expected header: ``age,year,<strata...>,rate`` with integer age/year,
+    decimal rate per person-year, and ``#``-prefixed comment lines ignored.
+    The strata columns are every header column other than age, year and
+    rate.  Age and year ranges are inferred from the data; every cell
+    inside those ranges must be present exactly once.  A file that fails
+    any check raises DataError.
+    """
+    cells: dict[tuple[int, int, tuple[str, ...]], float] = {}
+
+    def parse(row):
+        key = (
+            int(row["age"]),
+            int(row["year"]),
+            _norm_strata(v for c, v in row.items() if c not in ("age", "year", "rate")),
+        )
+        rate = float(row["rate"])
         if not math.isfinite(rate) or rate < 0.0:
-            raise NegativeRate(f"line {line_no}: rate {parts[idx_rate]} is negative or not finite")
-        key = (age, year, _norm_strata(parts[i] for i in idx_strata))
+            raise ValueError(f"rate {row['rate']} is negative or not finite")
         if key in cells:
-            raise DuplicateCell(f"line {line_no}: duplicate cell {key}")
+            raise ValueError(f"duplicate cell {key}")
         cells[key] = rate
 
-    if not cells:
-        raise MalformedRow("life table has a header but no data rows")
+    cols, _, _ = _read_csv(source, "life table", ("age", "year", "rate"), parse)
+    strata_cols = tuple(c for c in cols if c not in ("age", "year", "rate"))
 
     ages = sorted({k[0] for k in cells})
     years = sorted({k[1] for k in cells})
@@ -299,7 +291,7 @@ def load_life_table(
     if np.isnan(rates).any():
         ia, iy, ik = np.argwhere(np.isnan(rates))[0]
         stratum = strata_values[ik]
-        raise MissingCell(
+        raise DataError(
             f"missing cell: age={age_min + ia}, year={year_min + iy}, strata={stratum}"
         )
 
@@ -331,7 +323,7 @@ def make_life_table(
             for k, strata in enumerate(strata_values):
                 r = float(rate_fn(age, year, strata))
                 if not math.isfinite(r) or r < 0.0:
-                    raise NegativeRate(f"rate_fn({age}, {year}, {strata}) = {r}")
+                    raise DataError(f"rate_fn({age}, {year}, {strata}) = {r}")
                 rates[i, j, k] = r
     return LifeTable(
         strata_columns=tuple(strata_columns),

@@ -13,12 +13,16 @@ for M2, and -(mu/b) sum log(1 + b dH_P) for M3.  Because M1 drops a
 data-dependent constant, cross-model comparisons must use the comparable
 convention (``comparable=True`` restores -sum dH_P to M1).
 
-The life-table inputs per patient reduce to two cached numbers: the
+A cohort is one set of columns (``Cohort``: follow-up time, status, age
+and year at diagnosis, covariates and one strata tuple per patient), read
+from a CSV by ``load_cohort`` or drawn by ``simulation.generate_cohort``.
+Its life-table inputs per patient reduce to two cached numbers: the
 cumulative background-hazard increment dH_P over the follow-up and the
-background rate h_P at exit (PreparedCohort), so the likelihood inner loop
-never touches the table.  h_E and H_E come from ``gh_model.gh_baseline``
-and ``gh_model.gh_excess``, the code behind the public ``excess_hazard``
-and ``excess_cum_hazard``, and the M3 population hazard from ``omega1``.
+background rate h_P at exit (``prepare_cohort`` gives a PreparedCohort),
+so the likelihood inner loop never touches the table.  h_E and H_E come
+from ``gh_model.gh_baseline`` and ``gh_model.gh_excess``, the code behind
+the public ``excess_hazard`` and ``excess_cum_hazard``, and the M3
+population hazard from ``omega1``.
 Analytic gradients are provided for the optimizer; they are exercised
 against central finite differences in the test suite.
 """
@@ -37,10 +41,10 @@ import numpy as np
 from .distributions import GammaFrailtyParams, _by_majority, gamma_laplace
 from .errors import DataError, NonFiniteLikelihood, NonPositive
 from .gh_model import GhParams, excess_cum_hazard, gh_baseline, gh_excess
-from .lifetable import LexisPosition, LifeTable
+from .lifetable import LexisPosition, LifeTable, _read_csv
 
 __all__ = [
-    "PatientRecord",
+    "Cohort",
     "SingleGamma",
     "ModelParams",
     "PreparedCohort",
@@ -53,29 +57,74 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PatientRecord:
-    """One follow-up record: time in years, vital status, Lexis origin, covariates."""
+def _first_bad_row(time, status, age_diag, year_diag, X):
+    """(row, message) of the first row that fails a check, or None.
 
-    time: float
-    status: int
-    age_diag: float
-    year_diag: float
-    x: np.ndarray
-    z: tuple[str, ...]
+    Every check runs over whole columns; a row failing several reports the
+    first check it fails.
+    """
+    bad = np.column_stack([
+        ~(np.isfinite(time) & (time > 0)),
+        ~((status == 0) | (status == 1)),
+        ~(np.isfinite(age_diag) & np.isfinite(year_diag)),
+        ~np.isfinite(X).all(axis=1),
+    ])
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad.any(axis=1)))
+    messages = (
+        f"follow-up time must be > 0, got {time[i]}",
+        f"status must be 0 or 1, got {status[i]}",
+        f"age and year at diagnosis must be finite, got {age_diag[i]}, {year_diag[i]}",
+        f"covariates must be finite, got {X[i]}",
+    )
+    return i, messages[int(np.argmax(bad[i]))]
+
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """A patient cohort as columns, one row per patient.
+
+    ``time`` is the follow-up in years (> 0), ``status`` 1 for an event and
+    0 for a censored time, ``age_diag`` and ``year_diag`` the Lexis origin,
+    ``X`` the (n, p) covariates and ``strata`` one life-table strata tuple
+    per patient.  The columns are copied into read-only arrays (``status``
+    as int8).  The checks run over whole columns; a failure raises
+    DataError naming the first bad row.
+    """
+
+    time: np.ndarray
+    status: np.ndarray
+    age_diag: np.ndarray
+    year_diag: np.ndarray
+    X: np.ndarray  # (n, p)
+    strata: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        if not (self.time > 0 and math.isfinite(self.time)):
-            raise DataError(f"follow-up time must be > 0, got {self.time}")
-        if self.status not in (0, 1):
-            raise DataError(f"status must be 0 or 1, got {self.status}")
-        if not (math.isfinite(self.age_diag) and math.isfinite(self.year_diag)):
+        cols = {
+            c: np.array(getattr(self, c), dtype=float) for c in ("time", "age_diag", "year_diag", "X")
+        }
+        cols["status"] = np.array(self.status)
+        strata = tuple(self.strata)
+        n = len(strata)
+        if n == 0:
+            raise DataError("cohort is empty")
+        shapes = [cols[c].shape for c in ("time", "status", "age_diag", "year_diag")]
+        if shapes != [(n,)] * 4 or cols["X"].ndim != 2 or len(cols["X"]) != n or not all(
+            isinstance(z, tuple) for z in strata
+        ):
             raise DataError(
-                f"age and year at diagnosis must be finite, got {self.age_diag}, {self.year_diag}"
+                "a cohort needs columns of one length n, X of shape (n, p) "
+                "and one strata tuple per row"
             )
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if not np.isfinite(self.x).all():
-            raise DataError(f"covariates must be finite, got {self.x}")
+        bad = _first_bad_row(**cols)
+        if bad is not None:
+            raise DataError(f"row {bad[0]}: {bad[1]}")
+        cols["status"] = cols["status"].astype(np.int8)
+        for name, arr in cols.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "strata", strata)
 
 
 @dataclass(frozen=True)
@@ -169,26 +218,19 @@ class PreparedCohort:
 
 
 def prepare_cohort(
-    records: Sequence[PatientRecord],
+    cohort: Cohort,
     table: LifeTable,
     advance_year: bool = True,
     covariate_names: Sequence[str] = (),
 ) -> PreparedCohort:
     """Cache h_P at exit and the cumulative increment dH_P for every patient."""
-    if len(records) == 0:
-        raise DataError("cohort is empty")
-    time = np.array([rec.time for rec in records])
-    status = np.array([rec.status for rec in records], dtype=np.int8)
-    X = np.array([rec.x for rec in records])
-    age = np.array([rec.age_diag for rec in records])
-    year = np.array([rec.year_diag for rec in records])
-    strata = [rec.z for rec in records]
+    time, age, year = cohort.time, cohort.age_diag, cohort.year_diag
     dhp = table.cum_hazard_increment(
-        LexisPosition(age, year, strata), time, advance_year=advance_year
+        LexisPosition(age, year, cohort.strata), time, advance_year=advance_year
     )
     exit_year = year + time if advance_year else year
-    hp = table.rate_at(LexisPosition(age + time, exit_year, strata))
-    return PreparedCohort(time, status, X, hp, dhp, tuple(covariate_names))
+    hp = table.rate_at(LexisPosition(age + time, exit_year, cohort.strata))
+    return PreparedCohort(time, cohort.status, cohort.X, hp, dhp, tuple(covariate_names))
 
 
 # ---------------------------------------------------------------------------
@@ -222,31 +264,21 @@ def _m3_pop_curvature(y):
 
 def marginal_survival_m3(
     t,
-    rec: PatientRecord | Sequence[PatientRecord],
+    cohort: Cohort,
     params: ModelParams,
     table: LifeTable,
     advance_year: bool = True,
-):
-    """Marginal overall survival under M3: exp(-H_E) * L_Gamma(dH_P).
+) -> np.ndarray:
+    """Marginal overall survival under M3 of every patient: exp(-H_E) * L_Gamma(dH_P).
 
-    ``rec`` is one record with a scalar ``t``, or a sequence of records with
-    ``t`` an array of the same length; a sequence takes one walk of the
-    life table for all of them.
+    ``t`` broadcasts against the patients (one time for all, or one each);
+    all of them take one walk of the life table.
     """
     if not isinstance(params.correction, GammaFrailtyParams):
         raise ValueError("marginal_survival_m3 requires M3 (GammaFrailty) params")
-    if isinstance(rec, PatientRecord):
-        start = LexisPosition(rec.age_diag, rec.year_diag, rec.z)
-        x, t_walk = rec.x, float(t)
-    else:
-        start = LexisPosition(
-            np.array([r.age_diag for r in rec]),
-            np.array([r.year_diag for r in rec]),
-            [r.z for r in rec],
-        )
-        x, t_walk = np.array([r.x for r in rec]), np.asarray(t, dtype=float)
-    dhp = table.cum_hazard_increment(start, t_walk, advance_year=advance_year)
-    he = excess_cum_hazard(t, x, params.gh)
+    start = LexisPosition(cohort.age_diag, cohort.year_diag, cohort.strata)
+    dhp = table.cum_hazard_increment(start, t, advance_year=advance_year)
+    he = excess_cum_hazard(t, cohort.X, params.gh)
     return np.exp(-he) * gamma_laplace(dhp, params.correction)
 
 
@@ -387,10 +419,9 @@ def loglik(params: ModelParams, cohort: PreparedCohort, comparable: bool = False
     return _checked_sum(terms, cohort)
 
 
-def loglik_and_grad(
-    params: ModelParams, cohort: PreparedCohort, comparable: bool = False
-):
-    """Log-likelihood and its gradient on the natural parameter scale.
+def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
+    """Log-likelihood (``loglik`` with comparable=False) and its gradient on
+    the natural parameter scale.
 
     Gradient layout: [kappa, theta, alpha, beta1 (p), beta2 (p), correction
     params (gamma for M2; mu, b for M3)].  Raises NonFiniteLikelihood as
@@ -398,7 +429,7 @@ def loglik_and_grad(
     """
     gh = params.gh
     p = gh.baseline
-    terms, aux = _terms(params, cohort, comparable)
+    terms, aux = _terms(params, cohort, False)
     ll = _checked_sum(terms, cohort)
     v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam = aux
     ev, X = cohort._event, cohort.X
@@ -467,25 +498,17 @@ def load_cohort(
     x_columns: Sequence[str],
     z_columns: Sequence[str],
     transforms: dict[str, tuple[float, float]] | None = None,
-    time_col: str = "time",
-    status_col: str = "status",
-    age_col: str = "age_diag",
-    year_col: str = "year_diag",
-) -> list[PatientRecord]:
-    """Read a patient cohort CSV.
+) -> Cohort:
+    """Read a patient cohort CSV (a path or an open text stream) into a Cohort.
 
     Expected header: ``time,status,age_diag,year_diag,<x cols>,<z cols>``
-    (column roles declared by the caller; x and z may overlap).
+    in any order, and ``#``-prefixed comment lines ignored.  The x columns
+    become the covariates and the z columns the strata (they may overlap).
     ``transforms`` maps an x column to (center, scale): value -> (value -
-    center) / scale; both must be finite and the scale nonzero.  A row
-    whose covariates are not finite after the transform is rejected with
-    its line number.
+    center) / scale; both must be finite and the scale nonzero.  A row that
+    fails a Cohort check, such as covariates that are not finite after the
+    transform, raises DataError naming its line.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_cohort(
-                fh, x_columns, z_columns, transforms, time_col, status_col, age_col, year_col
-            )
     transforms = transforms or {}
     for col, (center, scale) in transforms.items():
         if not (math.isfinite(center) and math.isfinite(scale) and scale != 0.0):
@@ -493,47 +516,23 @@ def load_cohort(
                 f"transform of column {col!r} needs a finite center and a finite, "
                 f"nonzero scale, got ({center}, {scale})"
             )
-    lines = [
-        (n, line.strip())
-        for n, line in enumerate(source, start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise DataError("cohort file is empty")
-    header = [c.strip() for c in lines[0][1].split(",")]
-    for col in [time_col, status_col, age_col, year_col, *x_columns, *z_columns]:
-        if col not in header:
-            raise DataError(f"cohort is missing required column {col!r}")
-    idx = {c: header.index(c) for c in header}
+    shifts = [transforms.get(c, (0.0, 1.0)) for c in x_columns]
 
-    records = []
-    for line_no, line in lines[1:]:
-        parts = [s.strip() for s in line.split(",")]
-        if len(parts) != len(header):
-            raise DataError(f"line {line_no}: expected {len(header)} fields, got {len(parts)}")
-        try:
-            time = float(parts[idx[time_col]])
-            status = int(parts[idx[status_col]])
-            age = float(parts[idx[age_col]])
-            year = float(parts[idx[year_col]])
-            x = np.array(
-                [
-                    (float(parts[idx[c]]) - transforms.get(c, (0.0, 1.0))[0])
-                    / transforms.get(c, (0.0, 1.0))[1]
-                    for c in x_columns
-                ]
-            )
-        except ValueError as exc:
-            raise DataError(f"line {line_no}: {exc}") from None
-        z = tuple(parts[idx[c]] for c in z_columns)
-        try:
-            records.append(
-                PatientRecord(
-                    time=time, status=status, age_diag=age, year_diag=year, x=x, z=z
-                )
-            )
-        except DataError as exc:
-            raise DataError(f"line {line_no}: {exc}") from None
-    if not records:
-        raise DataError("cohort has a header but no data rows")
-    return records
+    def parse(row):
+        return (
+            float(row["time"]),
+            int(row["status"]),
+            float(row["age_diag"]),
+            float(row["year_diag"]),
+            [(float(row[c]) - center) / scale for c, (center, scale) in zip(x_columns, shifts)],
+            tuple(row[c] for c in z_columns),
+        )
+
+    required = ["time", "status", "age_diag", "year_diag", *x_columns, *z_columns]
+    _, line_nos, rows = _read_csv(source, "cohort file", required, parse)
+    *numbers, strata = zip(*rows)
+    cols = dict(zip(("time", "status", "age_diag", "year_diag", "X"), map(np.array, numbers)))
+    bad = _first_bad_row(**cols)
+    if bad is not None:
+        raise DataError(f"line {line_nos[bad[0]]}: {bad[1]}")
+    return Cohort(**cols, strata=strata)

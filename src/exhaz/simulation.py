@@ -21,7 +21,9 @@ the replicates where their own fit converged, and M4 pools the row of the
 model AIC chose among the converged fits, plus c from the pick.  The
 metrics are conditional on convergence.  The excluded counts appear in
 ``selection.csv``: ``not_converged`` for M1-M3, and on the M4 row the
-replicates with no converged fit to choose from.
+replicates with no converged fit to choose from.  Its ``at_bound`` column
+counts the pooled rows with a parameter on the edge of the search box,
+such as an M2 gamma that switched the population hazard off.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import NoEligibleFit, TargetUnreachable
 from .estimation import MODELS, FitConfig, confidence_intervals, fit_all, select_m4
 from .gh_model import GhParams, inverse_excess_survival
 from .lifetable import LexisPosition, LifeTable, load_life_table, make_life_table
-from .likelihoods import PatientRecord, prepare_cohort
+from .likelihoods import Cohort, prepare_cohort
 
 __all__ = [
     "ScenarioConfig",
@@ -68,7 +70,7 @@ DESIGN1_GH = GhParams(
 COVARIATES = ("age", "sex", "w")
 DIAGNOSIS_YEAR = 2010.0
 AGE_CENTER = 70.0
-_SEX_STRATA = (("0",), ("1",))  # life-table strata of sex 0 and 1, shared by every record
+_SEX_STRATA = (("0",), ("1",))  # life-table strata of sex 0 and 1, shared by every patient
 _CALIBRATION_TOL = 0.005  # drop-out calibration: |censoring - target| that ends the search
 
 
@@ -218,9 +220,7 @@ def _event_times(sc: ScenarioConfig, table: LifeTable, n: int, rng):
     return ages, strata, X, np.minimum(t_pop, t_exc)
 
 
-def generate_cohort(
-    sc: ScenarioConfig, replicate_index: int, table: LifeTable
-) -> list[PatientRecord]:
+def generate_cohort(sc: ScenarioConfig, replicate_index: int, table: LifeTable) -> Cohort:
     """One synthetic cohort; RNG stream is seeded sc.seed + replicate_index."""
     rng = np.random.default_rng(sc.seed + replicate_index)
     ages, strata, X, t_event = _event_times(sc, table, sc.n, rng)
@@ -229,19 +229,14 @@ def generate_cohort(
     else:
         t_drop = np.full(sc.n, np.inf)
     t_cens = np.minimum(t_drop, sc.admin_censor_time)
-    time = np.minimum(t_event, t_cens)
-    status = t_event <= t_cens
-    return [
-        PatientRecord(
-            time=float(time[i]),
-            status=int(status[i]),
-            age_diag=float(ages[i]),
-            year_diag=DIAGNOSIS_YEAR,
-            x=X[i],
-            z=strata[i],
-        )
-        for i in range(sc.n)
-    ]
+    return Cohort(
+        time=np.minimum(t_event, t_cens),
+        status=t_event <= t_cens,
+        age_diag=ages,
+        year_diag=np.full(sc.n, DIAGNOSIS_YEAR),
+        X=X,
+        strata=strata,
+    )
 
 
 def _pilot_times(sc: ScenarioConfig, table: LifeTable, pilot_n: int):
@@ -330,6 +325,7 @@ class StudyMetrics:
     params: dict[str, dict[str, ParamMetrics]]  # model -> name -> metrics
     selection: dict[str, float]  # model -> proportion selected by AIC
     not_converged: dict[str, int]  # model -> replicates excluded
+    at_bound: dict[str, int]  # model (M1-M4) -> pooled rows with a parameter on the box
     m4_failures: int
     hessian_pd_rate: dict[str, float]  # among converged fits
     mean_censoring: float
@@ -341,13 +337,14 @@ class StudyMetrics:
 def _run_replicate(args):
     """One replicate's record: its censoring, one row per model, and M4's pick.
 
-    A row maps names to estimates, SEs and Wald intervals (None without SEs);
-    the pick (None when no fit is eligible) is a row holding c alone.
+    A row maps names to estimates, SEs and Wald intervals (None without SEs)
+    and lists the parameters on the box edge; the pick (None when no fit is
+    eligible) is a row holding c alone.
     """
     sc, index, table = args
-    records = generate_cohort(sc, index, table)
     cohort = prepare_cohort(
-        records, table, advance_year=sc.advance_year, covariate_names=COVARIATES
+        generate_cohort(sc, index, table), table, advance_year=sc.advance_year,
+        covariate_names=COVARIATES,
     )
     fits = fit_all(cohort, sc.fit)
     rows = {
@@ -357,6 +354,7 @@ def _run_replicate(args):
             "cis": confidence_intervals(res) if res.ses_available else None,
             "converged": res.converged,
             "hessian_pd": res.hessian_pd,
+            "at_bound": res.at_bound,
         }
         for model, res in fits.items()
     }
@@ -435,6 +433,7 @@ def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1)
             for m in MODELS
         },
         not_converged={m: len(results) - len(pools[m]) for m in MODELS},
+        at_bound={m: sum(bool(row["at_bound"]) for row in pools[m]) for m in STUDY_MODELS},
         m4_failures=len(results) - len(picks),
         hessian_pd_rate={
             m: float(np.mean([row["hessian_pd"] for row in pools[m]])) if pools[m] else math.nan
@@ -499,7 +498,8 @@ def write_study_reports(study: StudyMetrics, outdir: str | Path) -> list[Path]:
 
     A model's CSV covers the replicates it pools (see ``run_study``); the
     ``not_converged`` column of selection.csv counts those it leaves out,
-    on the M4 row the replicates with no converged fit.
+    on the M4 row the replicates with no converged fit, and ``at_bound``
+    the pooled rows with a parameter on the box edge.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -517,12 +517,13 @@ def write_study_reports(study: StudyMetrics, outdir: str | Path) -> list[Path]:
 
     path = outdir / "selection.csv"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model,selected_proportion,not_converged\n")
+        fh.write("model,selected_proportion,not_converged,at_bound\n")
         for model in MODELS:
             fh.write(
-                f"{model},{_fmt(study.selection[model])},{study.not_converged[model]}\n"
+                f"{model},{_fmt(study.selection[model])},{study.not_converged[model]},"
+                f"{study.at_bound[model]}\n"
             )
-        fh.write(f"M4,,{study.m4_failures}\n")
+        fh.write(f"M4,,{study.m4_failures},{study.at_bound['M4']}\n")
     written.append(path)
 
     path = outdir / "manifest.txt"

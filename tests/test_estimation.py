@@ -300,6 +300,7 @@ def test_z_quantile_95():
         grad_max_norm=0.0,
         n_evals=0,
         n_iter=0,
+        at_bound=(),
     )
     lo, hi = confidence_intervals(res)["kappa"]
     assert hi - 1.0 == pytest.approx(1.959964, abs=1e-6)
@@ -324,6 +325,7 @@ def test_zero_se_gives_zero_width():
         grad_max_norm=0.0,
         n_evals=0,
         n_iter=0,
+        at_bound=(),
     )
     lo, hi = confidence_intervals(res)["kappa"]
     assert lo == hi == 2.0
@@ -354,6 +356,7 @@ def test_ses_unavailable_raises():
         grad_max_norm=0.0,
         n_evals=0,
         n_iter=0,
+        at_bound=(),
     )
     with pytest.raises(SEsUnavailable):
         confidence_intervals(res)
@@ -385,6 +388,7 @@ def _mini_fit(model, aic, converged=True, gamma=2.0, mu=3.0):
         grad_max_norm=0.0,
         n_evals=0,
         n_iter=0,
+        at_bound=(),
     )
 
 

@@ -185,8 +185,7 @@ def test_simulated_times_match_net_survival_dkw():
 def moderate_cohort():
     sc = builtin_scenarios()["moderate"]
     table = design_life_table()
-    records = generate_cohort(sc, 0, table)
-    return prepare_cohort(records, table, sc.advance_year, COVARIATES)
+    return prepare_cohort(generate_cohort(sc, 0, table), table, sc.advance_year, COVARIATES)
 
 
 def _bits(a):

@@ -7,24 +7,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from exhaz.errors import (
-    DuplicateCell,
-    MalformedRow,
-    MissingCell,
-    NegativeRate,
-    UnknownStratum,
-    ZeroHazardPath,
-)
-from exhaz.lifetable import LexisPosition, LifeTable, load_life_table, make_life_table
+from exhaz.errors import DataError, UnknownStratum, ZeroHazardPath
+from exhaz.lifetable import LexisPosition, load_life_table, make_life_table
 
 
-def table_from_text(text, strata=None):
-    return load_life_table(io.StringIO(text), strata)
+def table_from_text(text):
+    return load_life_table(io.StringIO(text))
+
+
+def one(age, year, strata):
+    """A one-row LexisPosition: the queries take batches only."""
+    return LexisPosition(np.array([age], dtype=float), np.array([year], dtype=float), [strata])
 
 
 def rate_on_diagonal(table, start, s):
-    """Rate seen at follow-up time s from ``start``: rate_at at (age + s, year + s)."""
-    return table.rate_at(LexisPosition(start.age + s, start.year + s, start.strata))
+    """Rate seen at follow-up time s from a one-row ``start``: rate_at at (age + s, year + s)."""
+    return table.rate_at(LexisPosition(start.age + s, start.year + s, start.strata))[0]
 
 
 TWO_ROW = """\
@@ -67,37 +65,41 @@ def test_two_row_table_ranges():
     assert (t.age_min, t.age_max) == (70, 71)
     assert (t.year_min, t.year_max) == (2012, 2012)
     assert t.strata_columns == ("sex",)
-    assert t.rate_at(LexisPosition(70, 2012, ("0",))) == 0.02
+    assert t.rate_at(one(70, 2012, ("0",)))[0] == 0.02
 
 
 def test_negative_rate_rejected():
-    with pytest.raises(NegativeRate):
+    with pytest.raises(DataError, match="line 3: rate -0.1 is negative or not finite"):
         table_from_text("age,year,sex,rate\n70,2012,0,0.02\n71,2012,0,-0.1\n")
 
 
 def test_duplicate_cell_rejected():
-    with pytest.raises(DuplicateCell):
+    with pytest.raises(DataError, match=r"line 3: duplicate cell \(70, 2012, \('0',\)\)"):
         table_from_text("age,year,sex,rate\n70,2012,0,0.02\n70,2012,0,0.03\n")
 
 
 def test_gap_inside_range_rejected():
     # age 71 missing between 70 and 72
-    with pytest.raises(MissingCell):
+    with pytest.raises(DataError, match="missing cell: age=71, year=2012"):
         table_from_text("age,year,sex,rate\n70,2012,0,0.02\n72,2012,0,0.03\n")
 
 
 def test_missing_stratum_cell_rejected():
-    with pytest.raises(MissingCell):
+    with pytest.raises(DataError, match=r"missing cell: age=71, year=2012, strata=\('1',\)"):
         table_from_text(
             "age,year,sex,rate\n70,2012,0,0.02\n70,2012,1,0.03\n71,2012,0,0.02\n"
         )
 
 
 def test_malformed_row_rejected():
-    with pytest.raises(MalformedRow):
+    with pytest.raises(DataError, match="line 2: expected 4 fields, got 3"):
         table_from_text("age,year,sex,rate\n70,2012,0\n")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(DataError, match="line 2: invalid literal for int"):
         table_from_text("age,year,sex,rate\n70.5,2012,0,0.02\n")
+    with pytest.raises(DataError, match="life table is missing required column 'rate'"):
+        table_from_text("age,year,sex\n70,2012,0\n")
+    with pytest.raises(DataError, match="life table has a header but no data rows"):
+        table_from_text("# comment\nage,year,sex,rate\n")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -111,7 +113,7 @@ def test_uk_style_cell_count(uk_style_table):
     for age in (0, 50, 99):
         for year in (2010, 2016):
             for sex in ("0", "1"):
-                assert uk_style_table.rate_at(LexisPosition(age, year, (sex,))) > 0
+                assert uk_style_table.rate_at(one(age, year, (sex,)))[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +122,30 @@ def test_uk_style_cell_count(uk_style_table):
 
 def test_rate_constant_within_cell():
     t = table_from_text(TWO_ROW)
-    assert t.rate_at(LexisPosition(70.4, 2012.4, ("0",))) == 0.02
-    assert t.rate_at(LexisPosition(70.999, 2012.0, ("0",))) == 0.02
+    assert t.rate_at(one(70.4, 2012.4, ("0",)))[0] == 0.02
+    assert t.rate_at(one(70.999, 2012.0, ("0",)))[0] == 0.02
 
 
 def test_rate_clamps_above_max_age(uk_style_table):
-    top = uk_style_table.rate_at(LexisPosition(99, 2012, ("0",)))
-    assert uk_style_table.rate_at(LexisPosition(105, 2012, ("0",))) == top
-    assert uk_style_table.rate_at(LexisPosition(99.5, 2012, ("0",))) == top
+    top = uk_style_table.rate_at(one(99, 2012, ("0",)))[0]
+    assert uk_style_table.rate_at(one(105, 2012, ("0",)))[0] == top
+    assert uk_style_table.rate_at(one(99.5, 2012, ("0",)))[0] == top
 
 
 def test_rate_clamps_below_min_and_outside_years(small_table):
-    assert small_table.rate_at(LexisPosition(60, 2012, ("0",))) == 0.02
-    assert small_table.rate_at(LexisPosition(70, 1999, ("0",))) == 0.02
-    assert small_table.rate_at(LexisPosition(70, 2050, ("0",))) == 0.025
+    assert small_table.rate_at(one(60, 2012, ("0",)))[0] == 0.02
+    assert small_table.rate_at(one(70, 1999, ("0",)))[0] == 0.02
+    assert small_table.rate_at(one(70, 2050, ("0",)))[0] == 0.025
 
 
 def test_unknown_stratum(small_table):
     with pytest.raises(UnknownStratum):
-        small_table.rate_at(LexisPosition(70, 2012, ("2",)))
+        small_table.rate_at(one(70, 2012, ("2",)))
 
 
 def test_strata_matched_after_trimming(small_table):
-    assert small_table.rate_at(LexisPosition(70, 2012, (" 0 ",))) == 0.02
-    assert small_table.rate_at(LexisPosition(70, 2012, (0,))) == 0.02
+    assert small_table.rate_at(one(70, 2012, (" 0 ",)))[0] == 0.02
+    assert small_table.rate_at(one(70, 2012, (0,)))[0] == 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +157,12 @@ def test_constant_rate_times_duration():
         return 0.02
 
     t = make_life_table(["sex"], (60, 90), (2000, 2020), rate, [("0",)])
-    got = t.cum_hazard_increment(LexisPosition(70.0, 2010.0, ("0",)), 3.0)
+    got = t.cum_hazard_increment(one(70.0, 2010.0, ("0",)), 3.0)[0]
     assert got == pytest.approx(0.06, abs=1e-15)
 
 
 def test_zero_duration(small_table):
-    assert small_table.cum_hazard_increment(LexisPosition(70.5, 2012.5, ("0",)), 0.0) == 0.0
+    assert small_table.cum_hazard_increment(one(70.5, 2012.5, ("0",)), 0.0)[0] == 0.0
 
 
 def test_hand_integrated_three_segments():
@@ -174,11 +176,11 @@ def test_hand_integrated_three_segments():
         "70,2013,0,0.09\n"
         "71,2013,0,0.04\n"
     )
-    pos = LexisPosition(70.5, 2012.0, ("0",))
-    assert t.cum_hazard_increment(pos, 1.2) == pytest.approx(0.033, abs=1e-15)
+    pos = one(70.5, 2012.0, ("0",))
+    assert t.cum_hazard_increment(pos, 1.2)[0] == pytest.approx(0.033, abs=1e-15)
     # cross-check against adaptive quadrature of rate_at along the diagonal
     num, _ = quad(lambda s: rate_on_diagonal(t, pos, s), 0, 1.2, points=[0.5, 1.0], limit=200)
-    assert t.cum_hazard_increment(pos, 1.2) == pytest.approx(num, rel=1e-10)
+    assert t.cum_hazard_increment(pos, 1.2)[0] == pytest.approx(num, rel=1e-10)
 
 
 def test_agrees_with_quadrature_on_random_tables():
@@ -196,9 +198,8 @@ def test_agrees_with_quadrature_on_random_tables():
             y0 = rng.uniform(2009.0, 2014.0)
             dt = rng.uniform(0.0, 8.0)
             sex = rng.choice(["0", "1"])
-            pos = LexisPosition(a0, y0, (sex,))
-            exact = t.cum_hazard_increment(pos, dt)
-            assert isinstance(exact, float)
+            pos = one(a0, y0, (sex,))
+            exact = t.cum_hazard_increment(pos, dt)[0]
             rows.append((a0, y0, (sex,), dt, exact))
             # integrate piecewise between all breakpoints for full precision
             brk = sorted(
@@ -211,7 +212,7 @@ def test_agrees_with_quadrature_on_random_tables():
                 piece, _ = quad(lambda s: rate_on_diagonal(t, pos, s), lo, hi, limit=100)
                 num += piece
             assert exact == pytest.approx(num, rel=1e-10, abs=1e-12)
-        # the same cases as one batch call, bit for bit
+        # the same cases as one batch call, bit for bit with the one-row calls
         a0, y0, strata, dt, exact = zip(*rows)
         batch = t.cum_hazard_increment(LexisPosition(np.array(a0), np.array(y0), strata), dt)
         assert batch.tolist() == list(exact)
@@ -225,20 +226,20 @@ def test_additivity():
         "70,2013,0,0.09\n"
         "71,2013,0,0.04\n"
     )
-    start = LexisPosition(70.3, 2012.1, ("0",))
+    start = one(70.3, 2012.1, ("0",))
     for s, dt in [(0.25, 0.5), (0.5, 1.3), (1.0, 2.0)]:
-        whole = t.cum_hazard_increment(start, s + dt)
-        first = t.cum_hazard_increment(start, s)
+        whole = t.cum_hazard_increment(start, s + dt)[0]
+        first = t.cum_hazard_increment(start, s)[0]
         rest = t.cum_hazard_increment(
             LexisPosition(start.age + s, start.year + s, start.strata), dt
-        )
+        )[0]
         assert whole == pytest.approx(first + rest, rel=1e-12, abs=1e-15)
 
 
 def test_monotone_in_t(uk_style_table):
-    pos = LexisPosition(64.3, 2011.7, ("1",))
+    pos = one(64.3, 2011.7, ("1",))
     grid = np.linspace(0, 12, 60)
-    vals = [uk_style_table.cum_hazard_increment(pos, float(s)) for s in grid]
+    vals = [uk_style_table.cum_hazard_increment(pos, float(s))[0] for s in grid]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -250,13 +251,13 @@ def test_frozen_year_mode():
         "70,2013,0,0.09\n"
         "71,2013,0,0.04\n"
     )
-    pos = LexisPosition(70.5, 2012.0, ("0",))
+    pos = one(70.5, 2012.0, ("0",))
     # year frozen at 2012: 0.02*0.5 + 0.03*0.7
-    got = t.cum_hazard_increment(pos, 1.2, advance_year=False)
+    got = t.cum_hazard_increment(pos, 1.2, advance_year=False)[0]
     assert got == pytest.approx(0.02 * 0.5 + 0.03 * 0.7, abs=1e-15)
     # year frozen at 2013: 0.09*0.5 + 0.04*0.7
-    later = LexisPosition(70.5, 2013.4, ("0",))
-    assert t.cum_hazard_increment(later, 1.2, advance_year=False) == pytest.approx(
+    later = one(70.5, 2013.4, ("0",))
+    assert t.cum_hazard_increment(later, 1.2, advance_year=False)[0] == pytest.approx(
         0.09 * 0.5 + 0.04 * 0.7, abs=1e-15
     )
     # batch with per-row ages, years and times, including rows past age_max
@@ -266,14 +267,14 @@ def test_frozen_year_mode():
     strata = [("0",)] * len(ages)
     batch = t.cum_hazard_increment(LexisPosition(ages, years, strata), dts, advance_year=False)
     rows = [
-        t.cum_hazard_increment(LexisPosition(a, y, ("0",)), d, advance_year=False)
+        t.cum_hazard_increment(one(a, y, ("0",)), d, advance_year=False)[0]
         for a, y, d in zip(ages, years, dts)
     ]
     assert batch.tolist() == rows
     u = np.exp(-np.array([0.01, 0.05, 0.2, 1.0, 3.0]))
     inv = t.other_cause_time_inverse(LexisPosition(ages, years, strata), u, advance_year=False)
     rows = [
-        t.other_cause_time_inverse(LexisPosition(a, y, ("0",)), v, advance_year=False)
+        t.other_cause_time_inverse(one(a, y, ("0",)), v, advance_year=False)[0]
         for a, y, v in zip(ages, years, u)
     ]
     assert inv.tolist() == rows
@@ -285,14 +286,14 @@ def test_frozen_year_mode():
 
 def test_inverse_constant_rate():
     t = make_life_table(["sex"], (60, 90), (2000, 2020), lambda a, y, s: 0.02, [("0",)])
-    pos = LexisPosition(70.0, 2010.0, ("0",))
-    got = t.other_cause_time_inverse(pos, math.exp(-0.06))
+    pos = one(70.0, 2010.0, ("0",))
+    got = t.other_cause_time_inverse(pos, math.exp(-0.06))[0]
     assert got == pytest.approx(3.0, rel=1e-12)
 
 
 def test_inverse_u_near_one_gives_tiny_t(small_table):
-    pos = LexisPosition(70.0, 2012.0, ("0",))
-    t = small_table.other_cause_time_inverse(pos, 1 - 1e-12)
+    pos = one(70.0, 2012.0, ("0",))
+    t = small_table.other_cause_time_inverse(pos, 1 - 1e-12)[0]
     assert 0 < t < 1e-9
 
 
@@ -304,8 +305,8 @@ def test_inverse_of_hand_integrated_case():
         "70,2013,0,0.09\n"
         "71,2013,0,0.04\n"
     )
-    pos = LexisPosition(70.5, 2012.0, ("0",))
-    got = t.other_cause_time_inverse(pos, math.exp(-0.033))
+    pos = one(70.5, 2012.0, ("0",))
+    got = t.other_cause_time_inverse(pos, math.exp(-0.033))[0]
     assert got == pytest.approx(1.2, rel=1e-10)
 
 
@@ -313,17 +314,16 @@ def test_inverse_round_trips_through_increment(uk_style_table):
     rng = np.random.default_rng(7)
     rows = []
     for _ in range(50):
-        pos = LexisPosition(
-            rng.uniform(30, 98), rng.uniform(2010, 2016), (str(rng.integers(2)),)
-        )
+        age, year = rng.uniform(30, 98), rng.uniform(2010, 2016)
+        stratum = (str(rng.integers(2)),)
+        pos = one(age, year, stratum)
         u = float(rng.uniform(1e-6, 1 - 1e-6))
         frailty = float(rng.gamma(2.0, 0.5))
-        tt = uk_style_table.other_cause_time_inverse(pos, u, frailty=frailty)
-        assert isinstance(tt, float)
-        back = uk_style_table.cum_hazard_increment(pos, tt)
+        tt = uk_style_table.other_cause_time_inverse(pos, u, frailty=frailty)[0]
+        back = uk_style_table.cum_hazard_increment(pos, tt)[0]
         assert back == pytest.approx(-math.log(u) / frailty, rel=1e-10, abs=1e-12)
-        rows.append((pos.age, pos.year, pos.strata, u, frailty, tt, back))
-    # the same cases as one batch call, bit for bit
+        rows.append((age, year, stratum, u, frailty, tt, back))
+    # the same cases as one batch call, bit for bit with the one-row calls
     age, year, strata, u, frailty, tt, back = map(list, zip(*rows))
     batch = LexisPosition(np.array(age), np.array(year), strata)
     assert uk_style_table.other_cause_time_inverse(batch, u, frailty=frailty).tolist() == tt
@@ -333,18 +333,18 @@ def test_inverse_round_trips_through_increment(uk_style_table):
 def test_inverse_extrapolates_past_max_age():
     # table ends at 71; deep target must extrapolate with the age-71 rate
     t = table_from_text(TWO_ROW)
-    pos = LexisPosition(70.0, 2012.0, ("0",))
+    pos = one(70.0, 2012.0, ("0",))
     u = math.exp(-1.0)  # target 1.0 >> 0.02 + 0.03 available inside
-    got = t.other_cause_time_inverse(pos, u)
+    got = t.other_cause_time_inverse(pos, u)[0]
     # 0.02*1 + 0.03*(t-1) = 1  =>  t = 1 + 0.98/0.03
     assert got == pytest.approx(1 + 0.98 / 0.03, rel=1e-12)
-    assert t.cum_hazard_increment(pos, got) == pytest.approx(1.0, rel=1e-12)
+    assert t.cum_hazard_increment(pos, got)[0] == pytest.approx(1.0, rel=1e-12)
     # batch: one row inside the table, the others extrapolated past age 71
     ages = np.array([70.0, 70.0, 71.5, 75.0])
     u = np.exp(-np.array([0.01, 1.0, 2.0, 0.5]))
     batch = LexisPosition(ages, 2012.0, [("0",)] * 4)
     got = t.other_cause_time_inverse(batch, u)
-    rows = [t.other_cause_time_inverse(LexisPosition(a, 2012.0, ("0",)), v) for a, v in zip(ages, u)]
+    rows = [t.other_cause_time_inverse(one(a, 2012.0, ("0",)), v)[0] for a, v in zip(ages, u)]
     assert got.tolist() == rows
     assert got[3] == pytest.approx(0.5 / 0.03, rel=1e-12)
     assert t.cum_hazard_increment(batch, got) == pytest.approx(-np.log(u), rel=1e-12)
@@ -352,16 +352,16 @@ def test_inverse_extrapolates_past_max_age():
 
 def test_inverse_with_frailty_scales_target():
     t = make_life_table(["sex"], (60, 90), (2000, 2020), lambda a, y, s: 0.02, [("0",)])
-    pos = LexisPosition(70.0, 2010.0, ("0",))
+    pos = one(70.0, 2010.0, ("0",))
     # solve 4 * H(t) = 0.06  =>  H(t) = 0.015  =>  t = 0.75
-    got = t.other_cause_time_inverse(pos, math.exp(-0.06), frailty=4.0)
+    got = t.other_cause_time_inverse(pos, math.exp(-0.06), frailty=4.0)[0]
     assert got == pytest.approx(0.75, rel=1e-12)
 
 
 def test_zero_hazard_path_raises():
     t = make_life_table(["sex"], (60, 65), (2000, 2001), lambda a, y, s: 0.0, [("0",)])
     with pytest.raises(ZeroHazardPath):
-        t.other_cause_time_inverse(LexisPosition(60.0, 2000.0, ("0",)), 0.5)
+        t.other_cause_time_inverse(one(60.0, 2000.0, ("0",)), 0.5)
     # in a batch, one row on a zero-rate tail raises for the whole call
     t = make_life_table(
         ["sex"], (60, 65), (2000, 2001), lambda a, y, s: 0.1 if s == ("1",) else 0.0,
@@ -369,7 +369,7 @@ def test_zero_hazard_path_raises():
     )
     ok = LexisPosition(np.array([60.0, 62.5]), 2000.0, [("1",), ("1",)])
     assert t.other_cause_time_inverse(ok, 0.5).tolist() == [
-        t.other_cause_time_inverse(LexisPosition(a, 2000.0, ("1",)), 0.5) for a in (60.0, 62.5)
+        t.other_cause_time_inverse(one(a, 2000.0, ("1",)), 0.5)[0] for a in (60.0, 62.5)
     ]
     with pytest.raises(ZeroHazardPath):
         t.other_cause_time_inverse(
@@ -378,8 +378,18 @@ def test_zero_hazard_path_raises():
 
 
 def test_inverse_rejects_bad_u(small_table):
-    pos = LexisPosition(70.0, 2012.0, ("0",))
+    pos = one(70.0, 2012.0, ("0",))
     with pytest.raises(ValueError):
         small_table.other_cause_time_inverse(pos, 0.0)
     with pytest.raises(ValueError):
         small_table.other_cause_time_inverse(pos, 1.0)
+
+
+def test_queries_take_batches_only(small_table):
+    # a scalar age is not a batch, and every row needs its own strata tuple
+    for pos in (
+        LexisPosition(70.0, 2012.0, [("0",)]),
+        LexisPosition(np.array([70.0, 71.0]), 2012.0, [("0",)]),
+    ):
+        with pytest.raises(ValueError, match="one strata tuple per row"):
+            small_table.rate_at(pos)

@@ -7,16 +7,18 @@ from math import fsum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import gamma_pdf, gh_closed_form
 from exhaz.distributions import EwParams, GammaFrailtyParams
 from exhaz.errors import DataError, NonFiniteLikelihood
 from exhaz.gh_model import GhParams
-from exhaz.lifetable import LexisPosition, make_life_table
+from exhaz.lifetable import make_life_table
 from exhaz.likelihoods import (
+    Cohort,
     ModelParams,
-    PatientRecord,
     PreparedCohort,
     SingleGamma,
     _ew_block,
@@ -122,14 +124,13 @@ def flat_table():
 
 
 def rec(t=2.0, status=1, age=70.0, x=(0.2, 1.0, 0.0)):
-    return PatientRecord(
-        time=t, status=status, age_diag=age, year_diag=2010.0, x=np.array(x), z=("0",)
-    )
+    """A one-row cohort."""
+    return Cohort([t], [status], [age], [2010.0], [x], [("0",)])
 
 
 def test_marginal_survival_one_at_zero(flat_table):
     m3 = ModelParams(GH, GammaFrailtyParams(1.875, 0.075))
-    assert marginal_survival_m3(0.0, rec(), m3, flat_table) == pytest.approx(1.0)
+    assert marginal_survival_m3(0.0, rec(), m3, flat_table)[0] == pytest.approx(1.0)
 
 
 def test_marginal_survival_matches_frailty_quadrature(flat_table):
@@ -140,13 +141,13 @@ def test_marginal_survival_matches_frailty_quadrature(flat_table):
         m3 = ModelParams(GH, g)
         for t in (0.5, 2.0, 4.5):
             dhp = 0.03 * t  # constant-rate table
-            he = gh_closed_form(t, r0.x, GH)[1]
+            he = gh_closed_form(t, r0.X[0], GH)[1]
             integrand = lambda r: math.exp(-r * dhp) * gamma_pdf(r, g)
             lap = quad(integrand, 0, 1, limit=400)[0] + quad(
                 integrand, 1, np.inf, limit=400
             )[0]
             expected = math.exp(-he) * lap
-            got = float(marginal_survival_m3(t, r0, m3, flat_table))
+            got = marginal_survival_m3(t, r0, m3, flat_table)[0]
             assert got == pytest.approx(expected, abs=1e-8)
 
 
@@ -157,14 +158,14 @@ def test_marginal_survival_b_to_zero_limit(flat_table):
     m3 = ModelParams(GH, GammaFrailtyParams(mu, 1e-8))
     t = 3.0
     dhp = 0.03 * t
-    he = gh_closed_form(t, r0.x, GH)[1]
+    he = gh_closed_form(t, r0.X[0], GH)[1]
     expected = math.exp(-he - mu * dhp)
-    assert float(marginal_survival_m3(t, r0, m3, flat_table)) == pytest.approx(
+    assert marginal_survival_m3(t, r0, m3, flat_table)[0] == pytest.approx(
         expected, rel=1e-6
     )
 
 
-def test_marginal_survival_batch_matches_scalar():
+def test_marginal_survival_batch_matches_one_row_cohorts():
     table = make_life_table(
         ["sex"], (30, 100), (2005, 2020),
         lambda a, y, s: 1e-3 * math.exp(0.08 * (a - 30)) * (1.4 if s == ("1",) else 1.0)
@@ -172,22 +173,23 @@ def test_marginal_survival_batch_matches_scalar():
         [("0",), ("1",)],
     )
     rng = np.random.default_rng(5)
-    recs = [
-        PatientRecord(
-            time=float(rng.uniform(0.1, 8.0)), status=1, age_diag=float(rng.uniform(40, 99)),
-            year_diag=float(rng.uniform(2005, 2019)), x=rng.normal(0, 1, 3),
-            z=(str(rng.integers(0, 2)),),
-        )
-        for _ in range(40)
-    ]
+    n = 40
+    cohort = Cohort(
+        rng.uniform(0.1, 8.0, n), np.ones(n), rng.uniform(40, 99, n), rng.uniform(2005, 2019, n),
+        rng.normal(0, 1, (n, 3)), [(str(z),) for z in rng.integers(0, 2, n)],
+    )
     m3 = ModelParams(GH, GammaFrailtyParams(1.875, 0.075))
-    t = np.array([r.time for r in recs]) * 0.7
+    t = cohort.time * 0.7
     for advance_year in (True, False):
-        batch = marginal_survival_m3(t, recs, m3, table, advance_year)
-        assert batch.shape == (len(recs),)
-        for i, r in enumerate(recs):
-            one = marginal_survival_m3(t[i], r, m3, table, advance_year)
-            assert batch[i] == pytest.approx(float(one), rel=1e-14, abs=0.0)
+        batch = marginal_survival_m3(t, cohort, m3, table, advance_year)
+        assert batch.shape == (n,)
+        for i in range(n):
+            row = Cohort(*(c[i : i + 1] for c in (
+                cohort.time, cohort.status, cohort.age_diag, cohort.year_diag, cohort.X,
+                cohort.strata,
+            )))
+            one = marginal_survival_m3(t[i], row, m3, table, advance_year)
+            assert batch[i] == pytest.approx(one[0], rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +279,10 @@ def test_ew_memo_reuses_blocks_bit_for_bit():
             assert len(fresh._ew_memo) == 0 and fresh._ew_memo is not cohort._ew_memo
             want = loglik(params, fresh, comparable)
             assert loglik(params, cohort, comparable).hex() == want.hex()
-            ll, grad = loglik_and_grad(params, cohort, comparable)
-            ll_f, grad_f = loglik_and_grad(params, replace(cohort), comparable)
-            assert ll.hex() == ll_f.hex() == want.hex()
-            assert np.array_equal(grad.view(np.int64), grad_f.view(np.int64))
+        ll, grad = loglik_and_grad(params, cohort)
+        ll_f, grad_f = loglik_and_grad(params, replace(cohort))
+        assert ll.hex() == ll_f.hex() == loglik(params, replace(cohort)).hex()
+        assert np.array_equal(grad.view(np.int64), grad_f.view(np.int64))
         assert 1 <= len(cohort._ew_memo) <= 2
         for block in cohort._ew_memo.values():
             for arr in block:
@@ -477,8 +479,9 @@ def test_fd_gradient_richardson_self_consistency():
 
 
 def test_prepare_cohort_caches_match_table(flat_table):
-    records = [rec(t=1.2, age=64.3), rec(t=4.0, status=0, age=75.0)]
-    cohort = prepare_cohort(records, flat_table)
+    x = (0.2, 1.0, 0.0)
+    rows = Cohort([1.2, 4.0], [1, 0], [64.3, 75.0], [2010.0, 2010.0], [x, x], [("0",), ("0",)])
+    cohort = prepare_cohort(rows, flat_table)
     assert cohort.n == 2
     # constant-rate table: dhp = 0.03 * t, hp = 0.03 everywhere
     assert cohort.dhp[0] == pytest.approx(0.03 * 1.2, rel=1e-12)
@@ -540,19 +543,39 @@ def test_m3_helpers_bitwise_equal_two_branch_formulas(fn, reference, threshold):
 
 
 # ---------------------------------------------------------------------------
-# PatientRecord and the cohort CSV
+# Cohort and the cohort CSV
 # ---------------------------------------------------------------------------
+
+def _two_patients(age=64.0, year=2010.0, x=(0.5, 1.0)):
+    """Columns of a two-patient cohort whose second patient (row 1) has the given values."""
+    return dict(
+        time=[1.0, 2.0], status=[1, 0], age_diag=[70.0, age], year_diag=[2010.0, year],
+        X=[[0.0, 0.0], list(x)], strata=[("0",), ("1",)],
+    )
+
 
 @pytest.mark.parametrize("age, year", [(math.nan, 2010.0), (70.0, math.inf), (-math.inf, 2010.0)])
 def test_patient_record_rejects_nonfinite_age_or_year(age, year):
-    with pytest.raises(DataError, match="must be finite"):
-        PatientRecord(time=1.0, status=1, age_diag=age, year_diag=year, x=np.zeros(1), z=("0",))
+    with pytest.raises(DataError, match="^row 1: age and year at diagnosis must be finite"):
+        Cohort(**_two_patients(age=age, year=year))
 
 
 @pytest.mark.parametrize("x", [[math.nan, 0.0], [0.5, math.inf], [-math.inf, 1.0]])
 def test_patient_record_rejects_nonfinite_covariates(x):
-    with pytest.raises(DataError, match="covariates must be finite"):
-        PatientRecord(time=1.0, status=1, age_diag=70.0, year_diag=2010.0, x=x, z=("0",))
+    with pytest.raises(DataError, match="^row 1: covariates must be finite"):
+        Cohort(**_two_patients(x=x))
+
+
+def test_cohort_columns_are_read_only_and_of_one_length():
+    cohort = Cohort(**_two_patients())
+    assert cohort.status.dtype == np.int8 and cohort.X.shape == (2, 2)
+    with pytest.raises(ValueError):
+        cohort.time[0] = 5.0
+    for bad in ({"time": [1.0]}, {"X": [0.0, 1.0]}, {"strata": ["0", "1"]}):
+        with pytest.raises(DataError, match="one strata tuple per row"):
+            Cohort(**{**_two_patients(), **bad})
+    with pytest.raises(DataError, match="cohort is empty"):
+        Cohort([], [], [], [], np.zeros((0, 2)), [])
 
 
 COHORT_CSV = """# follow-up of two patients
@@ -577,19 +600,24 @@ def two_sex_table():
     )
 
 
+COLUMNS = ("time", "status", "age_diag", "year_diag", "X")
+
+
+def assert_same_cohort(got, want):
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.strata == want.strata
+
+
 def test_load_cohort_reads_rows_and_applies_transforms(two_sex_table, tmp_path):
-    records = _load(COHORT_CSV, transforms={"age": (70.0, 10.0)})
-    direct = [
-        PatientRecord(1.5, 1, 64.0, 2010.0, np.array([-0.6, 0.0]), ("0",)),
-        PatientRecord(4.0, 0, 75.5, 2011.0, np.array([0.55, 1.0]), ("1",)),
-    ]
-    assert len(records) == 2
-    for got, want in zip(records, direct):
-        assert (got.time, got.status, got.age_diag, got.year_diag, got.z) == (
-            want.time, want.status, want.age_diag, want.year_diag, want.z
-        )
-        assert np.array_equal(got.x, want.x)
-    loaded = prepare_cohort(records, two_sex_table, covariate_names=("age", "sex"))
+    cohort = _load(COHORT_CSV, transforms={"age": (70.0, 10.0)})
+    direct = Cohort(
+        [1.5, 4.0], [1, 0], [64.0, 75.5], [2010.0, 2011.0], [[-0.6, 0.0], [0.55, 1.0]],
+        [("0",), ("1",)],
+    )
+    assert_same_cohort(cohort, direct)
+    loaded = prepare_cohort(cohort, two_sex_table, covariate_names=("age", "sex"))
     built = prepare_cohort(direct, two_sex_table, covariate_names=("age", "sex"))
     for name in ("time", "status", "X", "hp", "dhp"):
         assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
@@ -597,7 +625,7 @@ def test_load_cohort_reads_rows_and_applies_transforms(two_sex_table, tmp_path):
     path = tmp_path / "cohort.csv"
     path.write_text(COHORT_CSV, encoding="utf-8")
     from_path = load_cohort(str(path), ["age", "sex"], ["sex"])
-    assert [r.x.tolist() for r in from_path] == [[64.0, 0.0], [75.5, 1.0]]
+    assert from_path.X.tolist() == [[64.0, 0.0], [75.5, 1.0]]
 
 
 @pytest.mark.parametrize(
@@ -645,3 +673,76 @@ def test_load_cohort_reports_a_covariate_the_transform_overflows():
 def test_load_cohort_rejects_bad_files(text, message):
     with pytest.raises(DataError, match=message):
         _load(text)
+
+
+# ---------------------------------------------------------------------------
+# property tests: a cohort survives its CSV, and a bad time is named
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cohort_columns(draw):
+    """Columns of a valid cohort: 1-8 patients, 0-3 covariates, 1-2 strata columns."""
+    n, p, q = draw(st.integers(1, 8)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    stratum = st.lists(st.text("abz019", min_size=1, max_size=3), min_size=q, max_size=q)
+    return dict(
+        time=column(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        status=column(st.integers(0, 1)),
+        age_diag=column(FINITE),
+        year_diag=column(FINITE),
+        X=np.array(column(st.lists(FINITE, min_size=p, max_size=p)), dtype=float).reshape(n, p),
+        strata=[tuple(z) for z in column(stratum)],
+    )
+
+
+def cohort_csv(cols, comments):
+    """CSV text of cohort columns, ``comments[i]`` comment lines before row i,
+    and the line number of every row."""
+    n, p = len(cols["strata"]), cols["X"].shape[1]
+    q = len(cols["strata"][0])
+    x_cols, z_cols = [f"x{j}" for j in range(p)], [f"z{j}" for j in range(q)]
+    lines = [",".join(["time", "status", "age_diag", "year_diag", *x_cols, *z_cols])]
+    line_nos = []
+    for i in range(n):
+        lines += ["# a comment"] * comments[i]
+        line_nos.append(len(lines) + 1)
+        numbers = [cols["time"][i], cols["age_diag"][i], cols["year_diag"][i], *cols["X"][i]]
+        time, age, year, *x = (repr(float(v)) for v in numbers)
+        status = str(int(cols["status"][i]))
+        lines.append(",".join([time, status, age, year, *x, *cols["strata"][i]]))
+    return "\n".join(lines) + "\n", x_cols, z_cols, line_nos
+
+
+@settings(max_examples=60, deadline=None)
+@given(cohort_columns(), st.data())
+def test_a_cohort_written_as_csv_reads_back_equal(cols, data):
+    n = len(cols["strata"])
+    comments = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    text, x_cols, z_cols, _ = cohort_csv(cols, comments)
+    assert_same_cohort(load_cohort(io.StringIO(text), x_cols, z_cols), Cohort(**cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cohort_columns(), st.data())
+def test_a_bad_time_is_named_by_its_row_and_its_line(cols, data):
+    n = len(cols["strata"])
+    i = data.draw(st.integers(0, n - 1))
+    bad = data.draw(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+        | st.floats(max_value=0.0, allow_nan=False)
+    )
+    cols["time"][i] = bad
+    if i < n - 1 and data.draw(st.booleans()):
+        cols["status"][n - 1] = 2  # a later bad row does not hide the first
+    with pytest.raises(DataError, match=rf"^row {i}: follow-up time must be > 0"):
+        Cohort(**cols)
+    comments = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    text, x_cols, z_cols, line_nos = cohort_csv(cols, comments)
+    with pytest.raises(DataError, match=rf"^line {line_nos[i]}: follow-up time must be > 0"):
+        load_cohort(io.StringIO(text), x_cols, z_cols)

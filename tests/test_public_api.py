@@ -1,4 +1,5 @@
-"""Every exported name has a caller, and every member of an exported class a reader.
+"""Every exported name has a caller, every member of an exported class a
+reader, and every parameter default a caller that overrides it.
 
 A name in a module's ``__all__`` must be used somewhere in ``src/exhaz``
 outside its own definition, or in ``perfbench/``; a use is a name or an
@@ -7,12 +8,18 @@ count).  Likewise every field, property and method of an exported class
 must be read as an attribute (``obj.member``) in those files outside the
 member's own definition; a constructor keyword is not a read, and a read
 of any attribute with the member's name counts.  Dunder methods are
-exempt.  Exports and members that are there for users rather than for
-other code are on the allow-lists below, each with its reason.
+exempt.  And every parameter with a default, in every top-level function
+and method of ``src/exhaz``, must be set by some call in those files
+outside the function's own body, by keyword or by position; a call counts
+when it names a function (or, for ``__init__``, the class) of that name.
+A default nothing overrides is a setting no caller varies.  Exports,
+members and defaults that are there for users rather than for other code
+are on the allow-lists below, each with its reason.
 """
 
 import ast
 import importlib
+import math
 import pkgutil
 from pathlib import Path
 
@@ -30,6 +37,15 @@ ALLOWED = {
     "load_cohort": "user entry point: reads a cohort CSV",
     "run_study": "user entry point: runs a recovery study",
     "write_study_reports": "user entry point: writes a study's report files",
+}
+
+DEFAULTS_ALLOWED = {
+    "marginal_survival_m3.advance_year": "must match the convention the cohort was prepared with",
+    "confidence_intervals.level": "users choose the Wald level; the recovery study reports 95%",
+    "calibrate_dropout_rate.pilot_n": "pilot size trades calibration precision for time",
+    "run_study.table": "callers running several studies load their life table once",
+    "run_study.jobs": "worker processes: a deployment setting, results do not depend on it",
+    "load_cohort.transforms": "user input: centring and scaling of the covariate columns",
 }
 
 MEMBERS_ALLOWED = {
@@ -156,3 +172,81 @@ def test_member_allow_list_names_real_members():
         for member, _ in _class_members(trees[SRC / f"{module}.py"], name)
     }
     assert set(MEMBERS_ALLOWED) <= members, set(MEMBERS_ALLOWED) - members
+
+
+def _functions(tree: ast.Module):
+    """(name a call uses, node, is_method) of every top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    name = node.name if item.name == "__init__" else item.name
+                    yield name, item, not static
+
+
+def _defaults(fn, is_method: bool):
+    """(parameter, index among the positional arguments a call passes, or None)
+    of each parameter with a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for j in range(first, len(positional)):
+        yield positional[j].arg, j - is_method
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _calls(tree: ast.Module):
+    """(callee name, line, positional count, keywords) of every call; a
+    ``*args`` counts as any number of positional arguments and a ``**kwargs``
+    as every keyword."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        yield name, node.lineno, math.inf if starred else len(node.args), keywords
+
+
+def _unset_defaults():
+    trees = _trees()
+    calls = {path: list(_calls(tree)) for path, tree in trees.items()}
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn, is_method in _functions(trees[path]):
+            own = range(fn.lineno, fn.end_lineno + 1)
+            for param, j in _defaults(fn, is_method):
+                set_somewhere = any(
+                    callee == name
+                    and not (where == path and line in own)
+                    and (param in keywords or None in keywords or (j is not None and n_pos > j))
+                    for where, found in calls.items()
+                    for callee, line, n_pos, keywords in found
+                )
+                if not set_somewhere:
+                    unset.append(f"{fn.name}.{param}")
+    return unset
+
+
+def test_every_default_is_overridden_by_a_caller_or_has_a_reason():
+    unset = [d for d in _unset_defaults() if d not in DEFAULTS_ALLOWED]
+    assert unset == [], f"defaults no call in src/exhaz or perfbench overrides: {unset}"
+
+
+def test_default_allow_list_names_real_defaults():
+    trees = _trees()
+    defaults = {
+        f"{fn.name}.{param}"
+        for path in SRC.glob("*.py")
+        for _, fn, is_method in _functions(trees[path])
+        for param, _ in _defaults(fn, is_method)
+    }
+    assert set(DEFAULTS_ALLOWED) <= defaults, set(DEFAULTS_ALLOWED) - defaults

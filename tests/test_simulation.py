@@ -41,10 +41,10 @@ def test_uncensored_times_are_uniform_under_m3_marginal_survival(table, theta):
         gh = sc.gh
         sc = replace(sc, gh=replace(gh, baseline=replace(gh.baseline, theta=theta)))
     assert sc.n == 5000 and sc.dropout_rate is None and sc.dropout_target is None
-    records = generate_cohort(sc, 0, table)
-    assert all(rec.status == 1 for rec in records)
+    cohort = generate_cohort(sc, 0, table)
+    assert cohort.status.all()
     truth = ModelParams(sc.gh, sc.frailty)
-    pit = marginal_survival_m3([rec.time for rec in records], records, truth, table)
+    pit = marginal_survival_m3(cohort.time, cohort, truth, table)
     assert kstest(pit, "uniform").pvalue > 1e-3
 
 
@@ -73,9 +73,9 @@ def test_cohort_reproducible_per_seed_and_index(table, index, events, time, dhp,
 
 def test_design_fixes_diagnosis_year_and_per_year_age_slope(table):
     sc = replace(builtin_scenarios()["none"], n=200)
-    records = generate_cohort(sc, 0, table)
-    assert {rec.year_diag for rec in records} == {2010.0}
-    assert all(rec.x[0] == rec.age_diag - 70.0 for rec in records)
+    cohort = generate_cohort(sc, 0, table)
+    assert set(cohort.year_diag) == {2010.0}
+    assert np.array_equal(cohort.X[:, 0], cohort.age_diag - 70.0)
 
 
 def test_calibrated_dropout_censors_a_fresh_cohort_at_target(table):
@@ -83,8 +83,7 @@ def test_calibrated_dropout_censors_a_fresh_cohort_at_target(table):
     rate, achieved = calibrate_dropout_rate(sc, 0.30, table, pilot_n=20_000)
     assert achieved == pytest.approx(0.30, abs=0.005)
     fresh = replace(sc, dropout_rate=rate, dropout_target=None)
-    records = generate_cohort(fresh, 0, table)
-    censored = np.mean([rec.status == 0 for rec in records])
+    censored = np.mean(generate_cohort(fresh, 0, table).status == 0)
     assert censored == pytest.approx(0.30, abs=0.02)
 
 
@@ -178,3 +177,18 @@ def test_m4_pools_the_fit_aic_chose(table):
         pooled = study.params["M4"][name].mmle
         assert pooled == np.mean([chosen.estimate(name) for chosen, _ in picks]), name
     assert study.params["M4"]["c"].mmle == np.mean([c for _, c in picks])
+
+
+def test_study_counts_pooled_fits_on_the_box_edge(table, tmp_path):
+    # On this cohort M2 ends with gamma on the box floor e^-20, is flagged
+    # converged, and AIC picks it for M4 (M3 does not converge).
+    sc = replace(builtin_scenarios()["wide"], n=300, n_replicates=1, admin_censor_time=30.0)
+    study = run_study(sc, table)
+    assert study.params["M4"]["c"].mmle == pytest.approx(math.exp(-20.0), rel=1e-12)
+    assert study.at_bound == {"M1": 0, "M2": 1, "M3": 0, "M4": 1}
+    write_study_reports(study, tmp_path)
+    with open(tmp_path / "selection.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["model"]: row["at_bound"] for row in rows} == {
+        "M1": "0", "M2": "1", "M3": "0", "M4": "1"
+    }
