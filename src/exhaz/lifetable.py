@@ -9,10 +9,15 @@ rate x duration over the sub-segments delimited by integer age/year
 boundaries.
 
 One walk along that diagonal (``LifeTable._walk``) serves both the
-increment dH_P and its inverse, the other-cause time.  It moves every
-patient of a batch forward together, one cell per step, so every query
+increment dH_P and its inverse, the other-cause time.  It moves the
+patients of a batch forward together, one cell per step, so every query
 takes a batch of patients (a ``LexisPosition`` with one row per patient)
-and returns one value per row: a whole cohort is one call.
+and returns one value per row: a whole cohort is one call.  After each
+step the query tells the walk which rows it has finished (reached t, or
+reached the target hazard), and the walk drops them, so a step costs the
+rows still walking rather than the whole batch.  Dropping a row changes
+none of the arithmetic on the others: each row's result is the same, bit
+for bit, as the same query on that row alone.
 """
 
 from __future__ import annotations
@@ -89,13 +94,18 @@ class LifeTable:
             ) from None
 
     def _rows(self, pos: LexisPosition, *values):
-        """(stratum, age, year, *values) of pos, values broadcast to its rows."""
+        """(stratum, age, year, *values) of pos, values broadcast to its rows.
+
+        A year given as one value for every row stays one value.
+        """
         if np.ndim(pos.age) != 1 or len(pos.strata) != len(pos.age):
             raise ValueError("a LexisPosition holds a 1-D age array and one strata tuple per row")
         codes = {z: self.stratum_of(z) for z in set(pos.strata)}
         k = np.array([codes[z] for z in pos.strata], dtype=np.intp)
         k, *cols = np.broadcast_arrays(k, pos.age, pos.year, *values)
         age, year, *values = (np.asarray(c, dtype=float) for c in cols)
+        if np.ndim(pos.year) == 0:
+            year = np.asarray(pos.year, dtype=float)
         if not (np.isfinite(age).all() and np.isfinite(year).all()):
             raise ValueError("age and year must be finite")
         return (k, age, year, *values)
@@ -111,22 +121,31 @@ class LifeTable:
         k, age, year = self._rows(pos)
         return self._rate(age, year, k)
 
-    def _walk(self, age, year, k, advance_year, end):
-        """Walk every patient along its Lexis diagonal, all rows one cell per step.
+    def _walk(self, age, year, k, advance_year, end, visit, *cols):
+        """Walk the patients along their Lexis diagonals, one cell per step, until each is done.
 
-        Yields (s, s_next, rate) per step: row i covers [s[i], s_next[i]] at
-        the rate of the cell containing the segment's midpoint.  s_next is
-        the first integer age or calendar-year boundary ahead, capped at
-        end[i]; once age and year are both past the table edge the rate is
-        constant and s_next is end[i] (inf for an open-ended walk).
-        Boundaries come from integer edges minus the start, not from
-        accumulated durations, so they do not drift.  The caller stops the
-        walk; rows it is done with keep moving and are ignored.
+        Each step calls ``visit(rows, s, s_next, rate, *cols)`` on the rows
+        still walking; ``rows`` holds their indices in the batch.  Row i
+        covers [s[i], s_next[i]] at the rate of the cell containing the
+        segment's midpoint.  s_next is the first integer age or calendar-year
+        boundary ahead, capped at end[i]; once age and year are both past
+        the table edge the rate is constant and s_next is end[i] (inf for an
+        open-ended walk).  Boundaries come from integer edges minus the
+        start, not from accumulated durations, so they do not drift.
+
+        ``visit`` returns a boolean mask over the rows it was given that
+        marks those it is done with, and the walk drops them: it compacts
+        its own per-row state and ``cols``, the caller's per-row arrays
+        (which ``visit`` may update in place), so the next step works on the
+        rest alone.  A year or end that is one value for every row stays one
+        value.  The walk returns once every row is done.
         """
+        rows = np.arange(age.shape[0])
         edge_a = np.floor(age) + 1.0
-        edge_y = np.floor(year) + 1.0
+        # rows cross calendar-year edges at their own s: per-row edges even for one year
+        edge_y = np.floor(year) + np.ones(age.shape) if advance_year else np.inf
         s = np.zeros(age.shape)
-        while True:
+        while rows.size:
             next_a = edge_a - age
             next_y = edge_y - year if advance_year else np.inf
             past = age + s >= self.age_max + 1
@@ -134,10 +153,17 @@ class LifeTable:
                 past &= year + s >= self.year_max + 1
             s_next = np.minimum(np.where(past, np.inf, np.minimum(next_a, next_y)), end)
             mid = 0.5 * (s + s_next)
-            yield s, s_next, self._rate(age + mid, year + mid if advance_year else year, k)
+            rate = self._rate(age + mid, year + mid if advance_year else year, k)
+            done = visit(rows, s, s_next, rate, *cols)
             edge_a += s_next == next_a
-            edge_y += s_next == next_y
+            if advance_year:
+                edge_y += s_next == next_y
             s = s_next
+            if done.any():
+                keep = np.flatnonzero(~done)
+                rows, age, k, s, edge_a = (v[keep] for v in (rows, age, k, s, edge_a))
+                year, end, edge_y = (v[keep] if np.ndim(v) else v for v in (year, end, edge_y))
+                cols = [c[keep] for c in cols]
 
     def cum_hazard_increment(self, start: LexisPosition, t, advance_year: bool = True):
         """Exact integral of the rate along each row's diagonal from ``start`` over [0, t].
@@ -151,11 +177,16 @@ class LifeTable:
         bad = ~((0.0 <= t) & (t < np.inf))
         if bad.any():
             raise ValueError(f"t must be finite and >= 0, got {t[bad][0]}")
-        total = np.zeros(t.shape)
-        for s, s_next, rate in self._walk(age, year, k, advance_year, t):
+        out = np.empty(t.shape)
+
+        def segment(rows, s, s_next, rate, total):
             total += rate * (s_next - s)
-            if (s_next == t).all():
-                return total
+            done = s_next == t[rows]
+            out[rows[done]] = total[done]
+            return done
+
+        self._walk(age, year, k, advance_year, t, segment, np.zeros(t.shape))
+        return out
 
     def other_cause_time_inverse(
         self,
@@ -183,26 +214,26 @@ class LifeTable:
             raise ValueError(f"frailty must be > 0, got {frailty[bad][0]}")
         # math.log, not np.log: numpy's SIMD log can differ from libm in the
         # last bit, which would move the drawn times
-        target = -np.array([math.log(v) for v in u]) / frailty
-        acc = np.zeros(u.shape)
+        target = -np.fromiter(map(math.log, u.tolist()), float, count=u.size) / frailty
         out = np.empty(u.shape)
-        live = np.ones(u.shape, dtype=bool)
+
+        def segment(rows, s, s_next, rate, target, acc):
+            step = rate * (s_next - s)  # nan on a zero-rate tail
+            hit = acc + step >= target
+            stuck = ~hit & (s_next == np.inf)
+            if stuck.any():
+                i = int(np.argmax(stuck))
+                raise ZeroHazardPath(
+                    "cumulative hazard exhausted at "
+                    f"{acc[i]:.6g} < target {target[i]:.6g} with zero tail rate"
+                )
+            out[rows[hit]] = np.where(rate > 0.0, s + (target - acc) / rate, s)[hit]
+            acc += step
+            return hit
+
         with np.errstate(invalid="ignore", divide="ignore"):
-            for s, s_next, rate in self._walk(age, year, k, advance_year, np.inf):
-                step = rate * (s_next - s)  # nan on a zero-rate tail
-                hit = live & (acc + step >= target)
-                stuck = live & ~hit & (s_next == np.inf)
-                if stuck.any():
-                    i = int(np.argmax(stuck))
-                    raise ZeroHazardPath(
-                        "cumulative hazard exhausted at "
-                        f"{acc[i]:.6g} < target {target[i]:.6g} with zero tail rate"
-                    )
-                out[hit] = np.where(rate > 0.0, s + (target - acc) / rate, s)[hit]
-                live &= ~hit
-                if not live.any():
-                    return out
-                acc += step
+            self._walk(age, year, k, advance_year, np.inf, segment, target, np.zeros(u.shape))
+        return out
 
 
 def _read_csv(

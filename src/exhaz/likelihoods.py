@@ -209,10 +209,6 @@ class PreparedCohort:
         return self.time.shape[0]
 
     @property
-    def n_covariates(self) -> int:
-        return self.X.shape[1]
-
-    @property
     def n_events(self) -> int:
         return int(self.status.sum())
 

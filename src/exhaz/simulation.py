@@ -210,7 +210,7 @@ def _event_times(sc: ScenarioConfig, table: LifeTable, n: int, rng):
     u_pop = rng.uniform(size=n)
     u_exc = rng.uniform(size=n)
     t_exc = np.asarray(inverse_excess_survival(u_exc, X, sc.gh))
-    strata = [_SEX_STRATA[v] for v in sex]
+    strata = [_SEX_STRATA[v] for v in sex.tolist()]
     t_pop = table.other_cause_time_inverse(
         LexisPosition(ages, DIAGNOSIS_YEAR, strata),
         u_pop,

@@ -210,7 +210,7 @@ def test_fit_rejects_eventless_cohort():
 def test_aic_counts_parameters(m1_fit):
     cohort, res = m1_fit
     # k = 3 + 2p for M1
-    k = 3 + 2 * cohort.n_covariates
+    k = 3 + 2 * cohort.X.shape[1]
     assert res.aic == pytest.approx(-2 * res.loglik_comparable + 2 * k, abs=1e-9)
 
 

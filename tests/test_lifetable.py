@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from exhaz.errors import DataError, UnknownStratum, ZeroHazardPath
-from exhaz.lifetable import LexisPosition, load_life_table, make_life_table
+from exhaz.lifetable import LexisPosition, LifeTable, load_life_table, make_life_table
 
 
 def table_from_text(text):
@@ -393,3 +395,130 @@ def test_queries_take_batches_only(small_table):
     ):
         with pytest.raises(ValueError, match="one strata tuple per row"):
             small_table.rate_at(pos)
+
+
+# ---------------------------------------------------------------------------
+# the walk drops the rows it has finished
+# ---------------------------------------------------------------------------
+
+def walk_table():
+    """Ages 60-64, years 2000-2002, two strata, rates in [0.01, 0.1]: short
+    enough that rows walk past both table edges within a few steps."""
+    rates = np.random.default_rng(11).uniform(0.01, 0.1, size=(5, 3, 2))
+    return make_life_table(
+        ["sex"], (60, 64), (2000, 2002), lambda a, y, z: rates[a - 60, y - 2000, int(z[0])],
+        [("0",), ("1",)],
+    )
+
+
+def hexes(values):
+    return [float.hex(float(v)) for v in values]
+
+
+def assert_rows_match_one_row_calls(table, ages, years, strata, t, u, frailty, advance_year):
+    """Batch results equal, bit for bit, the same queries on each row alone."""
+    batch = LexisPosition(np.array(ages), np.array(years), strata)
+    alone = [one(a, y, z) for a, y, z in zip(ages, years, strata)]
+    got = table.cum_hazard_increment(batch, t, advance_year=advance_year)
+    want = [table.cum_hazard_increment(p, d, advance_year=advance_year)[0] for p, d in zip(alone, t)]
+    assert hexes(got) == hexes(want)
+    got = table.other_cause_time_inverse(batch, u, frailty=frailty, advance_year=advance_year)
+    want = [
+        table.other_cause_time_inverse(p, v, frailty=f, advance_year=advance_year)[0]
+        for p, v, f in zip(alone, u, frailty)
+    ]
+    assert hexes(got) == hexes(want)
+
+
+@pytest.mark.parametrize("advance_year", [True, False])
+def test_rows_finishing_at_different_steps_match_one_row_calls(advance_year):
+    table = walk_table()
+    # first step; a few steps; past age_max first; already past both edges;
+    # from below both edges to past them; t = 0; an edge hit exactly at t
+    ages = [60.5, 61.3, 63.7, 70.0, 58.2, 62.4, 61.0]
+    years = [2000.8, 2001.1, 2000.2, 2005.0, 1998.6, 2001.9, 2000.0]
+    strata = [("0",), ("1",), ("1",), ("0",), ("1",), ("0",), ("0",)]
+    t = [0.1, 2.5, 6.0, 3.0, 12.0, 0.0, 2.0]
+    u = [0.999, 0.8, 0.3, 0.5, 0.05, 0.97, 0.9]
+    frailty = [1.0, 2.5, 0.7, 1.3, 0.4, 1.0, 3.0]
+    assert_rows_match_one_row_calls(table, ages, years, strata, t, u, frailty, advance_year)
+    # one year for every row gives the bits of that year repeated per row
+    one_year = LexisPosition(np.array(ages), 2000.8, strata)
+    per_row = LexisPosition(np.array(ages), np.full(len(ages), 2000.8), strata)
+    for query, arg in ((table.cum_hazard_increment, t), (table.other_cause_time_inverse, u)):
+        assert hexes(query(one_year, arg, advance_year=advance_year)) == hexes(
+            query(per_row, arg, advance_year=advance_year)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(55.0, 70.0),
+            st.floats(1997.0, 2005.0),
+            st.sampled_from(["0", "1"]),
+            st.floats(0.0, 15.0),
+            st.floats(1e-6, 1.0 - 1e-6),
+            st.floats(0.2, 5.0),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.booleans(),
+)
+def test_batch_matches_one_row_calls_property(rows, advance_year):
+    ages, years, strata, t, u, frailty = zip(*rows)
+    strata = [(z,) for z in strata]
+    assert_rows_match_one_row_calls(walk_table(), ages, years, strata, t, u, frailty, advance_year)
+
+
+def test_walk_steps_only_the_rows_still_walking(monkeypatch):
+    table = walk_table()
+    sizes = []
+    rate = LifeTable._rate
+
+    def counting_rate(self, age, year, k):
+        sizes.append(age.size)
+        return rate(self, age, year, k)
+
+    monkeypatch.setattr(LifeTable, "_rate", counting_rate)
+
+    # 96 rows end inside their first cell; 4 walk past age_max (s >= 6.7)
+    # and year_max (s >= 3.4) before they end
+    n_short, n_long = 96, 4
+    ages = np.array([61.5] * n_short + [58.3] * n_long)
+    years = np.array([2000.5] * n_short + [1999.6] * n_long)
+    strata = [("0",), ("1",)] * ((n_short + n_long) // 2)
+    t = np.array([0.1] * n_short + [15.0] * n_long)
+    u = np.array([0.999] * n_short + [1e-4] * n_long)
+    batch = LexisPosition(ages, years, strata)
+    for query, arg in ((table.cum_hazard_increment, t), (table.other_cause_time_inverse, u)):
+        row_steps = []
+        for a, y, z, v in zip(ages, years, strata, arg):
+            sizes.clear()
+            query(one(a, y, z), v)
+            row_steps.append(len(sizes))
+        assert max(row_steps[n_short:]) > 5 and max(row_steps[:n_short]) == 1
+        sizes.clear()
+        query(batch, arg)
+        # each step walks the rows still live at that step, and no others
+        assert sizes == [sum(s > j for s in row_steps) for j in range(max(row_steps))]
+        assert sum(sizes) < 0.2 * len(sizes) * len(ages)
+
+
+def test_zero_tail_after_finished_rows_reports_its_own_hazard_and_target():
+    # stratum "0" has rate 0.05 below age 63 and 0 from 63 on, tail included
+    t = make_life_table(
+        ["sex"], (60, 65), (2000, 2001),
+        lambda a, y, z: 0.1 if z == ("1",) else (0.05 if a < 63 else 0.0),
+        [("0",), ("1",)],
+    )
+    # two rows finish in the first step, one walks into the tail and is
+    # still live when the zero-tail row (last) is found stuck
+    ages = np.array([60.0, 61.0, 60.0, 60.0])
+    strata = [("1",), ("1",), ("1",), ("0",)]
+    u = np.array([0.99, 0.999, 0.01, 0.5])
+    frailty = np.array([1.0, 1.0, 1.0, 2.0])
+    with pytest.raises(ZeroHazardPath, match=r"at 0\.15 < target 0\.346574 "):
+        t.other_cause_time_inverse(LexisPosition(ages, 2000.0, strata), u, frailty=frailty)

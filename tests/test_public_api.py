@@ -143,6 +143,14 @@ def test_allow_list_names_real_exports():
 
 
 def _unread_members():
+    """``Class.member`` of every exported-class member that nothing reads.
+
+    A read is matched by attribute name only, not by the receiver's type,
+    so a member name shared by several exported classes counts as read for
+    all of them once any one is read.  Thirteen names are shared, among
+    them ``n``, ``seed``, ``time``, ``model`` and ``n_covariates``: an
+    unread member behind such a name passes this check.
+    """
     trees = _trees()
     reads = {path: list(_attribute_reads(tree)) for path, tree in trees.items()}
     unread = []
