@@ -27,6 +27,10 @@ MLE.
 M1's likelihood omits the population-survival constant, so its AIC is
 computed on the comparable scale (constant restored); cross-model AICs are
 meaningless otherwise.
+
+A model's parameters are a ``ParamLayout`` plus one natural-scale vector
+(``likelihoods.ModelParams``); the optimizer searches the same slots on the
+transformed scale, and a ``FitResult`` keeps the layout it was fitted with.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import ndtri
 
-from .distributions import EwParams, GammaFrailtyParams
 from .errors import (
     DataError,
     NoEligibleFit,
@@ -48,11 +51,12 @@ from .errors import (
     NonPositive,
     SEsUnavailable,
 )
-from .gh_model import GhParams
 from .likelihoods import (
+    MODELS,
     ModelParams,
+    ParamLayout,
     PreparedCohort,
-    SingleGamma,
+    _check_natural,
     loglik,
     loglik_and_grad,
 )
@@ -60,7 +64,6 @@ from .likelihoods import (
 __all__ = [
     "FitConfig",
     "FitResult",
-    "ParamLayout",
     "transform_params",
     "untransform_params",
     "cda_warm_start",
@@ -84,8 +87,6 @@ _POLISH_STEPS = 4
 _CDA_HALFWIDTH = 5.0  # search window per coordinate, transformed scale
 _CDA_MAXITER = 50  # per coordinate
 
-MODELS = ("M1", "M2", "M3")
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -100,85 +101,6 @@ class FitConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class ParamLayout:
-    """Order, names, and positivity of the natural parameter vector.
-
-    Layout: kappa, theta, alpha, beta1 entries, beta2 entries, then the
-    correction parameters (gamma for M2; mu, b for M3).
-    """
-
-    model: str
-    n_covariates: int
-    names: tuple[str, ...]
-    positive: np.ndarray
-
-    @classmethod
-    def for_model(cls, model: str, covariate_names: Sequence[str]) -> "ParamLayout":
-        if model not in MODELS:
-            raise ValueError(f"unknown model {model!r}")
-        cov = tuple(covariate_names)
-        p = len(cov)
-        names = ["kappa", "theta", "alpha"]
-        names += [f"beta1_{c}" for c in cov]
-        names += [f"beta2_{c}" for c in cov]
-        positive = [True, True, True] + [False] * (2 * p)
-        if model == "M2":
-            names.append("gamma")
-            positive.append(True)
-        elif model == "M3":
-            names += ["mu", "b"]
-            positive += [True, True]
-        return cls(model, p, tuple(names), np.array(positive))
-
-    @property
-    def k(self) -> int:
-        return len(self.names)
-
-    def transformed_bounds(self) -> list[tuple[float, float]]:
-        """Generous box bounds on the unconstrained scale.
-
-        Log-parameters are kept in [-20, 20] (natural scale 2e-9 .. 5e8) and
-        regression coefficients in [-100, 100]: wide enough to be inactive at
-        any interior optimum, finite so the search cannot overflow, and a
-        well-defined resting point for boundary collapses (gamma or b -> 0).
-        """
-        return [(-20.0, 20.0) if pos else (-100.0, 100.0) for pos in self.positive]
-
-    def default_init(self) -> np.ndarray:
-        """kappa = theta = 1, alpha = 2, betas = 0; gamma = 1.2; (mu, b) = (1.2, 0.1)."""
-        vec = np.concatenate([[1.0, 1.0, 2.0], np.zeros(2 * self.n_covariates)])
-        if self.model == "M2":
-            vec = np.append(vec, 1.2)
-        elif self.model == "M3":
-            vec = np.concatenate([vec, [1.2, 0.1]])
-        return vec
-
-    def to_params(self, vec: np.ndarray) -> ModelParams:
-        p = self.n_covariates
-        gh = GhParams(
-            EwParams(vec[0], vec[1], vec[2]),
-            beta1=vec[3 : 3 + p].copy(),
-            beta2=vec[3 + p : 3 + 2 * p].copy(),
-        )
-        if self.model == "M1":
-            return ModelParams(gh)
-        if self.model == "M2":
-            return ModelParams(gh, SingleGamma(vec[3 + 2 * p]))
-        return ModelParams(gh, GammaFrailtyParams(vec[3 + 2 * p], vec[4 + 2 * p]))
-
-    def from_params(self, params: ModelParams) -> np.ndarray:
-        gh = params.gh
-        vec = [gh.baseline.kappa, gh.baseline.theta, gh.baseline.alpha]
-        vec += list(gh.beta1) + list(gh.beta2)
-        corr = params.correction
-        if isinstance(corr, SingleGamma):
-            vec.append(corr.gamma)
-        elif isinstance(corr, GammaFrailtyParams):
-            vec += [corr.mu, corr.b]
-        return np.array(vec)
-
-
 def transform_params(natural: np.ndarray, positive: np.ndarray) -> np.ndarray:
     """Map positive parameters through log; identity on the rest.
 
@@ -186,12 +108,7 @@ def transform_params(natural: np.ndarray, positive: np.ndarray) -> np.ndarray:
     positive slot, not > 0.
     """
     natural = np.asarray(natural, dtype=float)
-    bad = ~np.isfinite(natural) | (positive & ~(natural > 0))
-    if bad.any():
-        raise NonPositive(
-            f"parameters at positions {np.flatnonzero(bad).tolist()} must be finite, "
-            "and > 0 where positive"
-        )
+    _check_natural(natural, positive)
     out = natural.copy()
     out[positive] = np.log(natural[positive])
     return out
@@ -203,16 +120,11 @@ def untransform_params(unconstrained: np.ndarray, positive: np.ndarray) -> np.nd
     return out
 
 
-def _infer_covariates(names: Sequence[str]) -> tuple[str, ...]:
-    return tuple(n[len("beta1_"):] for n in names if n.startswith("beta1_"))
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Maximum-likelihood fit: natural-scale estimates plus inference pieces."""
 
-    model: str
-    param_names: tuple[str, ...]
+    layout: ParamLayout  # the model fitted and the order of its parameters
     estimates: np.ndarray  # natural scale
     std_errors: np.ndarray | None  # natural scale (delta method); None if unavailable
     cov_transformed: np.ndarray | None
@@ -228,8 +140,16 @@ class FitResult:
     notes: tuple[str, ...] = ()
 
     @property
+    def model(self) -> str:
+        return self.layout.model
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return self.layout.names
+
+    @property
     def k(self) -> int:
-        return len(self.param_names)
+        return self.layout.k
 
     @property
     def ses_available(self) -> bool:
@@ -239,8 +159,7 @@ class FitResult:
         return float(self.estimates[self.param_names.index(name)])
 
     def to_model_params(self) -> ModelParams:
-        layout = ParamLayout.for_model(self.model, _infer_covariates(self.param_names))
-        return layout.to_params(self.estimates)
+        return self.layout.to_params(self.estimates)
 
 
 def confidence_intervals(fit: FitResult, level: float = 0.95):
@@ -254,7 +173,7 @@ def confidence_intervals(fit: FitResult, level: float = 0.95):
     }
 
 
-# A point the likelihood or the parameter classes reject; the objective maps it to _BIG.
+# A point the likelihood or ModelParams rejects; the objective maps it to _BIG.
 _REJECTED = (NonFiniteLikelihood, NonPositive)
 
 
@@ -266,13 +185,11 @@ class _Objective:
         self.cohort = cohort
         self.n_evals = 0
 
-    def _params(self, x: np.ndarray) -> ModelParams:
-        return self.layout.to_params(untransform_params(x, self.layout.positive))
-
     def value(self, x: np.ndarray) -> float:
         self.n_evals += 1
+        natural = untransform_params(x, self.layout.positive)
         try:
-            return -loglik(self._params(x), self.cohort)
+            return -loglik(ModelParams(self.layout, natural), self.cohort)
         except _REJECTED:
             return _BIG
 
@@ -280,7 +197,7 @@ class _Objective:
         self.n_evals += 1
         natural = untransform_params(x, self.layout.positive)
         try:
-            ll, grad_nat = loglik_and_grad(self.layout.to_params(natural), self.cohort)
+            ll, grad_nat = loglik_and_grad(ModelParams(self.layout, natural), self.cohort)
         except _REJECTED:
             return _BIG, np.zeros_like(x)
         grad_t = grad_nat.copy()
@@ -598,8 +515,7 @@ def fit(
         notes.append(f"gradient max-norm {gnorm:.3g} above tolerance; flagged NotConverged")
 
     return FitResult(
-        model=model,
-        param_names=layout.names,
+        layout=layout,
         estimates=natural,
         std_errors=se_nat,
         cov_transformed=cov,

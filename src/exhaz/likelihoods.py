@@ -13,6 +13,11 @@ for M2, and -(mu/b) sum log(1 + b dH_P) for M3.  Because M1 drops a
 data-dependent constant, cross-model comparisons must use the comparable
 convention (``comparable=True`` restores -sum dH_P to M1).
 
+A model's parameters are a ``ParamLayout`` plus one natural-scale vector
+(``ModelParams``); the likelihood and its gradient read their slots from
+the vector and branch on the layout's model.  The public GH functions keep
+``GhParams``, which ``ModelParams.gh`` builds.
+
 A cohort is one set of columns (``Cohort``: follow-up time, status, age
 and year at diagnosis, covariates and one strata tuple per patient), read
 from a CSV by ``load_cohort`` or drawn by ``simulation.generate_cohort``.
@@ -38,14 +43,14 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .distributions import GammaFrailtyParams, _by_majority, gamma_laplace
+from .distributions import EwParams, GammaFrailtyParams, _by_majority, gamma_laplace
 from .errors import DataError, NonFiniteLikelihood, NonPositive
 from .gh_model import GhParams, excess_cum_hazard, gh_baseline, gh_excess
 from .lifetable import LexisPosition, LifeTable, _read_csv
 
 __all__ = [
     "Cohort",
-    "SingleGamma",
+    "ParamLayout",
     "ModelParams",
     "PreparedCohort",
     "prepare_cohort",
@@ -127,35 +132,99 @@ class Cohort:
         object.__setattr__(self, "strata", strata)
 
 
+# The correction slots of each model, by name, with their starting values.
+_CORRECTIONS = {"M1": {}, "M2": {"gamma": 1.2}, "M3": {"mu": 1.2, "b": 0.1}}
+MODELS = tuple(_CORRECTIONS)
+
+
+def _check_natural(values: np.ndarray, positive: np.ndarray) -> None:
+    """NonPositive naming every slot of a natural vector that is not finite
+    or, on a positive slot, not > 0."""
+    bad = ~np.isfinite(values) | (positive & ~(values > 0))
+    if bad.any():
+        raise NonPositive(
+            f"parameters at positions {np.flatnonzero(bad).tolist()} must be finite, "
+            "and > 0 where positive"
+        )
+
+
 @dataclass(frozen=True)
-class SingleGamma:
-    """Constant multiplicative correction on the population hazard (M2)."""
+class ParamLayout:
+    """Order, names, and positivity of a model's natural parameter vector.
 
-    gamma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise NonPositive(f"gamma must be > 0, got {self.gamma}")
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """GH excess-hazard parameters plus the background-mortality correction.
-
-    correction None selects M1, SingleGamma selects M2, GammaFrailtyParams
-    selects M3.
+    Layout: kappa, theta, alpha, beta1 entries, beta2 entries, then the
+    correction parameters (gamma for M2; mu, b for M3); the gradient of
+    ``loglik_and_grad`` too.
     """
 
-    gh: GhParams
-    correction: SingleGamma | GammaFrailtyParams | None = None
+    model: str
+    n_covariates: int
+    names: tuple[str, ...]
+    positive: np.ndarray
+
+    @classmethod
+    def for_model(cls, model: str, covariate_names: Sequence[str]) -> "ParamLayout":
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}")
+        cov = tuple(covariate_names)
+        correction = tuple(_CORRECTIONS[model])
+        names = ("kappa", "theta", "alpha", *(f"beta1_{c}" for c in cov),
+                 *(f"beta2_{c}" for c in cov), *correction)
+        positive = [True] * 3 + [False] * (2 * len(cov)) + [True] * len(correction)
+        return cls(model, len(cov), names, np.array(positive))
 
     @property
-    def model(self) -> str:
-        if self.correction is None:
-            return "M1"
-        if isinstance(self.correction, SingleGamma):
-            return "M2"
-        return "M3"
+    def k(self) -> int:
+        return len(self.names)
+
+    def transformed_bounds(self) -> list[tuple[float, float]]:
+        """Generous box bounds on the unconstrained scale.
+
+        Log-parameters are kept in [-20, 20] (natural scale 2e-9 .. 5e8) and
+        regression coefficients in [-100, 100]: wide enough to be inactive at
+        any interior optimum, finite so the search cannot overflow, and a
+        well-defined resting point for boundary collapses (gamma or b -> 0).
+        """
+        return [(-20.0, 20.0) if pos else (-100.0, 100.0) for pos in self.positive]
+
+    def default_init(self) -> np.ndarray:
+        """kappa = theta = 1, alpha = 2, betas = 0; gamma = 1.2; (mu, b) = (1.2, 0.1)."""
+        return np.array(
+            [1.0, 1.0, 2.0, *[0.0] * (2 * self.n_covariates), *_CORRECTIONS[self.model].values()]
+        )
+
+    def to_params(self, vec: np.ndarray) -> "ModelParams":
+        return ModelParams(self, vec)
+
+    def from_params(self, params: "ModelParams") -> np.ndarray:
+        return params.values.copy()
+
+
+@dataclass(frozen=True, eq=False)
+class ModelParams:
+    """A model's parameters: its layout and a read-only copy of one natural vector.
+
+    Raises NonPositive as ``transform_params`` does, naming every slot that
+    is not finite or, on a positive slot, not > 0.  ``gh`` builds the
+    ``GhParams`` of the public GH functions; the likelihood reads ``values``.
+    """
+
+    layout: ParamLayout
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        if values.shape != (self.layout.k,):
+            raise ValueError(f"{self.layout.model} takes {self.layout.k} parameters, "
+                             f"got shape {values.shape}")
+        _check_natural(values, self.layout.positive)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def gh(self) -> GhParams:
+        p, v = self.layout.n_covariates, self.values
+        return GhParams(EwParams(v[0], v[1], v[2]), v[3 : 3 + p], v[3 + p : 3 + 2 * p])
 
 
 _EW_MEMO_SIZE = 2  # EW blocks kept per cohort
@@ -234,9 +303,9 @@ def prepare_cohort(
 # ---------------------------------------------------------------------------
 
 
-def omega1(dhp, g: GammaFrailtyParams):
+def omega1(dhp, mu, b):
     """Frailty correction function mu / (1 + b dH_P); equals mu at dH_P = 0."""
-    return g.mu / (1.0 + g.b * np.asarray(dhp, dtype=float))
+    return mu / (1.0 + b * np.asarray(dhp, dtype=float))
 
 
 def _log1p_ratio(y):
@@ -270,12 +339,12 @@ def marginal_survival_m3(
     ``t`` broadcasts against the patients (one time for all, or one each);
     all of them take one walk of the life table.
     """
-    if not isinstance(params.correction, GammaFrailtyParams):
-        raise ValueError("marginal_survival_m3 requires M3 (GammaFrailty) params")
+    if params.layout.model != "M3":
+        raise ValueError("marginal_survival_m3 requires M3 params")
     start = LexisPosition(cohort.age_diag, cohort.year_diag, cohort.strata)
     dhp = table.cum_hazard_increment(start, t, advance_year=advance_year)
     he = excess_cum_hazard(t, cohort.X, params.gh)
-    return np.exp(-he) * gamma_laplace(dhp, params.correction)
+    return np.exp(-he) * gamma_laplace(dhp, GammaFrailtyParams(*params.values[-2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -325,22 +394,23 @@ def _exact_sum(a: np.ndarray) -> float:
     return fsum(parts + r[r != 0].tolist())
 
 
-def _ew_block(gh: GhParams, cohort: PreparedCohort):
+def _ew_block(params: ModelParams, cohort: PreparedCohort):
     """(xb1, *gh_baseline(time, xb1)): the EW baseline terms of the cohort.
 
-    They depend on the cohort and on (kappa, theta, alpha, beta1) only, and
-    come from the cohort's memo when one of its last two blocks matches.
+    They depend on the cohort and on (kappa, theta, alpha, beta1) only, the
+    first 3 + p slots, and come from the cohort's memo when one of its last
+    two blocks matches.
     """
-    p = gh.baseline
-    key = (p.kappa, p.theta, p.alpha, gh.beta1.tobytes())
+    head = params.values[: 3 + params.layout.n_covariates]
+    key = head.tobytes()
     memo = cohort._ew_memo
     block = memo.get(key)
     if block is not None:
         memo.move_to_end(key)
         return block
-    xb1 = cohort.X @ gh.beta1 if gh.n_covariates else np.zeros(cohort.n)
+    xb1 = cohort.X @ head[3:] if params.layout.n_covariates else np.zeros(cohort.n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        block = (xb1, *gh_baseline(cohort.time, xb1, p))
+        block = (xb1, *gh_baseline(cohort.time, xb1, EwParams(head[0], head[1], head[2])))
     for arr in block:
         arr.setflags(write=False)
     memo[key] = block
@@ -351,29 +421,33 @@ def _ew_block(gh: GhParams, cohort: PreparedCohort):
 
 def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
     """Per-patient log-likelihood terms plus reusable intermediates."""
-    gh = params.gh
+    model, p, values = params.layout.model, params.layout.n_covariates, params.values
     hp, dhp = cohort.hp, cohort.dhp
-    xb1, v, w, logm, vv, log_s0, lw, h0 = _ew_block(gh, cohort)
-    xb2 = cohort.X @ gh.beta2 if gh.n_covariates else np.zeros(cohort.n)
+    xb1, v, w, logm, vv, log_s0, lw, h0 = _ew_block(params, cohort)
+    xb2 = cohort.X @ values[3 + p : 3 + 2 * p] if p else np.zeros(cohort.n)
+    m3 = None  # (y, log1p(y)/y) with y = b dH_P under M3
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r21, he, HE = gh_excess(h0, log_s0, xb1, xb2)
-        corr = params.correction
-        if corr is None:
+        if model == "M1":
             chp = hp
             pop = dhp if comparable else np.zeros(cohort.n)
-        elif isinstance(corr, SingleGamma):
-            chp = corr.gamma * hp
-            pop = corr.gamma * dhp
+        elif model == "M2":
+            gamma = values[-1]
+            chp = gamma * hp
+            pop = gamma * dhp
         else:
-            y = corr.b * dhp
-            chp = omega1(dhp, corr) * hp
+            mu, b = values[-2:]
+            y = b * dhp
+            ratio = _log1p_ratio(y)
+            chp = omega1(dhp, mu, b) * hp
             # (mu/b) log1p(b dhp) written as mu dhp log1p(y)/y: no cliff at b -> 0
-            pop = corr.mu * dhp * _log1p_ratio(y)
+            pop = mu * dhp * ratio
+            m3 = (y, ratio)
 
         lam = chp + he
         loglam = np.log(np.where(cohort._event, lam, 1.0))  # log(1) = +0.0
         terms = loglam - HE - pop
-    return terms, (v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam)
+    return terms, (v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3)
 
 
 def _checked_sum(terms: np.ndarray, cohort: PreparedCohort) -> float:
@@ -419,15 +493,15 @@ def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
     """Log-likelihood (``loglik`` with comparable=False) and its gradient on
     the natural parameter scale.
 
-    Gradient layout: [kappa, theta, alpha, beta1 (p), beta2 (p), correction
-    params (gamma for M2; mu, b for M3)].  Raises NonFiniteLikelihood as
+    Gradient layout: that of ``params.layout`` (kappa, theta, alpha, beta1,
+    beta2, then gamma for M2; mu, b for M3).  Raises NonFiniteLikelihood as
     ``loglik`` does, and also when a gradient entry is not finite.
     """
-    gh = params.gh
-    p = gh.baseline
+    model, p, values = params.layout.model, params.layout.n_covariates, params.values
+    kappa, theta, alpha = values[:3]
     terms, aux = _terms(params, cohort, False)
     ll = _checked_sum(terms, cohort)
-    v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam = aux
+    v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3 = aux
     ev, X = cohort._event, cohort.X
     hp, dhp = cohort.hp, cohort.dhp
     H0 = -log_s0
@@ -435,24 +509,24 @@ def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = np.where(ev, he / lam, 0.0)  # weight of d log h_E in d log lambda
         e1 = np.exp(-w - logm)  # q / m = 1 / (e^w - 1)
-        dlogf_dw = 1.0 / w + (p.alpha - 1.0) * e1 - 1.0
-        dH0_dw = h0 * v / (p.kappa * w)
+        dlogf_dw = 1.0 / w + (alpha - 1.0) * e1 - 1.0
+        dH0_dw = h0 * v / (kappa * w)
         dlogh0_dw = dlogf_dw + dH0_dw
         # dH0/dalpha = (F/S) log m; asymptotically -1/alpha once q underflows
         dH0_da = np.where(
-            w > 200.0, -1.0 / p.alpha, np.exp(-vv - log_s0) * logm
+            w > 200.0, -1.0 / alpha, np.exp(-vv - log_s0) * logm
         )
         h0v = h0 * v
 
         g_kappa = np.sum(
-            u * (1.0 / p.kappa + dlogh0_dw * w * lw) - r21 * (h0v * lw / p.kappa)
+            u * (1.0 / kappa + dlogh0_dw * w * lw) - r21 * (h0v * lw / kappa)
         )
         g_theta = np.sum(
-            u * (dlogh0_dw * (-p.kappa * w / p.theta)) - r21 * (-h0v / p.theta)
+            u * (dlogh0_dw * (-kappa * w / theta)) - r21 * (-h0v / theta)
         )
-        g_alpha = np.sum(u * (1.0 / p.alpha + logm + dH0_da) - r21 * dH0_da)
-        if gh.n_covariates:
-            D = p.kappa * w * dlogh0_dw
+        g_alpha = np.sum(u * (1.0 / alpha + logm + dH0_da) - r21 * dH0_da)
+        if p:
+            D = kappa * w * dlogh0_dw
             wb1 = u * (D - 1.0) - r21 * (h0v - H0)
             wb2 = u - HE
             g_beta1 = X.T @ wb1
@@ -463,18 +537,18 @@ def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
 
         grad = [g_kappa, g_theta, g_alpha, *g_beta1, *g_beta2]
 
-        corr = params.correction
-        if isinstance(corr, SingleGamma):
+        if model == "M2":
             dlam = np.where(ev, hp / lam, 0.0)
             grad.append(np.sum(dlam) - np.sum(dhp))
-        elif isinstance(corr, GammaFrailtyParams):
-            y = corr.b * dhp
+        elif model == "M3":
+            mu = values[-2]
+            y, ratio = m3
             den = 1.0 + y
             dlam_mu = np.where(ev, (hp / den) / lam, 0.0)
-            dlam_b = np.where(ev, (-corr.mu * hp * dhp / (den * den)) / lam, 0.0)
+            dlam_b = np.where(ev, (-mu * hp * dhp / (den * den)) / lam, 0.0)
             # d pop_i / dmu = dhp log1p(y)/y; d pop_i / db = mu dhp^2 G(y)
-            g_mu = np.sum(dlam_mu) - np.sum(dhp * _log1p_ratio(y))
-            g_b = np.sum(dlam_b) + corr.mu * np.sum(dhp * dhp * _m3_pop_curvature(y))
+            g_mu = np.sum(dlam_mu) - np.sum(dhp * ratio)
+            g_b = np.sum(dlam_b) + mu * np.sum(dhp * dhp * _m3_pop_curvature(y))
             grad.extend([g_mu, g_b])
 
     grad = np.array(grad)

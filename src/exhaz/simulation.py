@@ -29,6 +29,7 @@ such as an M2 gamma that switched the population hazard off.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -118,10 +119,12 @@ class ScenarioConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
-        if self.n < 1 or self.n_replicates < 1:
-            raise ValueError("n and n_replicates must be >= 1")
-        if self.admin_censor_time <= 0:
-            raise ValueError("admin_censor_time must be > 0")
+        for name in ("n", "n_replicates"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not self.admin_censor_time > 0:  # inf: no administrative censoring
+            raise ValueError(f"admin_censor_time must be > 0, got {self.admin_censor_time}")
         if self.dropout_rate is not None and not (
             math.isfinite(self.dropout_rate) and self.dropout_rate > 0
         ):

@@ -9,12 +9,25 @@ from scipy import stats
 
 from exhaz.distributions import EwParams
 from exhaz.gh_model import GhParams, inverse_excess_survival
-from exhaz.likelihoods import PreparedCohort
+from exhaz.likelihoods import MODELS, ModelParams, ParamLayout, PreparedCohort
 
 TRUE_BASE = EwParams(kappa=0.6, theta=1.75, alpha=2.5)
 TRUE_GH = GhParams(
     TRUE_BASE, beta1=np.array([0.1, 0.1, 0.1]), beta2=np.array([0.05, 0.2, 0.25])
 )
+
+
+def model_params(gh, *correction):
+    """ModelParams of a GhParams plus the correction values: none (M1),
+    gamma (M2), or mu and b (M3)."""
+    layout = ParamLayout.for_model(
+        MODELS[len(correction)], [f"x{i + 1}" for i in range(gh.n_covariates)]
+    )
+    base = gh.baseline
+    return ModelParams(
+        layout,
+        np.concatenate([[base.kappa, base.theta, base.alpha], gh.beta1, gh.beta2, correction]),
+    )
 
 
 def ew_closed_form(t, p):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exhaz.distributions import GammaFrailtyParams, sample_gamma_frailty
 from exhaz.errors import NoEligibleFit, NonFiniteLikelihood, NonPositive, SEsUnavailable
@@ -26,14 +28,14 @@ from exhaz.estimation import (
     untransform_params,
 )
 from exhaz.likelihoods import (
+    MODELS,
     ModelParams,
     PreparedCohort,
-    SingleGamma,
     loglik,
     loglik_and_grad,
 )
 
-from conftest import TRUE_GH, sim_cohort
+from conftest import TRUE_GH, model_params, sim_cohort
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +78,36 @@ def test_transform_names_every_nonfinite_or_nonpositive_slot(natural, positions)
     layout = ParamLayout.for_model("M2", ("x",))
     with pytest.raises(NonPositive, match=rf"positions \[{', '.join(map(str, positions))}\]"):
         transform_params(np.array(natural), layout.positive)
+
+
+SLOT = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MODELS), st.integers(0, 3), st.data())
+def test_model_params_checks_a_vector_as_transform_params_does(model, p, data):
+    # one check of a natural vector: ModelParams accepts and rejects what
+    # transform_params does, with the same message, and keeps the bits
+    layout = ParamLayout.for_model(model, [f"x{i}" for i in range(p)])
+    vec = np.array(data.draw(st.lists(SLOT, min_size=layout.k, max_size=layout.k)))
+    try:
+        transform_params(vec, layout.positive)
+    except NonPositive as err:
+        with pytest.raises(NonPositive) as got:
+            ModelParams(layout, vec)
+        assert str(got.value) == str(err)
+        return
+    params = layout.to_params(vec)
+    assert params.layout is layout and not params.values.flags.writeable
+    back = layout.from_params(params)
+    assert back is not params.values and back.flags.writeable
+    assert np.array_equal(back.view(np.int64), vec.view(np.int64))
+
+
+def test_model_params_rejects_a_vector_of_the_wrong_length():
+    layout = ParamLayout.for_model("M2", ("x",))
+    with pytest.raises(ValueError, match="M2 takes 6 parameters"):
+        ModelParams(layout, np.ones(5))
 
 
 def test_delta_method_se_matches_natural_scale_hessian():
@@ -198,6 +230,25 @@ def test_objective_rejects_an_overflowing_sum_in_value_and_gradient():
     assert np.isnan(obj.grad(x)).all()
 
 
+@pytest.mark.parametrize(
+    "slot, value",
+    [(3, math.nan), (4, math.inf), (8, -math.inf), (0, math.inf)],
+    ids=["beta1-nan", "beta1-inf", "beta2-minus-inf", "log-kappa-inf"],
+)
+def test_objective_rejects_a_nonfinite_slot_in_value_and_gradient(slot, value):
+    # a non-finite beta and an infinite kappa take one path: ModelParams
+    # raises NonPositive naming the slot, and the objective maps it to _BIG
+    cohort = sim_cohort(n=300, seed=5)
+    obj, _ = _standardized_objective("M1", cohort)
+    x = transform_params(obj.layout.default_init(), obj.layout.positive)
+    x[slot] = value
+    with pytest.raises(NonPositive, match=rf"positions \[{slot}\]"):
+        ModelParams(obj.layout, untransform_params(x, obj.layout.positive))
+    assert obj.value(x) == _BIG
+    f, g = obj.value_and_grad(x)
+    assert f == _BIG and np.array_equal(g, np.zeros(obj.layout.k))
+
+
 def test_fit_rejects_eventless_cohort():
     cohort = sim_cohort(n=50, seed=3)
     all_censored = type(cohort)(
@@ -226,7 +277,7 @@ def test_fit_all_warm_starts_and_aic_alignment():
     # M2 at its optimum can never be worse than M1 on the comparable scale
     assert fits["M2"].loglik_comparable >= fits["M1"].loglik_comparable - 1e-6
     # AIC comparability: identical likelihood conventions across models
-    params_g1 = ModelParams(fits["M1"].to_model_params().gh, SingleGamma(1.0))
+    params_g1 = model_params(fits["M1"].to_model_params().gh, 1.0)
     l2_at_g1 = loglik(params_g1, cohort, comparable=True)
     l1c = loglik(fits["M1"].to_model_params(), cohort, comparable=True)
     assert l2_at_g1 == l1c
@@ -287,11 +338,10 @@ def test_boundary_collapse_has_stable_nonnegative_information():
 
 def test_z_quantile_95():
     res = FitResult(
-        model="M1",
-        param_names=("kappa",),
-        estimates=np.array([1.0]),
-        std_errors=np.array([1.0]),
-        cov_transformed=np.eye(1),
+        layout=ParamLayout.for_model("M1", ()),
+        estimates=np.array([1.0, 1.0, 2.0]),
+        std_errors=np.ones(3),
+        cov_transformed=np.eye(3),
         loglik=0.0,
         loglik_comparable=0.0,
         aic=2.0,
@@ -312,11 +362,10 @@ def test_z_quantile_95():
 
 def test_zero_se_gives_zero_width():
     res = FitResult(
-        model="M1",
-        param_names=("kappa",),
-        estimates=np.array([2.0]),
-        std_errors=np.array([0.0]),
-        cov_transformed=np.eye(1),
+        layout=ParamLayout.for_model("M1", ()),
+        estimates=np.array([2.0, 1.0, 2.0]),
+        std_errors=np.zeros(3),
+        cov_transformed=np.eye(3),
         loglik=0.0,
         loglik_comparable=0.0,
         aic=2.0,
@@ -343,9 +392,8 @@ def test_ci_matches_analytic_toy(m1_fit):
 
 def test_ses_unavailable_raises():
     res = FitResult(
-        model="M1",
-        param_names=("kappa",),
-        estimates=np.array([1.0]),
+        layout=ParamLayout.for_model("M1", ()),
+        estimates=np.array([1.0, 1.0, 2.0]),
         std_errors=None,
         cov_transformed=None,
         loglik=0.0,
@@ -372,12 +420,10 @@ def test_covariance_flags_negative_eigenvalues():
 # ---------------------------------------------------------------------------
 
 def _mini_fit(model, aic, converged=True, gamma=2.0, mu=3.0):
-    names = {"M1": ("kappa",), "M2": ("kappa", "gamma"), "M3": ("kappa", "mu", "b")}[model]
-    ests = {"M1": [1.0], "M2": [1.0, gamma], "M3": [1.0, mu, 0.5]}[model]
+    correction = {"M1": [], "M2": [gamma], "M3": [mu, 0.5]}[model]
     return FitResult(
-        model=model,
-        param_names=names,
-        estimates=np.array(ests),
+        layout=ParamLayout.for_model(model, ()),
+        estimates=np.array([1.0, 1.0, 2.0, *correction]),
         std_errors=None,
         cov_transformed=None,
         loglik=0.0,

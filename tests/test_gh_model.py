@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import ew_closed_form
+from conftest import ew_closed_form, model_params
 from exhaz.distributions import EwParams
 from exhaz.errors import NumericalOverflow
 from exhaz.gh_model import (
@@ -16,7 +16,7 @@ from exhaz.gh_model import (
     inverse_excess_survival,
     net_survival,
 )
-from exhaz.likelihoods import ModelParams, _terms, prepare_cohort
+from exhaz.likelihoods import _terms, prepare_cohort
 from exhaz.simulation import COVARIATES, builtin_scenarios, design_life_table, generate_cohort
 
 BASE = EwParams(kappa=0.6, theta=1.75, alpha=2.5)
@@ -199,7 +199,7 @@ def _bits(a):
 )
 def test_public_functions_equal_likelihood_terms_bitwise(moderate_cohort, gh):
     cohort = moderate_cohort
-    aux = _terms(ModelParams(gh), cohort, comparable=False)[1]
+    aux = _terms(model_params(gh), cohort, comparable=False)[1]
     he, HE = aux[8], aux[9]
     t, X = cohort.time, cohort.X
     assert np.array_equal(_bits(excess_hazard(t, X, gh)), _bits(he))

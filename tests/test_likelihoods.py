@@ -11,16 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import gamma_pdf, gh_closed_form
+from conftest import gamma_pdf, gh_closed_form, model_params
 from exhaz.distributions import EwParams, GammaFrailtyParams
 from exhaz.errors import DataError, NonFiniteLikelihood
 from exhaz.gh_model import GhParams
 from exhaz.lifetable import make_life_table
 from exhaz.likelihoods import (
     Cohort,
-    ModelParams,
+    ParamLayout,
     PreparedCohort,
-    SingleGamma,
     _ew_block,
     _exact_sum,
     _log1p_ratio,
@@ -51,15 +50,21 @@ def fake_cohort(n=50, seed=0, p=3):
     return PreparedCohort(time, status, X, hp, dhp)
 
 
+def correction(params):
+    """The correction values of a ModelParams: () for M1, (gamma,) for M2, (mu, b) for M3."""
+    return tuple(params.values[3 + 2 * params.layout.n_covariates :])
+
+
 def observed_hazard(t, x, params, hp, dhp):
     """lambda = corrected h_P + h_E, by hand, with h_E from the closed form."""
-    corr = params.correction
-    if corr is None:
+    corr = correction(params)
+    if not corr:
         chp = hp
-    elif isinstance(corr, SingleGamma):
-        chp = corr.gamma * hp
+    elif len(corr) == 1:
+        chp = corr[0] * hp
     else:
-        chp = corr.mu * hp / (1.0 + corr.b * dhp)
+        mu, b = corr
+        chp = mu * hp / (1.0 + b * dhp)
     return chp + gh_closed_form(t, x, params.gh)[0]
 
 
@@ -75,8 +80,8 @@ def one_patient(t, x, hp, dhp, status=1):
 # ---------------------------------------------------------------------------
 
 def test_m2_gamma_one_equals_m1():
-    m1 = ModelParams(GH)
-    m2 = ModelParams(GH, SingleGamma(1.0))
+    m1 = model_params(GH)
+    m2 = model_params(GH, 1.0)
     x = np.array([0.5, 1.0, 0.0])
     for t, hp, dhp in [(0.5, 0.02, 0.01), (3.0, 0.05, 0.12)]:
         cohort = one_patient(t, x, hp, dhp)
@@ -84,7 +89,7 @@ def test_m2_gamma_one_equals_m1():
 
 
 def test_m3_at_dhp_zero_is_mu_times_hp():
-    m3 = ModelParams(GH, GammaFrailtyParams(6.5, 10.0))
+    m3 = model_params(GH, 6.5, 10.0)
     x = np.zeros(3)
     he, HE = gh_closed_form(1.0, x, GH)
     got = loglik(m3, one_patient(1.0, x, 0.02, 0.0))
@@ -93,7 +98,7 @@ def test_m3_at_dhp_zero_is_mu_times_hp():
 
 def test_m3_population_term_arithmetic():
     # b dH_P = 1: the corrected rate halves and the population term is (mu/b) log 2
-    m3 = ModelParams(GH, GammaFrailtyParams(6.5, 10.0))
+    m3 = model_params(GH, 6.5, 10.0)
     x = np.zeros(3)
     he, HE = gh_closed_form(1.0, x, GH)
     got = loglik(m3, one_patient(1.0, x, 0.02, 0.1))
@@ -102,15 +107,13 @@ def test_m3_population_term_arithmetic():
 
 
 def test_omega1_values():
-    g = GammaFrailtyParams(6.5, 10.0)
-    assert omega1(0.0, g) == 6.5
-    assert omega1(0.1, g) == pytest.approx(3.25, rel=1e-14)
-    tiny_b = GammaFrailtyParams(6.5, 1e-10)
+    assert omega1(0.0, 6.5, 10.0) == 6.5
+    assert omega1(0.1, 6.5, 10.0) == pytest.approx(3.25, rel=1e-14)
     for dhp in (0.0, 1.0, 10.0):
-        assert omega1(dhp, tiny_b) == pytest.approx(6.5, rel=1e-8)
+        assert omega1(dhp, 6.5, 1e-10) == pytest.approx(6.5, rel=1e-8)
     # strictly decreasing in dhp
     grid = np.linspace(0, 5, 50)
-    vals = omega1(grid, g)
+    vals = omega1(grid, 6.5, 10.0)
     assert np.all(np.diff(vals) < 0)
 
 
@@ -129,7 +132,7 @@ def rec(t=2.0, status=1, age=70.0, x=(0.2, 1.0, 0.0)):
 
 
 def test_marginal_survival_one_at_zero(flat_table):
-    m3 = ModelParams(GH, GammaFrailtyParams(1.875, 0.075))
+    m3 = model_params(GH, 1.875, 0.075)
     assert marginal_survival_m3(0.0, rec(), m3, flat_table)[0] == pytest.approx(1.0)
 
 
@@ -138,7 +141,7 @@ def test_marginal_survival_matches_frailty_quadrature(flat_table):
     r0 = rec()
     for mu, b in [(1.2, 0.02), (1.875, 0.075), (6.5, 10.0)]:
         g = GammaFrailtyParams(mu, b)
-        m3 = ModelParams(GH, g)
+        m3 = model_params(GH, mu, b)
         for t in (0.5, 2.0, 4.5):
             dhp = 0.03 * t  # constant-rate table
             he = gh_closed_form(t, r0.X[0], GH)[1]
@@ -155,7 +158,7 @@ def test_marginal_survival_b_to_zero_limit(flat_table):
     # b -> 0 collapses to the single-parameter correction with gamma = mu
     r0 = rec()
     mu = 1.7
-    m3 = ModelParams(GH, GammaFrailtyParams(mu, 1e-8))
+    m3 = model_params(GH, mu, 1e-8)
     t = 3.0
     dhp = 0.03 * t
     he = gh_closed_form(t, r0.X[0], GH)[1]
@@ -178,7 +181,7 @@ def test_marginal_survival_batch_matches_one_row_cohorts():
         rng.uniform(0.1, 8.0, n), np.ones(n), rng.uniform(40, 99, n), rng.uniform(2005, 2019, n),
         rng.normal(0, 1, (n, 3)), [(str(z),) for z in rng.integers(0, 2, n)],
     )
-    m3 = ModelParams(GH, GammaFrailtyParams(1.875, 0.075))
+    m3 = model_params(GH, 1.875, 0.075)
     t = cohort.time * 0.7
     for advance_year in (True, False):
         batch = marginal_survival_m3(t, cohort, m3, table, advance_year)
@@ -214,7 +217,7 @@ def _exact_sum_cases():
              for _ in range(n)]
         )
     cohort = fake_cohort(5000, seed=8)
-    yield _terms(ModelParams(GH, GammaFrailtyParams(1.875, 0.075)), cohort, False)[0]
+    yield _terms(model_params(GH, 1.875, 0.075), cohort, False)[0]
     yield from _half_ulp_ties(rng)
 
 
@@ -267,10 +270,10 @@ def test_ew_memo_reuses_blocks_bit_for_bit():
     flipped = GhParams(BASE, -GH.beta1, GH.beta2)
     points = []
     for gh in (GH, other, flipped):
-        for corr in (None, SingleGamma(1.4), GammaFrailtyParams(2.0, 0.3)):
+        for corr in ((), (1.4,), (2.0, 0.3)):
             for db2 in (0.0, 1e-3, -0.2):  # moves beta2 only: same EW block
                 points.append(
-                    ModelParams(GhParams(gh.baseline, gh.beta1, gh.beta2 + db2), corr)
+                    model_params(GhParams(gh.baseline, gh.beta1, gh.beta2 + db2), *corr)
                 )
     points += points[:5]  # back to the first block after it was evicted
     for params in points:
@@ -293,26 +296,27 @@ def test_ew_memo_reuses_blocks_bit_for_bit():
 
 def test_ew_memo_shares_blocks_and_evicts_least_recent():
     cohort = fake_cohort(40, seed=43)
-    a = _ew_block(GH, cohort)
+    a = _ew_block(model_params(GH), cohort)
     same = GhParams(BASE, GH.beta1.copy(), GH.beta2 + 1.0)
-    assert _ew_block(same, cohort) is a
-    b = _ew_block(GhParams(BASE, GH.beta1 + 1e-9, GH.beta2), cohort)
-    assert _ew_block(GH, cohort) is a  # a is now the most recent
-    _ew_block(GhParams(EwParams(0.6, 1.75, 2.6), GH.beta1, GH.beta2), cohort)
+    assert _ew_block(model_params(same, 1.4), cohort) is a
+    b = _ew_block(model_params(GhParams(BASE, GH.beta1 + 1e-9, GH.beta2)), cohort)
+    assert _ew_block(model_params(GH), cohort) is a  # a is now the most recent
+    _ew_block(model_params(GhParams(EwParams(0.6, 1.75, 2.6), GH.beta1, GH.beta2)), cohort)
     assert len(cohort._ew_memo) == 2
-    assert _ew_block(GH, cohort) is a
+    assert _ew_block(model_params(GH, 2.0, 0.3), cohort) is a
     assert all(blk is not b for blk in cohort._ew_memo.values())
     # no covariates: beta1 is empty and the key still tells blocks apart
     bare = PreparedCohort(cohort.time, cohort.status, cohort.X[:, :0], cohort.hp, cohort.dhp)
-    assert _ew_block(GhParams(BASE), bare) is _ew_block(GhParams(BASE), bare)
-    _ew_block(GhParams(EwParams(0.6, 1.75, 2.6)), bare)
+    bare_gh = GhParams(BASE)
+    assert _ew_block(model_params(bare_gh), bare) is _ew_block(model_params(bare_gh), bare)
+    _ew_block(model_params(GhParams(EwParams(0.6, 1.75, 2.6))), bare)
     assert len(bare._ew_memo) == 2
 
 
 def test_m2_at_gamma_one_equals_m1_minus_sum_dhp():
     cohort = fake_cohort(200, seed=3)
-    l1 = loglik(ModelParams(GH), cohort)
-    l2 = loglik(ModelParams(GH, SingleGamma(1.0)), cohort)
+    l1 = loglik(model_params(GH), cohort)
+    l2 = loglik(model_params(GH, 1.0), cohort)
     assert l2 == pytest.approx(l1 - fsum(cohort.dhp), abs=1e-10)
 
 
@@ -323,7 +327,7 @@ def test_single_censored_patient_m3_hand_check():
     cohort = one_patient(t, x, hp, dhp, status=0)
     he = gh_closed_form(t, x, GH)[1]
     expected = -he - (mu / b) * math.log1p(b * dhp)
-    got = loglik(ModelParams(GH, GammaFrailtyParams(mu, b)), cohort)
+    got = loglik(model_params(GH, mu, b), cohort)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -331,9 +335,9 @@ def test_loglik_matches_per_patient_brute_force():
     # independent route: log[h_o^delta * S_o] from the marginal formulas
     cohort = fake_cohort(50, seed=11)
     for params in (
-        ModelParams(GH),
-        ModelParams(GH, SingleGamma(1.7)),
-        ModelParams(GH, GammaFrailtyParams(6.5, 10.0)),
+        model_params(GH),
+        model_params(GH, 1.7),
+        model_params(GH, 6.5, 10.0),
     ):
         brute_terms = []
         for i in range(cohort.n):
@@ -341,13 +345,14 @@ def test_loglik_matches_per_patient_brute_force():
             x = cohort.X[i]
             hp, dhp = float(cohort.hp[i]), float(cohort.dhp[i])
             he = gh_closed_form(t, x, GH)[1]
-            corr = params.correction
-            if corr is None:
+            corr = correction(params)
+            if not corr:
                 log_s = -he  # population-survival constant omitted for M1
-            elif isinstance(corr, SingleGamma):
-                log_s = -he - corr.gamma * dhp
+            elif len(corr) == 1:
+                log_s = -he - corr[0] * dhp
             else:
-                log_s = -he - (corr.mu / corr.b) * math.log1p(corr.b * dhp)
+                mu, b = corr
+                log_s = -he - (mu / b) * math.log1p(b * dhp)
             term = log_s
             if cohort.status[i] == 1:
                 term += math.log(observed_hazard(t, x, params, hp, dhp))
@@ -357,7 +362,7 @@ def test_loglik_matches_per_patient_brute_force():
 
 def test_delta_flip_changes_by_log_hazard():
     cohort = fake_cohort(30, seed=5)
-    params = ModelParams(GH, GammaFrailtyParams(1.2, 0.02))
+    params = model_params(GH, 1.2, 0.02)
     base = loglik(params, cohort)
     i = 7
     status = cohort.status.copy()
@@ -375,15 +380,15 @@ def test_delta_flip_changes_by_log_hazard():
 def test_m3_b_to_zero_approaches_m2():
     cohort = fake_cohort(150, seed=9)
     mu = 2.2
-    l2 = loglik(ModelParams(GH, SingleGamma(mu)), cohort)
+    l2 = loglik(model_params(GH, mu), cohort)
     for b in (1e-6, 1e-8):
-        l3 = loglik(ModelParams(GH, GammaFrailtyParams(mu, b)), cohort)
+        l3 = loglik(model_params(GH, mu, b), cohort)
         assert l3 == pytest.approx(l2, rel=1e-5)
 
 
 def test_permutation_invariance_exact():
     cohort = fake_cohort(500, seed=13)
-    params = ModelParams(GH, GammaFrailtyParams(6.5, 10.0))
+    params = model_params(GH, 6.5, 10.0)
     base = loglik(params, cohort)
     rng = np.random.default_rng(1)
     perm = rng.permutation(cohort.n)
@@ -405,14 +410,14 @@ def test_nonfinite_likelihood_reports_index():
         np.array([0.01, 0.0]),
     )
     with pytest.raises(NonFiniteLikelihood) as err:
-        loglik(ModelParams(gh), cohort)
+        loglik(model_params(gh), cohort)
     assert err.value.patient_index == 1
 
 
 def test_comparable_scale_identity():
     cohort = fake_cohort(80, seed=21)
-    l1c = loglik(ModelParams(GH), cohort, comparable=True)
-    l2c = loglik(ModelParams(GH, SingleGamma(1.0)), cohort, comparable=True)
+    l1c = loglik(model_params(GH), cohort, comparable=True)
+    l2c = loglik(model_params(GH, 1.0), cohort, comparable=True)
     assert l2c == l1c  # bitwise: identical code path at gamma = 1
 
 
@@ -420,28 +425,16 @@ def test_comparable_scale_identity():
 # analytic gradient against central finite differences
 # ---------------------------------------------------------------------------
 
-def params_from_vector(vec, model, p=3):
-    gh = GhParams(
-        EwParams(vec[0], vec[1], vec[2]),
-        beta1=np.array(vec[3 : 3 + p]),
-        beta2=np.array(vec[3 + p : 3 + 2 * p]),
-    )
-    if model == "M1":
-        return ModelParams(gh)
-    if model == "M2":
-        return ModelParams(gh, SingleGamma(vec[3 + 2 * p]))
-    return ModelParams(gh, GammaFrailtyParams(vec[3 + 2 * p], vec[4 + 2 * p]))
-
-
 def fd_gradient(vec, model, cohort, h=1e-6):
+    layout = ParamLayout.for_model(model, ("x1", "x2", "x3"))
     grad = np.empty(len(vec))
     for j in range(len(vec)):
         hj = h * max(1.0, abs(vec[j]))
         up, dn = vec.copy(), vec.copy()
         up[j] += hj
         dn[j] -= hj
-        lu = loglik(params_from_vector(up, model), cohort)
-        ld = loglik(params_from_vector(dn, model), cohort)
+        lu = loglik(layout.to_params(up), cohort)
+        ld = loglik(layout.to_params(dn), cohort)
         grad[j] = (lu - ld) / (2 * hj)
     return grad
 
@@ -460,7 +453,7 @@ def test_analytic_gradient_matches_fd(model, extra):
                 *extra,
             ]
         )
-        params = params_from_vector(vec, model)
+        params = ParamLayout.for_model(model, ("x1", "x2", "x3")).to_params(vec)
         ll, grad = loglik_and_grad(params, cohort)
         assert ll == pytest.approx(loglik(params, cohort), abs=1e-10)
         fd = fd_gradient(vec, model, cohort)

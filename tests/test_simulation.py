@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from conftest import model_params
 from exhaz.errors import NoEligibleFit
 from exhaz.estimation import fit_all, select_m4
-from exhaz.likelihoods import ModelParams, marginal_survival_m3, prepare_cohort
+from exhaz.likelihoods import marginal_survival_m3, prepare_cohort
 from exhaz.simulation import (
     COVARIATES,
     STUDY_MODELS,
@@ -43,7 +44,7 @@ def test_uncensored_times_are_uniform_under_m3_marginal_survival(table, theta):
     assert sc.n == 5000 and sc.dropout_rate is None and sc.dropout_target is None
     cohort = generate_cohort(sc, 0, table)
     assert cohort.status.all()
-    truth = ModelParams(sc.gh, sc.frailty)
+    truth = model_params(sc.gh, sc.frailty.mu, sc.frailty.b)
     pit = marginal_survival_m3(cohort.time, cohort, truth, table)
     assert kstest(pit, "uniform").pvalue > 1e-3
 
@@ -98,10 +99,19 @@ def test_calibrated_dropout_censors_a_fresh_cohort_at_target(table):
         ("dropout_target", 1.0),
         ("dropout_target", -0.2),
         ("dropout_target", math.nan),
+        ("n", 0),
+        ("n", math.nan),
+        ("n", 2.5),
+        ("n_replicates", 0),
+        ("n_replicates", math.nan),
+        ("admin_censor_time", math.nan),
+        ("admin_censor_time", 0.0),
+        ("admin_censor_time", -1.0),
     ],
 )
 def test_scenario_rejects_bad_dropout(field, value):
-    with pytest.raises(ValueError, match=field.partition("_")[2]):
+    # the message names the field: by its part after the first "_", or as "n"
+    with pytest.raises(ValueError, match=field.partition("_")[2] or "^n must"):
         replace(builtin_scenarios()["none"], **{field: value})
 
 
