@@ -8,7 +8,10 @@ units), and power alpha:
 Its hazard covers increasing, decreasing, unimodal, bathtub, and constant
 shapes.  ``ew_log_terms`` is the one EW kernel: it gives the log survival
 and the hazard h0 = exp(log f - log S) at an array of times, and the GH
-excess hazard (``gh_model``) and the likelihood both build on it.
+excess hazard (``gh_model``) and the likelihood both build on it.  The
+kernel and ``ew_quantile`` take kappa, theta and alpha as plain numbers:
+the callers read them from the baseline slots of a ``ModelParams``, which
+checks them.
 Survival-tail quantities are computed in log space throughout:
 log(1 - e^{-v}) uses expm1 below ln 2 and log1p above (the usual split),
 and the survival logarithm falls back to its asymptotic series
@@ -29,7 +32,6 @@ import numpy as np
 from .errors import NonPositive
 
 __all__ = [
-    "EwParams",
     "GammaFrailtyParams",
     "LogNormalFrailtyParams",
     "ew_quantile",
@@ -41,33 +43,34 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-def _check_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise NonPositive(f"{name} must be finite and > 0, got {value}")
+def _check_natural(values: np.ndarray, positive: np.ndarray) -> None:
+    """NonPositive naming every slot of a natural vector that is not finite
+    or, on a positive slot, not > 0.
 
-
-@dataclass(frozen=True)
-class EwParams:
-    """Exponentiated Weibull parameters: shape kappa, scale theta, power alpha."""
-
-    kappa: float
-    theta: float
-    alpha: float
-
-    def __post_init__(self):
-        _check_positive(kappa=self.kappa, theta=self.theta, alpha=self.alpha)
+    The one validity check of parameters: ``ModelParams``,
+    ``transform_params`` and the frailty laws all make it.
+    """
+    bad = ~np.isfinite(values) | (positive & ~(values > 0))
+    if bad.any():
+        raise NonPositive(
+            f"parameters at positions {np.flatnonzero(bad).tolist()} must be finite, "
+            "and > 0 where positive"
+        )
 
 
 @dataclass(frozen=True)
 class GammaFrailtyParams:
-    """Gamma frailty with mean mu and scale b (shape mu/b, variance mu*b)."""
+    """Gamma frailty with mean mu and scale b (shape mu/b, variance mu*b).
+
+    A mu or b that is not finite and > 0 raises NonPositive naming its
+    position (0: mu, 1: b).
+    """
 
     mu: float
     b: float
 
     def __post_init__(self):
-        _check_positive(mu=self.mu, b=self.b)
+        _check_natural(np.array([self.mu, self.b]), np.array([True, True]))
 
     @property
     def shape(self) -> float:
@@ -76,15 +79,17 @@ class GammaFrailtyParams:
 
 @dataclass(frozen=True)
 class LogNormalFrailtyParams:
-    """Lognormal frailty: log-mean m, log-sd s."""
+    """Lognormal frailty: log-mean m, log-sd s.
+
+    An m that is not finite, or an s that is not finite and > 0, raises
+    NonPositive naming its position (0: m, 1: s).
+    """
 
     m: float
     s: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.m)):
-            raise NonPositive(f"m must be finite, got {self.m}")
-        _check_positive(s=self.s)
+        _check_natural(np.array([self.m, self.s]), np.array([False, True]))
 
 
 def _by_majority(x, small, f_small, f_large):
@@ -122,7 +127,7 @@ def log1mexp(v):
     )
 
 
-def ew_log_terms(v, p: EwParams):
+def ew_log_terms(v, kappa, theta, alpha):
     """The EW kernel at times v > 0: (w, logm, vv, log_s0, lw, h0), vectorized.
 
     w = (v/theta)^kappa, logm = log(1 - e^{-w}), vv = -log F = -alpha logm,
@@ -134,33 +139,33 @@ def ew_log_terms(v, p: EwParams):
     likelihood gradient reuses them.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vt = v / p.theta
-        w = np.power(vt, p.kappa)
+        vt = v / theta
+        w = np.power(vt, kappa)
         logm = log1mexp(w)
-        vv = -(p.alpha * logm)
+        vv = -(alpha * logm)
         log_s0 = log1mexp(vv)
-        log_s0 = np.where((w > 600.0) | (vv == 0.0), math.log(p.alpha) - w, log_s0)
+        log_s0 = np.where((w > 600.0) | (vv == 0.0), math.log(alpha) - w, log_s0)
         lw = np.log(vt)
         logf = (
-            math.log(p.alpha)
-            + math.log(p.kappa)
-            - math.log(p.theta)
-            + (p.kappa - 1.0) * lw
-            + (p.alpha - 1.0) * logm
+            math.log(alpha)
+            + math.log(kappa)
+            - math.log(theta)
+            + (kappa - 1.0) * lw
+            + (alpha - 1.0) * logm
             - w
         )
         h0 = np.exp(logf - log_s0)
     return w, logm, vv, log_s0, lw, h0
 
 
-def ew_quantile(u, p: EwParams):
+def ew_quantile(u, kappa, theta, alpha):
     """Inverse CDF: t = theta * (-log(1 - u^{1/alpha}))^{1/kappa}, exact closed form."""
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("u must be in (0, 1)")
-    lu = np.log(u) / p.alpha
+    lu = np.log(u) / alpha
     w = -log1mexp(-lu)
-    return p.theta * np.power(w, 1.0 / p.kappa)
+    return theta * np.power(w, 1.0 / kappa)
 
 
 def gamma_laplace(s, g: GammaFrailtyParams):

@@ -51,12 +51,12 @@ from .errors import (
     NonPositive,
     SEsUnavailable,
 )
+from .distributions import _check_natural
 from .likelihoods import (
     MODELS,
     ModelParams,
     ParamLayout,
     PreparedCohort,
-    _check_natural,
     loglik,
     loglik_and_grad,
 )
@@ -97,7 +97,7 @@ class FitConfig:
     else the optimizer uses is a module constant (see the module docstring).
     """
 
-    multi_starts: int = 0  # extra random restarts (recommended >= 3 for production)
+    multi_starts: int = 0  # extra random restarts; best-of-N is the convergence reference
     seed: int = 0
 
 
@@ -115,12 +115,18 @@ def transform_params(natural: np.ndarray, positive: np.ndarray) -> np.ndarray:
 
 
 def untransform_params(unconstrained: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Map positive parameters through exp; identity on the rest.
+
+    A log slot above ~709 gives inf without a warning; ``ModelParams``
+    rejects it.
+    """
     out = np.asarray(unconstrained, dtype=float).copy()
-    out[positive] = np.exp(out[positive])
+    with np.errstate(over="ignore"):
+        out[positive] = np.exp(out[positive])
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Maximum-likelihood fit: natural-scale estimates plus inference pieces."""
 

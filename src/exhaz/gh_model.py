@@ -14,19 +14,27 @@ likelihood calls both on a prepared cohort; ``excess_hazard``,
 conventions at t <= 0 (hazard 0, H_E 0, survival 1); a NaN time raises
 ValueError.  Both callers run the two helpers under ``np.errstate`` and
 check the results themselves.
+
+The public functions take the ``likelihoods.ModelParams`` of any model and
+read only its GH slots (``baseline``, ``beta1``, ``beta2``), so a fitted
+M3 goes in as ``fit.to_model_params()``.  ``x`` is one covariate vector or
+an (n, p) matrix; a model without covariates takes an empty vector or an
+(n, 0) matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distributions import EwParams, ew_log_terms, ew_quantile
+from .distributions import ew_log_terms, ew_quantile
 from .errors import NumericalOverflow
 
+if TYPE_CHECKING:
+    from .likelihoods import ModelParams
+
 __all__ = [
-    "GhParams",
     "excess_hazard",
     "excess_cum_hazard",
     "net_survival",
@@ -34,45 +42,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GhParams:
-    """EW baseline plus time-scale (beta1) and hazard-scale (beta2) effects."""
-
-    baseline: EwParams
-    beta1: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    beta2: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        b1 = np.atleast_1d(np.asarray(self.beta1, dtype=float))
-        b2 = np.atleast_1d(np.asarray(self.beta2, dtype=float))
-        if b1.shape != b2.shape:
-            raise ValueError(f"beta1 and beta2 lengths differ: {b1.shape} vs {b2.shape}")
-        if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
-            raise ValueError("beta coefficients must be finite")
-        object.__setattr__(self, "beta1", b1)
-        object.__setattr__(self, "beta2", b2)
-
-    @property
-    def n_covariates(self) -> int:
-        return self.beta1.shape[0]
-
-
-def _linpreds(x, p: GhParams):
-    """(x'b1, x'b2) for a single covariate vector or an (n, p) matrix."""
-    x = np.asarray(x, dtype=float)
-    if p.n_covariates == 0:
-        shape = x.shape[:-1] if x.ndim > 1 else ()
-        return np.zeros(shape), np.zeros(shape)
-    return x @ p.beta1, x @ p.beta2
-
-
-def gh_baseline(t, xb1, base: EwParams):
+def gh_baseline(t, xb1, kappa, theta, alpha):
     """v = t e^{x'b1} and the EW kernel at v: (v, w, logm, vv, log_s0, lw, h0).
 
     For t > 0.  The terms depend on the baseline and on x'b1 only.
     """
     v = t * np.exp(xb1)
-    return (v, *ew_log_terms(v, base))
+    return (v, *ew_log_terms(v, kappa, theta, alpha))
 
 
 def gh_excess(h0, log_s0, xb1, xb2):
@@ -81,7 +57,7 @@ def gh_excess(h0, log_s0, xb1, xb2):
     return r21, h0 * np.exp(xb2), -log_s0 * r21
 
 
-def _excess(t, x, p: GhParams):
+def _excess(t, x, params: ModelParams):
     """(t <= 0, h0, log S0, h_E, H_E) at times t; entries at t <= 0 are placeholders.
 
     Raises ValueError naming the first NaN time.
@@ -91,43 +67,46 @@ def _excess(t, x, p: GhParams):
     if nan.any():
         where = f"t[{int(np.flatnonzero(nan)[0])}]" if t.ndim else "t"
         raise ValueError(f"time {where} is NaN")
-    xb1, xb2 = _linpreds(x, p)
+    x = np.asarray(x, dtype=float)
+    xb1, xb2 = x @ params.beta1, x @ params.beta2
     nonpos = t <= 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, _, _, _, log_s0, _, h0 = gh_baseline(np.where(nonpos, 1.0, t), xb1, p.baseline)
+        _, _, _, _, log_s0, _, h0 = gh_baseline(
+            np.where(nonpos, 1.0, t), xb1, *params.baseline
+        )
         _, he, HE = gh_excess(h0, log_s0, xb1, xb2)
     return nonpos, h0, log_s0, he, HE
 
 
-def excess_hazard(t, x, p: GhParams):
+def excess_hazard(t, x, params: ModelParams):
     """h_E(t; x) = h0(t e^{x'b1}) e^{x'b2}; 0 at t <= 0.
 
     Raises NumericalOverflow if h0 is not finite (survival underflow).
     """
-    nonpos, h0, _, he, _ = _excess(t, x, p)
+    nonpos, h0, _, he, _ = _excess(t, x, params)
     if not np.all(np.isfinite(np.where(nonpos, 0.0, h0))):
         raise NumericalOverflow("EW hazard is not finite (survival underflow)")
     return np.where(nonpos, 0.0, he)[()]
 
 
-def excess_cum_hazard(t, x, p: GhParams):
+def excess_cum_hazard(t, x, params: ModelParams):
     """H_E(t; x) = H0(t e^{x'b1}) e^{x'(b2-b1)}; 0 at t <= 0.
 
     Raises NumericalOverflow if H0 is not finite.
     """
-    nonpos, _, log_s0, _, HE = _excess(t, x, p)
+    nonpos, _, log_s0, _, HE = _excess(t, x, params)
     if not np.all(np.isfinite(np.where(nonpos, 0.0, log_s0))):
         raise NumericalOverflow("EW cumulative hazard is not finite")
     return np.where(nonpos, 0.0, HE)[()]
 
 
-def net_survival(t, x, p: GhParams):
+def net_survival(t, x, params: ModelParams):
     """exp(-H_E(t; x)): survival under the excess hazard alone; 1 at t <= 0."""
-    nonpos, _, _, _, HE = _excess(t, x, p)
+    nonpos, _, _, _, HE = _excess(t, x, params)
     return np.exp(-np.where(nonpos, 0.0, HE))[()]
 
 
-def inverse_excess_survival(u, x, p: GhParams):
+def inverse_excess_survival(u, x, params: ModelParams):
     """Solve net_survival(t; x) = u for t (inverse-transform sampling).
 
     t = Q_EW(1 - exp(-(-log u) e^{x'(b1-b2)})) * e^{-x'b1}.  May return inf
@@ -136,13 +115,14 @@ def inverse_excess_survival(u, x, p: GhParams):
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("u must be in (0, 1)")
-    xb1, xb2 = _linpreds(x, p)
+    x = np.asarray(x, dtype=float)
+    xb1, xb2 = x @ params.beta1, x @ params.beta2
     target_h0 = -np.log(u) * np.exp(xb1 - xb2)
     v = -np.expm1(-target_h0)  # CDF value at the baseline time scale
     with np.errstate(divide="ignore"):
         tau = np.where(
             v >= 1.0,
             np.inf,
-            ew_quantile(np.clip(v, 1e-300, 1.0 - 1e-16), p.baseline),
+            ew_quantile(np.clip(v, 1e-300, 1.0 - 1e-16), *params.baseline),
         )
     return tau * np.exp(-xb1)

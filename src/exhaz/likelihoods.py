@@ -14,9 +14,10 @@ data-dependent constant, cross-model comparisons must use the comparable
 convention (``comparable=True`` restores -sum dH_P to M1).
 
 A model's parameters are a ``ParamLayout`` plus one natural-scale vector
-(``ModelParams``); the likelihood and its gradient read their slots from
-the vector and branch on the layout's model.  The public GH functions keep
-``GhParams``, which ``ModelParams.gh`` builds.
+(``ModelParams``).  The likelihood and its gradient read the slots through
+``ModelParams``' read-only views (``baseline``, ``beta1``, ``beta2``,
+``correction``) and branch on the layout's model; the public GH functions
+of ``gh_model`` read the same views, of any model.
 
 A cohort is one set of columns (``Cohort``: follow-up time, status, age
 and year at diagnosis, covariates and one strata tuple per patient), read
@@ -43,9 +44,9 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .distributions import EwParams, GammaFrailtyParams, _by_majority, gamma_laplace
-from .errors import DataError, NonFiniteLikelihood, NonPositive
-from .gh_model import GhParams, excess_cum_hazard, gh_baseline, gh_excess
+from .distributions import GammaFrailtyParams, _by_majority, _check_natural, gamma_laplace
+from .errors import DataError, NonFiniteLikelihood
+from .gh_model import excess_cum_hazard, gh_baseline, gh_excess
 from .lifetable import LexisPosition, LifeTable, _read_csv
 
 __all__ = [
@@ -137,30 +138,20 @@ _CORRECTIONS = {"M1": {}, "M2": {"gamma": 1.2}, "M3": {"mu": 1.2, "b": 0.1}}
 MODELS = tuple(_CORRECTIONS)
 
 
-def _check_natural(values: np.ndarray, positive: np.ndarray) -> None:
-    """NonPositive naming every slot of a natural vector that is not finite
-    or, on a positive slot, not > 0."""
-    bad = ~np.isfinite(values) | (positive & ~(values > 0))
-    if bad.any():
-        raise NonPositive(
-            f"parameters at positions {np.flatnonzero(bad).tolist()} must be finite, "
-            "and > 0 where positive"
-        )
-
-
 @dataclass(frozen=True)
 class ParamLayout:
     """Order, names, and positivity of a model's natural parameter vector.
 
     Layout: kappa, theta, alpha, beta1 entries, beta2 entries, then the
     correction parameters (gamma for M2; mu, b for M3); the gradient of
-    ``loglik_and_grad`` too.
+    ``loglik_and_grad`` too.  ``positive`` follows from the model and the
+    names, so layouts compare and hash by (model, n_covariates, names).
     """
 
     model: str
     n_covariates: int
     names: tuple[str, ...]
-    positive: np.ndarray
+    positive: np.ndarray = field(compare=False)
 
     @classmethod
     def for_model(cls, model: str, covariate_names: Sequence[str]) -> "ParamLayout":
@@ -205,8 +196,10 @@ class ModelParams:
     """A model's parameters: its layout and a read-only copy of one natural vector.
 
     Raises NonPositive as ``transform_params`` does, naming every slot that
-    is not finite or, on a positive slot, not > 0.  ``gh`` builds the
-    ``GhParams`` of the public GH functions; the likelihood reads ``values``.
+    is not finite or, on a positive slot, not > 0.  ``baseline`` (kappa,
+    theta, alpha), ``beta1``, ``beta2`` and ``correction`` (none for M1,
+    gamma for M2, mu and b for M3) are read-only views of the slots, in
+    the order of ``ParamLayout``.
     """
 
     layout: ParamLayout
@@ -222,9 +215,21 @@ class ModelParams:
         object.__setattr__(self, "values", values)
 
     @property
-    def gh(self) -> GhParams:
-        p, v = self.layout.n_covariates, self.values
-        return GhParams(EwParams(v[0], v[1], v[2]), v[3 : 3 + p], v[3 + p : 3 + 2 * p])
+    def baseline(self) -> np.ndarray:
+        return self.values[:3]
+
+    @property
+    def beta1(self) -> np.ndarray:
+        return self.values[3 : 3 + self.layout.n_covariates]
+
+    @property
+    def beta2(self) -> np.ndarray:
+        p = self.layout.n_covariates
+        return self.values[3 + p : 3 + 2 * p]
+
+    @property
+    def correction(self) -> np.ndarray:
+        return self.values[3 + 2 * self.layout.n_covariates :]
 
 
 _EW_MEMO_SIZE = 2  # EW blocks kept per cohort
@@ -343,8 +348,8 @@ def marginal_survival_m3(
         raise ValueError("marginal_survival_m3 requires M3 params")
     start = LexisPosition(cohort.age_diag, cohort.year_diag, cohort.strata)
     dhp = table.cum_hazard_increment(start, t, advance_year=advance_year)
-    he = excess_cum_hazard(t, cohort.X, params.gh)
-    return np.exp(-he) * gamma_laplace(dhp, GammaFrailtyParams(*params.values[-2:]))
+    he = excess_cum_hazard(t, cohort.X, params)
+    return np.exp(-he) * gamma_laplace(dhp, GammaFrailtyParams(*params.correction))
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +400,22 @@ def _exact_sum(a: np.ndarray) -> float:
 
 
 def _ew_block(params: ModelParams, cohort: PreparedCohort):
-    """(xb1, *gh_baseline(time, xb1)): the EW baseline terms of the cohort.
+    """(xb1, *gh_baseline(time, xb1, kappa, theta, alpha)): the EW baseline
+    terms of the cohort.
 
-    They depend on the cohort and on (kappa, theta, alpha, beta1) only, the
-    first 3 + p slots, and come from the cohort's memo when one of its last
-    two blocks matches.
+    They depend on the cohort and on (kappa, theta, alpha, beta1) only, and
+    come from the cohort's memo when one of its last two blocks matches.
     """
-    head = params.values[: 3 + params.layout.n_covariates]
-    key = head.tobytes()
+    baseline, beta1 = params.baseline, params.beta1
+    key = baseline.tobytes() + beta1.tobytes()
     memo = cohort._ew_memo
     block = memo.get(key)
     if block is not None:
         memo.move_to_end(key)
         return block
-    xb1 = cohort.X @ head[3:] if params.layout.n_covariates else np.zeros(cohort.n)
+    xb1 = cohort.X @ beta1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        block = (xb1, *gh_baseline(cohort.time, xb1, EwParams(head[0], head[1], head[2])))
+        block = (xb1, *gh_baseline(cohort.time, xb1, *baseline))
     for arr in block:
         arr.setflags(write=False)
     memo[key] = block
@@ -421,10 +426,9 @@ def _ew_block(params: ModelParams, cohort: PreparedCohort):
 
 def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
     """Per-patient log-likelihood terms plus reusable intermediates."""
-    model, p, values = params.layout.model, params.layout.n_covariates, params.values
-    hp, dhp = cohort.hp, cohort.dhp
+    model, hp, dhp = params.layout.model, cohort.hp, cohort.dhp
     xb1, v, w, logm, vv, log_s0, lw, h0 = _ew_block(params, cohort)
-    xb2 = cohort.X @ values[3 + p : 3 + 2 * p] if p else np.zeros(cohort.n)
+    xb2 = cohort.X @ params.beta2
     m3 = None  # (y, log1p(y)/y) with y = b dH_P under M3
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r21, he, HE = gh_excess(h0, log_s0, xb1, xb2)
@@ -432,11 +436,11 @@ def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
             chp = hp
             pop = dhp if comparable else np.zeros(cohort.n)
         elif model == "M2":
-            gamma = values[-1]
+            (gamma,) = params.correction
             chp = gamma * hp
             pop = gamma * dhp
         else:
-            mu, b = values[-2:]
+            mu, b = params.correction
             y = b * dhp
             ratio = _log1p_ratio(y)
             chp = omega1(dhp, mu, b) * hp
@@ -497,8 +501,8 @@ def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
     beta2, then gamma for M2; mu, b for M3).  Raises NonFiniteLikelihood as
     ``loglik`` does, and also when a gradient entry is not finite.
     """
-    model, p, values = params.layout.model, params.layout.n_covariates, params.values
-    kappa, theta, alpha = values[:3]
+    model, p = params.layout.model, params.layout.n_covariates
+    kappa, theta, alpha = params.baseline
     terms, aux = _terms(params, cohort, False)
     ll = _checked_sum(terms, cohort)
     v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3 = aux
@@ -541,7 +545,7 @@ def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
             dlam = np.where(ev, hp / lam, 0.0)
             grad.append(np.sum(dlam) - np.sum(dhp))
         elif model == "M3":
-            mu = values[-2]
+            mu = params.correction[0]
             y, ratio = m3
             den = 1.0 + y
             dlam_mu = np.where(ev, (hp / den) / lam, 0.0)

@@ -38,7 +38,6 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import (
-    EwParams,
     GammaFrailtyParams,
     LogNormalFrailtyParams,
     sample_gamma_frailty,
@@ -46,9 +45,9 @@ from .distributions import (
 )
 from .errors import NoEligibleFit, TargetUnreachable
 from .estimation import MODELS, FitConfig, confidence_intervals, fit_all, select_m4
-from .gh_model import GhParams, inverse_excess_survival
+from .gh_model import inverse_excess_survival
 from .lifetable import LexisPosition, LifeTable, load_life_table, make_life_table
-from .likelihoods import Cohort, prepare_cohort
+from .likelihoods import Cohort, ModelParams, ParamLayout, prepare_cohort
 
 __all__ = [
     "ScenarioConfig",
@@ -63,12 +62,11 @@ __all__ = [
     "write_study_reports",
 ]
 
-DESIGN1_GH = GhParams(
-    EwParams(kappa=0.6, theta=1.75, alpha=2.5),
-    beta1=np.array([0.1, 0.1, 0.1]),
-    beta2=np.array([0.05, 0.2, 0.25]),
-)
 COVARIATES = ("age", "sex", "w")
+# Design-I truth: kappa, theta, alpha, then beta1 and beta2 over COVARIATES
+DESIGN1_GH = ParamLayout.for_model("M1", COVARIATES).to_params(
+    [0.6, 1.75, 2.5, 0.1, 0.1, 0.1, 0.05, 0.2, 0.25]
+)
 DIAGNOSIS_YEAR = 2010.0
 AGE_CENTER = 70.0
 _SEX_STRATA = (("0",), ("1",))  # life-table strata of sex 0 and 1, shared by every patient
@@ -103,12 +101,15 @@ def _check_censoring_target(target: float) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation scenario: truth, frailty law, censoring, and seeds."""
+    """One simulation scenario: truth, frailty law, censoring, and seeds.
+
+    ``gh`` is the excess-hazard truth, M1 params over ``COVARIATES``.
+    """
 
     name: str
     n: int = 5000
     n_replicates: int = 1000
-    gh: GhParams = DESIGN1_GH
+    gh: ModelParams = DESIGN1_GH
     frailty: GammaFrailtyParams | LogNormalFrailtyParams | None = None
     admin_censor_time: float = 5.0
     dropout_rate: float | None = None
@@ -155,14 +156,9 @@ class ScenarioConfig:
         return load_life_table(self.life_table_path)
 
     def truth_for(self, model: str) -> dict[str, float]:
-        vals = {
-            "kappa": self.gh.baseline.kappa,
-            "theta": self.gh.baseline.theta,
-            "alpha": self.gh.baseline.alpha,
-        }
-        for i, c in enumerate(COVARIATES):
-            vals[f"beta1_{c}"] = float(self.gh.beta1[i])
-            vals[f"beta2_{c}"] = float(self.gh.beta2[i])
+        """True value of each parameter of ``model``, by name (M4: the GH
+        parameters and c)."""
+        vals = dict(zip(self.gh.layout.names, self.gh.values.tolist()))
         if model == "M2":
             vals["gamma"] = self.frailty_mean()
         elif model == "M3":

@@ -7,46 +7,45 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from exhaz.distributions import EwParams
-from exhaz.gh_model import GhParams, inverse_excess_survival
-from exhaz.likelihoods import MODELS, ModelParams, ParamLayout, PreparedCohort
+from exhaz.gh_model import inverse_excess_survival
+from exhaz.likelihoods import MODELS, ParamLayout, PreparedCohort
+from exhaz.simulation import DESIGN1_GH
 
-TRUE_BASE = EwParams(kappa=0.6, theta=1.75, alpha=2.5)
-TRUE_GH = GhParams(
-    TRUE_BASE, beta1=np.array([0.1, 0.1, 0.1]), beta2=np.array([0.05, 0.2, 0.25])
-)
+
+def gh_params(baseline, beta1=(), beta2=()):
+    """M1 params from the EW baseline (kappa, theta, alpha) and the beta
+    vectors, over covariates x1..xp."""
+    layout = ParamLayout.for_model("M1", [f"x{i + 1}" for i in range(len(beta1))])
+    return layout.to_params(np.concatenate([baseline, beta1, beta2]))
 
 
 def model_params(gh, *correction):
-    """ModelParams of a GhParams plus the correction values: none (M1),
-    gamma (M2), or mu and b (M3)."""
+    """The M1 params ``gh`` plus the correction values: none (M1), gamma
+    (M2), or mu and b (M3)."""
     layout = ParamLayout.for_model(
-        MODELS[len(correction)], [f"x{i + 1}" for i in range(gh.n_covariates)]
+        MODELS[len(correction)], [f"x{i + 1}" for i in range(gh.layout.n_covariates)]
     )
-    base = gh.baseline
-    return ModelParams(
-        layout,
-        np.concatenate([[base.kappa, base.theta, base.alpha], gh.beta1, gh.beta2, correction]),
-    )
+    return layout.to_params(np.concatenate([gh.values, correction]))
 
 
-def ew_closed_form(t, p):
+def ew_closed_form(t, kappa, theta, alpha):
     """EW (F, S, h, H) at a scalar t > 0, from the closed forms in math.
 
     F = (1 - e^{-w})^alpha with w = (t/theta)^kappa, S = 1 - F, h = f/S and
     H = -log S.
     """
-    w = (t / p.theta) ** p.kappa
+    w = (t / theta) ** kappa
     m = -math.expm1(-w)  # 1 - e^{-w}
-    S = -math.expm1(p.alpha * math.log(m))
-    f = p.alpha * p.kappa * w / t * math.exp(-w) * m ** (p.alpha - 1.0)
-    return m**p.alpha, S, f / S, -math.log(S)
+    S = -math.expm1(alpha * math.log(m))
+    f = alpha * kappa * w / t * math.exp(-w) * m ** (alpha - 1.0)
+    return m**alpha, S, f / S, -math.log(S)
 
 
-def gh_closed_form(t, x, gh):
-    """(h_E, H_E) at a scalar t > 0 and one covariate vector x, via ew_closed_form."""
-    xb1, xb2 = float(np.dot(x, gh.beta1)), float(np.dot(x, gh.beta2))
-    _, _, h0, H0 = ew_closed_form(t * math.exp(xb1), gh.baseline)
+def gh_closed_form(t, x, params):
+    """(h_E, H_E) at a scalar t > 0 and one covariate vector x, via
+    ew_closed_form, from the GH slots of ``params`` (any model)."""
+    xb1, xb2 = float(np.dot(x, params.beta1)), float(np.dot(x, params.beta2))
+    _, _, h0, H0 = ew_closed_form(t * math.exp(xb1), *params.baseline.tolist())
     return h0 * math.exp(xb2), H0 * math.exp(xb2 - xb1)
 
 
@@ -55,7 +54,7 @@ def gamma_pdf(r, g):
     return float(stats.gamma.pdf(r, a=g.mu / g.b, scale=g.b))
 
 
-def sim_cohort(n=1000, seed=0, gh=TRUE_GH, pop_rate=0.02, frailty=None, t_max=5.0):
+def sim_cohort(n=1000, seed=0, gh=DESIGN1_GH, pop_rate=0.02, frailty=None, t_max=5.0):
     """Cohort from the additive decomposition with a constant background rate.
 
     The cached life-table quantities are exact (dhp = pop_rate * t), so the

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from conftest import ew_closed_form, gamma_pdf
 from exhaz.distributions import (
-    EwParams,
     GammaFrailtyParams,
     LogNormalFrailtyParams,
     ew_log_terms,
@@ -19,19 +18,20 @@ from exhaz.distributions import (
     sample_lognormal_frailty,
 )
 from exhaz.errors import NonPositive
+from exhaz.simulation import DESIGN1_GH
 
-P_TABLE1 = EwParams(kappa=0.6, theta=1.75, alpha=2.5)
+P_TABLE1 = tuple(DESIGN1_GH.baseline.tolist())  # (kappa, theta, alpha)
 
 
 def kernel(t, p):
-    """(F, f, h0, log S) of the EW kernel at t."""
-    w, logm, vv, log_s0, lw, h0 = ew_log_terms(np.asarray(t, dtype=float), p)
+    """(F, f, h0, log S) of the EW kernel at t, for p = (kappa, theta, alpha)."""
+    w, logm, vv, log_s0, lw, h0 = ew_log_terms(np.asarray(t, dtype=float), *p)
     return np.exp(-vv), h0 * np.exp(log_s0), h0, log_s0
 
 
 def ew_cdf(t, p):
     """Closed-form F(t) at a scalar t > 0."""
-    return ew_closed_form(t, p)[0]
+    return ew_closed_form(t, *p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -39,17 +39,17 @@ def ew_cdf(t, p):
 # ---------------------------------------------------------------------------
 
 def test_alpha_one_reduces_to_weibull():
-    p = EwParams(kappa=1.3, theta=2.0, alpha=1.0)
+    kappa, theta = 1.3, 2.0
     for t in (0.1, 0.5, 1.0, 3.7, 10.0):
-        w = (t / p.theta) ** p.kappa
-        _, f, h0, log_s = kernel(t, p)
-        assert h0 == pytest.approx((p.kappa / p.theta) * (t / p.theta) ** (p.kappa - 1), rel=1e-14)
+        w = (t / theta) ** kappa
+        _, f, h0, log_s = kernel(t, (kappa, theta, 1.0))
+        assert h0 == pytest.approx((kappa / theta) * (t / theta) ** (kappa - 1), rel=1e-14)
         assert log_s == pytest.approx(-w, rel=1e-14)
-        assert f == pytest.approx(p.kappa * w / t * math.exp(-w), rel=1e-14)
+        assert f == pytest.approx(kappa * w / t * math.exp(-w), rel=1e-14)
 
 
 def test_unit_exponential_at_one():
-    F, f, h0, log_s = kernel(1.0, EwParams(kappa=1.0, theta=1.0, alpha=1.0))
+    F, f, h0, log_s = kernel(1.0, (1.0, 1.0, 1.0))
     assert h0 == pytest.approx(1.0, rel=1e-14)
     assert log_s == pytest.approx(-1.0, rel=1e-14)
     assert f == pytest.approx(math.exp(-1.0), rel=1e-14)
@@ -63,8 +63,9 @@ def test_pdf_matches_cdf_derivative():
 
 
 def test_cdf_at_theta_and_zero():
-    for p in (P_TABLE1, EwParams(2.0, 0.5, 0.7)):
-        assert kernel(p.theta, p)[0] == pytest.approx((1 - math.exp(-1)) ** p.alpha, rel=1e-14)
+    for p in (P_TABLE1, (2.0, 0.5, 0.7)):
+        _, theta, alpha = p
+        assert kernel(theta, p)[0] == pytest.approx((1 - math.exp(-1)) ** alpha, rel=1e-14)
         F0, _, _, log_s0 = kernel(0.0, p)
         assert F0 == 0.0 and log_s0 == 0.0
 
@@ -80,18 +81,14 @@ def test_cdf_matches_integrated_pdf():
 def test_pdf_integrates_to_one_over_random_params():
     rng = np.random.default_rng(101)
     for _ in range(8):
-        p = EwParams(
-            kappa=float(rng.uniform(0.3, 3.0)),
-            theta=float(rng.uniform(0.5, 5.0)),
-            alpha=float(rng.uniform(0.5, 5.0)),
-        )
+        p = (rng.uniform(0.3, 3.0), rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0))
         val, _ = quad(lambda s: float(kernel(s, p)[1]), 0, np.inf, limit=400)
         assert val == pytest.approx(1.0, abs=1e-6)
 
 
 def test_cdf_nondecreasing_and_finite():
     grid = np.linspace(0.0, 50.0, 400)
-    for p in (P_TABLE1, EwParams(0.3, 0.5, 5.0), EwParams(3.0, 5.0, 0.5)):
+    for p in (P_TABLE1, (0.3, 0.5, 5.0), (3.0, 5.0, 0.5)):
         f = kernel(grid, p)[0]
         assert np.all(np.isfinite(f))
         assert np.all(np.diff(f) >= -1e-15)
@@ -99,9 +96,9 @@ def test_cdf_nondecreasing_and_finite():
 
 
 def test_kernel_matches_closed_forms():
-    for p in (P_TABLE1, EwParams(0.3, 0.5, 5.0), EwParams(3.0, 5.0, 0.5)):
+    for p in (P_TABLE1, (0.3, 0.5, 5.0), (3.0, 5.0, 0.5)):
         for t in (0.05, 0.7, 2.0, 6.0):
-            F, S, h, H = ew_closed_form(t, p)
+            F, S, h, H = ew_closed_form(t, *p)
             F_k, f_k, h_k, log_s = kernel(t, p)
             assert F_k == pytest.approx(F, rel=1e-13)
             assert f_k == pytest.approx(h * S, rel=1e-13)
@@ -114,7 +111,7 @@ def test_kernel_matches_closed_forms():
 # ---------------------------------------------------------------------------
 
 def test_exponential_constant_hazard():
-    p = EwParams(kappa=1.0, theta=4.0, alpha=1.0)
+    p = (1.0, 4.0, 1.0)
     for t in (0.01, 1.0, 10.0, 100.0):
         assert kernel(t, p)[2] == pytest.approx(1 / 4.0, rel=1e-12)
 
@@ -142,8 +139,7 @@ def test_cum_hazard_matches_integrated_hazard():
 
 def test_log_survival_far_tail_stays_finite():
     # deep tail where 1-F underflows in naive arithmetic
-    p = EwParams(kappa=2.0, theta=1.0, alpha=3.0)
-    _, _, h0, log_s = kernel(50.0, p)  # w = 2500
+    _, _, h0, log_s = kernel(50.0, (2.0, 1.0, 3.0))  # w = 2500
     assert math.isfinite(log_s) and math.isfinite(h0)
     assert -log_s == pytest.approx(2500.0 - math.log(3.0), rel=1e-12)
 
@@ -189,14 +185,15 @@ def test_log1mexp_bitwise_equals_two_branch_formula():
 
 def test_quantile_round_trip():
     for u in (0.01, 0.5, 0.99):
-        t = ew_quantile(u, P_TABLE1)
+        t = ew_quantile(u, *P_TABLE1)
         assert ew_cdf(t, P_TABLE1) == pytest.approx(u, abs=1e-12)
 
 
 def test_quantile_at_theta_point():
-    for p in (P_TABLE1, EwParams(1.4, 3.0, 0.8)):
-        u = (1 - math.exp(-1)) ** p.alpha
-        assert ew_quantile(u, p) == pytest.approx(p.theta, rel=1e-12)
+    for p in (P_TABLE1, (1.4, 3.0, 0.8)):
+        _, theta, alpha = p
+        u = (1 - math.exp(-1)) ** alpha
+        assert ew_quantile(u, *p) == pytest.approx(theta, rel=1e-12)
 
 
 def test_median_matches_bisection():
@@ -207,31 +204,28 @@ def test_median_matches_bisection():
             lo = mid
         else:
             hi = mid
-    assert ew_quantile(0.5, P_TABLE1) == pytest.approx(0.5 * (lo + hi), abs=1e-10)
+    assert ew_quantile(0.5, *P_TABLE1) == pytest.approx(0.5 * (lo + hi), abs=1e-10)
 
 
 def test_quantile_cdf_identity_on_time_grid():
     for t in np.geomspace(0.01, 20, 50):
         u = float(ew_cdf(t, P_TABLE1))
-        assert ew_quantile(u, P_TABLE1) == pytest.approx(t, rel=1e-10)
+        assert ew_quantile(u, *P_TABLE1) == pytest.approx(t, rel=1e-10)
 
 
 def test_quantile_rejects_bad_u():
     with pytest.raises(ValueError):
-        ew_quantile(0.0, P_TABLE1)
+        ew_quantile(0.0, *P_TABLE1)
     with pytest.raises(ValueError):
-        ew_quantile(1.0, P_TABLE1)
+        ew_quantile(1.0, *P_TABLE1)
 
 
 def test_params_validated():
-    with pytest.raises(NonPositive):
-        EwParams(kappa=-1.0, theta=1.0, alpha=1.0)
-    with pytest.raises(NonPositive):
-        EwParams(kappa=1.0, theta=0.0, alpha=1.0)
-    with pytest.raises(NonPositive):
+    # the EW slots are checked by ModelParams (tests/test_estimation.py)
+    with pytest.raises(NonPositive, match=r"positions \[1\]"):
         GammaFrailtyParams(mu=1.0, b=-0.1)
-    with pytest.raises(NonPositive):
-        LogNormalFrailtyParams(m=0.0, s=0.0)
+    with pytest.raises(NonPositive, match=r"positions \[0, 1\]"):
+        LogNormalFrailtyParams(m=math.nan, s=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Transforms, CDA warm start, fitting, intervals, and M4 selection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from exhaz.likelihoods import (
     loglik_and_grad,
 )
 
-from conftest import TRUE_GH, model_params, sim_cohort
+from conftest import model_params, sim_cohort
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,11 @@ def test_model_params_checks_a_vector_as_transform_params_does(model, p, data):
         return
     params = layout.to_params(vec)
     assert params.layout is layout and not params.values.flags.writeable
+    # the slot views are the layout's order and partition the vector
+    views = (params.baseline, params.beta1, params.beta2, params.correction)
+    assert [len(v) for v in views] == [3, p, p, layout.k - 3 - 2 * p]
+    assert all(not v.flags.writeable for v in views)
+    assert np.concatenate(views).view(np.int64).tolist() == vec.view(np.int64).tolist()
     back = layout.from_params(params)
     assert back is not params.values and back.flags.writeable
     assert np.array_equal(back.view(np.int64), vec.view(np.int64))
@@ -108,6 +114,34 @@ def test_model_params_rejects_a_vector_of_the_wrong_length():
     layout = ParamLayout.for_model("M2", ("x",))
     with pytest.raises(ValueError, match="M2 takes 6 parameters"):
         ModelParams(layout, np.ones(5))
+
+
+def test_an_overflowing_log_slot_is_rejected_without_a_warning():
+    # exp(800) is inf: ModelParams rejects it and the objective returns _BIG
+    # (the suite turns a RuntimeWarning into an error)
+    positive = ParamLayout.for_model("M1", ()).positive
+    assert untransform_params(np.array([800.0, 0.0, 0.0]), positive).tolist() == [
+        math.inf, 1.0, 1.0
+    ]
+    obj, _ = _standardized_objective("M1", sim_cohort(n=50))
+    x = np.zeros(obj.layout.k)
+    x[0] = 800.0
+    assert obj.value(x) == _BIG
+    f, g = obj.value_and_grad(x)
+    assert f == _BIG and not g.any()
+
+
+def test_layouts_compare_by_model_and_names_and_fits_by_identity(m1_fit):
+    a, b = (ParamLayout.for_model("M1", ("a",)) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    for other in (
+        ParamLayout.for_model("M2", ("a",)),
+        ParamLayout.for_model("M1", ("b",)),
+        ParamLayout.for_model("M1", ()),
+    ):
+        assert a != other
+    _, res = m1_fit
+    assert res == res and res != replace(res)
 
 
 def test_delta_method_se_matches_natural_scale_hessian():
@@ -277,7 +311,7 @@ def test_fit_all_warm_starts_and_aic_alignment():
     # M2 at its optimum can never be worse than M1 on the comparable scale
     assert fits["M2"].loglik_comparable >= fits["M1"].loglik_comparable - 1e-6
     # AIC comparability: identical likelihood conventions across models
-    params_g1 = model_params(fits["M1"].to_model_params().gh, 1.0)
+    params_g1 = model_params(fits["M1"].to_model_params(), 1.0)
     l2_at_g1 = loglik(params_g1, cohort, comparable=True)
     l1c = loglik(fits["M1"].to_model_params(), cohort, comparable=True)
     assert l2_at_g1 == l1c

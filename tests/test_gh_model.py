@@ -6,45 +6,41 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import ew_closed_form, model_params
-from exhaz.distributions import EwParams
-from exhaz.errors import NumericalOverflow
+from conftest import ew_closed_form, gh_params, model_params
+from exhaz.errors import NonPositive, NumericalOverflow
 from exhaz.gh_model import (
-    GhParams,
     excess_cum_hazard,
     excess_hazard,
     inverse_excess_survival,
     net_survival,
 )
-from exhaz.likelihoods import _terms, prepare_cohort
-from exhaz.simulation import COVARIATES, builtin_scenarios, design_life_table, generate_cohort
+from exhaz.likelihoods import ParamLayout, _terms, prepare_cohort
+from exhaz.simulation import (
+    COVARIATES,
+    DESIGN1_GH as TRUTH,
+    builtin_scenarios,
+    design_life_table,
+    generate_cohort,
+)
 
-BASE = EwParams(kappa=0.6, theta=1.75, alpha=2.5)
-TRUTH = GhParams(BASE, beta1=np.array([0.1, 0.1, 0.1]), beta2=np.array([0.05, 0.2, 0.25]))
-
-
-def ew_hazard(t, p):
-    return ew_closed_form(t, p)[2]
-
-
-def ew_cum_hazard(t, p):
-    return ew_closed_form(t, p)[3]
+BASE = tuple(TRUTH.baseline.tolist())  # (kappa, theta, alpha)
 
 
-def ew_survival(t, p):
-    return ew_closed_form(t, p)[1]
+def ew_hazard(t, base):
+    return ew_closed_form(t, *base)[2]
+
+
+def ew_cum_hazard(t, base):
+    return ew_closed_form(t, *base)[3]
+
+
+def ew_survival(t, base):
+    return ew_closed_form(t, *base)[1]
 
 
 def random_params(rng, p=3):
-    return GhParams(
-        EwParams(
-            kappa=float(rng.uniform(0.4, 2.0)),
-            theta=float(rng.uniform(0.5, 4.0)),
-            alpha=float(rng.uniform(0.5, 3.0)),
-        ),
-        beta1=rng.normal(0, 0.3, p),
-        beta2=rng.normal(0, 0.3, p),
-    )
+    base = (rng.uniform(0.4, 2.0), rng.uniform(0.5, 4.0), rng.uniform(0.5, 3.0))
+    return gh_params(base, beta1=rng.normal(0, 0.3, p), beta2=rng.normal(0, 0.3, p))
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +50,7 @@ def random_params(rng, p=3):
 def test_ph_reduction_exact():
     rng = np.random.default_rng(1)
     b2 = np.array([0.3, -0.2])
-    p = GhParams(BASE, beta1=np.zeros(2), beta2=b2)
+    p = gh_params(BASE, beta1=np.zeros(2), beta2=b2)
     for _ in range(20):
         t = float(rng.uniform(0.05, 10))
         x = rng.normal(0, 1, 2)
@@ -65,7 +61,7 @@ def test_ph_reduction_exact():
 def test_ah_reduction_exact():
     rng = np.random.default_rng(2)
     b1 = np.array([0.25, -0.15])
-    p = GhParams(BASE, beta1=b1, beta2=np.zeros(2))
+    p = gh_params(BASE, beta1=b1, beta2=np.zeros(2))
     for _ in range(20):
         t = float(rng.uniform(0.05, 10))
         x = rng.normal(0, 1, 2)
@@ -77,7 +73,7 @@ def test_ah_reduction_exact():
 def test_aft_reduction_survival_identity():
     # beta1 = beta2: S_E(t; x) = S0(t e^{x'b})
     b = np.array([0.2, -0.3, 0.1])
-    p = GhParams(BASE, beta1=b, beta2=b)
+    p = gh_params(BASE, beta1=b, beta2=b)
     rng = np.random.default_rng(3)
     for _ in range(20):
         t = float(rng.uniform(0.05, 10))
@@ -95,8 +91,10 @@ def test_x_zero_gives_baseline():
 
 
 def test_no_covariate_model_supported():
-    p = GhParams(BASE, beta1=np.zeros(0), beta2=np.zeros(0))
+    p = gh_params(BASE)
     assert excess_hazard(2.0, np.zeros(0), p) == pytest.approx(ew_hazard(2.0, BASE))
+    X = np.zeros((4, 0))
+    assert excess_hazard(np.full(4, 2.0), X, p) == pytest.approx(ew_hazard(2.0, BASE))
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +192,20 @@ def _bits(a):
 
 @pytest.mark.parametrize(
     "gh",
-    [TRUTH, GhParams(BASE, beta1=np.array([0.3, -2.0, 1.5]), beta2=TRUTH.beta2)],
+    [TRUTH, gh_params(BASE, beta1=np.array([0.3, -2.0, 1.5]), beta2=TRUTH.beta2)],
     ids=["truth", "large-beta1"],
 )
 def test_public_functions_equal_likelihood_terms_bitwise(moderate_cohort, gh):
+    # the M2 and M3 params share the M1 GH slots, and the public functions
+    # read only those, so all three give the likelihood's bits
     cohort = moderate_cohort
     aux = _terms(model_params(gh), cohort, comparable=False)[1]
     he, HE = aux[8], aux[9]
     t, X = cohort.time, cohort.X
-    assert np.array_equal(_bits(excess_hazard(t, X, gh)), _bits(he))
-    assert np.array_equal(_bits(excess_cum_hazard(t, X, gh)), _bits(HE))
-    assert np.array_equal(_bits(net_survival(t, X, gh)), _bits(np.exp(-HE)))
+    for params in (gh, model_params(gh, 1.7), model_params(gh, 1.2, 0.02)):
+        assert np.array_equal(_bits(excess_hazard(t, X, params)), _bits(he))
+        assert np.array_equal(_bits(excess_cum_hazard(t, X, params)), _bits(HE))
+        assert np.array_equal(_bits(net_survival(t, X, params)), _bits(np.exp(-HE)))
 
 
 def test_conventions_at_nonpositive_times():
@@ -227,7 +228,7 @@ def test_conventions_at_nonpositive_times():
 
 def test_hazard_overflow_raises():
     # at t = 1e300, w = (t/theta)^kappa overflows, and so do h0 and H0
-    p = GhParams(EwParams(kappa=2.0, theta=1.0, alpha=3.0))
+    p = gh_params((2.0, 1.0, 3.0))
     with pytest.raises(NumericalOverflow):
         excess_hazard(np.array([1.0, 1e300]), np.zeros(0), p)
     with pytest.raises(NumericalOverflow):
@@ -243,6 +244,11 @@ def test_nan_time_raises_naming_it(fn):
         fn(math.nan, x, TRUTH)
 
 
-def test_beta_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        GhParams(BASE, beta1=np.zeros(2), beta2=np.zeros(3))
+def test_public_functions_reject_bad_params():
+    # the layout fixes the beta lengths; a NaN beta raises NonPositive
+    # (the check every ModelParams makes) before any function runs
+    layout = ParamLayout.for_model("M1", ("x1", "x2"))
+    with pytest.raises(ValueError, match="M1 takes 7 parameters"):
+        excess_hazard(1.0, np.zeros(2), layout.to_params([*BASE, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(NonPositive, match=r"positions \[3\]"):
+        excess_hazard(1.0, np.zeros(2), layout.to_params([*BASE, math.nan, 0.0, 0.0, 0.0]))

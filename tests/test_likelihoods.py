@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import gamma_pdf, gh_closed_form, model_params
-from exhaz.distributions import EwParams, GammaFrailtyParams
+from conftest import gamma_pdf, gh_closed_form, gh_params, model_params
+from exhaz.distributions import GammaFrailtyParams
 from exhaz.errors import DataError, NonFiniteLikelihood
-from exhaz.gh_model import GhParams
 from exhaz.lifetable import make_life_table
 from exhaz.likelihoods import (
     Cohort,
@@ -32,9 +31,9 @@ from exhaz.likelihoods import (
     omega1,
     prepare_cohort,
 )
+from exhaz.simulation import DESIGN1_GH as GH
 
-BASE = EwParams(0.6, 1.75, 2.5)
-GH = GhParams(BASE, beta1=np.array([0.1, 0.1, 0.1]), beta2=np.array([0.05, 0.2, 0.25]))
+BASE = GH.baseline
 
 
 def fake_cohort(n=50, seed=0, p=3):
@@ -50,22 +49,17 @@ def fake_cohort(n=50, seed=0, p=3):
     return PreparedCohort(time, status, X, hp, dhp)
 
 
-def correction(params):
-    """The correction values of a ModelParams: () for M1, (gamma,) for M2, (mu, b) for M3."""
-    return tuple(params.values[3 + 2 * params.layout.n_covariates :])
-
-
 def observed_hazard(t, x, params, hp, dhp):
     """lambda = corrected h_P + h_E, by hand, with h_E from the closed form."""
-    corr = correction(params)
-    if not corr:
+    corr = params.correction
+    if not corr.size:
         chp = hp
     elif len(corr) == 1:
         chp = corr[0] * hp
     else:
         mu, b = corr
         chp = mu * hp / (1.0 + b * dhp)
-    return chp + gh_closed_form(t, x, params.gh)[0]
+    return chp + gh_closed_form(t, x, params)[0]
 
 
 def one_patient(t, x, hp, dhp, status=1):
@@ -266,14 +260,14 @@ def test_exact_sum_equals_fsum():
 
 def test_ew_memo_reuses_blocks_bit_for_bit():
     cohort = fake_cohort(300, seed=41)
-    other = GhParams(EwParams(1.3, 0.9, 0.7), GH.beta1 + 0.05, GH.beta2)
-    flipped = GhParams(BASE, -GH.beta1, GH.beta2)
+    other = gh_params((1.3, 0.9, 0.7), GH.beta1 + 0.05, GH.beta2)
+    flipped = gh_params(BASE, -GH.beta1, GH.beta2)
     points = []
     for gh in (GH, other, flipped):
         for corr in ((), (1.4,), (2.0, 0.3)):
             for db2 in (0.0, 1e-3, -0.2):  # moves beta2 only: same EW block
                 points.append(
-                    model_params(GhParams(gh.baseline, gh.beta1, gh.beta2 + db2), *corr)
+                    model_params(gh_params(gh.baseline, gh.beta1, gh.beta2 + db2), *corr)
                 )
     points += points[:5]  # back to the first block after it was evicted
     for params in points:
@@ -297,19 +291,19 @@ def test_ew_memo_reuses_blocks_bit_for_bit():
 def test_ew_memo_shares_blocks_and_evicts_least_recent():
     cohort = fake_cohort(40, seed=43)
     a = _ew_block(model_params(GH), cohort)
-    same = GhParams(BASE, GH.beta1.copy(), GH.beta2 + 1.0)
+    same = gh_params(BASE, GH.beta1.copy(), GH.beta2 + 1.0)
     assert _ew_block(model_params(same, 1.4), cohort) is a
-    b = _ew_block(model_params(GhParams(BASE, GH.beta1 + 1e-9, GH.beta2)), cohort)
+    b = _ew_block(model_params(gh_params(BASE, GH.beta1 + 1e-9, GH.beta2)), cohort)
     assert _ew_block(model_params(GH), cohort) is a  # a is now the most recent
-    _ew_block(model_params(GhParams(EwParams(0.6, 1.75, 2.6), GH.beta1, GH.beta2)), cohort)
+    _ew_block(model_params(gh_params((0.6, 1.75, 2.6), GH.beta1, GH.beta2)), cohort)
     assert len(cohort._ew_memo) == 2
     assert _ew_block(model_params(GH, 2.0, 0.3), cohort) is a
     assert all(blk is not b for blk in cohort._ew_memo.values())
     # no covariates: beta1 is empty and the key still tells blocks apart
     bare = PreparedCohort(cohort.time, cohort.status, cohort.X[:, :0], cohort.hp, cohort.dhp)
-    bare_gh = GhParams(BASE)
+    bare_gh = gh_params(BASE)
     assert _ew_block(model_params(bare_gh), bare) is _ew_block(model_params(bare_gh), bare)
-    _ew_block(model_params(GhParams(EwParams(0.6, 1.75, 2.6))), bare)
+    _ew_block(model_params(gh_params((0.6, 1.75, 2.6))), bare)
     assert len(bare._ew_memo) == 2
 
 
@@ -345,8 +339,8 @@ def test_loglik_matches_per_patient_brute_force():
             x = cohort.X[i]
             hp, dhp = float(cohort.hp[i]), float(cohort.dhp[i])
             he = gh_closed_form(t, x, GH)[1]
-            corr = correction(params)
-            if not corr:
+            corr = params.correction
+            if not corr.size:
                 log_s = -he  # population-survival constant omitted for M1
             elif len(corr) == 1:
                 log_s = -he - corr[0] * dhp
@@ -401,7 +395,7 @@ def test_permutation_invariance_exact():
 
 def test_nonfinite_likelihood_reports_index():
     # event with zero total hazard: hp = 0 and excess hazard underflows
-    gh = GhParams(BASE, beta1=np.zeros(1), beta2=np.array([-800.0]))
+    gh = gh_params(BASE, beta1=np.zeros(1), beta2=np.array([-800.0]))
     cohort = PreparedCohort(
         np.array([1.0, 2.0]),
         np.array([1, 1], dtype=np.int8),

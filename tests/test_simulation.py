@@ -39,8 +39,9 @@ def test_uncensored_times_are_uniform_under_m3_marginal_survival(table, theta):
     # wrong frailty or stratum in the walk fails the test.
     sc = replace(builtin_scenarios()["moderate"], admin_censor_time=1e9)
     if theta is not None:
-        gh = sc.gh
-        sc = replace(sc, gh=replace(gh, baseline=replace(gh.baseline, theta=theta)))
+        values = sc.gh.values.copy()
+        values[sc.gh.layout.names.index("theta")] = theta
+        sc = replace(sc, gh=sc.gh.layout.to_params(values))
     assert sc.n == 5000 and sc.dropout_rate is None and sc.dropout_target is None
     cohort = generate_cohort(sc, 0, table)
     assert cohort.status.all()
