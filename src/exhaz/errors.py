@@ -5,15 +5,11 @@ class ExhazError(Exception):
     """Base class for all package-specific errors."""
 
 
-class LifeTableError(ExhazError):
-    """Base class for life-table query errors."""
-
-
-class UnknownStratum(LifeTableError):
+class UnknownStratum(ExhazError):
     """A queried strata value does not exist in the table."""
 
 
-class ZeroHazardPath(LifeTableError):
+class ZeroHazardPath(ExhazError):
     """Inverse lookup impossible: zero hazard everywhere on the path."""
 
 

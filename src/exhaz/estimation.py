@@ -418,9 +418,8 @@ def _standardized_objective(model: str, cohort: PreparedCohort):
     1 on every other slot.
     """
     layout = ParamLayout.for_model(model, cohort.covariate_names)
-    p = layout.n_covariates
     scales = np.ones(0)
-    if p:
+    if layout.n_covariates:
         s = cohort.X.std(axis=0)
         scales = np.where(s > 0, s, 1.0)
     cohort_s = PreparedCohort(
@@ -428,8 +427,8 @@ def _standardized_objective(model: str, cohort: PreparedCohort):
         cohort.covariate_names,
     )
     slot_scale = np.ones(layout.k)
-    slot_scale[3 : 3 + p] = scales
-    slot_scale[3 + p : 3 + 2 * p] = scales
+    for slots in layout.beta_slots:
+        slot_scale[slots] = scales
     return _Objective(layout, cohort_s), slot_scale
 
 

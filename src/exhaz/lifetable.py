@@ -11,8 +11,10 @@ boundaries.
 One walk along that diagonal (``LifeTable._walk``) serves both the
 increment dH_P and its inverse, the other-cause time.  It moves the
 patients of a batch forward together, one cell per step, so every query
-takes a batch of patients (a ``LexisPosition`` with one row per patient)
-and returns one value per row: a whole cohort is one call.  After each
+takes a batch of patients (columns of age, year and stratum code, one row
+per patient) and returns one value per row: a whole cohort is one call.
+``LifeTable.codes`` is the one place that turns strata labels into the
+table's codes; everything downstream passes the integer codes.  After each
 step the query tells the walk which rows it has finished (reached t, or
 reached the target hazard), and the walk drops them, so a step costs the
 rows still walking rather than the whole batch.  Dropping a row changes
@@ -23,7 +25,7 @@ for bit, as the same query on that row alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -31,25 +33,9 @@ import numpy as np
 from .errors import DataError, UnknownStratum, ZeroHazardPath
 
 __all__ = [
-    "LexisPosition",
     "LifeTable",
     "load_life_table",
 ]
-
-
-@dataclass(frozen=True)
-class LexisPosition:
-    """Points on the Lexis plane, one row per patient, plus each row's strata.
-
-    As follow-up time s advances, age and year advance together to
-    (age + s, year + s).  ``age`` is a 1-D array, ``year`` an array of the
-    same length or one value for every row, and ``strata`` holds one strata
-    tuple per row.
-    """
-
-    age: np.ndarray
-    year: np.ndarray | float
-    strata: Sequence[tuple[str, ...]]
 
 
 def _norm_strata(values: Iterable) -> tuple[str, ...]:
@@ -67,8 +53,10 @@ class LifeTable:
     all queries are pure.
 
     ``rate_at``, ``cum_hazard_increment`` and ``other_cause_time_inverse``
-    take a LexisPosition of n rows and return an array of n values; their
-    other numeric arguments (t, u, frailty) broadcast against its rows.
+    take n points of the Lexis plane, which move to (age + s, year + s) at
+    follow-up time s: ``age`` is a 1-D array, ``year`` one value or one per
+    row and ``stratum`` each row's code (see ``codes``).  They return n
+    values; t, u and frailty broadcast against the rows.
     Each row's result equals, bit for bit, the same query on that row alone.
     """
 
@@ -83,29 +71,35 @@ class LifeTable:
     def __post_init__(self):
         self.rates.setflags(write=False)
 
-    def stratum_of(self, strata: Iterable) -> int:
-        key = _norm_strata(strata)
+    def __reduce__(self):
+        # unpickling runs the constructor, so the rates come back read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def codes(self, strata: Iterable[Iterable]) -> np.ndarray:
+        """The table's code of each of the caller's distinct strata tuples, in
+        order; a tuple the table lacks raises UnknownStratum."""
         try:
-            return self.strata_index[key]
-        except KeyError:
+            return np.array([self.strata_index[_norm_strata(z)] for z in strata], dtype=np.intp)
+        except KeyError as missing:
             raise UnknownStratum(
-                f"strata value {key!r} not present in life table "
+                f"strata value {missing.args[0]!r} not present in life table "
                 f"(columns {list(self.strata_columns)})"
             ) from None
 
-    def _rows(self, pos: LexisPosition, *values):
-        """(stratum, age, year, *values) of pos, values broadcast to its rows.
+    def _rows(self, age, year, stratum, *values):
+        """(stratum, age, year, *values) as arrays, values broadcast to the rows.
 
         A year given as one value for every row stays one value.
         """
-        if np.ndim(pos.age) != 1 or len(pos.strata) != len(pos.age):
-            raise ValueError("a LexisPosition holds a 1-D age array and one strata tuple per row")
-        codes = {z: self.stratum_of(z) for z in set(pos.strata)}
-        k = np.array([codes[z] for z in pos.strata], dtype=np.intp)
-        k, *cols = np.broadcast_arrays(k, pos.age, pos.year, *values)
-        age, year, *values = (np.asarray(c, dtype=float) for c in cols)
-        if np.ndim(pos.year) == 0:
-            year = np.asarray(pos.year, dtype=float)
+        k, n_strata = np.asarray(stratum), self.rates.shape[2]
+        if np.ndim(age) != 1 or k.shape != np.shape(age) or k.dtype.kind not in "iu" or not (
+            np.all((0 <= k) & (k < n_strata))
+        ):
+            raise ValueError("a query takes a 1-D age array and one stratum code per row, "
+                             f"each in [0, {n_strata})")
+        k, *cols = np.broadcast_arrays(k, age, year, *values)
+        age, row_year, *values = (np.asarray(c, dtype=float) for c in cols)
+        year = np.asarray(year, dtype=float) if np.ndim(year) == 0 else row_year
         if not (np.isfinite(age).all() and np.isfinite(year).all()):
             raise ValueError("age and year must be finite")
         return (k, age, year, *values)
@@ -116,9 +110,9 @@ class LifeTable:
         iy = np.minimum(np.maximum(np.floor(year), self.year_min), self.year_max) - self.year_min
         return self.rates[ia.astype(np.intp), iy.astype(np.intp), k]
 
-    def rate_at(self, pos: LexisPosition):
-        """Rate of the cell containing each row of ``pos`` (clamped outside the range)."""
-        k, age, year = self._rows(pos)
+    def rate_at(self, age, year, stratum):
+        """Rate of the cell containing each row (clamped outside the range)."""
+        k, age, year = self._rows(age, year, stratum)
         return self._rate(age, year, k)
 
     def _walk(self, age, year, k, advance_year, end, visit, *cols):
@@ -165,15 +159,15 @@ class LifeTable:
                 year, end, edge_y = (v[keep] if np.ndim(v) else v for v in (year, end, edge_y))
                 cols = [c[keep] for c in cols]
 
-    def cum_hazard_increment(self, start: LexisPosition, t, advance_year: bool = True):
-        """Exact integral of the rate along each row's diagonal from ``start`` over [0, t].
+    def cum_hazard_increment(self, age, year, stratum, t, advance_year: bool = True):
+        """Exact integral of the rate along each row's diagonal over [0, t].
 
         Equals H_P(A+t, y+t; z) - H_P(A, y; z) under the piecewise-constant
         convention: each segment of the walk contributes rate x duration,
         summed in walk order.  Past both table edges the constant tail is
         one segment.
         """
-        k, age, year, t = self._rows(start, t)
+        k, age, year, t = self._rows(age, year, stratum, t)
         bad = ~((0.0 <= t) & (t < np.inf))
         if bad.any():
             raise ValueError(f"t must be finite and >= 0, got {t[bad][0]}")
@@ -189,11 +183,7 @@ class LifeTable:
         return out
 
     def other_cause_time_inverse(
-        self,
-        start: LexisPosition,
-        u,
-        frailty=1.0,
-        advance_year: bool = True,
+        self, age, year, stratum, u, frailty=1.0, advance_year: bool = True
     ):
         """Invert the cumulative background hazard: per row, t with ΔH_P(t) = -log(u)/frailty.
 
@@ -205,7 +195,7 @@ class LifeTable:
         Raises ZeroHazardPath when the target cannot be reached because the
         rate is zero from some point on.
         """
-        k, age, year, u, frailty = self._rows(start, u, frailty)
+        k, age, year, u, frailty = self._rows(age, year, stratum, u, frailty)
         bad = ~((0.0 < u) & (u < 1.0))
         if bad.any():
             raise ValueError(f"u must be in (0, 1), got {u[bad][0]}")

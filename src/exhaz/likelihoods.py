@@ -20,7 +20,7 @@ A model's parameters are a ``ParamLayout`` plus one natural-scale vector
 of ``gh_model`` read the same views, of any model.
 
 A cohort is one set of columns (``Cohort``: follow-up time, status, age
-and year at diagnosis, covariates and one strata tuple per patient), read
+and year at diagnosis, covariates and a stratum code per patient), read
 from a CSV by ``load_cohort`` or drawn by ``simulation.generate_cohort``.
 Its life-table inputs per patient reduce to two cached numbers: the
 cumulative background-hazard increment dH_P over the follow-up and the
@@ -39,6 +39,7 @@ import math
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import fsum
 from typing import Sequence, TextIO
 
@@ -47,7 +48,7 @@ import numpy as np
 from .distributions import GammaFrailtyParams, _by_majority, _check_natural, gamma_laplace
 from .errors import DataError, NonFiniteLikelihood
 from .gh_model import excess_cum_hazard, gh_baseline, gh_excess
-from .lifetable import LexisPosition, LifeTable, _read_csv
+from .lifetable import LifeTable, _read_csv
 
 __all__ = [
     "Cohort",
@@ -63,17 +64,18 @@ __all__ = [
 ]
 
 
-def _first_bad_row(time, status, age_diag, year_diag, X):
+def _first_bad_row(time, status, age_diag, year_diag, X, stratum, n_strata):
     """(row, message) of the first row that fails a check, or None.
 
     Every check runs over whole columns; a row failing several reports the
-    first check it fails.
+    first check it fails.  A stratum code must index one of ``n_strata``.
     """
     bad = np.column_stack([
         ~(np.isfinite(time) & (time > 0)),
         ~((status == 0) | (status == 1)),
         ~(np.isfinite(age_diag) & np.isfinite(year_diag)),
         ~np.isfinite(X).all(axis=1),
+        ~((0 <= stratum) & (stratum < n_strata)),
     ])
     if not bad.any():
         return None
@@ -83,6 +85,7 @@ def _first_bad_row(time, status, age_diag, year_diag, X):
         f"status must be 0 or 1, got {status[i]}",
         f"age and year at diagnosis must be finite, got {age_diag[i]}, {year_diag[i]}",
         f"covariates must be finite, got {X[i]}",
+        f"stratum code must index one of the {n_strata} strata, got {stratum[i]}",
     )
     return i, messages[int(np.argmax(bad[i]))]
 
@@ -93,10 +96,10 @@ class Cohort:
 
     ``time`` is the follow-up in years (> 0), ``status`` 1 for an event and
     0 for a censored time, ``age_diag`` and ``year_diag`` the Lexis origin,
-    ``X`` the (n, p) covariates and ``strata`` one life-table strata tuple
-    per patient.  The columns are copied into read-only arrays (``status``
-    as int8).  The checks run over whole columns; a failure raises
-    DataError naming the first bad row.
+    ``X`` the (n, p) covariates, ``strata`` the distinct life-table strata
+    tuples and ``stratum`` each row's index into them.  The columns are
+    copied into read-only arrays.  The checks run over whole columns; a
+    failure raises DataError naming the first bad row.
     """
 
     time: np.ndarray
@@ -105,28 +108,31 @@ class Cohort:
     year_diag: np.ndarray
     X: np.ndarray  # (n, p)
     strata: tuple[tuple[str, ...], ...]
+    stratum: np.ndarray
 
     def __post_init__(self):
         cols = {
             c: np.array(getattr(self, c), dtype=float) for c in ("time", "age_diag", "year_diag", "X")
         }
-        cols["status"] = np.array(self.status)
+        cols["status"], cols["stratum"] = np.array(self.status), np.array(self.stratum)
         strata = tuple(self.strata)
-        n = len(strata)
+        n, n_strata = cols["stratum"].size, len(strata)
         if n == 0:
             raise DataError("cohort is empty")
-        shapes = [cols[c].shape for c in ("time", "status", "age_diag", "year_diag")]
-        if shapes != [(n,)] * 4 or cols["X"].ndim != 2 or len(cols["X"]) != n or not all(
-            isinstance(z, tuple) for z in strata
+        shapes = [cols[c].shape for c in ("time", "status", "age_diag", "year_diag", "stratum")]
+        distinct = all(isinstance(z, tuple) for z in strata) and len(set(strata)) == n_strata
+        if shapes != [(n,)] * 5 or cols["X"].ndim != 2 or len(cols["X"]) != n or not (
+            distinct and cols["stratum"].dtype.kind in "iu"
         ):
             raise DataError(
-                "a cohort needs columns of one length n, X of shape (n, p) "
-                "and one strata tuple per row"
+                "a cohort needs columns of one length n, X of shape (n, p), "
+                "distinct strata tuples and one integer stratum code per row"
             )
-        bad = _first_bad_row(**cols)
+        bad = _first_bad_row(**cols, n_strata=n_strata)
         if bad is not None:
             raise DataError(f"row {bad[0]}: {bad[1]}")
         cols["status"] = cols["status"].astype(np.int8)
+        cols["stratum"] = cols["stratum"].astype(np.intp)
         for name, arr in cols.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -167,6 +173,12 @@ class ParamLayout:
     @property
     def k(self) -> int:
         return len(self.names)
+
+    @cached_property  # read on every likelihood evaluation
+    def beta_slots(self) -> tuple[slice, slice]:
+        """The slots of beta1 and of beta2."""
+        p = self.n_covariates
+        return slice(3, 3 + p), slice(3 + p, 3 + 2 * p)
 
     def transformed_bounds(self) -> list[tuple[float, float]]:
         """Generous box bounds on the unconstrained scale.
@@ -214,22 +226,25 @@ class ModelParams:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    def __reduce__(self):
+        # unpickling runs the constructor, so the vector comes back read-only
+        return ModelParams, (self.layout, self.values)
+
     @property
     def baseline(self) -> np.ndarray:
         return self.values[:3]
 
     @property
     def beta1(self) -> np.ndarray:
-        return self.values[3 : 3 + self.layout.n_covariates]
+        return self.values[self.layout.beta_slots[0]]
 
     @property
     def beta2(self) -> np.ndarray:
-        p = self.layout.n_covariates
-        return self.values[3 + p : 3 + 2 * p]
+        return self.values[self.layout.beta_slots[1]]
 
     @property
     def correction(self) -> np.ndarray:
-        return self.values[3 + 2 * self.layout.n_covariates :]
+        return self.values[self.layout.beta_slots[1].stop :]
 
 
 _EW_MEMO_SIZE = 2  # EW blocks kept per cohort
@@ -295,11 +310,10 @@ def prepare_cohort(
 ) -> PreparedCohort:
     """Cache h_P at exit and the cumulative increment dH_P for every patient."""
     time, age, year = cohort.time, cohort.age_diag, cohort.year_diag
-    dhp = table.cum_hazard_increment(
-        LexisPosition(age, year, cohort.strata), time, advance_year=advance_year
-    )
+    k = table.codes(cohort.strata)[cohort.stratum]
+    dhp = table.cum_hazard_increment(age, year, k, time, advance_year=advance_year)
     exit_year = year + time if advance_year else year
-    hp = table.rate_at(LexisPosition(age + time, exit_year, cohort.strata))
+    hp = table.rate_at(age + time, exit_year, k)
     return PreparedCohort(time, cohort.status, cohort.X, hp, dhp, tuple(covariate_names))
 
 
@@ -346,8 +360,8 @@ def marginal_survival_m3(
     """
     if params.layout.model != "M3":
         raise ValueError("marginal_survival_m3 requires M3 params")
-    start = LexisPosition(cohort.age_diag, cohort.year_diag, cohort.strata)
-    dhp = table.cum_hazard_increment(start, t, advance_year=advance_year)
+    k = table.codes(cohort.strata)[cohort.stratum]
+    dhp = table.cum_hazard_increment(cohort.age_diag, cohort.year_diag, k, t, advance_year)
     he = excess_cum_hazard(t, cohort.X, params)
     return np.exp(-he) * gamma_laplace(dhp, GammaFrailtyParams(*params.correction))
 
@@ -577,7 +591,8 @@ def load_cohort(
 
     Expected header: ``time,status,age_diag,year_diag,<x cols>,<z cols>``
     in any order, and ``#``-prefixed comment lines ignored.  The x columns
-    become the covariates and the z columns the strata (they may overlap).
+    become the covariates and the z columns the strata (they may overlap);
+    each distinct strata tuple gets a code in order of first appearance.
     ``transforms`` maps an x column to (center, scale): value -> (value -
     center) / scale; both must be finite and the scale nonzero.  A row that
     fails a Cohort check, such as covariates that are not finite after the
@@ -591,6 +606,7 @@ def load_cohort(
                 f"nonzero scale, got ({center}, {scale})"
             )
     shifts = [transforms.get(c, (0.0, 1.0)) for c in x_columns]
+    codes: dict[tuple[str, ...], int] = {}
 
     def parse(row):
         return (
@@ -599,14 +615,14 @@ def load_cohort(
             float(row["age_diag"]),
             float(row["year_diag"]),
             [(float(row[c]) - center) / scale for c, (center, scale) in zip(x_columns, shifts)],
-            tuple(row[c] for c in z_columns),
+            codes.setdefault(tuple(row[c] for c in z_columns), len(codes)),
         )
 
     required = ["time", "status", "age_diag", "year_diag", *x_columns, *z_columns]
     _, line_nos, rows = _read_csv(source, "cohort file", required, parse)
-    *numbers, strata = zip(*rows)
-    cols = dict(zip(("time", "status", "age_diag", "year_diag", "X"), map(np.array, numbers)))
-    bad = _first_bad_row(**cols)
+    names = ("time", "status", "age_diag", "year_diag", "X", "stratum")
+    cols = dict(zip(names, map(np.array, zip(*rows))))
+    bad = _first_bad_row(**cols, n_strata=len(codes))
     if bad is not None:
         raise DataError(f"line {line_nos[bad[0]]}: {bad[1]}")
-    return Cohort(**cols, strata=strata)
+    return Cohort(**cols, strata=tuple(codes))

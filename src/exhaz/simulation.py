@@ -46,7 +46,7 @@ from .distributions import (
 from .errors import NoEligibleFit, TargetUnreachable
 from .estimation import MODELS, FitConfig, confidence_intervals, fit_all, select_m4
 from .gh_model import inverse_excess_survival
-from .lifetable import LexisPosition, LifeTable, load_life_table, make_life_table
+from .lifetable import LifeTable, load_life_table, make_life_table
 from .likelihoods import Cohort, ModelParams, ParamLayout, prepare_cohort
 
 __all__ = [
@@ -69,7 +69,7 @@ DESIGN1_GH = ParamLayout.for_model("M1", COVARIATES).to_params(
 )
 DIAGNOSIS_YEAR = 2010.0
 AGE_CENTER = 70.0
-_SEX_STRATA = (("0",), ("1",))  # life-table strata of sex 0 and 1, shared by every patient
+_SEX_STRATA = (("0",), ("1",))  # life-table strata of the sex codes 0 and 1
 _CALIBRATION_TOL = 0.005  # drop-out calibration: |censoring - target| that ends the search
 
 
@@ -89,9 +89,7 @@ def design_life_table() -> LifeTable:
             return min(7.9e-5 * math.exp(0.0905 * age) + 4.0e-4, 0.7)
         return min(4.72e-5 * math.exp(0.0923 * age) + 3.0e-4, 0.7)
 
-    return make_life_table(
-        ["sex"], (0, 104), (2005, 2024), rate, [("0",), ("1",)]
-    )
+    return make_life_table(["sex"], (0, 104), (2005, 2024), rate, _SEX_STRATA)
 
 
 def _check_censoring_target(target: float) -> None:
@@ -200,29 +198,26 @@ def _draw_frailty(sc: ScenarioConfig, rng, n):
 def _event_times(sc: ScenarioConfig, table: LifeTable, n: int, rng):
     """Covariates and first-event times (other-cause or excess) of n patients.
 
-    Returns (ages, strata, X, t_event).  Draw order is fixed (covariates,
-    frailty, other-cause uniform, excess uniform) so streams are
-    reproducible.
+    Returns (ages, sex, X, t_event); sex is each patient's code over
+    ``_SEX_STRATA``.  Draw order is fixed (covariates, frailty, other-cause
+    uniform, excess uniform) so streams are reproducible.
     """
     ages, sex, _, X = generate_covariates(n, rng)
     gamma = _draw_frailty(sc, rng, n)
     u_pop = rng.uniform(size=n)
     u_exc = rng.uniform(size=n)
     t_exc = np.asarray(inverse_excess_survival(u_exc, X, sc.gh))
-    strata = [_SEX_STRATA[v] for v in sex.tolist()]
     t_pop = table.other_cause_time_inverse(
-        LexisPosition(ages, DIAGNOSIS_YEAR, strata),
-        u_pop,
-        frailty=gamma,
+        ages, DIAGNOSIS_YEAR, table.codes(_SEX_STRATA)[sex], u_pop, frailty=gamma,
         advance_year=sc.advance_year,
     )
-    return ages, strata, X, np.minimum(t_pop, t_exc)
+    return ages, sex, X, np.minimum(t_pop, t_exc)
 
 
 def generate_cohort(sc: ScenarioConfig, replicate_index: int, table: LifeTable) -> Cohort:
     """One synthetic cohort; RNG stream is seeded sc.seed + replicate_index."""
     rng = np.random.default_rng(sc.seed + replicate_index)
-    ages, strata, X, t_event = _event_times(sc, table, sc.n, rng)
+    ages, sex, X, t_event = _event_times(sc, table, sc.n, rng)
     if sc.dropout_rate is not None:
         t_drop = rng.exponential(1.0, size=sc.n) / sc.dropout_rate
     else:
@@ -234,7 +229,8 @@ def generate_cohort(sc: ScenarioConfig, replicate_index: int, table: LifeTable) 
         age_diag=ages,
         year_diag=np.full(sc.n, DIAGNOSIS_YEAR),
         X=X,
-        strata=strata,
+        strata=_SEX_STRATA,
+        stratum=sex,
     )
 
 

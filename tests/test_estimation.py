@@ -241,6 +241,25 @@ def test_fit_multistart_deterministic():
     assert r1.n_evals > fit("M1", cohort).n_evals  # the two restarts ran
 
 
+@pytest.mark.parametrize("p", [0, 1, 3])
+@pytest.mark.parametrize("model", ["M1", "M2", "M3"])
+def test_slot_scale_is_the_covariate_sd_on_its_beta_slots_only(model, p):
+    n = 40
+    rng = np.random.default_rng(p)
+    X = rng.normal(0.0, 1.0, (n, p)) * np.array([0.5, 2.0, 7.0])[:p]
+    names = tuple(f"c{j}" for j in range(p))
+    cohort = PreparedCohort(
+        np.full(n, 2.0), np.ones(n, dtype=np.int8), X, np.full(n, 0.01), np.full(n, 0.02), names
+    )
+    obj, slot_scale = _standardized_objective(model, cohort)
+    sd = dict(zip(names, X.std(axis=0).tolist()))
+    want = [
+        sd[name.partition("_")[2]] if name.startswith(("beta1_", "beta2_")) else 1.0
+        for name in obj.layout.names
+    ]
+    assert slot_scale.tolist() == want
+
+
 def test_objective_rejects_an_overflowing_sum_in_value_and_gradient():
     # M1 without covariates at kappa = 320, theta = alpha = 1 (log 320 = 5.77,
     # inside the box): each of the 5000 terms is -9^320 = -1.6e305, finite,

@@ -10,21 +10,22 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from exhaz.errors import DataError, UnknownStratum, ZeroHazardPath
-from exhaz.lifetable import LexisPosition, LifeTable, load_life_table, make_life_table
+from exhaz.lifetable import LifeTable, load_life_table, make_life_table
 
 
 def table_from_text(text):
     return load_life_table(io.StringIO(text))
 
 
-def one(age, year, strata):
-    """A one-row LexisPosition: the queries take batches only."""
-    return LexisPosition(np.array([age], dtype=float), np.array([year], dtype=float), [strata])
+def one(table, age, year, strata):
+    """One row (age, year, stratum code) of ``table``: the queries take batches only."""
+    return np.array([age], dtype=float), np.array([year], dtype=float), table.codes([strata])
 
 
 def rate_on_diagonal(table, start, s):
     """Rate seen at follow-up time s from a one-row ``start``: rate_at at (age + s, year + s)."""
-    return table.rate_at(LexisPosition(start.age + s, start.year + s, start.strata))[0]
+    age, year, k = start
+    return table.rate_at(age + s, year + s, k)[0]
 
 
 TWO_ROW = """\
@@ -67,7 +68,7 @@ def test_two_row_table_ranges():
     assert (t.age_min, t.age_max) == (70, 71)
     assert (t.year_min, t.year_max) == (2012, 2012)
     assert t.strata_columns == ("sex",)
-    assert t.rate_at(one(70, 2012, ("0",)))[0] == 0.02
+    assert t.rate_at(*one(t, 70, 2012, ("0",)))[0] == 0.02
 
 
 def test_negative_rate_rejected():
@@ -115,7 +116,7 @@ def test_uk_style_cell_count(uk_style_table):
     for age in (0, 50, 99):
         for year in (2010, 2016):
             for sex in ("0", "1"):
-                assert uk_style_table.rate_at(one(age, year, (sex,)))[0] > 0
+                assert uk_style_table.rate_at(*one(uk_style_table, age, year, (sex,)))[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -124,30 +125,37 @@ def test_uk_style_cell_count(uk_style_table):
 
 def test_rate_constant_within_cell():
     t = table_from_text(TWO_ROW)
-    assert t.rate_at(one(70.4, 2012.4, ("0",)))[0] == 0.02
-    assert t.rate_at(one(70.999, 2012.0, ("0",)))[0] == 0.02
+    assert t.rate_at(*one(t, 70.4, 2012.4, ("0",)))[0] == 0.02
+    assert t.rate_at(*one(t, 70.999, 2012.0, ("0",)))[0] == 0.02
 
 
 def test_rate_clamps_above_max_age(uk_style_table):
-    top = uk_style_table.rate_at(one(99, 2012, ("0",)))[0]
-    assert uk_style_table.rate_at(one(105, 2012, ("0",)))[0] == top
-    assert uk_style_table.rate_at(one(99.5, 2012, ("0",)))[0] == top
+    top = uk_style_table.rate_at(*one(uk_style_table, 99, 2012, ("0",)))[0]
+    assert uk_style_table.rate_at(*one(uk_style_table, 105, 2012, ("0",)))[0] == top
+    assert uk_style_table.rate_at(*one(uk_style_table, 99.5, 2012, ("0",)))[0] == top
 
 
 def test_rate_clamps_below_min_and_outside_years(small_table):
-    assert small_table.rate_at(one(60, 2012, ("0",)))[0] == 0.02
-    assert small_table.rate_at(one(70, 1999, ("0",)))[0] == 0.02
-    assert small_table.rate_at(one(70, 2050, ("0",)))[0] == 0.025
+    assert small_table.rate_at(*one(small_table, 60, 2012, ("0",)))[0] == 0.02
+    assert small_table.rate_at(*one(small_table, 70, 1999, ("0",)))[0] == 0.02
+    assert small_table.rate_at(*one(small_table, 70, 2050, ("0",)))[0] == 0.025
 
 
 def test_unknown_stratum(small_table):
-    with pytest.raises(UnknownStratum):
-        small_table.rate_at(one(70, 2012, ("2",)))
+    with pytest.raises(UnknownStratum, match=r"strata value \('2',\) not present in life table"):
+        small_table.codes([("0",), ("2",)])
 
 
 def test_strata_matched_after_trimming(small_table):
-    assert small_table.rate_at(one(70, 2012, (" 0 ",)))[0] == 0.02
-    assert small_table.rate_at(one(70, 2012, (0,)))[0] == 0.02
+    assert small_table.codes([(" 0 ",), (0,)]).tolist() == [0, 0]
+    assert small_table.rate_at(*one(small_table, 70, 2012, (" 0 ",)))[0] == 0.02
+    assert small_table.rate_at(*one(small_table, 70, 2012, (0,)))[0] == 0.02
+
+
+def test_codes_follow_the_table_order_of_strata():
+    t = make_life_table(["sex"], (60, 61), (2000, 2000), lambda a, y, z: 0.01, [("1",), ("0",)])
+    assert t.codes([("0",), ("1",), ("0",)]).tolist() == [1, 0, 1]
+    assert t.codes([]).dtype == np.intp and t.codes([]).size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +167,12 @@ def test_constant_rate_times_duration():
         return 0.02
 
     t = make_life_table(["sex"], (60, 90), (2000, 2020), rate, [("0",)])
-    got = t.cum_hazard_increment(one(70.0, 2010.0, ("0",)), 3.0)[0]
+    got = t.cum_hazard_increment(*one(t, 70.0, 2010.0, ("0",)), 3.0)[0]
     assert got == pytest.approx(0.06, abs=1e-15)
 
 
 def test_zero_duration(small_table):
-    assert small_table.cum_hazard_increment(one(70.5, 2012.5, ("0",)), 0.0)[0] == 0.0
+    assert small_table.cum_hazard_increment(*one(small_table, 70.5, 2012.5, ("0",)), 0.0)[0] == 0.0
 
 
 def test_hand_integrated_three_segments():
@@ -178,11 +186,11 @@ def test_hand_integrated_three_segments():
         "70,2013,0,0.09\n"
         "71,2013,0,0.04\n"
     )
-    pos = one(70.5, 2012.0, ("0",))
-    assert t.cum_hazard_increment(pos, 1.2)[0] == pytest.approx(0.033, abs=1e-15)
+    pos = one(t, 70.5, 2012.0, ("0",))
+    assert t.cum_hazard_increment(*pos, 1.2)[0] == pytest.approx(0.033, abs=1e-15)
     # cross-check against adaptive quadrature of rate_at along the diagonal
     num, _ = quad(lambda s: rate_on_diagonal(t, pos, s), 0, 1.2, points=[0.5, 1.0], limit=200)
-    assert t.cum_hazard_increment(pos, 1.2)[0] == pytest.approx(num, rel=1e-10)
+    assert t.cum_hazard_increment(*pos, 1.2)[0] == pytest.approx(num, rel=1e-10)
 
 
 def test_agrees_with_quadrature_on_random_tables():
@@ -200,8 +208,8 @@ def test_agrees_with_quadrature_on_random_tables():
             y0 = rng.uniform(2009.0, 2014.0)
             dt = rng.uniform(0.0, 8.0)
             sex = rng.choice(["0", "1"])
-            pos = one(a0, y0, (sex,))
-            exact = t.cum_hazard_increment(pos, dt)[0]
+            pos = one(t, a0, y0, (sex,))
+            exact = t.cum_hazard_increment(*pos, dt)[0]
             rows.append((a0, y0, (sex,), dt, exact))
             # integrate piecewise between all breakpoints for full precision
             brk = sorted(
@@ -216,7 +224,7 @@ def test_agrees_with_quadrature_on_random_tables():
             assert exact == pytest.approx(num, rel=1e-10, abs=1e-12)
         # the same cases as one batch call, bit for bit with the one-row calls
         a0, y0, strata, dt, exact = zip(*rows)
-        batch = t.cum_hazard_increment(LexisPosition(np.array(a0), np.array(y0), strata), dt)
+        batch = t.cum_hazard_increment(np.array(a0), np.array(y0), t.codes(strata), dt)
         assert batch.tolist() == list(exact)
 
 
@@ -228,20 +236,19 @@ def test_additivity():
         "70,2013,0,0.09\n"
         "71,2013,0,0.04\n"
     )
-    start = one(70.3, 2012.1, ("0",))
+    start = one(t, 70.3, 2012.1, ("0",))
+    age, year, k = start
     for s, dt in [(0.25, 0.5), (0.5, 1.3), (1.0, 2.0)]:
-        whole = t.cum_hazard_increment(start, s + dt)[0]
-        first = t.cum_hazard_increment(start, s)[0]
-        rest = t.cum_hazard_increment(
-            LexisPosition(start.age + s, start.year + s, start.strata), dt
-        )[0]
+        whole = t.cum_hazard_increment(*start, s + dt)[0]
+        first = t.cum_hazard_increment(*start, s)[0]
+        rest = t.cum_hazard_increment(age + s, year + s, k, dt)[0]
         assert whole == pytest.approx(first + rest, rel=1e-12, abs=1e-15)
 
 
 def test_monotone_in_t(uk_style_table):
-    pos = one(64.3, 2011.7, ("1",))
+    pos = one(uk_style_table, 64.3, 2011.7, ("1",))
     grid = np.linspace(0, 12, 60)
-    vals = [uk_style_table.cum_hazard_increment(pos, float(s))[0] for s in grid]
+    vals = [uk_style_table.cum_hazard_increment(*pos, float(s))[0] for s in grid]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -253,13 +260,13 @@ def test_frozen_year_mode():
         "70,2013,0,0.09\n"
         "71,2013,0,0.04\n"
     )
-    pos = one(70.5, 2012.0, ("0",))
+    pos = one(t, 70.5, 2012.0, ("0",))
     # year frozen at 2012: 0.02*0.5 + 0.03*0.7
-    got = t.cum_hazard_increment(pos, 1.2, advance_year=False)[0]
+    got = t.cum_hazard_increment(*pos, 1.2, advance_year=False)[0]
     assert got == pytest.approx(0.02 * 0.5 + 0.03 * 0.7, abs=1e-15)
     # year frozen at 2013: 0.09*0.5 + 0.04*0.7
-    later = one(70.5, 2013.4, ("0",))
-    assert t.cum_hazard_increment(later, 1.2, advance_year=False)[0] == pytest.approx(
+    later = one(t, 70.5, 2013.4, ("0",))
+    assert t.cum_hazard_increment(*later, 1.2, advance_year=False)[0] == pytest.approx(
         0.09 * 0.5 + 0.04 * 0.7, abs=1e-15
     )
     # batch with per-row ages, years and times, including rows past age_max
@@ -267,16 +274,16 @@ def test_frozen_year_mode():
     years = np.array([2012.0, 2013.4, 2012.9, 2011.0, 2014.2])
     dts = np.array([1.2, 1.2, 3.5, 2.25, 0.0])
     strata = [("0",)] * len(ages)
-    batch = t.cum_hazard_increment(LexisPosition(ages, years, strata), dts, advance_year=False)
+    batch = t.cum_hazard_increment(ages, years, t.codes(strata), dts, advance_year=False)
     rows = [
-        t.cum_hazard_increment(one(a, y, ("0",)), d, advance_year=False)[0]
+        t.cum_hazard_increment(*one(t, a, y, ("0",)), d, advance_year=False)[0]
         for a, y, d in zip(ages, years, dts)
     ]
     assert batch.tolist() == rows
     u = np.exp(-np.array([0.01, 0.05, 0.2, 1.0, 3.0]))
-    inv = t.other_cause_time_inverse(LexisPosition(ages, years, strata), u, advance_year=False)
+    inv = t.other_cause_time_inverse(ages, years, t.codes(strata), u, advance_year=False)
     rows = [
-        t.other_cause_time_inverse(one(a, y, ("0",)), v, advance_year=False)[0]
+        t.other_cause_time_inverse(*one(t, a, y, ("0",)), v, advance_year=False)[0]
         for a, y, v in zip(ages, years, u)
     ]
     assert inv.tolist() == rows
@@ -288,14 +295,14 @@ def test_frozen_year_mode():
 
 def test_inverse_constant_rate():
     t = make_life_table(["sex"], (60, 90), (2000, 2020), lambda a, y, s: 0.02, [("0",)])
-    pos = one(70.0, 2010.0, ("0",))
-    got = t.other_cause_time_inverse(pos, math.exp(-0.06))[0]
+    pos = one(t, 70.0, 2010.0, ("0",))
+    got = t.other_cause_time_inverse(*pos, math.exp(-0.06))[0]
     assert got == pytest.approx(3.0, rel=1e-12)
 
 
 def test_inverse_u_near_one_gives_tiny_t(small_table):
-    pos = one(70.0, 2012.0, ("0",))
-    t = small_table.other_cause_time_inverse(pos, 1 - 1e-12)[0]
+    pos = one(small_table, 70.0, 2012.0, ("0",))
+    t = small_table.other_cause_time_inverse(*pos, 1 - 1e-12)[0]
     assert 0 < t < 1e-9
 
 
@@ -307,8 +314,8 @@ def test_inverse_of_hand_integrated_case():
         "70,2013,0,0.09\n"
         "71,2013,0,0.04\n"
     )
-    pos = one(70.5, 2012.0, ("0",))
-    got = t.other_cause_time_inverse(pos, math.exp(-0.033))[0]
+    pos = one(t, 70.5, 2012.0, ("0",))
+    got = t.other_cause_time_inverse(*pos, math.exp(-0.033))[0]
     assert got == pytest.approx(1.2, rel=1e-10)
 
 
@@ -318,83 +325,88 @@ def test_inverse_round_trips_through_increment(uk_style_table):
     for _ in range(50):
         age, year = rng.uniform(30, 98), rng.uniform(2010, 2016)
         stratum = (str(rng.integers(2)),)
-        pos = one(age, year, stratum)
+        pos = one(uk_style_table, age, year, stratum)
         u = float(rng.uniform(1e-6, 1 - 1e-6))
         frailty = float(rng.gamma(2.0, 0.5))
-        tt = uk_style_table.other_cause_time_inverse(pos, u, frailty=frailty)[0]
-        back = uk_style_table.cum_hazard_increment(pos, tt)[0]
+        tt = uk_style_table.other_cause_time_inverse(*pos, u, frailty=frailty)[0]
+        back = uk_style_table.cum_hazard_increment(*pos, tt)[0]
         assert back == pytest.approx(-math.log(u) / frailty, rel=1e-10, abs=1e-12)
         rows.append((age, year, stratum, u, frailty, tt, back))
     # the same cases as one batch call, bit for bit with the one-row calls
     age, year, strata, u, frailty, tt, back = map(list, zip(*rows))
-    batch = LexisPosition(np.array(age), np.array(year), strata)
-    assert uk_style_table.other_cause_time_inverse(batch, u, frailty=frailty).tolist() == tt
-    assert uk_style_table.cum_hazard_increment(batch, tt).tolist() == back
+    batch = (np.array(age), np.array(year), uk_style_table.codes(strata))
+    assert uk_style_table.other_cause_time_inverse(*batch, u, frailty=frailty).tolist() == tt
+    assert uk_style_table.cum_hazard_increment(*batch, tt).tolist() == back
 
 
 def test_inverse_extrapolates_past_max_age():
     # table ends at 71; deep target must extrapolate with the age-71 rate
     t = table_from_text(TWO_ROW)
-    pos = one(70.0, 2012.0, ("0",))
+    pos = one(t, 70.0, 2012.0, ("0",))
     u = math.exp(-1.0)  # target 1.0 >> 0.02 + 0.03 available inside
-    got = t.other_cause_time_inverse(pos, u)[0]
+    got = t.other_cause_time_inverse(*pos, u)[0]
     # 0.02*1 + 0.03*(t-1) = 1  =>  t = 1 + 0.98/0.03
     assert got == pytest.approx(1 + 0.98 / 0.03, rel=1e-12)
-    assert t.cum_hazard_increment(pos, got)[0] == pytest.approx(1.0, rel=1e-12)
+    assert t.cum_hazard_increment(*pos, got)[0] == pytest.approx(1.0, rel=1e-12)
     # batch: one row inside the table, the others extrapolated past age 71
     ages = np.array([70.0, 70.0, 71.5, 75.0])
     u = np.exp(-np.array([0.01, 1.0, 2.0, 0.5]))
-    batch = LexisPosition(ages, 2012.0, [("0",)] * 4)
-    got = t.other_cause_time_inverse(batch, u)
-    rows = [t.other_cause_time_inverse(one(a, 2012.0, ("0",)), v)[0] for a, v in zip(ages, u)]
+    batch = (ages, 2012.0, t.codes([("0",)] * 4))
+    got = t.other_cause_time_inverse(*batch, u)
+    rows = [t.other_cause_time_inverse(*one(t, a, 2012.0, ("0",)), v)[0] for a, v in zip(ages, u)]
     assert got.tolist() == rows
     assert got[3] == pytest.approx(0.5 / 0.03, rel=1e-12)
-    assert t.cum_hazard_increment(batch, got) == pytest.approx(-np.log(u), rel=1e-12)
+    assert t.cum_hazard_increment(*batch, got) == pytest.approx(-np.log(u), rel=1e-12)
 
 
 def test_inverse_with_frailty_scales_target():
     t = make_life_table(["sex"], (60, 90), (2000, 2020), lambda a, y, s: 0.02, [("0",)])
-    pos = one(70.0, 2010.0, ("0",))
+    pos = one(t, 70.0, 2010.0, ("0",))
     # solve 4 * H(t) = 0.06  =>  H(t) = 0.015  =>  t = 0.75
-    got = t.other_cause_time_inverse(pos, math.exp(-0.06), frailty=4.0)[0]
+    got = t.other_cause_time_inverse(*pos, math.exp(-0.06), frailty=4.0)[0]
     assert got == pytest.approx(0.75, rel=1e-12)
 
 
 def test_zero_hazard_path_raises():
     t = make_life_table(["sex"], (60, 65), (2000, 2001), lambda a, y, s: 0.0, [("0",)])
     with pytest.raises(ZeroHazardPath):
-        t.other_cause_time_inverse(one(60.0, 2000.0, ("0",)), 0.5)
+        t.other_cause_time_inverse(*one(t, 60.0, 2000.0, ("0",)), 0.5)
     # in a batch, one row on a zero-rate tail raises for the whole call
     t = make_life_table(
         ["sex"], (60, 65), (2000, 2001), lambda a, y, s: 0.1 if s == ("1",) else 0.0,
         [("0",), ("1",)],
     )
-    ok = LexisPosition(np.array([60.0, 62.5]), 2000.0, [("1",), ("1",)])
-    assert t.other_cause_time_inverse(ok, 0.5).tolist() == [
-        t.other_cause_time_inverse(one(a, 2000.0, ("1",)), 0.5)[0] for a in (60.0, 62.5)
+    ok = (np.array([60.0, 62.5]), 2000.0, t.codes([("1",), ("1",)]))
+    assert t.other_cause_time_inverse(*ok, 0.5).tolist() == [
+        t.other_cause_time_inverse(*one(t, a, 2000.0, ("1",)), 0.5)[0] for a in (60.0, 62.5)
     ]
     with pytest.raises(ZeroHazardPath):
         t.other_cause_time_inverse(
-            LexisPosition(np.array([60.0, 62.5, 61.0]), 2000.0, [("1",), ("0",), ("1",)]), 0.5
+            np.array([60.0, 62.5, 61.0]), 2000.0, t.codes([("1",), ("0",), ("1",)]), 0.5
         )
 
 
 def test_inverse_rejects_bad_u(small_table):
-    pos = one(70.0, 2012.0, ("0",))
+    pos = one(small_table, 70.0, 2012.0, ("0",))
     with pytest.raises(ValueError):
-        small_table.other_cause_time_inverse(pos, 0.0)
+        small_table.other_cause_time_inverse(*pos, 0.0)
     with pytest.raises(ValueError):
-        small_table.other_cause_time_inverse(pos, 1.0)
+        small_table.other_cause_time_inverse(*pos, 1.0)
 
 
 def test_queries_take_batches_only(small_table):
-    # a scalar age is not a batch, and every row needs its own strata tuple
+    # a scalar age is not a batch, and every row needs its own integer stratum code
     for pos in (
-        LexisPosition(70.0, 2012.0, [("0",)]),
-        LexisPosition(np.array([70.0, 71.0]), 2012.0, [("0",)]),
+        (70.0, 2012.0, np.array([0])),
+        (np.array([70.0, 71.0]), 2012.0, np.array([0])),
+        (np.array([70.0, 71.0]), 2012.0, np.array([0.0, 0.0])),
     ):
-        with pytest.raises(ValueError, match="one strata tuple per row"):
-            small_table.rate_at(pos)
+        with pytest.raises(ValueError, match="one stratum code per row"):
+            small_table.rate_at(*pos)
+    # a code must index one of the table's strata: -1 must not wrap to the last
+    for code in (-1, 1):
+        with pytest.raises(ValueError, match=r"each in \[0, 1\)"):
+            small_table.rate_at(np.array([70.0, 71.0]), 2012.0, np.array([0, code]))
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +429,14 @@ def hexes(values):
 
 def assert_rows_match_one_row_calls(table, ages, years, strata, t, u, frailty, advance_year):
     """Batch results equal, bit for bit, the same queries on each row alone."""
-    batch = LexisPosition(np.array(ages), np.array(years), strata)
-    alone = [one(a, y, z) for a, y, z in zip(ages, years, strata)]
-    got = table.cum_hazard_increment(batch, t, advance_year=advance_year)
-    want = [table.cum_hazard_increment(p, d, advance_year=advance_year)[0] for p, d in zip(alone, t)]
+    batch = (np.array(ages), np.array(years), table.codes(strata))
+    alone = [one(table, a, y, z) for a, y, z in zip(ages, years, strata)]
+    got = table.cum_hazard_increment(*batch, t, advance_year=advance_year)
+    want = [table.cum_hazard_increment(*p, d, advance_year=advance_year)[0] for p, d in zip(alone, t)]
     assert hexes(got) == hexes(want)
-    got = table.other_cause_time_inverse(batch, u, frailty=frailty, advance_year=advance_year)
+    got = table.other_cause_time_inverse(*batch, u, frailty=frailty, advance_year=advance_year)
     want = [
-        table.other_cause_time_inverse(p, v, frailty=f, advance_year=advance_year)[0]
+        table.other_cause_time_inverse(*p, v, frailty=f, advance_year=advance_year)[0]
         for p, v, f in zip(alone, u, frailty)
     ]
     assert hexes(got) == hexes(want)
@@ -443,11 +455,11 @@ def test_rows_finishing_at_different_steps_match_one_row_calls(advance_year):
     frailty = [1.0, 2.5, 0.7, 1.3, 0.4, 1.0, 3.0]
     assert_rows_match_one_row_calls(table, ages, years, strata, t, u, frailty, advance_year)
     # one year for every row gives the bits of that year repeated per row
-    one_year = LexisPosition(np.array(ages), 2000.8, strata)
-    per_row = LexisPosition(np.array(ages), np.full(len(ages), 2000.8), strata)
+    one_year = (np.array(ages), 2000.8, table.codes(strata))
+    per_row = (np.array(ages), np.full(len(ages), 2000.8), table.codes(strata))
     for query, arg in ((table.cum_hazard_increment, t), (table.other_cause_time_inverse, u)):
-        assert hexes(query(one_year, arg, advance_year=advance_year)) == hexes(
-            query(per_row, arg, advance_year=advance_year)
+        assert hexes(query(*one_year, arg, advance_year=advance_year)) == hexes(
+            query(*per_row, arg, advance_year=advance_year)
         )
 
 
@@ -492,16 +504,16 @@ def test_walk_steps_only_the_rows_still_walking(monkeypatch):
     strata = [("0",), ("1",)] * ((n_short + n_long) // 2)
     t = np.array([0.1] * n_short + [15.0] * n_long)
     u = np.array([0.999] * n_short + [1e-4] * n_long)
-    batch = LexisPosition(ages, years, strata)
+    batch = (ages, years, table.codes(strata))
     for query, arg in ((table.cum_hazard_increment, t), (table.other_cause_time_inverse, u)):
         row_steps = []
         for a, y, z, v in zip(ages, years, strata, arg):
             sizes.clear()
-            query(one(a, y, z), v)
+            query(*one(table, a, y, z), v)
             row_steps.append(len(sizes))
         assert max(row_steps[n_short:]) > 5 and max(row_steps[:n_short]) == 1
         sizes.clear()
-        query(batch, arg)
+        query(*batch, arg)
         # each step walks the rows still live at that step, and no others
         assert sizes == [sum(s > j for s in row_steps) for j in range(max(row_steps))]
         assert sum(sizes) < 0.2 * len(sizes) * len(ages)
@@ -521,4 +533,4 @@ def test_zero_tail_after_finished_rows_reports_its_own_hazard_and_target():
     u = np.array([0.99, 0.999, 0.01, 0.5])
     frailty = np.array([1.0, 1.0, 1.0, 2.0])
     with pytest.raises(ZeroHazardPath, match=r"at 0\.15 < target 0\.346574 "):
-        t.other_cause_time_inverse(LexisPosition(ages, 2000.0, strata), u, frailty=frailty)
+        t.other_cause_time_inverse(ages, 2000.0, t.codes(strata), u, frailty=frailty)

@@ -122,7 +122,7 @@ def flat_table():
 
 def rec(t=2.0, status=1, age=70.0, x=(0.2, 1.0, 0.0)):
     """A one-row cohort."""
-    return Cohort([t], [status], [age], [2010.0], [x], [("0",)])
+    return Cohort([t], [status], [age], [2010.0], [x], [("0",)], [0])
 
 
 def test_marginal_survival_one_at_zero(flat_table):
@@ -173,7 +173,7 @@ def test_marginal_survival_batch_matches_one_row_cohorts():
     n = 40
     cohort = Cohort(
         rng.uniform(0.1, 8.0, n), np.ones(n), rng.uniform(40, 99, n), rng.uniform(2005, 2019, n),
-        rng.normal(0, 1, (n, 3)), [(str(z),) for z in rng.integers(0, 2, n)],
+        rng.normal(0, 1, (n, 3)), [("0",), ("1",)], rng.integers(0, 2, n),
     )
     m3 = model_params(GH, 1.875, 0.075)
     t = cohort.time * 0.7
@@ -183,8 +183,7 @@ def test_marginal_survival_batch_matches_one_row_cohorts():
         for i in range(n):
             row = Cohort(*(c[i : i + 1] for c in (
                 cohort.time, cohort.status, cohort.age_diag, cohort.year_diag, cohort.X,
-                cohort.strata,
-            )))
+            )), cohort.strata, cohort.stratum[i : i + 1])
             one = marginal_survival_m3(t[i], row, m3, table, advance_year)
             assert batch[i] == pytest.approx(one[0], rel=1e-14, abs=0.0)
 
@@ -467,7 +466,7 @@ def test_fd_gradient_richardson_self_consistency():
 
 def test_prepare_cohort_caches_match_table(flat_table):
     x = (0.2, 1.0, 0.0)
-    rows = Cohort([1.2, 4.0], [1, 0], [64.3, 75.0], [2010.0, 2010.0], [x, x], [("0",), ("0",)])
+    rows = Cohort([1.2, 4.0], [1, 0], [64.3, 75.0], [2010.0, 2010.0], [x, x], [("0",)], [0, 0])
     cohort = prepare_cohort(rows, flat_table)
     assert cohort.n == 2
     # constant-rate table: dhp = 0.03 * t, hp = 0.03 everywhere
@@ -537,7 +536,7 @@ def _two_patients(age=64.0, year=2010.0, x=(0.5, 1.0)):
     """Columns of a two-patient cohort whose second patient (row 1) has the given values."""
     return dict(
         time=[1.0, 2.0], status=[1, 0], age_diag=[70.0, age], year_diag=[2010.0, year],
-        X=[[0.0, 0.0], list(x)], strata=[("0",), ("1",)],
+        X=[[0.0, 0.0], list(x)], strata=[("0",), ("1",)], stratum=[0, 1],
     )
 
 
@@ -556,13 +555,23 @@ def test_patient_record_rejects_nonfinite_covariates(x):
 def test_cohort_columns_are_read_only_and_of_one_length():
     cohort = Cohort(**_two_patients())
     assert cohort.status.dtype == np.int8 and cohort.X.shape == (2, 2)
-    with pytest.raises(ValueError):
-        cohort.time[0] = 5.0
-    for bad in ({"time": [1.0]}, {"X": [0.0, 1.0]}, {"strata": ["0", "1"]}):
-        with pytest.raises(DataError, match="one strata tuple per row"):
+    assert cohort.stratum.dtype == np.intp and cohort.strata == (("0",), ("1",))
+    for column in (cohort.time, cohort.stratum):
+        with pytest.raises(ValueError):
+            column[0] = 1
+    for bad in (
+        {"time": [1.0]}, {"X": [0.0, 1.0]}, {"strata": ["0", "1"]},
+        {"strata": [("0",), ("0",)]}, {"stratum": [0]}, {"stratum": [0.0, 1.0]},
+    ):
+        with pytest.raises(
+            DataError, match="distinct strata tuples and one integer stratum code per row"
+        ):
             Cohort(**{**_two_patients(), **bad})
+    for code in (-1, 2):
+        with pytest.raises(DataError, match=f"^row 1: stratum code must index one of the 2 strata, got {code}$"):
+            Cohort(**{**_two_patients(), "stratum": [0, code]})
     with pytest.raises(DataError, match="cohort is empty"):
-        Cohort([], [], [], [], np.zeros((0, 2)), [])
+        Cohort([], [], [], [], np.zeros((0, 2)), [], [])
 
 
 COHORT_CSV = """# follow-up of two patients
@@ -587,7 +596,7 @@ def two_sex_table():
     )
 
 
-COLUMNS = ("time", "status", "age_diag", "year_diag", "X")
+COLUMNS = ("time", "status", "age_diag", "year_diag", "X", "stratum")
 
 
 def assert_same_cohort(got, want):
@@ -601,7 +610,7 @@ def test_load_cohort_reads_rows_and_applies_transforms(two_sex_table, tmp_path):
     cohort = _load(COHORT_CSV, transforms={"age": (70.0, 10.0)})
     direct = Cohort(
         [1.5, 4.0], [1, 0], [64.0, 75.5], [2010.0, 2011.0], [[-0.6, 0.0], [0.55, 1.0]],
-        [("0",), ("1",)],
+        [("0",), ("1",)], [0, 1],
     )
     assert_same_cohort(cohort, direct)
     loaded = prepare_cohort(cohort, two_sex_table, covariate_names=("age", "sex"))
@@ -678,20 +687,23 @@ def cohort_columns(draw):
         return draw(st.lists(values, min_size=n, max_size=n))
 
     stratum = st.lists(st.text("abz019", min_size=1, max_size=3), min_size=q, max_size=q)
+    per_row = [tuple(z) for z in column(stratum)]
+    strata = tuple(dict.fromkeys(per_row))  # in order of first appearance, as load_cohort codes them
     return dict(
         time=column(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
         status=column(st.integers(0, 1)),
         age_diag=column(FINITE),
         year_diag=column(FINITE),
         X=np.array(column(st.lists(FINITE, min_size=p, max_size=p)), dtype=float).reshape(n, p),
-        strata=[tuple(z) for z in column(stratum)],
+        strata=strata,
+        stratum=[strata.index(z) for z in per_row],
     )
 
 
 def cohort_csv(cols, comments):
     """CSV text of cohort columns, ``comments[i]`` comment lines before row i,
     and the line number of every row."""
-    n, p = len(cols["strata"]), cols["X"].shape[1]
+    n, p = len(cols["stratum"]), cols["X"].shape[1]
     q = len(cols["strata"][0])
     x_cols, z_cols = [f"x{j}" for j in range(p)], [f"z{j}" for j in range(q)]
     lines = [",".join(["time", "status", "age_diag", "year_diag", *x_cols, *z_cols])]
@@ -702,14 +714,14 @@ def cohort_csv(cols, comments):
         numbers = [cols["time"][i], cols["age_diag"][i], cols["year_diag"][i], *cols["X"][i]]
         time, age, year, *x = (repr(float(v)) for v in numbers)
         status = str(int(cols["status"][i]))
-        lines.append(",".join([time, status, age, year, *x, *cols["strata"][i]]))
+        lines.append(",".join([time, status, age, year, *x, *cols["strata"][cols["stratum"][i]]]))
     return "\n".join(lines) + "\n", x_cols, z_cols, line_nos
 
 
 @settings(max_examples=60, deadline=None)
 @given(cohort_columns(), st.data())
 def test_a_cohort_written_as_csv_reads_back_equal(cols, data):
-    n = len(cols["strata"])
+    n = len(cols["stratum"])
     comments = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     text, x_cols, z_cols, _ = cohort_csv(cols, comments)
     assert_same_cohort(load_cohort(io.StringIO(text), x_cols, z_cols), Cohort(**cols))
@@ -718,7 +730,7 @@ def test_a_cohort_written_as_csv_reads_back_equal(cols, data):
 @settings(max_examples=60, deadline=None)
 @given(cohort_columns(), st.data())
 def test_a_bad_time_is_named_by_its_row_and_its_line(cols, data):
-    n = len(cols["strata"])
+    n = len(cols["stratum"])
     i = data.draw(st.integers(0, n - 1))
     bad = data.draw(
         st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])

@@ -14,7 +14,9 @@ outside the function's own body, by keyword or by position; a call counts
 when it names a function (or, for ``__init__``, the class) of that name.
 A default nothing overrides is a setting no caller varies.  Exports,
 members and defaults that are there for users rather than for other code
-are on the allow-lists below, each with its reason.
+are on the allow-lists below, each with its reason.  Every exception class
+of ``errors`` must be raised in ``src/exhaz`` or caught by name in an
+``except`` clause there or in ``perfbench/``.
 """
 
 import ast
@@ -24,6 +26,7 @@ import pkgutil
 from pathlib import Path
 
 import exhaz
+from exhaz import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "exhaz"
@@ -258,3 +261,31 @@ def test_default_allow_list_names_real_defaults():
         for param, _ in _defaults(fn, is_method)
     }
     assert set(DEFAULTS_ALLOWED) <= defaults, set(DEFAULTS_ALLOWED) - defaults
+
+
+def _exception_names(node):
+    """Names of the classes a ``raise`` or an ``except`` clause refers to."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return {name for elt in node.elts for name in _exception_names(elt)}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def test_every_error_class_is_raised_or_caught():
+    used = set()
+    for path, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and path.parent == SRC:
+                used |= _exception_names(node.exc)
+            elif isinstance(node, ast.ExceptHandler):
+                used |= _exception_names(node.type)
+    classes = [
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
+    ]
+    assert classes and set(classes) - used == set(), set(classes) - used

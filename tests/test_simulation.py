@@ -2,6 +2,7 @@
 
 import csv
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.stats import kstest
 
 from conftest import model_params
-from exhaz.errors import NoEligibleFit
+from exhaz.errors import NoEligibleFit, TargetUnreachable
 from exhaz.estimation import fit_all, select_m4
 from exhaz.likelihoods import marginal_survival_m3, prepare_cohort
 from exhaz.simulation import (
@@ -78,6 +79,10 @@ def test_design_fixes_diagnosis_year_and_per_year_age_slope(table):
     cohort = generate_cohort(sc, 0, table)
     assert set(cohort.year_diag) == {2010.0}
     assert np.array_equal(cohort.X[:, 0], cohort.age_diag - 70.0)
+    # the stratum column is the sex covariate, as codes over the table's sex strata
+    assert cohort.strata == (("0",), ("1",))
+    assert np.array_equal(cohort.stratum, cohort.X[:, 1])
+    assert np.array_equal(table.codes(cohort.strata), [0, 1])
 
 
 def test_calibrated_dropout_censors_a_fresh_cohort_at_target(table):
@@ -120,6 +125,29 @@ def test_scenario_rejects_bad_dropout(field, value):
 def test_calibration_rejects_target_outside_unit_interval(table, target):
     with pytest.raises(ValueError, match="censoring target must be in"):
         calibrate_dropout_rate(builtin_scenarios()["none"], target, table, pilot_n=1000)
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        (0.05, r"^administrative censoring alone is 0\.267 >= target 0\.050$"),
+        (0.999, r"^even rate 10\.0 reaches only 0\.982 censoring < target 0\.999$"),
+    ],
+)
+def test_calibration_reports_an_unreachable_target(table, target, message):
+    with pytest.raises(TargetUnreachable, match=message):
+        calibrate_dropout_rate(builtin_scenarios()["none"], target, table, pilot_n=2000)
+
+
+def test_pickled_parameters_and_tables_stay_read_only(table):
+    # run_study(jobs > 1) sends the scenario and the table to its workers
+    sc = builtin_scenarios()["moderate"]
+    gh, copy = sc.gh, pickle.loads(pickle.dumps(sc)).gh
+    assert copy.layout == gh.layout and copy.values.tolist() == gh.values.tolist()
+    for arr in (copy.values, copy.baseline, copy.beta1, copy.beta2, copy.correction):
+        assert not arr.flags.writeable
+    rates = pickle.loads(pickle.dumps(table)).rates
+    assert not rates.flags.writeable and np.array_equal(rates, table.rates)
 
 
 @pytest.fixture(scope="module")
