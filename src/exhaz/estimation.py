@@ -4,7 +4,7 @@ Fitting is a two-step search on the log-transformed positive parameters:
 one cycle of coordinate descent from fixed starting values (kappa = theta
 = 1, alpha = 2, betas = 0; gamma = 1.2 for M2; mu = 1.2, b = 0.1 for M3),
 then a refinement.  The refinement runs bounded L-BFGS-B with analytic
-gradients and checks the finite-difference gradient.  When the check
+gradients and checks their max-norm on the search scale.  When the check
 fails it takes up to four damped Newton steps with a Hessian from central
 differences of the log-likelihood values and checks again; when that fails
 too, Nelder-Mead runs and the round (L-BFGS-B, check, Newton polish,
@@ -17,9 +17,9 @@ within 1e-6 of an edge of the search box names those parameters in
 
 Tolerances, step sizes and budgets are module constants, properties of
 the method rather than of a study: ``_GRAD_TOL`` and ``_STEP_TOL`` (stops
-of L-BFGS-B and Nelder-Mead), ``_MAX_EVALS`` (per stage), ``_FD_STEP``
-(gradient check), ``_HESSIAN_STEP`` (both the polish and the standard
-errors), ``_POLISH_STEPS``, ``_CDA_HALFWIDTH`` and ``_CDA_MAXITER``.
+of L-BFGS-B and Nelder-Mead), ``_MAX_EVALS`` (per stage), ``_HESSIAN_STEP``
+(both the polish and the standard errors), ``_POLISH_STEPS``,
+``_CDA_HALFWIDTH`` and ``_CDA_MAXITER``.
 ``FitConfig`` keeps only the random restarts (``multi_starts``, ``seed``):
 a best-of-N fit is the reference that tells whether one start found the
 MLE.
@@ -81,7 +81,6 @@ _BOUND_TOL = 1e-6  # transformed-scale distance that counts as sitting on the bo
 _GRAD_TOL = 1e-6  # L-BFGS-B gtol
 _STEP_TOL = 1e-9  # Nelder-Mead xatol
 _MAX_EVALS = 2000  # per stage
-_FD_STEP = 1e-5  # for the post-fit gradient check
 _HESSIAN_STEP = 1e-4  # Newton-polish and standard-error Hessians
 _POLISH_STEPS = 4
 _CDA_HALFWIDTH = 5.0  # search window per coordinate, transformed scale
@@ -139,7 +138,7 @@ class FitResult:
     aic: float
     converged: bool
     hessian_pd: bool
-    grad_max_norm: float
+    grad_max_norm: float  # analytic gradient on the search scale at the last check; NaN if rejected
     n_evals: int
     n_iter: int
     at_bound: tuple[str, ...]  # parameters within _BOUND_TOL of the search box edge
@@ -215,14 +214,10 @@ class _Objective:
         f, g = self.value_and_grad(x)
         return g if f < _BIG else np.full_like(x, np.nan)
 
-    def fd_gradient(self, x: np.ndarray, h: float) -> np.ndarray:
-        grad = np.empty_like(x)
-        for j in range(len(x)):
-            up, dn = x.copy(), x.copy()
-            up[j] += h
-            dn[j] -= h
-            grad[j] = (self.value(up) - self.value(dn)) / (2 * h)
-        return grad
+    def check(self, x: np.ndarray) -> tuple[float, float]:
+        """(ll, max-norm of the gradient of ``value``) at x; a NaN norm if rejected."""
+        f, g = self.value_and_grad(x)
+        return -f, float(np.max(np.abs(g))) if f < _BIG else math.nan
 
 
 def cda_warm_start(
@@ -310,10 +305,9 @@ def _covariance(neg_hessian: np.ndarray):
     entry (a rejected point in the difference stencil), mean the information
     matrix is not PD: covariance is not usable and None is returned.
     """
-    info = neg_hessian
-    if not np.all(np.isfinite(info)):
+    if not np.all(np.isfinite(neg_hessian)):
         return None, False
-    eigval, eigvec = np.linalg.eigh(info)
+    eigval, eigvec = np.linalg.eigh(neg_hessian)
     if np.any(eigval < 0):
         return None, False
     floored = np.maximum(eigval, 1e-10)
@@ -322,7 +316,8 @@ def _covariance(neg_hessian: np.ndarray):
 
 
 def _grad_check_tol(ll: float) -> float:
-    # noise-scaled declaration threshold for "gradient is numerically zero"
+    # Max-norm that counts as a zero gradient, scaled as ll's rounding is.  Kept
+    # from the central-difference check, so only flags its O(h^2) error decided move.
     return 1e-3 * (1.0 + abs(ll)) * _EPS_CUBE_ROOT
 
 
@@ -335,10 +330,8 @@ def _newton_polish(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarra
     """
     n_iter = 0
     for _ in range(_POLISH_STEPS):
-        f, g = obj.value_and_grad(x)
-        if f >= _BIG or not np.all(np.isfinite(g)):
-            break
-        if np.max(np.abs(g)) <= 0.2 * _grad_check_tol(-f):
+        f, g = obj.value_and_grad(x)  # a rejected point gives _BIG and a zero g
+        if f >= _BIG or np.max(np.abs(g)) <= 0.2 * _grad_check_tol(-f):
             break
         H = _fd_hessian(obj.value, x, _HESSIAN_STEP)
         eigval, eigvec = np.linalg.eigh(H)
@@ -360,8 +353,8 @@ def _newton_polish(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarra
 def _refine(obj: _Objective, x0: np.ndarray, bounds):
     """Quasi-Newton refinement with a Newton polish when the gradient check fails.
 
-    Returns (x, n_iter, ll, gnorm): the log-likelihood and the FD-gradient
-    max-norm of the last check, which is made at the returned x.
+    Returns (x, n_iter, ll, gnorm): the log-likelihood and the analytic
+    gradient max-norm of the last check, which is made at the returned x.
     """
     lbfgsb_opts = {
         "maxfun": _MAX_EVALS,
@@ -369,8 +362,7 @@ def _refine(obj: _Objective, x0: np.ndarray, bounds):
         "ftol": 1e2 * np.finfo(float).eps,  # near machine precision; rely on gtol
         "gtol": _GRAD_TOL,
     }
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    lo, hi = np.array(bounds).T
     x = np.clip(x0, lo, hi)
     n_iter = 0
     for attempt in range(2):
@@ -382,14 +374,13 @@ def _refine(obj: _Objective, x0: np.ndarray, bounds):
             x = res.x
         n_iter += int(res.nit)
         # ll (after L-BFGS-B) sets the Nelder-Mead tolerance; ll_x follows x
-        ll = ll_x = -obj.value(x)
-        gnorm = float(np.max(np.abs(obj.fd_gradient(x, _FD_STEP))))
+        ll, gnorm = obj.check(x)
+        ll_x = ll
         if gnorm <= _grad_check_tol(ll):
             break
         x, polish_iter = _newton_polish(obj, x, lo, hi)
         n_iter += polish_iter
-        gnorm = float(np.max(np.abs(obj.fd_gradient(x, _FD_STEP))))
-        ll_x = -obj.value(x)
+        ll_x, gnorm = obj.check(x)
         if gnorm <= _grad_check_tol(ll_x):
             break
         if attempt == 0:
@@ -463,8 +454,7 @@ def fit(
     base = base * slot_scale  # beta_j -> beta_j * s_j matches x_j / s_j
     t0 = transform_params(base, layout.positive)
     bounds = layout.transformed_bounds()
-    blo = np.array([b[0] for b in bounds])
-    bhi = np.array([b[1] for b in bounds])
+    blo, bhi = np.array(bounds).T
 
     starts = [t0]
     if cfg.multi_starts > 0:
@@ -472,7 +462,7 @@ def fit(
         starts += [t0 + rng.normal(0.0, 0.3, layout.k) for _ in range(cfg.multi_starts)]
     starts = [np.clip(s, blo, bhi) for s in starts]
 
-    best_x, best_ll, gnorm, total_iter = None, -np.inf, math.nan, 0
+    x_hat, best_ll, gnorm, total_iter = None, -np.inf, math.nan, 0
     for s in starts:
         try:
             warm = cda_warm_start(obj.value, s, bounds=bounds)
@@ -482,11 +472,10 @@ def fit(
         x, n_iter, ll, x_gnorm = _refine(obj, warm, bounds)
         total_iter += n_iter
         if ll > best_ll:
-            best_ll, best_x, gnorm = ll, x, x_gnorm
-    if best_x is None:
+            best_ll, x_hat, gnorm = ll, x, x_gnorm
+    if x_hat is None:
         raise NonFiniteLikelihood(f"{model}: no usable starting point")
 
-    x_hat = best_x
     converged = gnorm <= _grad_check_tol(best_ll)
 
     natural_s = untransform_params(x_hat, layout.positive)
@@ -517,7 +506,8 @@ def fit(
         cov = se_nat = None
         notes.append("information matrix not positive definite; SEs unavailable")
     if not converged:
-        notes.append(f"gradient max-norm {gnorm:.3g} above tolerance; flagged NotConverged")
+        notes.append(f"gradient max-norm {gnorm:.3g} not within tolerance "
+                     f"{_grad_check_tol(best_ll):.3g}; flagged NotConverged")
 
     return FitResult(
         layout=layout,

@@ -157,18 +157,27 @@ class ParamLayout:
     model: str
     n_covariates: int
     names: tuple[str, ...]
-    positive: np.ndarray = field(compare=False)
+    positive: np.ndarray = field(init=False, compare=False)  # read-only
+
+    def __post_init__(self):
+        positive = np.ones(self.k, dtype=bool)
+        for slots in self.beta_slots:
+            positive[slots] = False
+        positive.setflags(write=False)
+        object.__setattr__(self, "positive", positive)
+
+    def __reduce__(self):
+        # unpickling runs the constructor, so the mask comes back read-only
+        return ParamLayout, (self.model, self.n_covariates, self.names)
 
     @classmethod
     def for_model(cls, model: str, covariate_names: Sequence[str]) -> "ParamLayout":
         if model not in MODELS:
             raise ValueError(f"unknown model {model!r}")
         cov = tuple(covariate_names)
-        correction = tuple(_CORRECTIONS[model])
         names = ("kappa", "theta", "alpha", *(f"beta1_{c}" for c in cov),
-                 *(f"beta2_{c}" for c in cov), *correction)
-        positive = [True] * 3 + [False] * (2 * len(cov)) + [True] * len(correction)
-        return cls(model, len(cov), names, np.array(positive))
+                 *(f"beta2_{c}" for c in cov), *_CORRECTIONS[model])
+        return cls(model, len(cov), names)
 
     @property
     def k(self) -> int:

@@ -1,6 +1,7 @@
 """Transforms, CDA warm start, fitting, intervals, and M4 selection."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from exhaz.estimation import (
     ParamLayout,
     _covariance,
     _fd_hessian,
+    _grad_check_tol,
     _grad_hessian,
     _standardized_objective,
     cda_warm_start,
@@ -129,6 +131,9 @@ def test_an_overflowing_log_slot_is_rejected_without_a_warning():
     assert obj.value(x) == _BIG
     f, g = obj.value_and_grad(x)
     assert f == _BIG and not g.any()
+    # the zero gradient of a rejected point must never pass the check
+    ll, gnorm = obj.check(x)
+    assert ll == -_BIG and math.isnan(gnorm)
 
 
 def test_layouts_compare_by_model_and_names_and_fits_by_identity(m1_fit):
@@ -142,6 +147,21 @@ def test_layouts_compare_by_model_and_names_and_fits_by_identity(m1_fit):
         assert a != other
     _, res = m1_fit
     assert res == res and res != replace(res)
+
+
+def test_positivity_mask_is_read_only_and_stays_so_through_pickle():
+    # every ModelParams of a layout checks positivity against its mask
+    layout = ParamLayout.for_model("M1", ("a",))
+    copy = pickle.loads(pickle.dumps(layout))
+    assert copy == layout and copy.beta_slots == layout.beta_slots
+    for mask in (layout.positive, copy.positive):
+        assert mask.tolist() == [True, True, True, False, False]
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = False
+    with pytest.raises(NonPositive, match=r"positions \[0\]"):
+        layout.to_params([-1.0, 1.0, 1.0, 0.0, 0.0])
+    m3 = ParamLayout.for_model("M3", ("a", "b"))
+    assert m3.positive.tolist() == [True] * 3 + [False] * 4 + [True] * 2
 
 
 def test_delta_method_se_matches_natural_scale_hessian():
@@ -383,6 +403,96 @@ def test_boundary_collapse_has_stable_nonnegative_information():
     ]
     assert min(smallest) >= 0.0
     assert smallest == pytest.approx([smallest[1]] * 3, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# convergence check
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fits_1500():
+    cohort = sim_cohort(n=1500, seed=19)
+    return cohort, fit_all(cohort)
+
+
+def test_convergence_is_the_analytic_gradient_norm_at_the_estimate(fits_1500):
+    # one analytic gradient call at the search-scale estimate, against the
+    # tolerance of the log-likelihood that call returns
+    cohort, fits = fits_1500
+    assert {res.converged for res in fits.values()} == {True, False}
+    for res in fits.values():
+        obj, _, x_hat = _search_point(res, cohort)
+        f, g = obj.value_and_grad(x_hat)
+        assert res.grad_max_norm == float(np.max(np.abs(g)))
+        assert obj.check(x_hat) == (-f, res.grad_max_norm)
+        assert res.converged == (res.grad_max_norm <= _grad_check_tol(-f))
+        assert -f == pytest.approx(res.loglik, rel=1e-12)
+
+
+def test_a_fit_that_is_not_converged_names_its_norm_and_tolerance(fits_1500):
+    cohort, fits = fits_1500
+    res = fits["M2"]
+    assert not res.converged
+    obj, _, x_hat = _search_point(res, cohort)
+    tol = _grad_check_tol(-obj.value(x_hat))
+    assert res.grad_max_norm > tol
+    assert (
+        f"gradient max-norm {res.grad_max_norm:.3g} not within tolerance {tol:.3g}; "
+        "flagged NotConverged"
+    ) in res.notes
+
+
+def _richardson_gradient(value, x, h):
+    """Central differences of ``value`` at steps h and h/2, extrapolated to O(h^4)."""
+    def central(step):
+        out = np.empty(len(x))
+        for j in range(len(x)):
+            e = np.zeros(len(x))
+            e[j] = step
+            out[j] = (value(x + e) - value(x - e)) / (2 * step)
+        return out
+
+    return (4.0 * central(h / 2) - central(h)) / 3.0
+
+
+def _interior_point(layout, rng):
+    """A natural-scale vector well inside the box, transformed."""
+    p = layout.n_covariates
+    correction = {"M1": [], "M2": [rng.uniform(0.5, 2.0)],
+                  "M3": [rng.uniform(0.5, 2.0), rng.uniform(0.2, 1.5)]}[layout.model]
+    natural = np.array([rng.uniform(0.6, 1.6), rng.uniform(0.8, 3.0), rng.uniform(0.6, 3.0),
+                        *rng.normal(0.0, 0.3, 2 * p), *correction])
+    return transform_params(natural, layout.positive)
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("model", MODELS)
+def test_transformed_gradient_matches_richardson_differences_of_the_value(model, p):
+    # the gradient the convergence check reads is the derivative of the value
+    # the optimizer minimizes, chain rule of the log slots included
+    full = sim_cohort(n=300, seed=29)
+    cohort = PreparedCohort(full.time, full.status, full.X[:, :p], full.hp, full.dhp,
+                            full.covariate_names[:p])
+    obj, _ = _standardized_objective(model, cohort)
+    rng = np.random.default_rng([p, MODELS.index(model)])
+    for _ in range(3):
+        x = _interior_point(obj.layout, rng)
+        f, g = obj.value_and_grad(x)
+        assert f < _BIG
+        oracle = _richardson_gradient(obj.value, x, 1e-3)
+        assert np.max(np.abs(g - oracle) / np.maximum(1.0, np.abs(oracle))) < 1e-7
+
+
+def test_analytic_gradient_matches_richardson_differences_at_a_fit_end_point(fits_1500):
+    # at M3's interior optimum the oracle agrees that the gradient is zero
+    cohort, fits = fits_1500
+    res = fits["M3"]
+    assert res.converged and not res.at_bound
+    obj, _, x_hat = _search_point(res, cohort)
+    _, g = obj.value_and_grad(x_hat)
+    oracle = _richardson_gradient(obj.value, x_hat, 1e-3)
+    assert np.max(np.abs(g - oracle)) < 1e-6
+    assert np.max(np.abs(oracle)) <= _grad_check_tol(res.loglik)
 
 
 # ---------------------------------------------------------------------------

@@ -39,3 +39,48 @@ def test_one_ulp_or_a_missing_record_is_a_mismatch(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "replicate record 0 (index 0) differs" in out
     assert "2 vs 1 replicate records, 2 mismatches" in out
+
+
+def fits(**models):
+    """Fit records by model from (converged, ok, ll, evals)."""
+    return {name: dict(zip(("converged", "ok", "ll", "evals"), v)) for name, v in models.items()}
+
+
+def test_changed_fits_are_listed_parent_to_change_with_counts(tmp_path, capsys):
+    parent = write(tmp_path / "a.jsonl", [
+        record(0, 0.0, models=fits(M1=(True, True, -1.0, 400), M2=(False, False, -2.0, 2000)), m4="M1"),
+        record(1, 0.0, models=fits(M1=(True, False, -3.0, 500)), m4=None),
+    ])
+    change = write(tmp_path / "b.jsonl", [
+        record(0, 0.0, models=fits(M1=(True, True, -1.0, 380), M2=(True, True, -1.5, 600)), m4="M2"),
+        record(1, 0.0, models=fits(M1=(True, True, -3.0, 500)), m4=None),
+    ])
+    assert same_records.main([parent, change]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "replicate record 0 (index 0) differs",
+        "  M1: evals 400 -> 380",
+        "  M2: converged False -> True, ok False -> True, ll -2.0 -> -1.5, evals 2000 -> 600",
+        "  M4: M1 -> M2",
+        "replicate record 1 (index 1) differs",
+        "  M1: ok False -> True",
+        "2 vs 2 replicate records, 2 mismatches",
+        "parent: 2 of 3 fits converged, 1 ok; change: 3 of 3 fits converged, 3 ok",
+    ]
+
+
+def test_a_record_that_differs_outside_the_listed_fields_lists_no_fit(tmp_path, capsys):
+    ll = -7414.5766974406015
+    one = fits(M1=(True, True, ll, 400))
+    parent = write(tmp_path / "a.jsonl", [record(0, 0.0, models=one, m4="M1", censoring=0.3)])
+    change = write(tmp_path / "b.jsonl", [record(0, 0.0, models=one, m4="M1", censoring=0.31)])
+    assert same_records.main([parent, change]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "replicate record 0 (index 0) differs",
+        "1 vs 1 replicate records, 1 mismatches",
+        "parent: 1 of 1 fits converged, 1 ok; change: 1 of 1 fits converged, 1 ok",
+    ]
+    # one ulp of ll is listed with both values
+    moved = fits(M1=(True, True, math.nextafter(ll, 0.0), 400))
+    write(tmp_path / "b.jsonl", [record(0, 0.0, models=moved, m4="M1", censoring=0.3)])
+    assert same_records.main([parent, change]) == 1
+    assert f"  M1: ll {ll!r} -> {math.nextafter(ll, 0.0)!r}" in capsys.readouterr().out.splitlines()

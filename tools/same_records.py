@@ -8,8 +8,11 @@ Both files are the standard output of ``perfbench/run.py``.  The script
 compares their ``replicate`` records in order, with every float compared
 by ``float.hex``.  The fields that hold timings or depend on the trace
 setting (``replicate_s``, ``layers``, ``position``, ``spans``) are left
-out.  It prints the number of records compared and of mismatches, with the
-index of each record that differs, and exits with 1 on any mismatch.
+out.  For each record that differs it prints the record's index, then one
+line per model whose ``converged``, ``ok``, ``ll`` or ``evals`` differs,
+as parent -> change, and the M4 pick when it differs.  It ends with the
+number of records compared and of mismatches, and with the converged and
+ok fit counts of each side.  It exits with 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import sys
 
 IGNORED = ("replicate_s", "layers", "position", "spans")
+LISTED = ("converged", "ok", "ll", "evals")  # the fit fields printed when they differ
 
 
 def exact(value):
@@ -35,10 +39,35 @@ def replicates(path: str) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh if line.strip()]
     return [
-        exact({k: v for k, v in r.items() if k not in IGNORED})
+        {k: v for k, v in r.items() if k not in IGNORED}
         for r in records
         if r.get("kind") == "replicate"
     ]
+
+
+def changed_fits(a: dict, b: dict) -> list[str]:
+    """One line per model whose listed fields differ, then the M4 pick if it differs."""
+    fits_a, fits_b = a.get("models") or {}, b.get("models") or {}
+    lines = []
+    for model in sorted(set(fits_a) | set(fits_b)):
+        fa, fb = fits_a.get(model, {}), fits_b.get(model, {})
+        diffs = [
+            f"{key} {fa.get(key)!r} -> {fb.get(key)!r}"
+            for key in LISTED
+            if exact(fa.get(key)) != exact(fb.get(key))
+        ]
+        if diffs:
+            lines.append(f"  {model}: {', '.join(diffs)}")
+    if a.get("m4") != b.get("m4"):
+        lines.append(f"  M4: {a.get('m4')} -> {b.get('m4')}")
+    return lines
+
+
+def tally(records: list[dict]) -> str:
+    fits = [f for r in records for f in (r.get("models") or {}).values()]
+    converged = sum(f.get("converged") is True for f in fits)
+    ok = sum(f.get("ok") is True for f in fits)
+    return f"{converged} of {len(fits)} fits converged, {ok} ok"
 
 
 def main(argv: list[str]) -> int:
@@ -48,10 +77,13 @@ def main(argv: list[str]) -> int:
     parent, change = (replicates(p) for p in argv)
     mismatches = abs(len(parent) - len(change))
     for i, (a, b) in enumerate(zip(parent, change)):
-        if a != b:
+        if exact(a) != exact(b):
             mismatches += 1
             print(f"replicate record {i} (index {a.get('index')}) differs")
+            for line in changed_fits(a, b):
+                print(line)
     print(f"{len(parent)} vs {len(change)} replicate records, {mismatches} mismatches")
+    print(f"parent: {tally(parent)}; change: {tally(change)}")
     return 1 if mismatches else 0
 
 
