@@ -161,7 +161,7 @@ def ew_log_terms(v, kappa, theta, alpha):
 def ew_quantile(u, kappa, theta, alpha):
     """Inverse CDF: t = theta * (-log(1 - u^{1/alpha}))^{1/kappa}, exact closed form."""
     u = np.asarray(u, dtype=float)
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    if np.any(~((0.0 < u) & (u < 1.0))):
         raise ValueError("u must be in (0, 1)")
     lu = np.log(u) / alpha
     w = -log1mexp(-lu)

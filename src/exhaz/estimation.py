@@ -169,6 +169,8 @@ class FitResult:
 
 def confidence_intervals(fit: FitResult, level: float = 0.95):
     """Natural-scale Wald intervals: estimate +/- z * SE, per parameter."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
     if fit.std_errors is None:
         raise SEsUnavailable(f"standard errors unavailable for {fit.model} fit")
     z = float(ndtri(0.5 * (1.0 + level)))

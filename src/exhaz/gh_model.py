@@ -113,7 +113,7 @@ def inverse_excess_survival(u, x, params: ModelParams):
     when u is so small that the target CDF argument rounds to 1.
     """
     u = np.asarray(u, dtype=float)
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    if np.any(~((0.0 < u) & (u < 1.0))):
         raise ValueError("u must be in (0, 1)")
     x = np.asarray(x, dtype=float)
     xb1, xb2 = x @ params.beta1, x @ params.beta2

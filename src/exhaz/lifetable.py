@@ -8,6 +8,11 @@ diagnosed at age A in year y traverses the table along the diagonal
 rate x duration over the sub-segments delimited by integer age/year
 boundaries.
 
+Every table, read from a CSV, made from a rate function or built from a
+grid, passes one check, in the ``LifeTable`` constructor: a non-empty 3-D
+grid, every rate finite and >= 0, and one distinct strata tuple per
+stratum.  A failure raises DataError naming the first bad cell.
+
 One walk along that diagonal (``LifeTable._walk``) serves both the
 increment dH_P and its inverse, the other-cause time.  It moves the
 patients of a batch forward together, one cell per step, so every query
@@ -42,15 +47,17 @@ def _norm_strata(values: Iterable) -> tuple[str, ...]:
     return tuple(str(v).strip() for v in values)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LifeTable:
     """Dense grid of background mortality rates h_P(age, year; strata).
 
-    Internal storage is a dense array indexed by
-    (age - age_min, year - year_min, stratum index) so that lookups in the
-    likelihood inner loop are O(1).  Queries outside the age/year ranges
-    clamp to the nearest boundary cell.  Immutable after construction;
-    all queries are pure.
+    Five fields hold the grid: the strata column names, ``age_min``,
+    ``year_min``, ``rates`` indexed by (age - age_min, year - year_min,
+    stratum code) and ``strata``, the label tuple of each code; ``age_max``,
+    ``year_max`` and the label -> code map of ``codes`` derive from them.
+    The constructor checks the grid (see the module docstring) and copies
+    the rates read-only; the table is frozen and compares by identity.
+    Queries outside the age/year ranges clamp to the edge cell; all are pure.
 
     ``rate_at``, ``cum_hazard_increment`` and ``other_cause_time_inverse``
     take n points of the Lexis plane, which move to (age + s, year + s) at
@@ -62,24 +69,45 @@ class LifeTable:
 
     strata_columns: tuple[str, ...]
     age_min: int
-    age_max: int
     year_min: int
-    year_max: int
     rates: np.ndarray  # shape (n_ages, n_years, n_strata)
-    strata_index: dict[tuple[str, ...], int] = field(repr=False)
+    strata: tuple[tuple[str, ...], ...]  # the labels of each stratum code
+    _code: dict[tuple[str, ...], int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.rates.setflags(write=False)
+        rates = np.array(self.rates, dtype=float)
+        strata = tuple(_norm_strata(z) for z in self.strata)
+        if rates.ndim != 3 or rates.size == 0:
+            raise DataError(f"life table rates of shape {rates.shape} are not a non-empty 3-D grid")
+        if len(set(strata)) != len(strata) or len(strata) != rates.shape[2]:
+            raise DataError(f"strata {strata} are not {rates.shape[2]} distinct tuples")
+        bad = ~((0.0 <= rates) & (rates < np.inf))
+        if bad.any():
+            ia, iy, ik = np.argwhere(bad)[0]
+            raise DataError(f"rate {rates[ia, iy, ik]} at age={self.age_min + ia}, year="
+                            f"{self.year_min + iy}, strata={strata[ik]} is negative or not finite")
+        rates.setflags(write=False)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "_code", {z: k for k, z in enumerate(strata)})
 
     def __reduce__(self):
         # unpickling runs the constructor, so the rates come back read-only
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    @property
+    def age_max(self) -> int:
+        return self.age_min + self.rates.shape[0] - 1
+
+    @property
+    def year_max(self) -> int:
+        return self.year_min + self.rates.shape[1] - 1
 
     def codes(self, strata: Iterable[Iterable]) -> np.ndarray:
         """The table's code of each of the caller's distinct strata tuples, in
         order; a tuple the table lacks raises UnknownStratum."""
         try:
-            return np.array([self.strata_index[_norm_strata(z)] for z in strata], dtype=np.intp)
+            return np.array([self._code[_norm_strata(z)] for z in strata], dtype=np.intp)
         except KeyError as missing:
             raise UnknownStratum(
                 f"strata value {missing.args[0]!r} not present in life table "
@@ -295,36 +323,19 @@ def load_life_table(source: TextIO | str) -> LifeTable:
         cells[key] = rate
 
     cols, _, _ = _read_csv(source, "life table", ("age", "year", "rate"), parse)
-    strata_cols = tuple(c for c in cols if c not in ("age", "year", "rate"))
-
     ages = sorted({k[0] for k in cells})
     years = sorted({k[1] for k in cells})
-    strata_values = sorted({k[2] for k in cells})
-    age_min, age_max = ages[0], ages[-1]
-    year_min, year_max = years[0], years[-1]
-    n_a = age_max - age_min + 1
-    n_y = year_max - year_min + 1
-    strata_index = {s: i for i, s in enumerate(strata_values)}
-
-    rates = np.full((n_a, n_y, len(strata_values)), np.nan)
-    for (age, year, strata), rate in cells.items():
-        rates[age - age_min, year - year_min, strata_index[strata]] = rate
+    strata = sorted({k[2] for k in cells})
+    rates = np.full((ages[-1] - ages[0] + 1, years[-1] - years[0] + 1, len(strata)), np.nan)
+    for (age, year, z), rate in cells.items():
+        rates[age - ages[0], year - years[0], strata.index(z)] = rate
     if np.isnan(rates).any():
         ia, iy, ik = np.argwhere(np.isnan(rates))[0]
-        stratum = strata_values[ik]
         raise DataError(
-            f"missing cell: age={age_min + ia}, year={year_min + iy}, strata={stratum}"
+            f"missing cell: age={ages[0] + ia}, year={years[0] + iy}, strata={strata[ik]}"
         )
-
-    return LifeTable(
-        strata_columns=strata_cols,
-        age_min=age_min,
-        age_max=age_max,
-        year_min=year_min,
-        year_max=year_max,
-        rates=rates,
-        strata_index=strata_index,
-    )
+    columns = tuple(c for c in cols if c not in ("age", "year", "rate"))
+    return LifeTable(columns, ages[0], years[0], rates, strata)
 
 
 def make_life_table(
@@ -335,23 +346,12 @@ def make_life_table(
     strata_values: Sequence[tuple[str, ...]],
 ) -> LifeTable:
     """Build a table programmatically from rate_fn(age, year, strata) -> rate."""
-    age_min, age_max = age_range
-    year_min, year_max = year_range
-    strata_values = [_norm_strata(s) for s in strata_values]
-    rates = np.empty((age_max - age_min + 1, year_max - year_min + 1, len(strata_values)))
-    for i, age in enumerate(range(age_min, age_max + 1)):
-        for j, year in enumerate(range(year_min, year_max + 1)):
-            for k, strata in enumerate(strata_values):
-                r = float(rate_fn(age, year, strata))
-                if not math.isfinite(r) or r < 0.0:
-                    raise DataError(f"rate_fn({age}, {year}, {strata}) = {r}")
-                rates[i, j, k] = r
-    return LifeTable(
-        strata_columns=tuple(strata_columns),
-        age_min=age_min,
-        age_max=age_max,
-        year_min=year_min,
-        year_max=year_max,
-        rates=rates,
-        strata_index={s: i for i, s in enumerate(strata_values)},
-    )
+    ages = range(age_range[0], age_range[1] + 1)
+    years = range(year_range[0], year_range[1] + 1)
+    strata = [_norm_strata(z) for z in strata_values]
+    rates = np.empty((len(ages), len(years), len(strata)))
+    for i, age in enumerate(ages):
+        for j, year in enumerate(years):
+            for k, z in enumerate(strata):
+                rates[i, j, k] = float(rate_fn(age, year, z))
+    return LifeTable(tuple(strata_columns), age_range[0], year_range[0], rates, strata)

@@ -265,7 +265,9 @@ class PreparedCohort:
 
     hp[i] is the background rate at exit time and dhp[i] the cumulative
     background-hazard increment over (0, t_i] along the Lexis diagonal.
-    Immutable; likelihood evaluations are pure functions of it.
+    ``covariate_names`` names the columns of X (x1..xp when empty); a count
+    that differs from X's raises DataError.  Immutable; likelihood
+    evaluations are pure functions of it.
 
     The cohort also keeps the event mask ``status == 1`` and a memo of the
     last two EW blocks the likelihood computed on it: the baseline terms,
@@ -300,6 +302,10 @@ class PreparedCohort:
                 self,
                 "covariate_names",
                 tuple(f"x{i + 1}" for i in range(self.X.shape[1])),
+            )
+        elif len(self.covariate_names) != self.X.shape[1]:
+            raise DataError(
+                f"{len(self.covariate_names)} covariate names for {self.X.shape[1]} columns of X"
             )
 
     @property

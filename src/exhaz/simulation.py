@@ -28,6 +28,7 @@ such as an M2 gamma that switched the population hazard off.
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 import time
@@ -43,7 +44,7 @@ from .distributions import (
     sample_gamma_frailty,
     sample_lognormal_frailty,
 )
-from .errors import NoEligibleFit, TargetUnreachable
+from .errors import ExhazError, NoEligibleFit, TargetUnreachable
 from .estimation import MODELS, FitConfig, confidence_intervals, fit_all, select_m4
 from .gh_model import inverse_excess_survival
 from .lifetable import LifeTable, load_life_table, make_life_table
@@ -71,6 +72,7 @@ DIAGNOSIS_YEAR = 2010.0
 AGE_CENTER = 70.0
 _SEX_STRATA = (("0",), ("1",))  # life-table strata of the sex codes 0 and 1
 _CALIBRATION_TOL = 0.005  # drop-out calibration: |censoring - target| that ends the search
+log = logging.getLogger("exhaz")
 
 
 def design_life_table() -> LifeTable:
@@ -330,18 +332,24 @@ class StudyMetrics:
 
 
 def _run_replicate(args):
-    """One replicate's record: its censoring, one row per model, and M4's pick.
+    """One replicate's record: its censoring, one row per model, M4's pick and the error.
 
     A row maps names to estimates, SEs and Wald intervals (None without SEs)
     and lists the parameters on the box edge; the pick (None when no fit is
-    eligible) is a row holding c alone.
+    eligible) is a row holding c alone.  A ``fit_all`` that raises leaves
+    its error, no rows and no pick.
     """
     sc, index, table = args
     cohort = prepare_cohort(
         generate_cohort(sc, index, table), table, advance_year=sc.advance_year,
         covariate_names=COVARIATES,
     )
-    fits = fit_all(cohort, sc.fit)
+    censoring = float(1.0 - cohort.status.mean())
+    record = {"index": index, "censoring": censoring, "models": {}, "m4": None, "error": None}
+    try:
+        fits = fit_all(cohort, sc.fit)
+    except ExhazError as exc:
+        return {**record, "error": f"{type(exc).__name__}: {exc}"}
     rows = {
         model: {
             "estimates": dict(zip(res.param_names, res.estimates)),
@@ -358,7 +366,7 @@ def _run_replicate(args):
         pick = {"model": chosen.model, "estimates": {"c": float(c_hat)}, "ses": None, "cis": None}
     except NoEligibleFit:
         pick = None
-    return {"index": index, "censoring": float(1.0 - cohort.status.mean()), "models": rows, "m4": pick}
+    return {**record, "models": rows, "m4": pick}
 
 
 def _metrics_for(truth: float, rows, name: str) -> ParamMetrics:
@@ -382,7 +390,8 @@ def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1)
 
     M1-M3 pool the replicates where their fit converged (``not_converged``
     counts the rest); M4 pools the row AIC chose and c from the pick
-    (``m4_failures`` counts replicates with no converged fit).  Metric
+    (``m4_failures`` counts replicates with no converged fit).  A replicate
+    whose ``fit_all`` raises is logged and counted in both.  Metric
     accumulation is ordered by replicate index regardless of worker count.
     """
     t_start = time.monotonic()
@@ -401,11 +410,17 @@ def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1)
     else:
         results = [_run_replicate(t) for t in tasks]
     results.sort(key=lambda r: r["index"])
+    for r in results:
+        if r["error"] is not None:
+            log.warning("replicate %d: fit_all raised %s", r["index"], r["error"])
 
     picks = [r["m4"] for r in results if r["m4"] is not None]
-    pools = {m: [r["models"][m] for r in results if r["models"][m]["converged"]] for m in MODELS}
+    pools = {
+        m: [r["models"][m] for r in results if m in r["models"] and r["models"][m]["converged"]]
+        for m in MODELS
+    }
     pools["M4"] = [r["models"][r["m4"]["model"]] for r in results if r["m4"] is not None]
-    names = {m: list(results[0]["models"][m]["estimates"]) for m in MODELS}
+    names = {m: ParamLayout.for_model(m, COVARIATES).names for m in MODELS}
     names["M4"] = names["M1"]  # the parameters every model shares
 
     params = {}

@@ -218,6 +218,8 @@ def test_quantile_rejects_bad_u():
         ew_quantile(0.0, *P_TABLE1)
     with pytest.raises(ValueError):
         ew_quantile(1.0, *P_TABLE1)
+    with pytest.raises(ValueError, match=r"u must be in \(0, 1\)"):
+        ew_quantile([0.5, math.nan], *P_TABLE1)
 
 
 def test_params_validated():

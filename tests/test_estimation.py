@@ -523,6 +523,12 @@ def test_z_quantile_95():
     assert 1.0 - lo == pytest.approx(1.644854, abs=1e-6)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, math.nan])
+def test_wald_level_outside_the_open_unit_interval_is_rejected(m1_fit, level):
+    with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
+        confidence_intervals(m1_fit[1], level=level)
+
+
 def test_zero_se_gives_zero_width():
     res = FitResult(
         layout=ParamLayout.for_model("M1", ()),

@@ -162,6 +162,12 @@ def test_inverse_at_x_zero_reduces_to_ew():
     assert ew_survival(t, BASE) == pytest.approx(u, rel=1e-12)
 
 
+def test_inverse_rejects_u_outside_the_open_unit_interval():
+    for u in (0.0, 1.0, math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError, match=r"u must be in \(0, 1\)"):
+            inverse_excess_survival(u, np.zeros(3), TRUTH)
+
+
 def test_simulated_times_match_net_survival_dkw():
     # empirical survival of 1e5 draws within the DKW 99% band
     rng = np.random.default_rng(7)

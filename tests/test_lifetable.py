@@ -2,6 +2,8 @@
 
 import io
 import math
+import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -103,6 +105,61 @@ def test_malformed_row_rejected():
         table_from_text("age,year,sex\n70,2012,0\n")
     with pytest.raises(DataError, match="life table has a header but no data rows"):
         table_from_text("# comment\nage,year,sex,rate\n")
+
+
+SEX = (("0",), ("1",))
+
+
+def grid(bad=None):
+    """Rates of ages 70-71 x year 2012 x SEX, with ``bad`` at (71, 2012, "1")."""
+    rates = np.array([[[0.02, 0.03]], [[0.025, 0.04]]])
+    if bad is not None:
+        rates[1, 0, 1] = bad
+    return rates
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_constructor_rejects_a_bad_rate_naming_its_cell(bad):
+    message = re.escape(f"rate {bad} at age=71, year=2012, strata=('1',) is negative or not finite")
+    with pytest.raises(DataError, match=message):
+        LifeTable(("sex",), 70, 2012, grid(bad), SEX)
+
+    def rate(age, year, strata):
+        return grid(bad)[age - 70, 0, int(strata[0])]
+
+    # a table made from a rate function passes the same check
+    with pytest.raises(DataError, match=message):
+        make_life_table(["sex"], (70, 71), (2012, 2012), rate, SEX)
+
+
+@pytest.mark.parametrize(
+    "rates, strata, message",
+    [
+        (grid(), (("0",),), "strata (('0',),) are not 2 distinct tuples"),
+        (grid(), (*SEX, ("2",)), "strata (('0',), ('1',), ('2',)) are not 2 distinct tuples"),
+        (grid(), (("0",), (" 0",)), "strata (('0',), ('0',)) are not 2 distinct tuples"),
+        (grid()[:, 0, :], SEX, "life table rates of shape (2, 2) are not a non-empty 3-D grid"),
+        (np.zeros((0, 1, 2)), SEX, "of shape (0, 1, 2) are not a non-empty 3-D grid"),
+    ],
+    ids=["too-few", "too-many", "duplicate", "2-D", "empty"],
+)
+def test_constructor_rejects_strata_that_do_not_match_the_grid(rates, strata, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        LifeTable(("sex",), 70, 2012, rates, strata)
+
+
+def test_table_is_frozen_holds_its_own_read_only_rates_and_compares_by_identity():
+    rates = grid()
+    t = LifeTable(("sex",), 70, 2012, rates, [["0"], [1]])
+    rates[0, 0, 0] = 9.0
+    assert t.rates[0, 0, 0] == 0.02 and not t.rates.flags.writeable
+    assert (t.age_max, t.year_max, t.strata) == (71, 2012, SEX)
+    assert t.codes([("1",), (0,)]).tolist() == [1, 0]
+    for name, value in (("age_min", 50), ("rates", rates), ("strata", SEX)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, value)
+    twin = LifeTable(("sex",), 70, 2012, grid(), SEX)
+    assert t == t and t != twin and len({t, twin}) == 2
 
 
 def test_comments_and_blank_lines_ignored():

@@ -476,6 +476,14 @@ def test_prepare_cohort_caches_match_table(flat_table):
     assert cohort.n_events == 1
 
 
+def test_covariate_names_must_name_every_column_of_x(flat_table):
+    x = (0.2, 1.0, 0.0)
+    rows = Cohort([1.2, 4.0], [1, 0], [64.3, 75.0], [2010.0, 2010.0], [x, x], [("0",)], [0, 0])
+    assert prepare_cohort(rows, flat_table).covariate_names == ("x1", "x2", "x3")
+    with pytest.raises(DataError, match="^1 covariate names for 3 columns of X$"):
+        prepare_cohort(rows, flat_table, covariate_names=("age",))
+
+
 # ---------------------------------------------------------------------------
 # M3 population-term helpers: one branch per entry
 # ---------------------------------------------------------------------------

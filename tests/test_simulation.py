@@ -3,7 +3,7 @@
 import csv
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -146,8 +146,13 @@ def test_pickled_parameters_and_tables_stay_read_only(table):
     assert copy.layout == gh.layout and copy.values.tolist() == gh.values.tolist()
     for arr in (copy.values, copy.baseline, copy.beta1, copy.beta2, copy.correction):
         assert not arr.flags.writeable
-    rates = pickle.loads(pickle.dumps(table)).rates
-    assert not rates.flags.writeable and np.array_equal(rates, table.rates)
+    copy = pickle.loads(pickle.dumps(table))
+    assert not copy.rates.flags.writeable and np.array_equal(copy.rates, table.rates)
+    assert (copy.age_max, copy.year_max) == (table.age_max, table.year_max)
+    assert copy.strata == table.strata
+    assert copy.codes([("1",), ("0",)]).tolist() == [1, 0]
+    with pytest.raises(FrozenInstanceError):
+        copy.age_min = 0
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +169,21 @@ def _same(a, b):
 def test_study_results_do_not_depend_on_jobs(studies):
     serial, parallel = studies
     assert _same(replace(serial, wall_time_s=0.0), replace(parallel, wall_time_s=0.0))
+
+
+def test_a_replicate_whose_fit_all_raises_is_counted_not_fatal(table, caplog):
+    # Replicate stream 159 of "none" at n=1000: M1 ends on the EW tail
+    # artefact, so fit_all finds no finite start for M2 and raises.
+    sc = replace(builtin_scenarios()["none"], n=1000, n_replicates=2, seed=159)
+    serial, parallel = run_study(sc, table, jobs=1), run_study(sc, table, jobs=2)
+    assert _same(replace(serial, wall_time_s=0.0), replace(parallel, wall_time_s=0.0))
+    raised = "replicate 0: fit_all raised NonFiniteLikelihood: M2: no usable starting point"
+    assert caplog.text.count(raised) == 2
+    # replicate 1 fits: M1 and M3 converge, AIC picks M1
+    assert serial.not_converged == {"M1": 1, "M2": 2, "M3": 1} and serial.m4_failures == 1
+    assert serial.selection == {"M1": 1.0, "M2": 0.0, "M3": 0.0}
+    assert list(serial.params["M2"]) == [*serial.params["M1"], "gamma"]
+    assert math.isnan(serial.params["M2"]["gamma"].mmle)
 
 
 def read_report(path):

@@ -1,14 +1,28 @@
-"""tools/same_records.py: the bit-identity check of two perfbench runs."""
+"""The bit-identity checks under tools/: same_records.py compares two perfbench
+runs, cohort_digest.py digests the cohorts the presets draw."""
 
 import importlib.util
 import json
 import math
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_records.py"
-spec = importlib.util.spec_from_file_location("same_records", TOOL)
-same_records = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(same_records)
+import numpy as np
+
+from exhaz.lifetable import LifeTable
+from exhaz.simulation import design_life_table
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+same_records = load_tool("same_records")
+cohort_digest = load_tool("cohort_digest")
 
 
 def record(index, ll, **extra):
@@ -84,3 +98,16 @@ def test_a_record_that_differs_outside_the_listed_fields_lists_no_fit(tmp_path, 
     write(tmp_path / "b.jsonl", [record(0, 0.0, models=moved, m4="M1", censoring=0.3)])
     assert same_records.main([parent, change]) == 1
     assert f"  M1: ll {ll!r} -> {math.nextafter(ll, 0.0)!r}" in capsys.readouterr().out.splitlines()
+
+
+def test_cohort_digest_is_stable_and_sees_one_ulp_of_one_rate():
+    table = design_life_table()
+    lines = list(cohort_digest.digest_lines(table))
+    # 9 presets x 2 advance_year settings x 2 replicates, and 5 drop-out calibrations
+    assert len(lines) == 9 * 2 * 2 + 5 and len(set(lines)) == len(lines)
+    assert lines == list(cohort_digest.digest_lines(design_life_table()))
+    rates = table.rates.copy()
+    rates[70, 5, 1] = np.nextafter(rates[70, 5, 1], 1.0)  # age 70, 2010, stratum "1"
+    moved = LifeTable(table.strata_columns, table.age_min, table.year_min, rates, table.strata)
+    changed = [a for a, b in zip(lines, cohort_digest.digest_lines(moved)) if a != b]
+    assert changed == [line for line in lines if "replicate=" in line]
