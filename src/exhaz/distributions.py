@@ -16,7 +16,15 @@ Survival-tail quantities are computed in log space throughout:
 log(1 - e^{-v}) uses expm1 below ln 2 and log1p above (the usual split),
 and the survival logarithm falls back to its asymptotic series
 log(alpha) - (t/theta)^kappa once 1 - F is too small for direct evaluation.
-``ew_quantile`` inverts F in closed form.  Frailty laws are a Gamma in
+``ew_quantile`` inverts F in closed form.
+
+The kernels (``_by_majority``, ``log1mexp``, ``ew_log_terms``) enter no
+``np.errstate`` themselves: a likelihood evaluation enters it once around
+all of its array work, and so do the public functions that call them.
+They compute throwaway values on entries they then overwrite, and return
+infinities and NaNs that their callers check.
+
+Frailty laws are a Gamma in
 mean/scale parameterization (mean mu, variance mu*b; its Laplace
 transform and a sampler) and a lognormal used for misspecification
 experiments.
@@ -96,21 +104,24 @@ def _by_majority(x, small, f_small, f_large):
     """Entry-wise ``np.where(small, f_small(x), f_large(x))``, bit for bit.
 
     The branch most entries need runs on the whole (flattened) array; only
-    the other entries are recomputed, by index, with their own branch, so
-    every entry gets exactly the bits of its branch.  Masked ``where=``
-    ufuncs and boolean indexing of both sides were slower.  Floating-point
-    warnings are off because the majority branch computes throwaway values
-    for the other entries; a NaN or inf that is kept shows in the result.
+    the other entries, if any, are recomputed, by index, with their own
+    branch, so every entry gets exactly the bits of its branch.  Masked
+    ``where=`` ufuncs and boolean indexing of both sides were slower.  The
+    majority branch computes throwaway values for the other entries, so
+    run it under ``np.errstate``; a NaN or inf that is kept shows in the
+    result.
     """
     flat, small = x.ravel(), small.ravel()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if 2 * np.count_nonzero(small) >= flat.size:
-            out = f_small(flat)
-            idx = np.flatnonzero(~small)
+    n_small = np.count_nonzero(small)
+    if 2 * n_small >= flat.size:
+        out = f_small(flat)
+        if n_small < flat.size:
+            idx = (~small).nonzero()[0]
             out[idx] = f_large(flat[idx])
-        else:
-            out = f_large(flat)
-            idx = np.flatnonzero(small)
+    else:
+        out = f_large(flat)
+        if n_small:
+            idx = small.nonzero()[0]
             out[idx] = f_small(flat[idx])
     return out.reshape(x.shape)
 
@@ -119,7 +130,8 @@ def log1mexp(v):
     """log(1 - exp(-v)) for v >= 0, stable on both sides of v = ln 2.
 
     log(-expm1(-v)) serves v <= ln 2 and log1p(-exp(-v)) the rest (NaN
-    included), each entry with exactly the bits of its branch.
+    included), each entry with exactly the bits of its branch.  v = 0
+    gives -inf: run it under ``np.errstate``.
     """
     v = np.asarray(v, dtype=float)
     return _by_majority(
@@ -135,26 +147,35 @@ def ew_log_terms(v, kappa, theta, alpha):
     the hazard.  Beyond w = 600 log S is replaced by its asymptote
     log(alpha) - w (relative error ~e^{-600}); switching well before
     exp(-w) goes subnormal keeps log S smooth in the parameters, which the
-    optimizer relies on.  The other terms are returned because the
-    likelihood gradient reuses them.
+    optimizer relies on.  Those tail entries are patched by index, and log
+    f and h0 are built in place.  The other terms are returned because the
+    likelihood gradient reuses them.  The arrays have the shape of v, 0-d
+    for a scalar v.  Run it under ``np.errstate``: v = 0 or an overflowing
+    w gives infinities that the callers check.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vt = v / theta
-        w = np.power(vt, kappa)
-        logm = log1mexp(w)
-        vv = -(alpha * logm)
-        log_s0 = log1mexp(vv)
-        log_s0 = np.where((w > 600.0) | (vv == 0.0), math.log(alpha) - w, log_s0)
-        lw = np.log(vt)
-        logf = (
-            math.log(alpha)
-            + math.log(kappa)
-            - math.log(theta)
-            + (kappa - 1.0) * lw
-            + (alpha - 1.0) * logm
-            - w
-        )
-        h0 = np.exp(logf - log_s0)
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0:
+        return tuple(a.reshape(()) for a in ew_log_terms(v.reshape(1), kappa, theta, alpha))
+    log_alpha = math.log(alpha)
+    vt = v / theta
+    w = np.power(vt, kappa)
+    logm = log1mexp(w)
+    vv = alpha * logm
+    np.negative(vv, out=vv)
+    log_s0 = log1mexp(vv)
+    tail = w > 600.0
+    tail |= vv == 0.0
+    tail = tail.nonzero()
+    if tail[0].size:
+        log_s0[tail] = log_alpha - w[tail]
+    lw = np.log(vt, out=vt)
+    # log f = log(alpha) + log(kappa) - log(theta) + (kappa-1) lw + (alpha-1) logm - w
+    h0 = (kappa - 1.0) * lw
+    h0 += log_alpha + math.log(kappa) - math.log(theta)
+    h0 += (alpha - 1.0) * logm
+    h0 -= w
+    h0 -= log_s0
+    np.exp(h0, out=h0)
     return w, logm, vv, log_s0, lw, h0
 
 
@@ -164,7 +185,8 @@ def ew_quantile(u, kappa, theta, alpha):
     if np.any(~((0.0 < u) & (u < 1.0))):
         raise ValueError("u must be in (0, 1)")
     lu = np.log(u) / alpha
-    w = -log1mexp(-lu)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = -log1mexp(-lu)
     return theta * np.power(w, 1.0 / kappa)
 
 

@@ -443,8 +443,6 @@ def fit(
     well-conditioned; estimates, SEs, and covariance are mapped back to the
     data scale on output.
     """
-    if cohort.n == 0:
-        raise DataError("cohort is empty")
     if cohort.n_events == 0:
         raise DataError("cohort has no events (all censored); cannot fit")
     obj, slot_scale = _standardized_objective(model, cohort)

@@ -31,6 +31,15 @@ the public ``excess_hazard`` and ``excess_cum_hazard``, and the M3
 population hazard from ``omega1``.
 Analytic gradients are provided for the optimizer; they are exercised
 against central finite differences in the test suite.
+
+One evaluation (``loglik`` or ``loglik_and_grad``) enters ``np.errstate``
+once, around all of its array work: the EW kernel, the terms and the
+gradient run under it and check their own infinities and NaNs.  The terms
+and each gradient component are built in place, in the order of
+operations of their formulas, so every value keeps the bits of the plain
+expressions.  What depends on the cohort alone is computed once, when the
+PreparedCohort is built: the event mask and the gradient's constants, the
+sum of dH_P (M2) and dH_P^2 (M3).
 """
 
 from __future__ import annotations
@@ -64,30 +73,38 @@ __all__ = [
 ]
 
 
-def _first_bad_row(time, status, age_diag, year_diag, X, stratum, n_strata):
-    """(row, message) of the first row that fails a check, or None.
+def _first_failure(checks):
+    """(row, message) of the first row that fails one of ``checks``, or None.
 
-    Every check runs over whole columns; a row failing several reports the
-    first check it fails.  A stratum code must index one of ``n_strata``.
+    Each check pairs a boolean column, True on the rows that fail it, with
+    a function of a row giving its message.  Every check runs over whole
+    columns; a row failing several reports the first check it fails.
     """
-    bad = np.column_stack([
-        ~(np.isfinite(time) & (time > 0)),
-        ~((status == 0) | (status == 1)),
-        ~(np.isfinite(age_diag) & np.isfinite(year_diag)),
-        ~np.isfinite(X).all(axis=1),
-        ~((0 <= stratum) & (stratum < n_strata)),
-    ])
+    bad = np.column_stack([fails for fails, _ in checks])
     if not bad.any():
         return None
     i = int(np.argmax(bad.any(axis=1)))
-    messages = (
-        f"follow-up time must be > 0, got {time[i]}",
-        f"status must be 0 or 1, got {status[i]}",
-        f"age and year at diagnosis must be finite, got {age_diag[i]}, {year_diag[i]}",
-        f"covariates must be finite, got {X[i]}",
-        f"stratum code must index one of the {n_strata} strata, got {stratum[i]}",
-    )
-    return i, messages[int(np.argmax(bad[i]))]
+    return i, checks[int(np.argmax(bad[i]))][1](i)
+
+
+def _first_bad_row(time, status, age_diag, year_diag, X, stratum, n_strata):
+    """(row, message) of the first row of a cohort that fails a check, or None.
+
+    A stratum code must index one of ``n_strata``.
+    """
+    return _first_failure([
+        (~(np.isfinite(time) & (time > 0)), lambda i: f"follow-up time must be > 0, got {time[i]}"),
+        (~((status == 0) | (status == 1)), lambda i: f"status must be 0 or 1, got {status[i]}"),
+        (
+            ~(np.isfinite(age_diag) & np.isfinite(year_diag)),
+            lambda i: f"age and year at diagnosis must be finite, got {age_diag[i]}, {year_diag[i]}",
+        ),
+        (~np.isfinite(X).all(axis=1), lambda i: f"covariates must be finite, got {X[i]}"),
+        (
+            ~((0 <= stratum) & (stratum < n_strata)),
+            lambda i: f"stratum code must index one of the {n_strata} strata, got {stratum[i]}",
+        ),
+    ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,19 +282,24 @@ class PreparedCohort:
 
     hp[i] is the background rate at exit time and dhp[i] the cumulative
     background-hazard increment over (0, t_i] along the Lexis diagonal.
-    ``covariate_names`` names the columns of X (x1..xp when empty); a count
-    that differs from X's raises DataError.  Immutable; likelihood
-    evaluations are pure functions of it.
+    ``covariate_names`` names the columns of X (x1..xp when empty).  The
+    constructor checks the columns once: they must have one length n >= 1
+    (X of shape (n, p), with p covariate names when they are given),
+    status must be 0 or 1, and hp and dhp finite and >= 0.  A failure
+    raises DataError, naming the first bad row.  The columns are copied
+    into read-only arrays.  Immutable; likelihood evaluations are pure
+    functions of it.
 
-    The cohort also keeps the event mask ``status == 1`` and a memo of the
-    last two EW blocks the likelihood computed on it: the baseline terms,
-    which depend only on (kappa, theta, alpha, beta1).  Coordinate descent
-    and finite-difference stencils revisit a block while they move beta2 or
-    the correction, and such an evaluation reuses it.  The cached arrays are
-    read-only and hold exactly the bits a fresh computation gives, so the
-    memo changes no result.  It is not thread-safe: share a cohort between
-    threads only through copies (``dataclasses.replace`` gives a fresh,
-    empty memo).
+    The cohort also keeps the event mask ``status == 1``, the constants of
+    the gradient (the sum of dhp for M2 and dhp^2 for M3), and a memo of
+    the last two EW blocks the likelihood computed on it: the baseline
+    terms, which depend only on (kappa, theta, alpha, beta1).  Coordinate
+    descent and finite-difference stencils revisit a block while they move
+    beta2 or the correction, and such an evaluation reuses it.  The cached
+    arrays are read-only and hold exactly the bits a fresh computation
+    gives, so the memo changes no result.  It is not thread-safe: share a
+    cohort between threads only through copies (``dataclasses.replace``
+    gives a fresh, empty memo).
     """
 
     time: np.ndarray
@@ -287,26 +309,41 @@ class PreparedCohort:
     dhp: np.ndarray
     covariate_names: tuple[str, ...] = ()
     _event: np.ndarray = field(init=False, repr=False, compare=False)
+    _sum_dhp: float = field(init=False, repr=False, compare=False)
+    _dhp2: np.ndarray = field(init=False, repr=False, compare=False)
     _ew_memo: OrderedDict = field(
         default_factory=OrderedDict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        for arr in (self.time, self.status, self.X, self.hp, self.dhp):
+        cols = {c: np.array(getattr(self, c), dtype=float) for c in ("time", "X", "hp", "dhp")}
+        status = np.array(self.status)
+        n = status.size
+        if n == 0:
+            raise DataError("cohort is empty")
+        X = cols["X"]
+        shapes = [cols[c].shape for c in ("time", "hp", "dhp")] + [status.shape]
+        if shapes != [(n,)] * 4 or X.ndim != 2 or len(X) != n:
+            raise DataError("a prepared cohort needs columns of one length n and X of shape (n, p)")
+        names = tuple(self.covariate_names) or tuple(f"x{i + 1}" for i in range(X.shape[1]))
+        if len(names) != X.shape[1]:
+            raise DataError(f"{len(names)} covariate names for {X.shape[1]} columns of X")
+        hp, dhp = cols["hp"], cols["dhp"]
+        bad = _first_failure([
+            (~((status == 0) | (status == 1)), lambda i: f"status must be 0 or 1, got {status[i]}"),
+            (~(np.isfinite(hp) & (hp >= 0)), lambda i: f"hp must be finite and >= 0, got {hp[i]}"),
+            (~(np.isfinite(dhp) & (dhp >= 0)), lambda i: f"dhp must be finite and >= 0, got {dhp[i]}"),
+        ])
+        if bad is not None:
+            raise DataError(f"row {bad[0]}: {bad[1]}")
+        cols["status"] = status.astype(np.int8)
+        cols["_event"] = status == 1
+        cols["_dhp2"] = dhp * dhp
+        for name, arr in cols.items():
             arr.setflags(write=False)
-        event = self.status == 1
-        event.setflags(write=False)
-        object.__setattr__(self, "_event", event)
-        if not self.covariate_names:
-            object.__setattr__(
-                self,
-                "covariate_names",
-                tuple(f"x{i + 1}" for i in range(self.X.shape[1])),
-            )
-        elif len(self.covariate_names) != self.X.shape[1]:
-            raise DataError(
-                f"{len(self.covariate_names)} covariate names for {self.X.shape[1]} columns of X"
-            )
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "covariate_names", names)
+        object.__setattr__(self, "_sum_dhp", np.add.reduce(dhp))
 
     @property
     def n(self) -> int:
@@ -386,34 +423,40 @@ def marginal_survival_m3(
 # ---------------------------------------------------------------------------
 
 
-def _exact_sum(a: np.ndarray) -> float:
+def _exact_sum(a: np.ndarray, top: float | None = None) -> float:
     """Correctly rounded sum of a float array; equals ``fsum(a.tolist())``.
 
     Error-free extraction (Rump, Ogita & Oishi 2008, "Accurate
     floating-point summation part I"): with sigma a power of two at least
     2^M max|r| and 2^M >= n + 2, q = (sigma + r) - sigma holds the leading
-    bits of every entry as multiples of ulp(sigma)/2, so np.sum(q) is exact
-    and so is r - q.  Each pass moves about 53 - M bits of every entry into
-    one partial sum; fsum adds the partials and the last remainders once at
-    most 32 of them are nonzero, or at once when the exponents leave the
-    range where sigma is a normal number that cannot overflow (huge, tiny,
-    inf or NaN entries).  Before each further pass a rounding certificate
-    (Rump, Ogita & Oishi 2008, part II) bounds the plain sum of the
-    remainders; when the whole bound rounds to one value with the partials,
-    that value is the answer and the passes stop.
+    bits of every entry as multiples of ulp(sigma)/2, so the sum of q is
+    exact and so is r - q.  Each pass moves about 53 - M bits of every
+    entry into one partial sum; fsum adds the partials and the last
+    remainders once at most 32 of them are nonzero, or at once when the
+    exponents leave the range where sigma is a normal number that cannot
+    overflow (huge, tiny, inf or NaN entries).  Before each further pass a
+    rounding certificate (Rump, Ogita & Oishi 2008, part II) bounds the
+    plain sum of the remainders; when the whole bound rounds to one value
+    with the partials, that value is the answer and the passes stop.
+
+    ``top`` is max|a| when the caller has it.  After a pass at sigma = 2^e
+    every remainder is at most 2^(e-53) in magnitude, and that bound is the
+    next pass's ``top``: sigma need only be a power of two above 2^M
+    max|r|, so the sum does not depend on how tight ``top`` is.
     """
     r = np.asarray(a, dtype=float).ravel()
     n = r.size
     m_bits = (n + 1).bit_length()
     parts = []
     while np.count_nonzero(r) > 32:
-        top = float(np.max(np.abs(r)))
+        if top is None:
+            top = float(np.maximum.reduce(np.abs(r)))
         if parts:
-            # np.sum(r) is within (n-1) u sum|r| < n^2 u top of the exact
-            # sum of r (u = 2^-53); d is four times that.  fsum rounds
+            # the plain sum of r is within (n-1) u sum|r| < n^2 u top of the
+            # exact sum of r (u = 2^-53); d is four times that.  fsum rounds
             # monotonically, so when both ends of [s - d, s + d] give one
             # value, so does the exact sum and the passes can stop.
-            s, d = float(np.sum(r)), 4.0 * n * n * 2.0**-53 * top
+            s, d = float(np.add.reduce(r)), 4.0 * n * n * 2.0**-53 * top
             if d >= sys.float_info.min:
                 lo = fsum(parts + [s - d])
                 if lo == fsum(parts + [s + d]):
@@ -422,9 +465,11 @@ def _exact_sum(a: np.ndarray) -> float:
         if not (math.isfinite(top) and -969 <= e <= 1022):
             break
         sigma = math.ldexp(1.0, e)
-        q = (sigma + r) - sigma
-        parts.append(float(np.sum(q)))
-        r = r - q
+        q = r + sigma
+        q -= sigma
+        parts.append(float(np.add.reduce(q)))
+        r = np.subtract(r, q, out=q)
+        top = math.ldexp(1.0, e - 53)  # |r - q| <= ulp(sigma) / 2
     return fsum(parts + r[r != 0].tolist())
 
 
@@ -434,6 +479,7 @@ def _ew_block(params: ModelParams, cohort: PreparedCohort):
 
     They depend on the cohort and on (kappa, theta, alpha, beta1) only, and
     come from the cohort's memo when one of its last two blocks matches.
+    Runs under the caller's ``np.errstate``.
     """
     baseline, beta1 = params.baseline, params.beta1
     key = baseline.tobytes() + beta1.tobytes()
@@ -443,8 +489,7 @@ def _ew_block(params: ModelParams, cohort: PreparedCohort):
         memo.move_to_end(key)
         return block
     xb1 = cohort.X @ beta1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        block = (xb1, *gh_baseline(cohort.time, xb1, *baseline))
+    block = (xb1, *gh_baseline(cohort.time, xb1, *baseline))
     for arr in block:
         arr.setflags(write=False)
     memo[key] = block
@@ -454,48 +499,60 @@ def _ew_block(params: ModelParams, cohort: PreparedCohort):
 
 
 def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
-    """Per-patient log-likelihood terms plus reusable intermediates."""
+    """Per-patient log-likelihood terms plus reusable intermediates.
+
+    Runs under the caller's ``np.errstate``.
+    """
     model, hp, dhp = params.layout.model, cohort.hp, cohort.dhp
     xb1, v, w, logm, vv, log_s0, lw, h0 = _ew_block(params, cohort)
     xb2 = cohort.X @ params.beta2
-    m3 = None  # (y, log1p(y)/y) with y = b dH_P under M3
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r21, he, HE = gh_excess(h0, log_s0, xb1, xb2)
-        if model == "M1":
-            chp = hp
-            pop = dhp if comparable else np.zeros(cohort.n)
-        elif model == "M2":
-            (gamma,) = params.correction
-            chp = gamma * hp
-            pop = gamma * dhp
-        else:
-            mu, b = params.correction
-            y = b * dhp
-            ratio = _log1p_ratio(y)
-            chp = omega1(dhp, mu, b) * hp
-            # (mu/b) log1p(b dhp) written as mu dhp log1p(y)/y: no cliff at b -> 0
-            pop = mu * dhp * ratio
-            m3 = (y, ratio)
-
-        lam = chp + he
-        loglam = np.log(np.where(cohort._event, lam, 1.0))  # log(1) = +0.0
-        terms = loglam - HE - pop
+    r21, he, HE = gh_excess(h0, log_s0, xb1, xb2)
+    pop = m3 = None  # m3: (y, log1p(y)/y) with y = b dH_P under M3
+    if model == "M1":
+        lam = hp + he
+        if comparable:
+            pop = dhp
+    elif model == "M2":
+        (gamma,) = params.correction
+        lam = gamma * hp
+        lam += he
+        pop = gamma * dhp
+    else:
+        mu, b = params.correction
+        y = b * dhp
+        ratio = _log1p_ratio(y)
+        lam = omega1(dhp, mu, b)
+        lam *= hp
+        lam += he
+        # (mu/b) log1p(b dhp) written as mu dhp log1p(y)/y: no cliff at b -> 0
+        pop = mu * dhp
+        pop *= ratio
+        m3 = (y, ratio)
+    terms = np.where(cohort._event, lam, 1.0)  # log(1) = +0.0
+    np.log(terms, out=terms)
+    terms -= HE
+    if pop is not None:
+        terms -= pop
     return terms, (v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3)
 
 
 def _checked_sum(terms: np.ndarray, cohort: PreparedCohort) -> float:
     """Exact sum of the terms; NonFiniteLikelihood naming the first patient
-    whose term is NaN or infinite, or when finite terms overflow the sum."""
-    finite = np.isfinite(terms)
-    if not finite.all():
-        idx = int(np.argmin(finite))
+    whose term is NaN or infinite, or when finite terms overflow the sum.
+
+    The largest |term|, which the sum's first pass needs anyway, is finite
+    exactly when every term is.
+    """
+    top = float(np.maximum.reduce(np.abs(terms)))
+    if not math.isfinite(top):
+        idx = int(np.argmin(np.isfinite(terms)))
         raise NonFiniteLikelihood(
             f"non-finite likelihood term for patient {idx} "
             f"(t={cohort.time[idx]:.6g}, status={int(cohort.status[idx])})",
             patient_index=idx,
         )
     try:
-        return _exact_sum(terms)
+        return _exact_sum(terms, top)
     except OverflowError:
         raise NonFiniteLikelihood("the sum of the likelihood terms overflows") from None
 
@@ -507,8 +564,8 @@ def loglik(params: ModelParams, cohort: PreparedCohort, comparable: bool = False
     depend on the order of the patients.  ``_exact_sum`` gets it with a few
     vectorized passes of error-free extraction: each pass rounds every
     remainder to a multiple of a common power of two (an exact split),
-    adds those parts exactly with one np.sum, and keeps the exact rests;
-    fsum then adds the pass totals and the last nonzero rests.
+    adds those parts exactly with one np.add.reduce, and keeps the exact
+    rests; fsum then adds the pass totals and the last nonzero rests.
 
     ``comparable=True`` adds M1's omitted population-survival constant back
     so that values are on the full-data likelihood scale across models.
@@ -516,10 +573,9 @@ def loglik(params: ModelParams, cohort: PreparedCohort, comparable: bool = False
     Raises NonFiniteLikelihood naming the first offending patient if any
     per-patient term is NaN or infinite, or when the sum overflows.
     """
-    if cohort.n == 0:
-        raise DataError("cohort is empty")
-    terms, _ = _terms(params, cohort, comparable)
-    return _checked_sum(terms, cohort)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms, _ = _terms(params, cohort, comparable)
+        return _checked_sum(terms, cohort)
 
 
 def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
@@ -529,65 +585,110 @@ def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
     Gradient layout: that of ``params.layout`` (kappa, theta, alpha, beta1,
     beta2, then gamma for M2; mu, b for M3).  Raises NonFiniteLikelihood as
     ``loglik`` does, and also when a gradient entry is not finite.
+
+    Each gradient component is assembled in place, in the order of
+    operations of its formula (below, term by term), so it keeps that
+    formula's bits; h0 v and kappa w are computed once, and the sum of dhp
+    (M2) and dhp^2 (M3) come from the cohort.
     """
-    model, p = params.layout.model, params.layout.n_covariates
+    layout = params.layout
     kappa, theta, alpha = params.baseline
-    terms, aux = _terms(params, cohort, False)
-    ll = _checked_sum(terms, cohort)
-    v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3 = aux
-    ev, X = cohort._event, cohort.X
-    hp, dhp = cohort.hp, cohort.dhp
-    H0 = -log_s0
-
+    ev, X, hp, dhp = cohort._event, cohort.X, cohort.hp, cohort.dhp
+    grad = np.empty(layout.k)
+    add = np.add.reduce
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms, aux = _terms(params, cohort, False)
+        ll = _checked_sum(terms, cohort)
+        v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3 = aux
+
         u = np.where(ev, he / lam, 0.0)  # weight of d log h_E in d log lambda
-        e1 = np.exp(-w - logm)  # q / m = 1 / (e^w - 1)
-        dlogf_dw = 1.0 / w + (alpha - 1.0) * e1 - 1.0
-        dH0_dw = h0 * v / (kappa * w)
-        dlogh0_dw = dlogf_dw + dH0_dw
-        # dH0/dalpha = (F/S) log m; asymptotically -1/alpha once q underflows
-        dH0_da = np.where(
-            w > 200.0, -1.0 / alpha, np.exp(-vv - log_s0) * logm
-        )
         h0v = h0 * v
+        kw = kappa * w
+        # d log h0/dw = d log f/dw + dH0/dw
+        #             = (1/w + (alpha - 1) e1 - 1) + h0 v / (kappa w),
+        # e1 = exp(-w - logm) = q/m = 1/(e^w - 1)
+        e1 = np.negative(w)
+        e1 -= logm
+        np.exp(e1, out=e1)
+        e1 *= alpha - 1.0
+        dlogh0_dw = np.divide(1.0, w)
+        dlogh0_dw += e1
+        dlogh0_dw -= 1.0
+        dlogh0_dw += np.divide(h0v, kw, out=e1)
+        # dH0/dalpha = exp(-vv - log_s0) logm = (F/S) log m; -1/alpha beyond
+        # w = 200, where q underflows
+        dH0_da = np.negative(vv)
+        dH0_da -= log_s0
+        np.exp(dH0_da, out=dH0_da)
+        dH0_da *= logm
+        tail = (w > 200.0).nonzero()
+        if tail[0].size:
+            dH0_da[tail] = -1.0 / alpha
 
-        g_kappa = np.sum(
-            u * (1.0 / kappa + dlogh0_dw * w * lw) - r21 * (h0v * lw / kappa)
-        )
-        g_theta = np.sum(
-            u * (dlogh0_dw * (-kappa * w / theta)) - r21 * (-h0v / theta)
-        )
-        g_alpha = np.sum(u * (1.0 / alpha + logm + dH0_da) - r21 * dH0_da)
-        if p:
-            D = kappa * w * dlogh0_dw
-            wb1 = u * (D - 1.0) - r21 * (h0v - H0)
-            wb2 = u - HE
-            g_beta1 = X.T @ wb1
-            g_beta2 = X.T @ wb2
-        else:
-            g_beta1 = np.zeros(0)
-            g_beta2 = np.zeros(0)
+        # kappa: u (1/kappa + dlogh0_dw w lw) - r21 (h0v lw / kappa)
+        a = dlogh0_dw * w
+        a *= lw
+        a += 1.0 / kappa
+        a *= u
+        b = h0v * lw
+        b /= kappa
+        b *= r21
+        a -= b
+        grad[0] = add(a)
+        # theta: u (dlogh0_dw (-kappa w / theta)) - r21 (-h0v / theta), which
+        # is r21 (h0v / theta) - u (dlogh0_dw (kappa w / theta)) exactly
+        a = np.divide(kw, theta, out=a)
+        a *= dlogh0_dw
+        a *= u
+        b = np.divide(h0v, theta, out=b)
+        b *= r21
+        b -= a
+        grad[1] = add(b)
+        # alpha: u (1/alpha + logm + dH0_da) - r21 dH0_da
+        a = np.add(logm, 1.0 / alpha, out=a)
+        a += dH0_da
+        a *= u
+        dH0_da *= r21
+        a -= dH0_da
+        grad[2] = add(a)
 
-        grad = [g_kappa, g_theta, g_alpha, *g_beta1, *g_beta2]
+        if layout.n_covariates:
+            slots1, slots2 = layout.beta_slots
+            # beta1: u (kappa w dlogh0_dw - 1) - r21 (h0v - H0), H0 = -log_s0
+            kw *= dlogh0_dw
+            kw -= 1.0
+            kw *= u
+            h0v += log_s0
+            h0v *= r21
+            kw -= h0v
+            grad[slots1] = X.T @ kw
+            # beta2: u - HE
+            u -= HE
+            grad[slots2] = X.T @ u
 
-        if model == "M2":
-            dlam = np.where(ev, hp / lam, 0.0)
-            grad.append(np.sum(dlam) - np.sum(dhp))
-        elif model == "M3":
+        if layout.model == "M2":
+            grad[-1] = add(np.where(ev, hp / lam, 0.0)) - cohort._sum_dhp
+        elif layout.model == "M3":
             mu = params.correction[0]
             y, ratio = m3
+            # d lam/dmu = hp / (1 + y); d lam/db = -mu hp dhp / (1 + y)^2
             den = 1.0 + y
-            dlam_mu = np.where(ev, (hp / den) / lam, 0.0)
-            dlam_b = np.where(ev, (-mu * hp * dhp / (den * den)) / lam, 0.0)
+            a = np.divide(hp, den, out=a)
+            a /= lam
             # d pop_i / dmu = dhp log1p(y)/y; d pop_i / db = mu dhp^2 G(y)
-            g_mu = np.sum(dlam_mu) - np.sum(dhp * ratio)
-            g_b = np.sum(dlam_b) + mu * np.sum(dhp * dhp * _m3_pop_curvature(y))
-            grad.extend([g_mu, g_b])
+            grad[-2] = add(np.where(ev, a, 0.0)) - add(dhp * ratio)
+            a = np.multiply(hp, -mu, out=a)
+            a *= dhp
+            den *= den
+            a /= den
+            a /= lam
+            grad[-1] = add(np.where(ev, a, 0.0)) + mu * add(cohort._dhp2 * _m3_pop_curvature(y))
 
-    grad = np.array(grad)
-    bad = np.flatnonzero(~np.isfinite(grad))
-    if bad.size:
-        raise NonFiniteLikelihood(f"non-finite gradient at positions {bad.tolist()}")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        raise NonFiniteLikelihood(
+            f"non-finite gradient at positions {np.flatnonzero(~finite).tolist()}"
+        )
     return ll, grad
 
 

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from conftest import ew_closed_form, gamma_pdf
 from exhaz.distributions import (
     GammaFrailtyParams,
+    _by_majority,
     LogNormalFrailtyParams,
     ew_log_terms,
     ew_quantile,
@@ -25,7 +26,8 @@ P_TABLE1 = tuple(DESIGN1_GH.baseline.tolist())  # (kappa, theta, alpha)
 
 def kernel(t, p):
     """(F, f, h0, log S) of the EW kernel at t, for p = (kappa, theta, alpha)."""
-    w, logm, vv, log_s0, lw, h0 = ew_log_terms(np.asarray(t, dtype=float), *p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w, logm, vv, log_s0, lw, h0 = ew_log_terms(np.asarray(t, dtype=float), *p)
     return np.exp(-vv), h0 * np.exp(log_s0), h0, log_s0
 
 
@@ -171,12 +173,39 @@ def test_log1mexp_bitwise_equals_two_branch_formula():
         np.concatenate([np.full(10, 0.1), np.full(11, 5.0)]),  # minorities of
         np.concatenate([np.full(11, 0.1), np.full(10, 5.0)]),  # either branch
     ]
-    for v in cases:
-        got, want = log1mexp(v), _log1mexp_two_branch(v)
-        assert isinstance(got, np.ndarray) and got.shape == want.shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), v
-    for x in special:
-        assert float(log1mexp(x)).hex() == float(_log1mexp_two_branch(x)).hex()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as its callers run it
+        for v in cases:
+            got, want = log1mexp(v), _log1mexp_two_branch(v)
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), v
+        for x in special:
+            assert float(log1mexp(x)).hex() == float(_log1mexp_two_branch(x)).hex()
+
+
+def test_by_majority_equals_where_on_edge_inputs():
+    def small_branch(u):
+        return np.log(-np.expm1(u))
+
+    def large_branch(u):
+        return np.log1p(-np.exp(u))
+
+    rng = np.random.default_rng(11)
+    cases = [
+        -rng.uniform(0.0, 0.5, 40),  # all small: no minority to recompute
+        -rng.uniform(1.0, 30.0, 40),  # all large
+        np.array([-0.1, np.nan, -3.0, np.nan, -0.2]),  # NaN goes to the large branch
+        np.full(7, np.nan),
+        np.array(-0.3), np.array(-2.0), np.array(np.nan),  # 0-d
+        np.array([]),
+        -rng.uniform(0.0, 4.0, (6, 5)),
+    ]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for x in cases:
+            small = x >= -math.log(2.0)
+            got = _by_majority(x, small, small_branch, large_branch)
+            want = np.where(small, small_branch(x), large_branch(x))
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+            assert np.array_equal(got.view(np.int64), np.asarray(want).view(np.int64)), x
 
 
 # ---------------------------------------------------------------------------

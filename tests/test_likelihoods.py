@@ -210,7 +210,8 @@ def _exact_sum_cases():
              for _ in range(n)]
         )
     cohort = fake_cohort(5000, seed=8)
-    yield _terms(model_params(GH, 1.875, 0.075), cohort, False)[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        yield _terms(model_params(GH, 1.875, 0.075), cohort, False)[0]
     yield from _half_ulp_ties(rng)
 
 
@@ -484,6 +485,55 @@ def test_covariate_names_must_name_every_column_of_x(flat_table):
         prepare_cohort(rows, flat_table, covariate_names=("age",))
 
 
+def _prepared_columns(n=5):
+    rng = np.random.default_rng(7)
+    return dict(
+        time=rng.uniform(0.1, 5.0, n), status=np.array([1, 0, 1, 1, 0][:n], dtype=np.int8),
+        X=rng.normal(0.0, 1.0, (n, 2)), hp=np.full(n, 0.02), dhp=rng.uniform(0.0, 0.1, n),
+    )
+
+
+def test_prepared_cohort_checks_its_columns_once():
+    cols = _prepared_columns()
+    with pytest.raises(DataError, match="^cohort is empty$"):
+        PreparedCohort(**{k: v[:0] for k, v in cols.items()})
+    shape = "^a prepared cohort needs columns of one length n and X of shape \\(n, p\\)$"
+    for bad in ({"hp": [0.01]}, {"dhp": cols["dhp"][:4]}, {"X": cols["X"][:, 0]}, {"time": cols["time"][1:]}):
+        with pytest.raises(DataError, match=shape):  # a length-1 hp is not broadcast
+            PreparedCohort(**{**cols, **bad})
+    for name, value, message in (
+        ("status", 2, "status must be 0 or 1, got 2"),
+        ("hp", -0.01, "hp must be finite and >= 0, got -0.01"),
+        ("hp", np.nan, "hp must be finite and >= 0, got nan"),
+        ("dhp", np.inf, "dhp must be finite and >= 0, got inf"),
+        ("dhp", -1e-300, "dhp must be finite and >= 0, got -1e-300"),
+    ):
+        col = cols[name].copy()
+        col[3] = value
+        with pytest.raises(DataError, match=f"^row 3: {message}$"):
+            PreparedCohort(**{**cols, name: col})
+    # the first bad row is named, and within it the first check it fails
+    both = dict(cols, status=np.array([1, 0, 3, 1, 0]), hp=np.array([0.0, 0.0, -1.0, -1.0, 0.0]))
+    with pytest.raises(DataError, match="^row 2: status must be 0 or 1, got 3$"):
+        PreparedCohort(**both)
+
+
+def test_prepared_cohort_copies_the_callers_columns():
+    cols = _prepared_columns()
+    cohort = PreparedCohort(**cols)
+    params = model_params(gh_params(BASE, GH.beta1[:2], GH.beta2[:2]), 1.2, 0.3)
+    before = loglik_and_grad(params, cohort)
+    for name, arr in cols.items():
+        assert arr.flags.writeable, name  # the caller's arrays stay as they were
+        with pytest.raises(ValueError):
+            getattr(cohort, name)[0] = 0
+        arr[0] = 0  # and writing to them does not reach the cohort
+    fresh = replace(cohort)
+    after = loglik_and_grad(params, fresh)
+    assert before[0].hex() == after[0].hex() and np.array_equal(before[1], after[1])
+    assert cohort.status.dtype == np.int8 and cohort.n_events == 3
+
+
 # ---------------------------------------------------------------------------
 # M3 population-term helpers: one branch per entry
 # ---------------------------------------------------------------------------
@@ -531,7 +581,9 @@ def test_m3_helpers_bitwise_equal_two_branch_formulas(fn, reference, threshold):
         np.concatenate([np.full(11, 0.5 * threshold), np.full(10, 3.0)]),  # either branch
     ]
     for y in cases:
-        got, want = fn(y), reference(y)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the helpers run under the caller's errstate
+            got = fn(y)
+        want = reference(y)
         assert isinstance(got, np.ndarray) and got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), y
 

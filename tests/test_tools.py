@@ -7,6 +7,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from exhaz.lifetable import LifeTable
 from exhaz.simulation import design_life_table
@@ -111,3 +112,69 @@ def test_cohort_digest_is_stable_and_sees_one_ulp_of_one_rate():
     moved = LifeTable(table.strata_columns, table.age_min, table.year_min, rates, table.strata)
     changed = [a for a, b in zip(lines, cohort_digest.digest_lines(moved)) if a != b]
     assert changed == [line for line in lines if "replicate=" in line]
+
+
+bench_pairs = load_tool("bench_pairs")
+
+
+def result_line(replicates_per_s, setup_s=0.1, converged=0.8):
+    metrics = {"replicates_per_s": replicates_per_s, "setup_s": setup_s, "converged_frac": converged}
+    return {"correct": True, "attempted": 30, "failed": 0,
+            "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+
+SPEC = [
+    {"name": "replicates_per_s", "better": "higher", "bound": 0.25},
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+    {"name": "converged_frac", "better": "higher", "bound": 0.05},
+]
+
+
+def pairs_of(parent, change, **kw):
+    return [{"parent": result_line(p, **kw), "change": result_line(c, **kw)} for p, c in zip(parent, change)]
+
+
+def test_bench_pairs_gain_needs_nine_in_ten_wins_and_a_gap_past_the_iqr():
+    parent = [0.80, 0.82, 0.81, 0.79, 0.83, 0.80, 0.81, 0.82, 0.80, 0.81]
+    faster = [p + 0.1 for p in parent]
+    m = bench_pairs.summarize(pairs_of(parent, faster), SPEC)["replicates_per_s"]
+    assert (m["wins"], m["losses"], m["ties"], m["gain"], m["bound"]) == (10, 0, 0, True, "better")
+    # inclusive quartiles of the sorted ten: positions 2.25, 4.5 and 6.75
+    assert m["parent"] == pytest.approx({"q1": 0.80, "median": 0.81, "q3": 0.8175})
+    # one loss in ten still gains; two do not
+    one_loss = faster[:9] + [parent[9] - 0.01]
+    assert bench_pairs.judge(parent, one_loss, "higher", 0.25)["gain"]
+    two_losses = faster[:8] + [parent[8], parent[9] - 0.01]
+    m = bench_pairs.judge(parent, two_losses, "higher", 0.25)
+    assert (m["wins"], m["losses"], m["ties"], m["gain"]) == (8, 1, 1, False)
+    # every pair won, but by less than the parent's interquartile range
+    m = bench_pairs.judge(parent, [p + 0.005 for p in parent], "higher", 0.25)
+    assert m["wins"] == 10 and not m["gain"] and m["bound"] == "within"
+
+
+def test_bench_pairs_bound_verdicts_follow_the_metric_direction():
+    judge = bench_pairs.judge
+    # lower is better: a setup 30% slower is past the 0.25 bound, 20% is not
+    assert judge([1.0, 1.0, 1.0], [1.3, 1.3, 1.3], "lower", 0.25)["bound"] == "worse"
+    assert judge([1.0, 1.0, 1.0], [1.2, 1.2, 1.2], "lower", 0.25)["bound"] == "within"
+    assert judge([1.0, 1.0, 1.0], [0.5, 0.6, 0.7], "lower", 0.25)["bound"] == "better"
+    # a parent spread wider than the bound leaves it unresolved, unless the
+    # change reads better on every run
+    spread = [0.5, 1.0, 1.5, 2.0]
+    assert judge(spread, [1.0, 1.2, 1.4, 1.6], "higher", 0.05)["bound"] == "unresolved"
+    assert judge(spread, [2.1, 2.2, 2.3, 2.4], "higher", 0.05)["bound"] == "better"
+    # identical runs: no wins, no gain, within the bound
+    same = judge([0.75, 0.75], [0.75, 0.75], "higher", 0.05)
+    assert (same["wins"], same["ties"], same["gain"], same["bound"]) == (0, 2, False, "within")
+    with pytest.raises(ValueError):
+        judge([1.0], [1.0, 2.0], "higher", 0.25)
+
+
+def test_bench_pairs_counts_records_that_differ_as_same_records_does():
+    ll = -7414.5766974406015
+    meta = {"kind": "meta", "git_sha": "a"}
+    parent = [meta, record(0, ll, replicate_s=1.0), record(1, ll), result_line(0.8)]
+    change = [meta, record(0, ll, replicate_s=2.0), record(1, math.nextafter(ll, 0.0))]
+    assert bench_pairs.records_differ(parent, parent) == 0
+    assert bench_pairs.records_differ(parent, change) == 1
+    assert bench_pairs.records_differ(parent, change[:2]) == 1

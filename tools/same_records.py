@@ -35,14 +35,18 @@ def exact(value):
     return value
 
 
-def replicates(path: str) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+def comparable(records: list[dict]) -> list[dict]:
+    """The ``replicate`` records of a run, without the IGNORED fields."""
     return [
         {k: v for k, v in r.items() if k not in IGNORED}
         for r in records
         if r.get("kind") == "replicate"
     ]
+
+
+def replicates(path: str) -> list[dict]:
+    with open(path, encoding="utf-8") as fh:
+        return comparable([json.loads(line) for line in fh if line.strip()])
 
 
 def changed_fits(a: dict, b: dict) -> list[str]:
