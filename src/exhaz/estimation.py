@@ -1,19 +1,33 @@
 """Maximum-likelihood fitting of M1/M2/M3 and AIC-based selection (M4).
 
 Fitting is a two-step search on the log-transformed positive parameters:
-one cycle of coordinate descent from fixed starting values (kappa = theta
-= 1, alpha = 2, betas = 0; gamma = 1.2 for M2; mu = 1.2, b = 0.1 for M3),
-then a refinement.  The refinement runs bounded L-BFGS-B with analytic
-gradients and checks their max-norm on the search scale.  When the check
-fails it takes up to four damped Newton steps with a Hessian from central
-differences of the log-likelihood values and checks again; when that fails
-too, Nelder-Mead runs and the round (L-BFGS-B, check, Newton polish,
-check) is repeated once from its result.  Standard errors come from a
-Hessian on the transformed scale built from central differences of the
-analytic gradient (2k gradient calls, symmetrized), pseudo-inverted with an
-eigenvalue floor, and mapped back by the delta method.  A fit that ends
-within 1e-6 of an edge of the search box names those parameters in
-``at_bound`` and in its notes.
+one cycle of coordinate descent (CDA) from the starting values, then a
+refinement.  M1 starts at fixed values (kappa = theta = 1, alpha = 2,
+betas = 0) and M3 at M1's estimates with mu = 1.2, b = 0.1.  The
+refinement runs bounded L-BFGS-B with analytic gradients and checks their
+max-norm on the search scale.  When the check fails it takes up to four
+damped Newton steps with a Hessian from central differences of the
+log-likelihood values and checks again; when that fails too, Nelder-Mead
+runs and the round (L-BFGS-B, check, Newton polish, check) is repeated
+once from its result.  Nelder-Mead is unbounded: when the box moves its
+point, the moved point is evaluated and taken only if it improves on the
+refinement's point.  Standard errors come from a Hessian on the
+transformed scale built from central differences of the analytic gradient
+(2k gradient calls, symmetrized), pseudo-inverted with an eigenvalue
+floor, and mapped back by the delta method.  A fit that ends within 1e-6
+of an edge of the search box names those parameters in ``at_bound`` and
+in its notes.
+
+M2's gamma is profiled out: for fixed GH parameters M2's log-likelihood is
+strictly concave in gamma, and ``likelihoods.profile_gamma`` solves for
+its maximizer gamma* without a likelihood call.  M2 is searched over the
+GH coordinates alone; each value or gradient is one likelihood call at
+(GH, gamma*), and the gradient is the GH part of M2's (envelope theorem).
+It runs no CDA: ``fit_all`` starts it at M1's estimates, and gamma = 1 is
+M1, so that first value is already at least M1's MLE.  The refinement
+runs on this objective unchanged; ``converged``, the gradient norm, the
+log-likelihood and the SEs are those of M2's full objective at the joint
+estimate (GH, gamma*).
 
 Tolerances, step sizes and budgets are module constants, properties of
 the method rather than of a study: ``_GRAD_TOL`` and ``_STEP_TOL`` (stops
@@ -30,7 +44,8 @@ meaningless otherwise.
 
 A model's parameters are a ``ParamLayout`` plus one natural-scale vector
 (``likelihoods.ModelParams``); the optimizer searches the same slots on the
-transformed scale, and a ``FitResult`` keeps the layout it was fitted with.
+transformed scale (M2: its GH slots), and a ``FitResult`` keeps the layout
+it was fitted with.
 """
 
 from __future__ import annotations
@@ -59,6 +74,7 @@ from .likelihoods import (
     PreparedCohort,
     loglik,
     loglik_and_grad,
+    profile_gamma,
 )
 
 __all__ = [
@@ -192,24 +208,28 @@ class _Objective:
         self.cohort = cohort
         self.n_evals = 0
 
+    def params(self, x: np.ndarray) -> ModelParams:
+        """The parameters at x; NonPositive names a slot that is not valid."""
+        return ModelParams(self.layout, untransform_params(x, self.layout.positive))
+
     def value(self, x: np.ndarray) -> float:
         self.n_evals += 1
-        natural = untransform_params(x, self.layout.positive)
         try:
-            return -loglik(ModelParams(self.layout, natural), self.cohort)
+            return -loglik(self.params(x), self.cohort)
         except _REJECTED:
             return _BIG
 
     def value_and_grad(self, x: np.ndarray):
         self.n_evals += 1
-        natural = untransform_params(x, self.layout.positive)
         try:
-            ll, grad_nat = loglik_and_grad(ModelParams(self.layout, natural), self.cohort)
+            params = self.params(x)
+            ll, grad = loglik_and_grad(params, self.cohort)
         except _REJECTED:
             return _BIG, np.zeros_like(x)
-        grad_t = grad_nat.copy()
-        grad_t[self.layout.positive] *= natural[self.layout.positive]
-        return -ll, -grad_t
+        positive = params.layout.positive
+        grad[positive] *= params.values[positive]
+        # the part along x: a profiled objective's parameters extend past it
+        return -ll, -grad[: len(x)]
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Gradient of ``value``; NaN everywhere when the point is rejected."""
@@ -220,6 +240,31 @@ class _Objective:
         """(ll, max-norm of the gradient of ``value``) at x; a NaN norm if rejected."""
         f, g = self.value_and_grad(x)
         return -f, float(np.max(np.abs(g))) if f < _BIG else math.nan
+
+
+class _ProfiledM2(_Objective):
+    """M2's objective over the GH coordinates alone, gamma profiled out.
+
+    x holds the transformed GH slots (M1's layout, ``layout``); its
+    parameters are M2's, with gamma* from ``profile_gamma`` appended, so
+    ``value`` and ``value_and_grad`` make one likelihood call each, at
+    (GH, gamma*).  The gradient is the GH part of M2's: the score along
+    gamma is zero at gamma* (envelope theorem), and at a box end of gamma
+    the profile does not move, so the GH part is the derivative of the
+    profiled value there too.
+    """
+
+    def __init__(self, m2_layout: ParamLayout, cohort: PreparedCohort):
+        super().__init__(ParamLayout.for_model("M1", cohort.covariate_names), cohort)
+        self.m2_layout = m2_layout
+
+    def params(self, x: np.ndarray) -> ModelParams:
+        gh = super().params(x)
+        return ModelParams(self.m2_layout, np.append(gh.values, profile_gamma(gh, self.cohort)))
+
+    def joint(self, x: np.ndarray) -> np.ndarray:
+        """x with log gamma* appended: the point of M2's own objective."""
+        return np.append(x, math.log(self.params(x).correction[0]))
 
 
 def cda_warm_start(
@@ -396,9 +441,13 @@ def _refine(obj: _Objective, x0: np.ndarray, bounds):
                     "fatol": 1e-13 * (1 + abs(ll)),
                 },
             )
-            if simplex.fun < obj.value(x):
-                x = np.clip(simplex.x, lo, hi)
-                n_iter += int(simplex.nit)
+            # the simplex is unbounded: a point the clip moves is a new point
+            f_x = obj.value(x)
+            if simplex.fun < f_x:
+                cand = np.clip(simplex.x, lo, hi)
+                if np.array_equal(cand, simplex.x) or obj.value(cand) < f_x:
+                    x = cand
+                    n_iter += int(simplex.nit)
     return x, n_iter, ll_x, gnorm
 
 
@@ -433,10 +482,15 @@ def fit(
 ) -> FitResult:
     """Two-step maximum likelihood for one model.
 
-    ``init`` is a natural-scale parameter vector overriding the default
-    starting values (used to warm-start M2/M3 at the M1 solution).  With
-    ``cfg.multi_starts`` > 0, that many perturbed restarts (Gaussian noise,
-    sd 0.3 on the transformed scale) are run and the best likelihood wins.
+    ``init`` is a natural-scale vector of the searched slots overriding the
+    default starting values: all of the model's slots for M1 and M3, and
+    the GH slots for M2, whose gamma is profiled out (``fit_all`` passes
+    M1's estimates).  M1 and M3 start with one CDA cycle; M2 starts at
+    ``init`` itself.  A start whose value is not finite is skipped with a
+    warning, and NonFiniteLikelihood ("<model>: no usable starting point")
+    is raised when every start is.  With ``cfg.multi_starts`` > 0, that
+    many perturbed restarts (Gaussian noise, sd 0.3 on the transformed
+    scale) are run and the best likelihood wins.
 
     Covariates are standardized to unit SD internally (an exact
     reparameterization of the GH model) so the search space is
@@ -447,34 +501,45 @@ def fit(
         raise DataError("cohort has no events (all censored); cannot fit")
     obj, slot_scale = _standardized_objective(model, cohort)
     layout = obj.layout
+    # the coordinates the optimizer moves: M2's GH slots, or all of them
+    search = _ProfiledM2(layout, obj.cohort) if model == "M2" else obj
+    k = search.layout.k
 
-    base = layout.default_init() if init is None else np.asarray(init, dtype=float)
-    if len(base) != layout.k:
-        raise ValueError(f"init has length {len(base)}, expected {layout.k}")
-    base = base * slot_scale  # beta_j -> beta_j * s_j matches x_j / s_j
-    t0 = transform_params(base, layout.positive)
-    bounds = layout.transformed_bounds()
-    blo, bhi = np.array(bounds).T
+    base = search.layout.default_init() if init is None else np.asarray(init, dtype=float)
+    if len(base) != k:
+        raise ValueError(f"init has length {len(base)}, expected {k}")
+    base = base * slot_scale[:k]  # beta_j -> beta_j * s_j matches x_j / s_j
+    t0 = transform_params(base, search.layout.positive)
+    bounds = search.layout.transformed_bounds()
 
     starts = [t0]
     if cfg.multi_starts > 0:
         rng = np.random.default_rng(cfg.seed)
-        starts += [t0 + rng.normal(0.0, 0.3, layout.k) for _ in range(cfg.multi_starts)]
-    starts = [np.clip(s, blo, bhi) for s in starts]
+        starts += [t0 + rng.normal(0.0, 0.3, k) for _ in range(cfg.multi_starts)]
+    starts = [np.clip(s, *np.array(bounds).T) for s in starts]
 
     x_hat, best_ll, gnorm, total_iter = None, -np.inf, math.nan, 0
     for s in starts:
-        try:
-            warm = cda_warm_start(obj.value, s, bounds=bounds)
-        except NonFiniteLikelihood:
+        if search is obj:
+            try:
+                warm = cda_warm_start(obj.value, s, bounds=bounds)
+            except NonFiniteLikelihood:
+                warm = None
+        else:
+            warm = s if search.value(s) < _BIG else None
+        if warm is None:
             log.warning("%s: start rejected (non-finite likelihood)", model)
             continue
-        x, n_iter, ll, x_gnorm = _refine(obj, warm, bounds)
+        x, n_iter, ll, x_gnorm = _refine(search, warm, bounds)
         total_iter += n_iter
         if ll > best_ll:
             best_ll, x_hat, gnorm = ll, x, x_gnorm
     if x_hat is None:
         raise NonFiniteLikelihood(f"{model}: no usable starting point")
+    if search is not obj:
+        # the flag and the SEs are those of the full model at the joint estimate
+        x_hat = search.joint(x_hat)
+        best_ll, gnorm = obj.check(x_hat)
 
     converged = gnorm <= _grad_check_tol(best_ll)
 
@@ -490,7 +555,7 @@ def fit(
     notes = []
     at_bound = tuple(
         name
-        for name, xi, lo, hi in zip(layout.names, x_hat, blo, bhi)
+        for name, xi, (lo, hi) in zip(layout.names, x_hat, layout.transformed_bounds())
         if xi - lo <= _BOUND_TOL or hi - xi <= _BOUND_TOL
     )
     if at_bound:
@@ -520,7 +585,7 @@ def fit(
         converged=converged,
         hessian_pd=pd,
         grad_max_norm=gnorm,
-        n_evals=obj.n_evals,
+        n_evals=obj.n_evals + (search.n_evals if search is not obj else 0),
         n_iter=total_iter,
         at_bound=at_bound,
         notes=tuple(notes),
@@ -530,15 +595,18 @@ def fit(
 def fit_all(cohort: PreparedCohort, cfg: FitConfig = FitConfig()) -> dict[str, FitResult]:
     """Fit M1, then M2 and M3 warm-started at the M1 solution.
 
-    The correction parameters of M2 and M3 start at their default values.
+    M2 starts at M1's GH estimates with gamma profiled out, so its first
+    value is at least M1's MLE on the comparable scale; M3's correction
+    starts at its default values (mu = 1.2, b = 0.1).
     """
     m1 = fit("M1", cohort, cfg)
-    results = {"M1": m1}
-    for model in ("M2", "M3"):
-        init = ParamLayout.for_model(model, cohort.covariate_names).default_init()
-        init[: m1.k] = m1.estimates
-        results[model] = fit(model, cohort, cfg, init=init)
-    return results
+    init = ParamLayout.for_model("M3", cohort.covariate_names).default_init()
+    init[: m1.k] = m1.estimates
+    return {
+        "M1": m1,
+        "M2": fit("M2", cohort, cfg, init=m1.estimates),
+        "M3": fit("M3", cohort, cfg, init=init),
+    }
 
 
 def select_m4(fits: dict[str, FitResult]):
@@ -546,6 +614,14 @@ def select_m4(fits: dict[str, FitResult]):
 
     Returns (chosen FitResult, c_hat) with c_hat = 1 for M1, gamma for M2,
     mu for M3.
+
+    This is the paper's rule, kept as it is.  Where a correction sits on
+    the edge of its space (gamma -> 0, b -> 0 as M3 tends to M2) the AIC
+    and likelihood-ratio comparisons are non-standard: the LR statistic is
+    not chi-square with the difference in parameters but a mixture (Self &
+    Liang 1987, "Asymptotic properties of maximum likelihood estimators and
+    likelihood ratio tests under nonstandard conditions", JASA 82:605-610),
+    so the AIC penalty does not price that parameter as it assumes.
     """
     eligible = []
     for model in MODELS:

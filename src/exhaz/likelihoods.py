@@ -39,7 +39,11 @@ and each gradient component are built in place, in the order of
 operations of their formulas, so every value keeps the bits of the plain
 expressions.  What depends on the cohort alone is computed once, when the
 PreparedCohort is built: the event mask and the gradient's constants, the
-sum of dH_P (M2) and dH_P^2 (M3).
+sum of dH_P (M2) and dH_P^2 (M3), and the events with h_P > 0.
+
+``profile_gamma`` gives M2's maximizing gamma at a GH point, for the fit
+that profiles gamma out; it reads the EW block the likelihood call at
+that point then reuses, and makes no likelihood call itself.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ __all__ = [
     "prepare_cohort",
     "omega1",
     "marginal_survival_m3",
+    "profile_gamma",
     "loglik",
     "loglik_and_grad",
     "load_cohort",
@@ -156,6 +161,8 @@ class Cohort:
         object.__setattr__(self, "strata", strata)
 
 
+_LOG_BOX = 20.0  # |log| bound of the positive parameters (ParamLayout.transformed_bounds)
+
 # The correction slots of each model, by name, with their starting values.
 _CORRECTIONS = {"M1": {}, "M2": {"gamma": 1.2}, "M3": {"mu": 1.2, "b": 0.1}}
 MODELS = tuple(_CORRECTIONS)
@@ -214,10 +221,14 @@ class ParamLayout:
         any interior optimum, finite so the search cannot overflow, and a
         well-defined resting point for boundary collapses (gamma or b -> 0).
         """
-        return [(-20.0, 20.0) if pos else (-100.0, 100.0) for pos in self.positive]
+        return [(-_LOG_BOX, _LOG_BOX) if pos else (-100.0, 100.0) for pos in self.positive]
 
     def default_init(self) -> np.ndarray:
-        """kappa = theta = 1, alpha = 2, betas = 0; gamma = 1.2; (mu, b) = (1.2, 0.1)."""
+        """kappa = theta = 1, alpha = 2, betas = 0; gamma = 1.2; (mu, b) = (1.2, 0.1).
+
+        ``estimation.fit`` reads M1's and M3's; it searches M2 over the GH
+        slots with gamma profiled out, so M2's fit reads no gamma start.
+        """
         return np.array(
             [1.0, 1.0, 2.0, *[0.0] * (2 * self.n_covariates), *_CORRECTIONS[self.model].values()]
         )
@@ -291,7 +302,8 @@ class PreparedCohort:
     functions of it.
 
     The cohort also keeps the event mask ``status == 1``, the constants of
-    the gradient (the sum of dhp for M2 and dhp^2 for M3), and a memo of
+    the gradient (the sum of dhp for M2 and dhp^2 for M3), the events with
+    hp > 0 and their hp (``profile_gamma``), and a memo of
     the last two EW blocks the likelihood computed on it: the baseline
     terms, which depend only on (kappa, theta, alpha, beta1).  Coordinate
     descent and finite-difference stencils revisit a block while they move
@@ -311,6 +323,8 @@ class PreparedCohort:
     _event: np.ndarray = field(init=False, repr=False, compare=False)
     _sum_dhp: float = field(init=False, repr=False, compare=False)
     _dhp2: np.ndarray = field(init=False, repr=False, compare=False)
+    _hp_events: np.ndarray = field(init=False, repr=False, compare=False)
+    _hp_at_events: np.ndarray = field(init=False, repr=False, compare=False)
     _ew_memo: OrderedDict = field(
         default_factory=OrderedDict, init=False, repr=False, compare=False
     )
@@ -339,6 +353,8 @@ class PreparedCohort:
         cols["status"] = status.astype(np.int8)
         cols["_event"] = status == 1
         cols["_dhp2"] = dhp * dhp
+        cols["_hp_events"] = np.flatnonzero(cols["_event"] & (hp > 0))
+        cols["_hp_at_events"] = hp[cols["_hp_events"]]
         for name, arr in cols.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -374,9 +390,15 @@ def prepare_cohort(
 # ---------------------------------------------------------------------------
 
 
-def omega1(dhp, mu, b):
-    """Frailty correction function mu / (1 + b dH_P); equals mu at dH_P = 0."""
-    return mu / (1.0 + b * np.asarray(dhp, dtype=float))
+def omega1(dhp, mu, b, den=None):
+    """Frailty correction function mu / (1 + b dH_P); equals mu at dH_P = 0.
+
+    ``den`` is 1 + b dH_P when the caller has formed it (the likelihood
+    keeps it for the gradient); dhp and b are then not read.
+    """
+    if den is None:
+        den = 1.0 + b * np.asarray(dhp, dtype=float)
+    return mu / den
 
 
 def _log1p_ratio(y):
@@ -507,7 +529,7 @@ def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
     xb1, v, w, logm, vv, log_s0, lw, h0 = _ew_block(params, cohort)
     xb2 = cohort.X @ params.beta2
     r21, he, HE = gh_excess(h0, log_s0, xb1, xb2)
-    pop = m3 = None  # m3: (y, log1p(y)/y) with y = b dH_P under M3
+    pop = m3 = None  # m3: (y, log1p(y)/y, 1 + y) with y = b dH_P under M3
     if model == "M1":
         lam = hp + he
         if comparable:
@@ -521,13 +543,14 @@ def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
         mu, b = params.correction
         y = b * dhp
         ratio = _log1p_ratio(y)
-        lam = omega1(dhp, mu, b)
+        den = 1.0 + y
+        lam = omega1(dhp, mu, b, den)
         lam *= hp
         lam += he
         # (mu/b) log1p(b dhp) written as mu dhp log1p(y)/y: no cliff at b -> 0
         pop = mu * dhp
         pop *= ratio
-        m3 = (y, ratio)
+        m3 = (y, ratio, den)
     terms = np.where(cohort._event, lam, 1.0)  # log(1) = +0.0
     np.log(terms, out=terms)
     terms -= HE
@@ -670,9 +693,8 @@ def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
             grad[-1] = add(np.where(ev, hp / lam, 0.0)) - cohort._sum_dhp
         elif layout.model == "M3":
             mu = params.correction[0]
-            y, ratio = m3
+            y, ratio, den = m3
             # d lam/dmu = hp / (1 + y); d lam/db = -mu hp dhp / (1 + y)^2
-            den = 1.0 + y
             a = np.divide(hp, den, out=a)
             a /= lam
             # d pop_i / dmu = dhp log1p(y)/y; d pop_i / db = mu dhp^2 G(y)
@@ -690,6 +712,85 @@ def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
             f"non-finite gradient at positions {np.flatnonzero(~finite).tolist()}"
         )
     return ll, grad
+
+
+# ---------------------------------------------------------------------------
+# M2's correction profiled out
+# ---------------------------------------------------------------------------
+
+_GAMMA_BOX = (math.exp(-_LOG_BOX), math.exp(_LOG_BOX))
+_PROFILE_MAXITER = 100  # steps; bisection alone reaches 1e-7 relative in ~30
+_PROFILE_STEP_TOL = 1e-7  # relative size of the last Newton step; the error left is ~its square
+
+
+def profile_gamma(params: ModelParams, cohort: PreparedCohort) -> float:
+    """The gamma in [e^-20, e^20] that maximizes M2's log-likelihood at the
+    GH slots of ``params`` (its correction slots, if any, are not read).
+
+    For fixed GH parameters M2's log-likelihood is
+    sum_ev log(gamma hp + h_E) - gamma D - sum H_E, with D = sum dH_P:
+    strictly concave in gamma when an event has hp > 0.  Over the n such
+    events, with r = h_E / hp and t = 1/(gamma + r), its score is
+    s(gamma) = S1 - D with S1 = sum t, decreasing in gamma.  No such event
+    gives e^-20 (s = -D <= 0); D = 0 gives e^20.
+
+    Otherwise the root solves M(gamma) = n / D, where M = n / S1 is the
+    harmonic mean of gamma + r: increasing and concave in gamma, and
+    linear when all r are equal.  A Newton step on M therefore lands at or
+    below the root from any start and climbs to it from there; the step is
+    S1 (S1 - D) / (D S2), S2 = sum t^2, the plain Newton step on s scaled
+    by S1 / D.  It starts at gamma = 1 (M1's value) and keeps the bracket
+    that the signs of s give inside the box: a step that leaves the
+    bracket goes to a box end not tried yet, or else to the bracket's
+    geometric midpoint.  It stops after a step of at most 1e-7 relative,
+    when the bracket closes on a box end (the root lies beyond it), or at
+    a NaN score (a point the likelihood rejects), and takes at most
+    ``_PROFILE_MAXITER`` steps of four passes over the events each.
+
+    The result is a pure function of the point: the start is fixed, the EW
+    block comes from ``_ew_block`` (through the cohort's memo, which the
+    likelihood call at the same point then hits), and no likelihood call
+    is made.
+    """
+    idx = cohort._hp_events
+    lo, hi = _GAMMA_BOX
+    if idx.size == 0:
+        return lo
+    sum_dhp = float(cohort._sum_dhp)
+    if sum_dhp <= 0.0:
+        return hi
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h0 = _ew_block(params, cohort)[-1]
+        r = (cohort.X @ params.beta2)[idx]  # indexing X's rows would copy them
+        np.exp(r, out=r)
+        r *= h0[idx]
+        r /= cohort._hp_at_events
+        t = np.empty_like(r)
+        untried = {lo, hi}  # box ends whose score is not known
+        gamma = 1.0
+        for _ in range(_PROFILE_MAXITER):
+            np.add(r, gamma, out=t)
+            np.divide(1.0, t, out=t)
+            s1 = float(np.add.reduce(t))
+            untried.discard(gamma)
+            if s1 > sum_dhp:
+                lo = gamma
+            elif s1 < sum_dhp:
+                hi = gamma
+            else:
+                break  # the root, or a NaN score
+            if lo >= hi:
+                break  # the root lies beyond a box end
+            # S2 stays a numpy scalar: t = 0 throughout gives a NaN step, not an error
+            new = gamma + s1 * (s1 - sum_dhp) / (sum_dhp * np.dot(t, t))
+            if not lo < new < hi:
+                end = hi if new >= hi else lo
+                new = end if end in untried else math.sqrt(lo * hi)
+            elif abs(new - gamma) <= _PROFILE_STEP_TOL * gamma:
+                gamma = float(new)
+                break
+            gamma = float(new)
+    return gamma
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from exhaz.estimation import (
     _fd_hessian,
     _grad_check_tol,
     _grad_hessian,
+    _ProfiledM2,
+    _refine,
     _standardized_objective,
     cda_warm_start,
     confidence_intervals,
@@ -303,6 +305,19 @@ def test_objective_rejects_an_overflowing_sum_in_value_and_gradient():
     assert np.isnan(obj.grad(x)).all()
 
 
+def test_m2_without_a_finite_start_raises():
+    # the overflowing cohort above, with one event: M2's profiled start is
+    # rejected too
+    n = 5000
+    status = np.zeros(n, dtype=np.int8)
+    status[0] = 1
+    cohort = PreparedCohort(
+        np.full(n, 9.0), status, np.zeros((n, 0)), np.full(n, 0.01), np.full(n, 0.09),
+    )
+    with pytest.raises(NonFiniteLikelihood, match="M2: no usable starting point"):
+        fit("M2", cohort, init=np.array([320.0, 1.0, 1.0]))
+
+
 @pytest.mark.parametrize(
     "slot, value",
     [(3, math.nan), (4, math.inf), (8, -math.inf), (0, math.inf)],
@@ -354,6 +369,48 @@ def test_fit_all_warm_starts_and_aic_alignment():
     l2_at_g1 = loglik(params_g1, cohort, comparable=True)
     l1c = loglik(fits["M1"].to_model_params(), cohort, comparable=True)
     assert l2_at_g1 == l1c
+
+
+def _m2_nesting(cohort):
+    """M1's fit, M2's first profiled value from M1's estimates, and M2's fit."""
+    m1 = fit("M1", cohort)
+    obj, slot_scale = _standardized_objective("M2", cohort)
+    prof = _ProfiledM2(obj.layout, obj.cohort)
+    x0 = transform_params(m1.estimates * slot_scale[: m1.k], prof.layout.positive)
+    return m1, -prof.value(x0), fit("M2", cohort, init=m1.estimates)
+
+
+@pytest.mark.parametrize(
+    "make_cohort",
+    [lambda: sim_cohort(n=1500, seed=19), lambda: sim_cohort(n=2000, seed=7),
+     lambda: sim_cohort(n=1000, seed=42), lambda: _frailty_cohort(0), lambda: _frailty_cohort(3)],
+    ids=["sim-1500-19", "sim-2000-7", "sim-1000-42", "frailty-0", "frailty-3"],
+)
+def test_m2_nests_m1_from_its_first_profiled_value(make_cohort):
+    # gamma = 1 is M1 and gamma* is at least as good, so M2's start is at or
+    # above M1's MLE on the comparable scale, and a converged M2 stays there
+    m1, start, m2 = _m2_nesting(make_cohort())
+    assert start >= m1.loglik_comparable
+    assert m2.loglik_comparable >= start
+    if m2.converged:
+        assert m2.loglik_comparable >= m1.loglik_comparable - 1e-6
+
+
+def test_m2_fits_the_gh_coordinates_and_reports_the_joint_estimate(fits_1500):
+    # the start is M1's GH estimates (no gamma = 1.2 is read), and the flag
+    # and its norm are those of M2's own objective at (GH, gamma*)
+    cohort, fits = fits_1500
+    res = fits["M2"]
+    assert res.param_names == (*fits["M1"].param_names, "gamma")
+    with pytest.raises(ValueError, match="init has length 10, expected 9"):
+        fit("M2", cohort, init=np.append(fits["M1"].estimates, 1.2))
+    obj, _, x_hat = _search_point(res, cohort)
+    prof = _ProfiledM2(obj.layout, obj.cohort)
+    joint = prof.joint(x_hat[:-1])
+    assert np.max(np.abs(joint - x_hat)) < 1e-12
+    assert res.estimate("gamma") == pytest.approx(
+        prof.params(x_hat[:-1]).correction[0], rel=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +540,46 @@ def test_transformed_gradient_matches_richardson_differences_of_the_value(model,
         assert np.max(np.abs(g - oracle) / np.maximum(1.0, np.abs(oracle))) < 1e-7
 
 
+@pytest.mark.parametrize("p", [0, 3])
+def test_profiled_gradient_matches_richardson_differences_of_the_profiled_value(p):
+    # M2's search objective: the GH part of the gradient at (GH, gamma*) is
+    # the derivative of the value with gamma profiled out
+    full = sim_cohort(n=300, seed=29)
+    cohort = PreparedCohort(full.time, full.status, full.X[:, :p], full.hp, full.dhp,
+                            full.covariate_names[:p])
+    obj, _ = _standardized_objective("M2", cohort)
+    prof = _ProfiledM2(obj.layout, obj.cohort)
+    assert prof.layout == ParamLayout.for_model("M1", cohort.covariate_names)
+    rng = np.random.default_rng([p, 7])
+    for _ in range(3):
+        x = _interior_point(prof.layout, rng)
+        f, g = prof.value_and_grad(x)
+        assert f < _BIG and g.shape == x.shape
+        oracle = _richardson_gradient(prof.value, x, 1e-3)
+        assert np.max(np.abs(g - oracle) / np.maximum(1.0, np.abs(oracle))) < 1e-7
+
+
+def test_profiled_value_is_a_pure_function_of_the_point():
+    cohort = sim_cohort(n=300, seed=31)
+    obj, _ = _standardized_objective("M2", cohort)
+    prof = _ProfiledM2(obj.layout, obj.cohort)
+    rng = np.random.default_rng(31)
+    x = _interior_point(prof.layout, rng)
+    others = [_interior_point(prof.layout, rng) for _ in range(2)]
+    others.append(x.copy())
+    others[-1][-1] += 0.25  # beta2 only: the same EW block
+    f, g = prof.value_and_grad(x)
+    for y in others:
+        prof.value(y)
+        prof.value_and_grad(y)
+    assert prof.value(x).hex() == f.hex()
+    f2, g2 = prof.value_and_grad(x)
+    assert f2.hex() == f.hex() and np.array_equal(g2, g)
+    # one likelihood call per value or gradient, and the joint point is M2's
+    assert prof.n_evals == 1 + 2 * len(others) + 2 and obj.n_evals == 0
+    assert obj.value(prof.joint(x)) == f
+
+
 def test_analytic_gradient_matches_richardson_differences_at_a_fit_end_point(fits_1500):
     # at M3's interior optimum the oracle agrees that the gradient is zero
     cohort, fits = fits_1500
@@ -493,6 +590,35 @@ def test_analytic_gradient_matches_richardson_differences_at_a_fit_end_point(fit
     oracle = _richardson_gradient(obj.value, x_hat, 1e-3)
     assert np.max(np.abs(g - oracle)) < 1e-6
     assert np.max(np.abs(oracle)) <= _grad_check_tol(res.loglik)
+
+
+class _Toy:
+    """_refine's view of an objective: f(x) = (x0 - 3)^2 + 10 (x1 - x0 + 2)^2,
+    rejected (_BIG, zero gradient) on the strip x0 in [0.99, 1], x1 >= 0.5."""
+
+    def value_and_grad(self, x):
+        if 0.99 <= x[0] <= 1.0 and x[1] >= 0.5:
+            return _BIG, np.zeros(2)
+        a, b = x[0] - 3.0, x[1] - x[0] + 2.0
+        return a * a + 10.0 * b * b, np.array([2.0 * a - 20.0 * b, 20.0 * b])
+
+    def value(self, x):
+        return self.value_and_grad(x)[0]
+
+    def check(self, x):
+        f, g = self.value_and_grad(x)
+        return -f, float(np.max(np.abs(g))) if f < _BIG else math.nan
+
+
+def test_refine_keeps_its_point_when_the_clipped_simplex_point_is_worse():
+    # On the box [-1, 1]^2 the minimum is (1, -1), f = 4, where the gradient
+    # points out of the box, so the check fails and Nelder-Mead runs.  Its
+    # unbounded minimum (3, 1) clips to (1, 1), a rejected point: it must be
+    # evaluated and turned down, not taken on the simplex's value.
+    obj = _Toy()
+    x, _, ll, gnorm = _refine(obj, np.array([0.0, 0.0]), [(-1.0, 1.0), (-1.0, 1.0)])
+    assert np.allclose(x, [1.0, -1.0], atol=1e-6)
+    assert ll == pytest.approx(-4.0, abs=1e-9) and gnorm == pytest.approx(4.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
-from conftest import gamma_pdf, gh_closed_form, gh_params, model_params
+from conftest import gamma_pdf, gh_closed_form, gh_params, model_params, sim_cohort
 from exhaz.distributions import GammaFrailtyParams
 from exhaz.errors import DataError, NonFiniteLikelihood
 from exhaz.lifetable import make_life_table
@@ -30,6 +31,7 @@ from exhaz.likelihoods import (
     marginal_survival_m3,
     omega1,
     prepare_cohort,
+    profile_gamma,
 )
 from exhaz.simulation import DESIGN1_GH as GH
 
@@ -109,6 +111,8 @@ def test_omega1_values():
     grid = np.linspace(0, 5, 50)
     vals = omega1(grid, 6.5, 10.0)
     assert np.all(np.diff(vals) < 0)
+    # a denominator the caller has formed gives the same bits
+    assert np.array_equal(omega1(grid, 6.5, 10.0, 1.0 + 10.0 * grid), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +536,71 @@ def test_prepared_cohort_copies_the_callers_columns():
     after = loglik_and_grad(params, fresh)
     assert before[0].hex() == after[0].hex() and np.array_equal(before[1], after[1])
     assert cohort.status.dtype == np.int8 and cohort.n_events == 3
+
+
+# ---------------------------------------------------------------------------
+# M2's correction profiled out
+# ---------------------------------------------------------------------------
+
+def _random_gh(rng, p=3):
+    """M1 params at a random interior GH point near the design truth."""
+    return gh_params(BASE * np.exp(rng.normal(0.0, 0.2, 3)), rng.normal(0.0, 0.3, p),
+                     rng.normal(0.0, 0.3, p))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_profile_gamma_is_the_bounded_maximum_over_gamma(seed):
+    # M2's log-likelihood maximized over log gamma by a bounded scalar search
+    # on its values: the profile finds no lower value (1e-10 relative), the
+    # same gamma to the search's own precision, and a vanishing score
+    rng = np.random.default_rng(seed)
+    cohort, gh = sim_cohort(n=400, seed=seed, pop_rate=0.05), _random_gh(rng)
+    gamma = profile_gamma(gh, cohort)
+    assert -20.0 < math.log(gamma) < 20.0
+    neg = lambda u: -loglik(model_params(gh, math.exp(u)), cohort)  # noqa: E731
+    best = minimize_scalar(neg, bounds=(-20.0, 20.0), method="bounded",
+                           options={"xatol": 1e-12})
+    assert -neg(math.log(gamma)) >= -best.fun - 1e-10 * abs(best.fun)
+    assert gamma == pytest.approx(math.exp(best.x), rel=1e-5)
+    _, grad = loglik_and_grad(model_params(gh, gamma), cohort)
+    assert abs(grad[-1]) <= 1e-10 * fsum(cohort.dhp)
+
+
+def test_profile_gamma_sits_on_a_box_end_when_the_score_keeps_one_sign():
+    gh = _random_gh(np.random.default_rng(9))
+    c = fake_cohort(n=60, seed=9)
+    ev = c.status == 1
+
+    def with_pop(hp, dhp):
+        return PreparedCohort(c.time, c.status, c.X, hp, dhp)
+
+    floor, ceiling = math.exp(-20.0), math.exp(20.0)
+    # no event with h_P > 0: the score is -sum dH_P at every gamma
+    assert profile_gamma(gh, with_pop(np.where(ev, 0.0, c.hp), c.dhp)) == floor
+    # sum dH_P = 0: the score is positive at every gamma
+    assert profile_gamma(gh, with_pop(c.hp, np.zeros(c.n))) == ceiling
+    # the same ends reached by the iteration: h_P negligible beside h_E at the
+    # events, or sum dH_P negligible beside the events' h_P
+    assert profile_gamma(gh, with_pop(c.hp * 1e-12, c.dhp)) == floor
+    assert profile_gamma(gh, with_pop(c.hp, c.dhp * 1e-12)) == ceiling
+
+
+def test_profile_gamma_is_a_pure_function_of_the_point():
+    # other points in between, and the EW memo's state, change no bit
+    rng = np.random.default_rng(4)
+    cohort = fake_cohort(n=300, seed=4)
+    points = [_random_gh(rng) for _ in range(3)]
+    # one more point with the first one's EW block: it differs in beta2 only
+    values = points[0].values.copy()
+    values[-3:] += 0.1
+    points.append(points[0].layout.to_params(values))
+    first = profile_gamma(points[0], cohort)
+    for params in points[1:] + points[:1] + points[3:]:
+        profile_gamma(params, cohort)
+    assert profile_gamma(points[0], cohort).hex() == first.hex()
+    assert profile_gamma(points[0], replace(cohort)).hex() == first.hex()
+    # a correction slot is not read
+    assert profile_gamma(model_params(points[0], 3.0), cohort).hex() == first.hex()
 
 
 # ---------------------------------------------------------------------------

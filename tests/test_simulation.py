@@ -10,7 +10,8 @@ import pytest
 from scipy.stats import kstest
 
 from conftest import model_params
-from exhaz.errors import NoEligibleFit, TargetUnreachable
+from exhaz import simulation
+from exhaz.errors import NoEligibleFit, NonFiniteLikelihood, TargetUnreachable
 from exhaz.estimation import fit_all, select_m4
 from exhaz.likelihoods import marginal_survival_m3, prepare_cohort
 from exhaz.simulation import (
@@ -171,19 +172,30 @@ def test_study_results_do_not_depend_on_jobs(studies):
     assert _same(replace(serial, wall_time_s=0.0), replace(parallel, wall_time_s=0.0))
 
 
-def test_a_replicate_whose_fit_all_raises_is_counted_not_fatal(table, caplog):
-    # Replicate stream 159 of "none" at n=1000: M1 ends on the EW tail
-    # artefact, so fit_all finds no finite start for M2 and raises.
+def test_a_replicate_whose_fit_all_raises_is_counted_not_fatal(table, caplog, monkeypatch):
+    # fit_all raises on replicate 0 of the "none" stream 159 at n=1000, as it
+    # did there while M2 took its start from an M1 fit on the EW tail
+    # artefact.  The workers of jobs=2 are forked, so they run the patch too.
     sc = replace(builtin_scenarios()["none"], n=1000, n_replicates=2, seed=159)
+    first = generate_cohort(sc, 0, table).time
+
+    def fit_all_raising_on_replicate_0(cohort, cfg):
+        if np.array_equal(cohort.time, first):
+            raise NonFiniteLikelihood("M2: no usable starting point")
+        return fit_all(cohort, cfg)
+
+    monkeypatch.setattr(simulation, "fit_all", fit_all_raising_on_replicate_0)
     serial, parallel = run_study(sc, table, jobs=1), run_study(sc, table, jobs=2)
     assert _same(replace(serial, wall_time_s=0.0), replace(parallel, wall_time_s=0.0))
     raised = "replicate 0: fit_all raised NonFiniteLikelihood: M2: no usable starting point"
     assert caplog.text.count(raised) == 2
-    # replicate 1 fits: M1 and M3 converge, AIC picks M1
-    assert serial.not_converged == {"M1": 1, "M2": 2, "M3": 1} and serial.m4_failures == 1
+    # replicate 1 fits: M1, M2 (gamma on the box floor) and M3 converge, AIC picks M1
+    assert serial.not_converged == {"M1": 1, "M2": 1, "M3": 1} and serial.m4_failures == 1
     assert serial.selection == {"M1": 1.0, "M2": 0.0, "M3": 0.0}
     assert list(serial.params["M2"]) == [*serial.params["M1"], "gamma"]
-    assert math.isnan(serial.params["M2"]["gamma"].mmle)
+    # M2 pools replicate 1 alone
+    gamma = serial.params["M2"]["gamma"]
+    assert gamma.mmle == pytest.approx(math.exp(-20.0), rel=1e-12) and math.isnan(gamma.esd)
 
 
 def read_report(path):

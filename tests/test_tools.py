@@ -80,6 +80,7 @@ def test_changed_fits_are_listed_parent_to_change_with_counts(tmp_path, capsys):
         "  M1: ok False -> True",
         "2 vs 2 replicate records, 2 mismatches",
         "parent: 2 of 3 fits converged, 1 ok; change: 3 of 3 fits converged, 3 ok",
+        "mean evals per replicate: parent M1 450.0, M2 1000.0; change M1 440.0, M2 300.0",
     ]
 
 
@@ -93,12 +94,43 @@ def test_a_record_that_differs_outside_the_listed_fields_lists_no_fit(tmp_path, 
         "replicate record 0 (index 0) differs",
         "1 vs 1 replicate records, 1 mismatches",
         "parent: 1 of 1 fits converged, 1 ok; change: 1 of 1 fits converged, 1 ok",
+        "mean evals per replicate: parent M1 400.0; change M1 400.0",
     ]
     # one ulp of ll is listed with both values
     moved = fits(M1=(True, True, math.nextafter(ll, 0.0), 400))
     write(tmp_path / "b.jsonl", [record(0, 0.0, models=moved, m4="M1", censoring=0.3)])
     assert same_records.main([parent, change]) == 1
     assert f"  M1: ll {ll!r} -> {math.nextafter(ll, 0.0)!r}" in capsys.readouterr().out.splitlines()
+
+
+def test_mean_evals_per_replicate_count_every_record_and_add_up(tmp_path, capsys):
+    # a replicate whose fit_all raised has no fits but counts as a replicate;
+    # a model fitted in only some records is still averaged over all of them
+    parent = write(tmp_path / "a.jsonl", [
+        {"kind": "meta"},
+        record(0, 0.0, models=fits(M1=(True, True, -1.0, 390), M2=(True, True, -1.0, 2174),
+                                   M3=(True, True, -1.0, 555))),
+        record(1, 0.0, models=fits(M1=(True, True, -2.0, 410), M2=(False, False, -2.0, 458))),
+        record(2, 0.0, models={}, error="NonFiniteLikelihood: M2: no usable starting point"),
+        {"kind": "summary"},
+    ])
+    change = write(tmp_path / "b.jsonl", [
+        {"kind": "meta"},
+        record(0, 0.0, models=fits(M1=(True, True, -1.0, 390), M2=(True, True, -1.0, 241),
+                                   M3=(True, True, -1.0, 555))),
+        record(1, 0.0, models=fits(M1=(True, True, -2.0, 410), M2=(True, True, -2.0, 251))),
+        record(2, 0.0, models=fits(M1=(True, True, -3.0, 400), M2=(True, True, -3.0, 249),
+                                   M3=(True, True, -3.0, 600))),
+    ])
+    assert same_records.main([parent, change]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "mean evals per replicate: parent M1 266.7, M2 877.3, M3 185.0; "
+        "change M1 400.0, M2 247.0, M3 385.0"
+    )
+    records = same_records.replicates(parent)
+    total = sum(f["evals"] for r in records for f in r["models"].values()) / len(records)
+    means = same_records.mean_evals(records)
+    assert sum(float(part.split()[1]) for part in means.split(", ")) == pytest.approx(total, abs=0.1)
 
 
 def test_cohort_digest_is_stable_and_sees_one_ulp_of_one_rate():

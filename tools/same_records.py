@@ -11,8 +11,12 @@ setting (``replicate_s``, ``layers``, ``position``, ``spans``) are left
 out.  For each record that differs it prints the record's index, then one
 line per model whose ``converged``, ``ok``, ``ll`` or ``evals`` differs,
 as parent -> change, and the M4 pick when it differs.  It ends with the
-number of records compared and of mismatches, and with the converged and
-ok fit counts of each side.  It exits with 1 on any mismatch.
+number of records compared and of mismatches, with the converged and ok
+fit counts of each side, and with each side's mean evals per replicate for
+each model: the model's evals summed over the run's replicate records and
+divided by their number (a replicate whose ``fit_all`` raised counts, with
+no evals), so the models' means add up to perfbench's
+``evals_per_replicate``.  It exits with 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -74,6 +78,16 @@ def tally(records: list[dict]) -> str:
     return f"{converged} of {len(fits)} fits converged, {ok} ok"
 
 
+def mean_evals(records: list[dict]) -> str:
+    """Each model's evals per replicate record, as "M1 390.0, M2 241.5"."""
+    fits = [r.get("models") or {} for r in records]
+    models = sorted({m for f in fits for m in f})
+    return ", ".join(
+        f"{m} {sum(f[m].get('evals', 0) for f in fits if m in f) / len(records):.1f}"
+        for m in models
+    )
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/same_records.py PARENT.jsonl CHANGE.jsonl", file=sys.stderr)
@@ -88,6 +102,7 @@ def main(argv: list[str]) -> int:
                 print(line)
     print(f"{len(parent)} vs {len(change)} replicate records, {mismatches} mismatches")
     print(f"parent: {tally(parent)}; change: {tally(change)}")
+    print(f"mean evals per replicate: parent {mean_evals(parent)}; change {mean_evals(change)}")
     return 1 if mismatches else 0
 
 
