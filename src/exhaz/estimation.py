@@ -6,17 +6,26 @@ refinement.  M1 starts at fixed values (kappa = theta = 1, alpha = 2,
 betas = 0) and M3 at M1's estimates with mu = 1.2, b = 0.1.  The
 refinement runs bounded L-BFGS-B with analytic gradients and checks their
 max-norm on the search scale.  When the check fails it takes up to four
-damped Newton steps with a Hessian from central differences of the
-log-likelihood values and checks again; when that fails too, Nelder-Mead
+damped Newton steps and checks again; when that fails too, Nelder-Mead
 runs and the round (L-BFGS-B, check, Newton polish, check) is repeated
 once from its result.  Nelder-Mead is unbounded: when the box moves its
 point, the moved point is evaluated and taken only if it improves on the
-refinement's point.  Standard errors come from a Hessian on the
-transformed scale built from central differences of the analytic gradient
-(2k gradient calls, symmetrized), pseudo-inverted with an eigenvalue
-floor, and mapped back by the delta method.  A fit that ends within 1e-6
-of an edge of the search box names those parameters in ``at_bound`` and
-in its notes.
+refinement's point.
+
+Both the Newton steps and the standard errors take their Hessian from
+central differences of the analytic gradient on the transformed scale:
+2k gradient calls give a Jacobian J, and H is J symmetrized.  The
+Jacobian of a gradient is symmetric, so J's relative asymmetry
+max|J - J^T| / max|J| tells whether the analytic gradient is the value's.
+Where it is above ``_SYMMETRY_TOL`` (1e-6), or a stencil point is
+rejected, the gradient is not (the EW tail artefact, ROADMAP item 1), and
+that Newton step takes its Hessian from central differences of the values
+instead, 2k^2 + 1 value calls; the fit's notes count those steps.  The
+standard errors pseudo-invert H with an eigenvalue floor and map it back
+by the delta method; a note says when J's asymmetry at the estimate is
+above the tolerance, and when H is not finite or not PD.  A fit that ends
+within 1e-6 of an edge of the search box names those parameters in
+``at_bound`` and in its notes.
 
 M2's gamma is profiled out: for fixed GH parameters M2's log-likelihood is
 strictly concave in gamma, and ``likelihoods.profile_gamma`` solves for
@@ -32,8 +41,8 @@ estimate (GH, gamma*).
 Tolerances, step sizes and budgets are module constants, properties of
 the method rather than of a study: ``_GRAD_TOL`` and ``_STEP_TOL`` (stops
 of L-BFGS-B and Nelder-Mead), ``_MAX_EVALS`` (per stage), ``_HESSIAN_STEP``
-(both the polish and the standard errors), ``_POLISH_STEPS``,
-``_CDA_HALFWIDTH`` and ``_CDA_MAXITER``.
+(both the polish and the standard errors), ``_SYMMETRY_TOL``,
+``_POLISH_STEPS``, ``_CDA_HALFWIDTH`` and ``_CDA_MAXITER``.
 ``FitConfig`` keeps only the random restarts (``multi_starts``, ``seed``):
 a best-of-N fit is the reference that tells whether one start found the
 MLE.
@@ -98,6 +107,12 @@ _GRAD_TOL = 1e-6  # L-BFGS-B gtol
 _STEP_TOL = 1e-9  # Nelder-Mead xatol
 _MAX_EVALS = 2000  # per stage
 _HESSIAN_STEP = 1e-4  # Newton-polish and standard-error Hessians
+# Relative asymmetry of the gradient's difference Jacobian above which the
+# analytic gradient is not taken for the value's (see _newton_polish).  On
+# the perfbench panels healthy points read 2.4e-9 to 4.1e-7 and points in
+# the EW tail 3.5e-5 to 1.06.  Inside that gap the lower end is chosen: a
+# needless fallback costs only evals, a missed one a step on a wrong Hessian.
+_SYMMETRY_TOL = 1e-6
 _POLISH_STEPS = 4
 _CDA_HALFWIDTH = 5.0  # search window per coordinate, transformed scale
 _CDA_MAXITER = 50  # per coordinate
@@ -330,36 +345,47 @@ def _fd_hessian(value: Callable[[np.ndarray], float], x: np.ndarray, h: float) -
     return 0.5 * (H + H.T)
 
 
-def _grad_hessian(grad: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
-    """Hessian from central differences of the gradient, symmetrized.
+def _grad_hessian(grad: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float):
+    """Hessian from central differences of the gradient, symmetrized, and its asymmetry.
 
     Takes 2k gradient calls; the curvature is accurate to O(h^2) plus the
     gradient's rounding over h, instead of the value's rounding over h^2.
+    Returns (H, asymmetry), the asymmetry being max|J - J^T| / max|J| of the
+    difference Jacobian J before symmetrizing.  The Jacobian of a gradient
+    is a Hessian, symmetric up to O(h^2) and rounding; a larger asymmetry
+    says ``grad`` is not the gradient of the value it belongs to.  NaN when
+    a stencil point is rejected (a NaN gradient).
     """
     k = len(x)
-    H = np.empty((k, k))
+    J = np.empty((k, k))
     for i in range(k):
         ei = np.zeros(k)
         ei[i] = h
-        H[i] = (grad(x + ei) - grad(x - ei)) / (2 * h)
-    return 0.5 * (H + H.T)
+        J[i] = (grad(x + ei) - grad(x - ei)) / (2 * h)
+    if not np.all(np.isfinite(J)):
+        asymmetry = math.nan
+    else:
+        scale = float(np.max(np.abs(J)))
+        asymmetry = float(np.max(np.abs(J - J.T))) / scale if scale > 0 else 0.0
+    return 0.5 * (J + J.T), asymmetry
 
 
 def _covariance(neg_hessian: np.ndarray):
     """Pseudo-inverse of the observed information with a 1e-10 eigenvalue floor.
 
-    Returns (cov, positive_definite).  Negative eigenvalues, or a non-finite
-    entry (a rejected point in the difference stencil), mean the information
-    matrix is not PD: covariance is not usable and None is returned.
+    Returns (cov, problem).  ``problem`` is None when cov is usable, else
+    the note that says why cov is None: a non-finite entry (a rejected
+    point in the difference stencil) or a negative eigenvalue (the
+    information matrix is not PD).
     """
     if not np.all(np.isfinite(neg_hessian)):
-        return None, False
+        return None, "information matrix not finite (a rejected stencil point); SEs unavailable"
     eigval, eigvec = np.linalg.eigh(neg_hessian)
     if np.any(eigval < 0):
-        return None, False
+        return None, "information matrix not positive definite; SEs unavailable"
     floored = np.maximum(eigval, 1e-10)
     cov = (eigvec / floored) @ eigvec.T
-    return cov, True
+    return cov, None
 
 
 def _grad_check_tol(ll: float) -> float:
@@ -369,18 +395,28 @@ def _grad_check_tol(ll: float) -> float:
 
 
 def _newton_polish(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Damped Newton steps with the FD Hessian and analytic gradient.
+    """Damped Newton steps with the analytic gradient and a difference Hessian.
 
     Cleans up the last decades of gradient norm on flat ridges where
-    L-BFGS-B's line search gives up.  Candidates are clipped to the box;
-    x is kept unless the objective improves.
+    L-BFGS-B's line search gives up.  Each step's Hessian comes from
+    central differences of the analytic gradient (2k gradient calls).
+    Where that Jacobian's asymmetry is NaN or above ``_SYMMETRY_TOL`` the
+    gradient is not the value's, and the step takes the Hessian from
+    central differences of the values instead (2k^2 + 1 value calls).
+    Candidates are clipped to the box; x is kept unless the objective
+    improves.  Returns (x, n_iter, fallbacks), ``fallbacks`` holding the
+    asymmetry of each step that took the value stencil.
     """
     n_iter = 0
+    fallbacks = []
     for _ in range(_POLISH_STEPS):
         f, g = obj.value_and_grad(x)  # a rejected point gives _BIG and a zero g
         if f >= _BIG or np.max(np.abs(g)) <= 0.2 * _grad_check_tol(-f):
             break
-        H = _fd_hessian(obj.value, x, _HESSIAN_STEP)
+        H, asymmetry = _grad_hessian(obj.grad, x, _HESSIAN_STEP)
+        if not asymmetry <= _SYMMETRY_TOL:
+            fallbacks.append(asymmetry)
+            H = _fd_hessian(obj.value, x, _HESSIAN_STEP)
         eigval, eigvec = np.linalg.eigh(H)
         floor = max(1e-8 * float(np.max(np.abs(eigval))), 1e-12)
         step = -(eigvec @ ((eigvec.T @ g) / np.maximum(eigval, floor)))
@@ -394,14 +430,16 @@ def _newton_polish(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarra
                 break
         if not accepted:
             break
-    return x, n_iter
+    return x, n_iter, fallbacks
 
 
 def _refine(obj: _Objective, x0: np.ndarray, bounds):
     """Quasi-Newton refinement with a Newton polish when the gradient check fails.
 
-    Returns (x, n_iter, ll, gnorm): the log-likelihood and the analytic
-    gradient max-norm of the last check, which is made at the returned x.
+    Returns (x, n_iter, ll, gnorm, fallbacks): the log-likelihood and the
+    analytic gradient max-norm of the last check, which is made at the
+    returned x, and the asymmetries of the polish steps that took the value
+    stencil (see ``_newton_polish``).
     """
     lbfgsb_opts = {
         "maxfun": _MAX_EVALS,
@@ -412,6 +450,7 @@ def _refine(obj: _Objective, x0: np.ndarray, bounds):
     lo, hi = np.array(bounds).T
     x = np.clip(x0, lo, hi)
     n_iter = 0
+    fallbacks = []
     for attempt in range(2):
         res = minimize(
             obj.value_and_grad, x, jac=True, method="L-BFGS-B", bounds=bounds,
@@ -425,8 +464,9 @@ def _refine(obj: _Objective, x0: np.ndarray, bounds):
         ll_x = ll
         if gnorm <= _grad_check_tol(ll):
             break
-        x, polish_iter = _newton_polish(obj, x, lo, hi)
+        x, polish_iter, polish_fallbacks = _newton_polish(obj, x, lo, hi)
         n_iter += polish_iter
+        fallbacks += polish_fallbacks
         ll_x, gnorm = obj.check(x)
         if gnorm <= _grad_check_tol(ll_x):
             break
@@ -448,7 +488,7 @@ def _refine(obj: _Objective, x0: np.ndarray, bounds):
                 if np.array_equal(cand, simplex.x) or obj.value(cand) < f_x:
                     x = cand
                     n_iter += int(simplex.nit)
-    return x, n_iter, ll_x, gnorm
+    return x, n_iter, ll_x, gnorm, fallbacks
 
 
 def _standardized_objective(model: str, cohort: PreparedCohort):
@@ -518,7 +558,7 @@ def fit(
         starts += [t0 + rng.normal(0.0, 0.3, k) for _ in range(cfg.multi_starts)]
     starts = [np.clip(s, *np.array(bounds).T) for s in starts]
 
-    x_hat, best_ll, gnorm, total_iter = None, -np.inf, math.nan, 0
+    x_hat, best_ll, gnorm, total_iter, fallbacks = None, -np.inf, math.nan, 0, []
     for s in starts:
         if search is obj:
             try:
@@ -530,8 +570,9 @@ def fit(
         if warm is None:
             log.warning("%s: start rejected (non-finite likelihood)", model)
             continue
-        x, n_iter, ll, x_gnorm = _refine(search, warm, bounds)
+        x, n_iter, ll, x_gnorm, x_fallbacks = _refine(search, warm, bounds)
         total_iter += n_iter
+        fallbacks += x_fallbacks
         if ll > best_ll:
             best_ll, x_hat, gnorm = ll, x, x_gnorm
     if x_hat is None:
@@ -550,9 +591,11 @@ def fit(
     ll_comp = loglik(params, cohort, comparable=True)
     aic = -2.0 * ll_comp + 2.0 * layout.k
 
-    H = _grad_hessian(obj.grad, x_hat, _HESSIAN_STEP)  # of -loglik, scaled space
-    cov_s, pd = _covariance(H)
+    H, asymmetry = _grad_hessian(obj.grad, x_hat, _HESSIAN_STEP)  # of -loglik, scaled space
+    cov_s, cov_problem = _covariance(H)
     notes = []
+    if fallbacks:
+        notes.append(_fallback_note(fallbacks))
     at_bound = tuple(
         name
         for name, xi, (lo, hi) in zip(layout.names, x_hat, layout.transformed_bounds())
@@ -569,7 +612,10 @@ def fit(
         cov = cov_s * np.outer(jac, jac)
     else:
         cov = se_nat = None
-        notes.append("information matrix not positive definite; SEs unavailable")
+        notes.append(cov_problem)
+    if asymmetry > _SYMMETRY_TOL:
+        notes.append(f"SEs from a gradient that is not the log-likelihood's: its Jacobian "
+                     f"asymmetry at the estimate is {asymmetry:.3g}")
     if not converged:
         notes.append(f"gradient max-norm {gnorm:.3g} not within tolerance "
                      f"{_grad_check_tol(best_ll):.3g}; flagged NotConverged")
@@ -583,13 +629,22 @@ def fit(
         loglik_comparable=ll_comp,
         aic=aic,
         converged=converged,
-        hessian_pd=pd,
+        hessian_pd=cov_s is not None,
         grad_max_norm=gnorm,
         n_evals=obj.n_evals + (search.n_evals if search is not obj else 0),
         n_iter=total_iter,
         at_bound=at_bound,
         notes=tuple(notes),
     )
+
+
+def _fallback_note(fallbacks: list[float]) -> str:
+    """The note on the polish steps that took the value stencil."""
+    finite = [a for a in fallbacks if not math.isnan(a)]
+    note = (f"polish: value-difference Hessian on {len(fallbacks)} step(s), "
+            f"gradient Jacobian asymmetry up to {max(finite, default=math.nan):.3g}")
+    rejected = len(fallbacks) - len(finite)
+    return note + (f" ({rejected} with a rejected stencil point)" if rejected else "")
 
 
 def fit_all(cohort: PreparedCohort, cfg: FitConfig = FitConfig()) -> dict[str, FitResult]:

@@ -14,13 +14,16 @@ from exhaz.errors import NoEligibleFit, NonFiniteLikelihood, NonPositive, SEsUna
 from exhaz.estimation import (
     _BIG,
     _HESSIAN_STEP,
+    _SYMMETRY_TOL,
     FitConfig,
     FitResult,
     ParamLayout,
     _covariance,
+    _fallback_note,
     _fd_hessian,
     _grad_check_tol,
     _grad_hessian,
+    _newton_polish,
     _ProfiledM2,
     _refine,
     _standardized_objective,
@@ -178,8 +181,8 @@ def test_delta_method_se_matches_natural_scale_hessian():
     def grad_trans(v):  # v = [log theta]
         return np.array([n_obs * (v[0] - center) / spread**2])
 
-    H_nat = _grad_hessian(grad_nat, np.array([theta_hat]), 1e-4)
-    H_trans = _grad_hessian(grad_trans, np.array([center]), 1e-4)
+    H_nat, _ = _grad_hessian(grad_nat, np.array([theta_hat]), 1e-4)
+    H_trans, _ = _grad_hessian(grad_trans, np.array([center]), 1e-4)
     se_nat_direct = 1.0 / math.sqrt(H_nat[0, 0])
     se_log = 1.0 / math.sqrt(H_trans[0, 0])
     assert theta_hat * se_log == pytest.approx(se_nat_direct, rel=1e-4)
@@ -437,8 +440,8 @@ def test_gradient_hessian_ses_match_value_fd_on_interior_m3_fit():
     assert res.converged and res.hessian_pd
     assert not any(note.startswith("parameters at box bound") for note in res.notes)
     obj, slot_scale, x_hat = _search_point(res, cohort)
-    cov_fd, pd = _covariance(_fd_hessian(obj.value, x_hat, _HESSIAN_STEP))
-    assert pd
+    cov_fd, problem = _covariance(_fd_hessian(obj.value, x_hat, _HESSIAN_STEP))
+    assert problem is None
     se_fd = np.sqrt(np.diag(cov_fd))
     se_fit = np.sqrt(np.diag(res.cov_transformed)) * slot_scale
     assert se_fit == pytest.approx(se_fd, rel=1e-3)
@@ -456,7 +459,7 @@ def test_boundary_collapse_has_stable_nonnegative_information():
     assert res.std_errors[res.param_names.index("b")] > 1e3 * res.estimate("b")
     obj, _, x_hat = _search_point(res, cohort)
     smallest = [
-        np.linalg.eigvalsh(_grad_hessian(obj.grad, x_hat, h))[0] for h in (1e-3, 1e-4, 1e-5)
+        np.linalg.eigvalsh(_grad_hessian(obj.grad, x_hat, h)[0])[0] for h in (1e-3, 1e-4, 1e-5)
     ]
     assert min(smallest) >= 0.0
     assert smallest == pytest.approx([smallest[1]] * 3, rel=1e-3)
@@ -605,6 +608,10 @@ class _Toy:
     def value(self, x):
         return self.value_and_grad(x)[0]
 
+    def grad(self, x):
+        f, g = self.value_and_grad(x)
+        return g if f < _BIG else np.full_like(x, np.nan)
+
     def check(self, x):
         f, g = self.value_and_grad(x)
         return -f, float(np.max(np.abs(g))) if f < _BIG else math.nan
@@ -616,9 +623,116 @@ def test_refine_keeps_its_point_when_the_clipped_simplex_point_is_worse():
     # unbounded minimum (3, 1) clips to (1, 1), a rejected point: it must be
     # evaluated and turned down, not taken on the simplex's value.
     obj = _Toy()
-    x, _, ll, gnorm = _refine(obj, np.array([0.0, 0.0]), [(-1.0, 1.0), (-1.0, 1.0)])
+    x, _, ll, gnorm, _ = _refine(obj, np.array([0.0, 0.0]), [(-1.0, 1.0), (-1.0, 1.0)])
     assert np.allclose(x, [1.0, -1.0], atol=1e-6)
     assert ll == pytest.approx(-4.0, abs=1e-9) and gnorm == pytest.approx(4.0, abs=1e-6)
+
+
+_A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+_C = np.array([1.0, -0.5, 0.25])
+_SKEW = 0.1 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+
+
+class _LinearField:
+    """The value 0.5 (x - c)' A (x - c) with the linear field M (x - c) as its
+    "gradient"; a gradient only when M = A.  Logs each call: "vg" for
+    value_and_grad, "g" for grad and "v" for value."""
+
+    def __init__(self, M):
+        self.M = M
+        self.calls = []
+
+    def _value(self, x):
+        d = x - _C
+        return 0.5 * float(d @ _A @ d)
+
+    def value_and_grad(self, x):
+        self.calls.append("vg")
+        return self._value(x), self.M @ (x - _C)
+
+    def grad(self, x):
+        self.calls.append("g")
+        return self.M @ (x - _C)
+
+    def value(self, x):
+        self.calls.append("v")
+        return self._value(x)
+
+
+def test_polish_on_a_true_gradient_costs_2k_gradient_calls_per_step():
+    # one value_and_grad, 2k gradient calls for the Hessian, the damped
+    # values (here the full step, taken), then the value_and_grad that finds
+    # the gradient zero: no value stencil
+    obj = _LinearField(_A)
+    k = len(_C)
+    x, n_iter, fallbacks = _newton_polish(obj, np.zeros(k), np.full(k, -10.0), np.full(k, 10.0))
+    assert obj.calls == ["vg"] + ["g"] * (2 * k) + ["v"] + ["vg"]
+    assert n_iter == 1 and fallbacks == []
+    assert np.allclose(x, _C, atol=1e-9)
+
+
+def test_polish_takes_the_value_stencil_where_the_gradient_jacobian_is_asymmetric():
+    # J = A + S has asymmetry 2 max|S| / max|A + S| = 0.05: not a Hessian, so
+    # each step builds today's 2k^2 + 1 value stencil after its 2k gradients
+    obj = _LinearField(_A + _SKEW)
+    k = len(_C)
+    _, asymmetry = _grad_hessian(obj.grad, np.zeros(k), _HESSIAN_STEP)
+    assert asymmetry == pytest.approx(0.05, rel=1e-6)
+    obj.calls.clear()
+    _, _, fallbacks = _newton_polish(obj, np.zeros(k), np.full(k, -10.0), np.full(k, 10.0))
+    steps = []  # the calls of each polish step, each opened by its value_and_grad
+    for call in obj.calls:
+        if call == "vg":
+            steps.append([])
+        steps[-1].append(call)
+    hessian_steps = [step for step in steps if "g" in step]
+    assert len(hessian_steps) == len(fallbacks) >= 1
+    assert fallbacks == pytest.approx([0.05] * len(fallbacks), rel=1e-6)
+    stencil = ["vg"] + ["g"] * (2 * k) + ["v"] * (2 * k * k + 1)
+    for step in hessian_steps:
+        assert step[: len(stencil)] == stencil and step[len(stencil):] == ["v"] * (
+            len(step) - len(stencil)
+        )
+        assert len(step) > len(stencil)  # at least one damped candidate
+
+
+def test_a_rejected_stencil_point_gives_a_nan_asymmetry():
+    obj = _Toy()
+    H, asymmetry = _grad_hessian(obj.grad, np.array([0.99 - 5e-5, 0.6]), _HESSIAN_STEP)
+    assert math.isnan(asymmetry) and not np.all(np.isfinite(H))
+
+
+def test_fallback_note_gives_the_steps_and_the_largest_asymmetry():
+    assert _fallback_note([0.05, 0.2]) == (
+        "polish: value-difference Hessian on 2 step(s), gradient Jacobian asymmetry up to 0.2"
+    )
+    assert _fallback_note([math.nan, 3e-4]) == (
+        "polish: value-difference Hessian on 2 step(s), gradient Jacobian asymmetry up to "
+        "0.0003 (1 with a rejected stencil point)"
+    )
+
+
+def test_the_gradient_is_a_gradient_at_converged_fits_and_not_at_m2s_tail_end(fits_1500):
+    # at the converged M1 and M3 fits the gradient's Jacobian is symmetric
+    # (measured 9e-9 and 2.8e-8), and their polish used it; M2 ends with
+    # alpha on e^20, where the analytic gradient is off the value's (8.5e-5)
+    cohort, fits = fits_1500
+    assert _SYMMETRY_TOL == 1e-6
+    for model in ("M1", "M3"):
+        res = fits[model]
+        assert res.converged
+        obj, _, x_hat = _search_point(res, cohort)
+        assert _grad_hessian(obj.grad, x_hat, _HESSIAN_STEP)[1] <= 1e-7
+        assert not [n for n in res.notes if n.startswith(("polish:", "SEs from"))]
+    res = fits["M2"]
+    obj, _, x_hat = _search_point(res, cohort)
+    asymmetry = _grad_hessian(obj.grad, x_hat, _HESSIAN_STEP)[1]
+    assert asymmetry > _SYMMETRY_TOL
+    assert any(n.startswith("polish: value-difference Hessian on ") for n in res.notes)
+    assert (
+        "SEs from a gradient that is not the log-likelihood's: its Jacobian asymmetry "
+        f"at the estimate is {asymmetry:.3g}"
+    ) in res.notes
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +793,8 @@ def test_ci_matches_analytic_toy(m1_fit):
     # Wald interval on a known-curvature quadratic: +/- z / sqrt(curvature)
     curv = 25.0
     H = np.array([[curv]])
-    cov, pd = _covariance(H)
-    assert pd
+    cov, problem = _covariance(H)
+    assert problem is None
     se = math.sqrt(cov[0, 0])
     assert se == pytest.approx(1.0 / math.sqrt(curv), rel=1e-12)
 
@@ -706,8 +820,17 @@ def test_ses_unavailable_raises():
 
 
 def test_covariance_flags_negative_eigenvalues():
-    cov, pd = _covariance(np.array([[1.0, 0.0], [0.0, -0.5]]))
-    assert not pd and cov is None
+    cov, problem = _covariance(np.array([[1.0, 0.0], [0.0, -0.5]]))
+    assert cov is None
+    assert problem == "information matrix not positive definite; SEs unavailable"
+
+
+def test_covariance_names_a_nonfinite_entry_apart_from_a_negative_eigenvalue():
+    # a rejected stencil point leaves NaN in the Hessian: that is not a
+    # statement about definiteness, and the note says which it is
+    cov, problem = _covariance(np.array([[1.0, np.nan], [np.nan, 2.0]]))
+    assert cov is None
+    assert problem == "information matrix not finite (a rejected stencil point); SEs unavailable"
 
 
 # ---------------------------------------------------------------------------

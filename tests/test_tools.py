@@ -81,6 +81,7 @@ def test_changed_fits_are_listed_parent_to_change_with_counts(tmp_path, capsys):
         "2 vs 2 replicate records, 2 mismatches",
         "parent: 2 of 3 fits converged, 1 ok; change: 3 of 3 fits converged, 3 ok",
         "mean evals per replicate: parent M1 450.0, M2 1000.0; change M1 440.0, M2 300.0",
+        "converged on both sides: 2 fits, largest |delta ll| 0 (record 1, M1)",
     ]
 
 
@@ -95,6 +96,7 @@ def test_a_record_that_differs_outside_the_listed_fields_lists_no_fit(tmp_path, 
         "1 vs 1 replicate records, 1 mismatches",
         "parent: 1 of 1 fits converged, 1 ok; change: 1 of 1 fits converged, 1 ok",
         "mean evals per replicate: parent M1 400.0; change M1 400.0",
+        "converged on both sides: 1 fits, largest |delta ll| 0 (record 0, M1)",
     ]
     # one ulp of ll is listed with both values
     moved = fits(M1=(True, True, math.nextafter(ll, 0.0), 400))
@@ -123,7 +125,7 @@ def test_mean_evals_per_replicate_count_every_record_and_add_up(tmp_path, capsys
                                    M3=(True, True, -3.0, 600))),
     ])
     assert same_records.main([parent, change]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == (
+    assert capsys.readouterr().out.splitlines()[-2] == (
         "mean evals per replicate: parent M1 266.7, M2 877.3, M3 185.0; "
         "change M1 400.0, M2 247.0, M3 385.0"
     )
@@ -131,6 +133,29 @@ def test_mean_evals_per_replicate_count_every_record_and_add_up(tmp_path, capsys
     total = sum(f["evals"] for r in records for f in r["models"].values()) / len(records)
     means = same_records.mean_evals(records)
     assert sum(float(part.split()[1]) for part in means.split(", ")) == pytest.approx(total, abs=0.1)
+
+
+def test_the_last_line_bounds_the_ll_drift_of_fits_converged_on_both_sides(tmp_path, capsys):
+    # a fit converged on one side only, or a model missing on one side, is
+    # not counted; the largest drift names its record and model
+    parent = write(tmp_path / "a.jsonl", [
+        record(0, 0.0, models=fits(M1=(True, True, -10.0, 1), M2=(True, True, -9.0, 1),
+                                   M3=(False, False, -1.0, 1))),
+        record(1, 0.0, models=fits(M1=(True, True, -20.0, 1), M3=(True, True, -18.0, 1))),
+    ])
+    change = write(tmp_path / "b.jsonl", [
+        record(0, 0.0, models=fits(M1=(True, True, -10.0 + 2e-7, 1), M2=(False, False, -5.0, 1),
+                                   M3=(True, True, -0.5, 1))),
+        record(1, 0.0, models=fits(M1=(True, True, -20.0 - 3e-9, 1))),
+    ])
+    assert same_records.main([parent, change]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "converged on both sides: 2 fits, largest |delta ll| 2e-07 (record 0, M1)"
+    )
+    # no fit converged on both sides
+    change = write(tmp_path / "b.jsonl", [record(0, 0.0, models=fits(M1=(False, False, -10.0, 1)))])
+    assert same_records.main([parent, change]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "converged on both sides: 0 fits"
 
 
 def test_cohort_digest_is_stable_and_sees_one_ulp_of_one_rate():

@@ -16,7 +16,10 @@ fit counts of each side, and with each side's mean evals per replicate for
 each model: the model's evals summed over the run's replicate records and
 divided by their number (a replicate whose ``fit_all`` raised counts, with
 no evals), so the models' means add up to perfbench's
-``evals_per_replicate``.  It exits with 1 on any mismatch.
+``evals_per_replicate``.  Its last line counts the fits converged on both
+sides (same record position, same model) and gives the largest |delta ll|
+among them, with the record and model where it is.  It exits with 1 on any
+mismatch.
 """
 
 from __future__ import annotations
@@ -88,6 +91,22 @@ def mean_evals(records: list[dict]) -> str:
     )
 
 
+def converged_drift(parent: list[dict], change: list[dict]) -> str:
+    """Fits converged on both sides: their count and the largest |delta ll|."""
+    pairs = []
+    for i, (a, b) in enumerate(zip(parent, change)):
+        fits_b = b.get("models") or {}
+        for model, fa in (a.get("models") or {}).items():
+            fb = fits_b.get(model, {})
+            if fa.get("converged") is True and fb.get("converged") is True:
+                pairs.append((abs(fb["ll"] - fa["ll"]), i, model))
+    line = f"converged on both sides: {len(pairs)} fits"
+    if pairs:
+        drift, i, model = max(pairs)
+        line += f", largest |delta ll| {drift:.3g} (record {i}, {model})"
+    return line
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/same_records.py PARENT.jsonl CHANGE.jsonl", file=sys.stderr)
@@ -103,6 +122,7 @@ def main(argv: list[str]) -> int:
     print(f"{len(parent)} vs {len(change)} replicate records, {mismatches} mismatches")
     print(f"parent: {tally(parent)}; change: {tally(change)}")
     print(f"mean evals per replicate: parent {mean_evals(parent)}; change {mean_evals(change)}")
+    print(converged_drift(parent, change))
     return 1 if mismatches else 0
 
 
