@@ -1,9 +1,9 @@
 """Maximum-likelihood fitting of M1/M2/M3 and AIC-based selection (M4).
 
 Fitting is a two-step search on the log-transformed positive parameters:
-one cycle of coordinate descent (CDA) from the starting values, then a
-refinement.  M1 starts at fixed values (kappa = theta = 1, alpha = 2,
-betas = 0) and M3 at M1's estimates with mu = 1.2, b = 0.1.  The
+a start, then a refinement.  M1 starts with one cycle of coordinate
+descent (CDA) from fixed values (kappa = theta = 1, alpha = 2, betas = 0);
+M2 and M3 start where the model they extend ends (below).  The
 refinement runs bounded L-BFGS-B with analytic gradients and checks their
 max-norm on the search scale.  When the check fails it takes up to four
 damped Newton steps and checks again; when that fails too, Nelder-Mead
@@ -27,22 +27,30 @@ above the tolerance, and when H is not finite or not PD.  A fit that ends
 within 1e-6 of an edge of the search box names those parameters in
 ``at_bound`` and in its notes.
 
-M2's gamma is profiled out: for fixed GH parameters M2's log-likelihood is
-strictly concave in gamma, and ``likelihoods.profile_gamma`` solves for
-its maximizer gamma* without a likelihood call.  M2 is searched over the
-GH coordinates alone; each value or gradient is one likelihood call at
-(GH, gamma*), and the gradient is the GH part of M2's (envelope theorem).
-It runs no CDA: ``fit_all`` starts it at M1's estimates, and gamma = 1 is
-M1, so that first value is already at least M1's MLE.  The refinement
-runs on this objective unchanged; ``converged``, the gradient norm, the
-log-likelihood and the SEs are those of M2's full objective at the joint
-estimate (GH, gamma*).
+The multiplier of h_P, M2's gamma and M3's mu, is profiled out.  For
+fixed GH parameters M2's log-likelihood is strictly concave in gamma, and
+for fixed GH parameters and b M3's has the same form in mu, with h_P
+reweighted by 1/(1 + b dH_P); ``likelihoods.profile_gamma`` solves both
+for the maximizer without a likelihood call.  M2 is searched over the GH
+coordinates and M3 over the GH coordinates and log b; each value or
+gradient is one likelihood call at the joint point, and the gradient is
+the model's without the multiplier's entry (envelope theorem).  Neither
+runs CDA.  M2 starts at M1's GH estimates: gamma = 1 is M1, so its first
+value is already at least M1's MLE.  M3 starts at M2's GH estimates with
+log b scanned over the grid ``_LOG_B_GRID`` (-20, -19, ..., 6), one
+value per point, counted in ``n_evals``, and the refinement starts from
+the best point.  The grid's floor b = e^-20 is M2's end up to O(e^-20)
+in ll, and the refinement takes no worse point, so M3 ends at or above
+M2's end less O(e^-20), as M2 ends at or above M1's: M1 within M2 within
+M3 holds by construction.  The refinement runs on these objectives
+unchanged; ``converged``, the gradient norm, the log-likelihood and the
+SEs are those of the model's full objective at the joint estimate.
 
 Tolerances, step sizes and budgets are module constants, properties of
 the method rather than of a study: ``_GRAD_TOL`` and ``_STEP_TOL`` (stops
 of L-BFGS-B and Nelder-Mead), ``_MAX_EVALS`` (per stage), ``_HESSIAN_STEP``
 (both the polish and the standard errors), ``_SYMMETRY_TOL``,
-``_POLISH_STEPS``, ``_CDA_HALFWIDTH`` and ``_CDA_MAXITER``.
+``_POLISH_STEPS``, ``_CDA_HALFWIDTH``, ``_CDA_MAXITER`` and ``_LOG_B_GRID``.
 ``FitConfig`` keeps only the random restarts (``multi_starts``, ``seed``):
 a best-of-N fit is the reference that tells whether one start found the
 MLE.
@@ -53,8 +61,8 @@ meaningless otherwise.
 
 A model's parameters are a ``ParamLayout`` plus one natural-scale vector
 (``likelihoods.ModelParams``); the optimizer searches the same slots on the
-transformed scale (M2: its GH slots), and a ``FitResult`` keeps the layout
-it was fitted with.
+transformed scale (M2 and M3: all but the multiplier), and a ``FitResult``
+keeps the layout it was fitted with.
 """
 
 from __future__ import annotations
@@ -116,6 +124,9 @@ _SYMMETRY_TOL = 1e-6
 _POLISH_STEPS = 4
 _CDA_HALFWIDTH = 5.0  # search window per coordinate, transformed scale
 _CDA_MAXITER = 50  # per coordinate
+# log b of the points M3's start is scanned over: the box floor, where M3
+# is M2, up to b = e^6
+_LOG_B_GRID = tuple(float(v) for v in range(-20, 7))
 
 
 @dataclass(frozen=True)
@@ -218,10 +229,14 @@ _REJECTED = (NonFiniteLikelihood, NonPositive)
 class _Objective:
     """Negative log-likelihood on the transformed scale, with eval counting."""
 
+    searched = slice(None)  # the slots of params(x).layout that x holds
+
     def __init__(self, layout: ParamLayout, cohort: PreparedCohort):
         self.layout = layout
         self.cohort = cohort
         self.n_evals = 0
+        self.positive = layout.positive  # of x's slots
+        self.bounds = layout.transformed_bounds()
 
     def params(self, x: np.ndarray) -> ModelParams:
         """The parameters at x; NonPositive names a slot that is not valid."""
@@ -243,8 +258,8 @@ class _Objective:
             return _BIG, np.zeros_like(x)
         positive = params.layout.positive
         grad[positive] *= params.values[positive]
-        # the part along x: a profiled objective's parameters extend past it
-        return -ll, -grad[: len(x)]
+        # the part along x: a profiled objective's parameters have one slot more
+        return -ll, -grad[self.searched]
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Gradient of ``value``; NaN everywhere when the point is rejected."""
@@ -257,29 +272,39 @@ class _Objective:
         return -f, float(np.max(np.abs(g))) if f < _BIG else math.nan
 
 
-class _ProfiledM2(_Objective):
-    """M2's objective over the GH coordinates alone, gamma profiled out.
+class _Profiled(_Objective):
+    """M2's or M3's objective with the multiplier of h_P profiled out.
 
-    x holds the transformed GH slots (M1's layout, ``layout``); its
-    parameters are M2's, with gamma* from ``profile_gamma`` appended, so
-    ``value`` and ``value_and_grad`` make one likelihood call each, at
-    (GH, gamma*).  The gradient is the GH part of M2's: the score along
-    gamma is zero at gamma* (envelope theorem), and at a box end of gamma
-    the profile does not move, so the GH part is the derivative of the
-    profiled value there too.
+    x holds the model's transformed slots except the multiplier (gamma for
+    M2, mu for M3): the GH slots, which ``layout`` (M1's) names, then log b
+    for M3.  Its parameters are the model's (``model_layout``), with the
+    multiplier from ``profile_gamma`` at the other slots, so ``value`` and
+    ``value_and_grad`` make one likelihood call each.  The gradient is the
+    model's without the multiplier's entry: the score along the multiplier
+    is zero at its maximizer (envelope theorem), and at a box end of the
+    multiplier the profile does not move, so the other entries are the
+    derivative of the profiled value there too.
     """
 
-    def __init__(self, m2_layout: ParamLayout, cohort: PreparedCohort):
+    def __init__(self, model_layout: ParamLayout, cohort: PreparedCohort):
         super().__init__(ParamLayout.for_model("M1", cohort.covariate_names), cohort)
-        self.m2_layout = m2_layout
+        self.model_layout = model_layout
+        self.slot = self.layout.k  # the multiplier follows the GH slots
+        self.searched = np.delete(np.arange(model_layout.k), self.slot)
+        self.positive = model_layout.positive[self.searched]
+        bounds = model_layout.transformed_bounds()
+        self.bounds = [bounds[i] for i in self.searched]
 
     def params(self, x: np.ndarray) -> ModelParams:
-        gh = super().params(x)
-        return ModelParams(self.m2_layout, np.append(gh.values, profile_gamma(gh, self.cohort)))
+        # the multiplier is 1 until the profile, which does not read it, gives it
+        t = np.concatenate((x[: self.slot], [0.0], x[self.slot :]))
+        values = untransform_params(t, self.model_layout.positive)
+        values[self.slot] = profile_gamma(ModelParams(self.model_layout, values), self.cohort)
+        return ModelParams(self.model_layout, values)
 
     def joint(self, x: np.ndarray) -> np.ndarray:
-        """x with log gamma* appended: the point of M2's own objective."""
-        return np.append(x, math.log(self.params(x).correction[0]))
+        """x with the log multiplier inserted: the point of the model's own objective."""
+        return np.insert(x, self.slot, math.log(self.params(x).values[self.slot]))
 
 
 def cda_warm_start(
@@ -522,15 +547,19 @@ def fit(
 ) -> FitResult:
     """Two-step maximum likelihood for one model.
 
-    ``init`` is a natural-scale vector of the searched slots overriding the
-    default starting values: all of the model's slots for M1 and M3, and
-    the GH slots for M2, whose gamma is profiled out (``fit_all`` passes
-    M1's estimates).  M1 and M3 start with one CDA cycle; M2 starts at
-    ``init`` itself.  A start whose value is not finite is skipped with a
-    warning, and NonFiniteLikelihood ("<model>: no usable starting point")
-    is raised when every start is.  With ``cfg.multi_starts`` > 0, that
-    many perturbed restarts (Gaussian noise, sd 0.3 on the transformed
-    scale) are run and the best likelihood wins.
+    ``init`` is a natural-scale vector of the GH slots, the start of the
+    search.  Without it M1 starts at ``ParamLayout.default_init``, and M2
+    and M3 at the GH estimates of the model they extend, fitted here as
+    ``fit_all`` fits it (M1, or M2 from M1); those fits' evals are not
+    counted in this one's ``n_evals``.  M1 starts with one CDA cycle from
+    ``init``; M2 starts at ``init`` itself, with gamma profiled out; M3 at
+    the best of ``init`` with each log b of ``_LOG_B_GRID``, with mu
+    profiled out, the grid's values counted in ``n_evals``.  A start whose
+    value is not finite is skipped with a warning, and NonFiniteLikelihood
+    ("<model>: no usable starting point") is raised when every start is.
+    With ``cfg.multi_starts`` > 0, that many perturbed restarts (Gaussian
+    noise, sd 0.3 on the transformed GH slots) are run, M3 scanning log b
+    for each, and the best likelihood wins.
 
     Covariates are standardized to unit SD internally (an exact
     reparameterization of the GH model) so the search space is
@@ -541,22 +570,26 @@ def fit(
         raise DataError("cohort has no events (all censored); cannot fit")
     obj, slot_scale = _standardized_objective(model, cohort)
     layout = obj.layout
-    # the coordinates the optimizer moves: M2's GH slots, or all of them
-    search = _ProfiledM2(layout, obj.cohort) if model == "M2" else obj
-    k = search.layout.k
+    # the coordinates the optimizer moves: M1's slots, or M2's and M3's
+    # except the multiplier of h_P
+    search = obj if model == "M1" else _Profiled(layout, obj.cohort)
+    bounds = search.bounds
+    k = 3 + 2 * layout.n_covariates  # the GH slots, which init and the starts hold
 
-    base = search.layout.default_init() if init is None else np.asarray(init, dtype=float)
+    if init is None:  # M2 and M3 start where the model they extend ends
+        i = MODELS.index(model)
+        init = fit(MODELS[i - 1], cohort, cfg).estimates[:k] if i else layout.default_init()
+    base = np.asarray(init, dtype=float)
     if len(base) != k:
         raise ValueError(f"init has length {len(base)}, expected {k}")
     base = base * slot_scale[:k]  # beta_j -> beta_j * s_j matches x_j / s_j
-    t0 = transform_params(base, search.layout.positive)
-    bounds = search.layout.transformed_bounds()
+    t0 = transform_params(base, layout.positive[:k])
 
     starts = [t0]
     if cfg.multi_starts > 0:
         rng = np.random.default_rng(cfg.seed)
         starts += [t0 + rng.normal(0.0, 0.3, k) for _ in range(cfg.multi_starts)]
-    starts = [np.clip(s, *np.array(bounds).T) for s in starts]
+    starts = [np.clip(s, *np.array(bounds[:k]).T) for s in starts]
 
     x_hat, best_ll, gnorm, total_iter, fallbacks = None, -np.inf, math.nan, 0, []
     for s in starts:
@@ -566,7 +599,11 @@ def fit(
             except NonFiniteLikelihood:
                 warm = None
         else:
-            warm = s if search.value(s) < _BIG else None
+            # M2 starts at s, M3 at the best of s with each log b of the grid
+            points = [s] if model == "M2" else [np.append(s, v) for v in _LOG_B_GRID]
+            values = [search.value(p) for p in points]
+            best = int(np.argmin(values))
+            warm = points[best] if values[best] < _BIG else None
         if warm is None:
             log.warning("%s: start rejected (non-finite likelihood)", model)
             continue
@@ -648,20 +685,18 @@ def _fallback_note(fallbacks: list[float]) -> str:
 
 
 def fit_all(cohort: PreparedCohort, cfg: FitConfig = FitConfig()) -> dict[str, FitResult]:
-    """Fit M1, then M2 and M3 warm-started at the M1 solution.
+    """Fit M1, then M2 from M1's GH estimates and M3 from M2's.
 
     M2 starts at M1's GH estimates with gamma profiled out, so its first
-    value is at least M1's MLE on the comparable scale; M3's correction
-    starts at its default values (mu = 1.2, b = 0.1).
+    value is at least M1's MLE on the comparable scale.  M3 starts at M2's
+    GH estimates with mu profiled out and log b scanned over
+    ``_LOG_B_GRID`` (27 values, counted in its ``n_evals``); the grid's
+    floor is M2's end, so its first value is at least M2's MLE less
+    O(e^-20).
     """
     m1 = fit("M1", cohort, cfg)
-    init = ParamLayout.for_model("M3", cohort.covariate_names).default_init()
-    init[: m1.k] = m1.estimates
-    return {
-        "M1": m1,
-        "M2": fit("M2", cohort, cfg, init=m1.estimates),
-        "M3": fit("M3", cohort, cfg, init=init),
-    }
+    m2 = fit("M2", cohort, cfg, init=m1.estimates)
+    return {"M1": m1, "M2": m2, "M3": fit("M3", cohort, cfg, init=m2.estimates[: m1.k])}
 
 
 def select_m4(fits: dict[str, FitResult]):
@@ -669,6 +704,10 @@ def select_m4(fits: dict[str, FitResult]):
 
     Returns (chosen FitResult, c_hat) with c_hat = 1 for M1, gamma for M2,
     mu for M3.
+
+    The fits of ``fit_all`` nest by construction (see the module
+    docstring): M2 ends at or above M1's log-likelihood and M3 at or above
+    M2's, so AIC compares log-likelihoods ordered as the models nest.
 
     This is the paper's rule, kept as it is.  Where a correction sits on
     the edge of its space (gamma -> 0, b -> 0 as M3 tends to M2) the AIC

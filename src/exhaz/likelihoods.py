@@ -41,9 +41,10 @@ expressions.  What depends on the cohort alone is computed once, when the
 PreparedCohort is built: the event mask and the gradient's constants, the
 sum of dH_P (M2) and dH_P^2 (M3), and the events with h_P > 0.
 
-``profile_gamma`` gives M2's maximizing gamma at a GH point, for the fit
-that profiles gamma out; it reads the EW block the likelihood call at
-that point then reuses, and makes no likelihood call itself.
+``profile_gamma`` gives the maximizing multiplier of h_P, M2's gamma at a
+GH point or M3's mu at a GH point and b, for the fits that profile it
+out; it reads the EW block the likelihood call at that point then reuses,
+and makes no likelihood call itself.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ class Cohort:
 
 _LOG_BOX = 20.0  # |log| bound of the positive parameters (ParamLayout.transformed_bounds)
 
-# The correction slots of each model, by name, with their starting values.
-_CORRECTIONS = {"M1": {}, "M2": {"gamma": 1.2}, "M3": {"mu": 1.2, "b": 0.1}}
+# The correction slots of each model, by name.
+_CORRECTIONS = {"M1": (), "M2": ("gamma",), "M3": ("mu", "b")}
 MODELS = tuple(_CORRECTIONS)
 
 
@@ -224,14 +225,12 @@ class ParamLayout:
         return [(-_LOG_BOX, _LOG_BOX) if pos else (-100.0, 100.0) for pos in self.positive]
 
     def default_init(self) -> np.ndarray:
-        """kappa = theta = 1, alpha = 2, betas = 0; gamma = 1.2; (mu, b) = (1.2, 0.1).
+        """kappa = theta = 1, alpha = 2, betas = 0: the start of the GH slots.
 
-        ``estimation.fit`` reads M1's and M3's; it searches M2 over the GH
-        slots with gamma profiled out, so M2's fit reads no gamma start.
+        The corrections have none: ``estimation.fit`` profiles gamma and mu
+        out and scans M3's b on a grid.
         """
-        return np.array(
-            [1.0, 1.0, 2.0, *[0.0] * (2 * self.n_covariates), *_CORRECTIONS[self.model].values()]
-        )
+        return np.array([1.0, 1.0, 2.0, *[0.0] * (2 * self.n_covariates)])
 
     def to_params(self, vec: np.ndarray) -> "ModelParams":
         return ModelParams(self, vec)
@@ -724,15 +723,20 @@ _PROFILE_STEP_TOL = 1e-7  # relative size of the last Newton step; the error lef
 
 
 def profile_gamma(params: ModelParams, cohort: PreparedCohort) -> float:
-    """The gamma in [e^-20, e^20] that maximizes M2's log-likelihood at the
-    GH slots of ``params`` (its correction slots, if any, are not read).
+    """The multiplier of h_P in [e^-20, e^20] that maximizes the model's
+    log-likelihood at the other slots of ``params``: M2's gamma at its GH
+    slots (M1 params give the same), or M3's mu at its GH slots and b.  The
+    multiplier's own slot is not read.
 
     For fixed GH parameters M2's log-likelihood is
     sum_ev log(gamma hp + h_E) - gamma D - sum H_E, with D = sum dH_P:
-    strictly concave in gamma when an event has hp > 0.  Over the n such
-    events, with r = h_E / hp and t = 1/(gamma + r), its score is
-    s(gamma) = S1 - D with S1 = sum t, decreasing in gamma.  No such event
-    gives e^-20 (s = -D <= 0); D = 0 gives e^20.
+    strictly concave in gamma when an event has hp > 0.  M3's, for fixed GH
+    parameters and b, has the same form in mu, with hp reweighted by
+    1/(1 + y) and D = sum dH_P log1p(y)/y, y = b dH_P; M2 is its b = 0
+    case.  Over the n events with hp > 0, with r = h_E (1 + y) / hp (no
+    factor under M2) and t = 1/(gamma + r), the score is s(gamma) = S1 - D
+    with S1 = sum t, decreasing in gamma.  No such event gives e^-20
+    (s = -D <= 0); D = 0 gives e^20.
 
     Otherwise the root solves M(gamma) = n / D, where M = n / S1 is the
     harmonic mean of gamma + r: increasing and concave in gamma, and
@@ -756,15 +760,21 @@ def profile_gamma(params: ModelParams, cohort: PreparedCohort) -> float:
     lo, hi = _GAMMA_BOX
     if idx.size == 0:
         return lo
-    sum_dhp = float(cohort._sum_dhp)
-    if sum_dhp <= 0.0:
-        return hi
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if params.layout.model == "M3":
+            y = params.correction[1] * cohort.dhp
+            d = float(np.add.reduce(cohort.dhp * _log1p_ratio(y)))
+        else:
+            y, d = None, float(cohort._sum_dhp)
+        if d <= 0.0:
+            return hi
         h0 = _ew_block(params, cohort)[-1]
         r = (cohort.X @ params.beta2)[idx]  # indexing X's rows would copy them
         np.exp(r, out=r)
         r *= h0[idx]
         r /= cohort._hp_at_events
+        if y is not None:
+            r *= 1.0 + y[idx]
         t = np.empty_like(r)
         untried = {lo, hi}  # box ends whose score is not known
         gamma = 1.0
@@ -773,16 +783,16 @@ def profile_gamma(params: ModelParams, cohort: PreparedCohort) -> float:
             np.divide(1.0, t, out=t)
             s1 = float(np.add.reduce(t))
             untried.discard(gamma)
-            if s1 > sum_dhp:
+            if s1 > d:
                 lo = gamma
-            elif s1 < sum_dhp:
+            elif s1 < d:
                 hi = gamma
             else:
                 break  # the root, or a NaN score
             if lo >= hi:
                 break  # the root lies beyond a box end
             # S2 stays a numpy scalar: t = 0 throughout gives a NaN step, not an error
-            new = gamma + s1 * (s1 - sum_dhp) / (sum_dhp * np.dot(t, t))
+            new = gamma + s1 * (s1 - d) / (d * np.dot(t, t))
             if not lo < new < hi:
                 end = hi if new >= hi else lo
                 new = end if end in untried else math.sqrt(lo * hi)

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exhaz import estimation
 from exhaz.distributions import GammaFrailtyParams, sample_gamma_frailty
 from exhaz.errors import NoEligibleFit, NonFiniteLikelihood, NonPositive, SEsUnavailable
 from exhaz.estimation import (
     _BIG,
     _HESSIAN_STEP,
+    _LOG_B_GRID,
     _SYMMETRY_TOL,
     FitConfig,
     FitResult,
@@ -24,7 +26,7 @@ from exhaz.estimation import (
     _grad_check_tol,
     _grad_hessian,
     _newton_polish,
-    _ProfiledM2,
+    _Profiled,
     _refine,
     _standardized_objective,
     cda_warm_start,
@@ -378,7 +380,7 @@ def _m2_nesting(cohort):
     """M1's fit, M2's first profiled value from M1's estimates, and M2's fit."""
     m1 = fit("M1", cohort)
     obj, slot_scale = _standardized_objective("M2", cohort)
-    prof = _ProfiledM2(obj.layout, obj.cohort)
+    prof = _Profiled(obj.layout, obj.cohort)
     x0 = transform_params(m1.estimates * slot_scale[: m1.k], prof.layout.positive)
     return m1, -prof.value(x0), fit("M2", cohort, init=m1.estimates)
 
@@ -399,6 +401,54 @@ def test_m2_nests_m1_from_its_first_profiled_value(make_cohort):
         assert m2.loglik_comparable >= m1.loglik_comparable - 1e-6
 
 
+def _m3_nesting(cohort):
+    """fit_all's M2, M3's first profiled value from M2's GH estimates, and M3's fit."""
+    fits = fit_all(cohort)
+    m2, k = fits["M2"], fits["M1"].k
+    obj, slot_scale = _standardized_objective("M3", cohort)
+    prof = _Profiled(obj.layout, obj.cohort)
+    gh = transform_params(m2.estimates[:k] * slot_scale[:k], prof.positive[:k])
+    return m2, max(-prof.value(np.append(gh, v)) for v in _LOG_B_GRID), fits["M3"]
+
+
+@pytest.mark.parametrize(
+    "make_cohort",
+    [lambda: sim_cohort(n=1500, seed=19), lambda: sim_cohort(n=2000, seed=7),
+     lambda: sim_cohort(n=1000, seed=42), lambda: _frailty_cohort(0), lambda: _frailty_cohort(3)],
+    ids=["sim-1500-19", "sim-2000-7", "sim-1000-42", "frailty-0", "frailty-3"],
+)
+def test_m3_nests_m2_from_its_first_profiled_value(make_cohort):
+    # the scan's floor b = e^-20 is M2's end up to O(e^-20) in ll, so M3's
+    # start is at or above M2's ll, and the search takes no worse point
+    m2, start, m3 = _m3_nesting(make_cohort())
+    assert start >= m2.loglik_comparable - 1e-9
+    assert m3.loglik_comparable >= start
+
+
+def test_m3_starts_from_the_best_log_b_of_the_scan_at_m2s_end(monkeypatch):
+    # 27 values, one per log b in -20, ..., 6 and counted in n_evals, then
+    # one refinement from the best of them
+    assert _LOG_B_GRID == tuple(float(v) for v in range(-20, 7))
+    cohort = _frailty_cohort(0)
+    m2 = fit_all(cohort)["M2"]
+    k = m2.k - 1
+    refine, starts = estimation._refine, []
+
+    def spy(obj, x0, bounds):
+        starts.append((x0.copy(), obj.n_evals))
+        return refine(obj, x0, bounds)
+
+    monkeypatch.setattr(estimation, "_refine", spy)
+    fit("M3", cohort, init=m2.estimates[:k])
+    ((x0, evals_before),) = starts
+    obj, slot_scale = _standardized_objective("M3", cohort)
+    prof = _Profiled(obj.layout, obj.cohort)
+    gh = transform_params(m2.estimates[:k] * slot_scale[:k], prof.positive[:k])
+    values = [prof.value(np.append(gh, v)) for v in _LOG_B_GRID]
+    assert evals_before == len(_LOG_B_GRID)
+    assert np.array_equal(x0, np.append(gh, _LOG_B_GRID[int(np.argmin(values))]))
+
+
 def test_m2_fits_the_gh_coordinates_and_reports_the_joint_estimate(fits_1500):
     # the start is M1's GH estimates (no gamma = 1.2 is read), and the flag
     # and its norm are those of M2's own objective at (GH, gamma*)
@@ -408,7 +458,7 @@ def test_m2_fits_the_gh_coordinates_and_reports_the_joint_estimate(fits_1500):
     with pytest.raises(ValueError, match="init has length 10, expected 9"):
         fit("M2", cohort, init=np.append(fits["M1"].estimates, 1.2))
     obj, _, x_hat = _search_point(res, cohort)
-    prof = _ProfiledM2(obj.layout, obj.cohort)
+    prof = _Profiled(obj.layout, obj.cohort)
     joint = prof.joint(x_hat[:-1])
     assert np.max(np.abs(joint - x_hat)) < 1e-12
     assert res.estimate("gamma") == pytest.approx(
@@ -551,7 +601,7 @@ def test_profiled_gradient_matches_richardson_differences_of_the_profiled_value(
     cohort = PreparedCohort(full.time, full.status, full.X[:, :p], full.hp, full.dhp,
                             full.covariate_names[:p])
     obj, _ = _standardized_objective("M2", cohort)
-    prof = _ProfiledM2(obj.layout, obj.cohort)
+    prof = _Profiled(obj.layout, obj.cohort)
     assert prof.layout == ParamLayout.for_model("M1", cohort.covariate_names)
     rng = np.random.default_rng([p, 7])
     for _ in range(3):
@@ -562,10 +612,31 @@ def test_profiled_gradient_matches_richardson_differences_of_the_profiled_value(
         assert np.max(np.abs(g - oracle) / np.maximum(1.0, np.abs(oracle))) < 1e-7
 
 
+@pytest.mark.parametrize("p", [0, 3])
+def test_profiled_m3_gradient_matches_richardson_differences_of_the_profiled_value(p):
+    # M3's search objective over (GH, log b): its gradient at (GH, mu*, b)
+    # without the mu entry is the derivative of the value with mu profiled out
+    full = sim_cohort(n=300, seed=29)
+    cohort = PreparedCohort(full.time, full.status, full.X[:, :p], full.hp, full.dhp,
+                            full.covariate_names[:p])
+    obj, _ = _standardized_objective("M3", cohort)
+    prof = _Profiled(obj.layout, obj.cohort)
+    assert prof.layout == ParamLayout.for_model("M1", cohort.covariate_names)
+    assert prof.positive.tolist() == [True] * 3 + [False] * (2 * p) + [True]
+    rng = np.random.default_rng([p, 11])
+    for _ in range(3):
+        x = np.delete(_interior_point(obj.layout, rng), prof.slot)
+        f, g = prof.value_and_grad(x)
+        assert f < _BIG and g.shape == x.shape
+        assert obj.value(prof.joint(x)) == f
+        oracle = _richardson_gradient(prof.value, x, 1e-3)
+        assert np.max(np.abs(g - oracle) / np.maximum(1.0, np.abs(oracle))) < 1e-7
+
+
 def test_profiled_value_is_a_pure_function_of_the_point():
     cohort = sim_cohort(n=300, seed=31)
     obj, _ = _standardized_objective("M2", cohort)
-    prof = _ProfiledM2(obj.layout, obj.cohort)
+    prof = _Profiled(obj.layout, obj.cohort)
     rng = np.random.default_rng(31)
     x = _interior_point(prof.layout, rng)
     others = [_interior_point(prof.layout, rng) for _ in range(2)]
@@ -583,10 +654,16 @@ def test_profiled_value_is_a_pure_function_of_the_point():
     assert obj.value(prof.joint(x)) == f
 
 
-def test_analytic_gradient_matches_richardson_differences_at_a_fit_end_point(fits_1500):
+@pytest.fixture(scope="module")
+def m3_interior():
+    """A converged M3 fit with b and mu inside the box (b = 0.48, mu = 2.1)."""
+    cohort = _frailty_cohort(0)
+    return cohort, fit("M3", cohort)
+
+
+def test_analytic_gradient_matches_richardson_differences_at_a_fit_end_point(m3_interior):
     # at M3's interior optimum the oracle agrees that the gradient is zero
-    cohort, fits = fits_1500
-    res = fits["M3"]
+    cohort, res = m3_interior
     assert res.converged and not res.at_bound
     obj, _, x_hat = _search_point(res, cohort)
     _, g = obj.value_and_grad(x_hat)
@@ -712,16 +789,27 @@ def test_fallback_note_gives_the_steps_and_the_largest_asymmetry():
     )
 
 
-def test_the_gradient_is_a_gradient_at_converged_fits_and_not_at_m2s_tail_end(fits_1500):
-    # at the converged M1 and M3 fits the gradient's Jacobian is symmetric
-    # (measured 9e-9 and 2.8e-8), and their polish used it; M2 ends with
-    # alpha on e^20, where the analytic gradient is off the value's (8.5e-5)
+def test_fit_without_init_starts_m2_and_m3_where_the_model_they_extend_ends(m3_interior):
+    # a direct call fits the chain fit_all fits: M1, M2 from it, M3 from M2
+    cohort, m3 = m3_interior
+    fits = fit_all(cohort)
+    for res in (fit("M2", cohort), m3):
+        assert np.array_equal(res.estimates, fits[res.model].estimates)
+        assert res.loglik == fits[res.model].loglik and res.n_evals == fits[res.model].n_evals
+
+
+def test_the_gradient_is_a_gradient_at_converged_fits_and_not_at_m2s_tail_end(
+    fits_1500, m3_interior
+):
+    # at the converged M1 fit and an interior M3 fit the gradient's Jacobian
+    # is symmetric (measured 9e-9 and 8e-9), and their polish used it; M2
+    # ends with alpha on e^20, where the analytic gradient is off the
+    # value's (8.5e-5)
     cohort, fits = fits_1500
     assert _SYMMETRY_TOL == 1e-6
-    for model in ("M1", "M3"):
-        res = fits[model]
+    for end_cohort, res in ((cohort, fits["M1"]), m3_interior):
         assert res.converged
-        obj, _, x_hat = _search_point(res, cohort)
+        obj, _, x_hat = _search_point(res, end_cohort)
         assert _grad_hessian(obj.grad, x_hat, _HESSIAN_STEP)[1] <= 1e-7
         assert not [n for n in res.notes if n.startswith(("polish:", "SEs from"))]
     res = fits["M2"]

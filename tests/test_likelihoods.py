@@ -604,6 +604,70 @@ def test_profile_gamma_is_a_pure_function_of_the_point():
 
 
 # ---------------------------------------------------------------------------
+# M3's mu profiled out at a fixed b
+# ---------------------------------------------------------------------------
+
+M3_BS = [math.exp(-20.0), 1e-3, 1.0, 1e3]
+
+
+@pytest.mark.parametrize("b", M3_BS, ids=["e-20", "1e-3", "1", "1e3"])
+@pytest.mark.parametrize("seed", range(2))
+def test_profile_mu_is_the_bounded_maximum_over_mu_at_fixed_b(seed, b):
+    # M3's log-likelihood at (GH, b) maximized over log mu by a bounded
+    # scalar search on its values: the profile finds no lower value (1e-10
+    # relative) and a vanishing score, D = sum dH_P log1p(y)/y setting its
+    # scale as sum dH_P does M2's
+    rng = np.random.default_rng(seed)
+    cohort, gh = sim_cohort(n=400, seed=seed, pop_rate=0.05), _random_gh(rng)
+    mu = profile_gamma(model_params(gh, 1.0, b), cohort)
+    assert -20.0 < math.log(mu) < 20.0
+    neg = lambda u: -loglik(model_params(gh, math.exp(u), b), cohort)  # noqa: E731
+    best = minimize_scalar(neg, bounds=(-20.0, 20.0), method="bounded",
+                           options={"xatol": 1e-12})
+    assert -neg(math.log(mu)) >= -best.fun - 1e-10 * abs(best.fun)
+    _, grad = loglik_and_grad(model_params(gh, mu, b), cohort)
+    d = fsum(cohort.dhp * _log1p_ratio(b * cohort.dhp))
+    assert abs(grad[-2]) <= 1e-10 * d
+
+
+def test_profile_mu_sits_on_a_box_end_when_the_score_keeps_one_sign():
+    gh = _random_gh(np.random.default_rng(9))
+    c = fake_cohort(n=60, seed=9)
+    ev = c.status == 1
+
+    def with_pop(hp, dhp):
+        return PreparedCohort(c.time, c.status, c.X, hp, dhp)
+
+    floor, ceiling = math.exp(-20.0), math.exp(20.0)
+    for b in (1e-3, 1.0, 1e3):
+        m3 = model_params(gh, 1.0, b)
+        # no event with h_P > 0, or D = 0
+        assert profile_gamma(m3, with_pop(np.where(ev, 0.0, c.hp), c.dhp)) == floor
+        assert profile_gamma(m3, with_pop(c.hp, np.zeros(c.n))) == ceiling
+        # reached by the iteration: the events' h_P negligible beside h_E, or D
+        # negligible beside the events' h_P / (1 + b dH_P)
+        assert profile_gamma(m3, with_pop(c.hp * 1e-12, c.dhp)) == floor
+        assert profile_gamma(m3, with_pop(c.hp, c.dhp * 1e-12)) == ceiling
+
+
+def test_profile_mu_tends_to_profile_gamma_as_b_tends_to_zero():
+    # M2 is M3's b = 0 case: once 1 + b dH_P rounds to 1 the two solves are
+    # one computation, and at the box floor b = e^-20 mu* - gamma* is still
+    # the linear term of b (about 2e-10 relative here), so it halves with b
+    rng = np.random.default_rng(3)
+    cohort, gh = sim_cohort(n=400, seed=3, pop_rate=0.05), _random_gh(rng)
+    gamma = profile_gamma(gh, cohort)
+    assert profile_gamma(model_params(gh, 1.0, 1e-20), cohort).hex() == gamma.hex()
+    floor = math.exp(-20.0)
+    mu = [profile_gamma(model_params(gh, 1.0, b), cohort) for b in (floor, floor / 2)]
+    gap = [m / gamma - 1.0 for m in mu]
+    assert 0.0 < abs(gap[0]) < 1e-9
+    assert gap[0] == pytest.approx(2.0 * gap[1], rel=1e-3)
+    # a mu slot is not read
+    assert profile_gamma(model_params(gh, 5.0, floor), cohort).hex() == mu[0].hex()
+
+
+# ---------------------------------------------------------------------------
 # M3 population-term helpers: one branch per entry
 # ---------------------------------------------------------------------------
 

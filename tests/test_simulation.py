@@ -224,11 +224,11 @@ def test_study_reports_round_trip(studies, tmp_path):
 
 
 def test_m4_pools_the_fit_aic_chose(table):
-    # Replicate streams 5-9 with 30 years of follow-up: AIC picks M1 three
-    # times and M3 once, and one replicate has no converged fit, so M4's
+    # Replicate streams 2-6 with 30 years of follow-up: AIC picks M1 three
+    # times and M2 once, and one replicate has no converged fit, so M4's
     # pool is the pool of no single model.
     sc = replace(
-        builtin_scenarios()["severe"], n=300, n_replicates=5, seed=5, admin_censor_time=30.0
+        builtin_scenarios()["severe"], n=300, n_replicates=5, seed=2, admin_censor_time=30.0
     )
     study = run_study(sc, table)
     fits, picks = [], []
@@ -239,7 +239,7 @@ def test_m4_pools_the_fit_aic_chose(table):
             picks.append(select_m4(fits[-1]))
         except NoEligibleFit:
             pass
-    assert sorted(chosen.model for chosen, _ in picks) == ["M1", "M1", "M1", "M3"]
+    assert sorted(chosen.model for chosen, _ in picks) == ["M1", "M1", "M1", "M2"]
     models = ("M1", "M2", "M3")
     assert study.m4_failures == sc.n_replicates - len(picks)
     assert study.selection == {m: sum(f.model == m for f, _ in picks) / len(picks) for m in models}

@@ -81,6 +81,7 @@ def test_changed_fits_are_listed_parent_to_change_with_counts(tmp_path, capsys):
         "2 vs 2 replicate records, 2 mismatches",
         "parent: 2 of 3 fits converged, 1 ok; change: 3 of 3 fits converged, 3 ok",
         "mean evals per replicate: parent M1 450.0, M2 1000.0; change M1 440.0, M2 300.0",
+        "ll fell by more than 1e-06: 0 fits",
         "converged on both sides: 2 fits, largest |delta ll| 0 (record 1, M1)",
     ]
 
@@ -96,6 +97,7 @@ def test_a_record_that_differs_outside_the_listed_fields_lists_no_fit(tmp_path, 
         "1 vs 1 replicate records, 1 mismatches",
         "parent: 1 of 1 fits converged, 1 ok; change: 1 of 1 fits converged, 1 ok",
         "mean evals per replicate: parent M1 400.0; change M1 400.0",
+        "ll fell by more than 1e-06: 0 fits",
         "converged on both sides: 1 fits, largest |delta ll| 0 (record 0, M1)",
     ]
     # one ulp of ll is listed with both values
@@ -125,7 +127,7 @@ def test_mean_evals_per_replicate_count_every_record_and_add_up(tmp_path, capsys
                                    M3=(True, True, -3.0, 600))),
     ])
     assert same_records.main([parent, change]) == 1
-    assert capsys.readouterr().out.splitlines()[-2] == (
+    assert capsys.readouterr().out.splitlines()[-3] == (
         "mean evals per replicate: parent M1 266.7, M2 877.3, M3 185.0; "
         "change M1 400.0, M2 247.0, M3 385.0"
     )
@@ -156,6 +158,29 @@ def test_the_last_line_bounds_the_ll_drift_of_fits_converged_on_both_sides(tmp_p
     change = write(tmp_path / "b.jsonl", [record(0, 0.0, models=fits(M1=(False, False, -10.0, 1)))])
     assert same_records.main([parent, change]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "converged on both sides: 0 fits"
+
+
+def test_the_next_to_last_line_counts_every_fit_whose_ll_fell(tmp_path, capsys):
+    # converged or not on either side, a fit whose ll fell by more than 1e-6
+    # counts; a fall of 1e-6 or less, a rise, or a model missing on one side
+    # does not; the largest drop names its record and model
+    parent = write(tmp_path / "a.jsonl", [
+        record(0, 0.0, models=fits(M1=(True, True, -10.0, 1), M2=(False, False, -9.0, 1),
+                                   M3=(True, True, -8.0, 1))),
+        record(1, 0.0, models=fits(M1=(False, False, -20.0, 1), M2=(True, True, -19.0, 1),
+                                   M3=(True, True, -18.0, 1))),
+    ])
+    change = write(tmp_path / "b.jsonl", [
+        record(0, 0.0, models=fits(M1=(True, True, -10.0 - 5e-7, 1), M2=(True, True, -9.5, 1),
+                                   M3=(False, False, -7.0, 1))),
+        record(1, 0.0, models=fits(M1=(True, True, -20.0 - 3e-6, 1), M2=(False, False, -34.6, 1))),
+    ])
+    assert same_records.main([parent, change]) == 1
+    assert capsys.readouterr().out.splitlines()[-2] == (
+        "ll fell by more than 1e-06: 3 fits, largest drop 15.6 (record 1, M2)"
+    )
+    assert same_records.main([parent, parent]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == "ll fell by more than 1e-06: 0 fits"
 
 
 def test_cohort_digest_is_stable_and_sees_one_ulp_of_one_rate():

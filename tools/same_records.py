@@ -16,9 +16,11 @@ fit counts of each side, and with each side's mean evals per replicate for
 each model: the model's evals summed over the run's replicate records and
 divided by their number (a replicate whose ``fit_all`` raised counts, with
 no evals), so the models' means add up to perfbench's
-``evals_per_replicate``.  Its last line counts the fits converged on both
-sides (same record position, same model) and gives the largest |delta ll|
-among them, with the record and model where it is.  It exits with 1 on any
+``evals_per_replicate``.  Its last two lines count the fits whose ll fell
+by more than 1e-6 from parent to change, whatever their flags, with the
+largest drop; and the fits converged on both sides, with the largest
+|delta ll| among them.  Both pair fits by record position and model and
+name the record and model of their largest value.  It exits with 1 on any
 mismatch.
 """
 
@@ -29,6 +31,7 @@ import sys
 
 IGNORED = ("replicate_s", "layers", "position", "spans")
 LISTED = ("converged", "ok", "ll", "evals")  # the fit fields printed when they differ
+DROP_TOL = 1e-6  # an ll that falls by more is counted as a drop
 
 
 def exact(value):
@@ -91,20 +94,42 @@ def mean_evals(records: list[dict]) -> str:
     )
 
 
-def converged_drift(parent: list[dict], change: list[dict]) -> str:
-    """Fits converged on both sides: their count and the largest |delta ll|."""
-    pairs = []
+def fit_pairs(parent: list[dict], change: list[dict]):
+    """(record position, model, parent fit, change fit) of every model fitted on both sides."""
     for i, (a, b) in enumerate(zip(parent, change)):
         fits_b = b.get("models") or {}
         for model, fa in (a.get("models") or {}).items():
-            fb = fits_b.get(model, {})
-            if fa.get("converged") is True and fb.get("converged") is True:
-                pairs.append((abs(fb["ll"] - fa["ll"]), i, model))
-    line = f"converged on both sides: {len(pairs)} fits"
-    if pairs:
-        drift, i, model = max(pairs)
-        line += f", largest |delta ll| {drift:.3g} (record {i}, {model})"
+            if model in fits_b:
+                yield i, model, fa, fits_b[model]
+
+
+def largest(label: str, found: list[tuple[float, int, str]], what: str) -> str:
+    """The line "<label>: N fits", then the largest value with its record and model."""
+    line = f"{label}: {len(found)} fits"
+    if found:
+        value, i, model = max(found)
+        line += f", largest {what} {value:.3g} (record {i}, {model})"
     return line
+
+
+def ll_drops(parent: list[dict], change: list[dict]) -> str:
+    """Fits whose ll fell by more than DROP_TOL, converged or not: count and largest drop."""
+    drops = [
+        (fa["ll"] - fb["ll"], i, model)
+        for i, model, fa, fb in fit_pairs(parent, change)
+        if fa["ll"] - fb["ll"] > DROP_TOL
+    ]
+    return largest(f"ll fell by more than {DROP_TOL:g}", drops, "drop")
+
+
+def converged_drift(parent: list[dict], change: list[dict]) -> str:
+    """Fits converged on both sides: their count and the largest |delta ll|."""
+    pairs = [
+        (abs(fb["ll"] - fa["ll"]), i, model)
+        for i, model, fa, fb in fit_pairs(parent, change)
+        if fa.get("converged") is True and fb.get("converged") is True
+    ]
+    return largest("converged on both sides", pairs, "|delta ll|")
 
 
 def main(argv: list[str]) -> int:
@@ -122,6 +147,7 @@ def main(argv: list[str]) -> int:
     print(f"{len(parent)} vs {len(change)} replicate records, {mismatches} mismatches")
     print(f"parent: {tally(parent)}; change: {tally(change)}")
     print(f"mean evals per replicate: parent {mean_evals(parent)}; change {mean_evals(change)}")
+    print(ll_drops(parent, change))
     print(converged_drift(parent, change))
     return 1 if mismatches else 0
 
