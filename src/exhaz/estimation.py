@@ -12,20 +12,21 @@ once from its result.  Nelder-Mead is unbounded: when the box moves its
 point, the moved point is evaluated and taken only if it improves on the
 refinement's point.
 
-Both the Newton steps and the standard errors take their Hessian from
-central differences of the analytic gradient on the transformed scale:
-2k gradient calls give a Jacobian J, and H is J symmetrized.  The
-Jacobian of a gradient is symmetric, so J's relative asymmetry
-max|J - J^T| / max|J| tells whether the analytic gradient is the value's.
-Where it is above ``_SYMMETRY_TOL`` (1e-6), or a stencil point is
-rejected, the gradient is not (the EW tail artefact, ROADMAP item 1), and
-that Newton step takes its Hessian from central differences of the values
-instead, 2k^2 + 1 value calls; the fit's notes count those steps.  The
-standard errors pseudo-invert H with an eigenvalue floor and map it back
-by the delta method; a note says when J's asymmetry at the estimate is
-above the tolerance, and when H is not finite or not PD.  A fit that ends
-within 1e-6 of an edge of the search box names those parameters in
-``at_bound`` and in its notes.
+Both the Newton steps and the standard errors take the analytic Hessian
+(``likelihoods.loglik_grad_hess``, one likelihood call) mapped to the
+transformed scale.  Two gradient calls check it along the eigenvector v of
+its smallest eigenvalue: r = max|(g(x + h v) - g(x - h v)) / 2h - H v| /
+max|H|, h = ``_HESSIAN_STEP``, is O(h^2) plus rounding where the analytic
+gradient is the value's and H its Jacobian.  Where r is above
+``_CURVATURE_TOL`` (1e-6) or NaN, they are not (the EW tail artefact,
+ROADMAP item 1), and that Newton step takes its Hessian from central
+differences of the values instead, 2k^2 + 1 value calls; the fit's notes
+count those steps.  The standard errors pseudo-invert H with an
+eigenvalue floor and map it back by the delta method; a note says when r
+at the estimate is above the tolerance, and when H is not finite or not
+PD.  The same H and gradient give the fit's Newton decrement and smallest
+eigenvalue, at no further call.  A fit that ends within 1e-6 of an edge
+of the search box names those parameters in ``at_bound`` and in its notes.
 
 The multiplier of h_P, M2's gamma and M3's mu, is profiled out.  For
 fixed GH parameters M2's log-likelihood is strictly concave in gamma, and
@@ -34,8 +35,9 @@ reweighted by 1/(1 + b dH_P); ``likelihoods.profile_gamma`` solves both
 for the maximizer without a likelihood call.  M2 is searched over the GH
 coordinates and M3 over the GH coordinates and log b; each value or
 gradient is one likelihood call at the joint point, and the gradient is
-the model's without the multiplier's entry (envelope theorem).  Neither
-runs CDA.  M2 starts at M1's GH estimates: gamma = 1 is M1, so its first
+the model's without the multiplier's entry (envelope theorem); the
+Hessian is the Schur complement of the multiplier's slot.  Neither runs
+CDA.  M2 starts at M1's GH estimates: gamma = 1 is M1, so its first
 value is already at least M1's MLE.  M3 starts at M2's GH estimates with
 log b scanned over the grid ``_LOG_B_GRID`` (-20, -19, ..., 6), one
 value per point, counted in ``n_evals``, and the refinement starts from
@@ -49,7 +51,7 @@ SEs are those of the model's full objective at the joint estimate.
 Tolerances, step sizes and budgets are module constants, properties of
 the method rather than of a study: ``_GRAD_TOL`` and ``_STEP_TOL`` (stops
 of L-BFGS-B and Nelder-Mead), ``_MAX_EVALS`` (per stage), ``_HESSIAN_STEP``
-(both the polish and the standard errors), ``_SYMMETRY_TOL``,
+(both the polish and the standard errors), ``_CURVATURE_TOL``,
 ``_POLISH_STEPS``, ``_CDA_HALFWIDTH``, ``_CDA_MAXITER`` and ``_LOG_B_GRID``.
 ``FitConfig`` keeps only the random restarts (``multi_starts``, ``seed``):
 a best-of-N fit is the reference that tells whether one start found the
@@ -89,8 +91,10 @@ from .likelihoods import (
     ModelParams,
     ParamLayout,
     PreparedCohort,
+    _GAMMA_BOX,
     loglik,
     loglik_and_grad,
+    loglik_grad_hess,
     profile_gamma,
 )
 
@@ -114,13 +118,15 @@ _BOUND_TOL = 1e-6  # transformed-scale distance that counts as sitting on the bo
 _GRAD_TOL = 1e-6  # L-BFGS-B gtol
 _STEP_TOL = 1e-9  # Nelder-Mead xatol
 _MAX_EVALS = 2000  # per stage
-_HESSIAN_STEP = 1e-4  # Newton-polish and standard-error Hessians
-# Relative asymmetry of the gradient's difference Jacobian above which the
-# analytic gradient is not taken for the value's (see _newton_polish).  On
-# the perfbench panels healthy points read 2.4e-9 to 4.1e-7 and points in
-# the EW tail 3.5e-5 to 1.06.  Inside that gap the lower end is chosen: a
-# needless fallback costs only evals, a missed one a step on a wrong Hessian.
-_SYMMETRY_TOL = 1e-6
+_HESSIAN_STEP = 1e-4  # step of the curvature check and of the value-difference Hessian
+# Curvature mismatch (_curvature_mismatch) above which the analytic gradient
+# and Hessian are not taken for the value's (see _newton_polish).  On the
+# perfbench panels (seed 1) points with every w below 200 read 2e-23 to
+# 4e-10, and points with a patient far in the EW tail (w > 600) 1.4e-4 to
+# 1.02, or NaN where the Hessian overflows.  Inside that gap the lower end
+# is chosen: a needless fallback costs only evals, a missed one a step on a
+# wrong Hessian.
+_CURVATURE_TOL = 1e-6
 _POLISH_STEPS = 4
 _CDA_HALFWIDTH = 5.0  # search window per coordinate, transformed scale
 _CDA_MAXITER = 50  # per coordinate
@@ -179,12 +185,17 @@ class FitResult:
     loglik_comparable: float  # full-data convention (M1 constant restored)
     aic: float
     converged: bool
-    hessian_pd: bool
+    hessian_pd: bool | None  # None when the information matrix is not finite
     grad_max_norm: float  # analytic gradient on the search scale at the last check; NaN if rejected
     n_evals: int
     n_iter: int
     at_bound: tuple[str, ...]  # parameters within _BOUND_TOL of the search box edge
     notes: tuple[str, ...] = ()
+    # from the SE Hessian H and the gradient g at the estimate, on the search
+    # scale: 1/2 g' H^-1 g over the slots off the box edge, and H's smallest
+    # eigenvalue; NaN where H is not finite (or singular, for the decrement)
+    decrement: float = math.nan
+    min_eig: float = math.nan
 
     @property
     def model(self) -> str:
@@ -261,6 +272,34 @@ class _Objective:
         # the part along x: a profiled objective's parameters have one slot more
         return -ll, -grad[self.searched]
 
+    def value_grad_hess(self, x: np.ndarray):
+        """``value_and_grad`` and the Hessian of ``value``, from one likelihood call.
+
+        The natural-scale Hessian H maps to x as D H D + diag(v g) on the
+        log slots, with D = diag(dv/dx) (v on a log slot, 1 elsewhere) and
+        g the natural gradient.  A rejected point gives _BIG, a zero
+        gradient and a NaN Hessian; in the EW tail the Hessian may overflow
+        to infinities and NaNs, which its callers check.
+        """
+        self.n_evals += 1
+        try:
+            params = self.params(x)
+            ll, grad, hess = loglik_grad_hess(params, self.cohort)
+        except _REJECTED:
+            return _BIG, np.zeros_like(x), np.full((len(x), len(x)), math.nan)
+        positive = params.layout.positive
+        scale = np.where(positive, params.values, 1.0)
+        grad *= scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            hess *= np.outer(scale, scale)
+            hess[np.diag_indices_from(hess)] += np.where(positive, grad, 0.0)
+            hess = self._searched_hessian(hess, params)
+        return -ll, -grad[self.searched], -hess
+
+    def _searched_hessian(self, hess: np.ndarray, params: ModelParams) -> np.ndarray:
+        """The Hessian along x from the model's, on the transformed scale."""
+        return hess
+
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Gradient of ``value``; NaN everywhere when the point is rejected."""
         f, g = self.value_and_grad(x)
@@ -283,7 +322,10 @@ class _Profiled(_Objective):
     model's without the multiplier's entry: the score along the multiplier
     is zero at its maximizer (envelope theorem), and at a box end of the
     multiplier the profile does not move, so the other entries are the
-    derivative of the profiled value there too.
+    derivative of the profiled value there too.  Likewise the Hessian is
+    the Schur complement of the multiplier's slot, H_xx - H_xc H_cx / H_cc
+    (implicit differentiation of the maximizer), or H_xx where the
+    multiplier sits on a box end.
     """
 
     def __init__(self, model_layout: ParamLayout, cohort: PreparedCohort):
@@ -301,6 +343,13 @@ class _Profiled(_Objective):
         values = untransform_params(t, self.model_layout.positive)
         values[self.slot] = profile_gamma(ModelParams(self.model_layout, values), self.cohort)
         return ModelParams(self.model_layout, values)
+
+    def _searched_hessian(self, hess: np.ndarray, params: ModelParams) -> np.ndarray:
+        rest, c = self.searched, self.slot
+        block = hess[np.ix_(rest, rest)]
+        if params.values[c] in _GAMMA_BOX:
+            return block
+        return block - np.outer(hess[rest, c], hess[c, rest]) / hess[c, c]
 
     def joint(self, x: np.ndarray) -> np.ndarray:
         """x with the log multiplier inserted: the point of the model's own objective."""
@@ -370,29 +419,42 @@ def _fd_hessian(value: Callable[[np.ndarray], float], x: np.ndarray, h: float) -
     return 0.5 * (H + H.T)
 
 
-def _grad_hessian(grad: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float):
-    """Hessian from central differences of the gradient, symmetrized, and its asymmetry.
+def _curvature_mismatch(
+    grad: Callable[[np.ndarray], np.ndarray], x: np.ndarray, hess: np.ndarray
+) -> float:
+    """r = max|(g(x + h v) - g(x - h v)) / 2h - H v| / max|H|, two gradient calls.
 
-    Takes 2k gradient calls; the curvature is accurate to O(h^2) plus the
-    gradient's rounding over h, instead of the value's rounding over h^2.
-    Returns (H, asymmetry), the asymmetry being max|J - J^T| / max|J| of the
-    difference Jacobian J before symmetrizing.  The Jacobian of a gradient
-    is a Hessian, symmetric up to O(h^2) and rounding; a larger asymmetry
-    says ``grad`` is not the gradient of the value it belongs to.  NaN when
-    a stencil point is rejected (a NaN gradient).
+    v is the unit eigenvector of the smallest eigenvalue of ``hess`` and h
+    is ``_HESSIAN_STEP``.  Where ``grad`` is the gradient of the value and
+    ``hess`` its Jacobian, r is O(h^2) plus the gradient's rounding over h;
+    a larger r says one of them is not (the EW tail artefact).  NaN, with
+    no gradient call, when ``hess`` is not finite, and NaN when a point is
+    rejected (a NaN gradient).
     """
-    k = len(x)
-    J = np.empty((k, k))
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h
-        J[i] = (grad(x + ei) - grad(x - ei)) / (2 * h)
-    if not np.all(np.isfinite(J)):
-        asymmetry = math.nan
-    else:
-        scale = float(np.max(np.abs(J)))
-        asymmetry = float(np.max(np.abs(J - J.T))) / scale if scale > 0 else 0.0
-    return 0.5 * (J + J.T), asymmetry
+    if not np.all(np.isfinite(hess)):
+        return math.nan
+    v = np.linalg.eigh(hess)[1][:, 0]
+    h = _HESSIAN_STEP
+    miss = float(np.max(np.abs((grad(x + h * v) - grad(x - h * v)) / (2 * h) - hess @ v)))
+    scale = float(np.max(np.abs(hess)))
+    if scale > 0:
+        return miss / scale
+    return 0.0 if miss == 0 else math.inf
+
+
+def _decrement(g: np.ndarray, hess: np.ndarray, free: list[int]) -> float:
+    """The Newton decrement 1/2 g' H^-1 g over the ``free`` slots: the
+    log-likelihood a Newton step there would still gain.  0 with no free
+    slot; NaN when H is not finite or singular on them."""
+    if not free:
+        return 0.0
+    g, hess = g[free], hess[np.ix_(free, free)]
+    if not np.all(np.isfinite(hess)):
+        return math.nan
+    try:
+        return 0.5 * float(g @ np.linalg.solve(hess, g))
+    except np.linalg.LinAlgError:
+        return math.nan
 
 
 def _covariance(neg_hessian: np.ndarray):
@@ -400,11 +462,12 @@ def _covariance(neg_hessian: np.ndarray):
 
     Returns (cov, problem).  ``problem`` is None when cov is usable, else
     the note that says why cov is None: a non-finite entry (a rejected
-    point in the difference stencil) or a negative eigenvalue (the
+    point, or an overflow in the EW tail) or a negative eigenvalue (the
     information matrix is not PD).
     """
     if not np.all(np.isfinite(neg_hessian)):
-        return None, "information matrix not finite (a rejected stencil point); SEs unavailable"
+        return None, ("information matrix not finite (a rejected point or an overflow); "
+                      "SEs unavailable")
     eigval, eigvec = np.linalg.eigh(neg_hessian)
     if np.any(eigval < 0):
         return None, "information matrix not positive definite; SEs unavailable"
@@ -420,27 +483,28 @@ def _grad_check_tol(ll: float) -> float:
 
 
 def _newton_polish(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Damped Newton steps with the analytic gradient and a difference Hessian.
+    """Damped Newton steps with the analytic gradient and Hessian.
 
     Cleans up the last decades of gradient norm on flat ridges where
-    L-BFGS-B's line search gives up.  Each step's Hessian comes from
-    central differences of the analytic gradient (2k gradient calls).
-    Where that Jacobian's asymmetry is NaN or above ``_SYMMETRY_TOL`` the
-    gradient is not the value's, and the step takes the Hessian from
-    central differences of the values instead (2k^2 + 1 value calls).
-    Candidates are clipped to the box; x is kept unless the objective
-    improves.  Returns (x, n_iter, fallbacks), ``fallbacks`` holding the
-    asymmetry of each step that took the value stencil.
+    L-BFGS-B's line search gives up.  Each step takes the value, gradient
+    and Hessian from one likelihood call and checks the Hessian with two
+    gradient calls (``_curvature_mismatch``).  Where the mismatch is NaN
+    or above ``_CURVATURE_TOL`` the gradient is not the value's, and the
+    step takes the Hessian from central differences of the values instead
+    (2k^2 + 1 value calls).  Candidates are clipped to the box; x is kept
+    unless the objective improves.  Returns (x, n_iter, fallbacks),
+    ``fallbacks`` holding the mismatch of each step that took the value
+    stencil.
     """
     n_iter = 0
     fallbacks = []
     for _ in range(_POLISH_STEPS):
-        f, g = obj.value_and_grad(x)  # a rejected point gives _BIG and a zero g
+        f, g, H = obj.value_grad_hess(x)  # a rejected point gives _BIG and a zero g
         if f >= _BIG or np.max(np.abs(g)) <= 0.2 * _grad_check_tol(-f):
             break
-        H, asymmetry = _grad_hessian(obj.grad, x, _HESSIAN_STEP)
-        if not asymmetry <= _SYMMETRY_TOL:
-            fallbacks.append(asymmetry)
+        mismatch = _curvature_mismatch(obj.grad, x, H)
+        if not mismatch <= _CURVATURE_TOL:
+            fallbacks.append(mismatch)
             H = _fd_hessian(obj.value, x, _HESSIAN_STEP)
         eigval, eigvec = np.linalg.eigh(H)
         floor = max(1e-8 * float(np.max(np.abs(eigval))), 1e-12)
@@ -463,8 +527,8 @@ def _refine(obj: _Objective, x0: np.ndarray, bounds):
 
     Returns (x, n_iter, ll, gnorm, fallbacks): the log-likelihood and the
     analytic gradient max-norm of the last check, which is made at the
-    returned x, and the asymmetries of the polish steps that took the value
-    stencil (see ``_newton_polish``).
+    returned x, and the curvature mismatches of the polish steps that took
+    the value stencil (see ``_newton_polish``).
     """
     lbfgsb_opts = {
         "maxfun": _MAX_EVALS,
@@ -628,7 +692,9 @@ def fit(
     ll_comp = loglik(params, cohort, comparable=True)
     aic = -2.0 * ll_comp + 2.0 * layout.k
 
-    H, asymmetry = _grad_hessian(obj.grad, x_hat, _HESSIAN_STEP)  # of -loglik, scaled space
+    _, g_hat, H = obj.value_grad_hess(x_hat)  # of -loglik, scaled space
+    mismatch = _curvature_mismatch(obj.grad, x_hat, H)
+    finite = bool(np.all(np.isfinite(H)))
     cov_s, cov_problem = _covariance(H)
     notes = []
     if fallbacks:
@@ -650,9 +716,9 @@ def fit(
     else:
         cov = se_nat = None
         notes.append(cov_problem)
-    if asymmetry > _SYMMETRY_TOL:
-        notes.append(f"SEs from a gradient that is not the log-likelihood's: its Jacobian "
-                     f"asymmetry at the estimate is {asymmetry:.3g}")
+    if mismatch > _CURVATURE_TOL:
+        notes.append(f"SEs from a gradient that is not the log-likelihood's: its curvature "
+                     f"mismatch at the estimate is {mismatch:.3g}")
     if not converged:
         notes.append(f"gradient max-norm {gnorm:.3g} not within tolerance "
                      f"{_grad_check_tol(best_ll):.3g}; flagged NotConverged")
@@ -666,22 +732,26 @@ def fit(
         loglik_comparable=ll_comp,
         aic=aic,
         converged=converged,
-        hessian_pd=cov_s is not None,
+        hessian_pd=cov_s is not None if finite else None,
         grad_max_norm=gnorm,
         n_evals=obj.n_evals + (search.n_evals if search is not obj else 0),
         n_iter=total_iter,
         at_bound=at_bound,
         notes=tuple(notes),
+        decrement=_decrement(g_hat, H, [i for i, name in enumerate(layout.names)
+                                        if name not in at_bound]),
+        min_eig=float(np.linalg.eigvalsh(H)[0]) if finite else math.nan,
     )
 
 
 def _fallback_note(fallbacks: list[float]) -> str:
     """The note on the polish steps that took the value stencil."""
-    finite = [a for a in fallbacks if not math.isnan(a)]
+    finite = [r for r in fallbacks if not math.isnan(r)]
     note = (f"polish: value-difference Hessian on {len(fallbacks)} step(s), "
-            f"gradient Jacobian asymmetry up to {max(finite, default=math.nan):.3g}")
-    rejected = len(fallbacks) - len(finite)
-    return note + (f" ({rejected} with a rejected stencil point)" if rejected else "")
+            f"curvature mismatch up to {max(finite, default=math.nan):.3g}")
+    unmeasured = len(fallbacks) - len(finite)
+    return note + (f" ({unmeasured} with a rejected point or a non-finite Hessian)"
+                   if unmeasured else "")
 
 
 def fit_all(cohort: PreparedCohort, cfg: FitConfig = FitConfig()) -> dict[str, FitResult]:

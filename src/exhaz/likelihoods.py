@@ -29,15 +29,20 @@ so the likelihood inner loop never touches the table.  h_E and H_E come
 from ``gh_model.gh_baseline`` and ``gh_model.gh_excess``, the code behind
 the public ``excess_hazard`` and ``excess_cum_hazard``, and the M3
 population hazard from ``omega1``.
-Analytic gradients are provided for the optimizer; they are exercised
-against central finite differences in the test suite.
+Analytic gradients are provided for the optimizer, and the analytic
+Hessian (``loglik_grad_hess``) for its Newton steps and the standard
+errors; both are exercised against central finite differences in the test
+suite.
 
-One evaluation (``loglik`` or ``loglik_and_grad``) enters ``np.errstate``
-once, around all of its array work: the EW kernel, the terms and the
-gradient run under it and check their own infinities and NaNs.  The terms
-and each gradient component are built in place, in the order of
-operations of their formulas, so every value keeps the bits of the plain
-expressions.  What depends on the cohort alone is computed once, when the
+One evaluation (``loglik``, ``loglik_and_grad`` or ``loglik_grad_hess``)
+enters ``np.errstate`` once, around all of its array work: the EW kernel,
+the terms, the gradient and the Hessian run under it and check their own
+infinities and NaNs.  The terms and each gradient component of
+``loglik_and_grad`` are built in place, in the order of operations of
+their formulas, so every value keeps the bits of the plain expressions;
+``loglik_grad_hess`` reuses the terms and the EW block and builds its
+derivatives from the same per-patient pieces, as sums of weighted outer
+products (one matrix product each).  What depends on the cohort alone is computed once, when the
 PreparedCohort is built: the event mask and the gradient's constants, the
 sum of dH_P (M2) and dH_P^2 (M3), and the events with h_P > 0.
 
@@ -75,6 +80,7 @@ __all__ = [
     "profile_gamma",
     "loglik",
     "loglik_and_grad",
+    "loglik_grad_hess",
     "load_cohort",
 ]
 
@@ -419,6 +425,18 @@ def _m3_pop_curvature(y):
     )
 
 
+def _m3_pop_curvature_slope(y):
+    """G'(y) = (2 + 3y)/(y^2 (1+y)^2) - 2 log1p(y)/y^3; G'(0) = -2/3.  Used by
+    the b-b entry of the Hessian."""
+    y = np.asarray(y, dtype=float)
+    return _by_majority(
+        y,
+        y < 1e-3,
+        lambda s: -2.0 / 3.0 + s * (1.5 - s * (2.4 - s * 10.0 / 3.0)),
+        lambda s: (2.0 + 3.0 * s) / (s * s * (1.0 + s) ** 2) - 2.0 * np.log1p(s) / (s * s * s),
+    )
+
+
 def marginal_survival_m3(
     t,
     cohort: Cohort,
@@ -711,6 +729,136 @@ def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
             f"non-finite gradient at positions {np.flatnonzero(~finite).tolist()}"
         )
     return ll, grad
+
+
+def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
+    """Log-likelihood, gradient and Hessian on the natural scale, from one pass.
+
+    ``(ll, grad, hess)`` in the layout of ``params``: ll is ``loglik``'s
+    (comparable=False) bit for bit, and grad is ``loglik_and_grad``'s up to
+    rounding.  Raises NonFiniteLikelihood as ``loglik_and_grad`` does; hess
+    may hold infinities or NaNs where the EW tail overflows, for the caller
+    to check.
+
+    Per patient, the EW terms are functions of s = log w = kappa log(v/theta)
+    and alpha: H0 = -log S0, and A = log h0 + log v - log kappa, with
+    A_s = 1 + (alpha - 1) w e1 - w + H0_s, e1 = 1/(e^w - 1), and H0_s = e^A
+    = h0 v / kappa, so H0_ss = H0_s A_s and H0_s,alpha = H0_s A_alpha.  Then
+    L = log h_E = A + log kappa + x'(b2 - b1) + const and H_E = H0
+    e^{x'(b2 - b1)} are functions of y = (kappa, theta, alpha, x'b1, x'b2),
+    through s for the first four, and d/dy maps to the GH slots as they are
+    for kappa, theta and alpha and times x for the betas.  An event adds
+    d2 log lambda = d2 lambda / lambda - s s' with s = d log lambda: on the
+    GH slots u (d2 L + dL dL') - u^2 dL dL', u = h_E / lambda; against a
+    correction c of lambda = c hp + h_E, -u s_c dL with the score s_c =
+    hp (dc) / lambda.  M3's population term adds mu dhp^2 G(y) and
+    mu dhp^3 G'(y).  Each sum over the patients of a weight times an outer
+    product of derivatives is one matrix product, E diag(weight) F'.
+    """
+    layout = params.layout
+    kappa, theta, alpha = params.baseline
+    ev, X, hp, dhp = cohort._event, cohort.X, cohort.hp, cohort.dhp
+    slots1, slots2 = layout.beta_slots
+    n_gh = slots2.stop
+    add = np.add.reduce
+    hess = np.empty((layout.k, layout.k))
+    grad = np.empty(layout.k)
+
+    xt = np.ascontiguousarray(X.T)  # rows of covariates, as the rows built below
+
+    def in_slots(d):
+        """(n_gh, n) per-patient derivatives in the GH slots from the five d/dy."""
+        e = np.empty((n_gh, cohort.n))
+        e[0], e[1], e[2] = d[:3]
+        np.multiply(xt, d[3], out=e[slots1])
+        np.multiply(xt, d[4], out=e[slots2])
+        return e
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms, aux = _terms(params, cohort, False)
+        ll = _checked_sum(terms, cohort)
+        v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3 = aux
+
+        u = np.where(ev, he / lam, 0.0)
+        hs = h0 * v / kappa  # dH0/ds
+        ws = w * np.exp(-w - logm)  # d logm/ds = w e1
+        ha = np.exp(-vv - log_s0) * logm  # dH0/dalpha = (F/S) log m
+        ha[w > 200.0] = -1.0 / alpha  # its limit beyond w = 200, where q underflows
+        a_s = 1.0 + (alpha - 1.0) * ws - w + hs
+        a_a = 1.0 / alpha + logm + ha
+        a_ss = (alpha - 1.0) * ws * (1.0 - w - ws) - w + hs * a_s
+        a_sa = ws + hs * a_a
+        h_aa = ha * (logm + ha)  # d2 H0/dalpha2
+        a_aa = h_aa - 1.0 / alpha**2
+
+        # d/dy of L, s, H0 and x'(b2 - b1), per patient, in the GH slots
+        k_t = -kappa / theta
+        dl = in_slots((a_s * lw + 1.0 / kappa, k_t * a_s, a_a, kappa * a_s - 1.0, 1.0))
+        ds = in_slots((lw, k_t, 0.0, kappa, 0.0))
+        dg = in_slots((hs * lw, k_t * hs, ha, kappa * hs, 0.0))
+        dr = in_slots((0.0, 0.0, 0.0, -1.0, 1.0))
+        grad[:n_gh] = dl @ u - dg @ r21 - dr @ HE  # dH_E = r21 dH0 + H_E dr
+
+        scratch = np.empty_like(dl)
+
+        def gram(e, weight, f):
+            """Sum over the patients of weight e f', through one scratch array."""
+            return np.multiply(e, weight, out=scratch) @ f.T
+
+        # u d2 L - d2 H_E on the GH slots: first the outer products of dL, ds,
+        # d alpha, dH0 and dr
+        gh = gram(dl, u * (1.0 - u), dl)
+        gh += gram(ds, u * a_ss - r21 * hs * a_s, ds)
+        cross = ds @ (u * a_sa - r21 * hs * a_a)
+        gh[2] += cross
+        gh[:, 2] += cross
+        gh[2, 2] += add(u * a_aa - r21 * h_aa)
+        rd = gram(dg, r21, dr)
+        gh -= rd + rd.T + gram(dr, HE, dr)
+        # then (u L_s - H_E,s) d2 s and u d2 log kappa; d2 s is -1/theta at
+        # (kappa, theta), kappa/theta^2 at (theta, theta) and x at (kappa, beta1)
+        c_s = u * a_s - r21 * hs
+        sum_c = add(c_s)
+        gh[0, 0] -= add(u) / kappa**2
+        gh[0, 1] -= sum_c / theta
+        gh[1, 0] -= sum_c / theta
+        gh[1, 1] += kappa / theta**2 * sum_c
+        xc = c_s @ X
+        gh[0, slots1] += xc
+        gh[slots1, 0] += xc
+        hess[:n_gh, :n_gh] = gh
+
+        if layout.model == "M2":
+            scores = np.where(ev, hp / lam, 0.0)[None]  # of gamma
+            grad[-1] = add(scores[0]) - cohort._sum_dhp
+            curvature = np.zeros((1, 1))  # of lambda in gamma
+        elif layout.model == "M3":
+            mu = params.correction[0]
+            y, ratio, den = m3
+            s_mu = np.where(ev, hp / den / lam, 0.0)
+            s_b = -mu * dhp * s_mu / den
+            scores = np.stack([s_mu, s_b])
+            pop = cohort._dhp2 * _m3_pop_curvature(y)
+            grad[-2] = add(s_mu) - add(dhp * ratio)
+            grad[-1] = add(s_b) + mu * add(pop)
+            # d2 lambda / lambda plus the population term's, in (mu, b)
+            mu_b = add(pop - dhp * s_mu / den)
+            b_b = add(
+                mu * dhp * cohort._dhp2 * _m3_pop_curvature_slope(y) - 2.0 * dhp * s_b / den
+            )
+            curvature = np.array([[0.0, mu_b], [mu_b, b_b]])
+        if layout.model != "M1":
+            gc = -gram(dl, u, scores)
+            hess[:n_gh, n_gh:] = gc
+            hess[n_gh:, :n_gh] = gc.T
+            hess[n_gh:, n_gh:] = curvature - scores @ scores.T
+
+    finite = np.isfinite(grad)
+    if not finite.all():
+        raise NonFiniteLikelihood(
+            f"non-finite gradient at positions {np.flatnonzero(~finite).tolist()}"
+        )
+    return ll, grad, 0.5 * (hess + hess.T)  # the products above round apart
 
 
 # ---------------------------------------------------------------------------

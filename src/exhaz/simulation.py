@@ -324,7 +324,7 @@ class StudyMetrics:
     not_converged: dict[str, int]  # model -> replicates excluded
     at_bound: dict[str, int]  # model (M1-M4) -> pooled rows with a parameter on the box
     m4_failures: int
-    hessian_pd_rate: dict[str, float]  # among converged fits
+    hessian_pd_rate: dict[str, float]  # among converged fits with a finite information matrix
     mean_censoring: float
     dropout_rate: float | None
     pilot_censoring: float | None
@@ -421,6 +421,9 @@ def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1)
     }
     pools["M4"] = [r["models"][r["m4"]["model"]] for r in results if r["m4"] is not None]
     names = {m: ParamLayout.for_model(m, COVARIATES).names for m in MODELS}
+    # hessian_pd is None where the information matrix is not finite: no verdict
+    verdicts = {m: [row["hessian_pd"] for row in pools[m] if row["hessian_pd"] is not None]
+                for m in MODELS}
     names["M4"] = names["M1"]  # the parameters every model shares
 
     params = {}
@@ -445,10 +448,7 @@ def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1)
         not_converged={m: len(results) - len(pools[m]) for m in MODELS},
         at_bound={m: sum(bool(row["at_bound"]) for row in pools[m]) for m in STUDY_MODELS},
         m4_failures=len(results) - len(picks),
-        hessian_pd_rate={
-            m: float(np.mean([row["hessian_pd"] for row in pools[m]])) if pools[m] else math.nan
-            for m in MODELS
-        },
+        hessian_pd_rate={m: float(np.mean(v)) if v else math.nan for m, v in verdicts.items()},
         mean_censoring=float(np.mean([r["censoring"] for r in results])),
         dropout_rate=dropout_rate,
         pilot_censoring=pilot_cens,

@@ -14,17 +14,18 @@ from exhaz.distributions import GammaFrailtyParams, sample_gamma_frailty
 from exhaz.errors import NoEligibleFit, NonFiniteLikelihood, NonPositive, SEsUnavailable
 from exhaz.estimation import (
     _BIG,
+    _CURVATURE_TOL,
     _HESSIAN_STEP,
     _LOG_B_GRID,
-    _SYMMETRY_TOL,
     FitConfig,
     FitResult,
     ParamLayout,
     _covariance,
+    _curvature_mismatch,
+    _decrement,
     _fallback_note,
     _fd_hessian,
     _grad_check_tol,
-    _grad_hessian,
     _newton_polish,
     _Profiled,
     _refine,
@@ -171,6 +172,22 @@ def test_positivity_mask_is_read_only_and_stays_so_through_pickle():
     assert m3.positive.tolist() == [True] * 3 + [False] * 4 + [True] * 2
 
 
+def _difference_jacobian(grad, x, h):
+    """Central differences of ``grad`` at step h, symmetrized: 2k gradient calls."""
+    k = len(x)
+    J = np.empty((k, k))
+    for i in range(k):
+        e = np.zeros(k)
+        e[i] = h
+        J[i] = (grad(x + e) - grad(x - e)) / (2 * h)
+    return 0.5 * (J + J.T)
+
+
+def _richardson_jacobian(grad, x, h):
+    """``_difference_jacobian`` at steps h and h/2, extrapolated to O(h^4)."""
+    return (4.0 * _difference_jacobian(grad, x, h / 2) - _difference_jacobian(grad, x, h)) / 3.0
+
+
 def test_delta_method_se_matches_natural_scale_hessian():
     # toy 1-parameter problem: Gaussian log-likelihood in log(theta), with the
     # closed-form gradient of the negative log-likelihood on each scale
@@ -183,8 +200,8 @@ def test_delta_method_se_matches_natural_scale_hessian():
     def grad_trans(v):  # v = [log theta]
         return np.array([n_obs * (v[0] - center) / spread**2])
 
-    H_nat, _ = _grad_hessian(grad_nat, np.array([theta_hat]), 1e-4)
-    H_trans, _ = _grad_hessian(grad_trans, np.array([center]), 1e-4)
+    H_nat = _difference_jacobian(grad_nat, np.array([theta_hat]), 1e-4)
+    H_trans = _difference_jacobian(grad_trans, np.array([center]), 1e-4)
     se_nat_direct = 1.0 / math.sqrt(H_nat[0, 0])
     se_log = 1.0 / math.sqrt(H_trans[0, 0])
     assert theta_hat * se_log == pytest.approx(se_nat_direct, rel=1e-4)
@@ -497,22 +514,118 @@ def test_gradient_hessian_ses_match_value_fd_on_interior_m3_fit():
     assert se_fit == pytest.approx(se_fd, rel=1e-3)
 
 
-def test_boundary_collapse_has_stable_nonnegative_information():
+@pytest.fixture(scope="module")
+def m3_boundary():
+    """A converged M3 fit with b on its box floor e^-20."""
+    cohort = _frailty_cohort(3)
+    return cohort, fit("M3", cohort)
+
+
+def test_boundary_collapse_has_stable_nonnegative_information(m3_boundary):
     # No frailty signal left in this cohort: b collapses onto its lower bound
     # e^-20 and the information along log b is ~1e-10.  Value differences
     # at these steps give a negative eigenvalue that changes with h.
-    cohort = _frailty_cohort(3)
-    res = fit("M3", cohort)
+    cohort, res = m3_boundary
     assert res.converged and res.hessian_pd and res.ses_available
     assert "parameters at box bound: b" in res.notes
     assert res.estimate("b") == pytest.approx(math.exp(-20.0), rel=1e-6)
     assert res.std_errors[res.param_names.index("b")] > 1e3 * res.estimate("b")
     obj, _, x_hat = _search_point(res, cohort)
     smallest = [
-        np.linalg.eigvalsh(_grad_hessian(obj.grad, x_hat, h)[0])[0] for h in (1e-3, 1e-4, 1e-5)
+        np.linalg.eigvalsh(_difference_jacobian(obj.grad, x_hat, h))[0] for h in (1e-3, 1e-4, 1e-5)
     ]
     assert min(smallest) >= 0.0
     assert smallest == pytest.approx([smallest[1]] * 3, rel=1e-3)
+
+
+@pytest.mark.parametrize("fixture", ["m3_interior", "m3_boundary"])
+def test_ses_match_richardson_differences_of_the_gradient(fixture, request):
+    # the analytic information against central differences of the analytic
+    # gradient at h = 1e-4 and 5e-5, extrapolated to O(h^4); a single step
+    # of 1e-4 is off by up to 8e-5 relative here, its h^2 truncation
+    cohort, res = request.getfixturevalue(fixture)
+    obj, slot_scale, x_hat = _search_point(res, cohort)
+    cov, problem = _covariance(_richardson_jacobian(obj.grad, x_hat, _HESSIAN_STEP))
+    assert problem is None
+    se_ref = np.sqrt(np.diag(cov))
+    se_fit = np.sqrt(np.diag(res.cov_transformed)) * slot_scale
+    assert se_fit == pytest.approx(se_ref, rel=1e-5)
+
+
+def test_the_information_call_counts_one_eval(m3_interior, monkeypatch):
+    # one likelihood pass gives the value, the gradient and the Hessian, on
+    # the full objective and on the profiled one
+    cohort, res = m3_interior
+    kernel, calls = estimation.loglik_grad_hess, []
+
+    def counted(params, cohort):
+        calls.append(params.layout.model)
+        return kernel(params, cohort)
+
+    monkeypatch.setattr(estimation, "loglik_grad_hess", counted)
+    obj, _, x_hat = _search_point(res, cohort)
+    f, g, H = obj.value_grad_hess(x_hat)
+    assert obj.n_evals == 1 and calls == ["M3"] and H.shape == (res.k, res.k)
+    f2, g2 = obj.value_and_grad(x_hat)
+    assert f == f2 and g == pytest.approx(g2, rel=1e-9, abs=1e-9)
+    prof = _Profiled(obj.layout, obj.cohort)
+    H3 = prof.value_grad_hess(np.delete(x_hat, prof.slot))[2]
+    assert prof.n_evals == 1 and calls == ["M3", "M3"] and H3.shape == (res.k - 1, res.k - 1)
+
+
+def test_a_non_finite_information_matrix_gives_no_pd_verdict(monkeypatch):
+    # a NaN Hessian says nothing about definiteness: hessian_pd is None
+    kernel = estimation.loglik_grad_hess
+
+    def nan_hessian(params, cohort):
+        ll, grad, hess = kernel(params, cohort)
+        return ll, grad, np.full_like(hess, math.nan)
+
+    monkeypatch.setattr(estimation, "loglik_grad_hess", nan_hessian)
+    res = fit("M1", sim_cohort(n=400, seed=11))
+    assert res.hessian_pd is None and not res.ses_available
+    assert "information matrix not finite (a rejected point or an overflow); SEs unavailable" in res.notes
+    assert math.isnan(res.decrement) and math.isnan(res.min_eig)
+
+
+def test_an_indefinite_information_matrix_is_not_pd(monkeypatch):
+    # the log-likelihood's Hessian with its sign flipped: the information
+    # matrix at the estimate is negative definite, so hessian_pd is False
+    kernel = estimation.loglik_grad_hess
+
+    def flipped(params, cohort):
+        ll, grad, hess = kernel(params, cohort)
+        return ll, grad, -hess
+
+    monkeypatch.setattr(estimation, "loglik_grad_hess", flipped)
+    res = fit("M1", sim_cohort(n=400, seed=11))
+    assert res.hessian_pd is False and not res.ses_available
+    assert "information matrix not positive definite; SEs unavailable" in res.notes
+    assert res.min_eig < 0.0
+
+
+def test_decrement_is_half_the_newton_step_along_the_gradient_on_the_free_slots():
+    g, hess = np.array([1.0, 2.0]), np.diag([2.0, 4.0])
+    assert _decrement(g, hess, [0, 1]) == 0.75
+    assert _decrement(g, hess, [1]) == 0.5
+    assert _decrement(g, hess, []) == 0.0
+    assert math.isnan(_decrement(g, np.zeros((2, 2)), [0, 1]))
+    assert math.isnan(_decrement(g, np.full((2, 2), math.nan), [0]))
+
+
+@pytest.mark.parametrize("fixture", ["m3_interior", "m3_boundary"])
+def test_a_fit_reports_its_decrement_and_smallest_eigenvalue(fixture, request):
+    # both from the SE call at the estimate; b on the box is not a free slot
+    cohort, res = request.getfixturevalue(fixture)
+    obj, _, x_hat = _search_point(res, cohort)
+    _, g, H = obj.value_grad_hess(x_hat)
+    assert res.min_eig == pytest.approx(np.linalg.eigvalsh(H)[0], rel=1e-6)
+    free = [i for i, name in enumerate(res.param_names) if name not in res.at_bound]
+    assert len(free) == res.k - len(res.at_bound)
+    assert 0.0 <= res.decrement <= 1e-12
+    assert _decrement(g, H, free) <= 1e-12
+    # a result built without them holds NaN
+    assert math.isnan(_mini_fit("M1", 0.0).decrement) and math.isnan(_mini_fit("M1", 0.0).min_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +746,29 @@ def test_profiled_m3_gradient_matches_richardson_differences_of_the_profiled_val
         assert np.max(np.abs(g - oracle) / np.maximum(1.0, np.abs(oracle))) < 1e-7
 
 
+@pytest.mark.parametrize("where", ["interior", "box"])
+@pytest.mark.parametrize("model", ["M2", "M3"])
+def test_profiled_hessian_matches_differences_of_the_profiled_gradient(model, where):
+    # the Schur complement of the multiplier's slot where the multiplier is
+    # interior, the searched block where it sits on the box floor: with h_P
+    # at the events scaled by 1e-6 the score is negative from e^-20 on
+    full = sim_cohort(n=300, seed=29)
+    hp = full.hp if where == "interior" else full.hp * 1e-6
+    cohort = PreparedCohort(full.time, full.status, full.X, hp, full.dhp, full.covariate_names)
+    obj, _ = _standardized_objective(model, cohort)
+    prof = _Profiled(obj.layout, obj.cohort)
+    rng = np.random.default_rng([MODELS.index(model), 13])
+    points = [np.delete(_interior_point(obj.layout, rng), prof.slot) for _ in range(6)]
+    on_floor = [prof.params(x).values[prof.slot] == math.exp(-20.0) for x in points]
+    chosen = [x for x, floor in zip(points, on_floor) if floor == (where == "box")][:2]
+    assert len(chosen) == 2
+    for x in chosen:
+        f, g, H = prof.value_grad_hess(x)
+        assert f < _BIG and np.array_equal(H, H.T)
+        ref = _richardson_jacobian(prof.grad, x, 1e-3)
+        assert np.max(np.abs(H - ref) / np.maximum(1.0, np.abs(ref))) < 1e-6
+
+
 def test_profiled_value_is_a_pure_function_of_the_point():
     cohort = sim_cohort(n=300, seed=31)
     obj, _ = _standardized_objective("M2", cohort)
@@ -685,6 +821,11 @@ class _Toy:
     def value(self, x):
         return self.value_and_grad(x)[0]
 
+    def value_grad_hess(self, x):
+        f, g = self.value_and_grad(x)
+        hess = np.array([[22.0, -20.0], [-20.0, 20.0]])
+        return f, g, hess if f < _BIG else np.full((2, 2), np.nan)
+
     def grad(self, x):
         f, g = self.value_and_grad(x)
         return g if f < _BIG else np.full_like(x, np.nan)
@@ -712,12 +853,18 @@ _SKEW = 0.1 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 class _LinearField:
     """The value 0.5 (x - c)' A (x - c) with the linear field M (x - c) as its
-    "gradient"; a gradient only when M = A.  Logs each call: "vg" for
+    "gradient" and the symmetric part of M as its "Hessian", as an analytic
+    Hessian is the Jacobian of the analytic gradient; a gradient only when
+    M = A.  Logs each call: "vgh" for value_grad_hess, "vg" for
     value_and_grad, "g" for grad and "v" for value."""
 
     def __init__(self, M):
         self.M = M
         self.calls = []
+
+    def value_grad_hess(self, x):
+        self.calls.append("vgh")
+        return self._value(x), self.M @ (x - _C), 0.5 * (self.M + self.M.T)
 
     def _value(self, x):
         d = x - _C
@@ -736,36 +883,40 @@ class _LinearField:
         return self._value(x)
 
 
-def test_polish_on_a_true_gradient_costs_2k_gradient_calls_per_step():
-    # one value_and_grad, 2k gradient calls for the Hessian, the damped
-    # values (here the full step, taken), then the value_and_grad that finds
-    # the gradient zero: no value stencil
+def test_polish_on_a_true_gradient_costs_one_information_and_two_gradient_calls_per_step():
+    # one value_grad_hess, two gradient calls for the curvature check, the
+    # damped values (here the full step, taken), then the value_grad_hess
+    # that finds the gradient zero: no value stencil
     obj = _LinearField(_A)
     k = len(_C)
     x, n_iter, fallbacks = _newton_polish(obj, np.zeros(k), np.full(k, -10.0), np.full(k, 10.0))
-    assert obj.calls == ["vg"] + ["g"] * (2 * k) + ["v"] + ["vg"]
+    assert obj.calls == ["vgh", "g", "g", "v", "vgh"]
     assert n_iter == 1 and fallbacks == []
     assert np.allclose(x, _C, atol=1e-9)
 
 
 def test_polish_takes_the_value_stencil_where_the_gradient_jacobian_is_asymmetric():
-    # J = A + S has asymmetry 2 max|S| / max|A + S| = 0.05: not a Hessian, so
-    # each step builds today's 2k^2 + 1 value stencil after its 2k gradients
+    # the field's Jacobian A + S is not a Hessian: along the eigenvector v of
+    # A's smallest eigenvalue its change differs from A v by S v, so each
+    # step builds the 2k^2 + 1 value stencil after its two gradient calls
     obj = _LinearField(_A + _SKEW)
     k = len(_C)
-    _, asymmetry = _grad_hessian(obj.grad, np.zeros(k), _HESSIAN_STEP)
-    assert asymmetry == pytest.approx(0.05, rel=1e-6)
+    v = np.linalg.eigh(_A)[1][:, 0]
+    expected = float(np.max(np.abs(_SKEW @ v))) / float(np.max(np.abs(_A)))
+    assert expected > 0.01
+    assert _curvature_mismatch(obj.grad, np.zeros(k), _A) == pytest.approx(expected, rel=1e-6)
     obj.calls.clear()
     _, _, fallbacks = _newton_polish(obj, np.zeros(k), np.full(k, -10.0), np.full(k, 10.0))
-    steps = []  # the calls of each polish step, each opened by its value_and_grad
+    steps = []  # the calls of each polish step, each opened by its value_grad_hess
     for call in obj.calls:
-        if call == "vg":
+        if call == "vgh":
             steps.append([])
         steps[-1].append(call)
     hessian_steps = [step for step in steps if "g" in step]
     assert len(hessian_steps) == len(fallbacks) >= 1
-    assert fallbacks == pytest.approx([0.05] * len(fallbacks), rel=1e-6)
-    stencil = ["vg"] + ["g"] * (2 * k) + ["v"] * (2 * k * k + 1)
+    assert all(r > _CURVATURE_TOL for r in fallbacks)
+    assert fallbacks[0] == pytest.approx(expected, rel=1e-6)
+    stencil = ["vgh", "g", "g"] + ["v"] * (2 * k * k + 1)
     for step in hessian_steps:
         assert step[: len(stencil)] == stencil and step[len(stencil):] == ["v"] * (
             len(step) - len(stencil)
@@ -773,19 +924,24 @@ def test_polish_takes_the_value_stencil_where_the_gradient_jacobian_is_asymmetri
         assert len(step) > len(stencil)  # at least one damped candidate
 
 
-def test_a_rejected_stencil_point_gives_a_nan_asymmetry():
+def test_a_rejected_point_gives_a_nan_curvature_mismatch():
+    # x + h v lands in the toy's rejected strip; a Hessian that is not
+    # finite gives NaN before any gradient call
     obj = _Toy()
-    H, asymmetry = _grad_hessian(obj.grad, np.array([0.99 - 5e-5, 0.6]), _HESSIAN_STEP)
-    assert math.isnan(asymmetry) and not np.all(np.isfinite(H))
+    H = obj.value_grad_hess(np.zeros(2))[2]
+    assert math.isnan(_curvature_mismatch(obj.grad, np.array([0.99 - 5e-5, 0.6]), H))
+    calls = []
+    assert math.isnan(_curvature_mismatch(calls.append, np.zeros(2), np.full((2, 2), np.nan)))
+    assert calls == []
 
 
-def test_fallback_note_gives_the_steps_and_the_largest_asymmetry():
+def test_fallback_note_gives_the_steps_and_the_largest_mismatch():
     assert _fallback_note([0.05, 0.2]) == (
-        "polish: value-difference Hessian on 2 step(s), gradient Jacobian asymmetry up to 0.2"
+        "polish: value-difference Hessian on 2 step(s), curvature mismatch up to 0.2"
     )
     assert _fallback_note([math.nan, 3e-4]) == (
-        "polish: value-difference Hessian on 2 step(s), gradient Jacobian asymmetry up to "
-        "0.0003 (1 with a rejected stencil point)"
+        "polish: value-difference Hessian on 2 step(s), curvature mismatch up to "
+        "0.0003 (1 with a rejected point or a non-finite Hessian)"
     )
 
 
@@ -801,25 +957,25 @@ def test_fit_without_init_starts_m2_and_m3_where_the_model_they_extend_ends(m3_i
 def test_the_gradient_is_a_gradient_at_converged_fits_and_not_at_m2s_tail_end(
     fits_1500, m3_interior
 ):
-    # at the converged M1 fit and an interior M3 fit the gradient's Jacobian
-    # is symmetric (measured 9e-9 and 8e-9), and their polish used it; M2
-    # ends with alpha on e^20, where the analytic gradient is off the
-    # value's (8.5e-5)
+    # at the converged M1 fit and an interior M3 fit the change of the
+    # gradient along the softest direction is the analytic Hessian's
+    # (mismatch 1.0e-9 and 6.0e-12), and their polish used it; M2 ends with
+    # alpha on e^20, where the analytic gradient is off the value's (1.2e-4)
     cohort, fits = fits_1500
-    assert _SYMMETRY_TOL == 1e-6
+    assert _CURVATURE_TOL == 1e-6
     for end_cohort, res in ((cohort, fits["M1"]), m3_interior):
         assert res.converged
         obj, _, x_hat = _search_point(res, end_cohort)
-        assert _grad_hessian(obj.grad, x_hat, _HESSIAN_STEP)[1] <= 1e-7
+        assert _curvature_mismatch(obj.grad, x_hat, obj.value_grad_hess(x_hat)[2]) <= 1e-8
         assert not [n for n in res.notes if n.startswith(("polish:", "SEs from"))]
     res = fits["M2"]
     obj, _, x_hat = _search_point(res, cohort)
-    asymmetry = _grad_hessian(obj.grad, x_hat, _HESSIAN_STEP)[1]
-    assert asymmetry > _SYMMETRY_TOL
+    mismatch = _curvature_mismatch(obj.grad, x_hat, obj.value_grad_hess(x_hat)[2])
+    assert mismatch > _CURVATURE_TOL
     assert any(n.startswith("polish: value-difference Hessian on ") for n in res.notes)
     assert (
-        "SEs from a gradient that is not the log-likelihood's: its Jacobian asymmetry "
-        f"at the estimate is {asymmetry:.3g}"
+        "SEs from a gradient that is not the log-likelihood's: its curvature mismatch "
+        f"at the estimate is {mismatch:.3g}"
     ) in res.notes
 
 
@@ -914,11 +1070,11 @@ def test_covariance_flags_negative_eigenvalues():
 
 
 def test_covariance_names_a_nonfinite_entry_apart_from_a_negative_eigenvalue():
-    # a rejected stencil point leaves NaN in the Hessian: that is not a
-    # statement about definiteness, and the note says which it is
+    # a rejected point or an overflow leaves NaN in the Hessian: that is not
+    # a statement about definiteness, and the note says which it is
     cov, problem = _covariance(np.array([[1.0, np.nan], [np.nan, 2.0]]))
     assert cov is None
-    assert problem == "information matrix not finite (a rejected stencil point); SEs unavailable"
+    assert problem == "information matrix not finite (a rejected point or an overflow); SEs unavailable"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from math import fsum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -17,6 +17,7 @@ from exhaz.distributions import GammaFrailtyParams
 from exhaz.errors import DataError, NonFiniteLikelihood
 from exhaz.lifetable import make_life_table
 from exhaz.likelihoods import (
+    MODELS,
     Cohort,
     ParamLayout,
     PreparedCohort,
@@ -28,6 +29,7 @@ from exhaz.likelihoods import (
     load_cohort,
     loglik,
     loglik_and_grad,
+    loglik_grad_hess,
     marginal_survival_m3,
     omega1,
     prepare_cohort,
@@ -457,6 +459,80 @@ def test_analytic_gradient_matches_fd(model, extra):
         fd = fd_gradient(vec, model, cohort)
         scale = np.maximum(1.0, np.abs(fd))
         assert np.max(np.abs(grad - fd) / scale) < 1e-5
+
+
+B_FLOOR = math.exp(-20.0)  # M3's b on the floor of the search box
+
+
+@st.composite
+def hessian_points(draw):
+    """(params, cohort): a small cohort, with 0 or 2 covariates, and a point of
+    any model whose EW terms stay off the tail (every w < 200); M3's b is on
+    the box floor e^-20 or inside."""
+    model = draw(st.sampled_from(MODELS))
+    p = draw(st.sampled_from([0, 2]))
+    rows = st.tuples(
+        st.floats(0.05, 10.0),
+        st.integers(0, 1),
+        st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p),
+        st.floats(0.0, 0.3),  # hp
+        st.floats(0.0, 3.0),  # dhp
+    )
+    time, status, X, hp, dhp = zip(*draw(st.lists(rows, min_size=5, max_size=30)))
+    cohort = PreparedCohort(np.array(time), np.array(status), np.array(X).reshape(len(time), p),
+                            np.array(hp), np.array(dhp))
+    positive = st.floats(-1.0, 1.0).map(math.exp)
+    values = [draw(positive) for _ in range(3)] + [draw(st.floats(-0.5, 0.5)) for _ in range(2 * p)]
+    if model != "M1":
+        values.append(draw(positive))
+    if model == "M3":
+        values.append(draw(st.just(B_FLOOR) | st.floats(-2.0, 2.0).map(math.exp)))
+    params = ParamLayout.for_model(model, cohort.covariate_names).to_params(np.array(values))
+    kappa, theta, _ = params.baseline
+    w = (cohort.time * np.exp(cohort.X @ params.beta1) / theta) ** kappa
+    assume(np.all(w < 200.0))
+    return params, cohort
+
+
+def _richardson_hessian(params, cohort):
+    """Differences of ``loglik_and_grad``'s gradient at steps h and h/2,
+    extrapolated to O(h^4) (to O(h^2), forward, for a b on the box floor)."""
+    layout, vec = params.layout, params.values
+    k = layout.k
+
+    def grad(v):
+        return loglik_and_grad(layout.to_params(v), cohort)[1]
+
+    J = np.empty((k, k))
+    for i in range(k):
+        e = np.zeros(k)
+        if layout.names[i] == "b" and vec[i] == B_FLOOR:
+            e[i] = 1e-4
+            g0 = grad(vec)
+            J[i] = (4.0 * (grad(vec + e / 2) - g0) - (grad(vec + e) - g0)) / 1e-4
+        else:
+            e[i] = 1e-3 * max(1.0, abs(vec[i]))
+
+            def central(step):
+                return (grad(vec + step) - grad(vec - step)) / (2.0 * step[i])
+
+            J[i] = (4.0 * central(e / 2) - central(e)) / 3.0
+    return J
+
+
+@settings(max_examples=40, deadline=None)
+@given(hessian_points())
+def test_hessian_matches_richardson_differences_of_the_gradient(point):
+    # the Hessian is the Jacobian of the gradient L-BFGS-B reads, off the tail,
+    # for every model, and its value and gradient are those of loglik_and_grad
+    params, cohort = point
+    ll, grad, hess = loglik_grad_hess(params, cohort)
+    ll2, grad2 = loglik_and_grad(params, cohort)
+    assert ll == ll2
+    assert np.max(np.abs(grad - grad2) / np.maximum(1.0, np.abs(grad2))) < 1e-12
+    ref = _richardson_hessian(params, cohort)
+    assert np.max(np.abs(hess - ref) / np.maximum(1.0, np.abs(ref))) < 1e-6
+    assert np.array_equal(hess, hess.T)
 
 
 def test_fd_gradient_richardson_self_consistency():

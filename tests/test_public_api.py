@@ -54,6 +54,8 @@ DEFAULTS_ALLOWED = {
 MEMBERS_ALLOWED = {
     "FitResult.notes": "fit diagnostics: box-bound, non-PD and convergence notes for the user",
     "FitResult.cov_transformed": "covariance for delta-method intervals of derived quantities",
+    "FitResult.decrement": "fit diagnostic: the ll a Newton step would still gain at the estimate",
+    "FitResult.min_eig": "fit diagnostic: the smallest eigenvalue of the information matrix",
 }
 
 

@@ -198,6 +198,26 @@ def test_a_replicate_whose_fit_all_raises_is_counted_not_fatal(table, caplog, mo
     assert gamma.mmle == pytest.approx(math.exp(-20.0), rel=1e-12) and math.isnan(gamma.esd)
 
 
+def test_hessian_pd_rate_averages_the_fits_with_a_verdict(table, monkeypatch):
+    # M1 and M2 are flagged converged on both replicates; M1's information
+    # matrix is made non-finite on replicate 0 (no verdict) and indefinite
+    # on replicate 1, so its rate is 0 of 1, not 0 of 2; M2 has no verdict
+    sc = replace(builtin_scenarios()["moderate"], n=300, n_replicates=2)
+    verdicts = iter([None, False])
+
+    def fit_all_with_verdicts(cohort, cfg):
+        fits = fit_all(cohort, cfg)
+        return {**fits,
+                "M1": replace(fits["M1"], converged=True, hessian_pd=next(verdicts)),
+                "M2": replace(fits["M2"], converged=True, hessian_pd=None)}
+
+    monkeypatch.setattr(simulation, "fit_all", fit_all_with_verdicts)
+    study = run_study(sc, table)
+    assert study.not_converged["M1"] == study.not_converged["M2"] == 0
+    assert study.hessian_pd_rate["M1"] == 0.0
+    assert math.isnan(study.hessian_pd_rate["M2"])
+
+
 def read_report(path):
     """A per-model report CSV as {param: {column: value}}, empty cells NaN."""
     out = {}

@@ -80,6 +80,7 @@ def test_changed_fits_are_listed_parent_to_change_with_counts(tmp_path, capsys):
         "  M1: ok False -> True",
         "2 vs 2 replicate records, 2 mismatches",
         "parent: 2 of 3 fits converged, 1 ok; change: 3 of 3 fits converged, 3 ok",
+        "estimates converged on both sides: 0 fits",
         "mean evals per replicate: parent M1 450.0, M2 1000.0; change M1 440.0, M2 300.0",
         "ll fell by more than 1e-06: 0 fits",
         "converged on both sides: 2 fits, largest |delta ll| 0 (record 1, M1)",
@@ -96,6 +97,7 @@ def test_a_record_that_differs_outside_the_listed_fields_lists_no_fit(tmp_path, 
         "replicate record 0 (index 0) differs",
         "1 vs 1 replicate records, 1 mismatches",
         "parent: 1 of 1 fits converged, 1 ok; change: 1 of 1 fits converged, 1 ok",
+        "estimates converged on both sides: 0 fits",
         "mean evals per replicate: parent M1 400.0; change M1 400.0",
         "ll fell by more than 1e-06: 0 fits",
         "converged on both sides: 1 fits, largest |delta ll| 0 (record 0, M1)",
@@ -181,6 +183,36 @@ def test_the_next_to_last_line_counts_every_fit_whose_ll_fell(tmp_path, capsys):
     )
     assert same_records.main([parent, parent]) == 0
     assert capsys.readouterr().out.splitlines()[-2] == "ll fell by more than 1e-06: 0 fits"
+
+
+def test_the_fourth_line_from_the_end_names_the_largest_relative_change_of_an_estimate(
+    tmp_path, capsys
+):
+    # over the fits converged on both sides whose records hold estimates; a
+    # fit converged on one side only does not count, however far it moved
+    m1 = [1.0, 2.0, 3.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+    m3 = [*m1, 1.5, 0.25]
+
+    def fit(converged, estimates):
+        return {"converged": converged, "ok": converged, "ll": -1.0, "evals": 1,
+                "estimates": estimates}
+
+    parent = write(tmp_path / "a.jsonl", [
+        record(0, 0.0, models={"M1": fit(True, m1), "M3": fit(True, m3)}),
+        record(1, 0.0, models={"M1": fit(False, m1), **fits(M2=(True, True, -1.0, 1))}),
+    ])
+    moved_b = [*m1, 1.5, 0.25 * (1 + 4e-6)]
+    moved_theta = [1.0, 2.0 * (1 + 1e-6), *m1[2:]]
+    change = write(tmp_path / "b.jsonl", [
+        record(0, 0.0, models={"M1": fit(True, moved_theta), "M3": fit(True, moved_b)}),
+        record(1, 0.0, models={"M1": fit(True, [9.0] * 9), **fits(M2=(True, True, -1.0, 1))}),
+    ])
+    assert same_records.main([parent, change]) == 1
+    line = capsys.readouterr().out.splitlines()[-4]
+    assert line.startswith("estimates converged on both sides: 2 fits, largest relative change 4e-06")
+    assert line.endswith("(record 0, M3, b)")
+    assert same_records.relative_change(0.0, 0.0) == 0.0
+    assert same_records.relative_change(0.0, 1e-300) == math.inf
 
 
 def test_cohort_digest_is_stable_and_sees_one_ulp_of_one_rate():

@@ -12,22 +12,33 @@ out.  For each record that differs it prints the record's index, then one
 line per model whose ``converged``, ``ok``, ``ll`` or ``evals`` differs,
 as parent -> change, and the M4 pick when it differs.  It ends with the
 number of records compared and of mismatches, with the converged and ok
-fit counts of each side, and with each side's mean evals per replicate for
-each model: the model's evals summed over the run's replicate records and
-divided by their number (a replicate whose ``fit_all`` raised counts, with
-no evals), so the models' means add up to perfbench's
+fit counts of each side, with the largest relative change |change -
+parent| / |parent| of any estimate among the fits converged on both sides
+whose records hold estimates (named as ``ParamLayout`` names it over
+perfbench's covariates; the script imports ``exhaz`` from the ``src/``
+next to this directory), and with each side's mean evals per replicate
+for each model: the model's evals summed over the run's replicate records
+and divided by their number (a replicate whose ``fit_all`` raised counts,
+with no evals), so the models' means add up to perfbench's
 ``evals_per_replicate``.  Its last two lines count the fits whose ll fell
 by more than 1e-6 from parent to change, whatever their flags, with the
 largest drop; and the fits converged on both sides, with the largest
-|delta ll| among them.  Both pair fits by record position and model and
-name the record and model of their largest value.  It exits with 1 on any
-mismatch.
+|delta ll| among them.  These three lines pair fits by record position
+and model and name the record and model of their largest value.  It
+exits with 1 on any mismatch.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from exhaz.likelihoods import ParamLayout  # noqa: E402
+from exhaz.simulation import COVARIATES  # noqa: E402
 
 IGNORED = ("replicate_s", "layers", "position", "spans")
 LISTED = ("converged", "ok", "ll", "evals")  # the fit fields printed when they differ
@@ -103,12 +114,13 @@ def fit_pairs(parent: list[dict], change: list[dict]):
                 yield i, model, fa, fits_b[model]
 
 
-def largest(label: str, found: list[tuple[float, int, str]], what: str) -> str:
-    """The line "<label>: N fits", then the largest value with its record and model."""
+def largest(label: str, found: list[tuple], what: str) -> str:
+    """The line "<label>: N fits", then the largest value with where it is:
+    each entry of ``found`` is (value, record, model, ...names)."""
     line = f"{label}: {len(found)} fits"
     if found:
-        value, i, model = max(found)
-        line += f", largest {what} {value:.3g} (record {i}, {model})"
+        value, i, *names = max(found)
+        line += f", largest {what} {value:.3g} (record {i}, {', '.join(names)})"
     return line
 
 
@@ -132,6 +144,28 @@ def converged_drift(parent: list[dict], change: list[dict]) -> str:
     return largest("converged on both sides", pairs, "|delta ll|")
 
 
+def relative_change(a: float, b: float) -> float:
+    """|b - a| / |a|; 0 when both are 0, inf when only a is."""
+    if a == 0.0:
+        return 0.0 if b == 0.0 else math.inf
+    return abs(b - a) / abs(a)
+
+
+def estimate_drift(parent: list[dict], change: list[dict]) -> str:
+    """Fits converged on both sides, with estimates on both: the largest
+    relative change of an estimate, with its record, model and parameter."""
+    found = []
+    for i, model, fa, fb in fit_pairs(parent, change):
+        both = fa.get("converged") is True and fb.get("converged") is True
+        if both and "estimates" in fa and "estimates" in fb:
+            names = ParamLayout.for_model(model, COVARIATES).names
+            found.append(max(
+                (relative_change(a, b), i, model, name)
+                for name, a, b in zip(names, fa["estimates"], fb["estimates"])
+            ))
+    return largest("estimates converged on both sides", found, "relative change")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/same_records.py PARENT.jsonl CHANGE.jsonl", file=sys.stderr)
@@ -146,6 +180,7 @@ def main(argv: list[str]) -> int:
                 print(line)
     print(f"{len(parent)} vs {len(change)} replicate records, {mismatches} mismatches")
     print(f"parent: {tally(parent)}; change: {tally(change)}")
+    print(estimate_drift(parent, change))
     print(f"mean evals per replicate: parent {mean_evals(parent)}; change {mean_evals(change)}")
     print(ll_drops(parent, change))
     print(converged_drift(parent, change))
