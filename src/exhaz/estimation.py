@@ -13,8 +13,8 @@ point, the moved point is evaluated and taken only if it improves on the
 refinement's point.
 
 Both the Newton steps and the standard errors take the analytic Hessian
-(``likelihoods.loglik_grad_hess``, one likelihood call) mapped to the
-transformed scale.  Two gradient calls check it along the eigenvector v of
+(``likelihoods.loglik_grad_hess`` through ``loglik_and_grad(hessian=True)``,
+one likelihood call) mapped to the transformed scale.  Two gradient calls check it along the eigenvector v of
 its smallest eigenvalue: r = max|(g(x + h v) - g(x - h v)) / 2h - H v| /
 max|H|, h = ``_HESSIAN_STEP``, is O(h^2) plus rounding where the analytic
 gradient is the value's and H its Jacobian.  Where r is above
@@ -94,7 +94,6 @@ from .likelihoods import (
     _GAMMA_BOX,
     loglik,
     loglik_and_grad,
-    loglik_grad_hess,
     profile_gamma,
 )
 
@@ -284,7 +283,7 @@ class _Objective:
         self.n_evals += 1
         try:
             params = self.params(x)
-            ll, grad, hess = loglik_grad_hess(params, self.cohort)
+            ll, grad, hess = loglik_and_grad(params, self.cohort, hessian=True)
         except _REJECTED:
             return _BIG, np.zeros_like(x), np.full((len(x), len(x)), math.nan)
         positive = params.layout.positive

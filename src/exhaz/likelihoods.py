@@ -34,8 +34,8 @@ Hessian (``loglik_grad_hess``) for its Newton steps and the standard
 errors; both are exercised against central finite differences in the test
 suite.
 
-One evaluation (``loglik``, ``loglik_and_grad`` or ``loglik_grad_hess``)
-enters ``np.errstate`` once, around all of its array work: the EW kernel,
+One evaluation (``loglik``, ``loglik_and_grad`` or ``loglik_grad_hess``,
+which ``loglik_and_grad(hessian=True)`` calls) enters ``np.errstate`` once, around all of its array work: the EW kernel,
 the terms, the gradient and the Hessian run under it and check their own
 infinities and NaNs.  The terms and each gradient component of
 ``loglik_and_grad`` are built in place, in the order of operations of
@@ -618,7 +618,7 @@ def loglik(params: ModelParams, cohort: PreparedCohort, comparable: bool = False
         return _checked_sum(terms, cohort)
 
 
-def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
+def loglik_and_grad(params: ModelParams, cohort: PreparedCohort, hessian: bool = False):
     """Log-likelihood (``loglik`` with comparable=False) and its gradient on
     the natural parameter scale.
 
@@ -630,7 +630,13 @@ def loglik_and_grad(params: ModelParams, cohort: PreparedCohort):
     operations of its formula (below, term by term), so it keeps that
     formula's bits; h0 v and kappa w are computed once, and the sum of dhp
     (M2) and dhp^2 (M3) come from the cohort.
+
+    ``hessian=True`` returns ``loglik_grad_hess(params, cohort)`` instead,
+    (ll, grad, hess) from one pass, so that every likelihood pass of a fit
+    goes through ``loglik`` or ``loglik_and_grad``.
     """
+    if hessian:
+        return loglik_grad_hess(params, cohort)
     layout = params.layout
     kappa, theta, alpha = params.baseline
     ev, X, hp, dhp = cohort._event, cohort.X, cohort.hp, cohort.dhp

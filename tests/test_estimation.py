@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exhaz import estimation
+from exhaz import estimation, likelihoods
 from exhaz.distributions import GammaFrailtyParams, sample_gamma_frailty
 from exhaz.errors import NoEligibleFit, NonFiniteLikelihood, NonPositive, SEsUnavailable
 from exhaz.estimation import (
@@ -554,34 +554,62 @@ def test_ses_match_richardson_differences_of_the_gradient(fixture, request):
 
 def test_the_information_call_counts_one_eval(m3_interior, monkeypatch):
     # one likelihood pass gives the value, the gradient and the Hessian, on
-    # the full objective and on the profiled one
+    # the full objective and on the profiled one: loglik_and_grad(hessian=True)
     cohort, res = m3_interior
-    kernel, calls = estimation.loglik_grad_hess, []
+    kernel, calls = estimation.loglik_and_grad, []
 
-    def counted(params, cohort):
-        calls.append(params.layout.model)
-        return kernel(params, cohort)
+    def counted(params, cohort, hessian=False):
+        calls.append((params.layout.model, hessian))
+        return kernel(params, cohort, hessian=hessian)
 
-    monkeypatch.setattr(estimation, "loglik_grad_hess", counted)
+    monkeypatch.setattr(estimation, "loglik_and_grad", counted)
     obj, _, x_hat = _search_point(res, cohort)
     f, g, H = obj.value_grad_hess(x_hat)
-    assert obj.n_evals == 1 and calls == ["M3"] and H.shape == (res.k, res.k)
+    assert obj.n_evals == 1 and calls == [("M3", True)] and H.shape == (res.k, res.k)
     f2, g2 = obj.value_and_grad(x_hat)
     assert f == f2 and g == pytest.approx(g2, rel=1e-9, abs=1e-9)
     prof = _Profiled(obj.layout, obj.cohort)
     H3 = prof.value_grad_hess(np.delete(x_hat, prof.slot))[2]
-    assert prof.n_evals == 1 and calls == ["M3", "M3"] and H3.shape == (res.k - 1, res.k - 1)
+    assert prof.n_evals == 1 and calls[2:] == [("M3", True)] and H3.shape == (res.k - 1, res.k - 1)
+
+
+def test_every_likelihood_pass_of_a_fit_is_a_loglik_or_loglik_and_grad_call(monkeypatch):
+    # a fit's n_evals counts each of its likelihood passes, the information
+    # calls of the polish and the SEs among them, and each pass is one call
+    # to estimation.loglik or estimation.loglik_and_grad; two loglik calls
+    # more give the fit's loglik and loglik_comparable
+    calls = {"loglik": 0, "loglik_and_grad": 0, "hessian": 0}
+    value, gradient = estimation.loglik, estimation.loglik_and_grad
+
+    def counted_value(params, cohort, comparable=False):
+        calls["loglik"] += 1
+        return value(params, cohort, comparable)
+
+    def counted_gradient(params, cohort, hessian=False):
+        calls["loglik_and_grad"] += 1
+        calls["hessian"] += hessian
+        return gradient(params, cohort, hessian=hessian)
+
+    monkeypatch.setattr(estimation, "loglik", counted_value)
+    monkeypatch.setattr(estimation, "loglik_and_grad", counted_gradient)
+    cohort, init = sim_cohort(n=400, seed=11), None
+    for model in MODELS:
+        calls.update(loglik=0, loglik_and_grad=0, hessian=0)
+        res = fit(model, cohort, init=init)
+        assert calls["loglik"] + calls["loglik_and_grad"] == res.n_evals + 2
+        assert calls["hessian"] >= 1  # the SE call at the estimate
+        init = res.estimates[: res.layout.beta_slots[1].stop]  # its GH slots
 
 
 def test_a_non_finite_information_matrix_gives_no_pd_verdict(monkeypatch):
     # a NaN Hessian says nothing about definiteness: hessian_pd is None
-    kernel = estimation.loglik_grad_hess
+    kernel = likelihoods.loglik_grad_hess
 
     def nan_hessian(params, cohort):
         ll, grad, hess = kernel(params, cohort)
         return ll, grad, np.full_like(hess, math.nan)
 
-    monkeypatch.setattr(estimation, "loglik_grad_hess", nan_hessian)
+    monkeypatch.setattr(likelihoods, "loglik_grad_hess", nan_hessian)
     res = fit("M1", sim_cohort(n=400, seed=11))
     assert res.hessian_pd is None and not res.ses_available
     assert "information matrix not finite (a rejected point or an overflow); SEs unavailable" in res.notes
@@ -591,13 +619,13 @@ def test_a_non_finite_information_matrix_gives_no_pd_verdict(monkeypatch):
 def test_an_indefinite_information_matrix_is_not_pd(monkeypatch):
     # the log-likelihood's Hessian with its sign flipped: the information
     # matrix at the estimate is negative definite, so hessian_pd is False
-    kernel = estimation.loglik_grad_hess
+    kernel = likelihoods.loglik_grad_hess
 
     def flipped(params, cohort):
         ll, grad, hess = kernel(params, cohort)
         return ll, grad, -hess
 
-    monkeypatch.setattr(estimation, "loglik_grad_hess", flipped)
+    monkeypatch.setattr(likelihoods, "loglik_grad_hess", flipped)
     res = fit("M1", sim_cohort(n=400, seed=11))
     assert res.hessian_pd is False and not res.ses_available
     assert "information matrix not positive definite; SEs unavailable" in res.notes

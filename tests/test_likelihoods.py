@@ -465,10 +465,12 @@ B_FLOOR = math.exp(-20.0)  # M3's b on the floor of the search box
 
 
 @st.composite
-def hessian_points(draw):
+def hessian_points(draw, tail=False):
     """(params, cohort): a small cohort, with 0 or 2 covariates, and a point of
-    any model whose EW terms stay off the tail (every w < 200); M3's b is on
-    the box floor e^-20 or inside."""
+    any model; M3's b is on the box floor e^-20 or inside.  Off the tail,
+    every EW term has w < 200; with ``tail``, the follow-up times are scaled
+    so that the largest w is in [200, 600), where h0's alpha-derivative takes
+    its limit and the value is still accurate."""
     model = draw(st.sampled_from(MODELS))
     p = draw(st.sampled_from([0, 2]))
     rows = st.tuples(
@@ -479,8 +481,8 @@ def hessian_points(draw):
         st.floats(0.0, 3.0),  # dhp
     )
     time, status, X, hp, dhp = zip(*draw(st.lists(rows, min_size=5, max_size=30)))
-    cohort = PreparedCohort(np.array(time), np.array(status), np.array(X).reshape(len(time), p),
-                            np.array(hp), np.array(dhp))
+    columns = np.array(status), np.array(X).reshape(len(time), p), np.array(hp), np.array(dhp)
+    cohort = PreparedCohort(np.array(time), *columns)
     positive = st.floats(-1.0, 1.0).map(math.exp)
     values = [draw(positive) for _ in range(3)] + [draw(st.floats(-0.5, 0.5)) for _ in range(2 * p)]
     if model != "M1":
@@ -490,13 +492,18 @@ def hessian_points(draw):
     params = ParamLayout.for_model(model, cohort.covariate_names).to_params(np.array(values))
     kappa, theta, _ = params.baseline
     w = (cohort.time * np.exp(cohort.X @ params.beta1) / theta) ** kappa
-    assume(np.all(w < 200.0))
+    if tail:
+        w_max = draw(st.floats(200.0, 600.0, exclude_max=True))
+        cohort = PreparedCohort(cohort.time * (w_max / w.max()) ** (1.0 / kappa), *columns)
+    else:
+        assume(np.all(w < 200.0))
     return params, cohort
 
 
-def _richardson_hessian(params, cohort):
-    """Differences of ``loglik_and_grad``'s gradient at steps h and h/2,
-    extrapolated to O(h^4) (to O(h^2), forward, for a b on the box floor)."""
+def _richardson_hessian(params, cohort, h=1e-3, levels=2):
+    """Central differences of ``loglik_and_grad``'s gradient at steps h, h/2,
+    ..., h/2^(levels-1), extrapolated to O(h^(2 levels)) (to O(h^2), forward
+    at 1e-4, for a b on the box floor)."""
     layout, vec = params.layout, params.values
     k = layout.k
 
@@ -510,14 +517,27 @@ def _richardson_hessian(params, cohort):
             e[i] = 1e-4
             g0 = grad(vec)
             J[i] = (4.0 * (grad(vec + e / 2) - g0) - (grad(vec + e) - g0)) / 1e-4
-        else:
-            e[i] = 1e-3 * max(1.0, abs(vec[i]))
-
-            def central(step):
-                return (grad(vec + step) - grad(vec - step)) / (2.0 * step[i])
-
-            J[i] = (4.0 * central(e / 2) - central(e)) / 3.0
+            continue
+        e[i] = h * max(1.0, abs(vec[i]))
+        table = []  # the last row of the Richardson table
+        for j in range(levels):
+            step = e / 2**j
+            row = [(grad(vec + step) - grad(vec - step)) / (2.0 * step[i])]
+            for m, prev in enumerate(table, 1):
+                row.append((4**m * row[-1] - prev) / (4**m - 1))
+            table = row
+        J[i] = table[-1]
     return J
+
+
+def _check_hessian(params, cohort, **reference):
+    ll, grad, hess = loglik_grad_hess(params, cohort)
+    ll2, grad2 = loglik_and_grad(params, cohort)
+    assert ll == ll2
+    assert np.max(np.abs(grad - grad2) / np.maximum(1.0, np.abs(grad2))) < 1e-12
+    ref = _richardson_hessian(params, cohort, **reference)
+    assert np.max(np.abs(hess - ref) / np.maximum(1.0, np.abs(ref))) < 1e-6
+    assert np.array_equal(hess, hess.T)
 
 
 @settings(max_examples=40, deadline=None)
@@ -525,14 +545,24 @@ def _richardson_hessian(params, cohort):
 def test_hessian_matches_richardson_differences_of_the_gradient(point):
     # the Hessian is the Jacobian of the gradient L-BFGS-B reads, off the tail,
     # for every model, and its value and gradient are those of loglik_and_grad
-    params, cohort = point
-    ll, grad, hess = loglik_grad_hess(params, cohort)
-    ll2, grad2 = loglik_and_grad(params, cohort)
-    assert ll == ll2
-    assert np.max(np.abs(grad - grad2) / np.maximum(1.0, np.abs(grad2))) < 1e-12
-    ref = _richardson_hessian(params, cohort)
-    assert np.max(np.abs(hess - ref) / np.maximum(1.0, np.abs(ref))) < 1e-6
-    assert np.array_equal(hess, hess.T)
+    _check_hessian(*point)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hessian_points(tail=True))
+def test_hessian_matches_richardson_differences_in_the_moderate_tail(point):
+    # largest w in [200, 600): the gradient's rounding grows with w, so the
+    # reference steps are 16 times longer and extrapolated one order further
+    _check_hessian(*point, h=1.6e-2, levels=3)
+
+
+def test_loglik_and_grad_with_hessian_is_loglik_grad_hess():
+    cohort = fake_cohort(60, seed=41)
+    vec = np.array([0.7, 1.5, 2.0, 0.05, 0.1, -0.1, 0.1, 0.2, 0.15, 2.5, 1.0])
+    params = ParamLayout.for_model("M3", ("x1", "x2", "x3")).to_params(vec)
+    ll, grad, hess = loglik_and_grad(params, cohort, hessian=True)
+    ll2, grad2, hess2 = loglik_grad_hess(params, cohort)
+    assert ll == ll2 and np.array_equal(grad, grad2) and np.array_equal(hess, hess2)
 
 
 def test_fd_gradient_richardson_self_consistency():
