@@ -6,22 +6,31 @@ descent (CDA) from fixed values (kappa = theta = 1, alpha = 2, betas = 0);
 M2 and M3 start where the model they extend ends (below).  The
 refinement runs bounded L-BFGS-B with analytic gradients and checks their
 max-norm on the search scale.  When the check fails it takes up to four
-damped Newton steps and checks again; when that fails too, Nelder-Mead
-runs and the round (L-BFGS-B, check, Newton polish, check) is repeated
-once from its result.  Nelder-Mead is unbounded: when the box moves its
+damped Newton steps and checks again.  When that fails too, a
+box-bounded trust-region Newton on the analytic Hessian (Nocedal &
+Wright, *Numerical Optimization*, ch. 4) runs from the polish's point and
+checks again.  Only when its end fails the check does Nelder-Mead run,
+from the polish's point, followed by the trust region from Nelder-Mead's
+end and a last check.  Nelder-Mead is unbounded: when the box moves its
 point, the moved point is evaluated and taken only if it improves on the
-refinement's point.
+refinement's point.  The fit's notes give the steps and evals of each
+trust-region run, whether its end passed the check ("certified"), and the
+evals of Nelder-Mead.
 
-Both the Newton steps and the standard errors take the analytic Hessian
-(``likelihoods.loglik_grad_hess`` through ``loglik_and_grad(hessian=True)``,
-one likelihood call) mapped to the transformed scale.  Two gradient calls check it along the eigenvector v of
-its smallest eigenvalue: r = max|(g(x + h v) - g(x - h v)) / 2h - H v| /
-max|H|, h = ``_HESSIAN_STEP``, is O(h^2) plus rounding where the analytic
-gradient is the value's and H its Jacobian.  Where r is above
-``_CURVATURE_TOL`` (1e-6) or NaN, they are not (the EW tail artefact,
-ROADMAP item 1), and that Newton step takes its Hessian from central
-differences of the values instead, 2k^2 + 1 value calls; the fit's notes
-count those steps.  The standard errors pseudo-invert H with an
+The Newton polish, the trust region and the standard errors take the
+analytic Hessian (``likelihoods.loglik_grad_hess`` through
+``loglik_and_grad(hessian=True)``, one likelihood call) mapped to the
+transformed scale.  The trust region takes it as it is: a step whose
+actual decrease falls short of the predicted one shrinks the radius and is
+not taken.  For the polish and the standard errors two gradient calls
+check it along the eigenvector v of its smallest eigenvalue:
+r = max|(g(x + h v) - g(x - h v)) / 2h - H v| / max|H|, h =
+``_HESSIAN_STEP``, is O(h^2) plus rounding where the analytic gradient is
+the value's and H its Jacobian.  Where r is above ``_CURVATURE_TOL``
+(1e-6) or NaN, they are not (the EW tail artefact, ROADMAP item 1), and
+that Newton step takes its Hessian from central differences of the values
+instead, 2k^2 + 1 value calls; the fit's notes count those steps.  The
+standard errors pseudo-invert H with an
 eigenvalue floor and map it back by the delta method; a note says when r
 at the estimate is above the tolerance, and when H is not finite or not
 PD.  The same H and gradient give the fit's Newton decrement and smallest
@@ -52,7 +61,8 @@ Tolerances, step sizes and budgets are module constants, properties of
 the method rather than of a study: ``_GRAD_TOL`` and ``_STEP_TOL`` (stops
 of L-BFGS-B and Nelder-Mead), ``_MAX_EVALS`` (per stage), ``_HESSIAN_STEP``
 (both the polish and the standard errors), ``_CURVATURE_TOL``,
-``_POLISH_STEPS``, ``_CDA_HALFWIDTH``, ``_CDA_MAXITER`` and ``_LOG_B_GRID``.
+``_POLISH_STEPS``, the trust region's ``_TR_*``, ``_CDA_HALFWIDTH``,
+``_CDA_MAXITER`` and ``_LOG_B_GRID``.
 ``FitConfig`` keeps only the random restarts (``multi_starts``, ``seed``):
 a best-of-N fit is the reference that tells whether one start found the
 MLE.
@@ -75,7 +85,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import ndtri
 
 from .errors import (
@@ -127,6 +137,17 @@ _HESSIAN_STEP = 1e-4  # step of the curvature check and of the value-difference 
 # wrong Hessian.
 _CURVATURE_TOL = 1e-6
 _POLISH_STEPS = 4
+# _trust_region: iteration budget, first and largest radius (transformed
+# scale), the ratio of actual to predicted decrease a trial must pass to be
+# taken, and the radius below which it stops
+_TR_MAX_ITER = 100
+_TR_RADIUS0 = 1.0
+_TR_RADIUS_MAX = 100.0
+_TR_ETA = 1e-4
+_TR_RADIUS_MIN = 1e-8
+# smallest eigenvalue of H + l I that _trust_step divides by, relative to
+# the larger of max|g| and max|H|
+_TR_SHIFT_MIN = 1e-12
 _CDA_HALFWIDTH = 5.0  # search window per coordinate, transformed scale
 _CDA_MAXITER = 50  # per coordinate
 # log b of the points M3's start is scanned over: the box floor, where M3
@@ -521,62 +542,161 @@ def _newton_polish(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarra
     return x, n_iter, fallbacks
 
 
-def _refine(obj: _Objective, x0: np.ndarray, bounds):
-    """Quasi-Newton refinement with a Newton polish when the gradient check fails.
+def _trust_step(g: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
+    """The s that minimizes g's + s'Hs/2 over |s| <= ``radius``.
 
-    Returns (x, n_iter, ll, gnorm, fallbacks): the log-likelihood and the
-    analytic gradient max-norm of the last check, which is made at the
-    returned x, and the curvature mismatches of the polish steps that took
-    the value stencil (see ``_newton_polish``).
+    From the eigenpairs of H (Nocedal & Wright, *Numerical Optimization*,
+    sec. 4.3): s(l) = -(H + l I)^-1 g at the smallest l >= 0 that makes
+    H + l I positive definite and |s(l)| <= radius, which is l = 0 when H
+    is positive definite and its Newton step lies inside.  In the hard
+    case, where g has no part along the eigenvector q of a negative
+    smallest eigenvalue, |s(l)| stays inside at every such l, and a
+    multiple of q, of the sign that lowers the model, takes s to the
+    boundary.  g and H are divided by the larger of their max-norms first,
+    which leaves s as it is, and l keeps every eigenvalue of H + l I at
+    ``_TR_SHIFT_MIN`` or above on that scale, so no quotient overflows or
+    divides by zero.
     """
-    lbfgsb_opts = {
-        "maxfun": _MAX_EVALS,
-        "maxiter": _MAX_EVALS,
-        "ftol": 1e2 * np.finfo(float).eps,  # near machine precision; rely on gtol
-        "gtol": _GRAD_TOL,
-    }
+    size = max(float(np.max(np.abs(g))), float(np.max(np.abs(hess))))
+    lam, q = np.linalg.eigh(hess / size)
+    a = q.T @ (g / size)
+
+    def step(shift):
+        return -(q @ (a / (lam + shift)))
+
+    shift = max(0.0, _TR_SHIFT_MIN - lam[0])
+    s = step(shift)
+    norm = float(np.linalg.norm(s))
+    if norm > radius:
+        # |s(l)| falls from norm toward 0 as l grows and is below radius / 2
+        # at the upper end; 1/|s(l)| is nearly linear in l
+        upper = shift + 2.0 * float(np.linalg.norm(a)) / radius
+        shift = brentq(lambda l: 1.0 / np.linalg.norm(step(l)) - 1.0 / radius, shift, upper)
+        s = step(shift)
+    elif lam[0] < 0:
+        # along q the model changes by t q'(g + H s) + t^2 q'Hq / 2, and
+        # g + H s = -l s
+        s += math.copysign(math.sqrt(radius**2 - norm**2), float(q[:, 0] @ s)) * q[:, 0]
+    return s
+
+
+def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Box-bounded trust-region Newton on the analytic Hessian.
+
+    Nocedal & Wright, *Numerical Optimization*, ch. 4, Alg. 4.1.  Each
+    iteration leaves out the slots on a box edge whose gradient points out
+    of the box, solves the subproblem on the others exactly
+    (``_trust_step``), clips the step to the box and scores the trial with
+    one value call.  The ratio of actual to predicted decrease sets the next
+    radius and, above ``_TR_ETA``, takes the trial, at one
+    ``value_grad_hess`` call; so x moves only to points of lower value, and
+    a rejected point (``_BIG``) is never taken.  It stops when the
+    gradient max-norm over the other slots is at most 0.2 times the check's
+    tolerance (the polish's stop), when the radius falls below
+    ``_TR_RADIUS_MIN``, when H is not finite (a rejected point or an
+    overflow in the EW tail), or after ``_TR_MAX_ITER`` iterations.
+    Returns (x, steps taken).
+    """
+    f, g, hess = obj.value_grad_hess(x)  # a rejected point gives a NaN H
+    radius = _TR_RADIUS0
+    steps = 0
+    for _ in range(_TR_MAX_ITER):
+        if not np.all(np.isfinite(hess)):
+            break
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        if np.max(np.abs(g[free]), initial=0.0) <= 0.2 * _grad_check_tol(-f):
+            break
+        s = np.zeros_like(x)
+        s[free] = _trust_step(g[free], hess[np.ix_(free, free)], radius)
+        trial = np.clip(x + s, lo, hi)
+        p = trial - x
+        predicted = -(g @ p + 0.5 * p @ hess @ p)
+        rho = (f - obj.value(trial)) / predicted if predicted > 0 else -math.inf
+        if not rho >= 0.25:
+            radius = 0.25 * float(np.linalg.norm(s))
+        elif rho > 0.75 and np.linalg.norm(s) >= 0.99 * radius:
+            radius = min(2.0 * radius, _TR_RADIUS_MAX)
+        if rho > _TR_ETA:
+            x = trial
+            f, g, hess = obj.value_grad_hess(x)
+            steps += 1
+        if radius < _TR_RADIUS_MIN:
+            break
+    return x, steps
+
+
+def _refine(obj: _Objective, x0: np.ndarray, bounds):
+    """L-BFGS-B, a Newton polish and a trust region, each ended by a gradient check.
+
+    The stages run in turn until a check passes: L-BFGS-B; the Newton
+    polish (``_newton_polish``); the trust region (``_trust_region``) from
+    the polish's point.  Where the trust region's end fails too,
+    Nelder-Mead runs from the polish's point, and the trust region once
+    more from its end (or not at all, when Nelder-Mead did not move the
+    point: the first run is that run).  Returns (x, n_iter, ll, gnorm,
+    fallbacks, notes): the log-likelihood and the analytic gradient
+    max-norm of the last check, which is made at the returned x; the
+    curvature mismatches of the polish steps that took the value stencil;
+    and one note per trust-region and Nelder-Mead run with its evals.
+    """
     lo, hi = np.array(bounds).T
     x = np.clip(x0, lo, hi)
-    n_iter = 0
-    fallbacks = []
-    for attempt in range(2):
-        res = minimize(
-            obj.value_and_grad, x, jac=True, method="L-BFGS-B", bounds=bounds,
-            options=lbfgsb_opts,
-        )
-        if math.isfinite(res.fun) and res.fun <= obj.value(x):
-            x = res.x
-        n_iter += int(res.nit)
-        # ll (after L-BFGS-B) sets the Nelder-Mead tolerance; ll_x follows x
-        ll, gnorm = obj.check(x)
-        ll_x = ll
-        if gnorm <= _grad_check_tol(ll):
-            break
-        x, polish_iter, polish_fallbacks = _newton_polish(obj, x, lo, hi)
-        n_iter += polish_iter
-        fallbacks += polish_fallbacks
+    res = minimize(
+        obj.value_and_grad, x, jac=True, method="L-BFGS-B", bounds=bounds,
+        options={
+            "maxfun": _MAX_EVALS,
+            "maxiter": _MAX_EVALS,
+            "ftol": 1e2 * np.finfo(float).eps,  # near machine precision; rely on gtol
+            "gtol": _GRAD_TOL,
+        },
+    )
+    if math.isfinite(res.fun) and res.fun <= obj.value(x):
+        x = res.x
+    n_iter = int(res.nit)
+    ll, gnorm = obj.check(x)  # ll after L-BFGS-B sets the Nelder-Mead tolerance
+    if gnorm <= _grad_check_tol(ll):
+        return x, n_iter, ll, gnorm, [], []
+    x, polish_iter, fallbacks = _newton_polish(obj, x, lo, hi)
+    n_iter += polish_iter
+    ll_x, gnorm = obj.check(x)
+    if gnorm <= _grad_check_tol(ll_x):
+        return x, n_iter, ll_x, gnorm, fallbacks, []
+
+    notes = []
+
+    def trust_region(x):
+        evals = obj.n_evals
+        x, steps = _trust_region(obj, x, lo, hi)
         ll_x, gnorm = obj.check(x)
-        if gnorm <= _grad_check_tol(ll_x):
-            break
-        if attempt == 0:
-            simplex = minimize(
-                obj.value,
-                x,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": _MAX_EVALS,
-                    "xatol": _STEP_TOL,
-                    "fatol": 1e-13 * (1 + abs(ll)),
-                },
-            )
-            # the simplex is unbounded: a point the clip moves is a new point
-            f_x = obj.value(x)
-            if simplex.fun < f_x:
-                cand = np.clip(simplex.x, lo, hi)
-                if np.array_equal(cand, simplex.x) or obj.value(cand) < f_x:
-                    x = cand
-                    n_iter += int(simplex.nit)
-    return x, n_iter, ll_x, gnorm, fallbacks
+        passed = gnorm <= _grad_check_tol(ll_x)
+        notes.append(f"trust region: {steps} step(s), {obj.n_evals - evals} evals, "
+                     f"{'certified' if passed else 'not certified'}")
+        return x, steps, ll_x, gnorm, passed
+
+    x_tr, steps, ll_tr, gnorm_tr, passed = trust_region(x)
+    n_iter += steps
+    if passed:
+        return x_tr, n_iter, ll_tr, gnorm_tr, fallbacks, notes
+    evals = obj.n_evals
+    simplex = minimize(
+        obj.value,
+        x,
+        method="Nelder-Mead",
+        options={"maxfev": _MAX_EVALS, "xatol": _STEP_TOL, "fatol": 1e-13 * (1 + abs(ll))},
+    )
+    # the simplex is unbounded: a point the clip moves is a new point
+    f_x = obj.value(x)
+    moved = False
+    if simplex.fun < f_x:
+        cand = np.clip(simplex.x, lo, hi)
+        if np.array_equal(cand, simplex.x) or obj.value(cand) < f_x:
+            x, moved = cand, True
+            n_iter += int(simplex.nit)
+    notes.append(f"Nelder-Mead: {obj.n_evals - evals} evals")
+    if not moved:
+        return x_tr, n_iter, ll_tr, gnorm_tr, fallbacks, notes
+    x, steps, ll_x, gnorm, _ = trust_region(x)
+    return x, n_iter + steps, ll_x, gnorm, fallbacks, notes
 
 
 def _standardized_objective(model: str, cohort: PreparedCohort):
@@ -654,7 +774,7 @@ def fit(
         starts += [t0 + rng.normal(0.0, 0.3, k) for _ in range(cfg.multi_starts)]
     starts = [np.clip(s, *np.array(bounds[:k]).T) for s in starts]
 
-    x_hat, best_ll, gnorm, total_iter, fallbacks = None, -np.inf, math.nan, 0, []
+    x_hat, best_ll, gnorm, total_iter, fallbacks, stage_notes = None, -np.inf, math.nan, 0, [], []
     for s in starts:
         if search is obj:
             try:
@@ -670,9 +790,10 @@ def fit(
         if warm is None:
             log.warning("%s: start rejected (non-finite likelihood)", model)
             continue
-        x, n_iter, ll, x_gnorm, x_fallbacks = _refine(search, warm, bounds)
+        x, n_iter, ll, x_gnorm, x_fallbacks, x_notes = _refine(search, warm, bounds)
         total_iter += n_iter
         fallbacks += x_fallbacks
+        stage_notes += x_notes
         if ll > best_ll:
             best_ll, x_hat, gnorm = ll, x, x_gnorm
     if x_hat is None:
@@ -695,7 +816,7 @@ def fit(
     mismatch = _curvature_mismatch(obj.grad, x_hat, H)
     finite = bool(np.all(np.isfinite(H)))
     cov_s, cov_problem = _covariance(H)
-    notes = []
+    notes = stage_notes
     if fallbacks:
         notes.append(_fallback_note(fallbacks))
     at_bound = tuple(

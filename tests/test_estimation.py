@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from exhaz.estimation import (
     _CURVATURE_TOL,
     _HESSIAN_STEP,
     _LOG_B_GRID,
+    _TR_RADIUS0,
     FitConfig,
     FitResult,
     ParamLayout,
@@ -30,6 +32,8 @@ from exhaz.estimation import (
     _Profiled,
     _refine,
     _standardized_objective,
+    _trust_region,
+    _trust_step,
     cda_warm_start,
     confidence_intervals,
     fit,
@@ -44,6 +48,14 @@ from exhaz.likelihoods import (
     PreparedCohort,
     loglik,
     loglik_and_grad,
+    prepare_cohort,
+)
+from exhaz.simulation import (
+    COVARIATES,
+    builtin_scenarios,
+    calibrate_dropout_rate,
+    design_life_table,
+    generate_cohort,
 )
 
 from conftest import model_params, sim_cohort
@@ -838,28 +850,48 @@ def test_analytic_gradient_matches_richardson_differences_at_a_fit_end_point(m3_
 
 class _Toy:
     """_refine's view of an objective: f(x) = (x0 - 3)^2 + 10 (x1 - x0 + 2)^2,
-    rejected (_BIG, zero gradient) on the strip x0 in [0.99, 1], x1 >= 0.5."""
+    rejected (_BIG, zero gradient) on the strip x0 in [0.99, 1], x1 >= 0.5.
+    Counts its calls in ``n_evals`` and logs them as _LinearField does."""
 
-    def value_and_grad(self, x):
+    def __init__(self):
+        self.n_evals = 0
+        self.calls = []
+        self.points = []  # the point of each call
+
+    def _log(self, call, x):
+        self.n_evals += 1
+        self.calls.append(call)
+        self.points.append(np.array(x, dtype=float))
+
+    @staticmethod
+    def _value_and_grad(x):
         if 0.99 <= x[0] <= 1.0 and x[1] >= 0.5:
             return _BIG, np.zeros(2)
         a, b = x[0] - 3.0, x[1] - x[0] + 2.0
         return a * a + 10.0 * b * b, np.array([2.0 * a - 20.0 * b, 20.0 * b])
 
+    def value_and_grad(self, x):
+        self._log("vg", x)
+        return self._value_and_grad(x)
+
     def value(self, x):
-        return self.value_and_grad(x)[0]
+        self._log("v", x)
+        return self._value_and_grad(x)[0]
 
     def value_grad_hess(self, x):
-        f, g = self.value_and_grad(x)
+        self._log("vgh", x)
+        f, g = self._value_and_grad(x)
         hess = np.array([[22.0, -20.0], [-20.0, 20.0]])
         return f, g, hess if f < _BIG else np.full((2, 2), np.nan)
 
     def grad(self, x):
-        f, g = self.value_and_grad(x)
+        self._log("g", x)
+        f, g = self._value_and_grad(x)
         return g if f < _BIG else np.full_like(x, np.nan)
 
     def check(self, x):
-        f, g = self.value_and_grad(x)
+        self._log("vg", x)
+        f, g = self._value_and_grad(x)
         return -f, float(np.max(np.abs(g))) if f < _BIG else math.nan
 
 
@@ -868,10 +900,15 @@ def test_refine_keeps_its_point_when_the_clipped_simplex_point_is_worse():
     # points out of the box, so the check fails and Nelder-Mead runs.  Its
     # unbounded minimum (3, 1) clips to (1, 1), a rejected point: it must be
     # evaluated and turned down, not taken on the simplex's value.
+    # The trust region before it stops at once: the gradient is zero on the
+    # one slot off the edge.  Nelder-Mead does not move the point, so the
+    # trust region does not run again.
     obj = _Toy()
-    x, _, ll, gnorm, _ = _refine(obj, np.array([0.0, 0.0]), [(-1.0, 1.0), (-1.0, 1.0)])
+    x, _, ll, gnorm, _, notes = _refine(obj, np.array([0.0, 0.0]), [(-1.0, 1.0), (-1.0, 1.0)])
     assert np.allclose(x, [1.0, -1.0], atol=1e-6)
     assert ll == pytest.approx(-4.0, abs=1e-9) and gnorm == pytest.approx(4.0, abs=1e-6)
+    assert notes[0] == "trust region: 0 step(s), 2 evals, not certified"
+    assert len(notes) == 2 and notes[1].startswith("Nelder-Mead: ")
 
 
 _A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
@@ -883,11 +920,13 @@ class _LinearField:
     """The value 0.5 (x - c)' A (x - c) with the linear field M (x - c) as its
     "gradient" and the symmetric part of M as its "Hessian", as an analytic
     Hessian is the Jacobian of the analytic gradient; a gradient only when
-    M = A.  Logs each call: "vgh" for value_grad_hess, "vg" for
-    value_and_grad, "g" for grad and "v" for value."""
+    M = A.  A defaults to _A; it may be indefinite.  Logs each call: "vgh"
+    for value_grad_hess, "vg" for value_and_grad, "g" for grad and "v" for
+    value."""
 
-    def __init__(self, M):
+    def __init__(self, M, A=_A):
         self.M = M
+        self.A = A
         self.calls = []
 
     def value_grad_hess(self, x):
@@ -896,7 +935,7 @@ class _LinearField:
 
     def _value(self, x):
         d = x - _C
-        return 0.5 * float(d @ _A @ d)
+        return 0.5 * float(d @ self.A @ d)
 
     def value_and_grad(self, x):
         self.calls.append("vg")
@@ -950,6 +989,107 @@ def test_polish_takes_the_value_stencil_where_the_gradient_jacobian_is_asymmetri
             len(step) - len(stencil)
         )
         assert len(step) > len(stencil)  # at least one damped candidate
+
+
+def test_trust_region_ends_a_convex_quadratic_in_one_accepted_step():
+    # the Newton step from x0 lies inside the first radius: one information
+    # call, one trial value, and the information call that finds g = 0
+    obj = _LinearField(_A)
+    k = len(_C)
+    x0 = 0.5 * _C
+    assert np.linalg.norm(_C - x0) < _TR_RADIUS0
+    x, steps = _trust_region(obj, x0, np.full(k, -10.0), np.full(k, 10.0))
+    assert obj.calls == ["vgh", "v", "vgh"] and steps == 1
+    assert np.allclose(x, _C, rtol=0, atol=1e-12)
+
+
+# indefinite: the value falls along e0 away from c, so its minima on the box
+# c +/- 1 are c +/- e0
+_SADDLE = np.diag([-1.0, 2.0, 1.0])
+
+
+def test_trust_region_leaves_a_saddle_along_its_negative_curvature():
+    obj = _LinearField(_SADDLE, _SADDLE)
+    x, steps = _trust_region(obj, _C + np.array([0.1, 0.3, -0.2]), _C - 1.0, _C + 1.0)
+    assert steps >= 1
+    assert x[0] == _C[0] + 1.0
+    assert np.allclose(x[1:], _C[1:], rtol=0, atol=1e-9)
+
+
+def test_trust_region_hard_case_steps_along_the_negative_curvature_without_a_warning():
+    # g = (0, 0.6, -0.2) has no part along e0, the eigenvector of -1: every
+    # shift l > 1 leaves |s(l)| < 0.5 and the step reaches the radius along e0
+    g = _SADDLE @ np.array([0.0, 0.3, -0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = _trust_step(g, _SADDLE, 1.0)
+        obj = _LinearField(_SADDLE, _SADDLE)
+        x, _ = _trust_region(obj, _C + np.array([0.0, 0.3, -0.2]), _C - 1.0, _C + 1.0)
+    assert np.linalg.norm(s) == pytest.approx(1.0, rel=1e-12)
+    assert abs(s[0]) > 0.9
+    assert g @ s + 0.5 * s @ _SADDLE @ s < 0
+    assert abs(x[0] - _C[0]) == 1.0
+    assert np.allclose(x[1:], _C[1:], rtol=0, atol=1e-9)
+
+
+def test_trust_region_stops_on_the_box_edge_where_the_gradient_points_out():
+    # the minimum over x2 <= 0 has x2 on the edge, where the gradient points
+    # out of the box; the other two slots solve A's first two rows
+    obj = _LinearField(_A)
+    lo, hi = np.full(3, -10.0), np.array([10.0, 10.0, 0.0])
+    x, _ = _trust_region(obj, np.array([0.0, 0.0, -0.5]), lo, hi)
+    assert x[2] == 0.0
+    expected = _C[:2] + np.linalg.solve(_A[:2, :2], _A[:2, 2] * _C[2])
+    assert np.allclose(x[:2], expected, rtol=0, atol=1e-9)
+    g = _A @ (x - _C)
+    assert g[2] < 0 and np.max(np.abs(g[:2])) <= 1e-9
+
+
+def test_trust_region_shrinks_the_radius_at_a_rejected_point_and_never_takes_it():
+    # From (0.4, 1.2) the first trial is clipped into the toy's rejected
+    # strip.  The radius falls to a quarter of that step, the next trial
+    # lies within it, and the run ends at the box minimum (1, -1).  Each
+    # trial costs one value call and each step taken one information call
+    # at the trial's point.
+    obj = _Toy()
+    x0 = np.array([0.4, 1.2])
+    x, steps = _trust_region(obj, x0, np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
+    assert np.allclose(x, [1.0, -1.0], rtol=0, atol=1e-9)
+    assert set(obj.calls) == {"vgh", "v"} and obj.calls[0] == "vgh"
+    trials = [p for c, p in zip(obj.calls, obj.points) if c == "v"]
+    rejected = [i for i, p in enumerate(trials) if obj._value_and_grad(p)[0] >= _BIG]
+    assert rejected == [0]
+    assert np.linalg.norm(trials[1] - x0) <= 0.25 * _TR_RADIUS0 + 1e-12
+    taken = [p for c, p in zip(obj.calls, obj.points) if c == "vgh"]
+    assert len(taken) == steps + 1 and len(trials) == steps + 1
+    for i in range(1, len(obj.calls)):
+        if obj.calls[i] == "vgh":  # only a trial just scored is taken
+            assert obj.calls[i - 1] == "v" and np.array_equal(obj.points[i], obj.points[i - 1])
+    values = [obj._value_and_grad(p)[0] for p in taken]
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_trust_region_reaches_the_stationary_point_beyond_an_indefinite_lbfgsb_end():
+    # wide-dropout, n = 1000, replicate 8, drop-out calibrated as in the
+    # recovery study.  L-BFGS-B stops M3 where the information matrix is
+    # indefinite, and the Newton polish does not converge there.  Without the
+    # trust region the fit ended "converged" after 2231 evals, 0.105 below
+    # the stationary point at -1192.780928, where H is positive definite.
+    table = design_life_table()
+    sc = replace(builtin_scenarios()["wide-dropout"], n=1000)
+    rate, _ = calibrate_dropout_rate(sc, sc.dropout_target, table)
+    sc = replace(sc, dropout_rate=rate, dropout_target=None)
+    cohort = prepare_cohort(
+        generate_cohort(sc, 8, table), table, advance_year=sc.advance_year,
+        covariate_names=COVARIATES,
+    )
+    m3 = fit_all(cohort)["M3"]
+    assert m3.converged
+    assert m3.loglik >= -1192.780928 - 1e-6
+    assert m3.min_eig > 0
+    assert m3.n_evals <= 600
+    assert any(n.startswith("trust region: ") and n.endswith(", certified") for n in m3.notes)
+    assert not any(n.startswith("Nelder-Mead") for n in m3.notes)
 
 
 def test_a_rejected_point_gives_a_nan_curvature_mismatch():

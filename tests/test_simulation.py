@@ -272,8 +272,11 @@ def test_m4_pools_the_fit_aic_chose(table):
 
 def test_study_counts_pooled_fits_on_the_box_edge(table, tmp_path):
     # On this cohort M2 ends with gamma on the box floor e^-20, is flagged
-    # converged, and AIC picks it for M4 (M3 does not converge).
-    sc = replace(builtin_scenarios()["wide"], n=300, n_replicates=1, admin_censor_time=30.0)
+    # converged, and AIC picks it for M4 (M3 does not converge: it ends with
+    # beta1_age and beta1_w on the box).
+    sc = replace(
+        builtin_scenarios()["wide"], n=300, n_replicates=1, admin_censor_time=30.0, seed=20
+    )
     study = run_study(sc, table)
     assert study.params["M4"]["c"].mmle == pytest.approx(math.exp(-20.0), rel=1e-12)
     assert study.at_bound == {"M1": 0, "M2": 1, "M3": 0, "M4": 1}
