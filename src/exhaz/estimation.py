@@ -5,37 +5,31 @@ a start, then a refinement.  M1 starts with one cycle of coordinate
 descent (CDA) from fixed values (kappa = theta = 1, alpha = 2, betas = 0);
 M2 and M3 start where the model they extend ends (below).  The
 refinement runs bounded L-BFGS-B with analytic gradients and checks their
-max-norm on the search scale.  When the check fails it takes up to four
-damped Newton steps and checks again.  When that fails too, a
-box-bounded trust-region Newton on the analytic Hessian (Nocedal &
-Wright, *Numerical Optimization*, ch. 4) runs from the polish's point and
-checks again.  Only when its end fails the check does Nelder-Mead run,
-from the polish's point, followed by the trust region from Nelder-Mead's
-end and a last check.  Nelder-Mead is unbounded: when the box moves its
-point, the moved point is evaluated and taken only if it improves on the
-refinement's point.  The fit's notes give the steps and evals of each
-trust-region run, whether its end passed the check ("certified"), and the
-evals of Nelder-Mead.
+max-norm on the search scale.  When the check fails, a box-bounded
+trust-region Newton on the analytic Hessian (Nocedal & Wright, *Numerical
+Optimization*, ch. 4) runs from L-BFGS-B's end and checks again.  When
+its end fails too, the trust region runs once more from the model's own
+start (M1's fixed values before CDA, M2's and M3's start), and its end is
+taken when it passes the check; otherwise the first run's end stands.
+The fit's notes give the start, steps and evals of each trust-region run
+and whether its end passed the check ("certified").
 
-The Newton polish, the trust region and the standard errors take the
-analytic Hessian (``likelihoods.loglik_grad_hess`` through
+The trust region and the standard errors take the analytic Hessian
+(``likelihoods.loglik_grad_hess`` through
 ``loglik_and_grad(hessian=True)``, one likelihood call) mapped to the
 transformed scale.  The trust region takes it as it is: a step whose
 actual decrease falls short of the predicted one shrinks the radius and is
-not taken.  For the polish and the standard errors two gradient calls
-check it along the eigenvector v of its smallest eigenvalue:
-r = max|(g(x + h v) - g(x - h v)) / 2h - H v| / max|H|, h =
-``_HESSIAN_STEP``, is O(h^2) plus rounding where the analytic gradient is
-the value's and H its Jacobian.  Where r is above ``_CURVATURE_TOL``
-(1e-6) or NaN, they are not (the EW tail artefact, ROADMAP item 1), and
-that Newton step takes its Hessian from central differences of the values
-instead, 2k^2 + 1 value calls; the fit's notes count those steps.  The
-standard errors pseudo-invert H with an
-eigenvalue floor and map it back by the delta method; a note says when r
-at the estimate is above the tolerance, and when H is not finite or not
-PD.  The same H and gradient give the fit's Newton decrement and smallest
-eigenvalue, at no further call.  A fit that ends within 1e-6 of an edge
-of the search box names those parameters in ``at_bound`` and in its notes.
+not taken.  For the standard errors two gradient calls check it along the
+eigenvector v of its smallest eigenvalue: r = max|(g(x + h v) - g(x - h
+v)) / 2h - H v| / max|H|, h = ``_HESSIAN_STEP``, is O(h^2) plus rounding
+where the analytic gradient is the value's and H its Jacobian; where r is
+above ``_CURVATURE_TOL`` (1e-6) or NaN, they are not (the EW tail
+artefact, ROADMAP item 1), and a note says so.  The standard errors
+pseudo-invert H with an eigenvalue floor and map it back by the delta
+method; a note says when H is not finite or not PD.  The same H and
+gradient give the fit's Newton decrement and smallest eigenvalue, at no
+further call.  A fit that ends within 1e-6 of an edge of the search box
+names those parameters in ``at_bound`` and in its notes.
 
 The multiplier of h_P, M2's gamma and M3's mu, is profiled out.  For
 fixed GH parameters M2's log-likelihood is strictly concave in gamma, and
@@ -58,11 +52,10 @@ unchanged; ``converged``, the gradient norm, the log-likelihood and the
 SEs are those of the model's full objective at the joint estimate.
 
 Tolerances, step sizes and budgets are module constants, properties of
-the method rather than of a study: ``_GRAD_TOL`` and ``_STEP_TOL`` (stops
-of L-BFGS-B and Nelder-Mead), ``_MAX_EVALS`` (per stage), ``_HESSIAN_STEP``
-(both the polish and the standard errors), ``_CURVATURE_TOL``,
-``_POLISH_STEPS``, the trust region's ``_TR_*``, ``_CDA_HALFWIDTH``,
-``_CDA_MAXITER`` and ``_LOG_B_GRID``.
+the method rather than of a study: ``_GRAD_TOL`` and ``_MAX_EVALS``
+(L-BFGS-B's stop and budget), ``_HESSIAN_STEP`` and ``_CURVATURE_TOL``
+(the standard errors' curvature check), the trust region's ``_TR_*``,
+``_CDA_HALFWIDTH``, ``_CDA_MAXITER`` and ``_LOG_B_GRID``.
 ``FitConfig`` keeps only the random restarts (``multi_starts``, ``seed``):
 a best-of-N fit is the reference that tells whether one start found the
 MLE.
@@ -125,18 +118,15 @@ _EPS_CUBE_ROOT = float(np.finfo(float).eps ** (1.0 / 3.0))
 _BIG = 1e15  # objective value returned for rejected (non-finite) points
 _BOUND_TOL = 1e-6  # transformed-scale distance that counts as sitting on the box edge
 _GRAD_TOL = 1e-6  # L-BFGS-B gtol
-_STEP_TOL = 1e-9  # Nelder-Mead xatol
-_MAX_EVALS = 2000  # per stage
-_HESSIAN_STEP = 1e-4  # step of the curvature check and of the value-difference Hessian
-# Curvature mismatch (_curvature_mismatch) above which the analytic gradient
-# and Hessian are not taken for the value's (see _newton_polish).  On the
-# perfbench panels (seed 1) points with every w below 200 read 2e-23 to
-# 4e-10, and points with a patient far in the EW tail (w > 600) 1.4e-4 to
-# 1.02, or NaN where the Hessian overflows.  Inside that gap the lower end
-# is chosen: a needless fallback costs only evals, a missed one a step on a
-# wrong Hessian.
+_MAX_EVALS = 2000  # L-BFGS-B's budget
+_HESSIAN_STEP = 1e-4  # step of the curvature check
+# Curvature mismatch (_curvature_mismatch) above which the SEs' note says the
+# analytic gradient and Hessian are not the value's.  On the perfbench
+# panels (seed 1) points with every w below 200 read 2e-23 to 4e-10, and
+# points with a patient far in the EW tail (w > 600) 1.4e-4 to 1.02, or NaN
+# where the Hessian overflows.  Inside that gap the lower end is chosen: a
+# needless note costs nothing, a missed one hides SEs from a wrong Hessian.
 _CURVATURE_TOL = 1e-6
-_POLISH_STEPS = 4
 # _trust_region: iteration budget, first and largest radius (transformed
 # scale), the ratio of actual to predicted decrease a trial must pass to be
 # taken, and the radius below which it stops
@@ -421,24 +411,6 @@ def cda_warm_start(
     return x
 
 
-def _fd_hessian(value: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Hessian, symmetrized."""
-    k = len(x)
-    H = np.empty((k, k))
-    f0 = value(x)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h
-        H[i, i] = (value(x + ei) + value(x - ei) - 2 * f0) / h**2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                value(x + ei + ej) + value(x - ei - ej) - value(x + ei - ej) - value(x - ei + ej)
-            ) / (4 * h**2)
-    return 0.5 * (H + H.T)
-
-
 def _curvature_mismatch(
     grad: Callable[[np.ndarray], np.ndarray], x: np.ndarray, hess: np.ndarray
 ) -> float:
@@ -502,46 +474,6 @@ def _grad_check_tol(ll: float) -> float:
     return 1e-3 * (1.0 + abs(ll)) * _EPS_CUBE_ROOT
 
 
-def _newton_polish(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Damped Newton steps with the analytic gradient and Hessian.
-
-    Cleans up the last decades of gradient norm on flat ridges where
-    L-BFGS-B's line search gives up.  Each step takes the value, gradient
-    and Hessian from one likelihood call and checks the Hessian with two
-    gradient calls (``_curvature_mismatch``).  Where the mismatch is NaN
-    or above ``_CURVATURE_TOL`` the gradient is not the value's, and the
-    step takes the Hessian from central differences of the values instead
-    (2k^2 + 1 value calls).  Candidates are clipped to the box; x is kept
-    unless the objective improves.  Returns (x, n_iter, fallbacks),
-    ``fallbacks`` holding the mismatch of each step that took the value
-    stencil.
-    """
-    n_iter = 0
-    fallbacks = []
-    for _ in range(_POLISH_STEPS):
-        f, g, H = obj.value_grad_hess(x)  # a rejected point gives _BIG and a zero g
-        if f >= _BIG or np.max(np.abs(g)) <= 0.2 * _grad_check_tol(-f):
-            break
-        mismatch = _curvature_mismatch(obj.grad, x, H)
-        if not mismatch <= _CURVATURE_TOL:
-            fallbacks.append(mismatch)
-            H = _fd_hessian(obj.value, x, _HESSIAN_STEP)
-        eigval, eigvec = np.linalg.eigh(H)
-        floor = max(1e-8 * float(np.max(np.abs(eigval))), 1e-12)
-        step = -(eigvec @ ((eigvec.T @ g) / np.maximum(eigval, floor)))
-        accepted = False
-        for damp in (1.0, 0.5, 0.25, 0.1, 0.01):
-            cand = np.clip(x + damp * step, lo, hi)
-            if obj.value(cand) <= f:
-                x = cand
-                accepted = True
-                n_iter += 1
-                break
-        if not accepted:
-            break
-    return x, n_iter, fallbacks
-
-
 def _trust_step(g: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
     """The s that minimizes g's + s'Hs/2 over |s| <= ``radius``.
 
@@ -592,9 +524,9 @@ def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
     ``value_grad_hess`` call; so x moves only to points of lower value, and
     a rejected point (``_BIG``) is never taken.  It stops when the
     gradient max-norm over the other slots is at most 0.2 times the check's
-    tolerance (the polish's stop), when the radius falls below
-    ``_TR_RADIUS_MIN``, when H is not finite (a rejected point or an
-    overflow in the EW tail), or after ``_TR_MAX_ITER`` iterations.
+    tolerance, when the radius falls below ``_TR_RADIUS_MIN``, when H is
+    not finite (a rejected point or an overflow in the EW tail), or after
+    ``_TR_MAX_ITER`` iterations.
     Returns (x, steps taken).
     """
     f, g, hess = obj.value_grad_hess(x)  # a rejected point gives a NaN H
@@ -625,19 +557,18 @@ def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
     return x, steps
 
 
-def _refine(obj: _Objective, x0: np.ndarray, bounds):
-    """L-BFGS-B, a Newton polish and a trust region, each ended by a gradient check.
+def _refine(obj: _Objective, x0: np.ndarray, start: np.ndarray, bounds):
+    """L-BFGS-B from ``x0`` and the trust region after it, each ended by a gradient check.
 
-    The stages run in turn until a check passes: L-BFGS-B; the Newton
-    polish (``_newton_polish``); the trust region (``_trust_region``) from
-    the polish's point.  Where the trust region's end fails too,
-    Nelder-Mead runs from the polish's point, and the trust region once
-    more from its end (or not at all, when Nelder-Mead did not move the
-    point: the first run is that run).  Returns (x, n_iter, ll, gnorm,
-    fallbacks, notes): the log-likelihood and the analytic gradient
-    max-norm of the last check, which is made at the returned x; the
-    curvature mismatches of the polish steps that took the value stencil;
-    and one note per trust-region and Nelder-Mead run with its evals.
+    L-BFGS-B runs from ``x0``, and its end is returned when it passes the
+    check.  Otherwise the trust region (``_trust_region``) runs from that
+    end, and its end is returned when it passes.  Otherwise the trust region
+    runs once more, from ``start`` (the model's own start, before any warm
+    start), and its end is returned when it passes; when it fails too, the
+    end of the first run is.  Returns (x, n_iter, ll, gnorm, notes): the
+    log-likelihood and the analytic gradient max-norm of the check made at
+    the returned x, and one note per trust-region run with its start, steps
+    and evals and whether its end passed the check ("certified").
     """
     lo, hi = np.array(bounds).T
     x = np.clip(x0, lo, hi)
@@ -653,50 +584,25 @@ def _refine(obj: _Objective, x0: np.ndarray, bounds):
     if math.isfinite(res.fun) and res.fun <= obj.value(x):
         x = res.x
     n_iter = int(res.nit)
-    ll, gnorm = obj.check(x)  # ll after L-BFGS-B sets the Nelder-Mead tolerance
+    ll, gnorm = obj.check(x)
     if gnorm <= _grad_check_tol(ll):
-        return x, n_iter, ll, gnorm, [], []
-    x, polish_iter, fallbacks = _newton_polish(obj, x, lo, hi)
-    n_iter += polish_iter
-    ll_x, gnorm = obj.check(x)
-    if gnorm <= _grad_check_tol(ll_x):
-        return x, n_iter, ll_x, gnorm, fallbacks, []
+        return x, n_iter, ll, gnorm, []
 
     notes = []
-
-    def trust_region(x):
+    ends = []
+    for origin, x in (("L-BFGS-B's end", x), ("the model's start", np.clip(start, lo, hi))):
         evals = obj.n_evals
         x, steps = _trust_region(obj, x, lo, hi)
-        ll_x, gnorm = obj.check(x)
-        passed = gnorm <= _grad_check_tol(ll_x)
-        notes.append(f"trust region: {steps} step(s), {obj.n_evals - evals} evals, "
-                     f"{'certified' if passed else 'not certified'}")
-        return x, steps, ll_x, gnorm, passed
-
-    x_tr, steps, ll_tr, gnorm_tr, passed = trust_region(x)
-    n_iter += steps
-    if passed:
-        return x_tr, n_iter, ll_tr, gnorm_tr, fallbacks, notes
-    evals = obj.n_evals
-    simplex = minimize(
-        obj.value,
-        x,
-        method="Nelder-Mead",
-        options={"maxfev": _MAX_EVALS, "xatol": _STEP_TOL, "fatol": 1e-13 * (1 + abs(ll))},
-    )
-    # the simplex is unbounded: a point the clip moves is a new point
-    f_x = obj.value(x)
-    moved = False
-    if simplex.fun < f_x:
-        cand = np.clip(simplex.x, lo, hi)
-        if np.array_equal(cand, simplex.x) or obj.value(cand) < f_x:
-            x, moved = cand, True
-            n_iter += int(simplex.nit)
-    notes.append(f"Nelder-Mead: {obj.n_evals - evals} evals")
-    if not moved:
-        return x_tr, n_iter, ll_tr, gnorm_tr, fallbacks, notes
-    x, steps, ll_x, gnorm, _ = trust_region(x)
-    return x, n_iter + steps, ll_x, gnorm, fallbacks, notes
+        n_iter += steps
+        ll, gnorm = obj.check(x)
+        passed = gnorm <= _grad_check_tol(ll)
+        notes.append(f"trust region from {origin}: {steps} step(s), {obj.n_evals - evals} "
+                     f"evals, {'certified' if passed else 'not certified'}")
+        if passed:
+            return x, n_iter, ll, gnorm, notes
+        ends.append((x, ll, gnorm))
+    x, ll, gnorm = ends[0]
+    return x, n_iter, ll, gnorm, notes
 
 
 def _standardized_objective(model: str, cohort: PreparedCohort):
@@ -737,9 +643,12 @@ def fit(
     counted in this one's ``n_evals``.  M1 starts with one CDA cycle from
     ``init``; M2 starts at ``init`` itself, with gamma profiled out; M3 at
     the best of ``init`` with each log b of ``_LOG_B_GRID``, with mu
-    profiled out, the grid's values counted in ``n_evals``.  A start whose
-    value is not finite is skipped with a warning, and NonFiniteLikelihood
-    ("<model>: no usable starting point") is raised when every start is.
+    profiled out, the grid's values counted in ``n_evals``.  ``_refine``
+    searches from there; the model's own start, from which its trust region
+    restarts, is M1's point before CDA and M2's and M3's start itself.  A
+    start whose value is not finite is skipped with a warning, and
+    NonFiniteLikelihood ("<model>: no usable starting point") is raised
+    when every start is.
     With ``cfg.multi_starts`` > 0, that many perturbed restarts (Gaussian
     noise, sd 0.3 on the transformed GH slots) are run, M3 scanning log b
     for each, and the best likelihood wins.
@@ -774,9 +683,12 @@ def fit(
         starts += [t0 + rng.normal(0.0, 0.3, k) for _ in range(cfg.multi_starts)]
     starts = [np.clip(s, *np.array(bounds[:k]).T) for s in starts]
 
-    x_hat, best_ll, gnorm, total_iter, fallbacks, stage_notes = None, -np.inf, math.nan, 0, [], []
+    x_hat, best_ll, gnorm, total_iter, stage_notes = None, -np.inf, math.nan, 0, []
     for s in starts:
+        # the trust region's restart (see _refine): M1's start before CDA,
+        # M2's and M3's start itself
         if search is obj:
+            restart = s
             try:
                 warm = cda_warm_start(obj.value, s, bounds=bounds)
             except NonFiniteLikelihood:
@@ -786,13 +698,12 @@ def fit(
             points = [s] if model == "M2" else [np.append(s, v) for v in _LOG_B_GRID]
             values = [search.value(p) for p in points]
             best = int(np.argmin(values))
-            warm = points[best] if values[best] < _BIG else None
+            warm = restart = points[best] if values[best] < _BIG else None
         if warm is None:
             log.warning("%s: start rejected (non-finite likelihood)", model)
             continue
-        x, n_iter, ll, x_gnorm, x_fallbacks, x_notes = _refine(search, warm, bounds)
+        x, n_iter, ll, x_gnorm, x_notes = _refine(search, warm, restart, bounds)
         total_iter += n_iter
-        fallbacks += x_fallbacks
         stage_notes += x_notes
         if ll > best_ll:
             best_ll, x_hat, gnorm = ll, x, x_gnorm
@@ -817,8 +728,6 @@ def fit(
     finite = bool(np.all(np.isfinite(H)))
     cov_s, cov_problem = _covariance(H)
     notes = stage_notes
-    if fallbacks:
-        notes.append(_fallback_note(fallbacks))
     at_bound = tuple(
         name
         for name, xi, (lo, hi) in zip(layout.names, x_hat, layout.transformed_bounds())
@@ -862,16 +771,6 @@ def fit(
                                         if name not in at_bound]),
         min_eig=float(np.linalg.eigvalsh(H)[0]) if finite else math.nan,
     )
-
-
-def _fallback_note(fallbacks: list[float]) -> str:
-    """The note on the polish steps that took the value stencil."""
-    finite = [r for r in fallbacks if not math.isnan(r)]
-    note = (f"polish: value-difference Hessian on {len(fallbacks)} step(s), "
-            f"curvature mismatch up to {max(finite, default=math.nan):.3g}")
-    unmeasured = len(fallbacks) - len(finite)
-    return note + (f" ({unmeasured} with a rejected point or a non-finite Hessian)"
-                   if unmeasured else "")
 
 
 def fit_all(cohort: PreparedCohort, cfg: FitConfig = FitConfig()) -> dict[str, FitResult]:

@@ -47,7 +47,7 @@ from .distributions import (
 from .errors import ExhazError, NoEligibleFit, TargetUnreachable
 from .estimation import MODELS, FitConfig, confidence_intervals, fit_all, select_m4
 from .gh_model import inverse_excess_survival
-from .lifetable import LifeTable, load_life_table, make_life_table
+from .lifetable import LifeTable, load_life_table
 from .likelihoods import Cohort, ModelParams, ParamLayout, prepare_cohort
 
 __all__ = [
@@ -86,12 +86,13 @@ def design_life_table() -> LifeTable:
     resembling an older, higher-mortality reference population.
     """
 
-    def rate(age, year, strata):
-        if strata[0] == "1":
-            return min(7.9e-5 * math.exp(0.0905 * age) + 4.0e-4, 0.7)
-        return min(4.72e-5 * math.exp(0.0923 * age) + 3.0e-4, 0.7)
-
-    return make_life_table(["sex"], (0, 104), (2005, 2024), rate, _SEX_STRATA)
+    rates = np.array([  # by age 0-104 and sex code (_SEX_STRATA), in any year
+        [min(4.72e-5 * math.exp(0.0923 * age) + 3.0e-4, 0.7),
+         min(7.9e-5 * math.exp(0.0905 * age) + 4.0e-4, 0.7)]
+        for age in range(105)
+    ])
+    grid = np.repeat(rates[:, None, :], 2024 - 2005 + 1, axis=1)  # years 2005-2024
+    return LifeTable(("sex",), 0, 2005, grid, _SEX_STRATA)
 
 
 def _check_censoring_target(target: float) -> None:

@@ -25,10 +25,7 @@ from exhaz.estimation import (
     _covariance,
     _curvature_mismatch,
     _decrement,
-    _fallback_note,
-    _fd_hessian,
     _grad_check_tol,
-    _newton_polish,
     _Profiled,
     _refine,
     _standardized_objective,
@@ -463,19 +460,20 @@ def test_m3_starts_from_the_best_log_b_of_the_scan_at_m2s_end(monkeypatch):
     k = m2.k - 1
     refine, starts = estimation._refine, []
 
-    def spy(obj, x0, bounds):
-        starts.append((x0.copy(), obj.n_evals))
-        return refine(obj, x0, bounds)
+    def spy(obj, x0, start, bounds):
+        starts.append((x0.copy(), start.copy(), obj.n_evals))
+        return refine(obj, x0, start, bounds)
 
     monkeypatch.setattr(estimation, "_refine", spy)
     fit("M3", cohort, init=m2.estimates[:k])
-    ((x0, evals_before),) = starts
+    ((x0, start, evals_before),) = starts
     obj, slot_scale = _standardized_objective("M3", cohort)
     prof = _Profiled(obj.layout, obj.cohort)
     gh = transform_params(m2.estimates[:k] * slot_scale[:k], prof.positive[:k])
     values = [prof.value(np.append(gh, v)) for v in _LOG_B_GRID]
     assert evals_before == len(_LOG_B_GRID)
     assert np.array_equal(x0, np.append(gh, _LOG_B_GRID[int(np.argmin(values))]))
+    assert np.array_equal(start, x0)  # the trust region's restart is the same point
 
 
 def test_m2_fits_the_gh_coordinates_and_reports_the_joint_estimate(fits_1500):
@@ -511,6 +509,25 @@ def _search_point(res, cohort):
     """The fit's objective, slot scales, and its estimate on the search scale."""
     obj, slot_scale = _standardized_objective(res.model, cohort)
     return obj, slot_scale, transform_params(res.estimates * slot_scale, obj.layout.positive)
+
+
+def _fd_hessian(value, x, h):
+    """Central-difference Hessian of ``value`` at x with step h, symmetrized:
+    the value-only reference for the analytic information."""
+    k = len(x)
+    H = np.empty((k, k))
+    f0 = value(x)
+    for i in range(k):
+        ei = np.zeros(k)
+        ei[i] = h
+        H[i, i] = (value(x + ei) + value(x - ei) - 2 * f0) / h**2
+        for j in range(i + 1, k):
+            ej = np.zeros(k)
+            ej[j] = h
+            H[i, j] = H[j, i] = (
+                value(x + ei + ej) + value(x - ei - ej) - value(x + ei - ej) - value(x - ei + ej)
+            ) / (4 * h**2)
+    return 0.5 * (H + H.T)
 
 
 def test_gradient_hessian_ses_match_value_fd_on_interior_m3_fit():
@@ -851,7 +868,7 @@ def test_analytic_gradient_matches_richardson_differences_at_a_fit_end_point(m3_
 class _Toy:
     """_refine's view of an objective: f(x) = (x0 - 3)^2 + 10 (x1 - x0 + 2)^2,
     rejected (_BIG, zero gradient) on the strip x0 in [0.99, 1], x1 >= 0.5.
-    Counts its calls in ``n_evals`` and logs them as _LinearField does."""
+    Counts its calls in ``n_evals`` and logs them as _Quadratic does."""
 
     def __init__(self):
         self.n_evals = 0
@@ -895,106 +912,117 @@ class _Toy:
         return -f, float(np.max(np.abs(g))) if f < _BIG else math.nan
 
 
-def test_refine_keeps_its_point_when_the_clipped_simplex_point_is_worse():
-    # On the box [-1, 1]^2 the minimum is (1, -1), f = 4, where the gradient
-    # points out of the box, so the check fails and Nelder-Mead runs.  Its
-    # unbounded minimum (3, 1) clips to (1, 1), a rejected point: it must be
-    # evaluated and turned down, not taken on the simplex's value.
-    # The trust region before it stops at once: the gradient is zero on the
-    # one slot off the edge.  Nelder-Mead does not move the point, so the
-    # trust region does not run again.
-    obj = _Toy()
-    x, _, ll, gnorm, _, notes = _refine(obj, np.array([0.0, 0.0]), [(-1.0, 1.0), (-1.0, 1.0)])
-    assert np.allclose(x, [1.0, -1.0], atol=1e-6)
-    assert ll == pytest.approx(-4.0, abs=1e-9) and gnorm == pytest.approx(4.0, abs=1e-6)
-    assert notes[0] == "trust region: 0 step(s), 2 evals, not certified"
-    assert len(notes) == 2 and notes[1].startswith("Nelder-Mead: ")
+class _DoubleWell:
+    """_refine's view of f(x) = x^4/4 - x^2/2 + tilt x in one slot: wells
+    at about -1 and 1 and a hump at 0.  Counts its calls in ``n_evals``."""
+
+    def __init__(self, tilt=0.0):
+        self.tilt = tilt
+        self.n_evals = 0
+
+    def value_grad_hess(self, x):
+        self.n_evals += 1
+        v = float(x[0])
+        f = v**4 / 4 - v**2 / 2 + self.tilt * v
+        return f, np.array([v**3 - v + self.tilt]), np.array([[3 * v * v - 1]])
+
+    def value_and_grad(self, x):
+        return self.value_grad_hess(x)[:2]
+
+    def value(self, x):
+        return self.value_grad_hess(x)[0]
+
+    def check(self, x):
+        f, g = self.value_and_grad(x)
+        return -f, float(np.max(np.abs(g)))
+
+
+def test_refine_takes_the_restarts_end_where_lbfgsbs_end_fails_the_check():
+    # On [-0.5, 2] L-BFGS-B from -0.2 runs down to the edge -0.5, where the
+    # gradient points out of the box: the check fails, and the trust region
+    # from there takes no step.  The restart from 0.5 reaches the well at 1.
+    obj = _DoubleWell()
+    x, _, ll, gnorm, notes = _refine(obj, np.array([-0.2]), np.array([0.5]), [(-0.5, 2.0)])
+    assert x == pytest.approx([1.0], abs=1e-9)
+    assert ll == pytest.approx(0.25, abs=1e-12) and gnorm <= _grad_check_tol(ll)
+    assert notes[0] == "trust region from L-BFGS-B's end: 0 step(s), 2 evals, not certified"
+    assert len(notes) == 2
+    assert notes[1].startswith("trust region from the model's start: ")
+    assert notes[1].endswith(", certified")
+
+
+def test_refine_keeps_lbfgsbs_end_where_both_ends_fail_the_check():
+    # On [-0.5, 0.5] both wells are cut off: L-BFGS-B from -0.2 ends on the
+    # lower edge and the restart from 0.2 on the upper one, each with the
+    # gradient pointing out.  The tilt puts the upper edge lower, yet an end
+    # that fails the check is not taken: the first leg's end is returned.
+    obj = _DoubleWell(tilt=-0.05)
+    x, _, ll, gnorm, notes = _refine(obj, np.array([-0.2]), np.array([0.2]), [(-0.5, 0.5)])
+    assert obj.value(np.array([0.5])) < obj.value(np.array([-0.5]))
+    assert x == pytest.approx([-0.5], abs=1e-12)
+    assert ll == pytest.approx(-obj.value(np.array([-0.5])), abs=1e-12)
+    assert gnorm == pytest.approx(0.325, abs=1e-9)
+    assert [n.rsplit(", ", 1)[1] for n in notes] == ["not certified", "not certified"]
+    assert notes[1].startswith("trust region from the model's start: ")
+
+
+@pytest.mark.parametrize(
+    "preset, n, index, expected",
+    [
+        ("moderate", 5000, 2, {"M1": -7308.1632}),
+        ("wide-dropout", 1000, 1, {"M1": -1123.6141, "M2": -1122.8905, "M3": -1121.9758}),
+        ("none", 1000, 6, {"M1": -1461.3149}),
+    ],
+    ids=["moderate-5000-r2", "wide-dropout-1000-r1", "none-1000-r6"],
+)
+def test_the_restart_from_the_default_start_certifies_m1_past_the_ew_tail(
+    preset, n, index, expected
+):
+    # L-BFGS-B from CDA's point, and the trust region after it, end M1 in the
+    # EW tail artefact (ROADMAP item 1); the earlier chain ended it unconverged
+    # at +25128.63, -1130.34 and +386.12.  The trust region from the default
+    # start certifies it, and M2 and M3 converge from there.
+    cohort = _preset_cohort(preset, n, index)
+    fits = fit_all(cohort) if len(expected) > 1 else {"M1": fit("M1", cohort)}
+    assert any(
+        n.startswith("trust region from the model's start: ") and n.endswith(", certified")
+        for n in fits["M1"].notes
+    )
+    for model, ll in expected.items():
+        assert fits[model].converged
+        assert fits[model].loglik_comparable == pytest.approx(ll, abs=1e-4)
 
 
 _A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
 _C = np.array([1.0, -0.5, 0.25])
-_SKEW = 0.1 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 
-class _LinearField:
-    """The value 0.5 (x - c)' A (x - c) with the linear field M (x - c) as its
-    "gradient" and the symmetric part of M as its "Hessian", as an analytic
-    Hessian is the Jacobian of the analytic gradient; a gradient only when
-    M = A.  A defaults to _A; it may be indefinite.  Logs each call: "vgh"
-    for value_grad_hess, "vg" for value_and_grad, "g" for grad and "v" for
-    value."""
+class _Quadratic:
+    """The value 0.5 (x - c)' A (x - c), its gradient A (x - c) and its
+    Hessian A, which may be indefinite.  Logs each call: "vgh" for
+    value_grad_hess and "v" for value."""
 
-    def __init__(self, M, A=_A):
-        self.M = M
+    def __init__(self, A):
         self.A = A
         self.calls = []
 
     def value_grad_hess(self, x):
         self.calls.append("vgh")
-        return self._value(x), self.M @ (x - _C), 0.5 * (self.M + self.M.T)
+        return self._value(x), self.A @ (x - _C), self.A
 
     def _value(self, x):
         d = x - _C
         return 0.5 * float(d @ self.A @ d)
-
-    def value_and_grad(self, x):
-        self.calls.append("vg")
-        return self._value(x), self.M @ (x - _C)
-
-    def grad(self, x):
-        self.calls.append("g")
-        return self.M @ (x - _C)
 
     def value(self, x):
         self.calls.append("v")
         return self._value(x)
 
 
-def test_polish_on_a_true_gradient_costs_one_information_and_two_gradient_calls_per_step():
-    # one value_grad_hess, two gradient calls for the curvature check, the
-    # damped values (here the full step, taken), then the value_grad_hess
-    # that finds the gradient zero: no value stencil
-    obj = _LinearField(_A)
-    k = len(_C)
-    x, n_iter, fallbacks = _newton_polish(obj, np.zeros(k), np.full(k, -10.0), np.full(k, 10.0))
-    assert obj.calls == ["vgh", "g", "g", "v", "vgh"]
-    assert n_iter == 1 and fallbacks == []
-    assert np.allclose(x, _C, atol=1e-9)
-
-
-def test_polish_takes_the_value_stencil_where_the_gradient_jacobian_is_asymmetric():
-    # the field's Jacobian A + S is not a Hessian: along the eigenvector v of
-    # A's smallest eigenvalue its change differs from A v by S v, so each
-    # step builds the 2k^2 + 1 value stencil after its two gradient calls
-    obj = _LinearField(_A + _SKEW)
-    k = len(_C)
-    v = np.linalg.eigh(_A)[1][:, 0]
-    expected = float(np.max(np.abs(_SKEW @ v))) / float(np.max(np.abs(_A)))
-    assert expected > 0.01
-    assert _curvature_mismatch(obj.grad, np.zeros(k), _A) == pytest.approx(expected, rel=1e-6)
-    obj.calls.clear()
-    _, _, fallbacks = _newton_polish(obj, np.zeros(k), np.full(k, -10.0), np.full(k, 10.0))
-    steps = []  # the calls of each polish step, each opened by its value_grad_hess
-    for call in obj.calls:
-        if call == "vgh":
-            steps.append([])
-        steps[-1].append(call)
-    hessian_steps = [step for step in steps if "g" in step]
-    assert len(hessian_steps) == len(fallbacks) >= 1
-    assert all(r > _CURVATURE_TOL for r in fallbacks)
-    assert fallbacks[0] == pytest.approx(expected, rel=1e-6)
-    stencil = ["vgh", "g", "g"] + ["v"] * (2 * k * k + 1)
-    for step in hessian_steps:
-        assert step[: len(stencil)] == stencil and step[len(stencil):] == ["v"] * (
-            len(step) - len(stencil)
-        )
-        assert len(step) > len(stencil)  # at least one damped candidate
-
-
 def test_trust_region_ends_a_convex_quadratic_in_one_accepted_step():
     # the Newton step from x0 lies inside the first radius: one information
     # call, one trial value, and the information call that finds g = 0
-    obj = _LinearField(_A)
+    obj = _Quadratic(_A)
     k = len(_C)
     x0 = 0.5 * _C
     assert np.linalg.norm(_C - x0) < _TR_RADIUS0
@@ -1009,7 +1037,7 @@ _SADDLE = np.diag([-1.0, 2.0, 1.0])
 
 
 def test_trust_region_leaves_a_saddle_along_its_negative_curvature():
-    obj = _LinearField(_SADDLE, _SADDLE)
+    obj = _Quadratic(_SADDLE)
     x, steps = _trust_region(obj, _C + np.array([0.1, 0.3, -0.2]), _C - 1.0, _C + 1.0)
     assert steps >= 1
     assert x[0] == _C[0] + 1.0
@@ -1023,7 +1051,7 @@ def test_trust_region_hard_case_steps_along_the_negative_curvature_without_a_war
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = _trust_step(g, _SADDLE, 1.0)
-        obj = _LinearField(_SADDLE, _SADDLE)
+        obj = _Quadratic(_SADDLE)
         x, _ = _trust_region(obj, _C + np.array([0.0, 0.3, -0.2]), _C - 1.0, _C + 1.0)
     assert np.linalg.norm(s) == pytest.approx(1.0, rel=1e-12)
     assert abs(s[0]) > 0.9
@@ -1035,7 +1063,7 @@ def test_trust_region_hard_case_steps_along_the_negative_curvature_without_a_war
 def test_trust_region_stops_on_the_box_edge_where_the_gradient_points_out():
     # the minimum over x2 <= 0 has x2 on the edge, where the gradient points
     # out of the box; the other two slots solve A's first two rows
-    obj = _LinearField(_A)
+    obj = _Quadratic(_A)
     lo, hi = np.full(3, -10.0), np.array([10.0, 10.0, 0.0])
     x, _ = _trust_region(obj, np.array([0.0, 0.0, -0.5]), lo, hi)
     assert x[2] == 0.0
@@ -1069,27 +1097,35 @@ def test_trust_region_shrinks_the_radius_at_a_rejected_point_and_never_takes_it(
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def _preset_cohort(preset, n, index):
+    """Replicate ``index`` of a preset at size n, drop-out calibrated as in
+    the recovery study when the preset has a target."""
+    table = design_life_table()
+    sc = replace(builtin_scenarios()[preset], n=n)
+    if sc.dropout_target is not None:
+        rate, _ = calibrate_dropout_rate(sc, sc.dropout_target, table)
+        sc = replace(sc, dropout_rate=rate, dropout_target=None)
+    return prepare_cohort(
+        generate_cohort(sc, index, table), table, advance_year=sc.advance_year,
+        covariate_names=COVARIATES,
+    )
+
+
 def test_trust_region_reaches_the_stationary_point_beyond_an_indefinite_lbfgsb_end():
     # wide-dropout, n = 1000, replicate 8, drop-out calibrated as in the
     # recovery study.  L-BFGS-B stops M3 where the information matrix is
-    # indefinite, and the Newton polish does not converge there.  Without the
-    # trust region the fit ended "converged" after 2231 evals, 0.105 below
-    # the stationary point at -1192.780928, where H is positive definite.
-    table = design_life_table()
-    sc = replace(builtin_scenarios()["wide-dropout"], n=1000)
-    rate, _ = calibrate_dropout_rate(sc, sc.dropout_target, table)
-    sc = replace(sc, dropout_rate=rate, dropout_target=None)
-    cohort = prepare_cohort(
-        generate_cohort(sc, 8, table), table, advance_year=sc.advance_year,
-        covariate_names=COVARIATES,
-    )
-    m3 = fit_all(cohort)["M3"]
+    # indefinite.  Without the trust region the fit ended "converged" after
+    # 2231 evals, 0.105 below the stationary point at -1192.780928, where H
+    # is positive definite.  The run from L-BFGS-B's end reaches it, so the
+    # restart from the model's start does not run.
+    m3 = fit_all(_preset_cohort("wide-dropout", 1000, 8))["M3"]
     assert m3.converged
     assert m3.loglik >= -1192.780928 - 1e-6
     assert m3.min_eig > 0
     assert m3.n_evals <= 600
-    assert any(n.startswith("trust region: ") and n.endswith(", certified") for n in m3.notes)
-    assert not any(n.startswith("Nelder-Mead") for n in m3.notes)
+    assert any(n.startswith("trust region from L-BFGS-B's end: ") and n.endswith(", certified")
+               for n in m3.notes)
+    assert not any(n.startswith("trust region from the model's start") for n in m3.notes)
 
 
 def test_a_rejected_point_gives_a_nan_curvature_mismatch():
@@ -1101,16 +1137,6 @@ def test_a_rejected_point_gives_a_nan_curvature_mismatch():
     calls = []
     assert math.isnan(_curvature_mismatch(calls.append, np.zeros(2), np.full((2, 2), np.nan)))
     assert calls == []
-
-
-def test_fallback_note_gives_the_steps_and_the_largest_mismatch():
-    assert _fallback_note([0.05, 0.2]) == (
-        "polish: value-difference Hessian on 2 step(s), curvature mismatch up to 0.2"
-    )
-    assert _fallback_note([math.nan, 3e-4]) == (
-        "polish: value-difference Hessian on 2 step(s), curvature mismatch up to "
-        "0.0003 (1 with a rejected point or a non-finite Hessian)"
-    )
 
 
 def test_fit_without_init_starts_m2_and_m3_where_the_model_they_extend_ends(m3_interior):
@@ -1127,20 +1153,19 @@ def test_the_gradient_is_a_gradient_at_converged_fits_and_not_at_m2s_tail_end(
 ):
     # at the converged M1 fit and an interior M3 fit the change of the
     # gradient along the softest direction is the analytic Hessian's
-    # (mismatch 1.0e-9 and 6.0e-12), and their polish used it; M2 ends with
-    # alpha on e^20, where the analytic gradient is off the value's (1.2e-4)
+    # (mismatch 1.0e-9 and 6.0e-12); M2 ends with alpha on e^20, where the
+    # analytic gradient is off the value's (1.2e-4)
     cohort, fits = fits_1500
     assert _CURVATURE_TOL == 1e-6
     for end_cohort, res in ((cohort, fits["M1"]), m3_interior):
         assert res.converged
         obj, _, x_hat = _search_point(res, end_cohort)
         assert _curvature_mismatch(obj.grad, x_hat, obj.value_grad_hess(x_hat)[2]) <= 1e-8
-        assert not [n for n in res.notes if n.startswith(("polish:", "SEs from"))]
+        assert not [n for n in res.notes if n.startswith("SEs from")]
     res = fits["M2"]
     obj, _, x_hat = _search_point(res, cohort)
     mismatch = _curvature_mismatch(obj.grad, x_hat, obj.value_grad_hess(x_hat)[2])
     assert mismatch > _CURVATURE_TOL
-    assert any(n.startswith("polish: value-difference Hessian on ") for n in res.notes)
     assert (
         "SEs from a gradient that is not the log-likelihood's: its curvature mismatch "
         f"at the estimate is {mismatch:.3g}"

@@ -1,5 +1,6 @@
-"""The bit-identity checks under tools/: same_records.py compares two perfbench
-runs, cohort_digest.py digests the cohorts the presets draw."""
+"""The checks under tools/: same_records.py compares two perfbench runs,
+cohort_digest.py digests the cohorts the presets draw, bench_pairs.py judges
+paired runs and preset_panel.py compares two panels of preset fits."""
 
 import importlib.util
 import json
@@ -292,3 +293,45 @@ def test_bench_pairs_counts_records_that_differ_as_same_records_does():
     assert bench_pairs.records_differ(parent, parent) == 0
     assert bench_pairs.records_differ(parent, change) == 1
     assert bench_pairs.records_differ(parent, change[:2]) == 1
+
+
+preset_panel = load_tool("preset_panel")
+
+
+def panel_row(preset, index, model, converged, ll, evals, g):
+    return {"preset": preset, "replicate": index, "model": model, "converged": converged,
+            "ll": ll, "evals": evals, "grad_max_norm": g}
+
+
+def test_preset_panel_compare_lists_flipped_flags_and_moved_lls_with_totals(tmp_path, capsys):
+    a = [
+        panel_row("moderate", 2, "M1", False, 25128.631171, 2759, 2.03e257),
+        panel_row("moderate", 2, "M2", True, -7307.5, 65, 1e-9),
+        panel_row("wide", 0, "M3", False, -1134.3611, 2605, 4.05),
+        panel_row("none", 6, "M1", True, -1461.3149, 262, 5.2e-8),
+    ]
+    b = [
+        panel_row("moderate", 2, "M1", True, -7308.163226, 277, 5.25e-6),
+        panel_row("moderate", 2, "M2", True, -7307.5 + 5e-7, 60, 2e-9),  # within 1e-6
+        panel_row("wide", 0, "M3", False, -1134.3721, 471, 3.47),
+        {**panel_row("none", 6, "M1", False, None, None, None), "error": "NonFiniteLikelihood: x"},
+    ]
+    paths = []
+    for name, rows in (("a.json", a), ("b.json", b[::-1])):  # paired by key, not by order
+        (tmp_path / name).write_text(json.dumps(rows), encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    assert preset_panel.main(["--compare", *paths]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "moderate r2 M1: converged False -> True, ll 25128.631171 -> -7308.163226, "
+        "grad max-norm 2.03e+257 -> 5.25e-06",
+        "none r6 M1: converged True -> False, ll -1461.314900 -> None, "
+        "grad max-norm 5.2e-08 -> None",
+        "wide r0 M3: converged False -> False, ll -1134.361100 -> -1134.372100, "
+        "grad max-norm 4.05 -> 3.47",
+        "A: 2 of 4 fits converged, 5691 evals",
+        "B: 2 of 4 fits converged, 808 evals",
+        "converged in A, not in B: 1 fits",
+    ]
+    (tmp_path / "b.json").write_text(json.dumps(b[:3]), encoding="utf-8")
+    assert preset_panel.main(["--compare", *paths]) == 1
+    assert capsys.readouterr().out == "the panels hold different fits: 4 vs 3, 3 in both\n"
