@@ -7,39 +7,35 @@ M2 and M3 start where the model they extend ends (below).  The
 refinement runs bounded L-BFGS-B with analytic gradients and checks their
 max-norm on the search scale.  When the check fails, a box-bounded
 trust-region Newton on the analytic Hessian (Nocedal & Wright, *Numerical
-Optimization*, ch. 4) runs from L-BFGS-B's end and checks again.  When
-its end fails too, the trust region runs once more from the model's own
-start (M1's fixed values before CDA, M2's and M3's start), and its end is
-taken when it passes the check; otherwise the first run's end stands.
-The fit's notes give the start, steps and evals of each trust-region run
-and whether its end passed the check ("certified").
+Optimization*, ch. 4) runs from L-BFGS-B's end; its last pass, at its
+end, gives the check.  When that end fails too, the trust region runs once
+more from the model's own start (M1's fixed values before CDA, M2's and
+M3's start), and its end is taken when it passes the check; otherwise the
+first run's end stands.  The fit's notes give the start, steps and evals
+(its own passes) of each trust-region run and whether its end passed the
+check ("certified").
 
-The trust region and the standard errors take the analytic Hessian
-(``likelihoods.loglik_grad_hess`` through
-``loglik_and_grad(hessian=True)``, one likelihood call) mapped to the
-transformed scale.  The trust region takes it as it is: a step whose
-actual decrease falls short of the predicted one shrinks the radius and is
-not taken.  For the standard errors two gradient calls check it along the
-eigenvector v of its smallest eigenvalue: r = max|(g(x + h v) - g(x - h
-v)) / 2h - H v| / max|H|, h = ``_HESSIAN_STEP``, is O(h^2) plus rounding
-where the analytic gradient is the value's and H its Jacobian; where r is
-above ``_CURVATURE_TOL`` (1e-6) or NaN, they are not (the EW tail
-artefact, ROADMAP item 1), and a note says so.  The standard errors
-pseudo-invert H with an eigenvalue floor and map it back by the delta
-method; a note says when H is not finite or not PD.  The same H and
-gradient give the fit's Newton decrement and smallest eigenvalue, at no
-further call.  A fit that ends within 1e-6 of an edge of the search box
-names those parameters in ``at_bound`` and in its notes.
+The analytic Hessian comes from ``likelihoods.loglik_grad_hess`` (through
+``loglik_and_grad(hessian=True)``, one likelihood call, whose value and
+gradient are ``loglik_and_grad``'s bit for bit), mapped to the
+transformed scale.  One such call at the estimate gives the fit's
+log-likelihood, gradient max-norm and ``converged`` flag, and H, whose one
+eigendecomposition gives the standard errors (a pseudo-inverse with an
+eigenvalue floor, mapped back by the delta method), the smallest
+eigenvalue and ``_curvature_mismatch``'s direction; ``_decrement`` gives
+the Newton decrement.  Notes say when H is not finite or not PD, and when
+the mismatch finds the analytic gradient and H apart (above
+``_CURVATURE_TOL``: the EW tail artefact, ROADMAP item 1).  A fit that
+ends within 1e-6 of an edge of the search box names those parameters in
+``at_bound`` and in its notes.
 
 The multiplier of h_P, M2's gamma and M3's mu, is profiled out.  For
 fixed GH parameters M2's log-likelihood is strictly concave in gamma, and
 for fixed GH parameters and b M3's has the same form in mu, with h_P
 reweighted by 1/(1 + b dH_P); ``likelihoods.profile_gamma`` solves both
 for the maximizer without a likelihood call.  M2 is searched over the GH
-coordinates and M3 over the GH coordinates and log b; each value or
-gradient is one likelihood call at the joint point, and the gradient is
-the model's without the multiplier's entry (envelope theorem); the
-Hessian is the Schur complement of the multiplier's slot.  Neither runs
+coordinates and M3 over the GH coordinates and log b, one likelihood call
+at the joint point per value or gradient (``_Profiled``).  Neither runs
 CDA.  M2 starts at M1's GH estimates: gamma = 1 is M1, so its first
 value is already at least M1's MLE.  M3 starts at M2's GH estimates with
 log b scanned over the grid ``_LOG_B_GRID`` (-20, -19, ..., 6), one
@@ -51,14 +47,12 @@ M3 holds by construction.  The refinement runs on these objectives
 unchanged; ``converged``, the gradient norm, the log-likelihood and the
 SEs are those of the model's full objective at the joint estimate.
 
-Tolerances, step sizes and budgets are module constants, properties of
-the method rather than of a study: ``_GRAD_TOL`` and ``_MAX_EVALS``
-(L-BFGS-B's stop and budget), ``_HESSIAN_STEP`` and ``_CURVATURE_TOL``
-(the standard errors' curvature check), the trust region's ``_TR_*``,
-``_CDA_HALFWIDTH``, ``_CDA_MAXITER`` and ``_LOG_B_GRID``.
-``FitConfig`` keeps only the random restarts (``multi_starts``, ``seed``):
-a best-of-N fit is the reference that tells whether one start found the
-MLE.
+Tolerances, step sizes and budgets are module constants (``_GRAD_TOL``,
+``_MAX_EVALS``, ``_HESSIAN_STEP``, ``_CURVATURE_TOL``, ``_TR_*``,
+``_CDA_*``, ``_LOG_B_GRID``), properties of the method rather than of a
+study.  ``FitConfig`` keeps only the random restarts (``multi_starts``,
+``seed``): a best-of-N fit is the reference that tells whether one start
+found the MLE.
 
 M1's likelihood omits the population-survival constant, so its AIC is
 computed on the comparable scale (constant restored); cross-model AICs are
@@ -315,10 +309,10 @@ class _Objective:
         f, g = self.value_and_grad(x)
         return g if f < _BIG else np.full_like(x, np.nan)
 
-    def check(self, x: np.ndarray) -> tuple[float, float]:
-        """(ll, max-norm of the gradient of ``value``) at x; a NaN norm if rejected."""
-        f, g = self.value_and_grad(x)
-        return -f, float(np.max(np.abs(g))) if f < _BIG else math.nan
+
+def _ll_and_norm(f: float, g: np.ndarray) -> tuple[float, float]:
+    """(ll, max-norm of g) from a value and gradient; a NaN norm if rejected."""
+    return -f, float(np.max(np.abs(g))) if f < _BIG else math.nan
 
 
 class _Profiled(_Objective):
@@ -412,20 +406,24 @@ def cda_warm_start(
 
 
 def _curvature_mismatch(
-    grad: Callable[[np.ndarray], np.ndarray], x: np.ndarray, hess: np.ndarray
+    grad: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    hess: np.ndarray,
+    eig: tuple[np.ndarray, np.ndarray] | None,
 ) -> float:
     """r = max|(g(x + h v) - g(x - h v)) / 2h - H v| / max|H|, two gradient calls.
 
-    v is the unit eigenvector of the smallest eigenvalue of ``hess`` and h
-    is ``_HESSIAN_STEP``.  Where ``grad`` is the gradient of the value and
+    ``eig`` is ``np.linalg.eigh(hess)``, or None when ``hess`` is not
+    finite; v is the unit eigenvector of its smallest eigenvalue and h is
+    ``_HESSIAN_STEP``.  Where ``grad`` is the gradient of the value and
     ``hess`` its Jacobian, r is O(h^2) plus the gradient's rounding over h;
     a larger r says one of them is not (the EW tail artefact).  NaN, with
-    no gradient call, when ``hess`` is not finite, and NaN when a point is
+    no gradient call, when ``eig`` is None, and NaN when a point is
     rejected (a NaN gradient).
     """
-    if not np.all(np.isfinite(hess)):
+    if eig is None:
         return math.nan
-    v = np.linalg.eigh(hess)[1][:, 0]
+    v = eig[1][:, 0]
     h = _HESSIAN_STEP
     miss = float(np.max(np.abs((grad(x + h * v) - grad(x - h * v)) / (2 * h) - hess @ v)))
     scale = float(np.max(np.abs(hess)))
@@ -449,18 +447,19 @@ def _decrement(g: np.ndarray, hess: np.ndarray, free: list[int]) -> float:
         return math.nan
 
 
-def _covariance(neg_hessian: np.ndarray):
+def _covariance(eig: tuple[np.ndarray, np.ndarray] | None):
     """Pseudo-inverse of the observed information with a 1e-10 eigenvalue floor.
 
-    Returns (cov, problem).  ``problem`` is None when cov is usable, else
-    the note that says why cov is None: a non-finite entry (a rejected
-    point, or an overflow in the EW tail) or a negative eigenvalue (the
-    information matrix is not PD).
+    ``eig`` is the matrix's ``np.linalg.eigh``, None where it is not
+    finite.  Returns (cov, problem).  ``problem`` is None when cov is
+    usable, else the note that says why cov is None: a non-finite entry (a
+    rejected point, or an overflow in the EW tail) or a negative eigenvalue
+    (the information matrix is not PD).
     """
-    if not np.all(np.isfinite(neg_hessian)):
+    if eig is None:
         return None, ("information matrix not finite (a rejected point or an overflow); "
                       "SEs unavailable")
-    eigval, eigvec = np.linalg.eigh(neg_hessian)
+    eigval, eigvec = eig
     if np.any(eigval < 0):
         return None, "information matrix not positive definite; SEs unavailable"
     floored = np.maximum(eigval, 1e-10)
@@ -521,13 +520,16 @@ def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
     (``_trust_step``), clips the step to the box and scores the trial with
     one value call.  The ratio of actual to predicted decrease sets the next
     radius and, above ``_TR_ETA``, takes the trial, at one
-    ``value_grad_hess`` call; so x moves only to points of lower value, and
-    a rejected point (``_BIG``) is never taken.  It stops when the
-    gradient max-norm over the other slots is at most 0.2 times the check's
-    tolerance, when the radius falls below ``_TR_RADIUS_MIN``, when H is
-    not finite (a rejected point or an overflow in the EW tail), or after
-    ``_TR_MAX_ITER`` iterations.
-    Returns (x, steps taken).
+    ``value_grad_hess`` call.  Both decreases carry the rounding guard
+    10 eps max(1, |f|) (Conn, Gould & Toint, *Trust-Region Methods*, 2000,
+    sec. 17.4), so a step predicted to gain less than f's rounding is
+    judged by the model; x moves only to points of lower value up to
+    10 eps |f|, and a rejected point (``_BIG``) is never taken.  It stops
+    when the gradient max-norm over the other slots is at most 0.2 times
+    the check's tolerance, when the radius falls below ``_TR_RADIUS_MIN``,
+    when H is not finite (a rejected point or an overflow in the EW tail),
+    or after ``_TR_MAX_ITER`` iterations.  Returns (x, steps taken, ll,
+    gradient max-norm), the last two from the last pass, at x.
     """
     f, g, hess = obj.value_grad_hess(x)  # a rejected point gives a NaN H
     radius = _TR_RADIUS0
@@ -543,7 +545,8 @@ def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
         trial = np.clip(x + s, lo, hi)
         p = trial - x
         predicted = -(g @ p + 0.5 * p @ hess @ p)
-        rho = (f - obj.value(trial)) / predicted if predicted > 0 else -math.inf
+        guard = 10.0 * np.finfo(float).eps * max(1.0, abs(f))
+        rho = (f - obj.value(trial) + guard) / (predicted + guard) if predicted > 0 else -math.inf
         if not rho >= 0.25:
             radius = 0.25 * float(np.linalg.norm(s))
         elif rho > 0.75 and np.linalg.norm(s) >= 0.99 * radius:
@@ -554,21 +557,22 @@ def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
             steps += 1
         if radius < _TR_RADIUS_MIN:
             break
-    return x, steps
+    return x, steps, *_ll_and_norm(f, g)
 
 
 def _refine(obj: _Objective, x0: np.ndarray, start: np.ndarray, bounds):
     """L-BFGS-B from ``x0`` and the trust region after it, each ended by a gradient check.
 
     L-BFGS-B runs from ``x0``, and its end is returned when it passes the
-    check.  Otherwise the trust region (``_trust_region``) runs from that
+    check, one gradient call there.  Otherwise the trust region
+    (``_trust_region``, whose last pass gives the check) runs from that
     end, and its end is returned when it passes.  Otherwise the trust region
     runs once more, from ``start`` (the model's own start, before any warm
     start), and its end is returned when it passes; when it fails too, the
     end of the first run is.  Returns (x, n_iter, ll, gnorm, notes): the
-    log-likelihood and the analytic gradient max-norm of the check made at
-    the returned x, and one note per trust-region run with its start, steps
-    and evals and whether its end passed the check ("certified").
+    log-likelihood and the analytic gradient max-norm at the returned x,
+    and one note per trust-region run with its start, steps and evals (its
+    own passes) and whether its end passed the check ("certified").
     """
     lo, hi = np.array(bounds).T
     x = np.clip(x0, lo, hi)
@@ -584,17 +588,15 @@ def _refine(obj: _Objective, x0: np.ndarray, start: np.ndarray, bounds):
     if math.isfinite(res.fun) and res.fun <= obj.value(x):
         x = res.x
     n_iter = int(res.nit)
-    ll, gnorm = obj.check(x)
+    ll, gnorm = _ll_and_norm(*obj.value_and_grad(x))
     if gnorm <= _grad_check_tol(ll):
         return x, n_iter, ll, gnorm, []
 
-    notes = []
-    ends = []
+    notes, ends = [], []
     for origin, x in (("L-BFGS-B's end", x), ("the model's start", np.clip(start, lo, hi))):
         evals = obj.n_evals
-        x, steps = _trust_region(obj, x, lo, hi)
+        x, steps, ll, gnorm = _trust_region(obj, x, lo, hi)
         n_iter += steps
-        ll, gnorm = obj.check(x)
         passed = gnorm <= _grad_check_tol(ll)
         notes.append(f"trust region from {origin}: {steps} step(s), {obj.n_evals - evals} "
                      f"evals, {'certified' if passed else 'not certified'}")
@@ -683,7 +685,7 @@ def fit(
         starts += [t0 + rng.normal(0.0, 0.3, k) for _ in range(cfg.multi_starts)]
     starts = [np.clip(s, *np.array(bounds[:k]).T) for s in starts]
 
-    x_hat, best_ll, gnorm, total_iter, stage_notes = None, -np.inf, math.nan, 0, []
+    x_hat, best_ll, total_iter, stage_notes = None, -np.inf, 0, []
     for s in starts:
         # the trust region's restart (see _refine): M1's start before CDA,
         # M2's and M3's start itself
@@ -702,18 +704,19 @@ def fit(
         if warm is None:
             log.warning("%s: start rejected (non-finite likelihood)", model)
             continue
-        x, n_iter, ll, x_gnorm, x_notes = _refine(search, warm, restart, bounds)
+        x, n_iter, ll, _, x_notes = _refine(search, warm, restart, bounds)
         total_iter += n_iter
         stage_notes += x_notes
         if ll > best_ll:
-            best_ll, x_hat, gnorm = ll, x, x_gnorm
+            best_ll, x_hat = ll, x
     if x_hat is None:
         raise NonFiniteLikelihood(f"{model}: no usable starting point")
     if search is not obj:
-        # the flag and the SEs are those of the full model at the joint estimate
         x_hat = search.joint(x_hat)
-        best_ll, gnorm = obj.check(x_hat)
-
+    # the flag and the SEs are those of the full model at the (joint)
+    # estimate; for M1 this call repeats _refine's ll and max-norm bit for bit
+    f_hat, g_hat, H = obj.value_grad_hess(x_hat)  # of -loglik, scaled space
+    best_ll, gnorm = _ll_and_norm(f_hat, g_hat)
     converged = gnorm <= _grad_check_tol(best_ll)
 
     natural_s = untransform_params(x_hat, layout.positive)
@@ -723,10 +726,9 @@ def fit(
     ll_comp = loglik(params, cohort, comparable=True)
     aic = -2.0 * ll_comp + 2.0 * layout.k
 
-    _, g_hat, H = obj.value_grad_hess(x_hat)  # of -loglik, scaled space
-    mismatch = _curvature_mismatch(obj.grad, x_hat, H)
-    finite = bool(np.all(np.isfinite(H)))
-    cov_s, cov_problem = _covariance(H)
+    eig = np.linalg.eigh(H) if np.all(np.isfinite(H)) else None
+    mismatch = _curvature_mismatch(obj.grad, x_hat, H, eig)
+    cov_s, cov_problem = _covariance(eig)
     notes = stage_notes
     at_bound = tuple(
         name
@@ -761,7 +763,7 @@ def fit(
         loglik_comparable=ll_comp,
         aic=aic,
         converged=converged,
-        hessian_pd=cov_s is not None if finite else None,
+        hessian_pd=None if eig is None else cov_s is not None,
         grad_max_norm=gnorm,
         n_evals=obj.n_evals + (search.n_evals if search is not obj else 0),
         n_iter=total_iter,
@@ -769,7 +771,7 @@ def fit(
         notes=tuple(notes),
         decrement=_decrement(g_hat, H, [i for i, name in enumerate(layout.names)
                                         if name not in at_bound]),
-        min_eig=float(np.linalg.eigvalsh(H)[0]) if finite else math.nan,
+        min_eig=math.nan if eig is None else float(eig[0][0]),
     )
 
 

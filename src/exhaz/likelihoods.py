@@ -35,16 +35,16 @@ errors; both are exercised against central finite differences in the test
 suite.
 
 One evaluation (``loglik``, ``loglik_and_grad`` or ``loglik_grad_hess``,
-which ``loglik_and_grad(hessian=True)`` calls) enters ``np.errstate`` once, around all of its array work: the EW kernel,
-the terms, the gradient and the Hessian run under it and check their own
-infinities and NaNs.  The terms and each gradient component of
-``loglik_and_grad`` are built in place, in the order of operations of
-their formulas, so every value keeps the bits of the plain expressions;
-``loglik_grad_hess`` reuses the terms and the EW block and builds its
-derivatives from the same per-patient pieces, as sums of weighted outer
-products (one matrix product each).  What depends on the cohort alone is computed once, when the
-PreparedCohort is built: the event mask and the gradient's constants, the
-sum of dH_P (M2) and dH_P^2 (M3), and the events with h_P > 0.
+which ``loglik_and_grad(hessian=True)`` calls) enters ``np.errstate`` once,
+around all of its array work, and checks its own infinities and NaNs.  The
+gradient is written once, in ``_first_order``, the stage both
+``loglik_and_grad`` and ``loglik_grad_hess`` run; the latter adds the
+Hessian from the stage's per-patient pieces, as sums of weighted outer
+products (one matrix product each).  The terms and the gradient follow the
+order of operations of their formulas, the longest chains in place, so
+they keep the bits of the plain expressions.  What depends on the cohort
+alone is computed once, when the PreparedCohort is built: the event mask,
+the sum of dH_P (M2) and dH_P^2 (M3), and the events with h_P > 0.
 
 ``profile_gamma`` gives the maximizing multiplier of h_P, M2's gamma at a
 GH point or M3's mu at a GH point and b, for the fits that profile it
@@ -618,18 +618,98 @@ def loglik(params: ModelParams, cohort: PreparedCohort, comparable: bool = False
         return _checked_sum(terms, cohort)
 
 
+def _first_order(params: ModelParams, cohort: PreparedCohort):
+    """(ll, grad, aux, pieces): ``loglik`` (comparable=False), its gradient,
+    ``_terms``' intermediates and the per-patient pieces the Hessian reuses,
+    (u, h0 v, e1, dH0/dalpha, d log h0/dalpha, s_c): u = h_E / lambda and
+    s_c = hp (dc) / lambda, c the multiplier of h_P (None for M1), on the
+    events and 0 elsewhere, and e1 = 1/(e^w - 1).  Raises
+    NonFiniteLikelihood as ``loglik`` does, and also when a gradient entry
+    is not finite.  Runs under the caller's ``np.errstate``.
+    """
+    layout = params.layout
+    kappa, theta, alpha = params.baseline
+    ev, X, hp, dhp = cohort._event, cohort.X, cohort.hp, cohort.dhp
+    add = np.add.reduce
+    terms, aux = _terms(params, cohort, False)
+    ll = _checked_sum(terms, cohort)
+    v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3 = aux
+
+    u = np.where(ev, he / lam, 0.0)  # weight of d log h_E in d log lambda
+    h0v = h0 * v
+    kw = kappa * w
+    e1 = np.exp(-w - logm)  # q/m = 1/(e^w - 1)
+    # d log h0/dw = d log f/dw + dH0/dw = (1/w + (alpha - 1) e1 - 1) + h0 v / (kappa w)
+    dlogh0_dw = np.divide(1.0, w)
+    dlogh0_dw += (alpha - 1.0) * e1
+    dlogh0_dw -= 1.0
+    dlogh0_dw += h0v / kw
+    # dH0/dalpha = exp(-vv - log_s0) logm = (F/S) log m; -1/alpha beyond
+    # w = 200, where q underflows
+    ha = np.exp(-vv - log_s0) * logm
+    ha[w > 200.0] = -1.0 / alpha
+    a_a = 1.0 / alpha + logm + ha  # d log h0/dalpha
+
+    grad = np.empty(layout.k)
+    # the longest chains (kappa, theta, beta1) run in place in a and b
+    # kappa: u (1/kappa + dlogh0_dw w lw) - r21 (h0v lw / kappa)
+    a = dlogh0_dw * w
+    a *= lw
+    a += 1.0 / kappa
+    a *= u
+    b = h0v * lw
+    b /= kappa
+    b *= r21
+    grad[0] = add(np.subtract(a, b, out=a))
+    # theta: u (dlogh0_dw (-kappa w / theta)) - r21 (-h0v / theta), which is
+    # r21 (h0v / theta) - u (dlogh0_dw (kappa w / theta)) exactly
+    np.divide(kw, theta, out=a)
+    a *= dlogh0_dw
+    a *= u
+    np.divide(h0v, theta, out=b)
+    b *= r21
+    grad[1] = add(np.subtract(b, a, out=b))
+    # alpha: u (1/alpha + logm + dH0_da) - r21 dH0_da
+    grad[2] = add(u * a_a - r21 * ha)
+    if layout.n_covariates:
+        slots1, slots2 = layout.beta_slots
+        # beta1: u (kappa w dlogh0_dw - 1) - r21 (h0v - H0), H0 = -log_s0
+        np.multiply(kw, dlogh0_dw, out=a)
+        a -= 1.0
+        a *= u
+        np.add(h0v, log_s0, out=b)
+        b *= r21
+        grad[slots1] = X.T @ np.subtract(a, b, out=a)
+        grad[slots2] = X.T @ (u - HE)  # beta2: u - HE
+
+    s_c = None
+    if layout.model == "M2":
+        s_c = np.where(ev, hp / lam, 0.0)
+        grad[-1] = add(s_c) - cohort._sum_dhp
+    elif layout.model == "M3":
+        mu = params.correction[0]
+        y, ratio, den = m3
+        # d lam/dmu = hp / (1 + y); d lam/db = -mu hp dhp / (1 + y)^2
+        s_c = np.where(ev, hp / den / lam, 0.0)
+        s_b = np.where(ev, -mu * hp * dhp / (den * den) / lam, 0.0)
+        # d pop_i / dmu = dhp log1p(y)/y; d pop_i / db = mu dhp^2 G(y)
+        grad[-2] = add(s_c) - add(dhp * ratio)
+        grad[-1] = add(s_b) + mu * add(cohort._dhp2 * _m3_pop_curvature(y))
+
+    bad = np.flatnonzero(~np.isfinite(grad))
+    if bad.size:
+        raise NonFiniteLikelihood(f"non-finite gradient at positions {bad.tolist()}")
+    return ll, grad, aux, (u, h0v, e1, ha, a_a, s_c)
+
+
 def loglik_and_grad(params: ModelParams, cohort: PreparedCohort, hessian: bool = False):
     """Log-likelihood (``loglik`` with comparable=False) and its gradient on
     the natural parameter scale.
 
     Gradient layout: that of ``params.layout`` (kappa, theta, alpha, beta1,
     beta2, then gamma for M2; mu, b for M3).  Raises NonFiniteLikelihood as
-    ``loglik`` does, and also when a gradient entry is not finite.
-
-    Each gradient component is assembled in place, in the order of
-    operations of its formula (below, term by term), so it keeps that
-    formula's bits; h0 v and kappa w are computed once, and the sum of dhp
-    (M2) and dhp^2 (M3) come from the cohort.
+    ``loglik`` does, and also when a gradient entry is not finite.  Both
+    come from ``_first_order``, as ``loglik_grad_hess``'s do, bit for bit.
 
     ``hessian=True`` returns ``loglik_grad_hess(params, cohort)`` instead,
     (ll, grad, hess) from one pass, so that every likelihood pass of a fit
@@ -637,114 +717,18 @@ def loglik_and_grad(params: ModelParams, cohort: PreparedCohort, hessian: bool =
     """
     if hessian:
         return loglik_grad_hess(params, cohort)
-    layout = params.layout
-    kappa, theta, alpha = params.baseline
-    ev, X, hp, dhp = cohort._event, cohort.X, cohort.hp, cohort.dhp
-    grad = np.empty(layout.k)
-    add = np.add.reduce
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms, aux = _terms(params, cohort, False)
-        ll = _checked_sum(terms, cohort)
-        v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3 = aux
-
-        u = np.where(ev, he / lam, 0.0)  # weight of d log h_E in d log lambda
-        h0v = h0 * v
-        kw = kappa * w
-        # d log h0/dw = d log f/dw + dH0/dw
-        #             = (1/w + (alpha - 1) e1 - 1) + h0 v / (kappa w),
-        # e1 = exp(-w - logm) = q/m = 1/(e^w - 1)
-        e1 = np.negative(w)
-        e1 -= logm
-        np.exp(e1, out=e1)
-        e1 *= alpha - 1.0
-        dlogh0_dw = np.divide(1.0, w)
-        dlogh0_dw += e1
-        dlogh0_dw -= 1.0
-        dlogh0_dw += np.divide(h0v, kw, out=e1)
-        # dH0/dalpha = exp(-vv - log_s0) logm = (F/S) log m; -1/alpha beyond
-        # w = 200, where q underflows
-        dH0_da = np.negative(vv)
-        dH0_da -= log_s0
-        np.exp(dH0_da, out=dH0_da)
-        dH0_da *= logm
-        tail = (w > 200.0).nonzero()
-        if tail[0].size:
-            dH0_da[tail] = -1.0 / alpha
-
-        # kappa: u (1/kappa + dlogh0_dw w lw) - r21 (h0v lw / kappa)
-        a = dlogh0_dw * w
-        a *= lw
-        a += 1.0 / kappa
-        a *= u
-        b = h0v * lw
-        b /= kappa
-        b *= r21
-        a -= b
-        grad[0] = add(a)
-        # theta: u (dlogh0_dw (-kappa w / theta)) - r21 (-h0v / theta), which
-        # is r21 (h0v / theta) - u (dlogh0_dw (kappa w / theta)) exactly
-        a = np.divide(kw, theta, out=a)
-        a *= dlogh0_dw
-        a *= u
-        b = np.divide(h0v, theta, out=b)
-        b *= r21
-        b -= a
-        grad[1] = add(b)
-        # alpha: u (1/alpha + logm + dH0_da) - r21 dH0_da
-        a = np.add(logm, 1.0 / alpha, out=a)
-        a += dH0_da
-        a *= u
-        dH0_da *= r21
-        a -= dH0_da
-        grad[2] = add(a)
-
-        if layout.n_covariates:
-            slots1, slots2 = layout.beta_slots
-            # beta1: u (kappa w dlogh0_dw - 1) - r21 (h0v - H0), H0 = -log_s0
-            kw *= dlogh0_dw
-            kw -= 1.0
-            kw *= u
-            h0v += log_s0
-            h0v *= r21
-            kw -= h0v
-            grad[slots1] = X.T @ kw
-            # beta2: u - HE
-            u -= HE
-            grad[slots2] = X.T @ u
-
-        if layout.model == "M2":
-            grad[-1] = add(np.where(ev, hp / lam, 0.0)) - cohort._sum_dhp
-        elif layout.model == "M3":
-            mu = params.correction[0]
-            y, ratio, den = m3
-            # d lam/dmu = hp / (1 + y); d lam/db = -mu hp dhp / (1 + y)^2
-            a = np.divide(hp, den, out=a)
-            a /= lam
-            # d pop_i / dmu = dhp log1p(y)/y; d pop_i / db = mu dhp^2 G(y)
-            grad[-2] = add(np.where(ev, a, 0.0)) - add(dhp * ratio)
-            a = np.multiply(hp, -mu, out=a)
-            a *= dhp
-            den *= den
-            a /= den
-            a /= lam
-            grad[-1] = add(np.where(ev, a, 0.0)) + mu * add(cohort._dhp2 * _m3_pop_curvature(y))
-
-    finite = np.isfinite(grad)
-    if not finite.all():
-        raise NonFiniteLikelihood(
-            f"non-finite gradient at positions {np.flatnonzero(~finite).tolist()}"
-        )
-    return ll, grad
+        return _first_order(params, cohort)[:2]
 
 
 def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
     """Log-likelihood, gradient and Hessian on the natural scale, from one pass.
 
-    ``(ll, grad, hess)`` in the layout of ``params``: ll is ``loglik``'s
-    (comparable=False) bit for bit, and grad is ``loglik_and_grad``'s up to
-    rounding.  Raises NonFiniteLikelihood as ``loglik_and_grad`` does; hess
-    may hold infinities or NaNs where the EW tail overflows, for the caller
-    to check.
+    ``(ll, grad, hess)`` in the layout of ``params``: ll and grad are
+    ``loglik_and_grad``'s bit for bit, from ``_first_order``, whose pieces
+    the Hessian reuses.  Raises NonFiniteLikelihood as ``loglik_and_grad``
+    does; hess may hold infinities or NaNs where the EW tail overflows, for
+    the caller to check.
 
     Per patient, the EW terms are functions of s = log w = kappa log(v/theta)
     and alpha: H0 = -log S0, and A = log h0 + log v - log kappa, with
@@ -763,12 +747,11 @@ def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
     """
     layout = params.layout
     kappa, theta, alpha = params.baseline
-    ev, X, hp, dhp = cohort._event, cohort.X, cohort.hp, cohort.dhp
+    X, dhp = cohort.X, cohort.dhp
     slots1, slots2 = layout.beta_slots
     n_gh = slots2.stop
     add = np.add.reduce
     hess = np.empty((layout.k, layout.k))
-    grad = np.empty(layout.k)
 
     xt = np.ascontiguousarray(X.T)  # rows of covariates, as the rows built below
 
@@ -781,17 +764,12 @@ def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
         return e
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms, aux = _terms(params, cohort, False)
-        ll = _checked_sum(terms, cohort)
+        ll, grad, aux, (u, h0v, e1, ha, a_a, s_c) = _first_order(params, cohort)
         v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3 = aux
 
-        u = np.where(ev, he / lam, 0.0)
-        hs = h0 * v / kappa  # dH0/ds
-        ws = w * np.exp(-w - logm)  # d logm/ds = w e1
-        ha = np.exp(-vv - log_s0) * logm  # dH0/dalpha = (F/S) log m
-        ha[w > 200.0] = -1.0 / alpha  # its limit beyond w = 200, where q underflows
+        hs = h0v / kappa  # dH0/ds
+        ws = w * e1  # d logm/ds
         a_s = 1.0 + (alpha - 1.0) * ws - w + hs
-        a_a = 1.0 / alpha + logm + ha
         a_ss = (alpha - 1.0) * ws * (1.0 - w - ws) - w + hs * a_s
         a_sa = ws + hs * a_a
         h_aa = ha * (logm + ha)  # d2 H0/dalpha2
@@ -803,7 +781,6 @@ def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
         ds = in_slots((lw, k_t, 0.0, kappa, 0.0))
         dg = in_slots((hs * lw, k_t * hs, ha, kappa * hs, 0.0))
         dr = in_slots((0.0, 0.0, 0.0, -1.0, 1.0))
-        grad[:n_gh] = dl @ u - dg @ r21 - dr @ HE  # dH_E = r21 dH0 + H_E dr
 
         scratch = np.empty_like(dl)
 
@@ -835,20 +812,15 @@ def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
         hess[:n_gh, :n_gh] = gh
 
         if layout.model == "M2":
-            scores = np.where(ev, hp / lam, 0.0)[None]  # of gamma
-            grad[-1] = add(scores[0]) - cohort._sum_dhp
+            scores = s_c[None]  # of gamma
             curvature = np.zeros((1, 1))  # of lambda in gamma
         elif layout.model == "M3":
             mu = params.correction[0]
             y, ratio, den = m3
-            s_mu = np.where(ev, hp / den / lam, 0.0)
-            s_b = -mu * dhp * s_mu / den
-            scores = np.stack([s_mu, s_b])
-            pop = cohort._dhp2 * _m3_pop_curvature(y)
-            grad[-2] = add(s_mu) - add(dhp * ratio)
-            grad[-1] = add(s_b) + mu * add(pop)
+            s_b = -mu * dhp * s_c / den
+            scores = np.stack([s_c, s_b])
             # d2 lambda / lambda plus the population term's, in (mu, b)
-            mu_b = add(pop - dhp * s_mu / den)
+            mu_b = add(cohort._dhp2 * _m3_pop_curvature(y) - dhp * s_c / den)
             b_b = add(
                 mu * dhp * cohort._dhp2 * _m3_pop_curvature_slope(y) - 2.0 * dhp * s_b / den
             )
@@ -858,12 +830,6 @@ def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
             hess[:n_gh, n_gh:] = gc
             hess[n_gh:, :n_gh] = gc.T
             hess[n_gh:, n_gh:] = curvature - scores @ scores.T
-
-    finite = np.isfinite(grad)
-    if not finite.all():
-        raise NonFiniteLikelihood(
-            f"non-finite gradient at positions {np.flatnonzero(~finite).tolist()}"
-        )
     return ll, grad, 0.5 * (hess + hess.T)  # the products above round apart
 
 

@@ -26,6 +26,7 @@ from exhaz.estimation import (
     _curvature_mismatch,
     _decrement,
     _grad_check_tol,
+    _ll_and_norm,
     _Profiled,
     _refine,
     _standardized_objective,
@@ -56,6 +57,11 @@ from exhaz.simulation import (
 )
 
 from conftest import model_params, sim_cohort
+
+
+def _eigh(H):
+    """``np.linalg.eigh(H)`` as ``fit`` passes it on: None when H is not finite."""
+    return np.linalg.eigh(H) if np.all(np.isfinite(H)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +155,11 @@ def test_an_overflowing_log_slot_is_rejected_without_a_warning():
     f, g = obj.value_and_grad(x)
     assert f == _BIG and not g.any()
     # the zero gradient of a rejected point must never pass the check
-    ll, gnorm = obj.check(x)
+    ll, gnorm = _ll_and_norm(f, g)
     assert ll == -_BIG and math.isnan(gnorm)
+    # nor the trust region's end at it
+    _, steps, ll, gnorm = _trust_region(obj, x, *np.array(obj.bounds).T)
+    assert steps == 0 and ll == -_BIG and math.isnan(gnorm)
 
 
 def test_layouts_compare_by_model_and_names_and_fits_by_identity(m1_fit):
@@ -536,7 +545,7 @@ def test_gradient_hessian_ses_match_value_fd_on_interior_m3_fit():
     assert res.converged and res.hessian_pd
     assert not any(note.startswith("parameters at box bound") for note in res.notes)
     obj, slot_scale, x_hat = _search_point(res, cohort)
-    cov_fd, problem = _covariance(_fd_hessian(obj.value, x_hat, _HESSIAN_STEP))
+    cov_fd, problem = _covariance(_eigh(_fd_hessian(obj.value, x_hat, _HESSIAN_STEP)))
     assert problem is None
     se_fd = np.sqrt(np.diag(cov_fd))
     se_fit = np.sqrt(np.diag(res.cov_transformed)) * slot_scale
@@ -574,7 +583,7 @@ def test_ses_match_richardson_differences_of_the_gradient(fixture, request):
     # of 1e-4 is off by up to 8e-5 relative here, its h^2 truncation
     cohort, res = request.getfixturevalue(fixture)
     obj, slot_scale, x_hat = _search_point(res, cohort)
-    cov, problem = _covariance(_richardson_jacobian(obj.grad, x_hat, _HESSIAN_STEP))
+    cov, problem = _covariance(_eigh(_richardson_jacobian(obj.grad, x_hat, _HESSIAN_STEP)))
     assert problem is None
     se_ref = np.sqrt(np.diag(cov))
     se_fit = np.sqrt(np.diag(res.cov_transformed)) * slot_scale
@@ -596,7 +605,7 @@ def test_the_information_call_counts_one_eval(m3_interior, monkeypatch):
     f, g, H = obj.value_grad_hess(x_hat)
     assert obj.n_evals == 1 and calls == [("M3", True)] and H.shape == (res.k, res.k)
     f2, g2 = obj.value_and_grad(x_hat)
-    assert f == f2 and g == pytest.approx(g2, rel=1e-9, abs=1e-9)
+    assert f == f2 and np.array_equal(g, g2)
     prof = _Profiled(obj.layout, obj.cohort)
     H3 = prof.value_grad_hess(np.delete(x_hat, prof.slot))[2]
     assert prof.n_evals == 1 and calls[2:] == [("M3", True)] and H3.shape == (res.k - 1, res.k - 1)
@@ -704,7 +713,8 @@ def test_convergence_is_the_analytic_gradient_norm_at_the_estimate(fits_1500):
         obj, _, x_hat = _search_point(res, cohort)
         f, g = obj.value_and_grad(x_hat)
         assert res.grad_max_norm == float(np.max(np.abs(g)))
-        assert obj.check(x_hat) == (-f, res.grad_max_norm)
+        # the fit reads them from its information call, which has the same bits
+        assert _ll_and_norm(*obj.value_grad_hess(x_hat)[:2]) == (-f, res.grad_max_norm)
         assert res.converged == (res.grad_max_norm <= _grad_check_tol(-f))
         assert -f == pytest.approx(res.loglik, rel=1e-12)
 
@@ -906,11 +916,6 @@ class _Toy:
         f, g = self._value_and_grad(x)
         return g if f < _BIG else np.full_like(x, np.nan)
 
-    def check(self, x):
-        self._log("vg", x)
-        f, g = self._value_and_grad(x)
-        return -f, float(np.max(np.abs(g))) if f < _BIG else math.nan
-
 
 class _DoubleWell:
     """_refine's view of f(x) = x^4/4 - x^2/2 + tilt x in one slot: wells
@@ -932,10 +937,6 @@ class _DoubleWell:
     def value(self, x):
         return self.value_grad_hess(x)[0]
 
-    def check(self, x):
-        f, g = self.value_and_grad(x)
-        return -f, float(np.max(np.abs(g)))
-
 
 def test_refine_takes_the_restarts_end_where_lbfgsbs_end_fails_the_check():
     # On [-0.5, 2] L-BFGS-B from -0.2 runs down to the edge -0.5, where the
@@ -945,7 +946,7 @@ def test_refine_takes_the_restarts_end_where_lbfgsbs_end_fails_the_check():
     x, _, ll, gnorm, notes = _refine(obj, np.array([-0.2]), np.array([0.5]), [(-0.5, 2.0)])
     assert x == pytest.approx([1.0], abs=1e-9)
     assert ll == pytest.approx(0.25, abs=1e-12) and gnorm <= _grad_check_tol(ll)
-    assert notes[0] == "trust region from L-BFGS-B's end: 0 step(s), 2 evals, not certified"
+    assert notes[0] == "trust region from L-BFGS-B's end: 0 step(s), 1 evals, not certified"
     assert len(notes) == 2
     assert notes[1].startswith("trust region from the model's start: ")
     assert notes[1].endswith(", certified")
@@ -1026,9 +1027,11 @@ def test_trust_region_ends_a_convex_quadratic_in_one_accepted_step():
     k = len(_C)
     x0 = 0.5 * _C
     assert np.linalg.norm(_C - x0) < _TR_RADIUS0
-    x, steps = _trust_region(obj, x0, np.full(k, -10.0), np.full(k, 10.0))
+    x, steps, ll, gnorm = _trust_region(obj, x0, np.full(k, -10.0), np.full(k, 10.0))
     assert obj.calls == ["vgh", "v", "vgh"] and steps == 1
     assert np.allclose(x, _C, rtol=0, atol=1e-12)
+    # ll and the max-norm are those of the last information call, at x
+    assert (ll, gnorm) == (-obj._value(x), float(np.max(np.abs(_A @ (x - _C)))))
 
 
 # indefinite: the value falls along e0 away from c, so its minima on the box
@@ -1038,7 +1041,7 @@ _SADDLE = np.diag([-1.0, 2.0, 1.0])
 
 def test_trust_region_leaves_a_saddle_along_its_negative_curvature():
     obj = _Quadratic(_SADDLE)
-    x, steps = _trust_region(obj, _C + np.array([0.1, 0.3, -0.2]), _C - 1.0, _C + 1.0)
+    x, steps, _, _ = _trust_region(obj, _C + np.array([0.1, 0.3, -0.2]), _C - 1.0, _C + 1.0)
     assert steps >= 1
     assert x[0] == _C[0] + 1.0
     assert np.allclose(x[1:], _C[1:], rtol=0, atol=1e-9)
@@ -1052,7 +1055,7 @@ def test_trust_region_hard_case_steps_along_the_negative_curvature_without_a_war
         warnings.simplefilter("error")
         s = _trust_step(g, _SADDLE, 1.0)
         obj = _Quadratic(_SADDLE)
-        x, _ = _trust_region(obj, _C + np.array([0.0, 0.3, -0.2]), _C - 1.0, _C + 1.0)
+        x, _, _, _ = _trust_region(obj, _C + np.array([0.0, 0.3, -0.2]), _C - 1.0, _C + 1.0)
     assert np.linalg.norm(s) == pytest.approx(1.0, rel=1e-12)
     assert abs(s[0]) > 0.9
     assert g @ s + 0.5 * s @ _SADDLE @ s < 0
@@ -1065,7 +1068,7 @@ def test_trust_region_stops_on_the_box_edge_where_the_gradient_points_out():
     # out of the box; the other two slots solve A's first two rows
     obj = _Quadratic(_A)
     lo, hi = np.full(3, -10.0), np.array([10.0, 10.0, 0.0])
-    x, _ = _trust_region(obj, np.array([0.0, 0.0, -0.5]), lo, hi)
+    x, _, _, _ = _trust_region(obj, np.array([0.0, 0.0, -0.5]), lo, hi)
     assert x[2] == 0.0
     expected = _C[:2] + np.linalg.solve(_A[:2, :2], _A[:2, 2] * _C[2])
     assert np.allclose(x[:2], expected, rtol=0, atol=1e-9)
@@ -1081,7 +1084,7 @@ def test_trust_region_shrinks_the_radius_at_a_rejected_point_and_never_takes_it(
     # at the trial's point.
     obj = _Toy()
     x0 = np.array([0.4, 1.2])
-    x, steps = _trust_region(obj, x0, np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
+    x, steps, _, _ = _trust_region(obj, x0, np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
     assert np.allclose(x, [1.0, -1.0], rtol=0, atol=1e-9)
     assert set(obj.calls) == {"vgh", "v"} and obj.calls[0] == "vgh"
     trials = [p for c, p in zip(obj.calls, obj.points) if c == "v"]
@@ -1095,6 +1098,36 @@ def test_trust_region_shrinks_the_radius_at_a_rejected_point_and_never_takes_it(
             assert obj.calls[i - 1] == "v" and np.array_equal(obj.points[i], obj.points[i - 1])
     values = [obj._value_and_grad(p)[0] for p in taken]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class _Offset(_Quadratic):
+    """_Quadratic plus a constant: its values round to multiples of the
+    constant's ulp."""
+
+    def __init__(self, A, offset):
+        super().__init__(A)
+        self.offset = offset
+
+    def _value(self, x):
+        return self.offset + super()._value(x)
+
+
+def test_trust_region_takes_a_step_whose_predicted_decrease_is_below_the_rounding_of_f():
+    # f = 1e6 + 0.5 d'Ad with A = 1e8 _A and d = 1e-10 e0: the Newton step's
+    # predicted decrease, 2e-12, is below |f| eps = 2.2e-10, so f rounds to
+    # 1e6 at both ends and the actual decrease reads 0, while the gradient
+    # (0.04) is above the stop (0.2 * 6.1e-3).  The guard judges the step
+    # by the model and takes it; without it the radius shrinks to its floor
+    # and x stays.
+    obj = _Offset(1e8 * _A, 1e6)
+    x0 = _C + np.array([1e-10, 0.0, 0.0])
+    d = x0 - _C
+    assert 0.5 * d @ obj.A @ d < 1e6 * np.finfo(float).eps
+    assert obj._value(x0) == obj._value(_C) == 1e6
+    assert np.max(np.abs(obj.A @ d)) > 0.2 * _grad_check_tol(-1e6)
+    x, steps, ll, gnorm = _trust_region(obj, x0, _C - 1.0, _C + 1.0)
+    assert steps == 1 and obj.calls == ["vgh", "v", "vgh"]
+    assert ll == -1e6 and gnorm <= 0.2 * _grad_check_tol(ll)
 
 
 def _preset_cohort(preset, n, index):
@@ -1128,14 +1161,27 @@ def test_trust_region_reaches_the_stationary_point_beyond_an_indefinite_lbfgsb_e
     assert not any(n.startswith("trust region from the model's start") for n in m3.notes)
 
 
+def test_the_rounding_guard_certifies_m3_one_step_short_of_the_rounding_floor():
+    # wide, n = 1000, replicate 9.  Without the guard the trust region ends
+    # M3 at ll -1312.825173 one step short, at the rounding floor of its
+    # ratio test: gradient max-norm 1.2e-5 against a tolerance of 7.96e-6.
+    # With it, the run from L-BFGS-B's end certifies the same ll.
+    m3 = fit_all(_preset_cohort("wide", 1000, 9))["M3"]
+    assert m3.converged
+    assert m3.loglik_comparable == pytest.approx(-1312.825173, abs=1e-6)
+    assert any(n.startswith("trust region from L-BFGS-B's end: ") and n.endswith(", certified")
+               for n in m3.notes)
+
+
 def test_a_rejected_point_gives_a_nan_curvature_mismatch():
     # x + h v lands in the toy's rejected strip; a Hessian that is not
     # finite gives NaN before any gradient call
     obj = _Toy()
     H = obj.value_grad_hess(np.zeros(2))[2]
-    assert math.isnan(_curvature_mismatch(obj.grad, np.array([0.99 - 5e-5, 0.6]), H))
+    assert math.isnan(_curvature_mismatch(obj.grad, np.array([0.99 - 5e-5, 0.6]), H, _eigh(H)))
     calls = []
-    assert math.isnan(_curvature_mismatch(calls.append, np.zeros(2), np.full((2, 2), np.nan)))
+    H = np.full((2, 2), np.nan)
+    assert math.isnan(_curvature_mismatch(calls.append, np.zeros(2), H, _eigh(H)))
     assert calls == []
 
 
@@ -1160,11 +1206,13 @@ def test_the_gradient_is_a_gradient_at_converged_fits_and_not_at_m2s_tail_end(
     for end_cohort, res in ((cohort, fits["M1"]), m3_interior):
         assert res.converged
         obj, _, x_hat = _search_point(res, end_cohort)
-        assert _curvature_mismatch(obj.grad, x_hat, obj.value_grad_hess(x_hat)[2]) <= 1e-8
+        H = obj.value_grad_hess(x_hat)[2]
+        assert _curvature_mismatch(obj.grad, x_hat, H, _eigh(H)) <= 1e-8
         assert not [n for n in res.notes if n.startswith("SEs from")]
     res = fits["M2"]
     obj, _, x_hat = _search_point(res, cohort)
-    mismatch = _curvature_mismatch(obj.grad, x_hat, obj.value_grad_hess(x_hat)[2])
+    H = obj.value_grad_hess(x_hat)[2]
+    mismatch = _curvature_mismatch(obj.grad, x_hat, H, _eigh(H))
     assert mismatch > _CURVATURE_TOL
     assert (
         "SEs from a gradient that is not the log-likelihood's: its curvature mismatch "
@@ -1230,7 +1278,7 @@ def test_ci_matches_analytic_toy(m1_fit):
     # Wald interval on a known-curvature quadratic: +/- z / sqrt(curvature)
     curv = 25.0
     H = np.array([[curv]])
-    cov, problem = _covariance(H)
+    cov, problem = _covariance(_eigh(H))
     assert problem is None
     se = math.sqrt(cov[0, 0])
     assert se == pytest.approx(1.0 / math.sqrt(curv), rel=1e-12)
@@ -1257,7 +1305,7 @@ def test_ses_unavailable_raises():
 
 
 def test_covariance_flags_negative_eigenvalues():
-    cov, problem = _covariance(np.array([[1.0, 0.0], [0.0, -0.5]]))
+    cov, problem = _covariance(_eigh(np.array([[1.0, 0.0], [0.0, -0.5]])))
     assert cov is None
     assert problem == "information matrix not positive definite; SEs unavailable"
 
@@ -1265,7 +1313,7 @@ def test_covariance_flags_negative_eigenvalues():
 def test_covariance_names_a_nonfinite_entry_apart_from_a_negative_eigenvalue():
     # a rejected point or an overflow leaves NaN in the Hessian: that is not
     # a statement about definiteness, and the note says which it is
-    cov, problem = _covariance(np.array([[1.0, np.nan], [np.nan, 2.0]]))
+    cov, problem = _covariance(_eigh(np.array([[1.0, np.nan], [np.nan, 2.0]])))
     assert cov is None
     assert problem == "information matrix not finite (a rejected point or an overflow); SEs unavailable"
 

@@ -1,10 +1,12 @@
-"""The fused likelihood kernel gives the bits of the plain expressions.
+"""The likelihood kernels give the bits of the plain expressions.
 
 ``likelihood_reference`` keeps the terms, the gradient and the EW kernel as
 they were written before the value and gradient kernels were fused.  At any
 point, inside the optimizer's box or beyond it, ``loglik`` in both
 conventions and ``loglik_and_grad`` must return the same ``float.hex``, the
-same gradient bytes, or the same exception with the same message.
+same gradient bytes, or the same exception with the same message.  The
+value and gradient of ``loglik_grad_hess`` come from the same first-order
+stage as ``loglik_and_grad``'s, so they keep the same bits too.
 """
 
 import math
@@ -16,7 +18,14 @@ from hypothesis import strategies as st
 
 import likelihood_reference as ref
 from exhaz.distributions import ew_log_terms
-from exhaz.likelihoods import MODELS, ParamLayout, PreparedCohort, loglik, loglik_and_grad
+from exhaz.likelihoods import (
+    MODELS,
+    ParamLayout,
+    PreparedCohort,
+    loglik,
+    loglik_and_grad,
+    loglik_grad_hess,
+)
 
 
 def outcome(fn, *args):
@@ -73,6 +82,15 @@ def points(draw):
 @given(points())
 def test_fused_kernel_matches_the_plain_expressions(point):
     assert_same_bits(*point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points())
+def test_the_hessian_pass_returns_the_bits_of_the_gradient_pass(point):
+    def first_two(*args):
+        return loglik_grad_hess(*args)[:2]
+
+    assert outcome(first_two, *point) == outcome(loglik_and_grad, *point)
 
 
 def tail_cohort(n=60, seed=3):

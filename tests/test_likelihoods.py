@@ -533,8 +533,7 @@ def _richardson_hessian(params, cohort, h=1e-3, levels=2):
 def _check_hessian(params, cohort, **reference):
     ll, grad, hess = loglik_grad_hess(params, cohort)
     ll2, grad2 = loglik_and_grad(params, cohort)
-    assert ll == ll2
-    assert np.max(np.abs(grad - grad2) / np.maximum(1.0, np.abs(grad2))) < 1e-12
+    assert ll == ll2 and grad.tobytes() == grad2.tobytes()
     ref = _richardson_hessian(params, cohort, **reference)
     assert np.max(np.abs(hess - ref) / np.maximum(1.0, np.abs(ref))) < 1e-6
     assert np.array_equal(hess, hess.T)

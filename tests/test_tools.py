@@ -335,3 +335,37 @@ def test_preset_panel_compare_lists_flipped_flags_and_moved_lls_with_totals(tmp_
     (tmp_path / "b.json").write_text(json.dumps(b[:3]), encoding="utf-8")
     assert preset_panel.main(["--compare", *paths]) == 1
     assert capsys.readouterr().out == "the panels hold different fits: 4 vs 3, 3 in both\n"
+
+
+def test_preset_panel_compare_prints_decrement_min_eig_and_bound_hits_of_a_listed_fit(
+    tmp_path, capsys
+):
+    # a flip at the rounding floor explains itself: its decrement is tiny
+    # while the max-norm misses the tolerance; rows without the fields (an
+    # older panel) print no second line, and an unchanged fit none at all
+    cert = {"decrement": 1.78e-25, "min_eig": 0.0426, "at_bound": []}
+    a = [
+        {**panel_row("wide", 9, "M3", True, -1312.825173, 93, 1.23e-11), **cert},
+        {**panel_row("none", 6, "M2", True, -1461.0, 60, 1e-9), **cert, "at_bound": ["gamma"]},
+        panel_row("none", 6, "M1", True, -1461.3149, 262, 5.2e-8),
+    ]
+    b = [
+        {**panel_row("wide", 9, "M3", False, -1312.825173, 147, 1.2e-5),
+         "decrement": 1.49e-14, "min_eig": 0.0426, "at_bound": []},
+        {**panel_row("none", 6, "M2", False, None, None, None),
+         "decrement": None, "min_eig": None, "at_bound": None, "error": "NonFiniteLikelihood: x"},
+        panel_row("none", 6, "M1", True, -1461.3149, 262, 5.2e-8),
+    ]
+    paths = []
+    for name, rows in (("a.json", a), ("b.json", b)):
+        (tmp_path / name).write_text(json.dumps(rows), encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    assert preset_panel.main(["--compare", *paths]) == 0
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "none r6 M2: converged True -> False, ll -1461.000000 -> None, "
+        "grad max-norm 1e-09 -> None",
+        "    decrement 1.78e-25 -> None, min_eig 0.0426 -> None, at bound gamma -> None",
+        "wide r9 M3: converged True -> False, ll -1312.825173 -> -1312.825173, "
+        "grad max-norm 1.23e-11 -> 1.2e-05",
+        "    decrement 1.78e-25 -> 1.49e-14, min_eig 0.0426 -> 0.0426, at bound - -> -",
+    ]

@@ -9,17 +9,19 @@ The first form imports ``exhaz`` from ``TREE/src`` and runs ``fit_all`` on
 replicates 0 .. R-1 of every preset of ``builtin_scenarios`` at size N,
 with drop-out calibrated once per preset, as the recovery study does. It
 writes a JSON list with one row per fit: ``preset``, ``replicate``,
-``model``, ``converged``, ``ll`` (the comparable scale), ``evals`` and
-``grad_max_norm``. A replicate whose ``fit_all`` raises gives one row per
-model with ``converged`` false, null ``ll``, ``evals`` and
-``grad_max_norm``, and the ``error``.
+``model``, ``converged``, ``ll`` (the comparable scale), ``evals``,
+``grad_max_norm``, ``decrement``, ``min_eig`` and ``at_bound`` (the names
+of the parameters on the search box's edge). A replicate whose ``fit_all``
+raises gives one row per model with ``converged`` false, null values, and
+the ``error``.
 
 The second form pairs the rows of two such files by preset, replicate and
 model. It prints each fit whose ``converged`` flag flipped or whose ll
-moved by more than 1e-6, with both gradient max-norms, then, for each
-side, the fits converged and the total evals, and last the number of fits
-converged in A and not in B. It exits with 1 when the two files do not
-hold the same fits.
+moved by more than 1e-6, with both gradient max-norms and, on a second
+line, both decrements, smallest eigenvalues and bound hits (when the rows
+hold them), then, for each side, the fits converged and the total evals,
+and last the number of fits converged in A and not in B. It exits with 1
+when the two files do not hold the same fits.
 """
 
 from __future__ import annotations
@@ -64,12 +66,15 @@ def panel(n: int, replicates: int) -> list[dict]:
                 fits = fit_all(cohort, sc.fit)
             except ExhazError as exc:
                 failed = {"converged": False, "ll": None, "evals": None, "grad_max_norm": None,
+                          "decrement": None, "min_eig": None, "at_bound": None,
                           "error": f"{type(exc).__name__}: {exc}"}
                 rows += [{**key, "model": model, **failed} for model in MODELS]
                 continue
             rows += [
                 {**key, "model": model, "converged": res.converged, "ll": res.loglik_comparable,
-                 "evals": res.n_evals, "grad_max_norm": res.grad_max_norm}
+                 "evals": res.n_evals, "grad_max_norm": res.grad_max_norm,
+                 "decrement": res.decrement, "min_eig": res.min_eig,
+                 "at_bound": list(res.at_bound)}
                 for model, res in fits.items()
             ]
         print(f"{preset}: {replicates} replicates", file=sys.stderr, flush=True)
@@ -84,6 +89,10 @@ def _moved(a: float | None, b: float | None) -> bool:
 
 def _fmt(value: float | None, spec: str) -> str:
     return "None" if value is None else format(value, spec)
+
+
+def _fmt_bound(names: list[str] | None) -> str:
+    return "None" if names is None else ", ".join(names) or "-"
 
 
 def compare(a: list[dict], b: list[dict]) -> int:
@@ -104,6 +113,11 @@ def compare(a: list[dict], b: list[dict]) -> int:
                   f"ll {_fmt(fa['ll'], '.6f')} -> {_fmt(fb['ll'], '.6f')}, "
                   f"grad max-norm {_fmt(fa['grad_max_norm'], '.3g')} -> "
                   f"{_fmt(fb['grad_max_norm'], '.3g')}")
+            if "decrement" in fa or "decrement" in fb:  # rows written before these fields lack them
+                print(f"    decrement {_fmt(fa.get('decrement'), '.3g')} -> "
+                      f"{_fmt(fb.get('decrement'), '.3g')}, "
+                      f"min_eig {_fmt(fa.get('min_eig'), '.3g')} -> {_fmt(fb.get('min_eig'), '.3g')}, "
+                      f"at bound {_fmt_bound(fa.get('at_bound'))} -> {_fmt_bound(fb.get('at_bound'))}")
     for side, rows in (("A", a), ("B", b)):
         converged = sum(r["converged"] for r in rows)
         evals = sum(r["evals"] or 0 for r in rows)
