@@ -2,18 +2,19 @@
 
 Fitting is a two-step search on the log-transformed positive parameters:
 a start, then a refinement.  M1 starts with one cycle of coordinate
-descent (CDA) from fixed values (kappa = theta = 1, alpha = 2, betas = 0);
-M2 and M3 start where the model they extend ends (below).  The
-refinement runs bounded L-BFGS-B with analytic gradients and checks their
-max-norm on the search scale.  When the check fails, a box-bounded
-trust-region Newton on the analytic Hessian (Nocedal & Wright, *Numerical
-Optimization*, ch. 4) runs from L-BFGS-B's end; its last pass, at its
-end, gives the check.  When that end fails too, the trust region runs once
-more from the model's own start (M1's fixed values before CDA, M2's and
-M3's start), and its end is taken when it passes the check; otherwise the
-first run's end stands.  The fit's notes give the start, steps and evals
-(its own passes) of each trust-region run and whether its end passed the
-check ("certified").
+descent (CDA) from fixed values (kappa = theta = 1, alpha = 2, betas = 0)
+and is refined by bounded L-BFGS-B with analytic gradients, whose end is
+checked by its gradient max-norm on the search scale.  When the check
+fails, a box-bounded trust-region Newton on the analytic Hessian (Nocedal
+& Wright, *Numerical Optimization*, ch. 4) runs from L-BFGS-B's end; its
+last pass, at its end, gives the check.  When that end fails too, the
+trust region runs once more from M1's fixed values before CDA, and its
+end is taken when it passes the check; otherwise the first run's end
+stands.  M2 and M3 start where the model they extend ends (below), a
+point already near their own end, and are refined by one trust-region
+run from there, whose end is taken.  The fit's notes give the start,
+steps and evals (its own passes) of each trust-region run and whether its
+end passed the check ("certified").
 
 The analytic Hessian comes from ``likelihoods.loglik_grad_hess`` (through
 ``loglik_and_grad(hessian=True)``, one likelihood call, whose value and
@@ -560,19 +561,34 @@ def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
     return x, steps, *_ll_and_norm(f, g)
 
 
-def _refine(obj: _Objective, x0: np.ndarray, start: np.ndarray, bounds):
-    """L-BFGS-B from ``x0`` and the trust region after it, each ended by a gradient check.
+def _leg(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str):
+    """One trust-region run from ``x`` and its note.
 
-    L-BFGS-B runs from ``x0``, and its end is returned when it passes the
-    check, one gradient call there.  Otherwise the trust region
-    (``_trust_region``, whose last pass gives the check) runs from that
-    end, and its end is returned when it passes.  Otherwise the trust region
-    runs once more, from ``start`` (the model's own start, before any warm
-    start), and its end is returned when it passes; when it fails too, the
-    end of the first run is.  Returns (x, n_iter, ll, gnorm, notes): the
-    log-likelihood and the analytic gradient max-norm at the returned x,
-    and one note per trust-region run with its start, steps and evals (its
-    own passes) and whether its end passed the check ("certified").
+    Returns (x, steps, ll, gnorm, passed, note): ``_trust_region``'s end,
+    whether it passes the gradient check, and the note "trust region from
+    <origin>: N step(s), E evals, certified" (or "not certified"), E being
+    the run's own passes.
+    """
+    evals = obj.n_evals
+    x, steps, ll, gnorm = _trust_region(obj, x, lo, hi)
+    passed = gnorm <= _grad_check_tol(ll)
+    note = (f"trust region from {origin}: {steps} step(s), {obj.n_evals - evals} evals, "
+            f"{'certified' if passed else 'not certified'}")
+    return x, steps, ll, gnorm, passed, note
+
+
+def _refine(obj: _Objective, x0: np.ndarray, start: np.ndarray, bounds):
+    """M1's refinement: L-BFGS-B from ``x0`` and the trust region after it,
+    each ended by a gradient check.
+
+    L-BFGS-B runs from ``x0`` (CDA's point), and its end is returned when it
+    passes the check, one gradient call there.  Otherwise a trust-region leg
+    (``_leg``, whose last pass gives the check) runs from that end, and its
+    end is returned when it passes.  Otherwise a second leg runs from
+    ``start`` (M1's start before CDA), and its end is returned when it
+    passes; when it fails too, the end of the first leg is.  Returns (x,
+    n_iter, ll, gnorm, notes): the log-likelihood and the analytic gradient
+    max-norm at the returned x, and each leg's note.
     """
     lo, hi = np.array(bounds).T
     x = np.clip(x0, lo, hi)
@@ -594,12 +610,9 @@ def _refine(obj: _Objective, x0: np.ndarray, start: np.ndarray, bounds):
 
     notes, ends = [], []
     for origin, x in (("L-BFGS-B's end", x), ("the model's start", np.clip(start, lo, hi))):
-        evals = obj.n_evals
-        x, steps, ll, gnorm = _trust_region(obj, x, lo, hi)
+        x, steps, ll, gnorm, passed, note = _leg(obj, x, lo, hi, origin)
         n_iter += steps
-        passed = gnorm <= _grad_check_tol(ll)
-        notes.append(f"trust region from {origin}: {steps} step(s), {obj.n_evals - evals} "
-                     f"evals, {'certified' if passed else 'not certified'}")
+        notes.append(note)
         if passed:
             return x, n_iter, ll, gnorm, notes
         ends.append((x, ll, gnorm))
@@ -643,11 +656,11 @@ def fit(
     and M3 at the GH estimates of the model they extend, fitted here as
     ``fit_all`` fits it (M1, or M2 from M1); those fits' evals are not
     counted in this one's ``n_evals``.  M1 starts with one CDA cycle from
-    ``init``; M2 starts at ``init`` itself, with gamma profiled out; M3 at
-    the best of ``init`` with each log b of ``_LOG_B_GRID``, with mu
-    profiled out, the grid's values counted in ``n_evals``.  ``_refine``
-    searches from there; the model's own start, from which its trust region
-    restarts, is M1's point before CDA and M2's and M3's start itself.  A
+    ``init`` and is refined by ``_refine``, whose trust region restarts
+    from ``init`` itself; M2 starts at ``init``, with gamma profiled out;
+    M3 at the best of ``init`` with each log b of ``_LOG_B_GRID``, with mu
+    profiled out, the grid's values counted in ``n_evals``.  M2 and M3 are
+    refined by one trust-region run (``_leg``) from that start.  A
     start whose value is not finite is skipped with a warning, and
     NonFiniteLikelihood ("<model>: no usable starting point") is raised
     when every start is.
@@ -687,10 +700,7 @@ def fit(
 
     x_hat, best_ll, total_iter, stage_notes = None, -np.inf, 0, []
     for s in starts:
-        # the trust region's restart (see _refine): M1's start before CDA,
-        # M2's and M3's start itself
         if search is obj:
-            restart = s
             try:
                 warm = cda_warm_start(obj.value, s, bounds=bounds)
             except NonFiniteLikelihood:
@@ -700,11 +710,15 @@ def fit(
             points = [s] if model == "M2" else [np.append(s, v) for v in _LOG_B_GRID]
             values = [search.value(p) for p in points]
             best = int(np.argmin(values))
-            warm = restart = points[best] if values[best] < _BIG else None
+            warm = points[best] if values[best] < _BIG else None
         if warm is None:
             log.warning("%s: start rejected (non-finite likelihood)", model)
             continue
-        x, n_iter, ll, _, x_notes = _refine(search, warm, restart, bounds)
+        if search is obj:  # M1's trust region restarts from its start before CDA
+            x, n_iter, ll, _, x_notes = _refine(obj, warm, s, bounds)
+        else:
+            x, n_iter, ll, _, _, note = _leg(search, warm, *np.array(bounds).T, "the model's start")
+            x_notes = [note]
         total_iter += n_iter
         stage_notes += x_notes
         if ll > best_ll:

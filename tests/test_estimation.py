@@ -462,27 +462,27 @@ def test_m3_nests_m2_from_its_first_profiled_value(make_cohort):
 
 def test_m3_starts_from_the_best_log_b_of_the_scan_at_m2s_end(monkeypatch):
     # 27 values, one per log b in -20, ..., 6 and counted in n_evals, then
-    # one refinement from the best of them
+    # one trust-region run from the best of them
     assert _LOG_B_GRID == tuple(float(v) for v in range(-20, 7))
     cohort = _frailty_cohort(0)
     m2 = fit_all(cohort)["M2"]
     k = m2.k - 1
-    refine, starts = estimation._refine, []
+    leg, starts = estimation._leg, []
 
-    def spy(obj, x0, start, bounds):
-        starts.append((x0.copy(), start.copy(), obj.n_evals))
-        return refine(obj, x0, start, bounds)
+    def spy(obj, x, lo, hi, origin):
+        starts.append((x.copy(), origin, obj.n_evals))
+        return leg(obj, x, lo, hi, origin)
 
-    monkeypatch.setattr(estimation, "_refine", spy)
+    monkeypatch.setattr(estimation, "_leg", spy)
     fit("M3", cohort, init=m2.estimates[:k])
-    ((x0, start, evals_before),) = starts
+    ((x0, origin, evals_before),) = starts
     obj, slot_scale = _standardized_objective("M3", cohort)
     prof = _Profiled(obj.layout, obj.cohort)
     gh = transform_params(m2.estimates[:k] * slot_scale[:k], prof.positive[:k])
     values = [prof.value(np.append(gh, v)) for v in _LOG_B_GRID]
     assert evals_before == len(_LOG_B_GRID)
     assert np.array_equal(x0, np.append(gh, _LOG_B_GRID[int(np.argmin(values))]))
-    assert np.array_equal(start, x0)  # the trust region's restart is the same point
+    assert origin == "the model's start"
 
 
 def test_m2_fits_the_gh_coordinates_and_reports_the_joint_estimate(fits_1500):
@@ -967,14 +967,19 @@ def test_refine_keeps_lbfgsbs_end_where_both_ends_fail_the_check():
     assert notes[1].startswith("trust region from the model's start: ")
 
 
+# the cohorts on which M1's trust region certifies only from the default start
+_RESTART_COHORTS = [("moderate", 5000, 2), ("wide-dropout", 1000, 1), ("none", 1000, 6)]
+_RESTART_IDS = [f"{preset}-{n}-r{index}" for preset, n, index in _RESTART_COHORTS]
+
+
 @pytest.mark.parametrize(
     "preset, n, index, expected",
     [
-        ("moderate", 5000, 2, {"M1": -7308.1632}),
-        ("wide-dropout", 1000, 1, {"M1": -1123.6141, "M2": -1122.8905, "M3": -1121.9758}),
-        ("none", 1000, 6, {"M1": -1461.3149}),
+        (*_RESTART_COHORTS[0], {"M1": -7308.1632}),
+        (*_RESTART_COHORTS[1], {"M1": -1123.6141, "M2": -1122.8905, "M3": -1121.9758}),
+        (*_RESTART_COHORTS[2], {"M1": -1461.3149}),
     ],
-    ids=["moderate-5000-r2", "wide-dropout-1000-r1", "none-1000-r6"],
+    ids=_RESTART_IDS,
 )
 def test_the_restart_from_the_default_start_certifies_m1_past_the_ew_tail(
     preset, n, index, expected
@@ -992,6 +997,48 @@ def test_the_restart_from_the_default_start_certifies_m1_past_the_ew_tail(
     for model, ll in expected.items():
         assert fits[model].converged
         assert fits[model].loglik_comparable == pytest.approx(ll, abs=1e-4)
+
+
+@pytest.mark.parametrize("preset, n, index", _RESTART_COHORTS, ids=_RESTART_IDS)
+def test_m2_and_m3_nest_on_the_restart_regression_cohorts(preset, n, index):
+    # M2 and M3 each take one trust-region run from the end of the model
+    # they extend, which moves only to lower values, so M1 <= M2 <= M3 up to
+    # rounding and the scan floor's O(e^-20)
+    fits = fit_all(_preset_cohort(preset, n, index))
+    ll = {model: res.loglik_comparable for model, res in fits.items()}
+    assert ll["M2"] >= ll["M1"] - 1e-9
+    assert ll["M3"] >= ll["M2"] - 1e-9
+
+
+def test_m1_keeps_its_lbfgsb_path_bit_for_bit():
+    # wide-dropout, n = 1000, replicate 1: CDA, L-BFGS-B, the trust region
+    # from L-BFGS-B's end and the restart from the default start, with the
+    # numbers the fit gave before M2 and M3 dropped L-BFGS-B
+    m1 = fit("M1", _preset_cohort(*_RESTART_COHORTS[1]))
+    assert m1.loglik == float.fromhex("-0x1.072a573733992p+10")
+    assert (m1.n_evals, m1.n_iter) == (586, 239)
+    assert m1.notes == (
+        "trust region from L-BFGS-B's end: 3 step(s), 18 evals, not certified",
+        "trust region from the model's start: 10 step(s), 21 evals, certified",
+    )
+
+
+def test_only_m1_runs_lbfgsb_once_per_start(monkeypatch):
+    # M2 and M3 are refined by the trust region alone; M1 runs one L-BFGS-B
+    # per start, here the default and one random restart
+    cohort, cfg, calls = _frailty_cohort(0), FitConfig(multi_starts=1), []
+    lbfgsb = estimation.minimize
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return lbfgsb(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "minimize", spy)
+    m1 = fit("M1", cohort, cfg)
+    assert calls == ["L-BFGS-B", "L-BFGS-B"]
+    m2 = fit("M2", cohort, cfg, init=m1.estimates)
+    fit("M3", cohort, cfg, init=m2.estimates[: m1.k])
+    assert len(calls) == 2
 
 
 _A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
@@ -1146,30 +1193,29 @@ def _preset_cohort(preset, n, index):
 
 def test_trust_region_reaches_the_stationary_point_beyond_an_indefinite_lbfgsb_end():
     # wide-dropout, n = 1000, replicate 8, drop-out calibrated as in the
-    # recovery study.  L-BFGS-B stops M3 where the information matrix is
-    # indefinite.  Without the trust region the fit ended "converged" after
-    # 2231 evals, 0.105 below the stationary point at -1192.780928, where H
-    # is positive definite.  The run from L-BFGS-B's end reaches it, so the
-    # restart from the model's start does not run.
+    # recovery study.  L-BFGS-B stopped M3 where the information matrix is
+    # indefinite, and before the trust region the fit ended "converged"
+    # after 2231 evals, 0.105 below the stationary point at -1192.780928,
+    # where H is positive definite.  The one trust-region run from the scan's
+    # best point reaches it.
     m3 = fit_all(_preset_cohort("wide-dropout", 1000, 8))["M3"]
     assert m3.converged
     assert m3.loglik >= -1192.780928 - 1e-6
     assert m3.min_eig > 0
     assert m3.n_evals <= 600
-    assert any(n.startswith("trust region from L-BFGS-B's end: ") and n.endswith(", certified")
-               for n in m3.notes)
-    assert not any(n.startswith("trust region from the model's start") for n in m3.notes)
+    (note,) = [n for n in m3.notes if n.startswith("trust region from ")]
+    assert note.startswith("trust region from the model's start: ") and note.endswith(", certified")
 
 
 def test_the_rounding_guard_certifies_m3_one_step_short_of_the_rounding_floor():
     # wide, n = 1000, replicate 9.  Without the guard the trust region ends
     # M3 at ll -1312.825173 one step short, at the rounding floor of its
     # ratio test: gradient max-norm 1.2e-5 against a tolerance of 7.96e-6.
-    # With it, the run from L-BFGS-B's end certifies the same ll.
+    # With it, the run from the scan's best point certifies the same ll.
     m3 = fit_all(_preset_cohort("wide", 1000, 9))["M3"]
     assert m3.converged
     assert m3.loglik_comparable == pytest.approx(-1312.825173, abs=1e-6)
-    assert any(n.startswith("trust region from L-BFGS-B's end: ") and n.endswith(", certified")
+    assert any(n.startswith("trust region from the model's start: ") and n.endswith(", certified")
                for n in m3.notes)
 
 

@@ -329,7 +329,13 @@ def test_preset_panel_compare_lists_flipped_flags_and_moved_lls_with_totals(tmp_
         "wide r0 M3: converged False -> False, ll -1134.361100 -> -1134.372100, "
         "grad max-norm 4.05 -> 3.47",
         "A: 2 of 4 fits converged, 5691 evals",
+        "    M1: 1 of 2 fits converged, 3021 evals",
+        "    M2: 1 of 1 fits converged, 65 evals",
+        "    M3: 0 of 1 fits converged, 2605 evals",
         "B: 2 of 4 fits converged, 808 evals",
+        "    M1: 1 of 2 fits converged, 277 evals",
+        "    M2: 1 of 1 fits converged, 60 evals",
+        "    M3: 0 of 1 fits converged, 471 evals",
         "converged in A, not in B: 1 fits",
     ]
     (tmp_path / "b.json").write_text(json.dumps(b[:3]), encoding="utf-8")
@@ -369,3 +375,47 @@ def test_preset_panel_compare_prints_decrement_min_eig_and_bound_hits_of_a_liste
         "grad max-norm 1.23e-11 -> 1.2e-05",
         "    decrement 1.78e-25 -> 1.49e-14, min_eig 0.0426 -> 0.0426, at bound - -> -",
     ]
+
+
+def test_preset_panel_compare_prints_each_sides_notes_of_a_listed_fit(tmp_path, capsys):
+    # a fit that lost its flag names the path it took on each side; a fit
+    # whose replicate raised has no notes, and a fit with none prints "-"
+    a = [
+        {**panel_row("wide", 8, "M3", True, -1374.981015, 120, 5.5e-11),
+         "notes": ["trust region from L-BFGS-B's end: 24 step(s), 60 evals, certified"]},
+        {**panel_row("wide", 8, "M2", True, -1376.0, 90, 1e-9), "notes": []},
+    ]
+    b = [
+        {**panel_row("wide", 8, "M3", False, -1375.604819, 210, 3.46),
+         "notes": ["trust region from the model's start: 100 step(s), 180 evals, not certified",
+                   "information matrix not positive definite; SEs unavailable"]},
+        {**panel_row("wide", 8, "M2", False, None, None, None), "notes": None,
+         "error": "NonFiniteLikelihood: x"},
+    ]
+    paths = []
+    for name, rows in (("a.json", a), ("b.json", b)):
+        (tmp_path / name).write_text(json.dumps(rows), encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    assert preset_panel.main(["--compare", *paths]) == 0
+    assert capsys.readouterr().out.splitlines()[:6] == [
+        "wide r8 M2: converged True -> False, ll -1376.000000 -> None, "
+        "grad max-norm 1e-09 -> None",
+        "    notes A: -",
+        "    notes B: None",
+        "wide r8 M3: converged True -> False, ll -1374.981015 -> -1375.604819, "
+        "grad max-norm 5.5e-11 -> 3.46",
+        "    notes A: trust region from L-BFGS-B's end: 24 step(s), 60 evals, certified",
+        "    notes B: trust region from the model's start: 100 step(s), 180 evals, not certified"
+        " | information matrix not positive definite; SEs unavailable",
+    ]
+
+
+def test_preset_panel_rows_hold_every_field_of_a_fit():
+    rows = preset_panel.panel(n=100, replicates=1)
+    keys = {"preset", "replicate", "model", "converged", "ll", "evals", "grad_max_norm",
+            "decrement", "min_eig", "at_bound", "notes"}
+    assert len(rows) == 27
+    assert [r["model"] for r in rows] == list(preset_panel.MODELS) * 9
+    for row in rows:
+        assert set(row) == keys | ({"error"} if "error" in row else set())
+        assert isinstance(row["notes"], list) or "error" in row

@@ -10,18 +10,19 @@ replicates 0 .. R-1 of every preset of ``builtin_scenarios`` at size N,
 with drop-out calibrated once per preset, as the recovery study does. It
 writes a JSON list with one row per fit: ``preset``, ``replicate``,
 ``model``, ``converged``, ``ll`` (the comparable scale), ``evals``,
-``grad_max_norm``, ``decrement``, ``min_eig`` and ``at_bound`` (the names
-of the parameters on the search box's edge). A replicate whose ``fit_all``
-raises gives one row per model with ``converged`` false, null values, and
-the ``error``.
+``grad_max_norm``, ``decrement``, ``min_eig``, ``at_bound`` (the names
+of the parameters on the search box's edge) and ``notes`` (the fit's
+notes). A replicate whose ``fit_all`` raises gives one row per model with
+``converged`` false, null values, and the ``error``.
 
 The second form pairs the rows of two such files by preset, replicate and
 model. It prints each fit whose ``converged`` flag flipped or whose ll
 moved by more than 1e-6, with both gradient max-norms and, on a second
-line, both decrements, smallest eigenvalues and bound hits (when the rows
-hold them), then, for each side, the fits converged and the total evals,
-and last the number of fits converged in A and not in B. It exits with 1
-when the two files do not hold the same fits.
+line, both decrements, smallest eigenvalues and bound hits, and on one line
+per side that side's notes (each when the rows hold them). Then, for each
+side, it prints the fits converged and the total evals, overall and per
+model, and last the number of fits converged in A and not in B. It exits
+with 1 when the two files do not hold the same fits.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def panel(n: int, replicates: int) -> list[dict]:
                 fits = fit_all(cohort, sc.fit)
             except ExhazError as exc:
                 failed = {"converged": False, "ll": None, "evals": None, "grad_max_norm": None,
-                          "decrement": None, "min_eig": None, "at_bound": None,
+                          "decrement": None, "min_eig": None, "at_bound": None, "notes": None,
                           "error": f"{type(exc).__name__}: {exc}"}
                 rows += [{**key, "model": model, **failed} for model in MODELS]
                 continue
@@ -74,7 +75,7 @@ def panel(n: int, replicates: int) -> list[dict]:
                 {**key, "model": model, "converged": res.converged, "ll": res.loglik_comparable,
                  "evals": res.n_evals, "grad_max_norm": res.grad_max_norm,
                  "decrement": res.decrement, "min_eig": res.min_eig,
-                 "at_bound": list(res.at_bound)}
+                 "at_bound": list(res.at_bound), "notes": list(res.notes)}
                 for model, res in fits.items()
             ]
         print(f"{preset}: {replicates} replicates", file=sys.stderr, flush=True)
@@ -93,6 +94,11 @@ def _fmt(value: float | None, spec: str) -> str:
 
 def _fmt_bound(names: list[str] | None) -> str:
     return "None" if names is None else ", ".join(names) or "-"
+
+
+def _converged_and_evals(rows: list[dict]) -> str:
+    converged = sum(r["converged"] for r in rows)
+    return f"{converged} of {len(rows)} fits converged, {sum(r['evals'] or 0 for r in rows)} evals"
 
 
 def compare(a: list[dict], b: list[dict]) -> int:
@@ -118,10 +124,14 @@ def compare(a: list[dict], b: list[dict]) -> int:
                       f"{_fmt(fb.get('decrement'), '.3g')}, "
                       f"min_eig {_fmt(fa.get('min_eig'), '.3g')} -> {_fmt(fb.get('min_eig'), '.3g')}, "
                       f"at bound {_fmt_bound(fa.get('at_bound'))} -> {_fmt_bound(fb.get('at_bound'))}")
+            if "notes" in fa or "notes" in fb:
+                for side, row in (("A", fa), ("B", fb)):
+                    notes = row.get("notes")
+                    print(f"    notes {side}: {'None' if notes is None else ' | '.join(notes) or '-'}")
     for side, rows in (("A", a), ("B", b)):
-        converged = sum(r["converged"] for r in rows)
-        evals = sum(r["evals"] or 0 for r in rows)
-        print(f"{side}: {converged} of {len(rows)} fits converged, {evals} evals")
+        print(f"{side}: {_converged_and_evals(rows)}")
+        for model in MODELS:
+            print(f"    {model}: {_converged_and_evals([r for r in rows if r['model'] == model])}")
     lost = sum(rows_a[k]["converged"] and not rows_b[k]["converged"] for k in rows_a)
     print(f"converged in A, not in B: {lost} fits")
     return 0
