@@ -6,20 +6,22 @@ descent (CDA) from fixed values (kappa = theta = 1, alpha = 2, betas = 0)
 and is refined by bounded L-BFGS-B with analytic gradients, whose end is
 checked by its gradient max-norm on the search scale.  When the check
 fails, a box-bounded trust-region Newton on the analytic Hessian (Nocedal
-& Wright, *Numerical Optimization*, ch. 4) runs from L-BFGS-B's end; its
-last pass, at its end, gives the check.  When that end fails too, the
-trust region runs once more from M1's fixed values before CDA, and its
-end is taken when it passes the check; otherwise the first run's end
-stands.  M2 and M3 start where the model they extend ends (below), a
-point already near their own end, and are refined by one trust-region
-run from there, whose end is taken.  The fit's notes give the start,
-steps and evals (its own passes) of each trust-region run and whether its
-end passed the check ("certified").
+& Wright, *Numerical Optimization*, ch. 4) runs from L-BFGS-B's end and
+from M1's fixed values before CDA until one run's end passes the check
+(its last pass gives it); else the first run's end stands.  The run from
+L-BFGS-B's end goes first only where H there is positive definite on the
+slots the box leaves free: elsewhere it is outside a basin.  M2 and M3
+start where the model they extend ends (below), a point already near
+their own end, and are refined by one trust-region run from there, whose
+end is taken.  The fit's notes give the start, steps and evals (its own
+passes) of each trust-region run and whether its end passed the check
+("certified").
 
 The analytic Hessian comes from ``likelihoods.loglik_grad_hess`` (through
 ``loglik_and_grad(hessian=True)``, one likelihood call, whose value and
 gradient are ``loglik_and_grad``'s bit for bit), mapped to the
-transformed scale.  One such call at the estimate gives the fit's
+transformed scale; a pass repeated at the objective's last point costs no
+call.  One such call at the estimate gives the fit's
 log-likelihood, gradient max-norm and ``converged`` flag, and H, whose one
 eigendecomposition gives the standard errors (a pseudo-inverse with an
 eigenvalue floor, mapped back by the delta method), the smallest
@@ -253,6 +255,7 @@ class _Objective:
         self.n_evals = 0
         self.positive = layout.positive  # of x's slots
         self.bounds = layout.transformed_bounds()
+        self._last = (None, None)  # x.tobytes() of the last value_grad_hess point, and its pass
 
     def params(self, x: np.ndarray) -> ModelParams:
         """The parameters at x; NonPositive names a slot that is not valid."""
@@ -284,8 +287,18 @@ class _Objective:
         log slots, with D = diag(dv/dx) (v on a log slot, 1 elsewhere) and
         g the natural gradient.  A rejected point gives _BIG, a zero
         gradient and a NaN Hessian; in the EW tail the Hessian may overflow
-        to infinities and NaNs, which its callers check.
+        to infinities and NaNs, which its callers check.  The pass of the
+        last point is kept, read-only: a call at that point again (the same
+        bytes) returns it with no likelihood call and no eval.
         """
+        key = x.tobytes()
+        if key != self._last[0]:
+            out = self._value_grad_hess(x)
+            out[1].flags.writeable = out[2].flags.writeable = False
+            self._last = (key, out)
+        return self._last[1]
+
+    def _value_grad_hess(self, x: np.ndarray):
         self.n_evals += 1
         try:
             params = self.params(x)
@@ -512,25 +525,31 @@ def _trust_step(g: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
     return s
 
 
+def _free(x: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The KKT-free slots: all but those on a box edge whose gradient points out of the box."""
+    return ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+
+
 def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Box-bounded trust-region Newton on the analytic Hessian.
 
     Nocedal & Wright, *Numerical Optimization*, ch. 4, Alg. 4.1.  Each
-    iteration leaves out the slots on a box edge whose gradient points out
-    of the box, solves the subproblem on the others exactly
-    (``_trust_step``), clips the step to the box and scores the trial with
-    one value call.  The ratio of actual to predicted decrease sets the next
-    radius and, above ``_TR_ETA``, takes the trial, at one
-    ``value_grad_hess`` call.  Both decreases carry the rounding guard
-    10 eps max(1, |f|) (Conn, Gould & Toint, *Trust-Region Methods*, 2000,
-    sec. 17.4), so a step predicted to gain less than f's rounding is
-    judged by the model; x moves only to points of lower value up to
-    10 eps |f|, and a rejected point (``_BIG``) is never taken.  It stops
-    when the gradient max-norm over the other slots is at most 0.2 times
-    the check's tolerance, when the radius falls below ``_TR_RADIUS_MIN``,
-    when H is not finite (a rejected point or an overflow in the EW tail),
-    or after ``_TR_MAX_ITER`` iterations.  Returns (x, steps taken, ll,
-    gradient max-norm), the last two from the last pass, at x.
+    iteration leaves out the slots on a box edge whose gradient points out of
+    the box, solves the subproblem on the others exactly (``_trust_step``),
+    clips the step to the box and scores the trial with one value call.  The
+    ratio of actual to predicted decrease sets the next radius and, above
+    ``_TR_ETA``, takes the trial, at one ``value_grad_hess`` call.  Both
+    decreases carry the rounding guard 10 eps max(1, |f|) (Conn, Gould &
+    Toint, *Trust-Region Methods*, 2000, sec. 17.4), so a step predicted to
+    gain less than f's rounding is judged by the model; x moves only to points
+    of lower value up to 10 eps |f|, and never to a point whose value or
+    ``value_grad_hess`` pass is rejected (``_BIG``): the latter counts as a
+    failed ratio test.  It stops when the gradient max-norm over the other
+    slots is at most 0.2 times the check's tolerance, when the radius falls
+    below ``_TR_RADIUS_MIN``, when H is not finite (a rejected point or an
+    overflow in the EW tail), or after ``_TR_MAX_ITER`` iterations.  Returns
+    (x, steps taken, ll, gradient max-norm), the last two from the last pass,
+    at x.
     """
     f, g, hess = obj.value_grad_hess(x)  # a rejected point gives a NaN H
     radius = _TR_RADIUS0
@@ -538,7 +557,7 @@ def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
     for _ in range(_TR_MAX_ITER):
         if not np.all(np.isfinite(hess)):
             break
-        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        free = _free(x, g, lo, hi)
         if np.max(np.abs(g[free]), initial=0.0) <= 0.2 * _grad_check_tol(-f):
             break
         s = np.zeros_like(x)
@@ -548,14 +567,17 @@ def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
         predicted = -(g @ p + 0.5 * p @ hess @ p)
         guard = 10.0 * np.finfo(float).eps * max(1.0, abs(f))
         rho = (f - obj.value(trial) + guard) / (predicted + guard) if predicted > 0 else -math.inf
+        if rho > _TR_ETA:
+            taken = obj.value_grad_hess(trial)
+            if taken[0] < _BIG:
+                x, (f, g, hess) = trial, taken
+                steps += 1
+            else:  # its information pass is rejected: judged as a failed ratio test
+                rho = -math.inf
         if not rho >= 0.25:
             radius = 0.25 * float(np.linalg.norm(s))
         elif rho > 0.75 and np.linalg.norm(s) >= 0.99 * radius:
             radius = min(2.0 * radius, _TR_RADIUS_MAX)
-        if rho > _TR_ETA:
-            x = trial
-            f, g, hess = obj.value_grad_hess(x)
-            steps += 1
         if radius < _TR_RADIUS_MIN:
             break
     return x, steps, *_ll_and_norm(f, g)
@@ -582,13 +604,13 @@ def _refine(obj: _Objective, x0: np.ndarray, start: np.ndarray, bounds):
     each ended by a gradient check.
 
     L-BFGS-B runs from ``x0`` (CDA's point), and its end is returned when it
-    passes the check, one gradient call there.  Otherwise a trust-region leg
-    (``_leg``, whose last pass gives the check) runs from that end, and its
-    end is returned when it passes.  Otherwise a second leg runs from
-    ``start`` (M1's start before CDA), and its end is returned when it
-    passes; when it fails too, the end of the first leg is.  Returns (x,
-    n_iter, ll, gnorm, notes): the log-likelihood and the analytic gradient
-    max-norm at the returned x, and each leg's note.
+    passes the check, one ``value_grad_hess`` pass there.  Otherwise
+    trust-region legs (``_leg``, whose last pass gives the check) run from
+    that end and from ``start`` (M1's start before CDA) until one's end
+    passes; else the first leg's end is returned.  L-BFGS-B's end leads
+    where the pass's H is finite and PD on the KKT-free slots (``_free``;
+    none counts as PD).  Returns (x, n_iter, ll, gnorm, notes): the ll and
+    the analytic gradient max-norm at the returned x, and each leg's note.
     """
     lo, hi = np.array(bounds).T
     x = np.clip(x0, lo, hi)
@@ -604,12 +626,18 @@ def _refine(obj: _Objective, x0: np.ndarray, start: np.ndarray, bounds):
     if math.isfinite(res.fun) and res.fun <= obj.value(x):
         x = res.x
     n_iter = int(res.nit)
-    ll, gnorm = _ll_and_norm(*obj.value_and_grad(x))
+    f, g, hess = obj.value_grad_hess(x)
+    ll, gnorm = _ll_and_norm(f, g)
     if gnorm <= _grad_check_tol(ll):
         return x, n_iter, ll, gnorm, []
 
+    free = _free(x, g, lo, hi)
+    block = hess[np.ix_(free, free)]
+    legs = [("L-BFGS-B's end", x), ("the model's start", np.clip(start, lo, hi))]
+    if not (np.all(np.isfinite(block)) and np.all(np.linalg.eigvalsh(block) > 0)):
+        legs.reverse()  # L-BFGS-B stopped outside a basin
     notes, ends = [], []
-    for origin, x in (("L-BFGS-B's end", x), ("the model's start", np.clip(start, lo, hi))):
+    for origin, x in legs:
         x, steps, ll, gnorm, passed, note = _leg(obj, x, lo, hi, origin)
         n_iter += steps
         notes.append(note)
@@ -728,7 +756,7 @@ def fit(
     if search is not obj:
         x_hat = search.joint(x_hat)
     # the flag and the SEs are those of the full model at the (joint)
-    # estimate; for M1 this call repeats _refine's ll and max-norm bit for bit
+    # estimate; M1's is often _refine's last pass, which the objective keeps
     f_hat, g_hat, H = obj.value_grad_hess(x_hat)  # of -loglik, scaled space
     best_ll, gnorm = _ll_and_norm(f_hat, g_hat)
     converged = gnorm <= _grad_check_tol(best_ll)
@@ -764,7 +792,9 @@ def fit(
     if mismatch > _CURVATURE_TOL:
         notes.append(f"SEs from a gradient that is not the log-likelihood's: its curvature "
                      f"mismatch at the estimate is {mismatch:.3g}")
-    if not converged:
+    if math.isnan(gnorm):  # the pass at the estimate is rejected
+        notes.append("gradient not finite at the estimate; flagged NotConverged")
+    elif not converged:
         notes.append(f"gradient max-norm {gnorm:.3g} not within tolerance "
                      f"{_grad_check_tol(best_ll):.3g}; flagged NotConverged")
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.optimize import OptimizeResult
+
 from exhaz import estimation, likelihoods
 from exhaz.distributions import GammaFrailtyParams, sample_gamma_frailty
 from exhaz.errors import NoEligibleFit, NonFiniteLikelihood, NonPositive, SEsUnavailable
@@ -611,6 +613,30 @@ def test_the_information_call_counts_one_eval(m3_interior, monkeypatch):
     assert prof.n_evals == 1 and calls[2:] == [("M3", True)] and H3.shape == (res.k - 1, res.k - 1)
 
 
+def test_the_objective_keeps_the_information_pass_of_its_last_point(monkeypatch):
+    # a second call at the same point makes no likelihood call, counts no
+    # eval and returns the same bits, read-only; another point evaluates
+    kernel, calls = estimation.loglik_and_grad, []
+
+    def counted(params, cohort, hessian=False):
+        calls.append(hessian)
+        return kernel(params, cohort, hessian=hessian)
+
+    monkeypatch.setattr(estimation, "loglik_and_grad", counted)
+    obj, _ = _standardized_objective("M1", sim_cohort(n=400, seed=11))
+    x = transform_params(obj.layout.default_init(), obj.layout.positive)
+    f, g, H = obj.value_grad_hess(x)
+    f2, g2, H2 = obj.value_grad_hess(x.copy())
+    assert calls == [True] and obj.n_evals == 1
+    assert f2 == f and np.array_equal(g2, g) and np.array_equal(H2, H)
+    assert not g.flags.writeable and not H.flags.writeable
+    y = x + 0.1
+    assert obj.value_grad_hess(y)[0] != f
+    assert calls == [True, True] and obj.n_evals == 2
+    obj.value_grad_hess(x)  # only the last point is kept
+    assert calls == [True, True, True] and obj.n_evals == 3
+
+
 def test_every_likelihood_pass_of_a_fit_is_a_loglik_or_loglik_and_grad_call(monkeypatch):
     # a fit's n_evals counts each of its likelihood passes, the information
     # calls of the polish and the SEs among them, and each pass is one call
@@ -730,6 +756,19 @@ def test_a_fit_that_is_not_converged_names_its_norm_and_tolerance(fits_1500):
         f"gradient max-norm {res.grad_max_norm:.3g} not within tolerance {tol:.3g}; "
         "flagged NotConverged"
     ) in res.notes
+
+
+def test_a_fit_whose_information_pass_is_rejected_says_its_gradient_is_not_finite(monkeypatch):
+    # every information pass is rejected, the one at the estimate too: the
+    # note names no tolerance (the parent's, from -_BIG, read 6.06e+06)
+    def rejected(params, cohort):
+        raise NonFiniteLikelihood("non-finite gradient")
+
+    monkeypatch.setattr(likelihoods, "loglik_grad_hess", rejected)
+    res = fit("M1", sim_cohort(n=400, seed=11))
+    assert not res.converged and math.isnan(res.grad_max_norm)
+    assert "gradient not finite at the estimate; flagged NotConverged" in res.notes
+    assert not any("tolerance" in note for note in res.notes)
 
 
 def _richardson_gradient(value, x, h):
@@ -967,6 +1006,30 @@ def test_refine_keeps_lbfgsbs_end_where_both_ends_fail_the_check():
     assert notes[1].startswith("trust region from the model's start: ")
 
 
+@pytest.mark.parametrize(
+    "end, first",
+    [(0.05, "the model's start"), (0.9, "L-BFGS-B's end")],
+    ids=["saddle", "pd"],
+)
+def test_refine_runs_the_starts_leg_first_where_lbfgsbs_end_is_not_in_a_basin(
+    monkeypatch, end, first
+):
+    # L-BFGS-B stops where it starts.  At 0.05 the double well is concave
+    # (H = -0.99), so the leg from the model's start (0.5) runs first and its
+    # end, the well at 1, is taken with no leg from L-BFGS-B's end; at 0.9
+    # H = 1.43 is PD, and the leg from L-BFGS-B's end runs first as before.
+    def stays(fun, x, **kwargs):
+        return OptimizeResult(x=x, fun=fun(x)[0], nit=0)
+
+    monkeypatch.setattr(estimation, "minimize", stays)
+    obj = _DoubleWell()
+    x, _, ll, gnorm, notes = _refine(obj, np.array([end]), np.array([0.5]), [(-2.0, 2.0)])
+    assert x == pytest.approx([1.0], abs=1e-9)
+    assert ll == pytest.approx(0.25, abs=1e-12) and gnorm <= _grad_check_tol(ll)
+    (note,) = notes
+    assert note.startswith(f"trust region from {first}: ") and note.endswith(", certified")
+
+
 # the cohorts on which M1's trust region certifies only from the default start
 _RESTART_COHORTS = [("moderate", 5000, 2), ("wide-dropout", 1000, 1), ("none", 1000, 6)]
 _RESTART_IDS = [f"{preset}-{n}-r{index}" for preset, n, index in _RESTART_COHORTS]
@@ -984,8 +1047,9 @@ _RESTART_IDS = [f"{preset}-{n}-r{index}" for preset, n, index in _RESTART_COHORT
 def test_the_restart_from_the_default_start_certifies_m1_past_the_ew_tail(
     preset, n, index, expected
 ):
-    # L-BFGS-B from CDA's point, and the trust region after it, end M1 in the
-    # EW tail artefact (ROADMAP item 1); the earlier chain ended it unconverged
+    # L-BFGS-B from CDA's point ends M1 in the EW tail artefact (ROADMAP item
+    # 1), where a trust-region run from its end does not certify it; the
+    # earlier chain ended it unconverged
     # at +25128.63, -1130.34 and +386.12.  The trust region from the default
     # start certifies it, and M2 and M3 converge from there.
     cohort = _preset_cohort(preset, n, index)
@@ -1011,16 +1075,37 @@ def test_m2_and_m3_nest_on_the_restart_regression_cohorts(preset, n, index):
 
 
 def test_m1_keeps_its_lbfgsb_path_bit_for_bit():
-    # wide-dropout, n = 1000, replicate 1: CDA, L-BFGS-B, the trust region
-    # from L-BFGS-B's end and the restart from the default start, with the
-    # numbers the fit gave before M2 and M3 dropped L-BFGS-B
+    # wide-dropout, n = 1000, replicate 1: CDA, L-BFGS-B, and, L-BFGS-B's end
+    # being indefinite (lambda_min -1.8e10), the trust region from the
+    # default start alone, to the ll bits the fit gave when the leg from
+    # L-BFGS-B's end ran first (3 steps, 18 evals, not certified; then 586
+    # evals and 239 iterations)
     m1 = fit("M1", _preset_cohort(*_RESTART_COHORTS[1]))
     assert m1.loglik == float.fromhex("-0x1.072a573733992p+10")
-    assert (m1.n_evals, m1.n_iter) == (586, 239)
-    assert m1.notes == (
-        "trust region from L-BFGS-B's end: 3 step(s), 18 evals, not certified",
-        "trust region from the model's start: 10 step(s), 21 evals, certified",
-    )
+    assert (m1.n_evals, m1.n_iter) == (567, 236)
+    assert m1.notes == ("trust region from the model's start: 10 step(s), 21 evals, certified",)
+
+
+def test_m1_skips_the_crawl_from_an_indefinite_lbfgsb_end():
+    # moderate, n = 5000, replicate 1: L-BFGS-B ends M1 at ll -6730.27 with
+    # lambda_min -1.35e8.  The leg from there took 92 steps and 193 evals to
+    # gain 0.0025 before the restart certified the same end (425 evals).
+    m1 = fit("M1", _preset_cohort("moderate", 5000, 1))
+    assert m1.converged
+    assert m1.loglik == pytest.approx(-6697.193962, abs=1e-6)
+    assert m1.n_evals == 231
+    assert m1.notes == ("trust region from the model's start: 13 step(s), 29 evals, certified",)
+
+
+def test_m1_takes_the_starts_end_above_the_basin_of_a_near_singular_lbfgsb_end():
+    # wide, n = 1000, replicate 21: L-BFGS-B's end is indefinite by -7.8e-11.
+    # The leg from there certified -1352.132062, where M2 ended unconverged
+    # with gamma on its floor; the leg from the start certifies 14.51 higher,
+    # and M2 and M3 converge from there.
+    fits = fit_all(_preset_cohort("wide", 1000, 21))
+    assert fits["M1"].converged
+    assert fits["M1"].loglik_comparable == pytest.approx(-1337.618623, abs=1e-6)
+    assert fits["M2"].converged and fits["M3"].converged
 
 
 def test_only_m1_runs_lbfgsb_once_per_start(monkeypatch):
@@ -1145,6 +1230,34 @@ def test_trust_region_shrinks_the_radius_at_a_rejected_point_and_never_takes_it(
             assert obj.calls[i - 1] == "v" and np.array_equal(obj.points[i], obj.points[i - 1])
     values = [obj._value_and_grad(p)[0] for p in taken]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class _NoGradientStrip(_Toy):
+    """_Toy whose value is finite on its strip: only the passes with a
+    gradient are rejected there."""
+
+    def value(self, x):
+        self._log("v", x)
+        a, b = x[0] - 3.0, x[1] - x[0] + 2.0
+        return a * a + 10.0 * b * b
+
+
+def test_trust_region_never_takes_a_trial_whose_information_pass_is_rejected():
+    # As above, but the first trial's value is finite and passes the ratio
+    # test.  Its information pass is rejected, so x stays and the radius
+    # falls to a quarter of the step, as for a failed ratio test; the run
+    # then ends at the box minimum with a finite gradient.
+    obj = _NoGradientStrip()
+    x0 = np.array([0.4, 1.2])
+    x, steps, ll, gnorm = _trust_region(obj, x0, np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
+    assert np.allclose(x, [1.0, -1.0], rtol=0, atol=1e-9)
+    assert ll == pytest.approx(-4.0, abs=1e-9) and gnorm == pytest.approx(4.0, abs=1e-6)
+    trials = [p for c, p in zip(obj.calls, obj.points) if c == "v"]
+    passes = [p for c, p in zip(obj.calls, obj.points) if c == "vgh"]
+    assert obj.value(trials[0]) < obj._value_and_grad(x0)[0]
+    assert np.array_equal(passes[1], trials[0]) and obj._value_and_grad(trials[0])[0] >= _BIG
+    assert np.linalg.norm(trials[1] - x0) <= 0.25 * _TR_RADIUS0 + 1e-12
+    assert len(passes) == steps + 2
 
 
 class _Offset(_Quadratic):

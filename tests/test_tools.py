@@ -412,10 +412,29 @@ def test_preset_panel_compare_prints_each_sides_notes_of_a_listed_fit(tmp_path, 
 
 def test_preset_panel_rows_hold_every_field_of_a_fit():
     rows = preset_panel.panel(n=100, replicates=1)
-    keys = {"preset", "replicate", "model", "converged", "ll", "evals", "grad_max_norm",
-            "decrement", "min_eig", "at_bound", "notes"}
+    keys = {"preset", "replicate", "starts", "model", "converged", "ll", "evals",
+            "grad_max_norm", "decrement", "min_eig", "at_bound", "notes"}
     assert len(rows) == 27
     assert [r["model"] for r in rows] == list(preset_panel.MODELS) * 9
     for row in rows:
         assert set(row) == keys | ({"error"} if "error" in row else set())
         assert isinstance(row["notes"], list) or "error" in row
+        assert row["starts"] == 1
+
+
+def test_preset_panel_starts_fits_the_best_of_n_and_records_n(monkeypatch):
+    from exhaz import estimation
+
+    configs, fit_all = [], estimation.fit_all
+
+    def spy(cohort, cfg):
+        configs.append(cfg)
+        return fit_all(cohort, cfg)
+
+    monkeypatch.setattr(estimation, "fit_all", spy)
+    rows = preset_panel.panel(n=100, replicates=1, starts=2)
+    assert len(configs) == 9 and {cfg.multi_starts for cfg in configs} == {1}
+    assert len(rows) == 27 and {r["starts"] for r in rows} == {2}
+    with pytest.raises(SystemExit):
+        preset_panel.main(["tree", "--n", "100", "--replicates", "1", "--starts", "0",
+                           "--out", "x.json"])

@@ -2,14 +2,15 @@
 
 Usage, from the repository root:
 
-    python3 tools/preset_panel.py TREE --n N --replicates R --out F.json
+    python3 tools/preset_panel.py TREE --n N --replicates R [--starts S] --out F.json
     python3 tools/preset_panel.py --compare A.json B.json
 
 The first form imports ``exhaz`` from ``TREE/src`` and runs ``fit_all`` on
 replicates 0 .. R-1 of every preset of ``builtin_scenarios`` at size N,
-with drop-out calibrated once per preset, as the recovery study does. It
+with drop-out calibrated once per preset, as the recovery study does, and
+``S`` starts per fit (``FitConfig(multi_starts=S-1)``, default 1). It
 writes a JSON list with one row per fit: ``preset``, ``replicate``,
-``model``, ``converged``, ``ll`` (the comparable scale), ``evals``,
+``starts``, ``model``, ``converged``, ``ll`` (the comparable scale), ``evals``,
 ``grad_max_norm``, ``decrement``, ``min_eig``, ``at_bound`` (the names
 of the parameters on the search box's edge) and ``notes`` (the fit's
 notes). A replicate whose ``fit_all`` raises gives one row per model with
@@ -37,8 +38,9 @@ MOVE_TOL = 1e-6  # an ll that moves by more is listed
 MODELS = ("M1", "M2", "M3")
 
 
-def panel(n: int, replicates: int) -> list[dict]:
-    """The rows of every fit of replicates 0 .. replicates-1 of every preset at size n."""
+def panel(n: int, replicates: int, starts: int = 1) -> list[dict]:
+    """The rows of every fit of replicates 0 .. replicates-1 of every preset at
+    size n, each the best of ``starts`` starts."""
     from exhaz.errors import ExhazError
     from exhaz.estimation import fit_all
     from exhaz.likelihoods import prepare_cohort
@@ -62,9 +64,9 @@ def panel(n: int, replicates: int) -> list[dict]:
                 generate_cohort(sc, index, table), table, advance_year=sc.advance_year,
                 covariate_names=COVARIATES,
             )
-            key = {"preset": preset, "replicate": index}
+            key = {"preset": preset, "replicate": index, "starts": starts}
             try:
-                fits = fit_all(cohort, sc.fit)
+                fits = fit_all(cohort, replace(sc.fit, multi_starts=starts - 1))
             except ExhazError as exc:
                 failed = {"converged": False, "ll": None, "evals": None, "grad_max_norm": None,
                           "decrement": None, "min_eig": None, "at_bound": None, "notes": None,
@@ -142,6 +144,7 @@ def main(argv: list[str]) -> int:
     ap.add_argument("tree", nargs="?", type=Path)
     ap.add_argument("--n", type=int)
     ap.add_argument("--replicates", type=int)
+    ap.add_argument("--starts", type=int, default=1)
     ap.add_argument("--out", type=Path)
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"), type=Path)
     args = ap.parse_args(argv)
@@ -150,10 +153,10 @@ def main(argv: list[str]) -> int:
         return compare(a, b)
     if args.tree is None or args.n is None or args.replicates is None or args.out is None:
         ap.error("TREE, --n, --replicates and --out are required without --compare")
-    if args.n < 1 or args.replicates < 1:
-        ap.error("--n and --replicates must be >= 1")
+    if args.n < 1 or args.replicates < 1 or args.starts < 1:
+        ap.error("--n, --replicates and --starts must be >= 1")
     sys.path.insert(0, str(args.tree.resolve() / "src"))
-    rows = panel(args.n, args.replicates)
+    rows = panel(args.n, args.replicates, args.starts)
     args.out.write_text(json.dumps(rows, indent=0) + "\n", encoding="utf-8")
     return 0
 
