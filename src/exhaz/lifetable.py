@@ -20,11 +20,12 @@ takes a batch of patients (columns of age, year and stratum code, one row
 per patient) and returns one value per row: a whole cohort is one call.
 ``LifeTable.codes`` is the one place that turns strata labels into the
 table's codes; everything downstream passes the integer codes.  After each
-step the query tells the walk which rows it has finished (reached t, or
-reached the target hazard), and the walk drops them, so a step costs the
-rows still walking rather than the whole batch.  Dropping a row changes
-none of the arithmetic on the others: each row's result is the same, bit
-for bit, as the same query on that row alone.
+step the query tells the walk which rows it has finished (reached t,
+reached the target hazard, or passed the inversion's horizon short of
+it), and the walk drops them, so a step costs the rows still walking
+rather than the whole batch.  Dropping a row changes none of the
+arithmetic on the others: each row's result is the same, bit for bit, as
+the same query on that row alone.
 """
 
 from __future__ import annotations
@@ -211,7 +212,8 @@ class LifeTable:
         return out
 
     def other_cause_time_inverse(
-        self, age, year, stratum, u, frailty=1.0, advance_year: bool = True
+        self, age, year, stratum, u, frailty=1.0, advance_year: bool = True,
+        horizon: float = np.inf,
     ):
         """Invert the cumulative background hazard: per row, t with ΔH_P(t) = -log(u)/frailty.
 
@@ -220,9 +222,20 @@ class LifeTable:
         edge the rate is constant and the remaining time is solved in closed
         form (extrapolation with the last cell's rate).
 
+        ``horizon`` (> 0, default inf) is the last time the caller can
+        observe: a row whose target is not reached within a segment ending
+        strictly past it returns inf and leaves the walk.  The segment that
+        straddles the horizon keeps its full arithmetic, so every row whose
+        time is at most the horizon gets the same bits as with no horizon,
+        and a row past it gets inf or that same time.
+
         Raises ZeroHazardPath when the target cannot be reached because the
-        rate is zero from some point on.
+        rate past both table edges (the walk's open-ended last segment) is
+        zero and the row reaches that segment at or before the horizon; a
+        row that reaches it only later returns inf.
         """
+        if not horizon > 0.0:
+            raise ValueError(f"horizon must be > 0, got {horizon}")
         k, age, year, u, frailty = self._rows(age, year, stratum, u, frailty)
         bad = ~((0.0 < u) & (u < 1.0))
         if bad.any():
@@ -247,7 +260,9 @@ class LifeTable:
                 )
             out[rows[hit]] = np.where(rate > 0.0, s + (target - acc) / rate, s)[hit]
             acc += step
-            return hit
+            unseen = ~hit & (s_next > horizon)
+            out[rows[unseen]] = np.inf
+            return hit | unseen
 
         with np.errstate(invalid="ignore", divide="ignore"):
             self._walk(age, year, k, advance_year, np.inf, segment, target, np.zeros(u.shape))

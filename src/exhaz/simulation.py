@@ -204,6 +204,11 @@ def _event_times(sc: ScenarioConfig, table: LifeTable, n: int, rng):
     Returns (ages, sex, X, t_event); sex is each patient's code over
     ``_SEX_STRATA``.  Draw order is fixed (covariates, frailty, other-cause
     uniform, excess uniform) so streams are reproducible.
+
+    The other-cause inversion stops at ``sc.admin_censor_time`` (inf walks
+    each diagonal to the end): an other-cause time past it is inf.  Every
+    censoring time is at most that horizon, so min(t_event, t_cens) and
+    t_event <= t_cens are the bits the full inversion gives.
     """
     ages, sex, _, X = generate_covariates(n, rng)
     gamma = _draw_frailty(sc, rng, n)
@@ -212,7 +217,7 @@ def _event_times(sc: ScenarioConfig, table: LifeTable, n: int, rng):
     t_exc = np.asarray(inverse_excess_survival(u_exc, X, sc.gh))
     t_pop = table.other_cause_time_inverse(
         ages, DIAGNOSIS_YEAR, table.codes(_SEX_STRATA)[sex], u_pop, frailty=gamma,
-        advance_year=sc.advance_year,
+        advance_year=sc.advance_year, horizon=sc.admin_censor_time,
     )
     return ages, sex, X, np.minimum(t_pop, t_exc)
 
@@ -261,7 +266,10 @@ def calibrate_dropout_rate(
     Returns (rate, achieved proportion); a target outside (0, 1) raises
     ValueError.  The pilot event times and unit-exponential drop-out draws
     are fixed once, so the censoring proportion is a deterministic monotone
-    function of the rate and the search is reproducible.
+    function of the rate and the search is reproducible.  The pilot's
+    other-cause times stop at ``sc.admin_censor_time`` as a cohort's do
+    (``_event_times``); a time past it is censored at any rate, so the
+    proportions and the rate are those of the full inversion.
     """
     _check_censoring_target(target_censoring)
     t_event, e_drop = _pilot_times(sc, table, pilot_n)

@@ -591,3 +591,82 @@ def test_zero_tail_after_finished_rows_reports_its_own_hazard_and_target():
     frailty = np.array([1.0, 1.0, 1.0, 2.0])
     with pytest.raises(ZeroHazardPath, match=r"at 0\.15 < target 0\.346574 "):
         t.other_cause_time_inverse(ages, 2000.0, t.codes(strata), u, frailty=frailty)
+
+
+# ---------------------------------------------------------------------------
+# the inversion stops at the horizon
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("advance_year", [True, False])
+@pytest.mark.parametrize("horizon", [0.3, 1.0, 5.0, 12.5])
+def test_horizon_keeps_every_time_it_can_see(uk_style_table, advance_year, horizon):
+    # both strata, frailties from 0.05 to 50: a time at most the horizon has
+    # the full inversion's bits, and one past it is inf or those same bits
+    rng = np.random.default_rng(23)
+    n = 400
+    ages = rng.uniform(30.0, 85.0, n)
+    years = np.where(rng.uniform(size=n) < 0.5, 2010.0, rng.uniform(2010.0, 2016.0, n))
+    codes = uk_style_table.codes([(str(z),) for z in rng.integers(0, 2, n)])
+    u = np.exp(-(10.0 ** rng.uniform(-6.0, 0.5, n)))  # targets from 1e-6 to 3 before frailty
+    frailty = np.exp(rng.uniform(math.log(0.05), math.log(50.0), n))
+    batch = (ages, years, codes, u)
+    query = uk_style_table.other_cause_time_inverse
+    full = query(*batch, frailty=frailty, advance_year=advance_year)
+    cut = query(*batch, frailty=frailty, advance_year=advance_year, horizon=horizon)
+    seen = full <= horizon
+    assert 0 < seen.sum() < n  # both kinds of row are in the batch
+    assert hexes(cut[seen]) == hexes(full[seen])
+    assert np.all(np.isinf(cut[~seen]) | (cut[~seen] == full[~seen]))
+    assert np.isinf(cut).sum() > 0.5 * (~seen).sum()  # most unseen rows leave the walk early
+
+
+def test_an_infinite_horizon_walks_to_the_end(uk_style_table):
+    rng = np.random.default_rng(5)
+    ages = rng.uniform(30.0, 95.0, 50)
+    batch = (ages, 2010.0, uk_style_table.codes([("1",)] * 50), rng.uniform(1e-6, 0.9, 50))
+    today = uk_style_table.other_cause_time_inverse(*batch, frailty=0.5)
+    assert np.isfinite(today).all() and today.max() > 20.0
+    assert hexes(uk_style_table.other_cause_time_inverse(*batch, frailty=0.5, horizon=np.inf)) == (
+        hexes(today)
+    )
+
+
+def test_a_time_reached_just_past_the_year_edge_at_the_horizon_stays_finite():
+    # diagnosed in an integer year, the row crosses a year edge exactly at
+    # s = 5.0; its target lies a hair past the hazard at that edge, in a cell
+    # whose rate is high enough that the time rounds to 5.0 itself
+    t = make_life_table(
+        ["sex"], (60, 80), (2005, 2020), lambda a, y, z: 10.0 if y >= 2015 else 0.01, [("0",)]
+    )
+    pos = one(t, 65.3, 2010.0, ("0",))
+    h5 = t.cum_hazard_increment(*pos, 5.0)[0]
+    u = math.exp(-h5)
+    while not -math.log(u) > h5:
+        u = math.nextafter(u, 0.0)
+    full = t.other_cause_time_inverse(*pos, u)[0]
+    assert full == 5.0
+    assert t.other_cause_time_inverse(*pos, u, horizon=5.0)[0] == 5.0
+    # a target just short of the edge's hazard is reached before it
+    short = math.nextafter(math.exp(-h5), 1.0)
+    assert t.other_cause_time_inverse(*pos, short, horizon=5.0)[0] < 5.0
+
+
+@pytest.mark.parametrize("advance_year", [True, False])
+def test_zero_hazard_path_is_raised_only_for_a_tail_within_the_horizon(advance_year):
+    # every rate is zero, so the walk reaches the open-ended tail past both
+    # edges (age 66 and, when the year advances, 2002) at s = 6 unreached
+    t = make_life_table(["sex"], (60, 65), (2000, 2001), lambda a, y, z: 0.0, [("0",)])
+    pos = one(t, 60.0, 2000.0, ("0",))
+    for horizon in (6.0, 10.0, np.inf):
+        with pytest.raises(ZeroHazardPath):
+            t.other_cause_time_inverse(*pos, 0.5, advance_year=advance_year, horizon=horizon)
+    for horizon in (0.5, 5.0, 5.999):
+        got = t.other_cause_time_inverse(*pos, 0.5, advance_year=advance_year, horizon=horizon)
+        assert got.tolist() == [math.inf]
+
+
+@pytest.mark.parametrize("horizon", [math.nan, 0.0, -1.0, -math.inf])
+def test_horizon_must_be_positive(small_table, horizon):
+    with pytest.raises(ValueError, match="horizon must be > 0"):
+        small_table.other_cause_time_inverse(*one(small_table, 70.0, 2012.0, ("0",)), 0.5,
+                                             horizon=horizon)

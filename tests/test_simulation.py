@@ -13,6 +13,7 @@ from conftest import model_params
 from exhaz import simulation
 from exhaz.errors import NoEligibleFit, NonFiniteLikelihood, TargetUnreachable
 from exhaz.estimation import fit_all, select_m4
+from exhaz.lifetable import LifeTable
 from exhaz.likelihoods import marginal_survival_m3, prepare_cohort
 from exhaz.simulation import (
     COVARIATES,
@@ -93,6 +94,48 @@ def test_calibrated_dropout_censors_a_fresh_cohort_at_target(table):
     fresh = replace(sc, dropout_rate=rate, dropout_target=None)
     censored = np.mean(generate_cohort(fresh, 0, table).status == 0)
     assert censored == pytest.approx(0.30, abs=0.02)
+
+
+def horizon_spy(monkeypatch, walk_to_the_end):
+    """Record the horizon of every other-cause inversion; drop it when ``walk_to_the_end``."""
+    horizons, inverse = [], LifeTable.other_cause_time_inverse
+
+    def spy(self, *args, horizon, **kwargs):
+        horizons.append(horizon)
+        if not walk_to_the_end:
+            kwargs["horizon"] = horizon
+        return inverse(self, *args, **kwargs)
+
+    monkeypatch.setattr(LifeTable, "other_cause_time_inverse", spy)
+    return horizons
+
+
+def draws(sc, table):
+    """The drop-out rate calibrated to 30% as float.hex, and (time, status) of
+    replicate 0 as the preset draws it and with that rate."""
+    rate, _ = calibrate_dropout_rate(sc, 0.30, table, pilot_n=20_000)
+    cohorts = (generate_cohort(run, 0, table)
+               for run in (sc, replace(sc, dropout_rate=rate, dropout_target=None)))
+    return rate.hex(), [(c.time.tobytes(), c.status.tobytes()) for c in cohorts]
+
+
+@pytest.mark.parametrize("advance_year", [True, False])
+@pytest.mark.parametrize("preset", ["wide-dropout", "moderate"])
+def test_the_horizon_leaves_cohorts_and_calibrated_rates_bit_identical(
+    table, monkeypatch, preset, advance_year
+):
+    sc = replace(builtin_scenarios()[preset], n=2000, advance_year=advance_year)
+    with_horizon = draws(sc, table)
+    horizons = horizon_spy(monkeypatch, walk_to_the_end=True)
+    assert draws(sc, table) == with_horizon
+    assert horizons == [5.0] * 3  # the pilot and both cohorts stop at admin_censor_time
+
+
+def test_event_times_walk_to_the_end_without_administrative_censoring(table, monkeypatch):
+    horizons = horizon_spy(monkeypatch, walk_to_the_end=False)
+    sc = replace(builtin_scenarios()["moderate"], n=200, admin_censor_time=math.inf)
+    assert generate_cohort(sc, 0, table).status.all()
+    assert horizons == [math.inf]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The checks under tools/: same_records.py compares two perfbench runs,
 cohort_digest.py digests the cohorts the presets draw, bench_pairs.py judges
-paired runs and preset_panel.py compares two panels of preset fits."""
+paired runs and preset_panel.py compares two panels of preset fits, or one
+with a reference of their best certified ends."""
 
 import importlib.util
 import json
@@ -219,8 +220,10 @@ def test_the_fourth_line_from_the_end_names_the_largest_relative_change_of_an_es
 def test_cohort_digest_is_stable_and_sees_one_ulp_of_one_rate():
     table = design_life_table()
     lines = list(cohort_digest.digest_lines(table))
-    # 9 presets x 2 advance_year settings x 2 replicates, and 5 drop-out calibrations
-    assert len(lines) == 9 * 2 * 2 + 5 and len(set(lines)) == len(lines)
+    # 9 presets x 2 advance_year settings x 2 replicates, 5 drop-out
+    # calibrations, and one cohort per preset without administrative censoring
+    assert len(lines) == 9 * 2 * 2 + 5 + 9 and len(set(lines)) == len(lines)
+    assert sum("admin_censor_time=inf replicate=0" in line for line in lines) == 9
     assert lines == list(cohort_digest.digest_lines(design_life_table()))
     rates = table.rates.copy()
     rates[70, 5, 1] = np.nextafter(rates[70, 5, 1], 1.0)  # age 70, 2010, stratum "1"
@@ -408,6 +411,65 @@ def test_preset_panel_compare_prints_each_sides_notes_of_a_listed_fit(tmp_path, 
         "    notes B: trust region from the model's start: 100 step(s), 180 evals, not certified"
         " | information matrix not positive definite; SEs unavailable",
     ]
+
+
+def test_preset_panel_reference_keeps_the_highest_certified_end_and_its_file(tmp_path, capsys):
+    panels = {
+        "single.json": [
+            panel_row("wide", 6, "M3", True, -1100.5, 300, 2e-6),
+            panel_row("lognormal", 3, "M1", True, -1091.2906, 90, 1e-7),
+            panel_row("none", 6, "M2", True, -1461.0, 60, 1e-9),
+            panel_row("none", 6, "M1", False, -1462.0, 400, 3.0),
+        ],
+        "best8.json": [
+            # an uncertified higher end, and one flagged converged at a max-norm of 1e93
+            panel_row("wide", 6, "M3", False, -1099.0, 900, 0.262),
+            panel_row("lognormal", 3, "M1", True, 1127.15, 700, 2.1e93),
+            panel_row("none", 6, "M2", True, -1461.0, 80, 1e-8),  # a tie
+            {**panel_row("none", 6, "M1", False, None, None, None), "error": "NonFiniteLikelihood"},
+        ],
+    }
+    paths = []
+    for name, rows in panels.items():
+        (tmp_path / name).write_text(json.dumps(rows), encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    out = tmp_path / "reference.json"
+    assert preset_panel.main(["--reference", str(out), *paths]) == 0
+    ref = json.loads(out.read_text(encoding="utf-8"))
+    assert ref["sources"] == paths
+    assert [(r["preset"], r["replicate"], r["model"], r["ll"], r["evals"], r["source"])
+            for r in ref["fits"]] == [
+        ("lognormal", 3, "M1", -1091.2906, 90, paths[0]),
+        ("none", 6, "M2", -1461.0, 60, paths[0]),  # the first file listed wins the tie
+        ("wide", 6, "M3", -1100.5, 300, paths[0]),
+    ]  # no panel certifies none r6 M1, so it has no entry
+    better = {**panel_row("wide", 6, "M3", True, -1098.0, 120, 1e-8), "starts": 8}
+    ref = preset_panel.reference({**panels, "later.json": [better]})
+    assert ref["fits"][2] == {**better, "source": "later.json"}
+
+    # a panel compared with the reference lists its certified fits below it
+    panel = [
+        panel_row("lognormal", 3, "M1", True, -1091.2906 - 5e-7, 80, 1e-7),  # within 1e-6
+        panel_row("none", 6, "M2", True, -1461.0 - 2e-4, 60, 1e-9),
+        panel_row("none", 6, "M1", True, -1462.5, 60, 1e-9),  # not in the reference
+        panel_row("wide", 6, "M3", True, -1104.0, 200, 1e-6),
+        panel_row("wide", 6, "M2", False, -1200.0, 200, 5.0),  # not certified
+    ]
+    (tmp_path / "panel.json").write_text(json.dumps(panel), encoding="utf-8")
+    assert preset_panel.main(["--compare", str(tmp_path / "panel.json"), str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "M1: 0 certified fits more than 1e-06 below the reference, 0 more than 0.001, "
+        "gaps summing to 0",
+        "M2: 1 certified fits more than 1e-06 below the reference, 0 more than 0.001, "
+        "gaps summing to 0.0002",
+        f"    none r6: ll -1461.000200, reference -1461.000000 from {paths[0]}, gap 0.0002",
+        "M3: 1 certified fits more than 1e-06 below the reference, 1 more than 0.001, "
+        "gaps summing to 3.5",
+        f"    wide r6: ll -1104.000000, reference -1100.500000 from {paths[0]}, gap 3.5",
+        "certified fits above the reference by more than 1e-06 or missing from it: 1",
+    ]
+    with pytest.raises(SystemExit):
+        preset_panel.main(["--reference", str(out)])
 
 
 def test_preset_panel_rows_hold_every_field_of_a_fit():

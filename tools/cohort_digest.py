@@ -15,12 +15,16 @@ sha256 of the prepared cohort's ``time``, ``status``, ``dhp`` and ``hp``
 bytes.  A preset with a drop-out target first prints one line with its
 calibrated rate and the censoring the calibration reached, both as
 ``float.hex``; its cohorts under both ``advance_year`` settings use that
-rate, calibrated with the preset's own setting.
+rate, calibrated with the preset's own setting.  Each preset's last line
+digests replicate 0 drawn with ``admin_censor_time=inf`` (and its own
+``advance_year``), so the other-cause inversion walks every diagonal to
+the end rather than stopping at the censoring horizon.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -51,14 +55,22 @@ def digest_lines(table):
         for advance_year in (True, False):
             run = replace(sc, advance_year=advance_year)
             for index in REPLICATES:
-                cohort = prepare_cohort(
-                    generate_cohort(run, index, table), table, advance_year=advance_year,
-                    covariate_names=COVARIATES,
-                )
-                digest = hashlib.sha256()
-                for column in (cohort.time, cohort.status, cohort.dhp, cohort.hp):
-                    digest.update(column.tobytes())
-                yield f"{name} advance_year={advance_year} replicate={index} {digest.hexdigest()}"
+                digest = cohort_digest(run, index, table)
+                yield f"{name} advance_year={advance_year} replicate={index} {digest}"
+        run = replace(sc, admin_censor_time=math.inf)
+        yield f"{name} admin_censor_time=inf replicate=0 {cohort_digest(run, 0, table)}"
+
+
+def cohort_digest(sc, index, table):
+    """sha256 of the prepared cohort's ``time``, ``status``, ``dhp`` and ``hp`` bytes."""
+    cohort = prepare_cohort(
+        generate_cohort(sc, index, table), table, advance_year=sc.advance_year,
+        covariate_names=COVARIATES,
+    )
+    digest = hashlib.sha256()
+    for column in (cohort.time, cohort.status, cohort.dhp, cohort.hp):
+        digest.update(column.tobytes())
+    return digest.hexdigest()
 
 
 def main() -> int:

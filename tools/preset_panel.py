@@ -4,6 +4,7 @@ Usage, from the repository root:
 
     python3 tools/preset_panel.py TREE --n N --replicates R [--starts S] --out F.json
     python3 tools/preset_panel.py --compare A.json B.json
+    python3 tools/preset_panel.py --reference OUT.json A.json [B.json ...]
 
 The first form imports ``exhaz`` from ``TREE/src`` and runs ``fit_all`` on
 replicates 0 .. R-1 of every preset of ``builtin_scenarios`` at size N,
@@ -24,6 +25,16 @@ per side that side's notes (each when the rows hold them). Then, for each
 side, it prints the fits converged and the total evals, overall and per
 model, and last the number of fits converged in A and not in B. It exits
 with 1 when the two files do not hold the same fits.
+
+The third form writes a reference of the best certified end of every fit
+found in the panels A, B, ...: a row is certified when it is converged
+with a gradient max-norm below 1, and the reference keeps, per fit, the
+certified row with the highest ll and the panel file that gave it (the
+first file listed wins a tie). A fit that no panel certifies has no entry.
+``--compare PANEL OUT.json`` then prints, per model, the panel's certified
+fits more than 1e-6 below the reference, each with its gap, and how many
+of them are more than 1e-3 below; last, the certified fits that lie above
+the reference by more than 1e-6 or that it lacks.
 """
 
 from __future__ import annotations
@@ -35,6 +46,8 @@ from dataclasses import replace
 from pathlib import Path
 
 MOVE_TOL = 1e-6  # an ll that moves by more is listed
+GAP_TOL = 1e-3  # a certified fit this far below the reference is counted apart
+CERTIFIED_NORM = 1.0  # a converged end certifies only with a gradient max-norm below this
 MODELS = ("M1", "M2", "M3")
 
 
@@ -103,12 +116,61 @@ def _converged_and_evals(rows: list[dict]) -> str:
     return f"{converged} of {len(rows)} fits converged, {sum(r['evals'] or 0 for r in rows)} evals"
 
 
+def _key(row: dict) -> tuple:
+    return row["preset"], row["replicate"], row["model"]
+
+
+def _keyed(rows: list[dict]) -> dict[tuple, dict]:
+    return {_key(r): r for r in rows}
+
+
+def _certified(row: dict) -> bool:
+    return bool(row["converged"]) and row["grad_max_norm"] < CERTIFIED_NORM
+
+
+def reference(panels: dict[str, list[dict]]) -> dict:
+    """The best certified end of every fit over the panels, each keyed by its file's path."""
+    best: dict[tuple, dict] = {}
+    for source, rows in panels.items():
+        for row in filter(_certified, rows):
+            key = _key(row)
+            if key not in best or row["ll"] > best[key]["ll"]:
+                best[key] = {**row, "source": source}
+    return {
+        "rule": f"per fit, the highest ll among rows converged with grad_max_norm < "
+                f"{CERTIFIED_NORM:g}; the first file listed wins a tie",
+        "sources": list(panels),
+        "fits": [best[key] for key in sorted(best)],
+    }
+
+
+def compare_reference(rows: list[dict], ref: dict) -> int:
+    """Print the panel's certified fits below the reference, per model, and those above it."""
+    best = _keyed(ref["fits"])
+    below: dict[str, list] = {model: [] for model in MODELS}
+    above = 0
+    for row in sorted(filter(_certified, rows), key=_key):
+        top = best.get(_key(row))
+        if top is None or row["ll"] - top["ll"] > MOVE_TOL:
+            above += 1
+        elif top["ll"] - row["ll"] > MOVE_TOL:
+            below[row["model"]].append((top["ll"] - row["ll"], row, top))
+    for model, fits in below.items():
+        gaps = [gap for gap, _, _ in fits]
+        print(f"{model}: {len(fits)} certified fits more than {MOVE_TOL:g} below the reference, "
+              f"{sum(gap > GAP_TOL for gap in gaps)} more than {GAP_TOL:g}, "
+              f"gaps summing to {sum(gaps):.6g}")
+        for gap, row, top in fits:
+            print(f"    {row['preset']} r{row['replicate']}: ll {row['ll']:.6f}, reference "
+                  f"{top['ll']:.6f} from {top['source']}, gap {gap:.3g}")
+    print(f"certified fits above the reference by more than {MOVE_TOL:g} "
+          f"or missing from it: {above}")
+    return 0
+
+
 def compare(a: list[dict], b: list[dict]) -> int:
     """Print the fits that differ between panels a and b and each side's totals."""
-    def keyed(rows):
-        return {(r["preset"], r["replicate"], r["model"]): r for r in rows}
-
-    rows_a, rows_b = keyed(a), keyed(b)
+    rows_a, rows_b = _keyed(a), _keyed(b)
     if rows_a.keys() != rows_b.keys():
         print(f"the panels hold different fits: {len(rows_a)} vs {len(rows_b)}, "
               f"{len(rows_a.keys() & rows_b.keys())} in both")
@@ -147,12 +209,20 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--starts", type=int, default=1)
     ap.add_argument("--out", type=Path)
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"), type=Path)
+    ap.add_argument("--reference", nargs="+", metavar=("OUT", "PANEL"), type=Path)
     args = ap.parse_args(argv)
     if args.compare:
         a, b = (json.loads(p.read_text(encoding="utf-8")) for p in args.compare)
-        return compare(a, b)
+        return compare_reference(a, b) if isinstance(b, dict) else compare(a, b)
+    if args.reference:
+        if len(args.reference) < 2:
+            ap.error("--reference takes OUT and at least one panel file")
+        out, *paths = args.reference
+        ref = reference({str(p): json.loads(p.read_text(encoding="utf-8")) for p in paths})
+        out.write_text(json.dumps(ref, indent=0) + "\n", encoding="utf-8")
+        return 0
     if args.tree is None or args.n is None or args.replicates is None or args.out is None:
-        ap.error("TREE, --n, --replicates and --out are required without --compare")
+        ap.error("TREE, --n, --replicates and --out are required without --compare or --reference")
     if args.n < 1 or args.replicates < 1 or args.starts < 1:
         ap.error("--n, --replicates and --starts must be >= 1")
     sys.path.insert(0, str(args.tree.resolve() / "src"))
