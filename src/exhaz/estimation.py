@@ -1,21 +1,22 @@
 """Maximum-likelihood fitting of M1/M2/M3 and AIC-based selection (M4).
 
-Fitting is a two-step search on the log-transformed positive parameters:
-a start, then a refinement.  M1 starts with one cycle of coordinate
-descent (CDA) from fixed values (kappa = theta = 1, alpha = 2, betas = 0)
-and is refined by bounded L-BFGS-B with analytic gradients, whose end is
-checked by its gradient max-norm on the search scale.  When the check
-fails, a box-bounded trust-region Newton on the analytic Hessian (Nocedal
-& Wright, *Numerical Optimization*, ch. 4) runs from L-BFGS-B's end and
-from M1's fixed values before CDA until one run's end passes the check
-(its last pass gives it); else the first run's end stands.  The run from
-L-BFGS-B's end goes first only where H there is positive definite on the
-slots the box leaves free: elsewhere it is outside a basin.  M2 and M3
-start where the model they extend ends (below), a point already near
-their own end, and are refined by one trust-region run from there, whose
-end is taken.  The fit's notes give the start, steps and evals (its own
-passes) of each trust-region run and whether its end passed the check
-("certified").
+Fitting runs one loop over starts on the log-transformed positive
+parameters: "the model's start", then ``multi_starts`` random ones.  Each
+start is refined once, to an end whose gradient max-norm on the search
+scale is checked ("certified" when it passes), and the fit keeps the
+highest certified end, else the highest end; the first start wins a tie.
+M1 starts at fixed values (kappa = theta = 1, alpha = 2, betas = 0) and
+is refined by one cycle of coordinate descent (CDA), bounded L-BFGS-B
+with analytic gradients and, when L-BFGS-B's end fails the check, a
+box-bounded trust-region Newton on the analytic Hessian (Nocedal &
+Wright, *Numerical Optimization*, ch. 4) from that end and from the start
+until one run's end passes; else the first run's end stands.  The run
+from L-BFGS-B's end goes first only where H there is positive definite on
+the slots the box leaves free: elsewhere it is outside a basin.  M2 and
+M3 start where the model they extend ends (below) and are refined by one
+trust-region run.  The notes give each run's origin, steps, evals and
+whether it certified, and with more than one start which start won, how
+many certified and how far above it an uncertified end lies.
 
 The analytic Hessian comes from ``likelihoods.loglik_grad_hess`` (through
 ``loglik_and_grad(hessian=True)``, one likelihood call, whose value and
@@ -43,19 +44,19 @@ CDA.  M2 starts at M1's GH estimates: gamma = 1 is M1, so its first
 value is already at least M1's MLE.  M3 starts at M2's GH estimates with
 log b scanned over the grid ``_LOG_B_GRID`` (-20, -19, ..., 6), one
 value per point, counted in ``n_evals``, and the refinement starts from
-the best point.  The grid's floor b = e^-20 is M2's end up to O(e^-20)
-in ll, and the refinement takes no worse point, so M3 ends at or above
-M2's end less O(e^-20), as M2 ends at or above M1's: M1 within M2 within
-M3 holds by construction.  The refinement runs on these objectives
-unchanged; ``converged``, the gradient norm, the log-likelihood and the
-SEs are those of the model's full objective at the joint estimate.
+the best point, as from each random start.  The grid's floor b = e^-20
+is M2's end up to O(e^-20) in ll, and the refinement takes no worse
+point, so M3 ends at or above M2's end less O(e^-20), as M2 ends at or
+above M1's: M1 within M2 within M3 holds by construction for one start.
+The refinement runs on these objectives unchanged; ``converged``, the
+gradient norm, the log-likelihood and the SEs are those of the model's
+full objective at the joint estimate.
 
 Tolerances, step sizes and budgets are module constants (``_GRAD_TOL``,
 ``_MAX_EVALS``, ``_HESSIAN_STEP``, ``_CURVATURE_TOL``, ``_TR_*``,
 ``_CDA_*``, ``_LOG_B_GRID``), properties of the method rather than of a
-study.  ``FitConfig`` keeps only the random restarts (``multi_starts``,
-``seed``): a best-of-N fit is the reference that tells whether one start
-found the MLE.
+study.  ``FitConfig`` keeps only the random starts (``multi_starts``,
+``seed``), whose best-of-N fit tells whether one start found the MLE.
 
 M1's likelihood omits the population-survival constant, so its AIC is
 computed on the comparable scale (constant restored); cross-model AICs are
@@ -144,14 +145,15 @@ _LOG_B_GRID = tuple(float(v) for v in range(-20, 7))
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Random restarts: how many, and the seed of their perturbations.
+    """Random starts: how many, and the seed of their perturbations.
 
-    The only fit settings: a best-of-``multi_starts`` fit is the reference
-    that tells whether the default single start found the MLE.  Everything
-    else the optimizer uses is a module constant (see the module docstring).
+    The only fit settings: the best certified end from the model's start
+    and ``multi_starts`` random ones is the reference that tells whether the
+    single start found the MLE.  Everything else the optimizer uses is a
+    module constant (see the module docstring).
     """
 
-    multi_starts: int = 0  # extra random restarts; best-of-N is the convergence reference
+    multi_starts: int = 0  # random starts besides the model's own; best-of-N is the reference
     seed: int = 0
 
 
@@ -318,6 +320,14 @@ class _Objective:
         """The Hessian along x from the model's, on the transformed scale."""
         return hess
 
+    def start(self, s: np.ndarray) -> np.ndarray:
+        """The point a start's refinement runs from: ``s`` (M1's CDA checks its value)."""
+        return s
+
+    def joint(self, x: np.ndarray) -> np.ndarray:
+        """x as a point of the model's own objective: x itself."""
+        return x
+
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Gradient of ``value``; NaN everywhere when the point is rejected."""
         f, g = self.value_and_grad(x)
@@ -368,6 +378,16 @@ class _Profiled(_Objective):
         if params.values[c] in _GAMMA_BOX:
             return block
         return block - np.outer(hess[rest, c], hess[c, rest]) / hess[c, c]
+
+    def start(self, s: np.ndarray) -> np.ndarray:
+        """M2's ``s`` or M3's best of ``s`` with each log b of ``_LOG_B_GRID``, one
+        value per point; NonFiniteLikelihood when every value is rejected."""
+        points = [s] if self.model_layout.model == "M2" else [np.append(s, v) for v in _LOG_B_GRID]
+        values = [self.value(p) for p in points]
+        best = int(np.argmin(values))
+        if values[best] >= _BIG:
+            raise NonFiniteLikelihood("objective not finite at the start")
+        return points[best]
 
     def joint(self, x: np.ndarray) -> np.ndarray:
         """x with the log multiplier inserted: the point of the model's own objective."""
@@ -584,36 +604,36 @@ def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
 
 
 def _leg(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str):
-    """One trust-region run from ``x`` and its note.
+    """One trust-region run from ``x``: M2's and M3's refinement.
 
-    Returns (x, steps, ll, gnorm, passed, note): ``_trust_region``'s end,
-    whether it passes the gradient check, and the note "trust region from
-    <origin>: N step(s), E evals, certified" (or "not certified"), E being
-    the run's own passes.
+    Returns (x, steps, ll, gnorm, certified, notes): ``_trust_region``'s
+    end, whether it passes the gradient check, and the one note "trust
+    region from <origin>: N step(s), E evals, certified" (or "not
+    certified"), E being the run's own passes.
     """
     evals = obj.n_evals
     x, steps, ll, gnorm = _trust_region(obj, x, lo, hi)
     passed = gnorm <= _grad_check_tol(ll)
     note = (f"trust region from {origin}: {steps} step(s), {obj.n_evals - evals} evals, "
             f"{'certified' if passed else 'not certified'}")
-    return x, steps, ll, gnorm, passed, note
+    return x, steps, ll, gnorm, passed, [note]
 
 
-def _refine(obj: _Objective, x0: np.ndarray, start: np.ndarray, bounds):
-    """M1's refinement: L-BFGS-B from ``x0`` and the trust region after it,
-    each ended by a gradient check.
+def _refine(obj: _Objective, start: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str):
+    """M1's refinement of ``start``: one CDA cycle, L-BFGS-B from its point
+    and the trust region after it, each ended by a gradient check.
 
-    L-BFGS-B runs from ``x0`` (CDA's point), and its end is returned when it
-    passes the check, one ``value_grad_hess`` pass there.  Otherwise
-    trust-region legs (``_leg``, whose last pass gives the check) run from
-    that end and from ``start`` (M1's start before CDA) until one's end
-    passes; else the first leg's end is returned.  L-BFGS-B's end leads
-    where the pass's H is finite and PD on the KKT-free slots (``_free``;
-    none counts as PD).  Returns (x, n_iter, ll, gnorm, notes): the ll and
-    the analytic gradient max-norm at the returned x, and each leg's note.
+    CDA raises NonFiniteLikelihood where ``start``'s value is rejected.
+    L-BFGS-B's end is returned when it passes the check, one
+    ``value_grad_hess`` pass there.  Otherwise trust-region legs (``_leg``,
+    whose last pass gives the check) run from that end and from ``start``
+    (named ``origin``) until one's end passes; else the first leg's end is
+    returned.  L-BFGS-B's end leads where the pass's H is finite and PD on
+    the KKT-free slots (``_free``; none counts as PD).  Returns ``_leg``'s
+    contract, steps counting L-BFGS-B's iterations.
     """
-    lo, hi = np.array(bounds).T
-    x = np.clip(x0, lo, hi)
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+    x = np.clip(cda_warm_start(obj.value, start, bounds=bounds), lo, hi)
     res = minimize(
         obj.value_and_grad, x, jac=True, method="L-BFGS-B", bounds=bounds,
         options={
@@ -629,23 +649,24 @@ def _refine(obj: _Objective, x0: np.ndarray, start: np.ndarray, bounds):
     f, g, hess = obj.value_grad_hess(x)
     ll, gnorm = _ll_and_norm(f, g)
     if gnorm <= _grad_check_tol(ll):
-        return x, n_iter, ll, gnorm, []
+        return x, n_iter, ll, gnorm, True, []
 
     free = _free(x, g, lo, hi)
     block = hess[np.ix_(free, free)]
-    legs = [("L-BFGS-B's end", x), ("the model's start", np.clip(start, lo, hi))]
+    lbfgsb = "L-BFGS-B's end" + ("" if origin == "the model's start" else f" from {origin}")
+    legs = [(lbfgsb, x), (origin, start)]
     if not (np.all(np.isfinite(block)) and np.all(np.linalg.eigvalsh(block) > 0)):
         legs.reverse()  # L-BFGS-B stopped outside a basin
     notes, ends = [], []
-    for origin, x in legs:
-        x, steps, ll, gnorm, passed, note = _leg(obj, x, lo, hi, origin)
+    for leg_origin, x in legs:
+        x, steps, ll, gnorm, passed, (note,) = _leg(obj, x, lo, hi, leg_origin)
         n_iter += steps
         notes.append(note)
         if passed:
-            return x, n_iter, ll, gnorm, notes
+            return x, n_iter, ll, gnorm, True, notes
         ends.append((x, ll, gnorm))
     x, ll, gnorm = ends[0]
-    return x, n_iter, ll, gnorm, notes
+    return x, n_iter, ll, gnorm, False, notes
 
 
 def _standardized_objective(model: str, cohort: PreparedCohort):
@@ -677,24 +698,20 @@ def fit(
     cfg: FitConfig = FitConfig(),
     init: np.ndarray | None = None,
 ) -> FitResult:
-    """Two-step maximum likelihood for one model.
+    """Maximum likelihood for one model: the best end of one loop over starts.
 
-    ``init`` is a natural-scale vector of the GH slots, the start of the
-    search.  Without it M1 starts at ``ParamLayout.default_init``, and M2
-    and M3 at the GH estimates of the model they extend, fitted here as
-    ``fit_all`` fits it (M1, or M2 from M1); those fits' evals are not
-    counted in this one's ``n_evals``.  M1 starts with one CDA cycle from
-    ``init`` and is refined by ``_refine``, whose trust region restarts
-    from ``init`` itself; M2 starts at ``init``, with gamma profiled out;
-    M3 at the best of ``init`` with each log b of ``_LOG_B_GRID``, with mu
-    profiled out, the grid's values counted in ``n_evals``.  M2 and M3 are
-    refined by one trust-region run (``_leg``) from that start.  A
-    start whose value is not finite is skipped with a warning, and
-    NonFiniteLikelihood ("<model>: no usable starting point") is raised
-    when every start is.
-    With ``cfg.multi_starts`` > 0, that many perturbed restarts (Gaussian
-    noise, sd 0.3 on the transformed GH slots) are run, M3 scanning log b
-    for each, and the best likelihood wins.
+    ``init`` is a natural-scale vector of the GH slots, the model's start.
+    Without it M1 starts at ``ParamLayout.default_init``, and M2 and M3 at
+    the GH estimates of the model they extend, fitted here as ``fit_all``
+    fits it (M1, or M2 from M1); those fits' evals are not counted in this
+    one's ``n_evals``.  ``cfg.multi_starts`` random starts (Gaussian noise,
+    sd 0.3 on the transformed GH slots) follow, each clipped to the box,
+    and each start is refined once: M1's by ``_refine``, M2's and M3's by
+    ``_leg`` (M3's from the best of the start with each log b of
+    ``_LOG_B_GRID``).  A start whose value is not finite is skipped with a
+    warning; NonFiniteLikelihood ("<model>: no usable starting point") is
+    raised when every start is.  The pick and its note are as the module
+    docstring says.
 
     Covariates are standardized to unit SD internally (an exact
     reparameterization of the GH model) so the search space is
@@ -705,10 +722,10 @@ def fit(
         raise DataError("cohort has no events (all censored); cannot fit")
     obj, slot_scale = _standardized_objective(model, cohort)
     layout = obj.layout
-    # the coordinates the optimizer moves: M1's slots, or M2's and M3's
-    # except the multiplier of h_P
-    search = obj if model == "M1" else _Profiled(layout, obj.cohort)
-    bounds = search.bounds
+    # the coordinates the optimizer moves and their refinement: M1's slots,
+    # or M2's and M3's except the multiplier of h_P
+    search, refine = (obj, _refine) if model == "M1" else (_Profiled(layout, obj.cohort), _leg)
+    lo, hi = np.array(search.bounds).T
     k = 3 + 2 * layout.n_covariates  # the GH slots, which init and the starts hold
 
     if init is None:  # M2 and M3 start where the model they extend ends
@@ -719,42 +736,27 @@ def fit(
         raise ValueError(f"init has length {len(base)}, expected {k}")
     base = base * slot_scale[:k]  # beta_j -> beta_j * s_j matches x_j / s_j
     t0 = transform_params(base, layout.positive[:k])
+    rng = np.random.default_rng(cfg.seed)
+    starts = [("the model's start", t0)] + [(f"random start {i}", t0 + rng.normal(0.0, 0.3, k))
+                                            for i in range(1, cfg.multi_starts + 1)]
 
-    starts = [t0]
-    if cfg.multi_starts > 0:
-        rng = np.random.default_rng(cfg.seed)
-        starts += [t0 + rng.normal(0.0, 0.3, k) for _ in range(cfg.multi_starts)]
-    starts = [np.clip(s, *np.array(bounds[:k]).T) for s in starts]
-
-    x_hat, best_ll, total_iter, stage_notes = None, -np.inf, 0, []
-    for s in starts:
-        if search is obj:
-            try:
-                warm = cda_warm_start(obj.value, s, bounds=bounds)
-            except NonFiniteLikelihood:
-                warm = None
-        else:
-            # M2 starts at s, M3 at the best of s with each log b of the grid
-            points = [s] if model == "M2" else [np.append(s, v) for v in _LOG_B_GRID]
-            values = [search.value(p) for p in points]
-            best = int(np.argmin(values))
-            warm = points[best] if values[best] < _BIG else None
-        if warm is None:
+    ends = []  # (origin, x, steps, ll, gnorm, certified, notes) of each start's end
+    for origin, s in starts:
+        try:
+            ends.append((origin, *refine(search, search.start(np.clip(s, lo[:k], hi[:k])),
+                                         lo, hi, origin)))
+        except NonFiniteLikelihood:
             log.warning("%s: start rejected (non-finite likelihood)", model)
-            continue
-        if search is obj:  # M1's trust region restarts from its start before CDA
-            x, n_iter, ll, _, x_notes = _refine(obj, warm, s, bounds)
-        else:
-            x, n_iter, ll, _, _, note = _leg(search, warm, *np.array(bounds).T, "the model's start")
-            x_notes = [note]
-        total_iter += n_iter
-        stage_notes += x_notes
-        if ll > best_ll:
-            best_ll, x_hat = ll, x
-    if x_hat is None:
+    if not ends:
         raise NonFiniteLikelihood(f"{model}: no usable starting point")
-    if search is not obj:
-        x_hat = search.joint(x_hat)
+    certified = [e for e in ends if e[5]]
+    won, x_hat, _, best_ll, *_ = max(certified or ends, key=lambda e: e[3])
+    notes = [note for e in ends for note in e[6]]
+    if len(starts) > 1:  # run lls omit M1's constant: the gap is a difference
+        higher = max(e[3] for e in ends) - best_ll
+        notes.append(f"best of {len(starts)} starts: {won}, {len(certified)} certified"
+                     + (f"; an uncertified end lies {higher:.4g} above it" if higher > 0 else ""))
+    x_hat = search.joint(x_hat)
     # the flag and the SEs are those of the full model at the (joint)
     # estimate; M1's is often _refine's last pass, which the objective keeps
     f_hat, g_hat, H = obj.value_grad_hess(x_hat)  # of -loglik, scaled space
@@ -771,7 +773,6 @@ def fit(
     eig = np.linalg.eigh(H) if np.all(np.isfinite(H)) else None
     mismatch = _curvature_mismatch(obj.grad, x_hat, H, eig)
     cov_s, cov_problem = _covariance(eig)
-    notes = stage_notes
     at_bound = tuple(
         name
         for name, xi, (lo, hi) in zip(layout.names, x_hat, layout.transformed_bounds())
@@ -780,8 +781,7 @@ def fit(
     if at_bound:
         notes.append(f"parameters at box bound: {', '.join(at_bound)}")
     if cov_s is not None:
-        se_t = np.sqrt(np.diag(cov_s))
-        se_nat = se_t.copy()
+        se_nat = np.sqrt(np.diag(cov_s))
         se_nat[layout.positive] *= natural_s[layout.positive]  # delta method
         se_nat /= slot_scale
         jac = 1.0 / slot_scale  # identity on log slots (slot_scale 1 there)
@@ -809,8 +809,8 @@ def fit(
         converged=converged,
         hessian_pd=None if eig is None else cov_s is not None,
         grad_max_norm=gnorm,
-        n_evals=obj.n_evals + (search.n_evals if search is not obj else 0),
-        n_iter=total_iter,
+        n_evals=sum(o.n_evals for o in {obj, search}),  # M1's search is obj
+        n_iter=sum(e[2] for e in ends),
         at_bound=at_bound,
         notes=tuple(notes),
         decrement=_decrement(g_hat, H, [i for i, name in enumerate(layout.names)

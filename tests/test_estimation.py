@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import warnings
 from dataclasses import replace
 
@@ -977,12 +978,20 @@ class _DoubleWell:
         return self.value_grad_hess(x)[0]
 
 
-def test_refine_takes_the_restarts_end_where_lbfgsbs_end_fails_the_check():
+def _refine_from(monkeypatch, obj, lbfgsb_start, start, lo, hi):
+    """``_refine`` from the model's ``start`` with CDA's point set to
+    ``lbfgsb_start``, so L-BFGS-B runs from there."""
+    monkeypatch.setattr(estimation, "cda_warm_start", lambda f, x, bounds: np.array([lbfgsb_start]))
+    return _refine(obj, np.array([start]), np.array([lo]), np.array([hi]), "the model's start")
+
+
+def test_refine_takes_the_restarts_end_where_lbfgsbs_end_fails_the_check(monkeypatch):
     # On [-0.5, 2] L-BFGS-B from -0.2 runs down to the edge -0.5, where the
     # gradient points out of the box: the check fails, and the trust region
     # from there takes no step.  The restart from 0.5 reaches the well at 1.
     obj = _DoubleWell()
-    x, _, ll, gnorm, notes = _refine(obj, np.array([-0.2]), np.array([0.5]), [(-0.5, 2.0)])
+    x, _, ll, gnorm, certified, notes = _refine_from(monkeypatch, obj, -0.2, 0.5, -0.5, 2.0)
+    assert certified
     assert x == pytest.approx([1.0], abs=1e-9)
     assert ll == pytest.approx(0.25, abs=1e-12) and gnorm <= _grad_check_tol(ll)
     assert notes[0] == "trust region from L-BFGS-B's end: 0 step(s), 1 evals, not certified"
@@ -991,13 +1000,14 @@ def test_refine_takes_the_restarts_end_where_lbfgsbs_end_fails_the_check():
     assert notes[1].endswith(", certified")
 
 
-def test_refine_keeps_lbfgsbs_end_where_both_ends_fail_the_check():
+def test_refine_keeps_lbfgsbs_end_where_both_ends_fail_the_check(monkeypatch):
     # On [-0.5, 0.5] both wells are cut off: L-BFGS-B from -0.2 ends on the
     # lower edge and the restart from 0.2 on the upper one, each with the
     # gradient pointing out.  The tilt puts the upper edge lower, yet an end
     # that fails the check is not taken: the first leg's end is returned.
     obj = _DoubleWell(tilt=-0.05)
-    x, _, ll, gnorm, notes = _refine(obj, np.array([-0.2]), np.array([0.2]), [(-0.5, 0.5)])
+    x, _, ll, gnorm, certified, notes = _refine_from(monkeypatch, obj, -0.2, 0.2, -0.5, 0.5)
+    assert not certified
     assert obj.value(np.array([0.5])) < obj.value(np.array([-0.5]))
     assert x == pytest.approx([-0.5], abs=1e-12)
     assert ll == pytest.approx(-obj.value(np.array([-0.5])), abs=1e-12)
@@ -1023,7 +1033,8 @@ def test_refine_runs_the_starts_leg_first_where_lbfgsbs_end_is_not_in_a_basin(
 
     monkeypatch.setattr(estimation, "minimize", stays)
     obj = _DoubleWell()
-    x, _, ll, gnorm, notes = _refine(obj, np.array([end]), np.array([0.5]), [(-2.0, 2.0)])
+    x, _, ll, gnorm, certified, notes = _refine_from(monkeypatch, obj, end, 0.5, -2.0, 2.0)
+    assert certified
     assert x == pytest.approx([1.0], abs=1e-9)
     assert ll == pytest.approx(0.25, abs=1e-12) and gnorm <= _grad_check_tol(ll)
     (note,) = notes
@@ -1124,6 +1135,85 @@ def test_only_m1_runs_lbfgsb_once_per_start(monkeypatch):
     m2 = fit("M2", cohort, cfg, init=m1.estimates)
     fit("M3", cohort, cfg, init=m2.estimates[: m1.k])
     assert len(calls) == 2
+
+
+def _canned_m2(monkeypatch, ends):
+    """M2 from the default GH start with two random starts, each start's
+    trust-region run replaced by a canned end: the start itself, with the
+    (ll, certified) that ``ends`` gives its origin.  Returns the fit and the
+    profiled value at each start's point, keyed by origin."""
+    values = {}
+
+    def canned(obj, x, lo, hi, origin):
+        values[origin] = -obj.value(x)
+        ll, certified = ends[origin]
+        return x, 0, ll, 0.0, certified, [f"trust region from {origin}: canned"]
+
+    monkeypatch.setattr(estimation, "_leg", canned)
+    cohort = sim_cohort(n=400, seed=11)
+    init = ParamLayout.for_model("M1", cohort.covariate_names).default_init()
+    return fit("M2", cohort, FitConfig(multi_starts=2), init=init), values
+
+
+_START, _R1, _R2 = "the model's start", "random start 1", "random start 2"
+
+
+@pytest.mark.parametrize(
+    "ends, won, note",
+    [
+        ({_START: (-10.0, False), _R1: (-12.0, True), _R2: (-11.0, False)}, _R1,
+         "best of 3 starts: random start 1, 1 certified; an uncertified end lies 2 above it"),
+        ({_START: (-10.0, True), _R1: (-10.0, True), _R2: (-11.0, False)}, _START,
+         "best of 3 starts: the model's start, 2 certified"),
+        ({_START: (-12.0, False), _R1: (-10.0, False), _R2: (-11.0, False)}, _R1,
+         "best of 3 starts: random start 1, 0 certified"),
+    ],
+    ids=["certified-well-below-an-uncertified-end", "tie-keeps-the-first", "none-certified"],
+)
+def test_a_best_of_n_fit_keeps_the_best_certified_end_else_the_best_end(
+    monkeypatch, ends, won, note
+):
+    # the loop keeps the highest certified end, else the highest end, the
+    # first start winning a tie; its note names the winner, the certified
+    # count and the gap to a higher uncertified end
+    res, values = _canned_m2(monkeypatch, ends)
+    assert res.notes[:3] == tuple(f"trust region from {o}: canned" for o in (_START, _R1, _R2))
+    assert res.notes[3] == note
+    assert res.loglik == pytest.approx(values[won], rel=1e-12)
+    assert len(set(values.values())) == 3  # the starts are apart, so the ll names the winner
+
+
+def test_a_fit_whose_every_start_is_rejected_raises(monkeypatch, caplog):
+    # one path for every rejected start: a warning each, then the raise
+    def rejected(objective, init, bounds=None):
+        raise NonFiniteLikelihood("objective not finite at the CDA starting point")
+
+    monkeypatch.setattr(estimation, "cda_warm_start", rejected)
+    with pytest.raises(NonFiniteLikelihood, match="M1: no usable starting point"):
+        fit("M1", sim_cohort(n=400, seed=11), FitConfig(multi_starts=2))
+    assert [r.getMessage() for r in caplog.records] == [
+        "M1: start rejected (non-finite likelihood)"
+    ] * 3
+
+
+def test_best_of_8_keeps_m1s_certified_end_below_an_uncertified_one():
+    # lognormal, n = 1000, replicate 3: 7 of 8 starts certify M1 at
+    # -1091.2906; random start 2 ends 1.684 higher, uncertified (max-norm
+    # 0.262, lambda_min -189, with the curvature mismatch note), and was kept
+    # when the highest end won whatever its flag
+    m1 = fit("M1", _preset_cohort("lognormal", 1000, 3), FitConfig(multi_starts=7))
+    assert m1.converged
+    assert m1.loglik_comparable == pytest.approx(-1091.2906, abs=1e-4)
+    pick = m1.notes[-1]
+    assert pick.startswith("best of 8 starts: the model's start, 7 certified; ")
+    gap = float(re.fullmatch(r".*an uncertified end lies (\S+) above it", pick).group(1))
+    assert gap == pytest.approx(1.684, abs=1e-3)
+    # every trust-region run names the start it came from
+    runs = [n for n in m1.notes if n.startswith("trust region from ")]
+    assert len(runs) == 9
+    origin = r"(the model's start|L-BFGS-B's end|(L-BFGS-B's end from )?random start [1-7])"
+    assert all(re.match(rf"trust region from {origin}: ", n) for n in runs)
+    assert any(n.startswith("trust region from random start 2: ") for n in runs)
 
 
 _A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
