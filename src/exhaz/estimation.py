@@ -2,21 +2,20 @@
 
 Fitting runs one loop over starts on the log-transformed positive
 parameters: "the model's start", then ``multi_starts`` random ones.  Each
-start is refined once, to an end whose gradient max-norm on the search
-scale is checked ("certified" when it passes), and the fit keeps the
-highest certified end, else the highest end; the first start wins a tie.
+start is refined once, to an end "certified" when the gradient max-norm on
+the search scale over its KKT-free slots (those not on a box edge with an
+outward gradient) passes the check, and the fit keeps the highest
+certified end, else the highest end; the first start wins a tie.
 M1 starts at fixed values (kappa = theta = 1, alpha = 2, betas = 0) and
 is refined by one cycle of coordinate descent (CDA), bounded L-BFGS-B
-with analytic gradients and, when L-BFGS-B's end fails the check, a
-box-bounded trust-region Newton on the analytic Hessian (Nocedal &
+with analytic gradients and, when L-BFGS-B's end fails the check on every
+slot, box-bounded trust-region Newton on the analytic Hessian (Nocedal &
 Wright, *Numerical Optimization*, ch. 4) from that end and from the start
-until one run's end passes; else the first run's end stands.  The run
-from L-BFGS-B's end goes first only where H there is positive definite on
-the slots the box leaves free: elsewhere it is outside a basin.  M2 and
-M3 start where the model they extend ends (below) and are refined by one
-trust-region run.  The notes give each run's origin, steps, evals and
-whether it certified, and with more than one start which start won, how
-many certified and how far above it an uncertified end lies.
+(``_refine``).  M2 and M3 start where the model they extend ends (below)
+and are refined by one trust-region run.  The notes give each run's
+origin, steps, evals and whether it passed the check on every slot, and
+with more than one start which start won, how many certified and how far
+above it an uncertified end lies.
 
 The analytic Hessian comes from ``likelihoods.loglik_grad_hess`` (through
 ``loglik_and_grad(hessian=True)``, one likelihood call, whose value and
@@ -320,9 +319,9 @@ class _Objective:
         """The Hessian along x from the model's, on the transformed scale."""
         return hess
 
-    def start(self, s: np.ndarray) -> np.ndarray:
-        """The point a start's refinement runs from: ``s`` (M1's CDA checks its value)."""
-        return s
+    def refine(self, s: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str, lbfgsb: str):
+        """M1's refinement of start ``s`` (``_refine``)."""
+        return _refine(self, s, lo, hi, origin, lbfgsb)
 
     def joint(self, x: np.ndarray) -> np.ndarray:
         """x as a point of the model's own objective: x itself."""
@@ -379,15 +378,15 @@ class _Profiled(_Objective):
             return block
         return block - np.outer(hess[rest, c], hess[c, rest]) / hess[c, c]
 
-    def start(self, s: np.ndarray) -> np.ndarray:
-        """M2's ``s`` or M3's best of ``s`` with each log b of ``_LOG_B_GRID``, one
-        value per point; NonFiniteLikelihood when every value is rejected."""
+    def refine(self, s: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str, lbfgsb: str):
+        """One ``_leg`` from M2's ``s`` or M3's best of ``s`` with each log b of
+        ``_LOG_B_GRID``, one value each; NonFiniteLikelihood if all are rejected."""
         points = [s] if self.model_layout.model == "M2" else [np.append(s, v) for v in _LOG_B_GRID]
         values = [self.value(p) for p in points]
         best = int(np.argmin(values))
         if values[best] >= _BIG:
             raise NonFiniteLikelihood("objective not finite at the start")
-        return points[best]
+        return _leg(self, points[best], lo, hi, origin)
 
     def joint(self, x: np.ndarray) -> np.ndarray:
         """x with the log multiplier inserted: the point of the model's own objective."""
@@ -568,8 +567,8 @@ def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
     slots is at most 0.2 times the check's tolerance, when the radius falls
     below ``_TR_RADIUS_MIN``, when H is not finite (a rejected point or an
     overflow in the EW tail), or after ``_TR_MAX_ITER`` iterations.  Returns
-    (x, steps taken, ll, gradient max-norm), the last two from the last pass,
-    at x.
+    (x, steps taken, ll, gradient max-norm, certified) from the last pass, at
+    x; certified: not rejected, and the max-norm over the KKT-free slots passes.
     """
     f, g, hess = obj.value_grad_hess(x)  # a rejected point gives a NaN H
     radius = _TR_RADIUS0
@@ -600,37 +599,38 @@ def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
             radius = min(2.0 * radius, _TR_RADIUS_MAX)
         if radius < _TR_RADIUS_MIN:
             break
-    return x, steps, *_ll_and_norm(f, g)
+    ll, gnorm = _ll_and_norm(f, g)
+    free = float(np.max(np.abs(g[_free(x, g, lo, hi)]), initial=0.0))
+    return x, steps, ll, gnorm, not math.isnan(gnorm) and free <= _grad_check_tol(ll)
 
 
 def _leg(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str):
     """One trust-region run from ``x``: M2's and M3's refinement.
 
     Returns (x, steps, ll, gnorm, certified, notes): ``_trust_region``'s
-    end, whether it passes the gradient check, and the one note "trust
-    region from <origin>: N step(s), E evals, certified" (or "not
-    certified"), E being the run's own passes.
+    end and the note "trust region from <origin>: N step(s), E evals,
+    certified" (or "not certified": the check on every slot), E its passes.
     """
     evals = obj.n_evals
-    x, steps, ll, gnorm = _trust_region(obj, x, lo, hi)
-    passed = gnorm <= _grad_check_tol(ll)
+    x, steps, ll, gnorm, certified = _trust_region(obj, x, lo, hi)
     note = (f"trust region from {origin}: {steps} step(s), {obj.n_evals - evals} evals, "
-            f"{'certified' if passed else 'not certified'}")
-    return x, steps, ll, gnorm, passed, [note]
+            f"{'certified' if gnorm <= _grad_check_tol(ll) else 'not certified'}")
+    return x, steps, ll, gnorm, certified, [note]
 
 
-def _refine(obj: _Objective, start: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str):
-    """M1's refinement of ``start``: one CDA cycle, L-BFGS-B from its point
-    and the trust region after it, each ended by a gradient check.
+def _refine(obj: _Objective, start: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            origin: str, lbfgsb: str):
+    """M1's refinement of ``start``: one CDA cycle, L-BFGS-B from its point and
+    the trust region after it, each ended by the gradient check on every slot.
 
     CDA raises NonFiniteLikelihood where ``start``'s value is rejected.
     L-BFGS-B's end is returned when it passes the check, one
     ``value_grad_hess`` pass there.  Otherwise trust-region legs (``_leg``,
-    whose last pass gives the check) run from that end and from ``start``
-    (named ``origin``) until one's end passes; else the first leg's end is
-    returned.  L-BFGS-B's end leads where the pass's H is finite and PD on
-    the KKT-free slots (``_free``; none counts as PD).  Returns ``_leg``'s
-    contract, steps counting L-BFGS-B's iterations.
+    whose last pass gives the check) run from that end (named ``lbfgsb``)
+    and from ``start`` (named ``origin``) until one's end passes; else the
+    first leg's end is returned.  L-BFGS-B's end leads where the pass's H is
+    finite and PD on the KKT-free slots (``_free``; none counts as PD).
+    Returns ``_leg``'s contract, steps counting L-BFGS-B's iterations.
     """
     bounds = list(zip(lo.tolist(), hi.tolist()))
     x = np.clip(cda_warm_start(obj.value, start, bounds=bounds), lo, hi)
@@ -653,20 +653,19 @@ def _refine(obj: _Objective, start: np.ndarray, lo: np.ndarray, hi: np.ndarray, 
 
     free = _free(x, g, lo, hi)
     block = hess[np.ix_(free, free)]
-    lbfgsb = "L-BFGS-B's end" + ("" if origin == "the model's start" else f" from {origin}")
     legs = [(lbfgsb, x), (origin, start)]
     if not (np.all(np.isfinite(block)) and np.all(np.linalg.eigvalsh(block) > 0)):
         legs.reverse()  # L-BFGS-B stopped outside a basin
     notes, ends = [], []
     for leg_origin, x in legs:
-        x, steps, ll, gnorm, passed, (note,) = _leg(obj, x, lo, hi, leg_origin)
+        x, steps, ll, gnorm, certified, (note,) = _leg(obj, x, lo, hi, leg_origin)
         n_iter += steps
         notes.append(note)
-        if passed:
+        if gnorm <= _grad_check_tol(ll):
             return x, n_iter, ll, gnorm, True, notes
-        ends.append((x, ll, gnorm))
-    x, ll, gnorm = ends[0]
-    return x, n_iter, ll, gnorm, False, notes
+        ends.append((x, ll, gnorm, certified))
+    x, ll, gnorm, certified = ends[0]
+    return x, n_iter, ll, gnorm, certified, notes
 
 
 def _standardized_objective(model: str, cohort: PreparedCohort):
@@ -705,13 +704,12 @@ def fit(
     the GH estimates of the model they extend, fitted here as ``fit_all``
     fits it (M1, or M2 from M1); those fits' evals are not counted in this
     one's ``n_evals``.  ``cfg.multi_starts`` random starts (Gaussian noise,
-    sd 0.3 on the transformed GH slots) follow, each clipped to the box,
-    and each start is refined once: M1's by ``_refine``, M2's and M3's by
-    ``_leg`` (M3's from the best of the start with each log b of
-    ``_LOG_B_GRID``).  A start whose value is not finite is skipped with a
-    warning; NonFiniteLikelihood ("<model>: no usable starting point") is
-    raised when every start is.  The pick and its note are as the module
-    docstring says.
+    sd 0.3 on the transformed GH slots) follow, each clipped to the box and
+    refined once by the objective's ``refine``.  A start whose value is not
+    finite is skipped with a warning; NonFiniteLikelihood ("<model>: no
+    usable starting point") is raised when every start is.  The pick and
+    its note are as the module docstring says; ``converged`` checks every
+    slot at the pick.
 
     Covariates are standardized to unit SD internally (an exact
     reparameterization of the GH model) so the search space is
@@ -724,7 +722,7 @@ def fit(
     layout = obj.layout
     # the coordinates the optimizer moves and their refinement: M1's slots,
     # or M2's and M3's except the multiplier of h_P
-    search, refine = (obj, _refine) if model == "M1" else (_Profiled(layout, obj.cohort), _leg)
+    search = obj if model == "M1" else _Profiled(layout, obj.cohort)
     lo, hi = np.array(search.bounds).T
     k = 3 + 2 * layout.n_covariates  # the GH slots, which init and the starts hold
 
@@ -742,9 +740,10 @@ def fit(
 
     ends = []  # (origin, x, steps, ll, gnorm, certified, notes) of each start's end
     for origin, s in starts:
+        lbfgsb = "L-BFGS-B's end" + (f" from {origin}" if len(starts) > 1 else "")
         try:
-            ends.append((origin, *refine(search, search.start(np.clip(s, lo[:k], hi[:k])),
-                                         lo, hi, origin)))
+            ends.append((origin, *search.refine(np.clip(s, lo[:k], hi[:k]), lo, hi,
+                                                origin, lbfgsb)))
         except NonFiniteLikelihood:
             log.warning("%s: start rejected (non-finite likelihood)", model)
     if not ends:
@@ -754,7 +753,8 @@ def fit(
     notes = [note for e in ends for note in e[6]]
     if len(starts) > 1:  # run lls omit M1's constant: the gap is a difference
         higher = max(e[3] for e in ends) - best_ll
-        notes.append(f"best of {len(starts)} starts: {won}, {len(certified)} certified"
+        notes.append(f"best of {len(starts)} starts: {won}, {len(certified)} certified "
+                     "on the KKT-free slots"
                      + (f"; an uncertified end lies {higher:.4g} above it" if higher > 0 else ""))
     x_hat = search.joint(x_hat)
     # the flag and the SEs are those of the full model at the (joint)

@@ -160,9 +160,9 @@ def test_an_overflowing_log_slot_is_rejected_without_a_warning():
     # the zero gradient of a rejected point must never pass the check
     ll, gnorm = _ll_and_norm(f, g)
     assert ll == -_BIG and math.isnan(gnorm)
-    # nor the trust region's end at it
-    _, steps, ll, gnorm = _trust_region(obj, x, *np.array(obj.bounds).T)
-    assert steps == 0 and ll == -_BIG and math.isnan(gnorm)
+    # nor the trust region's end at it, whose KKT-free slots are all zero
+    _, steps, ll, gnorm, certified = _trust_region(obj, x, *np.array(obj.bounds).T)
+    assert steps == 0 and ll == -_BIG and math.isnan(gnorm) and not certified
 
 
 def test_layouts_compare_by_model_and_names_and_fits_by_identity(m1_fit):
@@ -982,7 +982,8 @@ def _refine_from(monkeypatch, obj, lbfgsb_start, start, lo, hi):
     """``_refine`` from the model's ``start`` with CDA's point set to
     ``lbfgsb_start``, so L-BFGS-B runs from there."""
     monkeypatch.setattr(estimation, "cda_warm_start", lambda f, x, bounds: np.array([lbfgsb_start]))
-    return _refine(obj, np.array([start]), np.array([lo]), np.array([hi]), "the model's start")
+    return _refine(obj, np.array([start]), np.array([lo]), np.array([hi]),
+                   "the model's start", "L-BFGS-B's end")
 
 
 def test_refine_takes_the_restarts_end_where_lbfgsbs_end_fails_the_check(monkeypatch):
@@ -1004,10 +1005,11 @@ def test_refine_keeps_lbfgsbs_end_where_both_ends_fail_the_check(monkeypatch):
     # On [-0.5, 0.5] both wells are cut off: L-BFGS-B from -0.2 ends on the
     # lower edge and the restart from 0.2 on the upper one, each with the
     # gradient pointing out.  The tilt puts the upper edge lower, yet an end
-    # that fails the check is not taken: the first leg's end is returned.
+    # that fails the check on every slot is not taken: the first leg's end is
+    # returned, certified for the pick as a KKT point of the box.
     obj = _DoubleWell(tilt=-0.05)
     x, _, ll, gnorm, certified, notes = _refine_from(monkeypatch, obj, -0.2, 0.2, -0.5, 0.5)
-    assert not certified
+    assert certified
     assert obj.value(np.array([0.5])) < obj.value(np.array([-0.5]))
     assert x == pytest.approx([-0.5], abs=1e-12)
     assert ll == pytest.approx(-obj.value(np.array([-0.5])), abs=1e-12)
@@ -1162,11 +1164,12 @@ _START, _R1, _R2 = "the model's start", "random start 1", "random start 2"
     "ends, won, note",
     [
         ({_START: (-10.0, False), _R1: (-12.0, True), _R2: (-11.0, False)}, _R1,
-         "best of 3 starts: random start 1, 1 certified; an uncertified end lies 2 above it"),
+         "best of 3 starts: random start 1, 1 certified on the KKT-free slots; "
+         "an uncertified end lies 2 above it"),
         ({_START: (-10.0, True), _R1: (-10.0, True), _R2: (-11.0, False)}, _START,
-         "best of 3 starts: the model's start, 2 certified"),
+         "best of 3 starts: the model's start, 2 certified on the KKT-free slots"),
         ({_START: (-12.0, False), _R1: (-10.0, False), _R2: (-11.0, False)}, _R1,
-         "best of 3 starts: random start 1, 0 certified"),
+         "best of 3 starts: random start 1, 0 certified on the KKT-free slots"),
     ],
     ids=["certified-well-below-an-uncertified-end", "tie-keeps-the-first", "none-certified"],
 )
@@ -1205,15 +1208,32 @@ def test_best_of_8_keeps_m1s_certified_end_below_an_uncertified_one():
     assert m1.converged
     assert m1.loglik_comparable == pytest.approx(-1091.2906, abs=1e-4)
     pick = m1.notes[-1]
-    assert pick.startswith("best of 8 starts: the model's start, 7 certified; ")
+    assert pick.startswith("best of 8 starts: the model's start, 7 certified on the KKT-free "
+                           "slots; ")
     gap = float(re.fullmatch(r".*an uncertified end lies (\S+) above it", pick).group(1))
     assert gap == pytest.approx(1.684, abs=1e-3)
     # every trust-region run names the start it came from
     runs = [n for n in m1.notes if n.startswith("trust region from ")]
     assert len(runs) == 9
-    origin = r"(the model's start|L-BFGS-B's end|(L-BFGS-B's end from )?random start [1-7])"
+    origin = r"((L-BFGS-B's end from )?(the model's start|random start [1-7]))"
     assert all(re.match(rf"trust region from {origin}: ", n) for n in runs)
     assert any(n.startswith("trust region from random start 2: ") for n in runs)
+
+
+@pytest.mark.parametrize("preset", ["moderate", "moderate-dropout"])
+def test_best_of_8_m3_keeps_the_theta_floor_kkt_end_above_m1(preset):
+    # n = 1000, replicate 4: M2's and M3's highest ends hold theta on its
+    # floor with theta's gradient pointing out, so only the check on every
+    # slot fails them; some M3 starts certify every slot at an end about 28
+    # lower, below M1, with a singular information.  The pick certifies on
+    # the KKT-free slots and keeps the higher end, flagged NotConverged.
+    fits = fit_all(_preset_cohort(preset, 1000, 4), FitConfig(multi_starts=7))
+    m1, m2, m3 = (fits[m] for m in MODELS)
+    assert m1.loglik_comparable <= m2.loglik_comparable <= m3.loglik_comparable + 1e-6
+    assert m1.converged and not m2.converged and not m3.converged
+    assert "theta" in m3.at_bound
+    (pick,) = [n for n in m3.notes if n.startswith("best of 8 starts: ")]
+    assert pick.startswith("best of 8 starts: the model's start, ") and "uncertified" not in pick
 
 
 _A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
@@ -1249,8 +1269,8 @@ def test_trust_region_ends_a_convex_quadratic_in_one_accepted_step():
     k = len(_C)
     x0 = 0.5 * _C
     assert np.linalg.norm(_C - x0) < _TR_RADIUS0
-    x, steps, ll, gnorm = _trust_region(obj, x0, np.full(k, -10.0), np.full(k, 10.0))
-    assert obj.calls == ["vgh", "v", "vgh"] and steps == 1
+    x, steps, ll, gnorm, certified = _trust_region(obj, x0, np.full(k, -10.0), np.full(k, 10.0))
+    assert obj.calls == ["vgh", "v", "vgh"] and steps == 1 and certified
     assert np.allclose(x, _C, rtol=0, atol=1e-12)
     # ll and the max-norm are those of the last information call, at x
     assert (ll, gnorm) == (-obj._value(x), float(np.max(np.abs(_A @ (x - _C)))))
@@ -1263,7 +1283,7 @@ _SADDLE = np.diag([-1.0, 2.0, 1.0])
 
 def test_trust_region_leaves_a_saddle_along_its_negative_curvature():
     obj = _Quadratic(_SADDLE)
-    x, steps, _, _ = _trust_region(obj, _C + np.array([0.1, 0.3, -0.2]), _C - 1.0, _C + 1.0)
+    x, steps, *_ = _trust_region(obj, _C + np.array([0.1, 0.3, -0.2]), _C - 1.0, _C + 1.0)
     assert steps >= 1
     assert x[0] == _C[0] + 1.0
     assert np.allclose(x[1:], _C[1:], rtol=0, atol=1e-9)
@@ -1277,7 +1297,7 @@ def test_trust_region_hard_case_steps_along_the_negative_curvature_without_a_war
         warnings.simplefilter("error")
         s = _trust_step(g, _SADDLE, 1.0)
         obj = _Quadratic(_SADDLE)
-        x, _, _, _ = _trust_region(obj, _C + np.array([0.0, 0.3, -0.2]), _C - 1.0, _C + 1.0)
+        x, *_ = _trust_region(obj, _C + np.array([0.0, 0.3, -0.2]), _C - 1.0, _C + 1.0)
     assert np.linalg.norm(s) == pytest.approx(1.0, rel=1e-12)
     assert abs(s[0]) > 0.9
     assert g @ s + 0.5 * s @ _SADDLE @ s < 0
@@ -1287,15 +1307,33 @@ def test_trust_region_hard_case_steps_along_the_negative_curvature_without_a_war
 
 def test_trust_region_stops_on_the_box_edge_where_the_gradient_points_out():
     # the minimum over x2 <= 0 has x2 on the edge, where the gradient points
-    # out of the box; the other two slots solve A's first two rows
+    # out of the box; the other two slots solve A's first two rows.  That KKT
+    # point is certified although its full max-norm fails the check.
     obj = _Quadratic(_A)
     lo, hi = np.full(3, -10.0), np.array([10.0, 10.0, 0.0])
-    x, _, _, _ = _trust_region(obj, np.array([0.0, 0.0, -0.5]), lo, hi)
+    x, _, ll, gnorm, certified = _trust_region(obj, np.array([0.0, 0.0, -0.5]), lo, hi)
     assert x[2] == 0.0
     expected = _C[:2] + np.linalg.solve(_A[:2, :2], _A[:2, 2] * _C[2])
     assert np.allclose(x[:2], expected, rtol=0, atol=1e-9)
     g = _A @ (x - _C)
     assert g[2] < 0 and np.max(np.abs(g[:2])) <= 1e-9
+    assert certified and gnorm == pytest.approx(-g[2], rel=1e-12) and gnorm > _grad_check_tol(ll)
+
+
+@pytest.mark.parametrize("edge, certified", [("upper", True), ("lower", False)])
+def test_the_certificate_excuses_only_a_gradient_pointing_out_of_the_box(
+    monkeypatch, edge, certified
+):
+    # the end of the previous test, with no iteration run: x2 = 0 is the upper
+    # edge of x2 <= 0, where g2 < 0 points out, or the lower edge of x2 >= 0,
+    # where it points in and the slot stays free
+    monkeypatch.setattr(estimation, "_TR_MAX_ITER", 0)
+    x0 = np.append(_C[:2] + np.linalg.solve(_A[:2, :2], _A[:2, 2] * _C[2]), 0.0)
+    lo, hi = np.full(3, -10.0), np.full(3, 10.0)
+    (hi if edge == "upper" else lo)[2] = 0.0
+    x, steps, ll, gnorm, passed = _trust_region(_Quadratic(_A), x0, lo, hi)
+    assert steps == 0 and np.array_equal(x, x0) and gnorm > _grad_check_tol(ll)
+    assert passed is certified
 
 
 def test_trust_region_shrinks_the_radius_at_a_rejected_point_and_never_takes_it():
@@ -1306,7 +1344,7 @@ def test_trust_region_shrinks_the_radius_at_a_rejected_point_and_never_takes_it(
     # at the trial's point.
     obj = _Toy()
     x0 = np.array([0.4, 1.2])
-    x, steps, _, _ = _trust_region(obj, x0, np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
+    x, steps, *_ = _trust_region(obj, x0, np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
     assert np.allclose(x, [1.0, -1.0], rtol=0, atol=1e-9)
     assert set(obj.calls) == {"vgh", "v"} and obj.calls[0] == "vgh"
     trials = [p for c, p in zip(obj.calls, obj.points) if c == "v"]
@@ -1339,7 +1377,7 @@ def test_trust_region_never_takes_a_trial_whose_information_pass_is_rejected():
     # then ends at the box minimum with a finite gradient.
     obj = _NoGradientStrip()
     x0 = np.array([0.4, 1.2])
-    x, steps, ll, gnorm = _trust_region(obj, x0, np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
+    x, steps, ll, gnorm, _ = _trust_region(obj, x0, np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
     assert np.allclose(x, [1.0, -1.0], rtol=0, atol=1e-9)
     assert ll == pytest.approx(-4.0, abs=1e-9) and gnorm == pytest.approx(4.0, abs=1e-6)
     trials = [p for c, p in zip(obj.calls, obj.points) if c == "v"]
@@ -1375,7 +1413,7 @@ def test_trust_region_takes_a_step_whose_predicted_decrease_is_below_the_roundin
     assert 0.5 * d @ obj.A @ d < 1e6 * np.finfo(float).eps
     assert obj._value(x0) == obj._value(_C) == 1e6
     assert np.max(np.abs(obj.A @ d)) > 0.2 * _grad_check_tol(-1e6)
-    x, steps, ll, gnorm = _trust_region(obj, x0, _C - 1.0, _C + 1.0)
+    x, steps, ll, gnorm, _ = _trust_region(obj, x0, _C - 1.0, _C + 1.0)
     assert steps == 1 and obj.calls == ["vgh", "v", "vgh"]
     assert ll == -1e6 and gnorm <= 0.2 * _grad_check_tol(ll)
 
