@@ -6,16 +6,17 @@ start is refined once, to an end "certified" when the gradient max-norm on
 the search scale over its KKT-free slots (those not on a box edge with an
 outward gradient) passes the check, and the fit keeps the highest
 certified end, else the highest end; the first start wins a tie.
-M1 starts at fixed values (kappa = theta = 1, alpha = 2, betas = 0) and
-is refined by one cycle of coordinate descent (CDA), bounded L-BFGS-B
-with analytic gradients and, when L-BFGS-B's end fails the check on every
-slot, box-bounded trust-region Newton on the analytic Hessian (Nocedal &
-Wright, *Numerical Optimization*, ch. 4) from that end and from the start
-(``_refine``).  M2 and M3 start where the model they extend ends (below)
-and are refined by one trust-region run.  The notes give each run's
-origin, steps, evals and whether it passed the check on every slot, and
-with more than one start which start won, how many certified and how far
-above it an uncertified end lies.
+Every start is refined by at most one run of box-bounded trust-region
+Newton on the analytic Hessian (Nocedal & Wright, *Numerical
+Optimization*, ch. 4).  M1 starts at fixed values (kappa = theta = 1,
+alpha = 2, betas = 0) and first runs one cycle of coordinate descent (CDA)
+and bounded L-BFGS-B with analytic gradients from its point; L-BFGS-B's
+end is kept when it passes the check on every slot, and the trust region
+runs from the start otherwise (``_refine``).  M2 and M3 start where the
+model they extend ends (below).  The notes give each run's origin, steps,
+evals and whether it passed the check on every slot, and with more than
+one start which start won, how many certified and how far above it an
+uncertified end lies.
 
 The analytic Hessian comes from ``likelihoods.loglik_grad_hess`` (through
 ``loglik_and_grad(hessian=True)``, one likelihood call, whose value and
@@ -319,9 +320,9 @@ class _Objective:
         """The Hessian along x from the model's, on the transformed scale."""
         return hess
 
-    def refine(self, s: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str, lbfgsb: str):
+    def refine(self, s: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str):
         """M1's refinement of start ``s`` (``_refine``)."""
-        return _refine(self, s, lo, hi, origin, lbfgsb)
+        return _refine(self, s, lo, hi, origin)
 
     def joint(self, x: np.ndarray) -> np.ndarray:
         """x as a point of the model's own objective: x itself."""
@@ -378,7 +379,7 @@ class _Profiled(_Objective):
             return block
         return block - np.outer(hess[rest, c], hess[c, rest]) / hess[c, c]
 
-    def refine(self, s: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str, lbfgsb: str):
+    def refine(self, s: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str):
         """One ``_leg`` from M2's ``s`` or M3's best of ``s`` with each log b of
         ``_LOG_B_GRID``, one value each; NonFiniteLikelihood if all are rejected."""
         points = [s] if self.model_layout.model == "M2" else [np.append(s, v) for v in _LOG_B_GRID]
@@ -605,7 +606,8 @@ def _trust_region(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
 
 
 def _leg(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str):
-    """One trust-region run from ``x``: M2's and M3's refinement.
+    """One trust-region run from ``x``: M2's and M3's refinement, and M1's
+    where L-BFGS-B's end fails the check.
 
     Returns (x, steps, ll, gnorm, certified, notes): ``_trust_region``'s
     end and the note "trust region from <origin>: N step(s), E evals,
@@ -618,19 +620,15 @@ def _leg(obj: _Objective, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin:
     return x, steps, ll, gnorm, certified, [note]
 
 
-def _refine(obj: _Objective, start: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            origin: str, lbfgsb: str):
-    """M1's refinement of ``start``: one CDA cycle, L-BFGS-B from its point and
-    the trust region after it, each ended by the gradient check on every slot.
+def _refine(obj: _Objective, start: np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: str):
+    """M1's refinement of ``start``: one CDA cycle and L-BFGS-B from its point,
+    else one trust-region leg from ``start``, as M2's and M3's.
 
     CDA raises NonFiniteLikelihood where ``start``'s value is rejected.
-    L-BFGS-B's end is returned when it passes the check, one
-    ``value_grad_hess`` pass there.  Otherwise trust-region legs (``_leg``,
-    whose last pass gives the check) run from that end (named ``lbfgsb``)
-    and from ``start`` (named ``origin``) until one's end passes; else the
-    first leg's end is returned.  L-BFGS-B's end leads where the pass's H is
-    finite and PD on the KKT-free slots (``_free``; none counts as PD).
-    Returns ``_leg``'s contract, steps counting L-BFGS-B's iterations.
+    L-BFGS-B's end is returned when it passes the gradient check on every
+    slot, one ``value_grad_hess`` pass there.  Otherwise ``_leg`` runs from
+    ``start`` (named ``origin``) and its end is returned.  Returns
+    ``_leg``'s contract, steps counting L-BFGS-B's iterations.
     """
     bounds = list(zip(lo.tolist(), hi.tolist()))
     x = np.clip(cda_warm_start(obj.value, start, bounds=bounds), lo, hi)
@@ -645,27 +643,11 @@ def _refine(obj: _Objective, start: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     )
     if math.isfinite(res.fun) and res.fun <= obj.value(x):
         x = res.x
-    n_iter = int(res.nit)
-    f, g, hess = obj.value_grad_hess(x)
-    ll, gnorm = _ll_and_norm(f, g)
+    ll, gnorm = _ll_and_norm(*obj.value_grad_hess(x)[:2])
     if gnorm <= _grad_check_tol(ll):
-        return x, n_iter, ll, gnorm, True, []
-
-    free = _free(x, g, lo, hi)
-    block = hess[np.ix_(free, free)]
-    legs = [(lbfgsb, x), (origin, start)]
-    if not (np.all(np.isfinite(block)) and np.all(np.linalg.eigvalsh(block) > 0)):
-        legs.reverse()  # L-BFGS-B stopped outside a basin
-    notes, ends = [], []
-    for leg_origin, x in legs:
-        x, steps, ll, gnorm, certified, (note,) = _leg(obj, x, lo, hi, leg_origin)
-        n_iter += steps
-        notes.append(note)
-        if gnorm <= _grad_check_tol(ll):
-            return x, n_iter, ll, gnorm, True, notes
-        ends.append((x, ll, gnorm, certified))
-    x, ll, gnorm, certified = ends[0]
-    return x, n_iter, ll, gnorm, certified, notes
+        return x, int(res.nit), ll, gnorm, True, []
+    x, steps, ll, gnorm, certified, notes = _leg(obj, start, lo, hi, origin)
+    return x, int(res.nit) + steps, ll, gnorm, certified, notes
 
 
 def _standardized_objective(model: str, cohort: PreparedCohort):
@@ -705,7 +687,9 @@ def fit(
     fits it (M1, or M2 from M1); those fits' evals are not counted in this
     one's ``n_evals``.  ``cfg.multi_starts`` random starts (Gaussian noise,
     sd 0.3 on the transformed GH slots) follow, each clipped to the box and
-    refined once by the objective's ``refine``.  A start whose value is not
+    refined once by the objective's ``refine`` (M1's ``_refine``, M2's and
+    M3's ``_Profiled.refine``), which runs at most one trust-region leg,
+    named by the start's origin.  A start whose value is not
     finite is skipped with a warning; NonFiniteLikelihood ("<model>: no
     usable starting point") is raised when every start is.  The pick and
     its note are as the module docstring says; ``converged`` checks every
@@ -740,10 +724,8 @@ def fit(
 
     ends = []  # (origin, x, steps, ll, gnorm, certified, notes) of each start's end
     for origin, s in starts:
-        lbfgsb = "L-BFGS-B's end" + (f" from {origin}" if len(starts) > 1 else "")
         try:
-            ends.append((origin, *search.refine(np.clip(s, lo[:k], hi[:k]), lo, hi,
-                                                origin, lbfgsb)))
+            ends.append((origin, *search.refine(np.clip(s, lo[:k], hi[:k]), lo, hi, origin)))
         except NonFiniteLikelihood:
             log.warning("%s: start rejected (non-finite likelihood)", model)
     if not ends:

@@ -982,65 +982,54 @@ def _refine_from(monkeypatch, obj, lbfgsb_start, start, lo, hi):
     """``_refine`` from the model's ``start`` with CDA's point set to
     ``lbfgsb_start``, so L-BFGS-B runs from there."""
     monkeypatch.setattr(estimation, "cda_warm_start", lambda f, x, bounds: np.array([lbfgsb_start]))
-    return _refine(obj, np.array([start]), np.array([lo]), np.array([hi]),
-                   "the model's start", "L-BFGS-B's end")
+    return _refine(obj, np.array([start]), np.array([lo]), np.array([hi]), "the model's start")
 
 
 def test_refine_takes_the_restarts_end_where_lbfgsbs_end_fails_the_check(monkeypatch):
     # On [-0.5, 2] L-BFGS-B from -0.2 runs down to the edge -0.5, where the
-    # gradient points out of the box: the check fails, and the trust region
-    # from there takes no step.  The restart from 0.5 reaches the well at 1.
+    # gradient points out of the box: the check fails, and the one trust-region
+    # leg, from the model's start 0.5, reaches the well at 1.
     obj = _DoubleWell()
     x, _, ll, gnorm, certified, notes = _refine_from(monkeypatch, obj, -0.2, 0.5, -0.5, 2.0)
     assert certified
     assert x == pytest.approx([1.0], abs=1e-9)
     assert ll == pytest.approx(0.25, abs=1e-12) and gnorm <= _grad_check_tol(ll)
-    assert notes[0] == "trust region from L-BFGS-B's end: 0 step(s), 1 evals, not certified"
-    assert len(notes) == 2
-    assert notes[1].startswith("trust region from the model's start: ")
-    assert notes[1].endswith(", certified")
+    (note,) = notes
+    assert note.startswith("trust region from the model's start: ")
+    assert note.endswith(", certified")
 
 
-def test_refine_keeps_lbfgsbs_end_where_both_ends_fail_the_check(monkeypatch):
+def test_refine_returns_the_starts_box_edge_end_where_both_ends_fail_the_check(monkeypatch):
     # On [-0.5, 0.5] both wells are cut off: L-BFGS-B from -0.2 ends on the
-    # lower edge and the restart from 0.2 on the upper one, each with the
-    # gradient pointing out.  The tilt puts the upper edge lower, yet an end
-    # that fails the check on every slot is not taken: the first leg's end is
-    # returned, certified for the pick as a KKT point of the box.
+    # lower edge and the leg from the start 0.2 on the upper one, each with
+    # the gradient pointing out.  The leg's end fails the check on every slot
+    # and is returned, certified for the pick as a KKT point of the box.
     obj = _DoubleWell(tilt=-0.05)
     x, _, ll, gnorm, certified, notes = _refine_from(monkeypatch, obj, -0.2, 0.2, -0.5, 0.5)
     assert certified
-    assert obj.value(np.array([0.5])) < obj.value(np.array([-0.5]))
-    assert x == pytest.approx([-0.5], abs=1e-12)
-    assert ll == pytest.approx(-obj.value(np.array([-0.5])), abs=1e-12)
-    assert gnorm == pytest.approx(0.325, abs=1e-9)
-    assert [n.rsplit(", ", 1)[1] for n in notes] == ["not certified", "not certified"]
-    assert notes[1].startswith("trust region from the model's start: ")
+    assert x == pytest.approx([0.5], abs=1e-12)
+    assert ll == pytest.approx(-obj.value(np.array([0.5])), abs=1e-12)
+    assert gnorm == pytest.approx(0.425, abs=1e-9)
+    (note,) = notes
+    assert note.startswith("trust region from the model's start: ")
+    assert note.endswith(", not certified")
 
 
-@pytest.mark.parametrize(
-    "end, first",
-    [(0.05, "the model's start"), (0.9, "L-BFGS-B's end")],
-    ids=["saddle", "pd"],
-)
-def test_refine_runs_the_starts_leg_first_where_lbfgsbs_end_is_not_in_a_basin(
-    monkeypatch, end, first
-):
-    # L-BFGS-B stops where it starts.  At 0.05 the double well is concave
-    # (H = -0.99), so the leg from the model's start (0.5) runs first and its
-    # end, the well at 1, is taken with no leg from L-BFGS-B's end; at 0.9
-    # H = 1.43 is PD, and the leg from L-BFGS-B's end runs first as before.
+def test_refine_runs_the_starts_leg_where_lbfgsb_stops_off_a_stationary_point(monkeypatch):
+    # L-BFGS-B stops where it starts, at 0.05 on the double well's hump
+    # (g = -0.05): the check fails, and the leg from the model's start (0.5)
+    # reaches the well at 1.
     def stays(fun, x, **kwargs):
         return OptimizeResult(x=x, fun=fun(x)[0], nit=0)
 
     monkeypatch.setattr(estimation, "minimize", stays)
     obj = _DoubleWell()
-    x, _, ll, gnorm, certified, notes = _refine_from(monkeypatch, obj, end, 0.5, -2.0, 2.0)
+    x, _, ll, gnorm, certified, notes = _refine_from(monkeypatch, obj, 0.05, 0.5, -2.0, 2.0)
     assert certified
     assert x == pytest.approx([1.0], abs=1e-9)
     assert ll == pytest.approx(0.25, abs=1e-12) and gnorm <= _grad_check_tol(ll)
     (note,) = notes
-    assert note.startswith(f"trust region from {first}: ") and note.endswith(", certified")
+    assert note.startswith("trust region from the model's start: ") and note.endswith(", certified")
 
 
 # the cohorts on which M1's trust region certifies only from the default start
@@ -1089,8 +1078,8 @@ def test_m2_and_m3_nest_on_the_restart_regression_cohorts(preset, n, index):
 
 def test_m1_keeps_its_lbfgsb_path_bit_for_bit():
     # wide-dropout, n = 1000, replicate 1: CDA, L-BFGS-B, and, L-BFGS-B's end
-    # being indefinite (lambda_min -1.8e10), the trust region from the
-    # default start alone, to the ll bits the fit gave when the leg from
+    # failing the check (indefinite, lambda_min -1.8e10), the trust region
+    # from the default start, to the ll bits the fit gave when the leg from
     # L-BFGS-B's end ran first (3 steps, 18 evals, not certified; then 586
     # evals and 239 iterations)
     m1 = fit("M1", _preset_cohort(*_RESTART_COHORTS[1]))
@@ -1119,6 +1108,18 @@ def test_m1_takes_the_starts_end_above_the_basin_of_a_near_singular_lbfgsb_end()
     assert fits["M1"].converged
     assert fits["M1"].loglik_comparable == pytest.approx(-1337.618623, abs=1e-6)
     assert fits["M2"].converged and fits["M3"].converged
+
+
+def test_m1_and_m2_leave_the_weibull_ridge_and_m4_picks_m1():
+    # none, n = 2000, replicate 6: the leg from L-BFGS-B's end certified M1
+    # at -2971.1524 on the Weibull ridge (beta1_sex about -20.6), and M2 from
+    # there at -2969.3966 with gamma on its floor, so M4 picked M3.  The leg
+    # from the model's start certifies both 13.6 higher.
+    fits = fit_all(_preset_cohort("none", 2000, 6))
+    for model, ll in (("M1", -2957.5406), ("M2", -2957.5361)):
+        assert fits[model].converged
+        assert fits[model].loglik_comparable == pytest.approx(ll, abs=1e-4)
+    assert select_m4(fits)[0].model == "M1"
 
 
 def test_only_m1_runs_lbfgsb_once_per_start(monkeypatch):
@@ -1214,8 +1215,8 @@ def test_best_of_8_keeps_m1s_certified_end_below_an_uncertified_one():
     assert gap == pytest.approx(1.684, abs=1e-3)
     # every trust-region run names the start it came from
     runs = [n for n in m1.notes if n.startswith("trust region from ")]
-    assert len(runs) == 9
-    origin = r"((L-BFGS-B's end from )?(the model's start|random start [1-7]))"
+    assert len(runs) == 8
+    origin = r"(the model's start|random start [1-7])"
     assert all(re.match(rf"trust region from {origin}: ", n) for n in runs)
     assert any(n.startswith("trust region from random start 2: ") for n in runs)
 

@@ -168,7 +168,9 @@ def test_marginal_survival_b_to_zero_limit(flat_table):
     )
 
 
-def test_marginal_survival_batch_matches_one_row_cohorts():
+def _graded_table_and_cohort(n=40):
+    """A two-stratum table whose rate moves with age and year, and n
+    patients spread over its ages, years and strata."""
     table = make_life_table(
         ["sex"], (30, 100), (2005, 2020),
         lambda a, y, s: 1e-3 * math.exp(0.08 * (a - 30)) * (1.4 if s == ("1",) else 1.0)
@@ -176,11 +178,39 @@ def test_marginal_survival_batch_matches_one_row_cohorts():
         [("0",), ("1",)],
     )
     rng = np.random.default_rng(5)
-    n = 40
     cohort = Cohort(
         rng.uniform(0.1, 8.0, n), np.ones(n), rng.uniform(40, 99, n), rng.uniform(2005, 2019, n),
         rng.normal(0, 1, (n, 3)), [("0",), ("1",)], rng.integers(0, 2, n),
     )
+    return table, cohort
+
+
+def test_marginal_survival_is_exp_minus_h_e_times_the_gamma_laplace_of_the_walk():
+    # exp(-H_E) exp(-(mu/b) log1p(b dH_P)) per patient, with dH_P from the
+    # table's walk and H_E from the closed form; at b = e^-20, the box
+    # floor, it is M2's exp(-H_E - mu dH_P) up to O(b)
+    table, cohort = _graded_table_and_cohort()
+    t, mu = cohort.time * 0.7, 1.2
+    dhp = table.cum_hazard_increment(
+        cohort.age_diag, cohort.year_diag, table.codes(cohort.strata)[cohort.stratum], t
+    )
+    he = np.array([gh_closed_form(ti, x, GH)[1] for ti, x in zip(t, cohort.X)])
+    got = marginal_survival_m3(t, cohort, model_params(GH, mu, 0.02), table)
+    expected = np.exp(-he) * np.exp(-(mu / 0.02) * np.log1p(0.02 * dhp))
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+    floor = marginal_survival_m3(t, cohort, model_params(GH, mu, math.exp(-20.0)), table)
+    np.testing.assert_allclose(floor, np.exp(-he - mu * dhp), rtol=1e-8, atol=0.0)
+
+
+def test_marginal_survival_rejects_params_of_another_model():
+    table, cohort = _graded_table_and_cohort(n=2)
+    with pytest.raises(ValueError, match="requires M3 params"):
+        marginal_survival_m3(1.0, cohort, model_params(GH, 1.2), table)
+
+
+def test_marginal_survival_batch_matches_one_row_cohorts():
+    table, cohort = _graded_table_and_cohort()
+    n = len(cohort.time)
     m3 = model_params(GH, 1.875, 0.075)
     t = cohort.time * 0.7
     for advance_year in (True, False):

@@ -447,7 +447,8 @@ def test_preset_panel_reference_keeps_the_highest_certified_end_and_its_file(tmp
     ref = preset_panel.reference({**panels, "later.json": [better]})
     assert ref["fits"][2] == {**better, "source": "later.json"}
 
-    # a panel compared with the reference lists its certified fits below it
+    # a panel compared with the reference lists its certified fits below it,
+    # and exits with 1 for its one certified fit that the reference lacks
     panel = [
         panel_row("lognormal", 3, "M1", True, -1091.2906 - 5e-7, 80, 1e-7),  # within 1e-6
         panel_row("none", 6, "M2", True, -1461.0 - 2e-4, 60, 1e-9),
@@ -456,7 +457,7 @@ def test_preset_panel_reference_keeps_the_highest_certified_end_and_its_file(tmp
         panel_row("wide", 6, "M2", False, -1200.0, 200, 5.0),  # not certified
     ]
     (tmp_path / "panel.json").write_text(json.dumps(panel), encoding="utf-8")
-    assert preset_panel.main(["--compare", str(tmp_path / "panel.json"), str(out)]) == 0
+    assert preset_panel.main(["--compare", str(tmp_path / "panel.json"), str(out)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "M1: 0 certified fits more than 1e-06 below the reference, 0 more than 0.001, "
         "gaps summing to 0",
@@ -468,6 +469,8 @@ def test_preset_panel_reference_keeps_the_highest_certified_end_and_its_file(tmp
         f"    wide r6: ll -1104.000000, reference -1100.500000 from {paths[0]}, gap 3.5",
         "certified fits above the reference by more than 1e-06 or missing from it: 1",
     ]
+    ref = json.loads(out.read_text(encoding="utf-8"))
+    assert preset_panel.compare_reference(ref["fits"], ref) == 0  # none above or missing
     with pytest.raises(SystemExit):
         preset_panel.main(["--reference", str(out)])
 

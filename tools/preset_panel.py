@@ -34,7 +34,9 @@ first file listed wins a tie). A fit that no panel certifies has no entry.
 ``--compare PANEL OUT.json`` then prints, per model, the panel's certified
 fits more than 1e-6 below the reference, each with its gap, and how many
 of them are more than 1e-3 below; last, the certified fits that lie above
-the reference by more than 1e-6 or that it lacks.
+the reference by more than 1e-6 or that it lacks.  It exits with 1 when
+there is any such fit, so a panel that finds a higher certified end does
+not leave the reference stale unnoticed.
 """
 
 from __future__ import annotations
@@ -145,7 +147,8 @@ def reference(panels: dict[str, list[dict]]) -> dict:
 
 
 def compare_reference(rows: list[dict], ref: dict) -> int:
-    """Print the panel's certified fits below the reference, per model, and those above it."""
+    """Print the panel's certified fits below the reference, per model, and those above it;
+    1 when any lies above it or is missing from it."""
     best = _keyed(ref["fits"])
     below: dict[str, list] = {model: [] for model in MODELS}
     above = 0
@@ -165,7 +168,7 @@ def compare_reference(rows: list[dict], ref: dict) -> int:
                   f"{top['ll']:.6f} from {top['source']}, gap {gap:.3g}")
     print(f"certified fits above the reference by more than {MOVE_TOL:g} "
           f"or missing from it: {above}")
-    return 0
+    return 1 if above else 0
 
 
 def compare(a: list[dict], b: list[dict]) -> int:
