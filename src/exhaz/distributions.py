@@ -24,10 +24,10 @@ all of its array work, and so do the public functions that call them.
 They compute throwaway values on entries they then overwrite, and return
 infinities and NaNs that their callers check.
 
-Frailty laws are a Gamma in
-mean/scale parameterization (mean mu, variance mu*b; its Laplace
-transform and a sampler) and a lognormal used for misspecification
-experiments.
+Frailty laws are a Gamma in mean/scale parameterization (mean mu,
+variance mu*b, and a sampler; its Laplace transform is M3's population
+term, ``likelihoods.marginal_survival_m3``) and a lognormal used for
+misspecification experiments.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "GammaFrailtyParams",
     "LogNormalFrailtyParams",
     "ew_quantile",
-    "gamma_laplace",
     "sample_gamma_frailty",
     "sample_lognormal_frailty",
 ]
@@ -188,12 +187,6 @@ def ew_quantile(u, kappa, theta, alpha):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = -log1mexp(-lu)
     return theta * np.power(w, 1.0 / kappa)
-
-
-def gamma_laplace(s, g: GammaFrailtyParams):
-    """Laplace transform of the Gamma frailty: (1 + b s)^{-mu/b}, s >= 0."""
-    s = np.asarray(s, dtype=float)
-    return np.exp(-(g.mu / g.b) * np.log1p(g.b * s))
 
 
 def sample_gamma_frailty(g: GammaFrailtyParams, rng: np.random.Generator, size=None):

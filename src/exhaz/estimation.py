@@ -33,24 +33,25 @@ the mismatch finds the analytic gradient and H apart (above
 ends within 1e-6 of an edge of the search box names those parameters in
 ``at_bound`` and in its notes.
 
-The multiplier of h_P, M2's gamma and M3's mu, is profiled out.  For
-fixed GH parameters M2's log-likelihood is strictly concave in gamma, and
-for fixed GH parameters and b M3's has the same form in mu, with h_P
-reweighted by 1/(1 + b dH_P); ``likelihoods.profile_gamma`` solves both
-for the maximizer without a likelihood call.  M2 is searched over the GH
-coordinates and M3 over the GH coordinates and log b, one likelihood call
-at the joint point per value or gradient (``_Profiled``).  Neither runs
-CDA.  M2 starts at M1's GH estimates: gamma = 1 is M1, so its first
-value is already at least M1's MLE.  M3 starts at M2's GH estimates with
-log b scanned over the grid ``_LOG_B_GRID`` (-20, -19, ..., 6), one
-value per point, counted in ``n_evals``, and the refinement starts from
-the best point, as from each random start.  The grid's floor b = e^-20
-is M2's end up to O(e^-20) in ll, and the refinement takes no worse
-point, so M3 ends at or above M2's end less O(e^-20), as M2 ends at or
-above M1's: M1 within M2 within M3 holds by construction for one start.
-The refinement runs on these objectives unchanged; ``converged``, the
-gradient norm, the log-likelihood and the SEs are those of the model's
-full objective at the joint estimate.
+The three models share one population hazard, c h_P / (1 + b dH_P)
+(``ModelParams.population``): M1 is (1, 0), M2 (gamma, 0) and M3 (mu, b).
+The multiplier c, M2's gamma and M3's mu, is profiled out: for fixed GH
+parameters and b the log-likelihood is strictly concave in c, and
+``likelihoods.profile_gamma`` solves for the maximizer without a
+likelihood call.  M2 is searched over the GH coordinates and M3 over the
+GH coordinates and log b, one likelihood call at the joint point per
+value or gradient (``_Profiled``).  Neither runs CDA.  M2 starts at M1's GH
+estimates: gamma = 1 is M1, so its first value is already at least M1's
+MLE.  M3 starts at M2's GH estimates with log b scanned over the grid
+``_LOG_B_GRID`` (-20, -19, ..., 6), one value per point, counted in
+``n_evals``, and the refinement starts from the best point, as from each
+random start.  The grid's floor b = e^-20 is M2's end up to O(e^-20) in
+ll, and the refinement takes no worse point, so M3 ends at or above M2's
+end less O(e^-20), as M2 ends at or above M1's: M1 within M2 within M3
+holds by construction for one start.  The refinement runs on these
+objectives unchanged; ``converged``, the gradient norm, the
+log-likelihood and the SEs are those of the model's full objective at the
+joint estimate.
 
 Tolerances, step sizes and budgets are module constants (``_GRAD_TOL``,
 ``_MAX_EVALS``, ``_HESSIAN_STEP``, ``_CURVATURE_TOL``, ``_TR_*``,
@@ -221,9 +222,6 @@ class FitResult:
     @property
     def ses_available(self) -> bool:
         return self.std_errors is not None
-
-    def estimate(self, name: str) -> float:
-        return float(self.estimates[self.param_names.index(name)])
 
     def to_model_params(self) -> ModelParams:
         return self.layout.to_params(self.estimates)
@@ -819,8 +817,9 @@ def fit_all(cohort: PreparedCohort, cfg: FitConfig = FitConfig()) -> dict[str, F
 def select_m4(fits: dict[str, FitResult]):
     """AIC selection among converged fits; ties go to the fewer-parameter model.
 
-    Returns (chosen FitResult, c_hat) with c_hat = 1 for M1, gamma for M2,
-    mu for M3.
+    Returns (chosen FitResult, c_hat), c_hat the multiplier c of the
+    population hazard c h_P / (1 + b dH_P) (``ModelParams.population``):
+    1 for M1, gamma for M2, mu for M3.
 
     The fits of ``fit_all`` nest by construction (see the module
     docstring): M2 ends at or above M1's log-likelihood and M3 at or above
@@ -846,11 +845,5 @@ def select_m4(fits: dict[str, FitResult]):
     if not eligible:
         raise NoEligibleFit("no converged fits to select from")
     chosen = min(eligible, key=lambda f: (f.aic, f.k))
-    if chosen.model == "M1":
-        c_hat = 1.0
-    elif chosen.model == "M2":
-        c_hat = chosen.estimate("gamma")
-    else:
-        c_hat = chosen.estimate("mu")
-    return chosen, c_hat
+    return chosen, chosen.to_model_params().population[0]
 

@@ -277,7 +277,8 @@ def _read_csv(
 ) -> tuple[list[str], list[int], list]:
     """Header, line numbers and parsed data rows of a CSV path or text stream.
 
-    Blank and ``#`` lines are skipped; the first other line is the header.
+    Blank and ``#`` lines are skipped; the first other line is the header,
+    whose columns must be distinct.
     ``parse`` maps a row (column -> stripped field) to the caller's values
     and raises ValueError to reject it.  Every failure raises DataError,
     with the line number where there is one and ``what`` naming the file.
@@ -294,6 +295,9 @@ def _read_csv(
         raise DataError(f"{what} is empty")
     header_no, header = lines[0]
     cols = [c.strip() for c in header.split(",")]
+    for i, col in enumerate(cols):
+        if col in cols[:i]:
+            raise DataError(f"{what} repeats column {col!r} (line {header_no})")
     for col in required:
         if col not in cols:
             raise DataError(f"{what} is missing required column {col!r} (line {header_no})")

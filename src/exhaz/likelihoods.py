@@ -1,23 +1,22 @@
 """Observed-hazard log-likelihoods for the three excess-hazard models.
 
-M1 (classical additive):      lambda_i = h_P + h_E
-M2 (single-parameter corr.):  lambda_i = gamma h_P + h_E
-M3 (Gamma-frailty corr.):     lambda_i = mu h_P / (1 + b dH_P) + h_E
+The three models share one population term.  With y = b dH_P,
 
-with log-likelihood
+    lambda_i = c h_P / (1 + y) + h_E,
+    l = sum_i [ delta_i log lambda_i - H_E(t_i; x_i) - c dH_P log1p(y)/y ],
 
-    l = sum_i [ delta_i log lambda_i - H_E(t_i; x_i) ] + population term,
-
-population term 0 for M1 (constant dropped by convention), -gamma sum dH_P
-for M2, and -(mu/b) sum log(1 + b dH_P) for M3.  Because M1 drops a
-data-dependent constant, cross-model comparisons must use the comparable
-convention (``comparable=True`` restores -sum dH_P to M1).
+where (c, b) is (1, 0) for M1, the classical additive model, (gamma, 0)
+for M2, the single-parameter correction, and (mu, b) for M3, the
+Gamma-frailty correction (``ModelParams.population``).  c dH_P log1p(y)/y
+is (mu/b) log1p(b dH_P) without its cliff at b -> 0.  M1 drops its
+data-dependent constant -sum dH_P by convention, so cross-model
+comparisons must use ``comparable=True``, which restores it.
 
 A model's parameters are a ``ParamLayout`` plus one natural-scale vector
 (``ModelParams``).  The likelihood and its gradient read the slots through
 ``ModelParams``' read-only views (``baseline``, ``beta1``, ``beta2``,
-``correction``) and branch on the layout's model; the public GH functions
-of ``gh_model`` read the same views, of any model.
+``correction``, ``population``); the public GH functions of ``gh_model``
+read the same views, of any model.
 
 A cohort is one set of columns (``Cohort``: follow-up time, status, age
 and year at diagnosis, covariates and a stratum code per patient), read
@@ -27,8 +26,8 @@ cumulative background-hazard increment dH_P over the follow-up and the
 background rate h_P at exit (``prepare_cohort`` gives a PreparedCohort),
 so the likelihood inner loop never touches the table.  h_E and H_E come
 from ``gh_model.gh_baseline`` and ``gh_model.gh_excess``, the code behind
-the public ``excess_hazard`` and ``excess_cum_hazard``, and the M3
-population hazard from ``omega1``.
+the public ``excess_hazard`` and ``excess_cum_hazard``, and the pieces of
+the population term from ``_population_pieces``.
 Analytic gradients are provided for the optimizer, and the analytic
 Hessian (``loglik_grad_hess``) for its Newton steps and the standard
 errors; both are exercised against central finite differences in the test
@@ -44,7 +43,7 @@ products (one matrix product each).  The terms and the gradient follow the
 order of operations of their formulas, the longest chains in place, so
 they keep the bits of the plain expressions.  What depends on the cohort
 alone is computed once, when the PreparedCohort is built: the event mask,
-the sum of dH_P (M2) and dH_P^2 (M3), and the events with h_P > 0.
+dH_P^2 (b's score) and the events with h_P > 0.
 
 ``profile_gamma`` gives the maximizing multiplier of h_P, M2's gamma at a
 GH point or M3's mu at a GH point and b, for the fits that profile it
@@ -64,7 +63,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .distributions import GammaFrailtyParams, _by_majority, _check_natural, gamma_laplace
+from .distributions import _by_majority, _check_natural
 from .errors import DataError, NonFiniteLikelihood
 from .gh_model import excess_cum_hazard, gh_baseline, gh_excess
 from .lifetable import LifeTable, _read_csv
@@ -75,7 +74,6 @@ __all__ = [
     "ModelParams",
     "PreparedCohort",
     "prepare_cohort",
-    "omega1",
     "marginal_survival_m3",
     "profile_gamma",
     "loglik",
@@ -288,6 +286,13 @@ class ModelParams:
     def correction(self) -> np.ndarray:
         return self.values[self.layout.beta_slots[1].stop :]
 
+    @property
+    def population(self) -> tuple[float, float]:
+        """(c, b) of the population hazard c h_P / (1 + b dH_P): (1, 0) for M1,
+        (gamma, 0) for M2 and (mu, b) for M3."""
+        corr = self.correction.tolist() or [1.0]
+        return corr[0], corr[1] if len(corr) > 1 else 0.0
+
 
 _EW_MEMO_SIZE = 2  # EW blocks kept per cohort
 
@@ -306,17 +311,16 @@ class PreparedCohort:
     into read-only arrays.  Immutable; likelihood evaluations are pure
     functions of it.
 
-    The cohort also keeps the event mask ``status == 1``, the constants of
-    the gradient (the sum of dhp for M2 and dhp^2 for M3), the events with
-    hp > 0 and their hp (``profile_gamma``), and a memo of
-    the last two EW blocks the likelihood computed on it: the baseline
-    terms, which depend only on (kappa, theta, alpha, beta1).  Coordinate
-    descent and finite-difference stencils revisit a block while they move
-    beta2 or the correction, and such an evaluation reuses it.  The cached
-    arrays are read-only and hold exactly the bits a fresh computation
-    gives, so the memo changes no result.  It is not thread-safe: share a
-    cohort between threads only through copies (``dataclasses.replace``
-    gives a fresh, empty memo).
+    The cohort also keeps the event mask ``status == 1``, dhp^2 (the score
+    of b), the events with hp > 0 and their hp (``profile_gamma``), and a
+    memo of the last two EW blocks the likelihood computed on it: the
+    baseline terms, which depend only on (kappa, theta, alpha, beta1).
+    Coordinate descent and finite-difference stencils revisit a block while
+    they move beta2 or the correction, and such an evaluation reuses it.
+    The cached arrays are read-only and hold exactly the bits a fresh
+    computation gives, so the memo changes no result.  It is not
+    thread-safe: share a cohort between threads only through copies
+    (``dataclasses.replace`` gives a fresh, empty memo).
     """
 
     time: np.ndarray
@@ -326,7 +330,6 @@ class PreparedCohort:
     dhp: np.ndarray
     covariate_names: tuple[str, ...] = ()
     _event: np.ndarray = field(init=False, repr=False, compare=False)
-    _sum_dhp: float = field(init=False, repr=False, compare=False)
     _dhp2: np.ndarray = field(init=False, repr=False, compare=False)
     _hp_events: np.ndarray = field(init=False, repr=False, compare=False)
     _hp_at_events: np.ndarray = field(init=False, repr=False, compare=False)
@@ -364,7 +367,6 @@ class PreparedCohort:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "covariate_names", names)
-        object.__setattr__(self, "_sum_dhp", np.add.reduce(dhp))
 
     @property
     def n(self) -> int:
@@ -395,23 +397,21 @@ def prepare_cohort(
 # ---------------------------------------------------------------------------
 
 
-def omega1(dhp, mu, b, den=None):
-    """Frailty correction function mu / (1 + b dH_P); equals mu at dH_P = 0.
-
-    ``den`` is 1 + b dH_P when the caller has formed it (the likelihood
-    keeps it for the gradient); dhp and b are then not read.
-    """
-    if den is None:
-        den = 1.0 + b * np.asarray(dhp, dtype=float)
-    return mu / den
-
-
 def _log1p_ratio(y):
     """log1p(y)/y, continuous at 0, for y >= 0."""
     y = np.asarray(y, dtype=float)
     return _by_majority(
         y, y < 1e-4, lambda s: 1.0 - s / 2.0 + s * s / 3.0, lambda s: np.log1p(s) / s
     )
+
+
+def _population_pieces(b, dhp):
+    """(y, log1p(y)/y, 1 + y) with y = b dhp; at b = 0 the scalars 0, 1 and
+    1, whose products keep the bits of the plain c h_P and c dhp."""
+    if b == 0.0:
+        return 0.0, 1.0, 1.0
+    y = b * dhp
+    return y, _log1p_ratio(y), 1.0 + y
 
 
 def _m3_pop_curvature(y):
@@ -444,7 +444,9 @@ def marginal_survival_m3(
     table: LifeTable,
     advance_year: bool = True,
 ) -> np.ndarray:
-    """Marginal overall survival under M3 of every patient: exp(-H_E) * L_Gamma(dH_P).
+    """Marginal overall survival under M3 of every patient: exp(-H_E) times
+    the Gamma frailty's Laplace transform at dH_P, exp(-mu dH_P log1p(y)/y)
+    with y = b dH_P, the likelihood's population term.
 
     ``t`` broadcasts against the patients (one time for all, or one each);
     all of them take one walk of the life table.
@@ -453,8 +455,10 @@ def marginal_survival_m3(
         raise ValueError("marginal_survival_m3 requires M3 params")
     k = table.codes(cohort.strata)[cohort.stratum]
     dhp = table.cum_hazard_increment(cohort.age_diag, cohort.year_diag, k, t, advance_year)
-    he = excess_cum_hazard(t, cohort.X, params)
-    return np.exp(-he) * gamma_laplace(dhp, GammaFrailtyParams(*params.correction))
+    c, b = params.population
+    with np.errstate(invalid="ignore"):  # log1p(0)/0 is computed, then replaced
+        pop = c * dhp * _population_pieces(b, dhp)[1]
+    return np.exp(-excess_cum_hazard(t, cohort.X, params) - pop)
 
 
 # ---------------------------------------------------------------------------
@@ -538,42 +542,27 @@ def _ew_block(params: ModelParams, cohort: PreparedCohort):
 
 
 def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
-    """Per-patient log-likelihood terms plus reusable intermediates.
+    """Per-patient log-likelihood terms plus reusable intermediates, the last
+    of them ``_population_pieces``' (y, log1p(y)/y, 1 + y).
 
     Runs under the caller's ``np.errstate``.
     """
-    model, hp, dhp = params.layout.model, cohort.hp, cohort.dhp
+    dhp = cohort.dhp
     xb1, v, w, logm, vv, log_s0, lw, h0 = _ew_block(params, cohort)
     xb2 = cohort.X @ params.beta2
     r21, he, HE = gh_excess(h0, log_s0, xb1, xb2)
-    pop = m3 = None  # m3: (y, log1p(y)/y, 1 + y) with y = b dH_P under M3
-    if model == "M1":
-        lam = hp + he
-        if comparable:
-            pop = dhp
-    elif model == "M2":
-        (gamma,) = params.correction
-        lam = gamma * hp
-        lam += he
-        pop = gamma * dhp
-    else:
-        mu, b = params.correction
-        y = b * dhp
-        ratio = _log1p_ratio(y)
-        den = 1.0 + y
-        lam = omega1(dhp, mu, b, den)
-        lam *= hp
-        lam += he
-        # (mu/b) log1p(b dhp) written as mu dhp log1p(y)/y: no cliff at b -> 0
-        pop = mu * dhp
-        pop *= ratio
-        m3 = (y, ratio, den)
+    c, b = params.population
+    y, ratio, den = _population_pieces(b, dhp)
+    lam = c / den * cohort.hp
+    lam += he
     terms = np.where(cohort._event, lam, 1.0)  # log(1) = +0.0
     np.log(terms, out=terms)
     terms -= HE
-    if pop is not None:
+    if comparable or params.layout.model != "M1":  # M1 drops its population term
+        pop = c * dhp
+        pop *= ratio
         terms -= pop
-    return terms, (v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3)
+    return terms, (v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, (y, ratio, den))
 
 
 def _checked_sum(terms: np.ndarray, cohort: PreparedCohort) -> float:
@@ -622,10 +611,10 @@ def _first_order(params: ModelParams, cohort: PreparedCohort):
     """(ll, grad, aux, pieces): ``loglik`` (comparable=False), its gradient,
     ``_terms``' intermediates and the per-patient pieces the Hessian reuses,
     (u, h0 v, e1, dH0/dalpha, d log h0/dalpha, s_c): u = h_E / lambda and
-    s_c = hp (dc) / lambda, c the multiplier of h_P (None for M1), on the
-    events and 0 elsewhere, and e1 = 1/(e^w - 1).  Raises
-    NonFiniteLikelihood as ``loglik`` does, and also when a gradient entry
-    is not finite.  Runs under the caller's ``np.errstate``.
+    s_c = (d lambda/dc) / lambda, c the multiplier of h_P (None without a
+    correction slot), on the events and 0 elsewhere, and e1 = 1/(e^w - 1).
+    Raises NonFiniteLikelihood as ``loglik`` does, and also when a gradient
+    entry is not finite.  Runs under the caller's ``np.errstate``.
     """
     layout = params.layout
     kappa, theta, alpha = params.baseline
@@ -633,7 +622,7 @@ def _first_order(params: ModelParams, cohort: PreparedCohort):
     add = np.add.reduce
     terms, aux = _terms(params, cohort, False)
     ll = _checked_sum(terms, cohort)
-    v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3 = aux
+    v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, (y, ratio, den) = aux
 
     u = np.where(ev, he / lam, 0.0)  # weight of d log h_E in d log lambda
     h0v = h0 * v
@@ -683,18 +672,16 @@ def _first_order(params: ModelParams, cohort: PreparedCohort):
         grad[slots2] = X.T @ (u - HE)  # beta2: u - HE
 
     s_c = None
-    if layout.model == "M2":
-        s_c = np.where(ev, hp / lam, 0.0)
-        grad[-1] = add(s_c) - cohort._sum_dhp
-    elif layout.model == "M3":
-        mu = params.correction[0]
-        y, ratio, den = m3
-        # d lam/dmu = hp / (1 + y); d lam/db = -mu hp dhp / (1 + y)^2
+    n_corr = params.correction.size
+    if n_corr:
+        # d lam/dc = hp / (1 + y); d pop_i / dc = dhp log1p(y)/y
         s_c = np.where(ev, hp / den / lam, 0.0)
-        s_b = np.where(ev, -mu * hp * dhp / (den * den) / lam, 0.0)
-        # d pop_i / dmu = dhp log1p(y)/y; d pop_i / db = mu dhp^2 G(y)
-        grad[-2] = add(s_c) - add(dhp * ratio)
-        grad[-1] = add(s_b) + mu * add(cohort._dhp2 * _m3_pop_curvature(y))
+        grad[-n_corr] = add(s_c) - add(dhp * ratio)
+    if n_corr == 2:
+        c = params.population[0]
+        # d lam/db = -c hp dhp / (1 + y)^2; d pop_i / db = c dhp^2 G(y)
+        s_b = np.where(ev, -c * hp * dhp / (den * den) / lam, 0.0)
+        grad[-1] = add(s_b) + c * add(cohort._dhp2 * _m3_pop_curvature(y))
 
     bad = np.flatnonzero(~np.isfinite(grad))
     if bad.size:
@@ -740,10 +727,11 @@ def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
     for kappa, theta and alpha and times x for the betas.  An event adds
     d2 log lambda = d2 lambda / lambda - s s' with s = d log lambda: on the
     GH slots u (d2 L + dL dL') - u^2 dL dL', u = h_E / lambda; against a
-    correction c of lambda = c hp + h_E, -u s_c dL with the score s_c =
-    hp (dc) / lambda.  M3's population term adds mu dhp^2 G(y) and
-    mu dhp^3 G'(y).  Each sum over the patients of a weight times an outer
-    product of derivatives is one matrix product, E diag(weight) F'.
+    correction q of lambda = c hp / (1 + y) + h_E, q = c or b, -u s_q dL
+    with the score s_q = (d lambda/dq) / lambda.  b's population term adds
+    dhp^2 G(y) at (c, b) and c dhp^3 G'(y) at (b, b).  Each sum over the
+    patients of a weight times an outer product of derivatives is one
+    matrix product, E diag(weight) F'.
     """
     layout = params.layout
     kappa, theta, alpha = params.baseline
@@ -765,7 +753,7 @@ def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ll, grad, aux, (u, h0v, e1, ha, a_a, s_c) = _first_order(params, cohort)
-        v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, m3 = aux
+        v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, (y, ratio, den) = aux
 
         hs = h0v / kappa  # dH0/ds
         ws = w * e1  # d logm/ds
@@ -811,21 +799,22 @@ def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
         gh[slots1, 0] += xc
         hess[:n_gh, :n_gh] = gh
 
-        if layout.model == "M2":
-            scores = s_c[None]  # of gamma
-            curvature = np.zeros((1, 1))  # of lambda in gamma
-        elif layout.model == "M3":
-            mu = params.correction[0]
-            y, ratio, den = m3
-            s_b = -mu * dhp * s_c / den
-            scores = np.stack([s_c, s_b])
-            # d2 lambda / lambda plus the population term's, in (mu, b)
-            mu_b = add(cohort._dhp2 * _m3_pop_curvature(y) - dhp * s_c / den)
-            b_b = add(
-                mu * dhp * cohort._dhp2 * _m3_pop_curvature_slope(y) - 2.0 * dhp * s_b / den
-            )
-            curvature = np.array([[0.0, mu_b], [mu_b, b_b]])
-        if layout.model != "M1":
+        n_corr = params.correction.size
+        if n_corr:
+            scores = [s_c]
+            # d2 lambda / lambda plus the population term's, in (c, b); 0 in c
+            curvature = np.zeros((n_corr, n_corr))
+            if n_corr == 2:
+                c = params.population[0]
+                s_b = -c * dhp * s_c / den
+                scores.append(s_b)
+                curvature[0, 1] = curvature[1, 0] = add(
+                    cohort._dhp2 * _m3_pop_curvature(y) - dhp * s_c / den
+                )
+                curvature[1, 1] = add(
+                    c * dhp * cohort._dhp2 * _m3_pop_curvature_slope(y) - 2.0 * dhp * s_b / den
+                )
+            scores = np.stack(scores)
             gc = -gram(dl, u, scores)
             hess[:n_gh, n_gh:] = gc
             hess[n_gh:, :n_gh] = gc.T
@@ -843,20 +832,18 @@ _PROFILE_STEP_TOL = 1e-7  # relative size of the last Newton step; the error lef
 
 
 def profile_gamma(params: ModelParams, cohort: PreparedCohort) -> float:
-    """The multiplier of h_P in [e^-20, e^20] that maximizes the model's
-    log-likelihood at the other slots of ``params``: M2's gamma at its GH
-    slots (M1 params give the same), or M3's mu at its GH slots and b.  The
+    """The multiplier c of h_P in [e^-20, e^20] that maximizes the
+    log-likelihood at the GH slots and b of ``params`` (``population``):
+    M2's gamma, with b = 0 (M1 params give the same), or M3's mu.  The
     multiplier's own slot is not read.
 
-    For fixed GH parameters M2's log-likelihood is
-    sum_ev log(gamma hp + h_E) - gamma D - sum H_E, with D = sum dH_P:
-    strictly concave in gamma when an event has hp > 0.  M3's, for fixed GH
-    parameters and b, has the same form in mu, with hp reweighted by
-    1/(1 + y) and D = sum dH_P log1p(y)/y, y = b dH_P; M2 is its b = 0
-    case.  Over the n events with hp > 0, with r = h_E (1 + y) / hp (no
-    factor under M2) and t = 1/(gamma + r), the score is s(gamma) = S1 - D
-    with S1 = sum t, decreasing in gamma.  No such event gives e^-20
-    (s = -D <= 0); D = 0 gives e^20.
+    For fixed GH parameters and b the log-likelihood is
+    sum_ev log(gamma hp / (1 + y) + h_E) - gamma D - sum H_E, with y =
+    b dH_P and D = sum dH_P log1p(y)/y (sum dH_P at b = 0), writing gamma
+    for c: strictly concave in gamma when an event has hp > 0.  Over the n
+    events with hp > 0, with r = h_E (1 + y) / hp and t = 1/(gamma + r),
+    the score is s(gamma) = S1 - D with S1 = sum t, decreasing in gamma.
+    No such event gives e^-20 (s = -D <= 0); D = 0 gives e^20.
 
     Otherwise the root solves M(gamma) = n / D, where M = n / S1 is the
     harmonic mean of gamma + r: increasing and concave in gamma, and
@@ -881,11 +868,8 @@ def profile_gamma(params: ModelParams, cohort: PreparedCohort) -> float:
     if idx.size == 0:
         return lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if params.layout.model == "M3":
-            y = params.correction[1] * cohort.dhp
-            d = float(np.add.reduce(cohort.dhp * _log1p_ratio(y)))
-        else:
-            y, d = None, float(cohort._sum_dhp)
+        _, ratio, den = _population_pieces(params.population[1], cohort.dhp)
+        d = float(np.add.reduce(cohort.dhp * ratio))
         if d <= 0.0:
             return hi
         h0 = _ew_block(params, cohort)[-1]
@@ -893,8 +877,8 @@ def profile_gamma(params: ModelParams, cohort: PreparedCohort) -> float:
         np.exp(r, out=r)
         r *= h0[idx]
         r /= cohort._hp_at_events
-        if y is not None:
-            r *= 1.0 + y[idx]
+        if np.ndim(den):  # the scalar 1 at b = 0
+            r *= den[idx]
         t = np.empty_like(r)
         untried = {lo, hi}  # box ends whose score is not known
         gamma = 1.0

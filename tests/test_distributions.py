@@ -13,7 +13,6 @@ from exhaz.distributions import (
     LogNormalFrailtyParams,
     ew_log_terms,
     ew_quantile,
-    gamma_laplace,
     log1mexp,
     sample_gamma_frailty,
     sample_lognormal_frailty,
@@ -263,57 +262,12 @@ def test_params_validated():
 # Gamma frailty
 # ---------------------------------------------------------------------------
 
-def test_gamma_laplace_shape_one_is_exponential():
-    g = GammaFrailtyParams(mu=2.0, b=2.0)  # shape 1: exponential with mean 2
-    for s in (0.0, 0.1, 1.0, 5.0):
-        assert gamma_laplace(s, g) == pytest.approx(1.0 / (1.0 + 2.0 * s), rel=1e-14)
-
-
 def test_moderate_mismatch_concentrates_near_mean():
     g = GammaFrailtyParams(mu=1.2, b=0.02)
     sd = math.sqrt(g.mu * g.b)
     assert sd == pytest.approx(0.155, abs=0.001)
     mass, _ = quad(lambda r: gamma_pdf(r, g), 1.2 - 3 * sd, 1.2 + 3 * sd)
     assert mass > 0.99
-
-
-def test_laplace_at_zero_and_monotone():
-    g = GammaFrailtyParams(mu=1.875, b=0.075)
-    assert gamma_laplace(0.0, g) == 1.0
-    s = np.linspace(0, 5, 100)
-    vals = gamma_laplace(s, g)
-    assert np.all(np.diff(vals) < 0)
-    assert np.all((vals > 0) & (vals <= 1))
-
-
-def test_laplace_matches_quadrature():
-    g = GammaFrailtyParams(mu=6.5, b=10.0)
-    val = quad(
-        lambda r: math.exp(-0.3 * r) * gamma_pdf(r, g), 0, 1, limit=400
-    )[0] + quad(
-        lambda r: math.exp(-0.3 * r) * gamma_pdf(r, g), 1, np.inf, limit=400
-    )[0]
-    assert gamma_laplace(0.3, g) == pytest.approx(val, abs=1e-8)
-
-
-def test_laplace_quadrature_grid():
-    # all three frailty laws used in the recovery study
-    for mu, b in [(1.2, 0.02), (1.875, 0.075), (6.5, 10.0)]:
-        g = GammaFrailtyParams(mu=mu, b=b)
-        for s in (0.0, 0.1, 0.7, 2.0, 5.0):
-            val = quad(
-                lambda r: math.exp(-s * r) * gamma_pdf(r, g),
-                0, 1, limit=400,
-            )[0] + quad(
-                lambda r: math.exp(-s * r) * gamma_pdf(r, g),
-                1, np.inf, limit=400,
-            )[0]
-            assert gamma_laplace(s, g) == pytest.approx(val, abs=1e-8)
-
-
-def test_laplace_small_b_limit_is_exponential():
-    g = GammaFrailtyParams(mu=1.2, b=1e-8)
-    assert gamma_laplace(0.5, g) == pytest.approx(math.exp(-0.6), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

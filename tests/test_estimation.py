@@ -285,7 +285,8 @@ def test_fit_recovers_truth_roughly(m1_fit):
     assert res.ses_available
     # beta2 entries are the well-identified ones at this n
     for name, truth in [("beta2_x1", 0.05), ("beta2_x2", 0.2), ("beta2_x3", 0.25)]:
-        est, se = res.estimate(name), res.std_errors[res.param_names.index(name)]
+        i = res.param_names.index(name)
+        est, se = res.estimates[i], res.std_errors[i]
         assert abs(est - truth) < 4 * se
 
 
@@ -500,7 +501,7 @@ def test_m2_fits_the_gh_coordinates_and_reports_the_joint_estimate(fits_1500):
     prof = _Profiled(obj.layout, obj.cohort)
     joint = prof.joint(x_hat[:-1])
     assert np.max(np.abs(joint - x_hat)) < 1e-12
-    assert res.estimate("gamma") == pytest.approx(
+    assert res.estimates[res.param_names.index("gamma")] == pytest.approx(
         prof.params(x_hat[:-1]).correction[0], rel=1e-12
     )
 
@@ -569,8 +570,9 @@ def test_boundary_collapse_has_stable_nonnegative_information(m3_boundary):
     cohort, res = m3_boundary
     assert res.converged and res.hessian_pd and res.ses_available
     assert "parameters at box bound: b" in res.notes
-    assert res.estimate("b") == pytest.approx(math.exp(-20.0), rel=1e-6)
-    assert res.std_errors[res.param_names.index("b")] > 1e3 * res.estimate("b")
+    i = res.param_names.index("b")
+    assert res.estimates[i] == pytest.approx(math.exp(-20.0), rel=1e-6)
+    assert res.std_errors[i] > 1e3 * res.estimates[i]
     obj, _, x_hat = _search_point(res, cohort)
     smallest = [
         np.linalg.eigvalsh(_difference_jacobian(obj.grad, x_hat, h))[0] for h in (1e-3, 1e-4, 1e-5)

@@ -107,6 +107,12 @@ def test_malformed_row_rejected():
         table_from_text("# comment\nage,year,sex,rate\n")
 
 
+def test_a_repeated_column_is_rejected():
+    # the second rate column would otherwise overwrite the first
+    with pytest.raises(DataError, match=r"life table repeats column 'rate' \(line 2\)"):
+        table_from_text("# comment\nage,year,sex,rate,rate\n70,2012,0,0.02,0.03\n")
+
+
 SEX = (("0",), ("1",))
 
 

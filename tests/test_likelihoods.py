@@ -15,10 +15,12 @@ from scipy.optimize import minimize_scalar
 from conftest import gamma_pdf, gh_closed_form, gh_params, model_params, sim_cohort
 from exhaz.distributions import GammaFrailtyParams
 from exhaz.errors import DataError, NonFiniteLikelihood
+from exhaz.estimation import fit
 from exhaz.lifetable import make_life_table
 from exhaz.likelihoods import (
     MODELS,
     Cohort,
+    ModelParams,
     ParamLayout,
     PreparedCohort,
     _ew_block,
@@ -31,11 +33,16 @@ from exhaz.likelihoods import (
     loglik_and_grad,
     loglik_grad_hess,
     marginal_survival_m3,
-    omega1,
     prepare_cohort,
     profile_gamma,
 )
-from exhaz.simulation import DESIGN1_GH as GH
+from exhaz.simulation import (
+    COVARIATES,
+    DESIGN1_GH as GH,
+    builtin_scenarios,
+    design_life_table,
+    generate_cohort,
+)
 
 BASE = GH.baseline
 
@@ -74,7 +81,7 @@ def one_patient(t, x, hp, dhp, status=1):
 
 
 # ---------------------------------------------------------------------------
-# observed hazard and omega1
+# observed hazard and the one population term
 # ---------------------------------------------------------------------------
 
 def test_m2_gamma_one_equals_m1():
@@ -104,17 +111,56 @@ def test_m3_population_term_arithmetic():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_omega1_values():
-    assert omega1(0.0, 6.5, 10.0) == 6.5
-    assert omega1(0.1, 6.5, 10.0) == pytest.approx(3.25, rel=1e-14)
-    for dhp in (0.0, 1.0, 10.0):
-        assert omega1(dhp, 6.5, 1e-10) == pytest.approx(6.5, rel=1e-8)
-    # strictly decreasing in dhp
-    grid = np.linspace(0, 5, 50)
-    vals = omega1(grid, 6.5, 10.0)
-    assert np.all(np.diff(vals) < 0)
-    # a denominator the caller has formed gives the same bits
-    assert np.array_equal(omega1(grid, 6.5, 10.0, 1.0 + 10.0 * grid), vals)
+def test_m3_population_hazard_values():
+    # lambda - h_E = mu hp / (1 + b dhp) at hp = 1: mu at dhp = 0, half of
+    # it at b dhp = 1, mu as b -> 0, and strictly decreasing in dhp
+    grid = np.linspace(0.0, 5.0, 50)
+    dhp = np.concatenate([[0.0, 0.1, 1.0, 10.0], grid])
+    n = dhp.size
+    cohort = PreparedCohort(np.ones(n), np.ones(n), np.zeros((n, 3)), np.ones(n), dhp)
+
+    def population_hazard(mu, b):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            *_, he, _, lam, _ = _terms(model_params(GH, mu, b), cohort, False)[1]
+        return lam - he
+
+    vals = population_hazard(6.5, 10.0)
+    assert vals[0] == pytest.approx(6.5, rel=1e-14)
+    assert vals[1] == pytest.approx(3.25, rel=1e-14)
+    assert np.all(np.diff(vals[4:]) < 0)
+    np.testing.assert_allclose(population_hazard(6.5, 1e-10)[:4], 6.5, rtol=1e-8)
+
+
+def test_population_reads_c_and_b_of_each_model():
+    for corr, want in (((), (1.0, 0.0)), ((1.4,), (1.4, 0.0)), ((2.0, 0.3), (2.0, 0.3))):
+        got = model_params(GH, *corr).population
+        assert got == want and all(type(v) is float for v in got)
+
+
+def test_m3_at_b_zero_is_m2_bit_for_bit():
+    # M2 is M3's b = 0 case of the one population term: M3 parameters at
+    # b = 0.0, built past ModelParams' positivity check, give M2's ll, its
+    # gradient on M2's slots and its profiled multiplier bit for bit at M2's
+    # MLE.  The Hessian's Gram products hold one score under M2 and two
+    # under M3, so they round apart.
+    table = design_life_table()
+    sc = replace(builtin_scenarios()["severe"], n=2000)
+    cohort = prepare_cohort(
+        generate_cohort(sc, 0, table), table, advance_year=sc.advance_year,
+        covariate_names=COVARIATES,
+    )
+    m2 = fit("M2", cohort).to_model_params()
+    m3 = object.__new__(ModelParams)
+    object.__setattr__(m3, "layout", ParamLayout.for_model("M3", COVARIATES))
+    object.__setattr__(m3, "values", np.append(m2.values, 0.0))
+    assert m3.population == (m2.population[0], 0.0)
+    ll2, g2, h2 = loglik_grad_hess(m2, cohort)
+    ll3, g3, h3 = loglik_grad_hess(m3, cohort)
+    assert ll3.hex() == ll2.hex() == loglik(m3, cohort).hex() == loglik(m2, cohort).hex()
+    assert np.array_equal(g3[:-1].view(np.int64), g2.view(np.int64))
+    assert np.array_equal(loglik_and_grad(m3, cohort)[1].view(np.int64), g3.view(np.int64))
+    assert np.max(np.abs(h3[:-1, :-1] - h2)) <= 1e-12 * np.max(np.abs(h2))
+    assert profile_gamma(m3, cohort) == profile_gamma(m2, cohort)
 
 
 # ---------------------------------------------------------------------------
@@ -136,22 +182,33 @@ def test_marginal_survival_one_at_zero(flat_table):
     assert marginal_survival_m3(0.0, rec(), m3, flat_table)[0] == pytest.approx(1.0)
 
 
+def test_marginal_survival_decreases_from_one(flat_table):
+    m3 = model_params(GH, 1.875, 0.075)
+    vals = np.array([marginal_survival_m3(t, rec(), m3, flat_table)[0]
+                     for t in np.linspace(0.0, 5.0, 100)])
+    assert vals[0] == 1.0
+    assert np.all(np.diff(vals) < 0) and vals[-1] > 0
+
+
 def test_marginal_survival_matches_frailty_quadrature(flat_table):
-    # integrate the conditional survival over the frailty law
+    # integrate the conditional survival over the frailty law of each of the
+    # recovery study's three laws; a table at rate 1 takes dH_P = t to 5
     r0 = rec()
-    for mu, b in [(1.2, 0.02), (1.875, 0.075), (6.5, 10.0)]:
-        g = GammaFrailtyParams(mu, b)
-        m3 = model_params(GH, mu, b)
-        for t in (0.5, 2.0, 4.5):
-            dhp = 0.03 * t  # constant-rate table
-            he = gh_closed_form(t, r0.X[0], GH)[1]
-            integrand = lambda r: math.exp(-r * dhp) * gamma_pdf(r, g)
-            lap = quad(integrand, 0, 1, limit=400)[0] + quad(
-                integrand, 1, np.inf, limit=400
-            )[0]
-            expected = math.exp(-he) * lap
-            got = marginal_survival_m3(t, r0, m3, flat_table)[0]
-            assert got == pytest.approx(expected, abs=1e-8)
+    steep = make_life_table(["sex"], (30, 100), (2005, 2020), lambda a, y, s: 1.0, [("0",)])
+    for table, rate in ((flat_table, 0.03), (steep, 1.0)):
+        for mu, b in [(1.2, 0.02), (1.875, 0.075), (6.5, 10.0)]:
+            g = GammaFrailtyParams(mu, b)
+            m3 = model_params(GH, mu, b)
+            for t in (0.1, 0.5, 2.0, 4.5, 5.0):
+                dhp = rate * t  # constant-rate table
+                he = gh_closed_form(t, r0.X[0], GH)[1]
+                integrand = lambda r: math.exp(-r * dhp) * gamma_pdf(r, g)
+                lap = quad(integrand, 0, 1, limit=400)[0] + quad(
+                    integrand, 1, np.inf, limit=400
+                )[0]
+                expected = math.exp(-he) * lap
+                got = marginal_survival_m3(t, r0, m3, table)[0]
+                assert got == pytest.approx(expected, abs=1e-8)
 
 
 def test_marginal_survival_b_to_zero_limit(flat_table):
@@ -185,21 +242,36 @@ def _graded_table_and_cohort(n=40):
     return table, cohort
 
 
-def test_marginal_survival_is_exp_minus_h_e_times_the_gamma_laplace_of_the_walk():
-    # exp(-H_E) exp(-(mu/b) log1p(b dH_P)) per patient, with dH_P from the
-    # table's walk and H_E from the closed form; at b = e^-20, the box
-    # floor, it is M2's exp(-H_E - mu dH_P) up to O(b)
-    table, cohort = _graded_table_and_cohort()
-    t, mu = cohort.time * 0.7, 1.2
+def _walk_and_excess(table, cohort, t):
+    """(dH_P from the table's walk, H_E from the closed form) per patient."""
     dhp = table.cum_hazard_increment(
         cohort.age_diag, cohort.year_diag, table.codes(cohort.strata)[cohort.stratum], t
     )
-    he = np.array([gh_closed_form(ti, x, GH)[1] for ti, x in zip(t, cohort.X)])
+    return dhp, np.array([gh_closed_form(ti, x, GH)[1] for ti, x in zip(t, cohort.X)])
+
+
+def test_marginal_survival_is_exp_minus_h_e_times_the_gamma_laplace_of_the_walk():
+    # exp(-H_E) exp(-(mu/b) log1p(b dH_P)) per patient; at b = e^-20, the
+    # box floor, it is M2's exp(-H_E - mu dH_P) up to O(b)
+    table, cohort = _graded_table_and_cohort()
+    t, mu = cohort.time * 0.7, 1.2
+    dhp, he = _walk_and_excess(table, cohort, t)
     got = marginal_survival_m3(t, cohort, model_params(GH, mu, 0.02), table)
     expected = np.exp(-he) * np.exp(-(mu / 0.02) * np.log1p(0.02 * dhp))
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
     floor = marginal_survival_m3(t, cohort, model_params(GH, mu, math.exp(-20.0)), table)
     np.testing.assert_allclose(floor, np.exp(-he - mu * dhp), rtol=1e-8, atol=0.0)
+
+
+def test_marginal_survival_at_shape_one_is_exponential():
+    # mu = b = 2: the frailty is exponential with mean 2, whose Laplace
+    # transform at dH_P is 1 / (1 + 2 dH_P)
+    table, cohort = _graded_table_and_cohort()
+    t = cohort.time * 0.7
+    dhp, he = _walk_and_excess(table, cohort, t)
+    assert dhp.max() > 1.0
+    got = marginal_survival_m3(t, cohort, model_params(GH, 2.0, 2.0), table)
+    np.testing.assert_allclose(got, np.exp(-he) / (1.0 + 2.0 * dhp), rtol=1e-13, atol=0.0)
 
 
 def test_marginal_survival_rejects_params_of_another_model():
@@ -996,6 +1068,13 @@ def test_load_cohort_reports_a_covariate_the_transform_overflows():
 )
 def test_load_cohort_rejects_bad_files(text, message):
     with pytest.raises(DataError, match=message):
+        _load(text)
+
+
+def test_load_cohort_rejects_a_repeated_column():
+    # the last time column would otherwise win: the row would load with time 9.0
+    text = "# comment\ntime,status,age_diag,year_diag,age,sex,time\n1.0,1,64.0,2010,64.0,0,9.0\n"
+    with pytest.raises(DataError, match=r"cohort file repeats column 'time' \(line 2\)"):
         _load(text)
 
 

@@ -323,7 +323,7 @@ def test_preset_panel_compare_lists_flipped_flags_and_moved_lls_with_totals(tmp_
     for name, rows in (("a.json", a), ("b.json", b[::-1])):  # paired by key, not by order
         (tmp_path / name).write_text(json.dumps(rows), encoding="utf-8")
         paths.append(str(tmp_path / name))
-    assert preset_panel.main(["--compare", *paths]) == 0
+    assert preset_panel.main(["--compare", *paths]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "moderate r2 M1: converged False -> True, ll 25128.631171 -> -7308.163226, "
         "grad max-norm 2.03e+257 -> 5.25e-06",
@@ -341,6 +341,8 @@ def test_preset_panel_compare_lists_flipped_flags_and_moved_lls_with_totals(tmp_
         "    M3: 0 of 1 fits converged, 471 evals",
         "converged in A, not in B: 1 fits",
     ]
+    assert preset_panel.main(["--compare", paths[0], paths[0]]) == 0  # no fit listed
+    assert capsys.readouterr().out.splitlines()[0] == "A: 2 of 4 fits converged, 5691 evals"
     (tmp_path / "b.json").write_text(json.dumps(b[:3]), encoding="utf-8")
     assert preset_panel.main(["--compare", *paths]) == 1
     assert capsys.readouterr().out == "the panels hold different fits: 4 vs 3, 3 in both\n"
@@ -369,7 +371,7 @@ def test_preset_panel_compare_prints_decrement_min_eig_and_bound_hits_of_a_liste
     for name, rows in (("a.json", a), ("b.json", b)):
         (tmp_path / name).write_text(json.dumps(rows), encoding="utf-8")
         paths.append(str(tmp_path / name))
-    assert preset_panel.main(["--compare", *paths]) == 0
+    assert preset_panel.main(["--compare", *paths]) == 1
     assert capsys.readouterr().out.splitlines()[:4] == [
         "none r6 M2: converged True -> False, ll -1461.000000 -> None, "
         "grad max-norm 1e-09 -> None",
@@ -399,7 +401,7 @@ def test_preset_panel_compare_prints_each_sides_notes_of_a_listed_fit(tmp_path, 
     for name, rows in (("a.json", a), ("b.json", b)):
         (tmp_path / name).write_text(json.dumps(rows), encoding="utf-8")
         paths.append(str(tmp_path / name))
-    assert preset_panel.main(["--compare", *paths]) == 0
+    assert preset_panel.main(["--compare", *paths]) == 1
     assert capsys.readouterr().out.splitlines()[:6] == [
         "wide r8 M2: converged True -> False, ll -1376.000000 -> None, "
         "grad max-norm 1e-09 -> None",

@@ -24,7 +24,8 @@ line, both decrements, smallest eigenvalues and bound hits, and on one line
 per side that side's notes (each when the rows hold them). Then, for each
 side, it prints the fits converged and the total evals, overall and per
 model, and last the number of fits converged in A and not in B. It exits
-with 1 when the two files do not hold the same fits.
+with 1 when it lists a fit or when the two files do not hold the same
+fits, so an unchanged panel is a zero exit.
 
 The third form writes a reference of the best certified end of every fit
 found in the panels A, B, ...: a row is certified when it is converged
@@ -172,15 +173,18 @@ def compare_reference(rows: list[dict], ref: dict) -> int:
 
 
 def compare(a: list[dict], b: list[dict]) -> int:
-    """Print the fits that differ between panels a and b and each side's totals."""
+    """Print the fits that differ between panels a and b and each side's totals;
+    1 when a fit is listed or the panels hold different fits, else 0."""
     rows_a, rows_b = _keyed(a), _keyed(b)
     if rows_a.keys() != rows_b.keys():
         print(f"the panels hold different fits: {len(rows_a)} vs {len(rows_b)}, "
               f"{len(rows_a.keys() & rows_b.keys())} in both")
         return 1
+    listed = 0
     for key in sorted(rows_a):
         fa, fb = rows_a[key], rows_b[key]
         if fa["converged"] != fb["converged"] or _moved(fa["ll"], fb["ll"]):
+            listed += 1
             preset, index, model = key
             print(f"{preset} r{index} {model}: converged {fa['converged']} -> {fb['converged']}, "
                   f"ll {_fmt(fa['ll'], '.6f')} -> {_fmt(fb['ll'], '.6f')}, "
@@ -201,7 +205,7 @@ def compare(a: list[dict], b: list[dict]) -> int:
             print(f"    {model}: {_converged_and_evals([r for r in rows if r['model'] == model])}")
     lost = sum(rows_a[k]["converged"] and not rows_b[k]["converged"] for k in rows_a)
     print(f"converged in A, not in B: {lost} fits")
-    return 0
+    return 1 if listed else 0
 
 
 def main(argv: list[str]) -> int:
