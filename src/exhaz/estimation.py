@@ -680,24 +680,25 @@ def fit(
     """Maximum likelihood for one model: the best end of one loop over starts.
 
     ``init`` is a natural-scale vector of the GH slots, the model's start.
-    Without it M1 starts at ``ParamLayout.default_init``, and M2 and M3 at
-    the GH estimates of the model they extend, fitted here as ``fit_all``
-    fits it (M1, or M2 from M1); those fits' evals are not counted in this
-    one's ``n_evals``.  ``cfg.multi_starts`` random starts (Gaussian noise,
-    sd 0.3 on the transformed GH slots) follow, each clipped to the box and
-    refined once by the objective's ``refine`` (M1's ``_refine``, M2's and
-    M3's ``_Profiled.refine``), which runs at most one trust-region leg,
-    named by the start's origin.  A start whose value is not
-    finite is skipped with a warning; NonFiniteLikelihood ("<model>: no
-    usable starting point") is raised when every start is.  The pick and
-    its note are as the module docstring says; ``converged`` checks every
-    slot at the pick.
+    Without it M1 starts at ``ParamLayout.default_init``, and M2 and M3
+    raise ValueError: they start at the GH estimates of the model they
+    extend, and ``fit_all`` is the one chain that fits them so.
+    ``cfg.multi_starts`` random starts (Gaussian noise, sd 0.3 on the
+    transformed GH slots) follow, each clipped to the box and refined once
+    by the objective's ``refine`` (M1's ``_refine``, M2's and M3's
+    ``_Profiled.refine``), which runs at most one trust-region leg, named by
+    the start's origin.  A start whose value is not finite is skipped with a
+    warning; NonFiniteLikelihood ("<model>: no usable starting point") is
+    raised when every start is.  The pick and its note are as the module
+    docstring says; ``converged`` checks every slot at the pick.
 
     Covariates are standardized to unit SD internally (an exact
     reparameterization of the GH model) so the search space is
     well-conditioned; estimates, SEs, and covariance are mapped back to the
     data scale on output.
     """
+    if init is None and model in MODELS[1:]:
+        raise ValueError(f"{model} needs init, the end of the model it extends: use fit_all")
     if cohort.n_events == 0:
         raise DataError("cohort has no events (all censored); cannot fit")
     obj, slot_scale = _standardized_objective(model, cohort)
@@ -708,10 +709,7 @@ def fit(
     lo, hi = np.array(search.bounds).T
     k = 3 + 2 * layout.n_covariates  # the GH slots, which init and the starts hold
 
-    if init is None:  # M2 and M3 start where the model they extend ends
-        i = MODELS.index(model)
-        init = fit(MODELS[i - 1], cohort, cfg).estimates[:k] if i else layout.default_init()
-    base = np.asarray(init, dtype=float)
+    base = np.asarray(layout.default_init() if init is None else init, dtype=float)
     if len(base) != k:
         raise ValueError(f"init has length {len(base)}, expected {k}")
     base = base * slot_scale[:k]  # beta_j -> beta_j * s_j matches x_j / s_j
@@ -800,7 +798,7 @@ def fit(
 
 
 def fit_all(cohort: PreparedCohort, cfg: FitConfig = FitConfig()) -> dict[str, FitResult]:
-    """Fit M1, then M2 from M1's GH estimates and M3 from M2's.
+    """Fit M1, then M2 from M1's GH estimates and M3 from M2's: the only chain.
 
     M2 starts at M1's GH estimates with gamma profiled out, so its first
     value is at least M1's MLE on the comparable scale.  M3 starts at M2's

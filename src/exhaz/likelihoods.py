@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import fsum
@@ -294,9 +293,6 @@ class ModelParams:
         return corr[0], corr[1] if len(corr) > 1 else 0.0
 
 
-_EW_MEMO_SIZE = 2  # EW blocks kept per cohort
-
-
 @dataclass(frozen=True)
 class PreparedCohort:
     """Cohort with life-table quantities cached per patient.
@@ -313,10 +309,10 @@ class PreparedCohort:
 
     The cohort also keeps the event mask ``status == 1``, dhp^2 (the score
     of b), the events with hp > 0 and their hp (``profile_gamma``), and a
-    memo of the last two EW blocks the likelihood computed on it: the
-    baseline terms, which depend only on (kappa, theta, alpha, beta1).
-    Coordinate descent and finite-difference stencils revisit a block while
-    they move beta2 or the correction, and such an evaluation reuses it.
+    memo of the last EW block the likelihood computed on it: the baseline
+    terms, which depend only on (kappa, theta, alpha, beta1).  M3's log-b
+    scan moves only b, and a trust-region trial's information pass follows
+    its value at the same point, so such an evaluation reuses the block.
     The cached arrays are read-only and hold exactly the bits a fresh
     computation gives, so the memo changes no result.  It is not
     thread-safe: share a cohort between threads only through copies
@@ -333,9 +329,7 @@ class PreparedCohort:
     _dhp2: np.ndarray = field(init=False, repr=False, compare=False)
     _hp_events: np.ndarray = field(init=False, repr=False, compare=False)
     _hp_at_events: np.ndarray = field(init=False, repr=False, compare=False)
-    _ew_memo: OrderedDict = field(
-        default_factory=OrderedDict, init=False, repr=False, compare=False
-    )
+    _ew_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = {c: np.array(getattr(self, c), dtype=float) for c in ("time", "X", "hp", "dhp")}
@@ -521,24 +515,20 @@ def _ew_block(params: ModelParams, cohort: PreparedCohort):
     terms of the cohort.
 
     They depend on the cohort and on (kappa, theta, alpha, beta1) only, and
-    come from the cohort's memo when one of its last two blocks matches.
-    Runs under the caller's ``np.errstate``.
+    come from the cohort's memo when its last block matches.  Runs under the
+    caller's ``np.errstate``.
     """
     baseline, beta1 = params.baseline, params.beta1
     key = baseline.tobytes() + beta1.tobytes()
     memo = cohort._ew_memo
-    block = memo.get(key)
-    if block is not None:
-        memo.move_to_end(key)
-        return block
-    xb1 = cohort.X @ beta1
-    block = (xb1, *gh_baseline(cohort.time, xb1, *baseline))
-    for arr in block:
-        arr.setflags(write=False)
-    memo[key] = block
-    if len(memo) > _EW_MEMO_SIZE:
-        memo.popitem(last=False)
-    return block
+    if key not in memo:
+        xb1 = cohort.X @ beta1
+        block = (xb1, *gh_baseline(cohort.time, xb1, *baseline))
+        for arr in block:
+            arr.setflags(write=False)
+        memo.clear()
+        memo[key] = block
+    return memo[key]
 
 
 def _terms(params: ModelParams, cohort: PreparedCohort, comparable: bool):
@@ -610,9 +600,10 @@ def loglik(params: ModelParams, cohort: PreparedCohort, comparable: bool = False
 def _first_order(params: ModelParams, cohort: PreparedCohort):
     """(ll, grad, aux, pieces): ``loglik`` (comparable=False), its gradient,
     ``_terms``' intermediates and the per-patient pieces the Hessian reuses,
-    (u, h0 v, e1, dH0/dalpha, d log h0/dalpha, s_c): u = h_E / lambda and
-    s_c = (d lambda/dc) / lambda, c the multiplier of h_P (None without a
-    correction slot), on the events and 0 elsewhere, and e1 = 1/(e^w - 1).
+    (u, h0 v, e1, dH0/dalpha, d log h0/dalpha, s_c, dhp^2 G(y)): u = h_E /
+    lambda and s_c = (d lambda/dc) / lambda, c the multiplier of h_P (None
+    without a correction slot), on the events and 0 elsewhere, e1 = 1/(e^w -
+    1), and dhp^2 G(y) the population term's d/db over c (None without b).
     Raises NonFiniteLikelihood as ``loglik`` does, and also when a gradient
     entry is not finite.  Runs under the caller's ``np.errstate``.
     """
@@ -671,7 +662,7 @@ def _first_order(params: ModelParams, cohort: PreparedCohort):
         grad[slots1] = X.T @ np.subtract(a, b, out=a)
         grad[slots2] = X.T @ (u - HE)  # beta2: u - HE
 
-    s_c = None
+    s_c = dhp2_g = None
     n_corr = params.correction.size
     if n_corr:
         # d lam/dc = hp / (1 + y); d pop_i / dc = dhp log1p(y)/y
@@ -681,12 +672,13 @@ def _first_order(params: ModelParams, cohort: PreparedCohort):
         c = params.population[0]
         # d lam/db = -c hp dhp / (1 + y)^2; d pop_i / db = c dhp^2 G(y)
         s_b = np.where(ev, -c * hp * dhp / (den * den) / lam, 0.0)
-        grad[-1] = add(s_b) + c * add(cohort._dhp2 * _m3_pop_curvature(y))
+        dhp2_g = cohort._dhp2 * _m3_pop_curvature(y)
+        grad[-1] = add(s_b) + c * add(dhp2_g)
 
     bad = np.flatnonzero(~np.isfinite(grad))
     if bad.size:
         raise NonFiniteLikelihood(f"non-finite gradient at positions {bad.tolist()}")
-    return ll, grad, aux, (u, h0v, e1, ha, a_a, s_c)
+    return ll, grad, aux, (u, h0v, e1, ha, a_a, s_c, dhp2_g)
 
 
 def loglik_and_grad(params: ModelParams, cohort: PreparedCohort, hessian: bool = False):
@@ -752,7 +744,7 @@ def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
         return e
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ll, grad, aux, (u, h0v, e1, ha, a_a, s_c) = _first_order(params, cohort)
+        ll, grad, aux, (u, h0v, e1, ha, a_a, s_c, dhp2_g) = _first_order(params, cohort)
         v, w, logm, vv, log_s0, lw, h0, r21, he, HE, lam, (y, ratio, den) = aux
 
         hs = h0v / kappa  # dH0/ds
@@ -808,9 +800,7 @@ def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
                 c = params.population[0]
                 s_b = -c * dhp * s_c / den
                 scores.append(s_b)
-                curvature[0, 1] = curvature[1, 0] = add(
-                    cohort._dhp2 * _m3_pop_curvature(y) - dhp * s_c / den
-                )
+                curvature[0, 1] = curvature[1, 0] = add(dhp2_g - dhp * s_c / den)
                 curvature[1, 1] = add(
                     c * dhp * cohort._dhp2 * _m3_pop_curvature_slope(y) - 2.0 * dhp * s_b / den
                 )
@@ -925,12 +915,15 @@ def load_cohort(
     become the covariates and the z columns the strata (they may overlap);
     each distinct strata tuple gets a code in order of first appearance.
     ``transforms`` maps an x column to (center, scale): value -> (value -
-    center) / scale; both must be finite and the scale nonzero.  A row that
+    center) / scale; both must be finite and the scale nonzero, and a
+    column that is not an x column raises DataError.  A row that
     fails a Cohort check, such as covariates that are not finite after the
     transform, raises DataError naming its line.
     """
     transforms = transforms or {}
     for col, (center, scale) in transforms.items():
+        if col not in x_columns:
+            raise DataError(f"transform of column {col!r}, which is not an x column")
         if not (math.isfinite(center) and math.isfinite(scale) and scale != 0.0):
             raise DataError(
                 f"transform of column {col!r} needs a finite center and a finite, "

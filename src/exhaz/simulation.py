@@ -114,7 +114,7 @@ class ScenarioConfig:
     frailty: GammaFrailtyParams | LogNormalFrailtyParams | None = None
     admin_censor_time: float = 5.0
     dropout_rate: float | None = None
-    dropout_target: float | None = None  # calibrated to a rate when set
+    dropout_target: float | None = None  # calibrated to a rate when set; excludes dropout_rate
     advance_year: bool = True
     life_table_path: str | None = None  # None: bundled synthetic table
     seed: int = 0
@@ -133,6 +133,8 @@ class ScenarioConfig:
             raise ValueError(f"dropout_rate must be finite and > 0, got {self.dropout_rate}")
         if self.dropout_target is not None:
             _check_censoring_target(self.dropout_target)
+            if self.dropout_rate is not None:
+                raise ValueError("dropout_rate and dropout_target are both set: set one of them")
 
     def frailty_mean(self) -> float:
         if self.frailty is None:
@@ -322,7 +324,7 @@ class ParamMetrics:
 
 @dataclass(frozen=True)
 class StudyMetrics:
-    """Recovery metrics per model, AIC selection shares, and failure counts."""
+    """Recovery metrics per model, AIC selection shares, failure counts and the records."""
 
     scenario: str
     n: int
@@ -338,15 +340,18 @@ class StudyMetrics:
     dropout_rate: float | None
     pilot_censoring: float | None
     wall_time_s: float
+    records: list[dict] = field(repr=False)  # one per replicate, in index order (_run_replicate)
 
 
 def _run_replicate(args):
     """One replicate's record: its censoring, one row per model, M4's pick and the error.
 
     A row maps names to estimates, SEs and Wald intervals (None without SEs)
-    and lists the parameters on the box edge; the pick (None when no fit is
-    eligible) is a row holding c alone.  A ``fit_all`` that raises leaves
-    its error, no rows and no pick.
+    and lists the parameters on the box edge, and holds the fit's flags, its
+    ll on the comparable scale, evals, gradient max-norm, Newton decrement,
+    smallest eigenvalue and notes; the pick (None when no fit is eligible)
+    is a row holding c alone.  A ``fit_all`` that raises leaves its error,
+    no rows and no pick.
     """
     sc, index, table = args
     cohort = prepare_cohort(
@@ -366,7 +371,13 @@ def _run_replicate(args):
             "cis": confidence_intervals(res) if res.ses_available else None,
             "converged": res.converged,
             "hessian_pd": res.hessian_pd,
-            "at_bound": res.at_bound,
+            "at_bound": list(res.at_bound),
+            "ll": res.loglik_comparable,
+            "evals": res.n_evals,
+            "grad_max_norm": res.grad_max_norm,
+            "decrement": res.decrement,
+            "min_eig": res.min_eig,
+            "notes": list(res.notes),
         }
         for model, res in fits.items()
     }
@@ -401,14 +412,14 @@ def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1)
     counts the rest); M4 pools the row AIC chose and c from the pick
     (``m4_failures`` counts replicates with no converged fit).  A replicate
     whose ``fit_all`` raises is logged and counted in both.  Metric
-    accumulation is ordered by replicate index regardless of worker count.
+    accumulation is ordered by replicate index regardless of worker count,
+    and ``records`` holds every replicate's record in that order.
     """
     t_start = time.monotonic()
     if table is None:
         table = sc.resolve_table()
-    dropout_rate = sc.dropout_rate
-    pilot_cens = None
-    if dropout_rate is None and sc.dropout_target is not None:
+    dropout_rate, pilot_cens = sc.dropout_rate, None
+    if sc.dropout_target is not None:
         dropout_rate, pilot_cens = calibrate_dropout_rate(sc, sc.dropout_target, table)
     sc_run = replace(sc, dropout_rate=dropout_rate, dropout_target=None)
 
@@ -462,6 +473,7 @@ def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1)
         dropout_rate=dropout_rate,
         pilot_censoring=pilot_cens,
         wall_time_s=time.monotonic() - t_start,
+        records=results,
     )
 
 

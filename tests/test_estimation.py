@@ -545,7 +545,7 @@ def _fd_hessian(value, x, h):
 
 def test_gradient_hessian_ses_match_value_fd_on_interior_m3_fit():
     cohort = _frailty_cohort(0)
-    res = fit("M3", cohort)
+    res = fit_all(cohort)["M3"]
     assert res.converged and res.hessian_pd
     assert not any(note.startswith("parameters at box bound") for note in res.notes)
     obj, slot_scale, x_hat = _search_point(res, cohort)
@@ -560,7 +560,7 @@ def test_gradient_hessian_ses_match_value_fd_on_interior_m3_fit():
 def m3_boundary():
     """A converged M3 fit with b on its box floor e^-20."""
     cohort = _frailty_cohort(3)
-    return cohort, fit("M3", cohort)
+    return cohort, fit_all(cohort)["M3"]
 
 
 def test_boundary_collapse_has_stable_nonnegative_information(m3_boundary):
@@ -903,7 +903,7 @@ def test_profiled_value_is_a_pure_function_of_the_point():
 def m3_interior():
     """A converged M3 fit with b and mu inside the box (b = 0.48, mu = 2.1)."""
     cohort = _frailty_cohort(0)
-    return cohort, fit("M3", cohort)
+    return cohort, fit_all(cohort)["M3"]
 
 
 def test_analytic_gradient_matches_richardson_differences_at_a_fit_end_point(m3_interior):
@@ -1475,13 +1475,17 @@ def test_a_rejected_point_gives_a_nan_curvature_mismatch():
     assert calls == []
 
 
-def test_fit_without_init_starts_m2_and_m3_where_the_model_they_extend_ends(m3_interior):
-    # a direct call fits the chain fit_all fits: M1, M2 from it, M3 from M2
-    cohort, m3 = m3_interior
-    fits = fit_all(cohort)
-    for res in (fit("M2", cohort), m3):
-        assert np.array_equal(res.estimates, fits[res.model].estimates)
-        assert res.loglik == fits[res.model].loglik and res.n_evals == fits[res.model].n_evals
+def test_fit_without_init_starts_m1_at_the_default_and_leaves_m2_and_m3_to_fit_all():
+    # fit_all is the only chain: M2 and M3 start where the model they extend ends
+    cohort = sim_cohort(n=400, seed=11)
+    for model in ("M2", "M3"):
+        with pytest.raises(ValueError, match=f"^{model} needs init, .*: use fit_all$"):
+            fit(model, cohort)
+    res = fit("M1", cohort)
+    default = ParamLayout.for_model("M1", cohort.covariate_names).default_init()
+    start = fit("M1", cohort, init=default)
+    assert np.array_equal(res.estimates, start.estimates)
+    assert res.loglik == start.loglik and res.n_evals == start.n_evals
 
 
 def test_the_gradient_is_a_gradient_at_converged_fits_and_not_at_m2s_tail_end(

@@ -15,7 +15,7 @@ from scipy.optimize import minimize_scalar
 from conftest import gamma_pdf, gh_closed_form, gh_params, model_params, sim_cohort
 from exhaz.distributions import GammaFrailtyParams
 from exhaz.errors import DataError, NonFiniteLikelihood
-from exhaz.estimation import fit
+from exhaz.estimation import fit_all
 from exhaz.lifetable import make_life_table
 from exhaz.likelihoods import (
     MODELS,
@@ -149,7 +149,7 @@ def test_m3_at_b_zero_is_m2_bit_for_bit():
         generate_cohort(sc, 0, table), table, advance_year=sc.advance_year,
         covariate_names=COVARIATES,
     )
-    m2 = fit("M2", cohort).to_model_params()
+    m2 = fit_all(cohort)["M2"].to_model_params()
     m3 = object.__new__(ModelParams)
     object.__setattr__(m3, "layout", ParamLayout.for_model("M3", COVARIATES))
     object.__setattr__(m3, "values", np.append(m2.values, 0.0))
@@ -388,31 +388,32 @@ def test_ew_memo_reuses_blocks_bit_for_bit():
         ll_f, grad_f = loglik_and_grad(params, replace(cohort))
         assert ll.hex() == ll_f.hex() == loglik(params, replace(cohort)).hex()
         assert np.array_equal(grad.view(np.int64), grad_f.view(np.int64))
-        assert 1 <= len(cohort._ew_memo) <= 2
-        for block in cohort._ew_memo.values():
-            for arr in block:
-                assert not arr.flags.writeable
+        assert len(cohort._ew_memo) == 1
+        for arr in next(iter(cohort._ew_memo.values())):
+            assert not arr.flags.writeable
     with pytest.raises(ValueError):
         next(iter(cohort._ew_memo.values()))[0][0] = 0.0
 
 
-def test_ew_memo_shares_blocks_and_evicts_least_recent():
+def test_ew_memo_shares_the_last_block_and_replaces_it_with_a_new_one():
     cohort = fake_cohort(40, seed=43)
     a = _ew_block(model_params(GH), cohort)
+    # beta2, the multiplier and b leave the block as it is
     same = gh_params(BASE, GH.beta1.copy(), GH.beta2 + 1.0)
     assert _ew_block(model_params(same, 1.4), cohort) is a
-    b = _ew_block(model_params(gh_params(BASE, GH.beta1 + 1e-9, GH.beta2)), cohort)
-    assert _ew_block(model_params(GH), cohort) is a  # a is now the most recent
-    _ew_block(model_params(gh_params((0.6, 1.75, 2.6), GH.beta1, GH.beta2)), cohort)
-    assert len(cohort._ew_memo) == 2
     assert _ew_block(model_params(GH, 2.0, 0.3), cohort) is a
-    assert all(blk is not b for blk in cohort._ew_memo.values())
+    b = _ew_block(model_params(gh_params(BASE, GH.beta1 + 1e-9, GH.beta2)), cohort)
+    assert b is not a and len(cohort._ew_memo) == 1
+    again = _ew_block(model_params(GH), cohort)  # b replaced a: computed afresh, same bits
+    assert again is not a and len(cohort._ew_memo) == 1
+    assert all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(again, a))
     # no covariates: beta1 is empty and the key still tells blocks apart
     bare = PreparedCohort(cohort.time, cohort.status, cohort.X[:, :0], cohort.hp, cohort.dhp)
     bare_gh = gh_params(BASE)
-    assert _ew_block(model_params(bare_gh), bare) is _ew_block(model_params(bare_gh), bare)
-    _ew_block(model_params(gh_params((0.6, 1.75, 2.6))), bare)
-    assert len(bare._ew_memo) == 2
+    first = _ew_block(model_params(bare_gh), bare)
+    assert _ew_block(model_params(bare_gh), bare) is first
+    assert _ew_block(model_params(gh_params((0.6, 1.75, 2.6))), bare) is not first
+    assert len(bare._ew_memo) == 1
 
 
 def test_m2_at_gamma_one_equals_m1_minus_sum_dhp():
@@ -1049,6 +1050,13 @@ def test_load_cohort_reports_the_line_of_a_bad_row(row, message):
 def test_load_cohort_rejects_bad_transforms(center, scale):
     with pytest.raises(DataError, match="transform of column 'age' needs a finite center"):
         _load(COHORT_CSV, transforms={"age": (center, scale)})
+
+
+@pytest.mark.parametrize("column", ["Age", "age_diag", "w"])
+def test_load_cohort_rejects_a_transform_of_a_column_that_is_not_an_x_column(column):
+    # a misspelt name would otherwise leave the x column untransformed, unnoticed
+    with pytest.raises(DataError, match=f"transform of column '{column}', which is not an x"):
+        _load(COHORT_CSV, transforms={"age": (70.0, 10.0), column: (70.0, 1.0)})
 
 
 def test_load_cohort_reports_a_covariate_the_transform_overflows():

@@ -56,6 +56,7 @@ MEMBERS_ALLOWED = {
     "FitResult.cov_transformed": "covariance for delta-method intervals of derived quantities",
     "FitResult.decrement": "fit diagnostic: the ll a Newton step would still gain at the estimate",
     "FitResult.min_eig": "fit diagnostic: the smallest eigenvalue of the information matrix",
+    "StudyMetrics.records": "one record per replicate, the fits behind the study's metrics",
 }
 
 

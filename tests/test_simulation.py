@@ -145,6 +145,7 @@ def test_event_times_walk_to_the_end_without_administrative_censoring(table, mon
         ("dropout_rate", -0.1),
         ("dropout_rate", math.nan),
         ("dropout_rate", math.inf),
+        ("dropout_rate", 0.1),  # valid, but the preset sets a target
         ("dropout_target", 0.0),
         ("dropout_target", 1.0),
         ("dropout_target", -0.2),
@@ -160,9 +161,10 @@ def test_event_times_walk_to_the_end_without_administrative_censoring(table, mon
     ],
 )
 def test_scenario_rejects_bad_dropout(field, value):
-    # the message names the field: by its part after the first "_", or as "n"
+    # the message names the field: by its part after the first "_", or as "n";
+    # the preset sets a drop-out target, which a rate may not join
     with pytest.raises(ValueError, match=field.partition("_")[2] or "^n must"):
-        replace(builtin_scenarios()["none"], **{field: value})
+        replace(builtin_scenarios()["none-dropout"], **{field: value})
 
 
 @pytest.mark.parametrize("target", [0.0, 1.0, 1.5, math.nan])
@@ -213,6 +215,29 @@ def _same(a, b):
 def test_study_results_do_not_depend_on_jobs(studies):
     serial, parallel = studies
     assert _same(replace(serial, wall_time_s=0.0), replace(parallel, wall_time_s=0.0))
+    assert [r["index"] for r in serial.records] == [0, 1]
+    assert _same(serial.records, parallel.records)
+
+
+def test_study_records_are_the_fits_of_fit_all(table):
+    # each record holds its replicate's fit_all fits, bit for bit
+    sc = replace(builtin_scenarios()["moderate-dropout"], n=300, n_replicates=3)
+    study = run_study(sc, table)
+    drawn = replace(sc, dropout_rate=study.dropout_rate, dropout_target=None)
+    assert [r["index"] for r in study.records] == [0, 1, 2]
+    for record in study.records:
+        cohort = prepare_cohort(
+            generate_cohort(drawn, record["index"], table), table, sc.advance_year, COVARIATES
+        )
+        fits = fit_all(cohort, sc.fit)
+        assert record["error"] is None and list(record["models"]) == list(fits)
+        for model, res in fits.items():
+            row = record["models"][model]
+            assert row["ll"].hex() == res.loglik_comparable.hex(), model
+            assert row["evals"] == res.n_evals and row["converged"] == res.converged, model
+            assert row["notes"] == list(res.notes) and row["at_bound"] == list(res.at_bound)
+            assert _same([row[f] for f in ("grad_max_norm", "decrement", "min_eig")],
+                         [res.grad_max_norm, res.decrement, res.min_eig]), model
 
 
 def test_a_replicate_whose_fit_all_raises_is_counted_not_fatal(table, caplog, monkeypatch):

@@ -514,18 +514,17 @@ def test_preset_panel_rows_hold_every_field_of_a_fit():
 
 
 def test_preset_panel_starts_fits_the_best_of_n_and_records_n(monkeypatch):
-    from exhaz import estimation
+    from exhaz import simulation
 
-    configs, fit_all = [], estimation.fit_all
+    configs, fit_all = [], simulation.fit_all
 
     def spy(cohort, cfg):
         configs.append(cfg)
         return fit_all(cohort, cfg)
 
-    monkeypatch.setattr(estimation, "fit_all", spy)
+    monkeypatch.setattr(simulation, "fit_all", spy)
     rows = preset_panel.panel(n=100, replicates=1, starts=2)
     assert len(configs) == 9 and {cfg.multi_starts for cfg in configs} == {1}
     assert len(rows) == 27 and {r["starts"] for r in rows} == {2}
     with pytest.raises(SystemExit):
-        preset_panel.main(["tree", "--n", "100", "--replicates", "1", "--starts", "0",
-                           "--out", "x.json"])
+        preset_panel.main(["--n", "100", "--replicates", "1", "--starts", "0", "--out", "x.json"])

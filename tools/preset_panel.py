@@ -2,20 +2,22 @@
 
 Usage, from the repository root:
 
-    python3 tools/preset_panel.py TREE --n N --replicates R [--starts S] --out F.json
+    python3 tools/preset_panel.py --n N --replicates R [--starts S] --out F.json
     python3 tools/preset_panel.py --compare A.json B.json
     python3 tools/preset_panel.py --reference OUT.json A.json [B.json ...]
 
-The first form imports ``exhaz`` from ``TREE/src`` and runs ``fit_all`` on
-replicates 0 .. R-1 of every preset of ``builtin_scenarios`` at size N,
-with drop-out calibrated once per preset, as the recovery study does, and
-``S`` starts per fit (``FitConfig(multi_starts=S-1)``, default 1). It
-writes a JSON list with one row per fit: ``preset``, ``replicate``,
-``starts``, ``model``, ``converged``, ``ll`` (the comparable scale), ``evals``,
-``grad_max_norm``, ``decrement``, ``min_eig``, ``at_bound`` (the names
-of the parameters on the search box's edge) and ``notes`` (the fit's
-notes). A replicate whose ``fit_all`` raises gives one row per model with
-``converged`` false, null values, and the ``error``.
+The script imports ``exhaz`` from the ``src/`` next to this directory, so
+to panel a checkout, run that checkout's own script.  The first form runs
+``run_study`` on every preset of ``builtin_scenarios`` at size N with R
+replicates (0 .. R-1, drop-out calibrated once per preset) and ``S``
+starts per fit (``FitConfig(multi_starts=S-1)``, default 1).  From the
+study's records it writes a JSON list with one row per fit: ``preset``,
+``replicate``, ``starts``, ``model``, ``converged``, ``ll`` (the
+comparable scale), ``evals``, ``grad_max_norm``, ``decrement``,
+``min_eig``, ``at_bound`` (the names of the parameters on the search
+box's edge) and ``notes`` (the fit's notes). A replicate whose
+``fit_all`` raises gives one row per model with ``converged`` false,
+null values, and the ``error``.
 
 The second form pairs the rows of two such files by preset, replicate and
 model. It prints each fit whose ``converged`` flag flipped or whose ll
@@ -48,6 +50,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from exhaz.estimation import FitConfig  # noqa: E402
+from exhaz.simulation import builtin_scenarios, run_study  # noqa: E402
+
 MOVE_TOL = 1e-6  # an ll that moves by more is listed
 GAP_TOL = 1e-3  # a certified fit this far below the reference is counted apart
 CERTIFIED_NORM = 1.0  # a converged end certifies only with a gradient max-norm below this
@@ -57,45 +64,19 @@ MODELS = ("M1", "M2", "M3")
 def panel(n: int, replicates: int, starts: int = 1) -> list[dict]:
     """The rows of every fit of replicates 0 .. replicates-1 of every preset at
     size n, each the best of ``starts`` starts."""
-    from exhaz.errors import ExhazError
-    from exhaz.estimation import fit_all
-    from exhaz.likelihoods import prepare_cohort
-    from exhaz.simulation import (
-        COVARIATES,
-        builtin_scenarios,
-        calibrate_dropout_rate,
-        design_life_table,
-        generate_cohort,
-    )
-
-    table = design_life_table()
+    fields = ("converged", "ll", "evals", "grad_max_norm", "decrement", "min_eig", "at_bound",
+              "notes")
     rows = []
     for preset, sc in builtin_scenarios().items():
-        sc = replace(sc, n=n)
-        if sc.dropout_target is not None:
-            rate, _ = calibrate_dropout_rate(sc, sc.dropout_target, table)
-            sc = replace(sc, dropout_rate=rate, dropout_target=None)
-        for index in range(replicates):
-            cohort = prepare_cohort(
-                generate_cohort(sc, index, table), table, advance_year=sc.advance_year,
-                covariate_names=COVARIATES,
-            )
-            key = {"preset": preset, "replicate": index, "starts": starts}
-            try:
-                fits = fit_all(cohort, replace(sc.fit, multi_starts=starts - 1))
-            except ExhazError as exc:
-                failed = {"converged": False, "ll": None, "evals": None, "grad_max_norm": None,
-                          "decrement": None, "min_eig": None, "at_bound": None, "notes": None,
-                          "error": f"{type(exc).__name__}: {exc}"}
+        sc = replace(sc, n=n, n_replicates=replicates, fit=FitConfig(multi_starts=starts - 1))
+        for record in run_study(sc).records:
+            key = {"preset": preset, "replicate": record["index"], "starts": starts}
+            if record["error"] is not None:
+                failed = {**dict.fromkeys(fields), "converged": False, "error": record["error"]}
                 rows += [{**key, "model": model, **failed} for model in MODELS]
-                continue
-            rows += [
-                {**key, "model": model, "converged": res.converged, "ll": res.loglik_comparable,
-                 "evals": res.n_evals, "grad_max_norm": res.grad_max_norm,
-                 "decrement": res.decrement, "min_eig": res.min_eig,
-                 "at_bound": list(res.at_bound), "notes": list(res.notes)}
-                for model, res in fits.items()
-            ]
+            else:
+                rows += [{**key, "model": model, **{f: row[f] for f in fields}}
+                         for model, row in record["models"].items()]
         print(f"{preset}: {replicates} replicates", file=sys.stderr, flush=True)
     return rows
 
@@ -210,7 +191,6 @@ def compare(a: list[dict], b: list[dict]) -> int:
 
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("tree", nargs="?", type=Path)
     ap.add_argument("--n", type=int)
     ap.add_argument("--replicates", type=int)
     ap.add_argument("--starts", type=int, default=1)
@@ -228,11 +208,10 @@ def main(argv: list[str]) -> int:
         ref = reference({str(p): json.loads(p.read_text(encoding="utf-8")) for p in paths})
         out.write_text(json.dumps(ref, indent=0) + "\n", encoding="utf-8")
         return 0
-    if args.tree is None or args.n is None or args.replicates is None or args.out is None:
-        ap.error("TREE, --n, --replicates and --out are required without --compare or --reference")
+    if args.n is None or args.replicates is None or args.out is None:
+        ap.error("--n, --replicates and --out are required without --compare or --reference")
     if args.n < 1 or args.replicates < 1 or args.starts < 1:
         ap.error("--n, --replicates and --starts must be >= 1")
-    sys.path.insert(0, str(args.tree.resolve() / "src"))
     rows = panel(args.n, args.replicates, args.starts)
     args.out.write_text(json.dumps(rows, indent=0) + "\n", encoding="utf-8")
     return 0
