@@ -195,7 +195,6 @@ class FitResult:
     loglik_comparable: float  # full-data convention (M1 constant restored)
     aic: float
     converged: bool
-    hessian_pd: bool | None  # None when the information matrix is not finite
     grad_max_norm: float  # analytic gradient on the search scale at the last check; NaN if rejected
     n_evals: int
     n_iter: int
@@ -203,7 +202,7 @@ class FitResult:
     notes: tuple[str, ...] = ()
     # from the SE Hessian H and the gradient g at the estimate, on the search
     # scale: 1/2 g' H^-1 g over the slots off the box edge, and H's smallest
-    # eigenvalue; NaN where H is not finite (or singular, for the decrement)
+    # eigenvalue (< 0: not PD, no SEs); NaN where H is not finite (or singular, for the decrement)
     decrement: float = math.nan
     min_eig: float = math.nan
 
@@ -785,7 +784,6 @@ def fit(
         loglik_comparable=ll_comp,
         aic=aic,
         converged=converged,
-        hessian_pd=None if eig is None else cov_s is not None,
         grad_max_norm=gnorm,
         n_evals=sum(o.n_evals for o in {obj, search}),  # M1's search is obj
         n_iter=sum(e[2] for e in ends),
@@ -831,15 +829,7 @@ def select_m4(fits: dict[str, FitResult]):
     likelihood ratio tests under nonstandard conditions", JASA 82:605-610),
     so the AIC penalty does not price that parameter as it assumes.
     """
-    eligible = []
-    for model in MODELS:
-        f = fits.get(model)
-        if f is None:
-            continue
-        if not f.converged:
-            log.warning("M4 selection: %s excluded (not converged)", model)
-            continue
-        eligible.append(f)
+    eligible = [fits[m] for m in MODELS if m in fits and fits[m].converged]
     if not eligible:
         raise NoEligibleFit("no converged fits to select from")
     chosen = min(eligible, key=lambda f: (f.aic, f.k))

@@ -82,38 +82,48 @@ __all__ = [
 ]
 
 
-def _first_failure(checks):
-    """(row, message) of the first row that fails one of ``checks``, or None.
+def _check_rows(checks, label):
+    """Raise DataError naming by ``label(row)`` the first row that fails one of ``checks``.
 
-    Each check pairs a boolean column, True on the rows that fail it, with
-    a function of a row giving its message.  Every check runs over whole
-    columns; a row failing several reports the first check it fails.
+    Each check pairs a boolean array, True where a row passes ((n,), or
+    (n, p) when a row holds p values), with a function of a row giving its
+    message.  Only the checks whose whole array fails search their rows; a
+    row failing several reports the first check it fails.
     """
-    bad = np.column_stack([fails for fails, _ in checks])
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad.any(axis=1)))
-    return i, checks[int(np.argmax(bad[i]))][1](i)
+    failing = [(ok, message) for ok, message in checks if not ok.all()]
+    if failing:
+        bad = ~np.column_stack([ok.reshape(len(ok), -1).all(axis=1) for ok, _ in failing])
+        i = int(np.argmax(bad.any(axis=1)))
+        raise DataError(f"{label(i)}: {failing[int(np.argmax(bad[i]))][1](i)}")
 
 
-def _first_bad_row(time, status, age_diag, year_diag, X, stratum, n_strata):
-    """(row, message) of the first row of a cohort that fails a check, or None.
+def _shared_checks(time, status, X):
+    """The checks of the columns every cohort holds, for ``_check_rows``:
+    follow-up time finite and > 0, status 0 or 1, and covariates finite."""
+    return [
+        (np.isfinite(time) & (time > 0), lambda i: f"follow-up time must be > 0, got {time[i]}"),
+        ((status == 0) | (status == 1), lambda i: f"status must be 0 or 1, got {status[i]}"),
+        (np.isfinite(X), lambda i: f"covariates must be finite, got {X[i]}"),
+    ]
 
-    A stratum code must index one of ``n_strata``.
-    """
-    return _first_failure([
-        (~(np.isfinite(time) & (time > 0)), lambda i: f"follow-up time must be > 0, got {time[i]}"),
-        (~((status == 0) | (status == 1)), lambda i: f"status must be 0 or 1, got {status[i]}"),
+
+def _cohort_checks(time, status, age_diag, year_diag, X, stratum, n_strata):
+    """The checks of a Cohort's rows, for ``_check_rows``; a stratum code must
+    index one of ``n_strata``."""
+    time_ok, status_ok, x_ok = _shared_checks(time, status, X)
+    return [
+        time_ok,
+        status_ok,
         (
-            ~(np.isfinite(age_diag) & np.isfinite(year_diag)),
+            np.isfinite(age_diag) & np.isfinite(year_diag),
             lambda i: f"age and year at diagnosis must be finite, got {age_diag[i]}, {year_diag[i]}",
         ),
-        (~np.isfinite(X).all(axis=1), lambda i: f"covariates must be finite, got {X[i]}"),
+        x_ok,
         (
-            ~((0 <= stratum) & (stratum < n_strata)),
+            (0 <= stratum) & (stratum < n_strata),
             lambda i: f"stratum code must index one of the {n_strata} strata, got {stratum[i]}",
         ),
-    ])
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +164,7 @@ class Cohort:
                 "a cohort needs columns of one length n, X of shape (n, p), "
                 "distinct strata tuples and one integer stratum code per row"
             )
-        bad = _first_bad_row(**cols, n_strata=n_strata)
-        if bad is not None:
-            raise DataError(f"row {bad[0]}: {bad[1]}")
+        _check_rows(_cohort_checks(**cols, n_strata=n_strata), "row {}".format)
         cols["status"] = cols["status"].astype(np.int8)
         cols["stratum"] = cols["stratum"].astype(np.intp)
         for name, arr in cols.items():
@@ -301,11 +309,12 @@ class PreparedCohort:
     background-hazard increment over (0, t_i] along the Lexis diagonal.
     ``covariate_names`` names the columns of X (x1..xp when empty).  The
     constructor checks the columns once: they must have one length n >= 1
-    (X of shape (n, p), with p covariate names when they are given),
-    status must be 0 or 1, and hp and dhp finite and >= 0.  A failure
-    raises DataError, naming the first bad row.  The columns are copied
-    into read-only arrays.  Immutable; likelihood evaluations are pure
-    functions of it.
+    (X of shape (n, p), with p covariate names when they are given); the
+    follow-up time must be finite and > 0, status 0 or 1 and the
+    covariates finite, as in a Cohort; and hp and dhp finite and >= 0.  A
+    failure raises DataError naming the first bad row, in a Cohort's words
+    where the checks are shared.  The columns are copied into read-only
+    arrays.  Immutable; likelihood evaluations are pure functions of it.
 
     The cohort also keeps the event mask ``status == 1``, dhp^2 (the score
     of b), the events with hp > 0 and their hp (``profile_gamma``), and a
@@ -345,13 +354,11 @@ class PreparedCohort:
         if len(names) != X.shape[1]:
             raise DataError(f"{len(names)} covariate names for {X.shape[1]} columns of X")
         hp, dhp = cols["hp"], cols["dhp"]
-        bad = _first_failure([
-            (~((status == 0) | (status == 1)), lambda i: f"status must be 0 or 1, got {status[i]}"),
-            (~(np.isfinite(hp) & (hp >= 0)), lambda i: f"hp must be finite and >= 0, got {hp[i]}"),
-            (~(np.isfinite(dhp) & (dhp >= 0)), lambda i: f"dhp must be finite and >= 0, got {dhp[i]}"),
-        ])
-        if bad is not None:
-            raise DataError(f"row {bad[0]}: {bad[1]}")
+        _check_rows([
+            *_shared_checks(cols["time"], status, X),
+            (np.isfinite(hp) & (hp >= 0), lambda i: f"hp must be finite and >= 0, got {hp[i]}"),
+            (np.isfinite(dhp) & (dhp >= 0), lambda i: f"dhp must be finite and >= 0, got {dhp[i]}"),
+        ], "row {}".format)
         cols["status"] = status.astype(np.int8)
         cols["_event"] = status == 1
         cols["_dhp2"] = dhp * dhp
@@ -946,7 +953,5 @@ def load_cohort(
     _, line_nos, rows = _read_csv(source, "cohort file", required, parse)
     names = ("time", "status", "age_diag", "year_diag", "X", "stratum")
     cols = dict(zip(names, map(np.array, zip(*rows))))
-    bad = _first_bad_row(**cols, n_strata=len(codes))
-    if bad is not None:
-        raise DataError(f"line {line_nos[bad[0]]}: {bad[1]}")
+    _check_rows(_cohort_checks(**cols, n_strata=len(codes)), lambda i: f"line {line_nos[i]}")
     return Cohort(**cols, strata=tuple(codes))

@@ -48,7 +48,7 @@ from .errors import ExhazError, NoEligibleFit, TargetUnreachable
 from .estimation import MODELS, FitConfig, confidence_intervals, fit_all, select_m4
 from .gh_model import inverse_excess_survival
 from .lifetable import LifeTable, load_life_table
-from .likelihoods import Cohort, ModelParams, ParamLayout, prepare_cohort
+from .likelihoods import Cohort, ModelParams, ParamLayout, PreparedCohort, prepare_cohort
 
 __all__ = [
     "ScenarioConfig",
@@ -57,6 +57,7 @@ __all__ = [
     "design_life_table",
     "generate_covariates",
     "generate_cohort",
+    "replicate_cohort",
     "calibrate_dropout_rate",
     "run_study",
     "builtin_scenarios",
@@ -225,7 +226,13 @@ def _event_times(sc: ScenarioConfig, table: LifeTable, n: int, rng):
 
 
 def generate_cohort(sc: ScenarioConfig, replicate_index: int, table: LifeTable) -> Cohort:
-    """One synthetic cohort; RNG stream is seeded sc.seed + replicate_index."""
+    """One synthetic cohort; RNG stream is seeded sc.seed + replicate_index.
+
+    Drop-out is exponential at ``sc.dropout_rate`` (none when None); a
+    target must first be calibrated to a rate (``calibrate_dropout_rate``).
+    """
+    if sc.dropout_target is not None:
+        raise ValueError("dropout_target is set: calibrate it to a dropout_rate first")
     rng = np.random.default_rng(sc.seed + replicate_index)
     ages, sex, X, t_event = _event_times(sc, table, sc.n, rng)
     if sc.dropout_rate is not None:
@@ -242,6 +249,11 @@ def generate_cohort(sc: ScenarioConfig, replicate_index: int, table: LifeTable) 
         strata=_SEX_STRATA,
         stratum=sex,
     )
+
+
+def replicate_cohort(sc: ScenarioConfig, index: int, table: LifeTable) -> PreparedCohort:
+    """Replicate ``index`` of ``sc`` as the study fits it; its drop-out must be a rate."""
+    return prepare_cohort(generate_cohort(sc, index, table), table, sc.advance_year, COVARIATES)
 
 
 def _pilot_times(sc: ScenarioConfig, table: LifeTable, pilot_n: int):
@@ -354,10 +366,7 @@ def _run_replicate(args):
     no rows and no pick.
     """
     sc, index, table = args
-    cohort = prepare_cohort(
-        generate_cohort(sc, index, table), table, advance_year=sc.advance_year,
-        covariate_names=COVARIATES,
-    )
+    cohort = replicate_cohort(sc, index, table)
     censoring = float(1.0 - cohort.status.mean())
     record = {"index": index, "censoring": censoring, "models": {}, "m4": None, "error": None}
     try:
@@ -370,7 +379,6 @@ def _run_replicate(args):
             "ses": None if res.std_errors is None else dict(zip(res.param_names, res.std_errors)),
             "cis": confidence_intervals(res) if res.ses_available else None,
             "converged": res.converged,
-            "hessian_pd": res.hessian_pd,
             "at_bound": list(res.at_bound),
             "ll": res.loglik_comparable,
             "evals": res.n_evals,
@@ -441,8 +449,8 @@ def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1)
     }
     pools["M4"] = [r["models"][r["m4"]["model"]] for r in results if r["m4"] is not None]
     names = {m: ParamLayout.for_model(m, COVARIATES).names for m in MODELS}
-    # hessian_pd is None where the information matrix is not finite: no verdict
-    verdicts = {m: [row["hessian_pd"] for row in pools[m] if row["hessian_pd"] is not None]
+    # min_eig is NaN where the information matrix is not finite: no PD verdict
+    verdicts = {m: [row["min_eig"] >= 0 for row in pools[m] if not math.isnan(row["min_eig"])]
                 for m in MODELS}
     names["M4"] = names["M1"]  # the parameters every model shares
 

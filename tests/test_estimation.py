@@ -49,14 +49,12 @@ from exhaz.likelihoods import (
     PreparedCohort,
     loglik,
     loglik_and_grad,
-    prepare_cohort,
 )
 from exhaz.simulation import (
-    COVARIATES,
     builtin_scenarios,
     calibrate_dropout_rate,
     design_life_table,
-    generate_cohort,
+    replicate_cohort,
 )
 
 from conftest import model_params, sim_cohort
@@ -546,7 +544,7 @@ def _fd_hessian(value, x, h):
 def test_gradient_hessian_ses_match_value_fd_on_interior_m3_fit():
     cohort = _frailty_cohort(0)
     res = fit_all(cohort)["M3"]
-    assert res.converged and res.hessian_pd
+    assert res.converged and res.min_eig >= 0
     assert not any(note.startswith("parameters at box bound") for note in res.notes)
     obj, slot_scale, x_hat = _search_point(res, cohort)
     cov_fd, problem = _covariance(_eigh(_fd_hessian(obj.value, x_hat, _HESSIAN_STEP)))
@@ -568,7 +566,7 @@ def test_boundary_collapse_has_stable_nonnegative_information(m3_boundary):
     # e^-20 and the information along log b is ~1e-10.  Value differences
     # at these steps give a negative eigenvalue that changes with h.
     cohort, res = m3_boundary
-    assert res.converged and res.hessian_pd and res.ses_available
+    assert res.converged and res.min_eig >= 0 and res.ses_available
     assert "parameters at box bound: b" in res.notes
     i = res.param_names.index("b")
     assert res.estimates[i] == pytest.approx(math.exp(-20.0), rel=1e-6)
@@ -669,7 +667,7 @@ def test_every_likelihood_pass_of_a_fit_is_a_loglik_or_loglik_and_grad_call(monk
 
 
 def test_a_non_finite_information_matrix_gives_no_pd_verdict(monkeypatch):
-    # a NaN Hessian says nothing about definiteness: hessian_pd is None
+    # a NaN Hessian says nothing about definiteness: min_eig is NaN
     kernel = likelihoods.loglik_grad_hess
 
     def nan_hessian(params, cohort):
@@ -678,14 +676,14 @@ def test_a_non_finite_information_matrix_gives_no_pd_verdict(monkeypatch):
 
     monkeypatch.setattr(likelihoods, "loglik_grad_hess", nan_hessian)
     res = fit("M1", sim_cohort(n=400, seed=11))
-    assert res.hessian_pd is None and not res.ses_available
+    assert not res.ses_available
     assert "information matrix not finite (a rejected point or an overflow); SEs unavailable" in res.notes
     assert math.isnan(res.decrement) and math.isnan(res.min_eig)
 
 
 def test_an_indefinite_information_matrix_is_not_pd(monkeypatch):
     # the log-likelihood's Hessian with its sign flipped: the information
-    # matrix at the estimate is negative definite, so hessian_pd is False
+    # matrix at the estimate is negative definite, so min_eig is negative
     kernel = likelihoods.loglik_grad_hess
 
     def flipped(params, cohort):
@@ -694,7 +692,7 @@ def test_an_indefinite_information_matrix_is_not_pd(monkeypatch):
 
     monkeypatch.setattr(likelihoods, "loglik_grad_hess", flipped)
     res = fit("M1", sim_cohort(n=400, seed=11))
-    assert res.hessian_pd is False and not res.ses_available
+    assert not res.ses_available
     assert "information matrix not positive definite; SEs unavailable" in res.notes
     assert res.min_eig < 0.0
 
@@ -1429,10 +1427,7 @@ def _preset_cohort(preset, n, index):
     if sc.dropout_target is not None:
         rate, _ = calibrate_dropout_rate(sc, sc.dropout_target, table)
         sc = replace(sc, dropout_rate=rate, dropout_target=None)
-    return prepare_cohort(
-        generate_cohort(sc, index, table), table, advance_year=sc.advance_year,
-        covariate_names=COVARIATES,
-    )
+    return replicate_cohort(sc, index, table)
 
 
 def test_trust_region_reaches_the_stationary_point_beyond_an_indefinite_lbfgsb_end():
@@ -1528,7 +1523,6 @@ def test_z_quantile_95():
         loglik_comparable=0.0,
         aic=2.0,
         converged=True,
-        hessian_pd=True,
         grad_max_norm=0.0,
         n_evals=0,
         n_iter=0,
@@ -1558,7 +1552,6 @@ def test_zero_se_gives_zero_width():
         loglik_comparable=0.0,
         aic=2.0,
         converged=True,
-        hessian_pd=True,
         grad_max_norm=0.0,
         n_evals=0,
         n_iter=0,
@@ -1588,7 +1581,6 @@ def test_ses_unavailable_raises():
         loglik_comparable=0.0,
         aic=2.0,
         converged=True,
-        hessian_pd=False,
         grad_max_norm=0.0,
         n_evals=0,
         n_iter=0,
@@ -1627,7 +1619,6 @@ def _mini_fit(model, aic, converged=True, gamma=2.0, mu=3.0):
         loglik_comparable=0.0,
         aic=aic,
         converged=converged,
-        hessian_pd=True,
         grad_max_norm=0.0,
         n_evals=0,
         n_iter=0,
@@ -1659,11 +1650,14 @@ def test_select_reports_correction_estimate():
     assert chosen.model == "M3" and c == 6.6
 
 
-def test_select_excludes_nonconverged_and_raises_when_empty():
-    chosen, _ = select_m4(
-        {"M1": _mini_fit("M1", 100.0, converged=False), "M2": _mini_fit("M2", 102.0)}
+def test_select_excludes_nonconverged_and_raises_when_empty(caplog):
+    # the fit's converged flag records the exclusion; the log stays quiet
+    caplog.set_level("WARNING")
+    chosen, c = select_m4(
+        {"M1": _mini_fit("M1", 100.0, converged=False), "M2": _mini_fit("M2", 102.0, gamma=2.5),
+         "M3": _mini_fit("M3", 103.0)}
     )
-    assert chosen.model == "M2"
+    assert chosen.model == "M2" and c == 2.5
+    assert caplog.records == []
     with pytest.raises(NoEligibleFit):
         select_m4({"M1": _mini_fit("M1", 100.0, converged=False)})
-

@@ -14,13 +14,12 @@ from exhaz.gh_model import (
     inverse_excess_survival,
     net_survival,
 )
-from exhaz.likelihoods import ParamLayout, _terms, prepare_cohort
+from exhaz.likelihoods import ParamLayout, _terms
 from exhaz.simulation import (
-    COVARIATES,
     DESIGN1_GH as TRUTH,
     builtin_scenarios,
     design_life_table,
-    generate_cohort,
+    replicate_cohort,
 )
 
 BASE = tuple(TRUTH.baseline.tolist())  # (kappa, theta, alpha)
@@ -189,7 +188,7 @@ def test_simulated_times_match_net_survival_dkw():
 def moderate_cohort():
     sc = builtin_scenarios()["moderate"]
     table = design_life_table()
-    return prepare_cohort(generate_cohort(sc, 0, table), table, sc.advance_year, COVARIATES)
+    return replicate_cohort(sc, 0, table)
 
 
 def _bits(a):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from dataclasses import replace
 from math import fsum
 
@@ -41,7 +42,7 @@ from exhaz.simulation import (
     DESIGN1_GH as GH,
     builtin_scenarios,
     design_life_table,
-    generate_cohort,
+    replicate_cohort,
 )
 
 BASE = GH.baseline
@@ -145,10 +146,7 @@ def test_m3_at_b_zero_is_m2_bit_for_bit():
     # under M3, so they round apart.
     table = design_life_table()
     sc = replace(builtin_scenarios()["severe"], n=2000)
-    cohort = prepare_cohort(
-        generate_cohort(sc, 0, table), table, advance_year=sc.advance_year,
-        covariate_names=COVARIATES,
-    )
+    cohort = replicate_cohort(sc, 0, table)
     m2 = fit_all(cohort)["M2"].to_model_params()
     m3 = object.__new__(ModelParams)
     object.__setattr__(m3, "layout", ParamLayout.for_model("M3", COVARIATES))
@@ -714,7 +712,12 @@ def test_prepared_cohort_checks_its_columns_once():
         with pytest.raises(DataError, match=shape):  # a length-1 hp is not broadcast
             PreparedCohort(**{**cols, **bad})
     for name, value, message in (
+        ("time", 0.0, "follow-up time must be > 0, got 0.0"),
+        ("time", -1.0, "follow-up time must be > 0, got -1.0"),
+        ("time", np.nan, "follow-up time must be > 0, got nan"),
         ("status", 2, "status must be 0 or 1, got 2"),
+        ("X", np.nan, "covariates must be finite, got [nan nan]"),
+        ("X", np.inf, "covariates must be finite, got [inf inf]"),
         ("hp", -0.01, "hp must be finite and >= 0, got -0.01"),
         ("hp", np.nan, "hp must be finite and >= 0, got nan"),
         ("dhp", np.inf, "dhp must be finite and >= 0, got inf"),
@@ -722,12 +725,26 @@ def test_prepared_cohort_checks_its_columns_once():
     ):
         col = cols[name].copy()
         col[3] = value
-        with pytest.raises(DataError, match=f"^row 3: {message}$"):
+        with pytest.raises(DataError, match=f"^row 3: {re.escape(message)}$"):
             PreparedCohort(**{**cols, name: col})
     # the first bad row is named, and within it the first check it fails
     both = dict(cols, status=np.array([1, 0, 3, 1, 0]), hp=np.array([0.0, 0.0, -1.0, -1.0, 0.0]))
     with pytest.raises(DataError, match="^row 2: status must be 0 or 1, got 3$"):
         PreparedCohort(**both)
+
+
+@pytest.mark.parametrize("name, value", [("time", 0.0), ("time", -math.inf), ("X", math.nan)])
+def test_cohort_and_prepared_cohort_name_a_bad_row_alike(name, value):
+    cols = _prepared_columns()
+    cols[name] = cols[name].copy()
+    cols[name][2, ...] = value
+    with pytest.raises(DataError) as raw:
+        Cohort(cols["time"], cols["status"], np.full(5, 70.0), np.full(5, 2010.0), cols["X"],
+               [("0",)], np.zeros(5, dtype=int))
+    with pytest.raises(DataError) as prepared:
+        PreparedCohort(**cols)
+    assert str(raw.value) == str(prepared.value)
+    assert str(raw.value).startswith("row 2: ")
 
 
 def test_prepared_cohort_copies_the_callers_columns():

@@ -16,7 +16,9 @@ A default nothing overrides is a setting no caller varies.  Exports,
 members and defaults that are there for users rather than for other code
 are on the allow-lists below, each with its reason.  Every exception class
 of ``errors`` must be raised in ``src/exhaz`` or caught by name in an
-``except`` clause there or in ``perfbench/``.
+``except`` clause there or in ``perfbench/``.  Every name a module of
+``src/exhaz``, ``tools/`` or ``perfbench/`` imports must be used in that
+module or listed in its ``__all__``, so a deletion leaves no import behind.
 """
 
 import ast
@@ -31,6 +33,7 @@ from exhaz import errors
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "exhaz"
 PERFBENCH = ROOT / "perfbench"
+TOOLS = ROOT / "tools"
 
 ALLOWED = {
     "net_survival": "paper-reported quantity: net survival exp(-H_E)",
@@ -292,3 +295,45 @@ def test_every_error_class_is_raised_or_caught():
         if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
     ]
     assert classes and set(classes) - used == set(), set(classes) - used
+
+
+def _unused_imports(source: str) -> list[str]:
+    """``name (line N)`` of each name the module's imports bind that its code
+    never uses and its ``__all__`` does not list; ``__future__`` is exempt."""
+    tree = ast.parse(source)
+    bound, exported = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items()
+            if name not in used and name not in exported]
+
+
+def test_every_import_is_used():
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted([*SRC.glob("*.py"), *TOOLS.glob("*.py"), *PERFBENCH.glob("*.py")])
+        if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}, f"imported but never used: {unused}"
+
+
+def test_the_import_check_names_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from numpy import array as arr, zeros\n"
+        "__all__ = ['zeros']\n"
+        "print(math.pi)\n"
+    )
+    assert _unused_imports(source) == ["os (line 3)", "arr (line 4)"]

@@ -22,6 +22,7 @@ from exhaz.simulation import (
     calibrate_dropout_rate,
     design_life_table,
     generate_cohort,
+    replicate_cohort,
     run_study,
     write_study_reports,
 )
@@ -62,12 +63,7 @@ def test_uncensored_times_are_uniform_under_m3_marginal_survival(table, theta):
 )
 def test_cohort_reproducible_per_seed_and_index(table, index, events, time, dhp, hp):
     sc = replace(builtin_scenarios()["moderate"], n=500)
-    first, again = (
-        prepare_cohort(
-            generate_cohort(sc, index, table), table, sc.advance_year, COVARIATES
-        )
-        for _ in range(2)
-    )
+    first, again = (replicate_cohort(sc, index, table) for _ in range(2))
     for name in ("time", "status", "X", "hp", "dhp"):
         assert np.array_equal(getattr(first, name), getattr(again, name)), name
     assert first.n_events == events
@@ -94,6 +90,9 @@ def test_calibrated_dropout_censors_a_fresh_cohort_at_target(table):
     fresh = replace(sc, dropout_rate=rate, dropout_target=None)
     censored = np.mean(generate_cohort(fresh, 0, table).status == 0)
     assert censored == pytest.approx(0.30, abs=0.02)
+    # a target must be calibrated to a rate before a cohort is drawn
+    with pytest.raises(ValueError, match="calibrate it to a dropout_rate first"):
+        generate_cohort(sc, 0, table)
 
 
 def horizon_spy(monkeypatch, walk_to_the_end):
@@ -112,10 +111,11 @@ def horizon_spy(monkeypatch, walk_to_the_end):
 
 def draws(sc, table):
     """The drop-out rate calibrated to 30% as float.hex, and (time, status) of
-    replicate 0 as the preset draws it and with that rate."""
+    replicate 0 without drop-out and with that rate."""
     rate, _ = calibrate_dropout_rate(sc, 0.30, table, pilot_n=20_000)
     cohorts = (generate_cohort(run, 0, table)
-               for run in (sc, replace(sc, dropout_rate=rate, dropout_target=None)))
+               for run in (replace(sc, dropout_target=None),
+                           replace(sc, dropout_rate=rate, dropout_target=None)))
     return rate.hex(), [(c.time.tobytes(), c.status.tobytes()) for c in cohorts]
 
 
@@ -271,13 +271,13 @@ def test_hessian_pd_rate_averages_the_fits_with_a_verdict(table, monkeypatch):
     # matrix is made non-finite on replicate 0 (no verdict) and indefinite
     # on replicate 1, so its rate is 0 of 1, not 0 of 2; M2 has no verdict
     sc = replace(builtin_scenarios()["moderate"], n=300, n_replicates=2)
-    verdicts = iter([None, False])
+    smallest = iter([math.nan, -1.0])
 
     def fit_all_with_verdicts(cohort, cfg):
         fits = fit_all(cohort, cfg)
         return {**fits,
-                "M1": replace(fits["M1"], converged=True, hessian_pd=next(verdicts)),
-                "M2": replace(fits["M2"], converged=True, hessian_pd=None)}
+                "M1": replace(fits["M1"], converged=True, min_eig=next(smallest)),
+                "M2": replace(fits["M2"], converged=True, min_eig=math.nan)}
 
     monkeypatch.setattr(simulation, "fit_all", fit_all_with_verdicts)
     study = run_study(sc, table)
@@ -321,8 +321,7 @@ def test_m4_pools_the_fit_aic_chose(table):
     study = run_study(sc, table)
     fits, picks = [], []
     for i in range(sc.n_replicates):
-        cohort = prepare_cohort(generate_cohort(sc, i, table), table, sc.advance_year, COVARIATES)
-        fits.append(fit_all(cohort, sc.fit))
+        fits.append(fit_all(replicate_cohort(sc, i, table), sc.fit))
         try:
             picks.append(select_m4(fits[-1]))
         except NoEligibleFit:

@@ -11,11 +11,12 @@ to this directory.
 
 For each preset of ``builtin_scenarios`` at n=2000, with ``advance_year``
 true and false, and for replicates 0 and 3, it prints one line with the
-sha256 of the prepared cohort's ``time``, ``status``, ``dhp`` and ``hp``
-bytes.  A preset with a drop-out target first prints one line with its
-calibrated rate and the censoring the calibration reached, both as
-``float.hex``; its cohorts under both ``advance_year`` settings use that
-rate, calibrated with the preset's own setting.  Each preset's last line
+sha256 of the ``time``, ``status``, ``dhp`` and ``hp`` bytes of
+``replicate_cohort``'s cohort, the one the recovery study fits.  A preset
+with a drop-out target first prints one line with its calibrated rate and
+the censoring the calibration reached, both as ``float.hex``; its cohorts
+under both ``advance_year`` settings use that rate, calibrated with the
+preset's own setting.  Each preset's last line
 digests replicate 0 drawn with ``admin_censor_time=inf`` (and its own
 ``advance_year``), so the other-cause inversion walks every diagonal to
 the end rather than stopping at the censoring horizon.
@@ -31,13 +32,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from exhaz.likelihoods import prepare_cohort  # noqa: E402
 from exhaz.simulation import (  # noqa: E402
-    COVARIATES,
     builtin_scenarios,
     calibrate_dropout_rate,
     design_life_table,
-    generate_cohort,
+    replicate_cohort,
 )
 
 N = 2000
@@ -62,11 +61,8 @@ def digest_lines(table):
 
 
 def cohort_digest(sc, index, table):
-    """sha256 of the prepared cohort's ``time``, ``status``, ``dhp`` and ``hp`` bytes."""
-    cohort = prepare_cohort(
-        generate_cohort(sc, index, table), table, advance_year=sc.advance_year,
-        covariate_names=COVARIATES,
-    )
+    """sha256 of the replicate's ``time``, ``status``, ``dhp`` and ``hp`` bytes."""
+    cohort = replicate_cohort(sc, index, table)
     digest = hashlib.sha256()
     for column in (cohort.time, cohort.status, cohort.dhp, cohort.hp):
         digest.update(column.tobytes())
