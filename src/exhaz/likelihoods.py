@@ -323,9 +323,18 @@ class PreparedCohort:
     scan moves only b, and a trust-region trial's information pass follows
     its value at the same point, so such an evaluation reuses the block.
     The cached arrays are read-only and hold exactly the bits a fresh
-    computation gives, so the memo changes no result.  It is not
-    thread-safe: share a cohort between threads only through copies
-    (``dataclasses.replace`` gives a fresh, empty memo).
+    computation gives, so the memo changes no result.
+
+    ``loglik_grad_hess`` writes its per-patient derivatives into a
+    workspace the cohort keeps: one block of 5 n_gh n floats (n_gh = 3 +
+    2p, the GH slots), allocated on the cohort's first information pass.
+    Its rows of x'(b2 - b1)'s derivatives hold the covariates and are
+    written then; every pass overwrites every other row and returns nothing
+    that aliases the block, so it changes no result.  It spares each pass
+    mapping and faulting in five fresh blocks.  Neither the memo nor the
+    workspace is thread-safe: share a cohort between threads only through
+    copies (``dataclasses.replace`` gives a fresh, empty memo and
+    workspace).
     """
 
     time: np.ndarray
@@ -339,6 +348,7 @@ class PreparedCohort:
     _hp_events: np.ndarray = field(init=False, repr=False, compare=False)
     _hp_at_events: np.ndarray = field(init=False, repr=False, compare=False)
     _ew_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _workspace: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = {c: np.array(getattr(self, c), dtype=float) for c in ("time", "X", "hp", "dhp")}
@@ -740,15 +750,24 @@ def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
     add = np.add.reduce
     hess = np.empty((layout.k, layout.k))
 
-    xt = np.ascontiguousarray(X.T)  # rows of covariates, as the rows built below
+    work = cohort._workspace.get("hess")
+    if work is None:
+        work = cohort._workspace["hess"] = np.empty((5, n_gh, cohort.n))
+        # dr, the d/dy of x'(b2 - b1) in the GH slots, is (0, 0, 0, -x, x):
+        # the cohort's alone, so it is written once
+        dr = work[3]
+        dr[:3] = 0.0
+        np.multiply(X.T, -1.0, out=dr[slots1])
+        dr[slots2] = X.T
+    dl, ds, dg, dr, scratch = work
+    xt = dr[slots2]  # rows of covariates, as the rows built below
 
-    def in_slots(d):
-        """(n_gh, n) per-patient derivatives in the GH slots from the five d/dy."""
-        e = np.empty((n_gh, cohort.n))
+    def in_slots(e, d):
+        """Write the (n_gh, n) per-patient derivatives in the GH slots from the
+        five d/dy into e."""
         e[0], e[1], e[2] = d[:3]
         np.multiply(xt, d[3], out=e[slots1])
         np.multiply(xt, d[4], out=e[slots2])
-        return e
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ll, grad, aux, (u, h0v, e1, ha, a_a, s_c, dhp2_g) = _first_order(params, cohort)
@@ -762,14 +781,11 @@ def loglik_grad_hess(params: ModelParams, cohort: PreparedCohort):
         h_aa = ha * (logm + ha)  # d2 H0/dalpha2
         a_aa = h_aa - 1.0 / alpha**2
 
-        # d/dy of L, s, H0 and x'(b2 - b1), per patient, in the GH slots
+        # d/dy of L, s and H0, per patient, in the GH slots
         k_t = -kappa / theta
-        dl = in_slots((a_s * lw + 1.0 / kappa, k_t * a_s, a_a, kappa * a_s - 1.0, 1.0))
-        ds = in_slots((lw, k_t, 0.0, kappa, 0.0))
-        dg = in_slots((hs * lw, k_t * hs, ha, kappa * hs, 0.0))
-        dr = in_slots((0.0, 0.0, 0.0, -1.0, 1.0))
-
-        scratch = np.empty_like(dl)
+        in_slots(dl, (a_s * lw + 1.0 / kappa, k_t * a_s, a_a, kappa * a_s - 1.0, 1.0))
+        in_slots(ds, (lw, k_t, 0.0, kappa, 0.0))
+        in_slots(dg, (hs * lw, k_t * hs, ha, kappa * hs, 0.0))
 
         def gram(e, weight, f):
             """Sum over the patients of weight e f', through one scratch array."""

@@ -73,6 +73,7 @@ DIAGNOSIS_YEAR = 2010.0
 AGE_CENTER = 70.0
 _SEX_STRATA = (("0",), ("1",))  # life-table strata of the sex codes 0 and 1
 _CALIBRATION_TOL = 0.005  # drop-out calibration: |censoring - target| that ends the search
+_INVERSION_BLOCK = 8192  # rows per call of each inversion in _event_times
 log = logging.getLogger("exhaz")
 
 
@@ -206,7 +207,13 @@ def _event_times(sc: ScenarioConfig, table: LifeTable, n: int, rng):
 
     Returns (ages, sex, X, t_event); sex is each patient's code over
     ``_SEX_STRATA``.  Draw order is fixed (covariates, frailty, other-cause
-    uniform, excess uniform) so streams are reproducible.
+    uniform, excess uniform) and every draw is taken before any inversion,
+    so streams are reproducible.
+
+    Both inversions then run over blocks of ``_INVERSION_BLOCK`` rows, so
+    their working memory stays bounded for a large pilot; every study
+    cohort (n <= 5000) is one block.  Each row's time is a function of that
+    row alone, so it has the bits of one whole-batch call.
 
     The other-cause inversion stops at ``sc.admin_censor_time`` (inf walks
     each diagonal to the end): an other-cause time past it is inf.  Every
@@ -217,12 +224,17 @@ def _event_times(sc: ScenarioConfig, table: LifeTable, n: int, rng):
     gamma = _draw_frailty(sc, rng, n)
     u_pop = rng.uniform(size=n)
     u_exc = rng.uniform(size=n)
-    t_exc = np.asarray(inverse_excess_survival(u_exc, X, sc.gh))
-    t_pop = table.other_cause_time_inverse(
-        ages, DIAGNOSIS_YEAR, table.codes(_SEX_STRATA)[sex], u_pop, frailty=gamma,
-        advance_year=sc.advance_year, horizon=sc.admin_censor_time,
-    )
-    return ages, sex, X, np.minimum(t_pop, t_exc)
+    codes = table.codes(_SEX_STRATA)[sex]
+    t_event = np.empty(n)
+    for start in range(0, n, _INVERSION_BLOCK):
+        rows = slice(start, start + _INVERSION_BLOCK)
+        t_exc = np.asarray(inverse_excess_survival(u_exc[rows], X[rows], sc.gh))
+        t_pop = table.other_cause_time_inverse(
+            ages[rows], DIAGNOSIS_YEAR, codes[rows], u_pop[rows], frailty=gamma[rows],
+            advance_year=sc.advance_year, horizon=sc.admin_censor_time,
+        )
+        np.minimum(t_pop, t_exc, out=t_event[rows])
+    return ages, sex, X, t_event
 
 
 def generate_cohort(sc: ScenarioConfig, replicate_index: int, table: LifeTable) -> Cohort:
@@ -277,15 +289,20 @@ def calibrate_dropout_rate(
     """Bisection on the drop-out rate until a pilot cohort censors at target.
 
     The search stops within ``_CALIBRATION_TOL`` (0.005) of the target.
-    Returns (rate, achieved proportion); a target outside (0, 1) raises
-    ValueError.  The pilot event times and unit-exponential drop-out draws
-    are fixed once, so the censoring proportion is a deterministic monotone
-    function of the rate and the search is reproducible.  The pilot's
-    other-cause times stop at ``sc.admin_censor_time`` as a cohort's do
-    (``_event_times``); a time past it is censored at any rate, so the
-    proportions and the rate are those of the full inversion.
+    Returns (rate, achieved proportion); a target outside (0, 1) or a
+    ``pilot_n`` that is not an integer >= 1 raises ValueError, and a search
+    that ends outside the tolerance (a pilot too small to resolve it)
+    raises TargetUnreachable.  The pilot event times and unit-exponential
+    drop-out draws are fixed once, so the censoring proportion is a
+    deterministic monotone function of the rate and the search is
+    reproducible.  The pilot's other-cause times stop at
+    ``sc.admin_censor_time`` as a cohort's do (``_event_times``); a time
+    past it is censored at any rate, so the proportions and the rate are
+    those of the full inversion.
     """
     _check_censoring_target(target_censoring)
+    if not (isinstance(pilot_n, numbers.Integral) and pilot_n >= 1):
+        raise ValueError(f"pilot_n must be an integer >= 1, got {pilot_n!r}")
     t_event, e_drop = _pilot_times(sc, table, pilot_n)
     t_c = sc.admin_censor_time
 
@@ -313,7 +330,10 @@ def calibrate_dropout_rate(
             lo = mid
         else:
             hi = mid
-    return mid, c
+    raise TargetUnreachable(
+        f"the search over a pilot of {pilot_n} patients ended at {c:.3f} censoring, "
+        f"not within {_CALIBRATION_TOL} of target {target_censoring:.3f}"
+    )
 
 
 # ---------------------------------------------------------------------------

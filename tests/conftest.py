@@ -2,6 +2,7 @@
 closed-form oracles that share no code with the package."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,18 @@ from scipy import stats
 from exhaz.gh_model import inverse_excess_survival
 from exhaz.likelihoods import MODELS, ParamLayout, PreparedCohort
 from exhaz.simulation import DESIGN1_GH
+
+
+def traced_peak(call):
+    """Bytes by which the tracemalloc peak while ``call()`` runs exceeds the
+    memory traced at its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def gh_params(baseline, beta1=(), beta2=()):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from conftest import gamma_pdf, gh_closed_form, gh_params, model_params, sim_cohort
+from conftest import gamma_pdf, gh_closed_form, gh_params, model_params, sim_cohort, traced_peak
 from exhaz.distributions import GammaFrailtyParams
 from exhaz.errors import DataError, NonFiniteLikelihood
 from exhaz.estimation import fit_all
@@ -663,6 +663,58 @@ def test_loglik_and_grad_with_hessian_is_loglik_grad_hess():
     ll, grad, hess = loglik_and_grad(params, cohort, hessian=True)
     ll2, grad2, hess2 = loglik_grad_hess(params, cohort)
     assert ll == ll2 and np.array_equal(grad, grad2) and np.array_equal(hess, hess2)
+
+
+def _pass_bits(params, cohort, hessian):
+    """One ``loglik_and_grad`` pass as bytes: ll's float.hex, then each array's."""
+    ll, *arrays = loglik_and_grad(params, cohort, hessian)
+    return [ll.hex()] + [a.tobytes() for a in arrays]
+
+
+def test_information_passes_reuse_the_cohort_workspace_bit_for_bit():
+    # loglik_grad_hess writes into a workspace the cohort keeps; interleaved
+    # with gradient passes, over the three models, a tail point whose Hessian
+    # overflows and an interior point after it, every pass has the bits of
+    # the same pass on a fresh cohort
+    cohort = fake_cohort(300, seed=47)
+    tail = gh_params((1.0, 1e-80, 2.5), GH.beta1, GH.beta2)  # w ~ 1e80
+    other = gh_params((1.3, 0.9, 0.7), GH.beta1 + 0.05, GH.beta2 - 0.1)
+    for gh in (GH, tail, other):
+        for corr in ((), (1.4,), (2.0, 0.3)):
+            params = model_params(gh, *corr)
+            for hessian in (True, False, True):
+                assert _pass_bits(params, cohort, hessian) == _pass_bits(
+                    params, replace(cohort), hessian
+                )
+            hess = loglik_grad_hess(params, cohort)[2]
+            assert np.isfinite(hess).all() == (gh is not tail)
+    assert replace(cohort)._workspace == {}
+
+
+def test_writing_into_a_returned_pass_leaves_the_next_one_alone():
+    cohort = fake_cohort(200, seed=53)
+    params = model_params(GH, 2.0, 0.3)
+    want = _pass_bits(params, cohort, True)
+    _, grad, hess = loglik_grad_hess(params, cohort)
+    grad[:] = np.nan
+    hess[:] = np.nan
+    assert _pass_bits(params, cohort, True) == want
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_second_information_pass_allocates_no_block(model):
+    # with p = 20 covariates one (3 + 2p) x n block of the GH slots outweighs
+    # every per-patient vector an information pass allocates, so a pass that
+    # allocated any such block would trace a peak above it
+    n, p = 2000, 20
+    rng = np.random.default_rng(59)
+    base = fake_cohort(n, seed=59)
+    cohort = PreparedCohort(base.time, base.status, rng.normal(size=(n, p)), base.hp, base.dhp)
+    beta = rng.normal(0.0, 0.05, p)
+    params = model_params(gh_params(BASE, beta, beta), *(1.4, 0.3)[: MODELS.index(model)])
+    loglik_grad_hess(params, cohort)
+    block = (3 + 2 * p) * n * 8
+    assert traced_peak(lambda: loglik_grad_hess(params, cohort)) < block
 
 
 def test_fd_gradient_richardson_self_consistency():

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import model_params
+from conftest import model_params, traced_peak
 from exhaz import simulation
 from exhaz.errors import NoEligibleFit, NonFiniteLikelihood, TargetUnreachable
 from exhaz.estimation import fit_all, select_m4
+from exhaz.gh_model import inverse_excess_survival
 from exhaz.lifetable import LifeTable
 from exhaz.likelihoods import marginal_survival_m3, prepare_cohort
 from exhaz.simulation import (
     COVARIATES,
+    DIAGNOSIS_YEAR,
     STUDY_MODELS,
     builtin_scenarios,
     calibrate_dropout_rate,
@@ -128,7 +130,45 @@ def test_the_horizon_leaves_cohorts_and_calibrated_rates_bit_identical(
     with_horizon = draws(sc, table)
     horizons = horizon_spy(monkeypatch, walk_to_the_end=True)
     assert draws(sc, table) == with_horizon
-    assert horizons == [5.0] * 3  # the pilot and both cohorts stop at admin_censor_time
+    # each block of the pilot and both cohorts stop at admin_censor_time
+    pilot_blocks = math.ceil(20_000 / simulation._INVERSION_BLOCK)
+    assert horizons == [5.0] * (pilot_blocks + 2)
+
+
+@pytest.mark.parametrize("advance_year", [True, False])
+@pytest.mark.parametrize("preset", ["wide-dropout", "lognormal"])
+def test_event_times_in_blocks_are_one_whole_batch_call_bit_for_bit(
+    table, monkeypatch, preset, advance_year
+):
+    sc = replace(builtin_scenarios()[preset], advance_year=advance_year)
+    n = 1000
+    monkeypatch.setattr(simulation, "_INVERSION_BLOCK", 128)  # 7 blocks and a part
+    rng = np.random.default_rng(61)
+    ages, sex, X, t_event = simulation._event_times(sc, table, n, rng)
+    # the draws in their order, then each inversion over the whole batch
+    whole = np.random.default_rng(61)
+    ages_w, sex_w, _, X_w = simulation.generate_covariates(n, whole)
+    frailty = simulation._draw_frailty(sc, whole, n)
+    u_pop, u_exc = whole.uniform(size=n), whole.uniform(size=n)
+    t_exc = inverse_excess_survival(u_exc, X_w, sc.gh)
+    t_pop = table.other_cause_time_inverse(
+        ages_w, DIAGNOSIS_YEAR, table.codes(simulation._SEX_STRATA)[sex_w], u_pop,
+        frailty=frailty, advance_year=advance_year, horizon=sc.admin_censor_time,
+    )
+    assert t_event.tobytes() == np.minimum(t_pop, t_exc).tobytes()
+    assert ages.tobytes() == ages_w.tobytes() and X.tobytes() == X_w.tobytes()
+    assert np.array_equal(sex, sex_w)
+    assert rng.uniform() == whole.uniform()  # the stream goes on from the same state
+
+
+def test_calibration_memory_is_bounded_by_its_pilot_columns(table):
+    # the pilot keeps about a dozen columns of pilot_n floats (covariates,
+    # draws and times), 0.8 MB each at 1e5; the inversions, walked in blocks,
+    # add a bounded amount.  One whole-batch walk traced 25.6 MB.
+    sc = builtin_scenarios()["wide-dropout"]
+    column = 100_000 * 8
+    peak = traced_peak(lambda: calibrate_dropout_rate(sc, 0.30, table, pilot_n=100_000))
+    assert peak < 20 * column
 
 
 def test_event_times_walk_to_the_end_without_administrative_censoring(table, monkeypatch):
@@ -183,6 +223,18 @@ def test_calibration_rejects_target_outside_unit_interval(table, target):
 def test_calibration_reports_an_unreachable_target(table, target, message):
     with pytest.raises(TargetUnreachable, match=message):
         calibrate_dropout_rate(builtin_scenarios()["none"], target, table, pilot_n=2000)
+
+
+@pytest.mark.parametrize("pilot_n", [0, -5, 2.5, 1e5, math.nan, None])
+def test_calibration_rejects_a_pilot_that_is_not_a_positive_integer(table, pilot_n):
+    with pytest.raises(ValueError, match="pilot_n must be an integer >= 1"):
+        calibrate_dropout_rate(builtin_scenarios()["wide-dropout"], 0.30, table, pilot_n=pilot_n)
+
+
+def test_calibration_reports_a_pilot_too_small_to_reach_the_target(table):
+    # one patient censors 0 or 1: no rate comes within 0.005 of 0.3
+    with pytest.raises(TargetUnreachable, match=r"pilot of 1 patients ended at [01]\.000 censoring"):
+        calibrate_dropout_rate(builtin_scenarios()["wide-dropout"], 0.30, table, pilot_n=1)
 
 
 def test_pickled_parameters_and_tables_stay_read_only(table):
