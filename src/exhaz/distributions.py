@@ -24,10 +24,16 @@ all of its array work, and so do the public functions that call them.
 They compute throwaway values on entries they then overwrite, and return
 infinities and NaNs that their callers check.
 
-Frailty laws are a Gamma in mean/scale parameterization (mean mu,
-variance mu*b, and a sampler; its Laplace transform is M3's population
-term, ``likelihoods.marginal_survival_m3``) and a lognormal used for
-misspecification experiments.
+A frailty law is the patient factor the life table misses: each patient's
+h_P is multiplied by a draw from it.  The two laws, a Gamma in mean/scale
+parameterization (mean mu, variance mu*b; its Laplace transform is M3's
+population term, ``likelihoods.marginal_survival_m3``) and a lognormal
+used for misspecification experiments, share one interface: ``draw(rng,
+n)`` makes the one generator call that draws n multipliers, and
+``population`` is the (c, b) of the population term c*h_P/(1 + b*dH_P)
+that the law implies, the truth the fits' ``ModelParams.population`` is
+scored against.  A new mismatch mechanism is one more type with these two
+members.
 """
 
 from __future__ import annotations
@@ -43,8 +49,6 @@ __all__ = [
     "GammaFrailtyParams",
     "LogNormalFrailtyParams",
     "ew_quantile",
-    "sample_gamma_frailty",
-    "sample_lognormal_frailty",
 ]
 
 _LN2 = math.log(2.0)
@@ -80,8 +84,13 @@ class GammaFrailtyParams:
         _check_natural(np.array([self.mu, self.b]), np.array([True, True]))
 
     @property
-    def shape(self) -> float:
-        return self.mu / self.b
+    def population(self) -> tuple[float, float]:
+        """(c, b) = (mu, b): M3's population term is this law's Laplace transform."""
+        return self.mu, self.b
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws via the (shape=mu/b, scale=b) reparameterization."""
+        return rng.gamma(shape=self.mu / self.b, scale=self.b, size=n)
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,16 @@ class LogNormalFrailtyParams:
 
     def __post_init__(self):
         _check_natural(np.array([self.m, self.s]), np.array([False, True]))
+
+    @property
+    def population(self) -> tuple[float, float]:
+        """The moment-matched (c, b): the mean e^{m+s^2/2} and var/mean."""
+        mean = math.exp(self.m + 0.5 * self.s**2)
+        var = (math.exp(self.s**2) - 1.0) * mean**2
+        return mean, var / mean
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.lognormal(mean=self.m, sigma=self.s, size=n)
 
 
 def _by_majority(x, small, f_small, f_large):
@@ -188,11 +207,3 @@ def ew_quantile(u, kappa, theta, alpha):
         w = -log1mexp(-lu)
     return theta * np.power(w, 1.0 / kappa)
 
-
-def sample_gamma_frailty(g: GammaFrailtyParams, rng: np.random.Generator, size=None):
-    """Draws from Ga(mu, b) via the (shape=mu/b, scale=b) reparameterization."""
-    return rng.gamma(shape=g.shape, scale=g.b, size=size)
-
-
-def sample_lognormal_frailty(l: LogNormalFrailtyParams, rng: np.random.Generator, size=None):
-    return rng.lognormal(mean=l.m, sigma=l.s, size=size)

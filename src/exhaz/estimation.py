@@ -55,9 +55,10 @@ joint estimate.
 
 Tolerances, step sizes and budgets are module constants (``_GRAD_TOL``,
 ``_MAX_EVALS``, ``_HESSIAN_STEP``, ``_CURVATURE_TOL``, ``_TR_*``,
-``_CDA_*``, ``_LOG_B_GRID``), properties of the method rather than of a
-study.  ``FitConfig`` keeps only the random starts (``multi_starts``,
-``seed``), whose best-of-N fit tells whether one start found the MLE.
+``_CDA_*``, ``_LOG_B_GRID``, ``_START_SEED``), properties of the method
+rather than of a study.  ``FitConfig`` keeps only the number of random
+starts (``multi_starts``), whose best-of-N fit tells whether one start
+found the MLE.
 
 M1's likelihood omits the population-survival constant, so its AIC is
 computed on the comparable scale (constant restored); cross-model AICs are
@@ -142,20 +143,20 @@ _CDA_MAXITER = 50  # per coordinate
 # log b of the points M3's start is scanned over: the box floor, where M3
 # is M2, up to b = e^6
 _LOG_B_GRID = tuple(float(v) for v in range(-20, 7))
+_START_SEED = 0  # seed of the random starts' perturbations
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Random starts: how many, and the seed of their perturbations.
+    """The number of random starts, the only fit setting.
 
-    The only fit settings: the best certified end from the model's start
-    and ``multi_starts`` random ones is the reference that tells whether the
-    single start found the MLE.  Everything else the optimizer uses is a
-    module constant (see the module docstring).
+    The best certified end from the model's start and ``multi_starts``
+    random ones is the reference that tells whether the single start found
+    the MLE.  Everything else the optimizer uses is a module constant (see
+    the module docstring).
     """
 
     multi_starts: int = 0  # random starts besides the model's own; best-of-N is the reference
-    seed: int = 0
 
 
 def transform_params(natural: np.ndarray, positive: np.ndarray) -> np.ndarray:
@@ -713,7 +714,7 @@ def fit(
         raise ValueError(f"init has length {len(base)}, expected {k}")
     base = base * slot_scale[:k]  # beta_j -> beta_j * s_j matches x_j / s_j
     t0 = transform_params(base, layout.positive[:k])
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_START_SEED)
     starts = [("the model's start", t0)] + [(f"random start {i}", t0 + rng.normal(0.0, 0.3, k))
                                             for i in range(1, cfg.multi_starts + 1)]
 

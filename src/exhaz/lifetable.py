@@ -9,9 +9,11 @@ rate x duration over the sub-segments delimited by integer age/year
 boundaries.
 
 Every table, read from a CSV, made from a rate function or built from a
-grid, passes one check, in the ``LifeTable`` constructor: a non-empty 3-D
-grid, every rate finite and >= 0, and one distinct strata tuple per
-stratum.  A failure raises DataError naming the first bad cell.
+grid, passes one check, in the ``LifeTable`` constructor: integer
+``age_min`` and ``year_min`` (the cell edges the walk steps over), a
+non-empty 3-D grid, every rate finite and >= 0, and one distinct strata
+tuple per stratum.  A failure raises DataError naming the bad bound or
+the first bad cell.
 
 One walk along that diagonal (``LifeTable._walk``) serves both the
 increment dH_P and its inverse, the other-cause time.  It moves the
@@ -31,6 +33,7 @@ the same query on that row alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -76,6 +79,9 @@ class LifeTable:
     _code: dict[tuple[str, ...], int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("age_min", "year_min"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise DataError(f"{name} must be an integer, got {getattr(self, name)!r}")
         rates = np.array(self.rates, dtype=float)
         strata = tuple(_norm_strata(z) for z in self.strata)
         if rates.ndim != 3 or rates.size == 0:

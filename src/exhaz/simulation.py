@@ -38,16 +38,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import (
-    GammaFrailtyParams,
-    LogNormalFrailtyParams,
-    sample_gamma_frailty,
-    sample_lognormal_frailty,
-)
+from .distributions import GammaFrailtyParams, LogNormalFrailtyParams
 from .errors import ExhazError, NoEligibleFit, TargetUnreachable
 from .estimation import MODELS, FitConfig, confidence_intervals, fit_all, select_m4
 from .gh_model import inverse_excess_survival
-from .lifetable import LifeTable, load_life_table
+from .lifetable import LifeTable
 from .likelihoods import Cohort, ModelParams, ParamLayout, PreparedCohort, prepare_cohort
 
 __all__ = [
@@ -107,6 +102,11 @@ class ScenarioConfig:
     """One simulation scenario: truth, frailty law, censoring, and seeds.
 
     ``gh`` is the excess-hazard truth, M1 params over ``COVARIATES``.
+    ``frailty`` is the mismatch law, None or a ``GammaFrailtyParams`` or
+    ``LogNormalFrailtyParams``: each patient's h_P is multiplied by one of
+    its draws (``frailty.draw``), and its ``population`` (c, b) is the truth
+    of M2's gamma, M3's (mu, b) and M4's c; no law means (1, 0).  A field of
+    the wrong kind raises ValueError naming it.
     """
 
     name: str
@@ -118,7 +118,6 @@ class ScenarioConfig:
     dropout_rate: float | None = None
     dropout_target: float | None = None  # calibrated to a rate when set; excludes dropout_rate
     advance_year: bool = True
-    life_table_path: str | None = None  # None: bundled synthetic table
     seed: int = 0
     fit: FitConfig = field(default_factory=FitConfig)
 
@@ -137,47 +136,31 @@ class ScenarioConfig:
             _check_censoring_target(self.dropout_target)
             if self.dropout_rate is not None:
                 raise ValueError("dropout_rate and dropout_target are both set: set one of them")
-
-    def frailty_mean(self) -> float:
-        if self.frailty is None:
-            return 1.0
-        if isinstance(self.frailty, GammaFrailtyParams):
-            return self.frailty.mu
-        return math.exp(self.frailty.m + 0.5 * self.frailty.s**2)
-
-    def frailty_scale_truth(self) -> float:
-        """Truth for b: the Gamma scale, or a moment-matched value (var/mean)."""
-        if self.frailty is None:
-            return 0.0
-        if isinstance(self.frailty, GammaFrailtyParams):
-            return self.frailty.b
-        mean = self.frailty_mean()
-        var = (math.exp(self.frailty.s**2) - 1.0) * mean**2
-        return var / mean
-
-    def resolve_table(self) -> LifeTable:
-        if self.life_table_path is None:
-            return design_life_table()
-        return load_life_table(self.life_table_path)
+        if self.frailty is not None and not isinstance(
+            self.frailty, (GammaFrailtyParams, LogNormalFrailtyParams)
+        ):
+            raise ValueError(f"frailty must be None or a frailty law, got {self.frailty!r}")
+        if not (isinstance(self.gh, ModelParams) and self.gh.layout == DESIGN1_GH.layout):
+            raise ValueError(f"gh must be M1 params over {COVARIATES}, got {self.gh!r}")
 
     def truth_for(self, model: str) -> dict[str, float]:
         """True value of each parameter of ``model``, by name (M4: the GH
         parameters and c)."""
         vals = dict(zip(self.gh.layout.names, self.gh.values.tolist()))
+        c, b = (1.0, 0.0) if self.frailty is None else self.frailty.population
         if model == "M2":
-            vals["gamma"] = self.frailty_mean()
+            vals["gamma"] = c
         elif model == "M3":
-            vals["mu"] = self.frailty_mean()
-            vals["b"] = self.frailty_scale_truth()
+            vals["mu"], vals["b"] = c, b
         elif model == "M4":
-            vals["c"] = self.frailty_mean()
+            vals["c"] = c
         return vals
 
 
 def generate_covariates(n, rng):
     """Design-I covariates.
 
-    Returns (ages, sex, w, X) with X = [age - AGE_CENTER, sex, w].
+    Returns (ages, sex, X) with X = [age - AGE_CENTER, sex, w].
     Draw order is fixed (band selector, within-band uniform, sex, w) so
     streams are reproducible.
     """
@@ -191,15 +174,7 @@ def generate_covariates(n, rng):
     sex = rng.integers(0, 2, size=n)
     w = rng.integers(0, 2, size=n)
     X = np.column_stack([ages - AGE_CENTER, sex, w]).astype(float)
-    return ages, sex, w, X
-
-
-def _draw_frailty(sc: ScenarioConfig, rng, n):
-    if sc.frailty is None:
-        return np.ones(n)
-    if isinstance(sc.frailty, GammaFrailtyParams):
-        return sample_gamma_frailty(sc.frailty, rng, size=n)
-    return sample_lognormal_frailty(sc.frailty, rng, size=n)
+    return ages, sex, X
 
 
 def _event_times(sc: ScenarioConfig, table: LifeTable, n: int, rng):
@@ -220,8 +195,8 @@ def _event_times(sc: ScenarioConfig, table: LifeTable, n: int, rng):
     censoring time is at most that horizon, so min(t_event, t_cens) and
     t_event <= t_cens are the bits the full inversion gives.
     """
-    ages, sex, _, X = generate_covariates(n, rng)
-    gamma = _draw_frailty(sc, rng, n)
+    ages, sex, X = generate_covariates(n, rng)
+    gamma = np.ones(n) if sc.frailty is None else sc.frailty.draw(rng, n)
     u_pop = rng.uniform(size=n)
     u_exc = rng.uniform(size=n)
     codes = table.codes(_SEX_STRATA)[sex]
@@ -307,7 +282,7 @@ def calibrate_dropout_rate(
     t_c = sc.admin_censor_time
 
     def censoring(rate: float) -> float:
-        t_cens = np.minimum(e_drop / rate, t_c) if rate > 0 else np.full_like(e_drop, t_c)
+        t_cens = np.minimum(e_drop / rate, t_c)
         return float(np.mean(t_event > t_cens))
 
     admin_only = float(np.mean(t_event > t_c))
@@ -445,7 +420,7 @@ def run_study(sc: ScenarioConfig, table: LifeTable | None = None, jobs: int = 1)
     """
     t_start = time.monotonic()
     if table is None:
-        table = sc.resolve_table()
+        table = design_life_table()
     dropout_rate, pilot_cens = sc.dropout_rate, None
     if sc.dropout_target is not None:
         dropout_rate, pilot_cens = calibrate_dropout_rate(sc, sc.dropout_target, table)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
 from conftest import ew_closed_form, gamma_pdf
@@ -14,8 +15,6 @@ from exhaz.distributions import (
     ew_log_terms,
     ew_quantile,
     log1mexp,
-    sample_gamma_frailty,
-    sample_lognormal_frailty,
 )
 from exhaz.errors import NonPositive
 from exhaz.simulation import DESIGN1_GH
@@ -271,12 +270,12 @@ def test_moderate_mismatch_concentrates_near_mean():
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# draws and the population term a law implies
 # ---------------------------------------------------------------------------
 
 def test_gamma_sampler_moments_wide():
     rng = np.random.default_rng(42)
-    draws = sample_gamma_frailty(GammaFrailtyParams(6.5, 10.0), rng, size=100_000)
+    draws = GammaFrailtyParams(6.5, 10.0).draw(rng, 100_000)
     assert np.all(draws > 0)
     assert draws.mean() == pytest.approx(6.5, abs=0.2)
     assert draws.var() == pytest.approx(65.0, abs=5.0)
@@ -284,11 +283,44 @@ def test_gamma_sampler_moments_wide():
 
 def test_gamma_sampler_moments_severe():
     rng = np.random.default_rng(43)
-    draws = sample_gamma_frailty(GammaFrailtyParams(1.875, 0.075), rng, size=100_000)
+    draws = GammaFrailtyParams(1.875, 0.075).draw(rng, 100_000)
     assert draws.mean() == pytest.approx(1.875, abs=0.01)
 
 
 def test_lognormal_degenerate_limit():
     rng = np.random.default_rng(44)
-    draws = sample_lognormal_frailty(LogNormalFrailtyParams(0.0, 1e-6), rng, size=1000)
+    draws = LogNormalFrailtyParams(0.0, 1e-6).draw(rng, 1000)
     assert np.allclose(draws, 1.0, atol=1e-4)
+
+
+@pytest.mark.parametrize(
+    "law, call",
+    [
+        (GammaFrailtyParams(1.875, 0.075),
+         lambda rng, n: rng.gamma(shape=1.875 / 0.075, scale=0.075, size=n)),
+        (GammaFrailtyParams(6.5, 10.0), lambda rng, n: rng.gamma(shape=0.65, scale=10.0, size=n)),
+        (LogNormalFrailtyParams(1.55, 0.8),
+         lambda rng, n: rng.lognormal(mean=1.55, sigma=0.8, size=n)),
+    ],
+    ids=["gamma-severe", "gamma-wide", "lognormal"],
+)
+def test_draw_is_the_one_generator_call_bit_for_bit(law, call):
+    rng, twin = np.random.default_rng(45), np.random.default_rng(45)
+    assert law.draw(rng, 1000).tobytes() == call(twin, 1000).tobytes()
+    assert rng.uniform() == twin.uniform()  # the stream goes on from the same state
+
+
+@pytest.mark.parametrize("mu, b", [(1.2, 0.02), (1.875, 0.075), (6.5, 10.0)])
+def test_gamma_population_is_its_mean_and_variance_over_mean(mu, b):
+    law = stats.gamma(a=mu / b, scale=b)
+    c, scale = GammaFrailtyParams(mu, b).population
+    assert c == pytest.approx(law.mean(), rel=1e-12)
+    assert scale == pytest.approx(law.var() / law.mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("m, s", [(1.55, 0.8), (0.0, 0.3), (-1.0, 1.5)])
+def test_lognormal_population_is_moment_matched(m, s):
+    law = stats.lognorm(s, scale=math.exp(m))
+    c, b = LogNormalFrailtyParams(m, s).population
+    assert c == pytest.approx(law.mean(), rel=1e-12)
+    assert b == pytest.approx(law.var() / law.mean(), rel=1e-12)

@@ -139,6 +139,24 @@ def test_constructor_rejects_a_bad_rate_naming_its_cell(bad):
 
 
 @pytest.mark.parametrize(
+    "age_min, year_min, message",
+    [
+        (0.5, 2000, "age_min must be an integer, got 0.5"),
+        (70.0, 2012, "age_min must be an integer, got 70.0"),
+        (70, 2000.5, "year_min must be an integer, got 2000.5"),
+        (70, "2012", "year_min must be an integer, got '2012'"),
+    ],
+)
+def test_constructor_rejects_a_bound_that_is_not_an_integer(age_min, year_min, message):
+    # the cells are indexed by age - age_min while the walk steps at integer
+    # ages: a fractional bound would read a cell one off
+    with pytest.raises(DataError, match=re.escape(message)):
+        LifeTable(("sex",), age_min, year_min, grid(), SEX)
+    # numpy integers are integers
+    assert LifeTable(("sex",), np.int64(70), np.int32(2012), grid(), SEX).age_max == 71
+
+
+@pytest.mark.parametrize(
     "rates, strata, message",
     [
         (grid(), (("0",),), "strata (('0',),) are not 2 distinct tuples"),

@@ -12,8 +12,13 @@ exempt.  And every parameter with a default, in every top-level function
 and method of ``src/exhaz``, must be set by some call in those files
 outside the function's own body, by keyword or by position; a call counts
 when it names a function (or, for ``__init__``, the class) of that name.
-A default nothing overrides is a setting no caller varies.  Exports,
-members and defaults that are there for users rather than for other code
+A default nothing overrides is a setting no caller varies.  So is a
+dataclass field with a default (or a ``default_factory``) that its
+constructor takes: it must be set, outside its own class, by a call of its
+class or of ``dataclasses.replace`` that names it by keyword, or by a call
+of its class that passes it by position, in ``src/exhaz``, ``perfbench/``
+or ``tools/``.  Exports,
+members, defaults and fields that are there for users rather than for other code
 are on the allow-lists below, each with its reason.  Every exception class
 of ``errors`` must be raised in ``src/exhaz`` or caught by name in an
 ``except`` clause there or in ``perfbench/``.  Every name a module of
@@ -41,6 +46,7 @@ ALLOWED = {
     "excess_cum_hazard": "paper-reported quantity: the cumulative excess hazard H_E",
     "marginal_survival_m3": "paper-reported quantity: M3 marginal overall survival",
     "load_cohort": "user entry point: reads a cohort CSV",
+    "load_life_table": "user entry point: reads a life-table CSV to pass to run_study",
     "run_study": "user entry point: runs a recovery study",
     "write_study_reports": "user entry point: writes a study's report files",
 }
@@ -52,6 +58,12 @@ DEFAULTS_ALLOWED = {
     "run_study.table": "callers running several studies load their life table once",
     "run_study.jobs": "worker processes: a deployment setting, results do not depend on it",
     "load_cohort.transforms": "user input: centring and scaling of the covariate columns",
+}
+
+FIELDS_ALLOWED = {
+    "ScenarioConfig.seed": "the benchmark reads it as the base of each replicate's stream",
+    "ScenarioConfig.gh": "the truth a study is scored against; a user studying another "
+                         "excess hazard sets it",
 }
 
 MEMBERS_ALLOWED = {
@@ -267,6 +279,84 @@ def test_default_allow_list_names_real_defaults():
         for param, _ in _defaults(fn, is_method)
     }
     assert set(DEFAULTS_ALLOWED) <= defaults, set(DEFAULTS_ALLOWED) - defaults
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class node, field, index among the constructor's positional
+    arguments, whether it has a default) of each field a top-level
+    dataclass's constructor takes; ``field(init=False)`` ones are skipped."""
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        )):
+            continue
+        index = 0
+        for item in node.body:
+            if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+                continue
+            value, has_default = item.value, item.value is not None
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+                options = {k.arg: k.value for k in value.keywords}
+                init = options.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    continue
+                has_default = "default" in options or "default_factory" in options
+            yield node, item.target.id, index, has_default
+            index += 1
+
+
+def _unset_fields():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py"), *TOOLS.glob("*.py")]
+    }
+    calls = {path: list(_calls(tree)) for path, tree in trees.items()}
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls, name, j, has_default in _dataclass_fields(trees[path]):
+            if not has_default:
+                continue
+            own = range(cls.lineno, cls.end_lineno + 1)
+            set_somewhere = any(
+                callee in (cls.name, "replace")
+                and not (where == path and line in own)
+                and (name in keywords or None in keywords or (callee == cls.name and n_pos > j))
+                for where, found in calls.items()
+                for callee, line, n_pos, keywords in found
+            )
+            if not set_somewhere:
+                unset.append(f"{cls.name}.{name}")
+    return unset
+
+
+def test_every_field_default_is_set_by_a_caller_or_has_a_reason():
+    unset = [f for f in _unset_fields() if f not in FIELDS_ALLOWED]
+    assert unset == [], f"dataclass fields no call in src/exhaz, perfbench or tools sets: {unset}"
+
+
+def test_field_allow_list_names_real_fields_with_defaults():
+    fields = {
+        f"{cls.name}.{name}"
+        for path in SRC.glob("*.py")
+        for cls, name, _, has_default in _dataclass_fields(ast.parse(path.read_text(encoding="utf-8")))
+        if has_default
+    }
+    assert set(FIELDS_ALLOWED) <= fields, set(FIELDS_ALLOWED) - fields
+
+
+def test_the_field_check_skips_init_false_fields_and_counts_positions():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class C:\n"
+        "    a: int\n"
+        "    b: int = 0\n"
+        "    memo: dict = field(default_factory=dict, init=False)\n"
+        "    c: list = field(default_factory=list)\n"
+        "    d: int = 1\n"
+    )
+    got = [(name, j, has_default) for _, name, j, has_default in _dataclass_fields(ast.parse(source))]
+    assert got == [("a", 0, False), ("b", 1, True), ("c", 2, True), ("d", 3, True)]
 
 
 def _exception_names(node):

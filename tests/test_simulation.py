@@ -15,11 +15,13 @@ from exhaz.errors import NoEligibleFit, NonFiniteLikelihood, TargetUnreachable
 from exhaz.estimation import fit_all, select_m4
 from exhaz.gh_model import inverse_excess_survival
 from exhaz.lifetable import LifeTable
-from exhaz.likelihoods import marginal_survival_m3, prepare_cohort
+from exhaz.likelihoods import ParamLayout, marginal_survival_m3, prepare_cohort
 from exhaz.simulation import (
     COVARIATES,
+    DESIGN1_GH,
     DIAGNOSIS_YEAR,
     STUDY_MODELS,
+    ScenarioConfig,
     builtin_scenarios,
     calibrate_dropout_rate,
     design_life_table,
@@ -147,8 +149,8 @@ def test_event_times_in_blocks_are_one_whole_batch_call_bit_for_bit(
     ages, sex, X, t_event = simulation._event_times(sc, table, n, rng)
     # the draws in their order, then each inversion over the whole batch
     whole = np.random.default_rng(61)
-    ages_w, sex_w, _, X_w = simulation.generate_covariates(n, whole)
-    frailty = simulation._draw_frailty(sc, whole, n)
+    ages_w, sex_w, X_w = simulation.generate_covariates(n, whole)
+    frailty = sc.frailty.draw(whole, n)
     u_pop, u_exc = whole.uniform(size=n), whole.uniform(size=n)
     t_exc = inverse_excess_survival(u_exc, X_w, sc.gh)
     t_pop = table.other_cause_time_inverse(
@@ -205,6 +207,47 @@ def test_scenario_rejects_bad_dropout(field, value):
     # the preset sets a drop-out target, which a rate may not join
     with pytest.raises(ValueError, match=field.partition("_")[2] or "^n must"):
         replace(builtin_scenarios()["none-dropout"], **{field: value})
+
+
+@pytest.mark.parametrize("frailty", [(1.2, 0.1), 1.2, "gamma", DESIGN1_GH])
+def test_scenario_rejects_a_frailty_that_is_not_a_law(frailty):
+    with pytest.raises(ValueError, match="^frailty must be None or a frailty law"):
+        ScenarioConfig(name="x", frailty=frailty)
+
+
+@pytest.mark.parametrize(
+    "gh",
+    [
+        ParamLayout.for_model("M1", ("age", "sex")).to_params(np.delete(DESIGN1_GH.values, [5, 8])),
+        ParamLayout.for_model("M1", ("age", "sex", "x")).to_params(DESIGN1_GH.values),
+        ParamLayout.for_model("M2", COVARIATES).to_params([*DESIGN1_GH.values, 1.2]),
+        DESIGN1_GH.values,
+    ],
+    ids=["two-covariates", "other-names", "M2", "bare-vector"],
+)
+def test_scenario_rejects_a_gh_of_another_layout(gh):
+    with pytest.raises(ValueError, match=r"^gh must be M1 params over \('age', 'sex', 'w'\)"):
+        ScenarioConfig(name="x", gh=gh)
+
+
+@pytest.mark.parametrize(
+    "preset, c, b",
+    [
+        ("none", 1.0, 0.0),
+        ("severe", 1.875, 0.075),
+        # moment-matched: mean e^{m + s^2/2}, var/mean = mean (e^{s^2} - 1)
+        ("lognormal", math.exp(1.55 + 0.32), math.exp(1.55 + 0.32) * math.expm1(0.64)),
+    ],
+)
+def test_truth_of_the_corrections_is_the_population_term_of_the_law(preset, c, b):
+    sc = builtin_scenarios()[preset]
+    gh = dict(zip(DESIGN1_GH.layout.names, DESIGN1_GH.values.tolist()))
+    assert sc.truth_for("M1") == gh
+    assert sc.truth_for("M2") == pytest.approx({**gh, "gamma": c}, rel=1e-12)
+    assert sc.truth_for("M3") == pytest.approx({**gh, "mu": c, "b": b}, rel=1e-12)
+    assert sc.truth_for("M4") == pytest.approx({**gh, "c": c}, rel=1e-12)
+    if sc.frailty is not None:  # M3's truth is the law's (c, b), bit for bit
+        assert (sc.truth_for("M3")["mu"], sc.truth_for("M3")["b"]) == sc.frailty.population
 
 
 @pytest.mark.parametrize("target", [0.0, 1.0, 1.5, math.nan])
