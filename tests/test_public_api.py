@@ -17,9 +17,9 @@ dataclass field with a default (or a ``default_factory``) that its
 constructor takes: it must be set, outside its own class, by a call of its
 class or of ``dataclasses.replace`` that names it by keyword, or by a call
 of its class that passes it by position, in ``src/exhaz``, ``perfbench/``
-or ``tools/``.  Exports,
-members, defaults and fields that are there for users rather than for other code
-are on the allow-lists below, each with its reason.  Every exception class
+or ``tools/``.  Exports, members, defaults and fields that are there for
+users rather than for other code are on the allow-lists below, each with
+its reason.  Every exception class
 of ``errors`` must be raised in ``src/exhaz`` or caught by name in an
 ``except`` clause there or in ``perfbench/``.  Every name a module of
 ``src/exhaz``, ``tools/`` or ``perfbench/`` imports must be used in that
