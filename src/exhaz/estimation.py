@@ -95,6 +95,7 @@ from .likelihoods import (
     ParamLayout,
     PreparedCohort,
     _GAMMA_BOX,
+    _LOG_BOX,
     loglik,
     loglik_and_grad,
     profile_gamma,
@@ -142,7 +143,7 @@ _CDA_HALFWIDTH = 5.0  # search window per coordinate, transformed scale
 _CDA_MAXITER = 50  # per coordinate
 # log b of the points M3's start is scanned over: the box floor, where M3
 # is M2, up to b = e^6
-_LOG_B_GRID = tuple(float(v) for v in range(-20, 7))
+_LOG_B_GRID = tuple(float(v) for v in range(-int(_LOG_BOX), 7))
 _START_SEED = 0  # seed of the random starts' perturbations
 
 
@@ -707,7 +708,7 @@ def fit(
     # or M2's and M3's except the multiplier of h_P
     search = obj if model == "M1" else _Profiled(layout, obj.cohort)
     lo, hi = np.array(search.bounds).T
-    k = 3 + 2 * layout.n_covariates  # the GH slots, which init and the starts hold
+    k = layout.beta_slots[1].stop  # the GH slots, which init and the starts hold
 
     base = np.asarray(layout.default_init() if init is None else init, dtype=float)
     if len(base) != k:

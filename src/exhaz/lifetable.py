@@ -21,13 +21,13 @@ patients of a batch forward together, one cell per step, so every query
 takes a batch of patients (columns of age, year and stratum code, one row
 per patient) and returns one value per row: a whole cohort is one call.
 ``LifeTable.codes`` is the one place that turns strata labels into the
-table's codes; everything downstream passes the integer codes.  After each
-step the query tells the walk which rows it has finished (reached t,
-reached the target hazard, or passed the inversion's horizon short of
-it), and the walk drops them, so a step costs the rows still walking
-rather than the whole batch.  Dropping a row changes none of the
-arithmetic on the others: each row's result is the same, bit for bit, as
-the same query on that row alone.
+table's codes; everything downstream passes the integer codes.  The walk
+is a generator that yields every row's segment at each step, and a query
+sums or searches the segments.  A row that has reached its end (t, the
+target hazard, or past the inversion's horizon short of it) takes
+zero-length segments until the last row is done, which adds rate x 0 to
+its sum: each row's result is the same, bit for bit, as the same query on
+that row alone.
 """
 
 from __future__ import annotations
@@ -122,10 +122,7 @@ class LifeTable:
             ) from None
 
     def _rows(self, age, year, stratum, *values):
-        """(stratum, age, year, *values) as arrays, values broadcast to the rows.
-
-        A year given as one value for every row stays one value.
-        """
+        """(stratum, age, year, *values) as arrays, year and values broadcast to the rows."""
         k, n_strata = np.asarray(stratum), self.rates.shape[2]
         if np.ndim(age) != 1 or k.shape != np.shape(age) or k.dtype.kind not in "iu" or not (
             np.all((0 <= k) & (k < n_strata))
@@ -133,8 +130,7 @@ class LifeTable:
             raise ValueError("a query takes a 1-D age array and one stratum code per row, "
                              f"each in [0, {n_strata})")
         k, *cols = np.broadcast_arrays(k, age, year, *values)
-        age, row_year, *values = (np.asarray(c, dtype=float) for c in cols)
-        year = np.asarray(year, dtype=float) if np.ndim(year) == 0 else row_year
+        age, year, *values = (np.asarray(c, dtype=float) for c in cols)
         if not (np.isfinite(age).all() and np.isfinite(year).all()):
             raise ValueError("age and year must be finite")
         return (k, age, year, *values)
@@ -150,31 +146,25 @@ class LifeTable:
         k, age, year = self._rows(age, year, stratum)
         return self._rate(age, year, k)
 
-    def _walk(self, age, year, k, advance_year, end, visit, *cols):
+    def _walk(self, age, year, k, advance_year, end):
         """Walk the patients along their Lexis diagonals, one cell per step, until each is done.
 
-        Each step calls ``visit(rows, s, s_next, rate, *cols)`` on the rows
-        still walking; ``rows`` holds their indices in the batch.  Row i
-        covers [s[i], s_next[i]] at the rate of the cell containing the
-        segment's midpoint.  s_next is the first integer age or calendar-year
+        Each step yields ``(s, s_next, rate)`` over every row: row i covers
+        [s[i], s_next[i]] at the rate of the cell containing the segment's
+        midpoint.  s_next is the first integer age or calendar-year
         boundary ahead, capped at end[i]; once age and year are both past
         the table edge the rate is constant and s_next is end[i] (inf for an
         open-ended walk).  Boundaries come from integer edges minus the
         start, not from accumulated durations, so they do not drift.
 
-        ``visit`` returns a boolean mask over the rows it was given that
-        marks those it is done with, and the walk drops them: it compacts
-        its own per-row state and ``cols``, the caller's per-row arrays
-        (which ``visit`` may update in place), so the next step works on the
-        rest alone.  A year or end that is one value for every row stays one
-        value.  The walk returns once every row is done.
+        A row is done once s reaches end; from then on its segments have
+        zero length.  The caller may lower ``end`` in place, between steps,
+        to finish a row at s_next.  The walk stops once every row is done.
         """
-        rows = np.arange(age.shape[0])
         edge_a = np.floor(age) + 1.0
-        # rows cross calendar-year edges at their own s: per-row edges even for one year
-        edge_y = np.floor(year) + np.ones(age.shape) if advance_year else np.inf
+        edge_y = np.floor(year) + 1.0 if advance_year else np.inf
         s = np.zeros(age.shape)
-        while rows.size:
+        while not np.all(s == end):
             next_a = edge_a - age
             next_y = edge_y - year if advance_year else np.inf
             past = age + s >= self.age_max + 1
@@ -182,17 +172,11 @@ class LifeTable:
                 past &= year + s >= self.year_max + 1
             s_next = np.minimum(np.where(past, np.inf, np.minimum(next_a, next_y)), end)
             mid = 0.5 * (s + s_next)
-            rate = self._rate(age + mid, year + mid if advance_year else year, k)
-            done = visit(rows, s, s_next, rate, *cols)
+            yield s, s_next, self._rate(age + mid, year + mid if advance_year else year, k)
             edge_a += s_next == next_a
             if advance_year:
                 edge_y += s_next == next_y
             s = s_next
-            if done.any():
-                keep = np.flatnonzero(~done)
-                rows, age, k, s, edge_a = (v[keep] for v in (rows, age, k, s, edge_a))
-                year, end, edge_y = (v[keep] if np.ndim(v) else v for v in (year, end, edge_y))
-                cols = [c[keep] for c in cols]
 
     def cum_hazard_increment(self, age, year, stratum, t, advance_year: bool = True):
         """Exact integral of the rate along each row's diagonal over [0, t].
@@ -206,16 +190,10 @@ class LifeTable:
         bad = ~((0.0 <= t) & (t < np.inf))
         if bad.any():
             raise ValueError(f"t must be finite and >= 0, got {t[bad][0]}")
-        out = np.empty(t.shape)
-
-        def segment(rows, s, s_next, rate, total):
+        total = np.zeros(t.shape)
+        for s, s_next, rate in self._walk(age, year, k, advance_year, t):
             total += rate * (s_next - s)
-            done = s_next == t[rows]
-            out[rows[done]] = total[done]
-            return done
-
-        self._walk(age, year, k, advance_year, t, segment, np.zeros(t.shape))
-        return out
+        return total
 
     def other_cause_time_inverse(
         self, age, year, stratum, u, frailty=1.0, advance_year: bool = True,
@@ -252,26 +230,28 @@ class LifeTable:
         # math.log, not np.log: numpy's SIMD log can differ from libm in the
         # last bit, which would move the drawn times
         target = -np.fromiter(map(math.log, u.tolist()), float, count=u.size) / frailty
-        out = np.empty(u.shape)
-
-        def segment(rows, s, s_next, rate, target, acc):
-            step = rate * (s_next - s)  # nan on a zero-rate tail
-            hit = acc + step >= target
-            stuck = ~hit & (s_next == np.inf)
-            if stuck.any():
-                i = int(np.argmax(stuck))
-                raise ZeroHazardPath(
-                    "cumulative hazard exhausted at "
-                    f"{acc[i]:.6g} < target {target[i]:.6g} with zero tail rate"
-                )
-            out[rows[hit]] = np.where(rate > 0.0, s + (target - acc) / rate, s)[hit]
-            acc += step
-            unseen = ~hit & (s_next > horizon)
-            out[rows[unseen]] = np.inf
-            return hit | unseen
-
+        out = np.full(u.shape, np.inf)  # the time of a row left past the horizon
+        acc = np.zeros(u.shape)
+        end = np.full(u.shape, np.inf)
+        # a done row's segments are nan (s = inf) or empty: read only live rows
         with np.errstate(invalid="ignore", divide="ignore"):
-            self._walk(age, year, k, advance_year, np.inf, segment, target, np.zeros(u.shape))
+            for s, s_next, rate in self._walk(age, year, k, advance_year, end):
+                live = s < end
+                step = rate * (s_next - s)  # nan on a zero-rate tail
+                hit = live & (acc + step >= target)
+                miss = live ^ hit  # hit rows are live
+                stuck = miss & (s_next == np.inf)
+                if stuck.any():
+                    i = int(np.argmax(stuck))
+                    raise ZeroHazardPath(
+                        "cumulative hazard exhausted at "
+                        f"{acc[i]:.6g} < target {target[i]:.6g} with zero tail rate"
+                    )
+                i = np.flatnonzero(hit)
+                out[i] = np.where(rate[i] > 0.0, s[i] + (target[i] - acc[i]) / rate[i], s[i])
+                acc += step
+                # the rows hit, and the rest whose segment ends past the horizon, are done
+                np.copyto(end, s_next, where=hit | (miss & (s_next > horizon)))
         return out
 
 

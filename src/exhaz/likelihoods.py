@@ -309,10 +309,11 @@ class PreparedCohort:
     background-hazard increment over (0, t_i] along the Lexis diagonal.
     ``covariate_names`` names the columns of X (x1..xp when empty).  The
     constructor checks the columns once: they must have one length n >= 1
-    (X of shape (n, p), with p covariate names when they are given); the
-    follow-up time must be finite and > 0, status 0 or 1 and the
-    covariates finite, as in a Cohort; and hp and dhp finite and >= 0.  A
-    failure raises DataError naming the first bad row, in a Cohort's words
+    (X of shape (n, p), with p distinct covariate names when they are
+    given, since a fit's outputs are keyed by name); the follow-up time
+    must be finite and > 0, status 0 or 1 and the covariates finite, as in
+    a Cohort; and hp and dhp finite and >= 0.  A failure raises DataError
+    naming the repeated name or the first bad row, in a Cohort's words
     where the checks are shared.  The columns are copied into read-only
     arrays.  Immutable; likelihood evaluations are pure functions of it.
 
@@ -363,6 +364,9 @@ class PreparedCohort:
         names = tuple(self.covariate_names) or tuple(f"x{i + 1}" for i in range(X.shape[1]))
         if len(names) != X.shape[1]:
             raise DataError(f"{len(names)} covariate names for {X.shape[1]} columns of X")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise DataError(f"covariate name {name!r} is repeated")
         hp, dhp = cols["hp"], cols["dhp"]
         _check_rows([
             *_shared_checks(cols["time"], status, X),
@@ -934,15 +938,19 @@ def load_cohort(
     """Read a patient cohort CSV (a path or an open text stream) into a Cohort.
 
     Expected header: ``time,status,age_diag,year_diag,<x cols>,<z cols>``
-    in any order, and ``#``-prefixed comment lines ignored.  The x columns
-    become the covariates and the z columns the strata (they may overlap);
-    each distinct strata tuple gets a code in order of first appearance.
+    in any order, and ``#``-prefixed comment lines ignored.  The x columns,
+    each listed once, become the covariates and the z columns the strata
+    (they may overlap); each distinct strata tuple gets a code in order of
+    first appearance.
     ``transforms`` maps an x column to (center, scale): value -> (value -
     center) / scale; both must be finite and the scale nonzero, and a
     column that is not an x column raises DataError.  A row that
     fails a Cohort check, such as covariates that are not finite after the
     transform, raises DataError naming its line.
     """
+    for i, col in enumerate(x_columns):
+        if col in x_columns[:i]:
+            raise DataError(f"x column {col!r} is listed twice")
     transforms = transforms or {}
     for col, (center, scale) in transforms.items():
         if col not in x_columns:

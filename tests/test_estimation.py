@@ -462,6 +462,13 @@ def test_m3_nests_m2_from_its_first_profiled_value(make_cohort):
     assert m3.loglik_comparable >= start
 
 
+def test_m3s_log_b_scan_starts_on_the_box_floor_of_b():
+    # there M3 is M2, so the scan's first value is already at least M2's end
+    layout = ParamLayout.for_model("M3", ("x1",))
+    assert layout.names[-1] == "b"
+    assert _LOG_B_GRID[0] == layout.transformed_bounds()[-1][0]
+
+
 def test_m3_starts_from_the_best_log_b_of_the_scan_at_m2s_end(monkeypatch):
     # 27 values, one per log b in -20, ..., 6 and counted in n_evals, then
     # one trust-region run from the best of them

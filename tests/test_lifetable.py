@@ -566,7 +566,7 @@ def test_batch_matches_one_row_calls_property(rows, advance_year):
     assert_rows_match_one_row_calls(walk_table(), ages, years, strata, t, u, frailty, advance_year)
 
 
-def test_walk_steps_only_the_rows_still_walking(monkeypatch):
+def test_walk_steps_every_row_until_the_longest_row_is_done(monkeypatch):
     table = walk_table()
     sizes = []
     rate = LifeTable._rate
@@ -577,8 +577,8 @@ def test_walk_steps_only_the_rows_still_walking(monkeypatch):
 
     monkeypatch.setattr(LifeTable, "_rate", counting_rate)
 
-    # 96 rows end inside their first cell; 4 walk past age_max (s >= 6.7)
-    # and year_max (s >= 3.4) before they end
+    # 96 rows end inside their first cell, or take no step at t = 0; 4 walk
+    # past age_max (s >= 6.7) and year_max (s >= 3.4) before they end
     n_short, n_long = 96, 4
     ages = np.array([61.5] * n_short + [58.3] * n_long)
     years = np.array([2000.5] * n_short + [1999.6] * n_long)
@@ -586,18 +586,22 @@ def test_walk_steps_only_the_rows_still_walking(monkeypatch):
     t = np.array([0.1] * n_short + [15.0] * n_long)
     u = np.array([0.999] * n_short + [1e-4] * n_long)
     batch = (ages, years, table.codes(strata))
-    for query, arg in ((table.cum_hazard_increment, t), (table.other_cause_time_inverse, u)):
-        row_steps = []
+    for query, arg, short_steps in (
+        (table.cum_hazard_increment, t, 1),
+        (table.other_cause_time_inverse, u, 1),
+        (table.cum_hazard_increment, np.where(t < 1.0, 0.0, t), 0),
+    ):
+        row_steps, alone = [], []
         for a, y, z, v in zip(ages, years, strata, arg):
             sizes.clear()
-            query(*one(table, a, y, z), v)
+            alone.append(query(*one(table, a, y, z), v)[0])
             row_steps.append(len(sizes))
-        assert max(row_steps[n_short:]) > 5 and max(row_steps[:n_short]) == 1
+        assert row_steps[:n_short] == [short_steps] * n_short and min(row_steps[n_short:]) > 5
         sizes.clear()
-        query(*batch, arg)
-        # each step walks the rows still live at that step, and no others
-        assert sizes == [sum(s > j for s in row_steps) for j in range(max(row_steps))]
-        assert sum(sizes) < 0.2 * len(sizes) * len(ages)
+        got = query(*batch, arg)
+        # every step covers every row, until the longest one-row walk is done
+        assert sizes == [len(ages)] * max(row_steps)
+        assert hexes(got) == hexes(alone)
 
 
 def test_zero_tail_after_finished_rows_reports_its_own_hazard_and_target():

@@ -747,6 +747,14 @@ def test_covariate_names_must_name_every_column_of_x(flat_table):
         prepare_cohort(rows, flat_table, covariate_names=("age",))
 
 
+def test_covariate_names_must_be_distinct(flat_table):
+    # fit outputs are keyed by name: a repeated name would drop a coefficient
+    x = (0.2, 1.0, 0.0)
+    rows = Cohort([1.2, 4.0], [1, 0], [64.3, 75.0], [2010.0, 2010.0], [x, x], [("0",)], [0, 0])
+    with pytest.raises(DataError, match="^covariate name 'age' is repeated$"):
+        prepare_cohort(rows, flat_table, covariate_names=("age", "sex", "age"))
+
+
 def _prepared_columns(n=5):
     rng = np.random.default_rng(7)
     return dict(
@@ -1146,6 +1154,11 @@ def test_load_cohort_reports_a_covariate_the_transform_overflows():
 def test_load_cohort_rejects_bad_files(text, message):
     with pytest.raises(DataError, match=message):
         _load(text)
+
+
+def test_load_cohort_rejects_an_x_column_listed_twice():
+    with pytest.raises(DataError, match="^x column 'age' is listed twice$"):
+        load_cohort(io.StringIO(COHORT_CSV), ["age", "age"], [])
 
 
 def test_load_cohort_rejects_a_repeated_column():

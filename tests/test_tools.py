@@ -221,15 +221,18 @@ def test_cohort_digest_is_stable_and_sees_one_ulp_of_one_rate():
     table = design_life_table()
     lines = list(cohort_digest.digest_lines(table))
     # 9 presets x 2 advance_year settings x 2 replicates, 5 drop-out
-    # calibrations, and one cohort per preset without administrative censoring
-    assert len(lines) == 9 * 2 * 2 + 5 + 9 and len(set(lines)) == len(lines)
+    # calibrations each with its pilot, and one cohort per preset without
+    # administrative censoring
+    assert len(lines) == 9 * 2 * 2 + 5 * 2 + 9 and len(set(lines)) == len(lines)
     assert sum("admin_censor_time=inf replicate=0" in line for line in lines) == 9
+    assert sum(" pilot=100000 " in line for line in lines) == 5
     assert lines == list(cohort_digest.digest_lines(design_life_table()))
     rates = table.rates.copy()
     rates[70, 5, 1] = np.nextafter(rates[70, 5, 1], 1.0)  # age 70, 2010, stratum "1"
     moved = LifeTable(table.strata_columns, table.age_min, table.year_min, rates, table.strata)
     changed = [a for a, b in zip(lines, cohort_digest.digest_lines(moved)) if a != b]
-    assert changed == [line for line in lines if "replicate=" in line]
+    # every cohort and pilot moves; the calibrated rates hold
+    assert changed == [line for line in lines if "dropout_rate=" not in line]
 
 
 bench_pairs = load_tool("bench_pairs")

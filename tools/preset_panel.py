@@ -53,12 +53,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from exhaz.estimation import FitConfig  # noqa: E402
+from exhaz.likelihoods import MODELS  # noqa: E402
 from exhaz.simulation import builtin_scenarios, run_study  # noqa: E402
 
 MOVE_TOL = 1e-6  # an ll that moves by more is listed
 GAP_TOL = 1e-3  # a certified fit this far below the reference is counted apart
 CERTIFIED_NORM = 1.0  # a converged end certifies only with a gradient max-norm below this
-MODELS = ("M1", "M2", "M3")
 
 
 def panel(n: int, replicates: int, starts: int = 1) -> list[dict]:
