@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -89,6 +90,7 @@ from .errors import (
     SEsUnavailable,
 )
 from .distributions import _check_natural
+from .lifetable import _Record
 from .likelihoods import (
     MODELS,
     ModelParams,
@@ -154,10 +156,16 @@ class FitConfig:
     The best certified end from the model's start and ``multi_starts``
     random ones is the reference that tells whether the single start found
     the MLE.  Everything else the optimizer uses is a module constant (see
-    the module docstring).
+    the module docstring).  ``multi_starts`` is an integer >= 0, not a
+    bool; another value raises ValueError.
     """
 
     multi_starts: int = 0  # random starts besides the model's own; best-of-N is the reference
+
+    def __post_init__(self):
+        n = self.multi_starts
+        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 0):
+            raise ValueError(f"multi_starts must be an integer >= 0, got {n!r}")
 
 
 def transform_params(natural: np.ndarray, positive: np.ndarray) -> np.ndarray:
@@ -186,8 +194,8 @@ def untransform_params(unconstrained: np.ndarray, positive: np.ndarray) -> np.nd
 
 
 @dataclass(frozen=True, eq=False)
-class FitResult:
-    """Maximum-likelihood fit: natural-scale estimates plus inference pieces."""
+class FitResult(_Record):
+    """Maximum-likelihood fit: natural-scale estimates and inference pieces in read-only arrays."""
 
     layout: ParamLayout  # the model fitted and the order of its parameters
     estimates: np.ndarray  # natural scale
@@ -207,6 +215,10 @@ class FitResult:
     # eigenvalue (< 0: not PD, no SEs); NaN where H is not finite (or singular, for the decrement)
     decrement: float = math.nan
     min_eig: float = math.nan
+
+    def __post_init__(self):
+        self._freeze(estimates=self.estimates, std_errors=self.std_errors,
+                     cov_transformed=self.cov_transformed)
 
     @property
     def model(self) -> str:

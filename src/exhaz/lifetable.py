@@ -12,8 +12,8 @@ Every table, read from a CSV, made from a rate function or built from a
 grid, passes one check, in the ``LifeTable`` constructor: integer
 ``age_min`` and ``year_min`` (the cell edges the walk steps over), a
 non-empty 3-D grid, every rate finite and >= 0, and one distinct strata
-tuple per stratum.  A failure raises DataError naming the bad bound or
-the first bad cell.
+tuple per stratum, of one label per strata column.  A failure raises
+DataError naming the bad bound or the first bad cell.
 
 One walk along that diagonal (``LifeTable._walk``) serves both the
 increment dH_P and its inverse, the other-cause time.  It moves the
@@ -51,8 +51,24 @@ def _norm_strata(values: Iterable) -> tuple[str, ...]:
     return tuple(str(v).strip() for v in values)
 
 
+class _Record:
+    """Base of the frozen dataclasses that hold arrays: ``_freeze`` sets fields
+    and makes each ndarray among them read-only in place.  Pickle, copy and
+    deepcopy rerun the constructor on the ``init`` fields, so a copy is
+    checked and frozen like the original and starts with empty caches."""
+
+    def _freeze(self, **values):
+        for name, value in values.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True, eq=False)
-class LifeTable:
+class LifeTable(_Record):
     """Dense grid of background mortality rates h_P(age, year; strata).
 
     Five fields hold the grid: the strata column names, ``age_min``,
@@ -88,19 +104,14 @@ class LifeTable:
             raise DataError(f"life table rates of shape {rates.shape} are not a non-empty 3-D grid")
         if len(set(strata)) != len(strata) or len(strata) != rates.shape[2]:
             raise DataError(f"strata {strata} are not {rates.shape[2]} distinct tuples")
+        if any(len(z) != len(self.strata_columns) for z in strata):
+            raise DataError(f"strata {strata} need one label per column of {self.strata_columns}")
         bad = ~((0.0 <= rates) & (rates < np.inf))
         if bad.any():
             ia, iy, ik = np.argwhere(bad)[0]
             raise DataError(f"rate {rates[ia, iy, ik]} at age={self.age_min + ia}, year="
                             f"{self.year_min + iy}, strata={strata[ik]} is negative or not finite")
-        rates.setflags(write=False)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "strata", strata)
-        object.__setattr__(self, "_code", {z: k for k, z in enumerate(strata)})
-
-    def __reduce__(self):
-        # unpickling runs the constructor, so the rates come back read-only
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+        self._freeze(rates=rates, strata=strata, _code={z: k for k, z in enumerate(strata)})
 
     @property
     def age_max(self) -> int:

@@ -65,7 +65,7 @@ import numpy as np
 from .distributions import _by_majority, _check_natural
 from .errors import DataError, NonFiniteLikelihood
 from .gh_model import excess_cum_hazard, gh_baseline, gh_excess
-from .lifetable import LifeTable, _read_csv
+from .lifetable import LifeTable, _read_csv, _Record
 
 __all__ = [
     "Cohort",
@@ -127,7 +127,7 @@ def _cohort_checks(time, status, age_diag, year_diag, X, stratum, n_strata):
 
 
 @dataclass(frozen=True, eq=False)
-class Cohort:
+class Cohort(_Record):
     """A patient cohort as columns, one row per patient.
 
     ``time`` is the follow-up in years (> 0), ``status`` 1 for an event and
@@ -167,10 +167,7 @@ class Cohort:
         _check_rows(_cohort_checks(**cols, n_strata=n_strata), "row {}".format)
         cols["status"] = cols["status"].astype(np.int8)
         cols["stratum"] = cols["stratum"].astype(np.intp)
-        for name, arr in cols.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "strata", strata)
+        self._freeze(**cols, strata=strata)
 
 
 _LOG_BOX = 20.0  # |log| bound of the positive parameters (ParamLayout.transformed_bounds)
@@ -181,7 +178,7 @@ MODELS = tuple(_CORRECTIONS)
 
 
 @dataclass(frozen=True)
-class ParamLayout:
+class ParamLayout(_Record):
     """Order, names, and positivity of a model's natural parameter vector.
 
     Layout: kappa, theta, alpha, beta1 entries, beta2 entries, then the
@@ -199,12 +196,7 @@ class ParamLayout:
         positive = np.ones(self.k, dtype=bool)
         for slots in self.beta_slots:
             positive[slots] = False
-        positive.setflags(write=False)
-        object.__setattr__(self, "positive", positive)
-
-    def __reduce__(self):
-        # unpickling runs the constructor, so the mask comes back read-only
-        return ParamLayout, (self.model, self.n_covariates, self.names)
+        self._freeze(positive=positive)
 
     @classmethod
     def for_model(cls, model: str, covariate_names: Sequence[str]) -> "ParamLayout":
@@ -251,7 +243,7 @@ class ParamLayout:
 
 
 @dataclass(frozen=True, eq=False)
-class ModelParams:
+class ModelParams(_Record):
     """A model's parameters: its layout and a read-only copy of one natural vector.
 
     Raises NonPositive as ``transform_params`` does, naming every slot that
@@ -270,12 +262,7 @@ class ModelParams:
             raise ValueError(f"{self.layout.model} takes {self.layout.k} parameters, "
                              f"got shape {values.shape}")
         _check_natural(values, self.layout.positive)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __reduce__(self):
-        # unpickling runs the constructor, so the vector comes back read-only
-        return ModelParams, (self.layout, self.values)
+        self._freeze(values=values)
 
     @property
     def baseline(self) -> np.ndarray:
@@ -302,7 +289,7 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class PreparedCohort:
+class PreparedCohort(_Record):
     """Cohort with life-table quantities cached per patient.
 
     hp[i] is the background rate at exit time and dhp[i] the cumulative
@@ -334,8 +321,8 @@ class PreparedCohort:
     that aliases the block, so it changes no result.  It spares each pass
     mapping and faulting in five fresh blocks.  Neither the memo nor the
     workspace is thread-safe: share a cohort between threads only through
-    copies (``dataclasses.replace`` gives a fresh, empty memo and
-    workspace).
+    copies.  Any copy (``dataclasses.replace``, ``copy.copy``, ``deepcopy``
+    or pickle) is a new record, checked and read-only, with empty caches.
     """
 
     time: np.ndarray
@@ -378,10 +365,7 @@ class PreparedCohort:
         cols["_dhp2"] = dhp * dhp
         cols["_hp_events"] = np.flatnonzero(cols["_event"] & (hp > 0))
         cols["_hp_at_events"] = hp[cols["_hp_events"]]
-        for name, arr in cols.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "covariate_names", names)
+        self._freeze(**cols, covariate_names=names)
 
     @property
     def n(self) -> int:
@@ -484,51 +468,42 @@ def marginal_survival_m3(
 def _exact_sum(a: np.ndarray, top: float | None = None) -> float:
     """Correctly rounded sum of a float array; equals ``fsum(a.tolist())``.
 
-    Error-free extraction (Rump, Ogita & Oishi 2008, "Accurate
+    One pass of error-free extraction (Rump, Ogita & Oishi 2008, "Accurate
     floating-point summation part I"): with sigma a power of two at least
     2^M max|r| and 2^M >= n + 2, q = (sigma + r) - sigma holds the leading
     bits of every entry as multiples of ulp(sigma)/2, so the sum of q is
-    exact and so is r - q.  Each pass moves about 53 - M bits of every
-    entry into one partial sum; fsum adds the partials and the last
-    remainders once at most 32 of them are nonzero, or at once when the
-    exponents leave the range where sigma is a normal number that cannot
-    overflow (huge, tiny, inf or NaN entries).  Before each further pass a
-    rounding certificate (Rump, Ogita & Oishi 2008, part II) bounds the
+    exact and so is r - q.  A rounding certificate (part II) then bounds the
     plain sum of the remainders; when the whole bound rounds to one value
-    with the partials, that value is the answer and the passes stop.
-
-    ``top`` is max|a| when the caller has it.  After a pass at sigma = 2^e
-    every remainder is at most 2^(e-53) in magnitude, and that bound is the
-    next pass's ``top``: sigma need only be a power of two above 2^M
-    max|r|, so the sum does not depend on how tight ``top`` is.
+    with the pass total, that value is the answer, and otherwise fsum adds
+    the pass total and the nonzero remainders.  fsum adds the entries at
+    once when at most 32 are nonzero, or when the exponents leave the range
+    where sigma is a normal number that cannot overflow (huge, tiny, inf or
+    NaN entries).  ``top`` is max|a| when the caller has it; sigma need only
+    be a power of two above 2^M max|a|, so the sum does not depend on how
+    tight it is.
     """
     r = np.asarray(a, dtype=float).ravel()
     n = r.size
-    m_bits = (n + 1).bit_length()
-    parts = []
-    while np.count_nonzero(r) > 32:
-        if top is None:
-            top = float(np.maximum.reduce(np.abs(r)))
-        if parts:
-            # the plain sum of r is within (n-1) u sum|r| < n^2 u top of the
-            # exact sum of r (u = 2^-53); d is four times that.  fsum rounds
-            # monotonically, so when both ends of [s - d, s + d] give one
-            # value, so does the exact sum and the passes can stop.
-            s, d = float(np.add.reduce(r)), 4.0 * n * n * 2.0**-53 * top
-            if d >= sys.float_info.min:
-                lo = fsum(parts + [s - d])
-                if lo == fsum(parts + [s + d]):
-                    return lo
-        e = math.frexp(top)[1] + m_bits
-        if not (math.isfinite(top) and -969 <= e <= 1022):
-            break
-        sigma = math.ldexp(1.0, e)
-        q = r + sigma
-        q -= sigma
-        parts.append(float(np.add.reduce(q)))
-        r = np.subtract(r, q, out=q)
-        top = math.ldexp(1.0, e - 53)  # |r - q| <= ulp(sigma) / 2
-    return fsum(parts + r[r != 0].tolist())
+    if top is None:
+        top = float(np.maximum.reduce(np.abs(r), initial=0.0))
+    e = math.frexp(top)[1] + (n + 1).bit_length()
+    if np.count_nonzero(r) <= 32 or not (math.isfinite(top) and -969 <= e <= 1022):
+        return fsum(r[r != 0].tolist())
+    sigma = math.ldexp(1.0, e)
+    q = r + sigma
+    q -= sigma
+    part = float(np.add.reduce(q))
+    r = np.subtract(r, q, out=q)
+    # every |r| is at most ulp(sigma)/2 = 2^(e-53), so the plain sum of r is
+    # within (n-1) u sum|r| < n^2 u 2^(e-53) of the exact sum of r (u =
+    # 2^-53); d is four times that.  fsum rounds monotonically, so when both
+    # ends of [s - d, s + d] give one value, so does the exact sum.
+    s, d = float(np.add.reduce(r)), 4.0 * n * n * 2.0**-53 * math.ldexp(1.0, e - 53)
+    if d >= sys.float_info.min:
+        lo = fsum([part, s - d])
+        if lo == fsum([part, s + d]):
+            return lo
+    return fsum([part] + r[r != 0].tolist())
 
 
 def _ew_block(params: ModelParams, cohort: PreparedCohort):
@@ -601,11 +576,12 @@ def loglik(params: ModelParams, cohort: PreparedCohort, comparable: bool = False
     """Exact log-likelihood: the correctly rounded sum of the per-patient terms.
 
     The sum equals ``math.fsum`` of the terms bit for bit, so it does not
-    depend on the order of the patients.  ``_exact_sum`` gets it with a few
-    vectorized passes of error-free extraction: each pass rounds every
-    remainder to a multiple of a common power of two (an exact split),
-    adds those parts exactly with one np.add.reduce, and keeps the exact
-    rests; fsum then adds the pass totals and the last nonzero rests.
+    depend on the order of the patients.  ``_exact_sum`` gets it with one
+    vectorized pass of error-free extraction: it rounds every term to a
+    multiple of a common power of two (an exact split), adds those parts
+    exactly with one np.add.reduce, and keeps the exact rests; a rounding
+    certificate on the plain sum of the rests gives the result, or else
+    fsum adds the pass total and the nonzero rests.
 
     ``comparable=True`` adds M1's omitted population-survival constant back
     so that values are on the full-data likelihood scale across models.

@@ -305,6 +305,15 @@ def test_fit_multistart_deterministic():
     assert r1.n_evals > fit("M1", cohort).n_evals  # the two restarts ran
 
 
+@pytest.mark.parametrize("n", [-2, 1.5, True, None, "1"])
+def test_fit_config_rejects_multi_starts_that_are_not_an_integer_of_at_least_zero(n):
+    # -2 fitted one start, 1.5 failed inside fit and True fitted two
+    message = f"multi_starts must be an integer >= 0, got {n!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FitConfig(multi_starts=n)
+    assert FitConfig(multi_starts=np.int64(2)).multi_starts == 2
+
+
 @pytest.mark.parametrize("p", [0, 1, 3])
 @pytest.mark.parametrize("model", ["M1", "M2", "M3"])
 def test_slot_scale_is_the_covariate_sd_on_its_beta_slots_only(model, p):

@@ -157,19 +157,26 @@ def test_constructor_rejects_a_bound_that_is_not_an_integer(age_min, year_min, m
 
 
 @pytest.mark.parametrize(
-    "rates, strata, message",
+    "columns, rates, strata, message",
     [
-        (grid(), (("0",),), "strata (('0',),) are not 2 distinct tuples"),
-        (grid(), (*SEX, ("2",)), "strata (('0',), ('1',), ('2',)) are not 2 distinct tuples"),
-        (grid(), (("0",), (" 0",)), "strata (('0',), ('0',)) are not 2 distinct tuples"),
-        (grid()[:, 0, :], SEX, "life table rates of shape (2, 2) are not a non-empty 3-D grid"),
-        (np.zeros((0, 1, 2)), SEX, "of shape (0, 1, 2) are not a non-empty 3-D grid"),
+        (("sex",), grid(), (("0",),), "strata (('0',),) are not 2 distinct tuples"),
+        (("sex",), grid(), (*SEX, ("2",)),
+         "strata (('0',), ('1',), ('2',)) are not 2 distinct tuples"),
+        (("sex",), grid(), (("0",), (" 0",)), "strata (('0',), ('0',)) are not 2 distinct tuples"),
+        (("sex",), grid()[:, 0, :], SEX,
+         "life table rates of shape (2, 2) are not a non-empty 3-D grid"),
+        (("sex",), np.zeros((0, 1, 2)), SEX, "of shape (0, 1, 2) are not a non-empty 3-D grid"),
+        # every cohort would fail later, in codes, with UnknownStratum
+        (("sex",), grid(), (("0", "a"), ("1", "b")),
+         "strata (('0', 'a'), ('1', 'b')) need one label per column of ('sex',)"),
+        ("sex", grid(), SEX, "strata (('0',), ('1',)) need one label per column of sex"),
     ],
-    ids=["too-few", "too-many", "duplicate", "2-D", "empty"],
+    ids=["too-few", "too-many", "duplicate", "2-D", "empty", "wider-than-columns",
+         "string-columns"],
 )
-def test_constructor_rejects_strata_that_do_not_match_the_grid(rates, strata, message):
+def test_constructor_rejects_strata_that_do_not_match_the_grid(columns, rates, strata, message):
     with pytest.raises(DataError, match=re.escape(message)):
-        LifeTable(("sex",), 70, 2012, rates, strata)
+        LifeTable(columns, 70, 2012, rates, strata)
 
 
 def test_table_is_frozen_holds_its_own_read_only_rates_and_compares_by_identity():

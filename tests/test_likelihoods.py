@@ -325,10 +325,11 @@ def _half_ulp_ties(rng):
     """A large term plus many small shares of exactly half its ulp.
 
     The exact sum is a rounding tie, so no interval around the plain sum of
-    the shares rounds to one value, and ``_exact_sum`` must finish its
-    passes.  Ties go to even: down from 1 and 2^40 + 2, up from 1 + 2^-52
-    and 2^40 + 1.  In the last share set np.sum of the shares is inexact in
-    most orders, so a sum that trusted it would round the wrong way.
+    the shares rounds to one value, and ``_exact_sum`` must fall back to
+    fsum of its pass total and the remainders.  Ties go to even: down from
+    1 and 2^40 + 2, up from 1 + 2^-52 and 2^40 + 1.  In the last share set
+    np.sum of the shares is inexact in most orders, so a sum that trusted
+    it would round the wrong way.
     """
     for big in (1.0, 1.0 + 2.0**-52, 2.0**40 + 1.0, 2.0**40 + 2.0):
         half_ulp = math.ulp(big) / 2

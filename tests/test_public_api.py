@@ -21,7 +21,9 @@ or ``tools/``.  Exports, members, defaults and fields that are there for
 users rather than for other code are on the allow-lists below, each with
 its reason.  Every exception class
 of ``errors`` must be raised in ``src/exhaz`` or caught by name in an
-``except`` clause there or in ``perfbench/``.  Every name a module of
+``except`` clause there or in ``perfbench/``.  Every dataclass of
+``src/exhaz`` with an array field derives from ``lifetable._Record``, the
+one place that freezes fields and copies a record.  Every name a module of
 ``src/exhaz``, ``tools/`` or ``perfbench/`` imports must be used in that
 module or listed in its ``__all__``, so a deletion leaves no import behind.
 """
@@ -281,15 +283,19 @@ def test_default_allow_list_names_real_defaults():
     assert set(DEFAULTS_ALLOWED) <= defaults, set(DEFAULTS_ALLOWED) - defaults
 
 
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
 def _dataclass_fields(tree: ast.Module):
     """(class node, field, index among the constructor's positional
     arguments, whether it has a default) of each field a top-level
     dataclass's constructor takes; ``field(init=False)`` ones are skipped."""
     for node in tree.body:
-        if not (isinstance(node, ast.ClassDef) and any(
-            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-            for d in node.decorator_list
-        )):
+        if not _is_dataclass(node):
             continue
         index = 0
         for item in node.body:
@@ -357,6 +363,33 @@ def test_the_field_check_skips_init_false_fields_and_counts_positions():
     )
     got = [(name, j, has_default) for _, name, j, has_default in _dataclass_fields(ast.parse(source))]
     assert got == [("a", 0, False), ("b", 1, True), ("c", 2, True), ("d", 3, True)]
+
+
+ARRAY_RECORDS = ("LifeTable", "Cohort", "ParamLayout", "ModelParams", "PreparedCohort", "FitResult")
+
+
+def test_every_array_record_freezes_and_copies_through_one_base():
+    # a record that froze or copied itself could hand out writeable arrays,
+    # or a copy that shares the original's caches
+    bases, stray, reduces = {}, [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "_Record"]
+        for node in tree.body:
+            if _is_dataclass(node) and any(
+                isinstance(item, ast.AnnAssign) and "np.ndarray" in ast.unparse(item.annotation)
+                for item in node.body
+            ):
+                bases[node.name] = [ast.unparse(base) for base in node.bases]
+        for node in ast.walk(tree):
+            reduce = isinstance(node, ast.FunctionDef) and node.name == "__reduce__"
+            setattr_ = isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__"
+            reduces += reduce
+            if (reduce or setattr_) and not any(node.lineno in lines for lines in own):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert bases == {name: ["_Record"] for name in ARRAY_RECORDS}, bases
+    assert stray == [] and reduces == 1, (stray, reduces)
 
 
 def _exception_names(node):

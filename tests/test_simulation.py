@@ -1,5 +1,6 @@
 """Cohort generation, drop-out calibration, the study engine and its reports."""
 
+import copy
 import csv
 import math
 import pickle
@@ -15,7 +16,7 @@ from exhaz.errors import NoEligibleFit, NonFiniteLikelihood, TargetUnreachable
 from exhaz.estimation import fit_all, select_m4
 from exhaz.gh_model import inverse_excess_survival
 from exhaz.lifetable import LifeTable
-from exhaz.likelihoods import ParamLayout, marginal_survival_m3, prepare_cohort
+from exhaz.likelihoods import ParamLayout, loglik_grad_hess, marginal_survival_m3, prepare_cohort
 from exhaz.simulation import (
     COVARIATES,
     DESIGN1_GH,
@@ -281,19 +282,40 @@ def test_calibration_reports_a_pilot_too_small_to_reach_the_target(table):
 
 
 def test_pickled_parameters_and_tables_stay_read_only(table):
-    # run_study(jobs > 1) sends the scenario and the table to its workers
-    sc = builtin_scenarios()["moderate"]
-    gh, copy = sc.gh, pickle.loads(pickle.dumps(sc)).gh
-    assert copy.layout == gh.layout and copy.values.tolist() == gh.values.tolist()
-    for arr in (copy.values, copy.baseline, copy.beta1, copy.beta2, copy.correction):
+    # run_study(jobs > 1) sends the scenario and the table to its workers.
+    # Every copy of a record reruns its constructor: each array comes back
+    # read-only with the original's bytes, and a cohort's EW memo and
+    # information workspace stay behind.
+    sc = replace(builtin_scenarios()["moderate"], n=300)
+    cohort = replicate_cohort(sc, 0, table)
+    fits = fit_all(cohort)
+    loglik_grad_hess(fits["M3"].to_model_params(), cohort)
+    assert cohort._ew_memo and cohort._workspace
+    records = (table, sc.gh.layout, sc.gh, generate_cohort(sc, 0, table), cohort, fits["M3"])
+    for how in (lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy):
+        for record in records:
+            twin = how(record)
+            assert type(twin) is type(record) and twin is not record
+            arrays = {k: v for k, v in vars(record).items() if isinstance(v, np.ndarray)}
+            assert arrays
+            for name, arr in arrays.items():
+                got = getattr(twin, name)
+                assert not got.flags.writeable, (type(record).__name__, name)
+                assert (got.dtype, got.shape) == (arr.dtype, arr.shape)
+                assert got.tobytes() == arr.tobytes()
+        twin = how(cohort)
+        for cache in ("_ew_memo", "_workspace"):
+            assert getattr(twin, cache) == {} and getattr(twin, cache) is not getattr(cohort, cache)
+    gh, twin = sc.gh, pickle.loads(pickle.dumps(sc)).gh
+    assert twin.layout == gh.layout and twin.values.tolist() == gh.values.tolist()
+    for arr in (twin.values, twin.baseline, twin.beta1, twin.beta2, twin.correction):
         assert not arr.flags.writeable
-    copy = pickle.loads(pickle.dumps(table))
-    assert not copy.rates.flags.writeable and np.array_equal(copy.rates, table.rates)
-    assert (copy.age_max, copy.year_max) == (table.age_max, table.year_max)
-    assert copy.strata == table.strata
-    assert copy.codes([("1",), ("0",)]).tolist() == [1, 0]
+    twin = pickle.loads(pickle.dumps(table))
+    assert (twin.age_max, twin.year_max) == (table.age_max, table.year_max)
+    assert twin.strata == table.strata
+    assert twin.codes([("1",), ("0",)]).tolist() == [1, 0]
     with pytest.raises(FrozenInstanceError):
-        copy.age_min = 0
+        twin.age_min = 0
 
 
 @pytest.fixture(scope="module")
